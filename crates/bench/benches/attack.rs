@@ -80,7 +80,7 @@ fn bench_multikey_vs_baseline(c: &mut Criterion) {
                     .run(&locked.netlist)
                     .expect("runs");
                 assert!(report.is_complete());
-                black_box(report.sub_keys().len())
+                black_box(report.keys.len())
             })
         });
     }

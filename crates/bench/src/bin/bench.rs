@@ -9,6 +9,7 @@
 //!
 //! bench --list                  # what is registered
 //! bench --only matrix,batch     # explicit subset
+//! bench --only table1 --csv t1.csv   # one scenario, its table as CSV
 //! bench --tag ablation          # subset by tag (group names match too)
 //! bench --quick --save-baseline bench/baselines/quick.json   # refresh
 //! ```
@@ -29,8 +30,7 @@ use polykey_bench::harness::{
     ScenarioCtx,
 };
 
-/// Flags of the unified `bench` bin (a superset of `HarnessArgs`, parsed
-/// by hand like the rest of the suite).
+/// Flags of the `bench` bin, parsed by hand like the rest of the suite.
 #[derive(Default)]
 struct BenchArgs {
     ctx: ScenarioCtx,
@@ -42,12 +42,13 @@ struct BenchArgs {
     do_compare: bool,
     threshold: Option<f64>,
     save_baseline: Option<String>,
+    csv: Option<String>,
 }
 
 const USAGE: &str = "flags: --quick | --full | --only <a,b,..> | --tag <t> | --list \
                      | --time-cap <secs> | --seed <n> | --out-dir <dir> \
                      | --baseline <file> | --compare | --threshold <x> \
-                     | --save-baseline <file>";
+                     | --save-baseline <file> | --csv <path>";
 
 impl BenchArgs {
     fn parse() -> BenchArgs {
@@ -82,6 +83,7 @@ impl BenchArgs {
                     );
                 }
                 "--save-baseline" => args.save_baseline = Some(value("--save-baseline")),
+                "--csv" => args.csv = Some(value("--csv")),
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
                     std::process::exit(0);
@@ -147,6 +149,10 @@ fn main() -> ExitCode {
 
     let selected = args.select();
     assert!(!selected.is_empty(), "selection matched no scenarios (try --list)");
+    assert!(
+        args.csv.is_none() || selected.len() == 1,
+        "--csv writes one table: select exactly one scenario with --only"
+    );
     eprintln!(
         "bench: running {} scenario(s) [{}] in {} mode",
         selected.len(),
@@ -159,6 +165,11 @@ fn main() -> ExitCode {
         eprintln!("=== {} ===", scenario.name);
         let result = (scenario.run)(&args.ctx);
         print!("{}", result.rendered);
+        if let Some(path) = &args.csv {
+            let table = result.table.as_ref().expect("the scenario renders a table");
+            std::fs::write(path, table.to_csv()).expect("write csv");
+            eprintln!("bench: wrote {path}");
+        }
         records.extend(result.records);
     }
     // Per-scenario aggregates: individual quick cells sit below the

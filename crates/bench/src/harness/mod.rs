@@ -1,10 +1,10 @@
 //! The unified benchmark harness: a scenario registry, machine-readable
 //! telemetry, and baseline comparison for CI regression gating.
 //!
-//! Every evaluation binary in this crate is a registered [`Scenario`]: a
-//! named, tagged function that returns a structured [`ScenarioResult`]
-//! (one [`Record`] per benchmark cell, plus the human-readable rendering
-//! the standalone bins print). The `bench` bin runs any subset of the
+//! Every evaluation of this crate is a registered [`Scenario`]: a named,
+//! tagged function that returns a structured [`ScenarioResult`] (one
+//! [`Record`] per benchmark cell, plus the human-readable rendering
+//! `bench` prints). The `bench` bin runs any subset of the
 //! registry, groups the records by [`Group`], and writes one
 //! `BENCH_<group>.json` telemetry file per group — see [`document`] for
 //! the schema. [`compare`] checks a run against a committed baseline with
@@ -49,8 +49,8 @@ use crate::TextTable;
 /// rejects documents from a different schema generation.
 pub const SCHEMA: &str = "polykey-bench/v1";
 
-/// Scaled-down / paper-scale knobs shared by every scenario, mirroring the
-/// standalone bins' `--quick` / `--full` / `--time-cap` / `--seed` flags.
+/// Scaled-down / paper-scale knobs shared by every scenario, set by the
+/// `bench` bin's `--quick` / `--full` / `--time-cap` / `--seed` flags.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioCtx {
     /// Run the scaled-down configuration (fast; CI-friendly).
@@ -179,16 +179,15 @@ pub fn ms(d: Duration) -> f64 {
 pub struct ScenarioResult {
     /// One record per benchmark cell.
     pub records: Vec<Record>,
-    /// The human-readable output the standalone bin prints.
+    /// The human-readable output `bench` prints.
     pub rendered: String,
-    /// The scenario's main table, for `--csv` compatibility.
+    /// The scenario's main table, which `bench --csv` writes.
     pub table: Option<TextTable>,
 }
 
 /// A registered benchmark scenario.
 pub struct Scenario {
-    /// Unique name; `bench --only <name>` selects it and the standalone
-    /// bin of the same name runs exactly this scenario.
+    /// Unique name; `bench --only <name>` selects it.
     pub name: &'static str,
     /// The telemetry file the records land in.
     pub group: Group,
@@ -211,9 +210,7 @@ impl Scenario {
     }
 }
 
-/// The full scenario registry: every evaluation binary of this crate,
-/// plus the harness-only scenarios (`adaptive`, `encode`) that have no
-/// standalone bin.
+/// The full scenario registry.
 #[must_use]
 pub fn registry() -> &'static [Scenario] {
     &[
@@ -312,12 +309,6 @@ pub fn registry() -> &'static [Scenario] {
 #[must_use]
 pub fn find(name: &str) -> Option<&'static Scenario> {
     registry().iter().find(|s| s.name == name)
-}
-
-/// Runs the named scenario (`None` if it is not registered).
-#[must_use]
-pub fn run_scenario(name: &str, ctx: &ScenarioCtx) -> Option<ScenarioResult> {
-    find(name).map(|s| (s.run)(ctx))
 }
 
 /// Builds a `polykey-bench/v1` telemetry document from `records`.

@@ -1,15 +1,17 @@
 //! The registered scenario implementations.
 //!
-//! Each function is the body of one evaluation binary, refactored to
-//! return a structured [`ScenarioResult`] (records + rendered text)
-//! instead of printing: the standalone bins print `rendered`, while the
-//! `bench` bin persists `records` as `BENCH_*.json` telemetry. Progress
-//! chatter still goes to stderr, so long runs stay observable either way.
+//! Each function is one evaluation, returning a structured
+//! [`ScenarioResult`] (records + rendered text) instead of printing: the
+//! `bench` bin prints `rendered` and persists `records` as `BENCH_*.json`
+//! telemetry. Progress chatter goes to stderr, so long runs stay
+//! observable.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use polykey_attack::{AttackSession, AttackStatus, SimOracle, SplitStrategy};
+use polykey_attack::{
+    AttackReport, AttackSession, AttackStats, AttackStatus, SimOracle, SplitStrategy,
+};
 use polykey_circuits::Iscas85;
 use polykey_encode::{build_miter, check_equivalence, EquivResult};
 use polykey_locking::{
@@ -33,6 +35,20 @@ fn scheme_roster(seed: u64) -> Vec<Box<dyn LockScheme>> {
     ]
 }
 
+/// The largest per-term `#DIP` of a run — the quantity of the paper's
+/// Table 1.
+fn max_term_dips(report: &AttackReport) -> u64 {
+    report.reports.iter().map(|r| r.stats.dips).max().unwrap_or(0)
+}
+
+/// The minimum, mean and maximum per-term wall time of a run.
+fn term_times(stats: &AttackStats) -> (Duration, Duration, Duration) {
+    let times = &stats.subtask_wall_times;
+    let min = times.iter().min().copied().unwrap_or_default();
+    let mean = times.iter().sum::<Duration>() / times.len().max(1) as u32;
+    (min, mean, stats.max_subtask_time())
+}
+
 /// The running example of Fig. 1: a 3-input majority gate.
 fn majority3() -> Netlist {
     let mut nl = Netlist::new("maj3");
@@ -47,7 +63,7 @@ fn majority3() -> Netlist {
     nl
 }
 
-/// The `LockScheme` × effort × circuit sweep behind the `matrix` bin:
+/// The `LockScheme` × effort × circuit sweep (`matrix`):
 /// every cell is attacked, recombined (Fig. 1b), and formally verified.
 pub fn matrix(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xD1CE);
@@ -109,10 +125,7 @@ pub fn matrix(ctx: &ScenarioCtx) -> ScenarioResult {
                     row.push(format!("{:?}", report.status()));
                     continue;
                 }
-                let max_dips = match report.as_multi_key() {
-                    Some(outcome) => outcome.reports.iter().map(|r| r.dips).max().unwrap_or(0),
-                    None => report.stats().dips,
-                };
+                let max_dips = max_term_dips(&report);
                 // The executable correctness check: recombined sub-keys
                 // restore the original function, for every scheme.
                 let recombined = report.recombine(&locked.netlist).expect("recombine");
@@ -148,7 +161,7 @@ pub fn matrix(ctx: &ScenarioCtx) -> ScenarioResult {
 
 const BATCH_WIDTHS: [usize; 4] = [1, 8, 32, 64];
 
-/// The batched-DIP sweep behind the `batch` bin: oracle rounds vs oracle
+/// The batched-DIP sweep (`batch`): oracle rounds vs oracle
 /// queries for batch widths 1/8/32/64.
 pub fn batch(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xBA7C);
@@ -269,7 +282,7 @@ pub fn batch(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// Table 1 behind the `table1` bin: `#DIP` vs splitting effort on
+/// Table 1 (`table1`): `#DIP` vs splitting effort on
 /// SARLock-locked c7552.
 pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
     let key_sizes: Vec<usize> = if ctx.quick { vec![4, 8] } else { vec![4, 8, 12] };
@@ -311,14 +324,9 @@ pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
                 .run(&locked.netlist)
                 .expect("attack runs");
             assert!(report.is_complete(), "|K|={kw} N={n} must succeed");
-            let (max_dips, min_dips, terms) = match report.as_multi_key() {
-                Some(outcome) => (
-                    outcome.reports.iter().map(|r| r.dips).max().unwrap_or(0),
-                    outcome.reports.iter().map(|r| r.dips).min().unwrap_or(0),
-                    outcome.reports.len(),
-                ),
-                None => (report.stats().dips, report.stats().dips, 1),
-            };
+            let max_dips = max_term_dips(&report);
+            let min_dips = report.reports.iter().map(|r| r.stats.dips).min().unwrap_or(0);
+            let terms = report.reports.len();
             if max_dips != min_dips {
                 spread_note.push(format!(
                     "|K|={kw} N={n}: per-term #DIP ranges {min_dips}..{max_dips}"
@@ -357,7 +365,7 @@ pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// Table 2 behind the `table2` bin: runtime of attacking LUT-based
+/// Table 2 (`table2`): runtime of attacking LUT-based
 /// insertion — baseline SAT attack vs the multi-key attack at N = 4.
 pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
     let base_scheme = if ctx.full { LutLock::paper() } else { LutLock::small() };
@@ -450,19 +458,16 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
             .expect("oracle provided")
             .run(&locked.netlist)
             .expect("attack runs");
-        let outcome = report.as_multi_key().expect("N > 0");
-        let any_capped = outcome.reports.iter().any(|r| r.status == AttackStatus::TimeLimit);
-        let min = outcome.min_task_time();
-        let mean = outcome.mean_task_time();
-        let max = outcome.max_task_time();
-        let max_term_dips = outcome.reports.iter().map(|r| r.dips).max().unwrap_or(0);
-        let min_gates = outcome.reports.iter().map(|r| r.gates_after).min().unwrap_or(0);
+        let any_capped = report.reports.iter().any(|r| r.status == AttackStatus::TimeLimit);
+        let (min, mean, max) = term_times(&report.stats());
+        let max_term_dips = max_term_dips(&report);
+        let min_gates = report.reports.iter().map(|r| r.gates_after).min().unwrap_or(0);
         eprintln!(
             "  this work: min {} mean {} max {} over {} terms (max {} DIPs, term gates >= {}){}",
             fmt_duration(min),
             fmt_duration(mean),
             fmt_duration(max),
-            outcome.reports.len(),
+            report.reports.len(),
             max_term_dips,
             min_gates,
             if any_capped { " (some terms hit the cap)" } else { "" }
@@ -505,7 +510,7 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// The diagnostic probe behind the `probe` bin: baseline vs per-term cost
+/// The diagnostic probe (`probe`): baseline vs per-term cost
 /// across LUT sizes and simplification settings on one circuit.
 pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0x7AB1E2);
@@ -569,9 +574,9 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
                 .expect("oracle provided")
                 .run(&locked.netlist)
                 .expect("runs");
-            let outcome = report.as_multi_key().expect("N > 0");
-            let max_dips = outcome.reports.iter().map(|r| r.dips).max().unwrap_or(0);
-            let gates: Vec<usize> = outcome.reports.iter().map(|r| r.gates_after).collect();
+            let max_dips = max_term_dips(&report);
+            let gates: Vec<usize> = report.reports.iter().map(|r| r.gates_after).collect();
+            let (min, mean, max) = term_times(&report.stats());
             records.push(
                 Record::new("probe")
                     .label("circuit", circuit.name())
@@ -585,9 +590,9 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
             let _ = writeln!(
                 out,
                 "  N=4 simplify={simplify}: min {} mean {} max {} (max {} DIPs, gates {}..{}, complete={})",
-                fmt_duration(outcome.min_task_time()),
-                fmt_duration(outcome.mean_task_time()),
-                fmt_duration(outcome.max_task_time()),
+                fmt_duration(min),
+                fmt_duration(mean),
+                fmt_duration(max),
                 max_dips,
                 gates.iter().min().expect("terms"),
                 gates.iter().max().expect("terms"),
@@ -614,7 +619,7 @@ fn deep_signals(nl: &Netlist, n: usize) -> Vec<NodeId> {
     candidates.into_iter().step_by(stride).take(n).collect()
 }
 
-/// The defense probe behind the `defense_probe` bin: SARLock comparing on
+/// The defense probe (`defense_probe`): SARLock comparing on
 /// primary inputs vs on deep internal nets, N = 0..3.
 pub fn defense_probe(ctx: &ScenarioCtx) -> ScenarioResult {
     let kw = 6usize;
@@ -660,10 +665,7 @@ pub fn defense_probe(ctx: &ScenarioCtx) -> ScenarioResult {
                 .run(locked)
                 .expect("runs");
             assert!(report.is_complete(), "{label} N={n}");
-            let max_dips = match report.as_multi_key() {
-                Some(outcome) => outcome.reports.iter().map(|r| r.dips).max().unwrap_or(0),
-                None => report.stats().dips,
-            };
+            let max_dips = max_term_dips(&report);
             records.push(
                 Record::new("defense_probe")
                     .label("circuit", circuit.name())
@@ -685,7 +687,7 @@ pub fn defense_probe(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// The split-port heuristic ablation behind the `ablation_split` bin:
+/// The split-port heuristic ablation (`ablation_split`):
 /// fan-out-cone vs first-inputs vs random splitting on SARLock.
 pub fn ablation_split(ctx: &ScenarioCtx) -> ScenarioResult {
     let kw = if ctx.full { 10 } else { 8 };
@@ -728,8 +730,7 @@ pub fn ablation_split(ctx: &ScenarioCtx) -> ScenarioResult {
             .run(&locked.netlist)
             .expect("attack runs");
         assert!(report.is_complete());
-        let outcome = report.as_multi_key().expect("N > 0");
-        let max_dips = outcome.reports.iter().map(|r| r.dips).max().unwrap_or(0);
+        let max_dips = max_term_dips(&report);
         records.push(
             Record::new("ablation_split")
                 .label("circuit", circuit.name())
@@ -743,7 +744,7 @@ pub fn ablation_split(ctx: &ScenarioCtx) -> ScenarioResult {
             fmt_duration(report.stats().max_subtask_time()),
         ]);
         let picked: Vec<&str> =
-            report.split_inputs().iter().map(|&id| locked.netlist.node_name(id)).collect();
+            report.split_inputs.iter().map(|&id| locked.netlist.node_name(id)).collect();
         eprintln!("  {name}: split ports {picked:?}");
     }
     let _ = writeln!(out, "{}", table.render());
@@ -753,7 +754,7 @@ pub fn ablation_split(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// The re-synthesis ablation behind the `ablation_simplify` bin:
+/// The re-synthesis ablation (`ablation_simplify`):
 /// Algorithm 1 line 4 on vs off, on a LUT-locked circuit.
 pub fn ablation_simplify(ctx: &ScenarioCtx) -> ScenarioResult {
     let circuit = if ctx.quick { Iscas85::C880 } else { Iscas85::C1908 };
@@ -800,9 +801,9 @@ pub fn ablation_simplify(ctx: &ScenarioCtx) -> ScenarioResult {
             .run(&locked.netlist)
             .expect("attack runs");
         assert!(report.is_complete());
-        let outcome = report.as_multi_key().expect("N > 0");
-        let min_g = outcome.reports.iter().map(|r| r.gates_after).min().unwrap_or(0);
-        let max_g = outcome.reports.iter().map(|r| r.gates_after).max().unwrap_or(0);
+        let min_g = report.reports.iter().map(|r| r.gates_after).min().unwrap_or(0);
+        let max_g = report.reports.iter().map(|r| r.gates_after).max().unwrap_or(0);
+        let (_, mean, max) = term_times(&report.stats());
         records.push(
             Record::new("ablation_simplify")
                 .label("circuit", circuit.name())
@@ -810,13 +811,13 @@ pub fn ablation_simplify(ctx: &ScenarioCtx) -> ScenarioResult {
                 .attack_metrics(&report.stats())
                 .metric("min_gates", min_g as f64)
                 .metric("max_gates", max_g as f64)
-                .metric("mean_term_ms", ms(outcome.mean_task_time())),
+                .metric("mean_term_ms", ms(mean)),
         );
         table.row(vec![
             name.to_string(),
             format!("{min_g}..{max_g}"),
-            fmt_duration(outcome.max_task_time()),
-            fmt_duration(outcome.mean_task_time()),
+            fmt_duration(max),
+            fmt_duration(mean),
         ]);
         eprintln!("  {name}: done in {}", fmt_duration(report.stats().wall_time));
     }
@@ -830,7 +831,7 @@ pub fn ablation_simplify(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// Fig. 1(a) behind the `fig1a` bin: the SARLock error distribution of the
+/// Fig. 1(a) (`fig1a`): the SARLock error distribution of the
 /// running example (`|I| = |K| = 3`, correct key 101).
 pub fn fig1a(_ctx: &ScenarioCtx) -> ScenarioResult {
     // The paper reads bit strings MSB-first: "101" has MSB 1. Our Key is
@@ -900,8 +901,7 @@ pub fn fig1a(_ctx: &ScenarioCtx) -> ScenarioResult {
 /// Adaptive recursive splitting vs the paper's static grid on SARLock —
 /// the scheme whose term hardness motivates the budget-driven term tree.
 /// Every cell is recombined and formally verified; adaptive cells also
-/// assert that the tree actually grew past its root. Only reachable
-/// through the harness (there is no standalone bin).
+/// assert that the tree actually grew past its root.
 pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xADA97);
     let circuits: Vec<Iscas85> =
@@ -954,9 +954,8 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
                 .run(&locked.netlist)
                 .expect("attack runs");
             assert!(report.is_complete(), "{}/{mode} must succeed", circuit.name());
-            let outcome = report.as_multi_key().expect("multi-key engine");
             let (leaves, depth, resplits) =
-                (outcome.reports.len(), outcome.max_depth(), outcome.resplit_reports.len());
+                (report.reports.len(), report.max_depth(), report.resplit_reports.len());
             if budget.is_some() {
                 assert!(
                     depth > root_n,
@@ -999,8 +998,7 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
 }
 
 /// CNF miter-encoding cost per scheme × circuit — the substrate the whole
-/// attack stands on, measured without running any attack. Only reachable
-/// through the harness (there is no standalone bin).
+/// attack stands on, measured without running any attack.
 pub fn encode(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xE4C0DE);
     let circuits: Vec<Iscas85> = if ctx.quick {

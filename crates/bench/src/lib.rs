@@ -1,30 +1,30 @@
 //! # polykey-bench: the paper's evaluation, regenerated
 //!
-//! Binaries that reproduce every table and figure of *"On the One-Key
-//! Premise of Logic Locking"* (DAC'24), plus Criterion micro-benchmarks for
-//! the substrates:
+//! One binary, `bench`, runs every table and figure of *"On the One-Key
+//! Premise of Logic Locking"* (DAC'24) as a registered
+//! [`harness::Scenario`], plus Criterion micro-benchmarks for the
+//! substrates:
 //!
 //! | target | regenerates |
 //! |--------|-------------|
-//! | `cargo run --release -p polykey-bench --bin fig1a` | Fig. 1(a) error distribution |
-//! | `cargo run --release -p polykey-bench --bin table1` | Table 1 (`#DIP` vs splitting effort on SARLock) |
-//! | `cargo run --release -p polykey-bench --bin table2` | Table 2 (runtime vs LUT-based insertion) |
-//! | `cargo run --release -p polykey-bench --bin matrix` | the `LockScheme` × effort × circuit sweep |
-//! | `cargo run --release -p polykey-bench --bin batch` | batched-DIP sweep: oracle rounds vs queries at widths 1/8/32/64 |
-//! | `cargo run --release -p polykey-bench --bin ablation_split` | split-port heuristic ablation (§4) |
-//! | `cargo run --release -p polykey-bench --bin ablation_simplify` | Alg. 1 line 4 re-synthesis ablation |
-//! | `cargo run --release -p polykey-bench --bin defense_probe` | the conclusion's defense direction |
-//! | `cargo run --release -p polykey-bench --bin bench` | **the unified harness**: any subset of the above, plus `BENCH_*.json` telemetry and `--compare` regression gating |
+//! | `bench --only fig1a` | Fig. 1(a) error distribution |
+//! | `bench --only table1` | Table 1 (`#DIP` vs splitting effort on SARLock) |
+//! | `bench --only table2` | Table 2 (runtime vs LUT-based insertion) |
+//! | `bench --only matrix` | the `LockScheme` × effort × circuit sweep |
+//! | `bench --only batch` | batched-DIP sweep: oracle rounds vs queries at widths 1/8/32/64 |
+//! | `bench --only adaptive` | adaptive budget-driven term tree vs static `N` |
+//! | `bench --only ablation_split` | split-port heuristic ablation (§4) |
+//! | `bench --only ablation_simplify` | Alg. 1 line 4 re-synthesis ablation |
+//! | `bench --only defense_probe` | the conclusion's defense direction |
 //!
-//! Every binary above is a registered [`harness::Scenario`]; the
-//! standalone bins are thin wrappers that run exactly one scenario and
-//! print its rendering. The `bench` bin is the telemetry/CI entry point —
-//! see the [`harness`] module docs for the JSON schema and the baseline
-//! workflow.
+//! (`bench` is `cargo run --release -p polykey-bench --bin bench --`.)
+//! Every run prints the scenarios' tables, writes `BENCH_*.json`
+//! telemetry, and can gate against a baseline with `--compare`; see the
+//! [`harness`] module docs for the JSON schema and the baseline workflow.
 //!
 //! This library hosts the harness itself plus the small shared utilities:
-//! plain-text table rendering, duration formatting, argument parsing, and
-//! an offline JSON emitter/parser ([`json`]).
+//! plain-text table rendering, duration formatting, and an offline JSON
+//! emitter/parser ([`json`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -122,82 +122,6 @@ pub fn fmt_duration(d: Duration) -> String {
     } else {
         let m = (secs / 60.0).floor();
         format!("{m:.0}m{:.0}s", secs - m * 60.0)
-    }
-}
-
-/// Minimal CLI flags shared by the harness binaries.
-#[derive(Clone, Debug, Default)]
-pub struct HarnessArgs {
-    /// Run the scaled-down configuration (fast; CI-friendly).
-    pub quick: bool,
-    /// Run the full paper-scale configuration.
-    pub full: bool,
-    /// Per-attack time cap in seconds, if any.
-    pub time_cap: Option<u64>,
-    /// Write results as CSV to this path.
-    pub csv: Option<String>,
-    /// Random seed override.
-    pub seed: Option<u64>,
-}
-
-impl HarnessArgs {
-    /// Parses flags from `std::env::args`: `--quick`, `--full`,
-    /// `--time-cap <secs>`, `--csv <path>`, `--seed <n>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage message) on malformed arguments — appropriate
-    /// for a benchmark binary.
-    pub fn parse() -> HarnessArgs {
-        let mut args = HarnessArgs::default();
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => args.quick = true,
-                "--full" => args.full = true,
-                "--time-cap" => {
-                    let v = it.next().expect("--time-cap needs a value in seconds");
-                    args.time_cap = Some(v.parse().expect("--time-cap must be an integer"));
-                }
-                "--csv" => args.csv = Some(it.next().expect("--csv needs a path")),
-                "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    args.seed = Some(v.parse().expect("--seed must be an integer"));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --quick | --full | --time-cap <secs> | --csv <path> | --seed <n>"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag `{other}` (try --help)"),
-            }
-        }
-        args
-    }
-
-    /// The scenario-facing subset of these flags, for
-    /// [`harness::run_scenario`].
-    #[must_use]
-    pub fn ctx(&self) -> harness::ScenarioCtx {
-        harness::ScenarioCtx {
-            quick: self.quick,
-            full: self.full,
-            time_cap: self.time_cap,
-            seed: self.seed,
-        }
-    }
-
-    /// Writes the table as CSV if `--csv` was given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn maybe_write_csv(&self, table: &TextTable) {
-        if let Some(path) = &self.csv {
-            std::fs::write(path, table.to_csv()).expect("write csv");
-            eprintln!("csv written to {path}");
-        }
     }
 }
 

@@ -80,8 +80,8 @@ pub struct AppSatOutcome {
 ///
 /// # Errors
 ///
-/// Same conditions as [`crate::sat_attack`]: oracle/netlist interface
-/// mismatch or structural failures.
+/// Same conditions as [`crate::AttackSession::run`]: oracle/netlist
+/// interface mismatch or structural failures.
 pub fn appsat_attack(
     locked: &Netlist,
     oracle: &mut dyn Oracle,

@@ -10,10 +10,11 @@
 //!
 //! - [`AttackSession`] — configure oracle, splitting effort, worker
 //!   threads, time budget, cancellation, and progress once; `run()`
-//!   returns an [`AttackReport`] with uniform [`AttackStats`] whether the
-//!   classic one-key SAT attack (`split_effort = 0`) or Algorithm 1's
-//!   `2^N` parallel sub-attacks ran. With a per-term budget
-//!   (`AttackSessionBuilder::term_dip_budget` /
+//!   returns an [`AttackReport`]: the term tree of Algorithm 1 with
+//!   uniform [`AttackStats`]. `split_effort = N > 0` starts from `2^N`
+//!   parallel sub-attacks; `split_effort = 0` is a one-term tree, the
+//!   classic one-key SAT attack run on the calling thread. With a
+//!   per-term budget (`AttackSessionBuilder::term_dip_budget` /
 //!   `AttackSessionBuilder::term_time_budget`) the engine splits
 //!   **adaptively**: hard terms are subdivided one port at a time into a
 //!   prefix *tree* of `(pattern, width)` sub-spaces, so easy regions
@@ -34,9 +35,6 @@
 //!   [`random_sim_mismatches`] for quick probabilistic screening.
 //! - [`appsat_attack`] — an AppSAT-style approximate attack, for contrast
 //!   with the paper's exact multi-key recovery.
-//!
-//! The pre-0.2 free functions [`sat_attack`] and [`multi_key_attack`]
-//! remain as deprecated shims for one release; new code builds sessions.
 //!
 //! ## End-to-end example
 //!
@@ -89,17 +87,12 @@ mod verify;
 
 pub use approx::{appsat_attack, AppSatConfig, AppSatOutcome};
 pub use error::AttackError;
-pub use multikey::{MultiKeyConfig, MultiKeyOutcome, SubKey, SubTaskReport, MAX_SPLIT_WIDTH};
+pub use multikey::{SubKey, SubTaskReport, MAX_SPLIT_WIDTH};
 pub use oracle::{Oracle, RestrictedOracle, SimOracle};
 pub use recombine::recombine_multikey;
-pub use sat_attack::{AttackStatus, SatAttackConfig, SatAttackOutcome, SatAttackStats};
+pub use sat_attack::{AttackStatus, SatAttackStats};
 pub use session::{
     AttackReport, AttackSession, AttackSessionBuilder, AttackStats, CancelToken, ProgressEvent,
 };
 pub use split::{select_split_inputs, SplitStrategy};
 pub use verify::{random_sim_mismatches, verify_key, verify_key_on_subspace};
-
-#[allow(deprecated)]
-pub use multikey::multi_key_attack;
-#[allow(deprecated)]
-pub use sat_attack::sat_attack;

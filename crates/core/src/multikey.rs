@@ -7,7 +7,9 @@
 //! term. Each term returns a key that unlocks its sub-space (possibly
 //! globally *incorrect*); collectively — recombined with a MUX tree, see
 //! [`crate::recombine_multikey`] — the keys restore the full design
-//! function.
+//! function. With `N = 0` the tree is a single term with no pins: the
+//! classic one-key SAT attack on the locked netlist as given, run on the
+//! calling thread.
 //!
 //! The paper fixes the splitting effort `N` up front, but term hardness is
 //! wildly uneven in practice: the SARLock term containing the protected
@@ -29,6 +31,7 @@
 //! [`AttackStatus::Failed`] instead of poisoning its siblings or tearing
 //! down the session.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -37,12 +40,13 @@ use std::time::{Duration, Instant};
 
 use polykey_locking::Key;
 use polykey_netlist::{cofactor, cofactor_simplify, Netlist, NodeId};
-use polykey_sat::SolverStats;
 
 use crate::error::AttackError;
-use crate::oracle::{SharedOracle, SimOracle, TermOracle};
-use crate::sat_attack::{run_sat_attack, AttackStatus, RunCtl, SatAttackConfig};
-use crate::session::ProgressEvent;
+use crate::oracle::{SharedOracle, TermOracle};
+use crate::sat_attack::{
+    run_sat_attack, AttackStatus, RunCtl, SatAttackConfig, SatAttackStats,
+};
+use crate::session::{AttackReport, ProgressEvent};
 use crate::split::{next_split_position, select_split_inputs, SplitStrategy};
 
 /// The deepest split the engine supports: sub-space patterns are `u64`
@@ -54,7 +58,6 @@ pub const MAX_SPLIT_WIDTH: usize = 63;
 
 /// Worker-pool and instrumentation knobs for [`run_multi_key`], supplied
 /// by the [`crate::AttackSession`].
-#[derive(Default)]
 pub(crate) struct EngineOpts<'e> {
     /// Worker threads for the term pool; `None` = one thread per *root*
     /// term (or the machine's parallelism in adaptive mode, whichever is
@@ -68,11 +71,8 @@ pub(crate) struct EngineOpts<'e> {
 
 /// Tuning knobs for the multi-key attack.
 #[derive(Clone, Debug)]
-#[must_use]
-pub struct MultiKeyConfig {
+pub(crate) struct MultiKeyConfig {
     /// The splitting effort `N`: the attack starts from `2^N` root terms.
-    /// `N = 0` degenerates to the plain SAT attack (unless a per-term
-    /// budget makes the engine split adaptively).
     pub split_effort: usize,
     /// How splitting ports are chosen — for the root grid and for every
     /// adaptive resplit.
@@ -80,13 +80,11 @@ pub struct MultiKeyConfig {
     /// Re-synthesize each cofactored netlist (Algorithm 1 line 4). Turning
     /// this off is the `ablation_simplify` experiment.
     pub simplify: bool,
-    /// Run the terms on parallel threads.
-    pub parallel: bool,
     /// Configuration for each per-term SAT attack.
     pub sat: SatAttackConfig,
     /// Per-term DIP budget: a term that spends this many DIPs without
     /// converging is split one port deeper and re-attacked as two
-    /// children. `None` (the default) keeps the paper's static grid.
+    /// children. `None` keeps the paper's static grid.
     pub term_dip_budget: Option<u64>,
     /// Per-term wall-clock budget with the same resplit semantics.
     pub term_time_budget: Option<Duration>,
@@ -94,29 +92,6 @@ pub struct MultiKeyConfig {
     /// and [`MAX_SPLIT_WIDTH`] allow. Terms that exhaust their budget *at*
     /// the cap keep attacking under the ordinary limits instead.
     pub max_split_depth: Option<usize>,
-}
-
-impl Default for MultiKeyConfig {
-    fn default() -> MultiKeyConfig {
-        MultiKeyConfig {
-            split_effort: 2,
-            strategy: SplitStrategy::FanoutCone,
-            simplify: true,
-            parallel: true,
-            sat: SatAttackConfig::new(),
-            term_dip_budget: None,
-            term_time_budget: None,
-            max_split_depth: None,
-        }
-    }
-}
-
-impl MultiKeyConfig {
-    /// A configuration with the given splitting effort and defaults
-    /// otherwise.
-    pub fn with_split_effort(n: usize) -> MultiKeyConfig {
-        MultiKeyConfig { split_effort: n, ..Default::default() }
-    }
 }
 
 /// One sub-space key, identified by its prefix-tree path: the first
@@ -153,121 +128,19 @@ pub struct SubTaskReport {
     pub width: u8,
     /// How this term's SAT attack ended.
     pub status: AttackStatus,
-    /// `#DIP` for this term.
-    pub dips: u64,
-    /// Oracle queries issued by this term (one per answered DIP).
-    pub oracle_queries: u64,
-    /// Oracle round-trips made by this term (a batch of DIPs answered by
-    /// one [`crate::Oracle::query_batch`] call counts once).
-    pub oracle_rounds: u64,
-    /// DIP-refinement epochs of this term's SAT attack (see
-    /// [`crate::SatAttackStats::epochs`]).
-    pub epochs: u64,
-    /// Full CDCL solver counters for this term's SAT attack (conflicts,
-    /// restarts, learnt clauses, …), so every benchmark cell is
-    /// self-describing.
-    pub solver: SolverStats,
-    /// Wall-clock time of this term (its own timer; terms overlap when
-    /// parallel).
-    pub wall_time: Duration,
+    /// The term's SAT-attack counters. `stats.wall_time` is the whole
+    /// term's time, cofactoring and re-synthesis included (terms overlap
+    /// when parallel). A [`AttackStatus::Failed`] term keeps only the
+    /// oracle queries it was served; its other counters died with it.
+    pub stats: SatAttackStats,
+    /// The term's DIPs in discovery order (empty unless
+    /// [`crate::AttackSessionBuilder::record_dips`] is on).
+    pub dip_patterns: Vec<Vec<bool>>,
     /// Gates in the locked netlist before cofactoring.
     pub gates_before: usize,
     /// Gates in the netlist this term actually attacked (0 if the term's
     /// worker panicked before cofactoring finished).
     pub gates_after: usize,
-}
-
-/// The result of a multi-key attack.
-#[derive(Clone, Debug)]
-pub struct MultiKeyOutcome {
-    /// The recovered sub-space keys (one per *successful* leaf term),
-    /// shallowest first, then by pattern.
-    pub keys: Vec<SubKey>,
-    /// Accounting for every leaf term of the final tree, shallowest first,
-    /// then by pattern.
-    pub reports: Vec<SubTaskReport>,
-    /// Accounting for interior terms: runs that exhausted their budget and
-    /// were subdivided ([`AttackStatus::BudgetExhausted`]). Their work
-    /// counters are real attack cost and are included in
-    /// [`crate::AttackStats`] totals; empty in static runs.
-    pub resplit_reports: Vec<SubTaskReport>,
-    /// The splitting ports (ids in the locked netlist) in pattern bit
-    /// order. Adaptive resplits extend this list past the root `N`; a
-    /// term of width `w` pins the first `w` entries.
-    pub split_inputs: Vec<NodeId>,
-    /// End-to-end wall-clock time of the whole attack.
-    pub wall_time: Duration,
-}
-
-impl MultiKeyOutcome {
-    /// True iff every leaf term succeeded.
-    pub fn is_complete(&self) -> bool {
-        self.reports.iter().all(|r| r.status == AttackStatus::Success)
-    }
-
-    /// The deepest term width in the final tree (the root `N` for static
-    /// runs).
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        self.reports.iter().map(|r| r.width as usize).max().unwrap_or(0)
-    }
-
-    /// The maximum per-term wall time over every term that ran (leaves
-    /// and resplit interior terms) — the attack latency on a machine with
-    /// enough cores (the paper's headline metric).
-    pub fn max_task_time(&self) -> Duration {
-        self.all_reports().map(|r| r.wall_time).max().unwrap_or_default()
-    }
-
-    /// Minimum per-term wall time.
-    pub fn min_task_time(&self) -> Duration {
-        self.all_reports().map(|r| r.wall_time).min().unwrap_or_default()
-    }
-
-    /// Mean per-term wall time.
-    pub fn mean_task_time(&self) -> Duration {
-        let count = self.reports.len() + self.resplit_reports.len();
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        let total: Duration = self.all_reports().map(|r| r.wall_time).sum();
-        total / count as u32
-    }
-
-    /// Every term that ran: leaves, then resplit interior terms.
-    pub(crate) fn all_reports(&self) -> impl Iterator<Item = &SubTaskReport> {
-        self.reports.iter().chain(self.resplit_reports.iter())
-    }
-}
-
-/// Runs Algorithm 1: the multi-key attack against `locked`, using a
-/// simulated oracle over the `original` netlist.
-///
-/// # Errors
-///
-/// - [`AttackError::SplitTooWide`] if `split_effort` exceeds the input
-///   count.
-/// - [`AttackError::SplitTooDeep`] if `split_effort` exceeds
-///   [`MAX_SPLIT_WIDTH`].
-/// - [`AttackError::OracleMismatch`] if `original` and `locked` disagree on
-///   interface arity.
-/// - Structural errors from cofactoring or encoding.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `AttackSession::builder().oracle(..).split_effort(n).build()?.run(locked)`"
-)]
-pub fn multi_key_attack(
-    locked: &Netlist,
-    original: &Netlist,
-    config: &MultiKeyConfig,
-) -> Result<MultiKeyOutcome, AttackError> {
-    let mut oracle = SimOracle::new(original)?;
-    let shared = SharedOracle::new(&mut oracle);
-    let opts = EngineOpts {
-        threads: if config.parallel { None } else { Some(1) },
-        ..EngineOpts::default()
-    };
-    run_multi_key(locked, &shared, config, &opts)
 }
 
 /// One node of the term tree awaiting an attack.
@@ -311,14 +184,14 @@ impl Scheduler {
     }
 }
 
-/// Algorithm 1 over an arbitrary shared oracle — the engine behind both
-/// [`multi_key_attack`] and [`crate::AttackSession`].
+/// Algorithm 1 over an arbitrary shared oracle — the engine behind every
+/// [`crate::AttackSession`] run.
 pub(crate) fn run_multi_key(
     locked: &Netlist,
     oracle: &SharedOracle<'_>,
     config: &MultiKeyConfig,
     opts: &EngineOpts<'_>,
-) -> Result<MultiKeyOutcome, AttackError> {
+) -> Result<AttackReport, AttackError> {
     if oracle.num_inputs() != locked.inputs().len() {
         return Err(AttackError::OracleMismatch {
             what: "inputs",
@@ -331,11 +204,6 @@ pub(crate) fn run_multi_key(
     // ports cannot be represented in the u64 prefix paths.
     if n > MAX_SPLIT_WIDTH {
         return Err(AttackError::SplitTooDeep { requested: n, max: MAX_SPLIT_WIDTH });
-    }
-    if let Some(depth) = config.max_split_depth {
-        if depth > MAX_SPLIT_WIDTH {
-            return Err(AttackError::SplitTooDeep { requested: depth, max: MAX_SPLIT_WIDTH });
-        }
     }
     let max_depth = config
         .max_split_depth
@@ -423,10 +291,14 @@ pub(crate) fn run_multi_key(
             };
             let pins: Vec<(NodeId, bool)> =
                 ports.iter().enumerate().map(|(j, &id)| (id, pattern >> j & 1 == 1)).collect();
-            let restricted = if config.simplify {
-                cofactor_simplify(locked, &pins)?.0
+            // Algorithm 1 line 4 re-synthesizes *cofactored* netlists; a
+            // term with no pins attacks `locked` as given.
+            let restricted = if pins.is_empty() {
+                Cow::Borrowed(locked)
+            } else if config.simplify {
+                Cow::Owned(cofactor_simplify(locked, &pins)?.0)
             } else {
-                cofactor(locked, &pins)?
+                Cow::Owned(cofactor(locked, &pins)?)
             };
             if let Some(progress) = opts.progress {
                 progress(&ProgressEvent::TermStarted {
@@ -445,20 +317,10 @@ pub(crate) fn run_multi_key(
             let mut term_sat = config.sat.clone();
             term_sat.force_inputs = forced.clone();
             if width < max_depth {
-                // Terms that can still be subdivided additionally run under
-                // the engine's resplit budgets — merged with (never
-                // replacing) any soft budget the caller already put on
-                // `config.sat`, so a user-supplied budget behaves the same
-                // at every depth. At the depth cap only the caller's own
-                // limits apply.
-                term_sat.dip_budget = match (term_sat.dip_budget, config.term_dip_budget) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                term_sat.time_budget = match (term_sat.time_budget, config.term_time_budget) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                // Terms that can still be subdivided run under the resplit
+                // budgets; at the depth cap only the ordinary limits apply.
+                term_sat.dip_budget = config.term_dip_budget;
+                term_sat.time_budget = config.term_time_budget;
             }
             let mut term_oracle = TermOracle::new(oracle, forced, &term_queries);
             let on_dip = opts.progress.map(|progress| {
@@ -472,16 +334,14 @@ pub(crate) fn run_multi_key(
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
             let outcome = run_sat_attack(&restricted, &mut term_oracle, &term_sat, &term_ctl)?;
+            let mut stats = outcome.stats;
+            stats.wall_time = term_start.elapsed();
             let report = SubTaskReport {
                 pattern,
                 width: path.width,
                 status: outcome.status,
-                dips: outcome.stats.dips,
-                oracle_queries: outcome.stats.oracle_queries,
-                oracle_rounds: outcome.stats.oracle_rounds,
-                epochs: outcome.stats.epochs,
-                solver: outcome.stats.solver,
-                wall_time: term_start.elapsed(),
+                stats,
+                dip_patterns: outcome.dip_patterns,
                 gates_before: locked.num_gates(),
                 gates_after: restricted.num_gates(),
             };
@@ -490,8 +350,8 @@ pub(crate) fn run_multi_key(
                     pattern,
                     width: path.width,
                     status: report.status,
-                    dips: report.dips,
-                    wall_time: report.wall_time,
+                    dips: report.stats.dips,
+                    wall_time: report.stats.wall_time,
                 });
             }
             if report.status == AttackStatus::BudgetExhausted && width < max_depth {
@@ -500,7 +360,7 @@ pub(crate) fn run_multi_key(
                     progress(&ProgressEvent::TermSplit {
                         pattern,
                         width: path.width,
-                        dips: report.dips,
+                        dips: report.stats.dips,
                     });
                 }
                 let children = [
@@ -522,12 +382,12 @@ pub(crate) fn run_multi_key(
                     pattern,
                     width: path.width,
                     status: AttackStatus::Failed,
-                    dips: 0,
-                    oracle_queries: term_queries.load(Ordering::Relaxed),
-                    oracle_rounds: 0,
-                    epochs: 0,
-                    solver: SolverStats::default(),
-                    wall_time: term_start.elapsed(),
+                    stats: SatAttackStats {
+                        oracle_queries: term_queries.load(Ordering::Relaxed),
+                        wall_time: term_start.elapsed(),
+                        ..SatAttackStats::default()
+                    },
+                    dip_patterns: Vec::new(),
                     gates_before: locked.num_gates(),
                     gates_after: 0,
                 },
@@ -650,7 +510,7 @@ pub(crate) fn run_multi_key(
         reports.push(report);
     }
     let split_inputs = split_order.into_inner().unwrap_or_else(PoisonError::into_inner);
-    Ok(MultiKeyOutcome {
+    Ok(AttackReport {
         keys,
         reports,
         resplit_reports: st.resplits,
@@ -660,12 +520,11 @@ pub(crate) fn run_multi_key(
 }
 
 #[cfg(test)]
-// The unit tests deliberately exercise the deprecated one-release shims;
-// the session surface is covered by `session.rs` and the integration tests.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use polykey_locking::{lock_sarlock_with_key, Key, SarlockConfig};
+    use crate::oracle::SimOracle;
+    use crate::session::AttackSession;
+    use polykey_locking::{LockScheme, Sarlock};
     use polykey_netlist::{bits_of, GateKind, Simulator};
 
     fn majority3() -> Netlist {
@@ -681,11 +540,32 @@ mod tests {
         nl
     }
 
-    fn locked_majority(key_value: u64) -> (Netlist, Netlist, Key) {
+    fn locked_majority(key_value: u64) -> (Netlist, Netlist) {
         let nl = majority3();
-        let key = Key::from_u64(key_value, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
-        (nl, locked.netlist, key)
+        let locked = Sarlock::new(3).lock(&nl, &Key::from_u64(key_value, 3)).unwrap();
+        (nl, locked.netlist)
+    }
+
+    /// Runs a sequential session with root effort `n` and an optional
+    /// per-term DIP budget and depth cap.
+    fn attack(
+        original: &Netlist,
+        locked: &Netlist,
+        n: usize,
+        budget: Option<u64>,
+        depth_cap: Option<usize>,
+    ) -> Result<AttackReport, AttackError> {
+        let mut oracle = SimOracle::new(original).unwrap();
+        let mut builder =
+            AttackSession::builder().oracle(&mut oracle).split_effort(n).threads(1);
+        if let Some(budget) = budget {
+            builder = builder.term_dip_budget(budget);
+        }
+        if let Some(depth) = depth_cap {
+            builder = builder.max_split_depth(depth);
+        }
+        let report = builder.build().unwrap().run(locked);
+        report
     }
 
     /// A sub-key must unlock its sub-space exactly.
@@ -715,63 +595,65 @@ mod tests {
 
     #[test]
     fn n1_recovers_two_subspace_keys() {
-        let (nl, locked, _) = locked_majority(0b101);
-        let mut config = MultiKeyConfig::with_split_effort(1);
-        config.parallel = false;
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.keys.len(), 2);
-        assert_eq!(outcome.reports.len(), 2);
-        assert!(outcome.resplit_reports.is_empty(), "static runs never resplit");
-        for sub in &outcome.keys {
+        let (nl, locked) = locked_majority(0b101);
+        let report = attack(&nl, &locked, 1, None, None).unwrap();
+        assert!(report.is_complete());
+        assert_eq!(report.keys.len(), 2);
+        assert_eq!(report.reports.len(), 2);
+        assert!(report.resplit_reports.is_empty(), "static runs never resplit");
+        for sub in &report.keys {
             assert_eq!(sub.width, 1);
-            check_subspace(&nl, &locked, &outcome.split_inputs, sub);
+            check_subspace(&nl, &locked, &report.split_inputs, sub);
         }
     }
 
     #[test]
     fn n2_parallel_recovers_four_keys() {
-        let (nl, locked, _) = locked_majority(0b010);
-        let mut config = MultiKeyConfig::with_split_effort(2);
-        config.parallel = true;
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.keys.len(), 4);
-        for sub in &outcome.keys {
-            check_subspace(&nl, &locked, &outcome.split_inputs, sub);
+        let (nl, locked) = locked_majority(0b010);
+        let mut oracle = SimOracle::new(&nl).unwrap();
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .split_effort(2)
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        assert!(report.is_complete());
+        assert_eq!(report.keys.len(), 4);
+        for sub in &report.keys {
+            check_subspace(&nl, &locked, &report.split_inputs, sub);
         }
         // Patterns are 0..4 in order (uniform width sorts numerically).
-        let patterns: Vec<u64> = outcome.keys.iter().map(|k| k.pattern).collect();
+        let patterns: Vec<u64> = report.keys.iter().map(|k| k.pattern).collect();
         assert_eq!(patterns, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn n0_degenerates_to_plain_sat_attack() {
-        let (nl, locked, _) = locked_majority(0b100);
-        let mut config = MultiKeyConfig::with_split_effort(0);
-        config.parallel = false;
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.keys.len(), 1);
-        assert_eq!(outcome.keys[0].pattern, 0);
-        assert_eq!(outcome.keys[0].width, 0);
+        let (nl, locked) = locked_majority(0b100);
+        let report = attack(&nl, &locked, 0, None, None).unwrap();
+        assert!(report.is_complete());
+        assert_eq!(report.keys.len(), 1);
+        assert_eq!(report.keys[0].pattern, 0);
+        assert_eq!(report.keys[0].width, 0);
+        // The one term attacks the locked netlist as given.
+        assert_eq!(report.reports[0].gates_after, report.reports[0].gates_before);
         // With N = 0 the sub-space is the whole space: the key is globally
         // correct.
-        check_subspace(&nl, &locked, &[], &outcome.keys[0]);
+        check_subspace(&nl, &locked, &[], &report.keys[0]);
+        assert_eq!(report.key(), Some(&report.keys[0].key));
     }
 
     #[test]
     fn splitting_reduces_dips_on_sarlock() {
         // The headline effect of Table 1: #DIP halves per split level when
         // the splitting ports hit the SARLock comparator.
-        let (nl, locked, _) = locked_majority(0b110);
+        let (nl, locked) = locked_majority(0b110);
         let mut dips_by_n = Vec::new();
         for n in 0..=2usize {
-            let mut config = MultiKeyConfig::with_split_effort(n);
-            config.parallel = false;
-            let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-            assert!(outcome.is_complete(), "N={n}");
-            let max_dips = outcome.reports.iter().map(|r| r.dips).max().unwrap();
+            let report = attack(&nl, &locked, n, None, None).unwrap();
+            assert!(report.is_complete(), "N={n}");
+            let max_dips = report.reports.iter().map(|r| r.stats.dips).max().unwrap();
             dips_by_n.push(max_dips);
         }
         assert!(
@@ -784,81 +666,78 @@ mod tests {
     fn adaptive_budget_splits_hard_terms_deeper() {
         // SARLock |K| = 3 needs ~7 DIPs at the root; a budget of 2 forces
         // the engine to subdivide until each leaf converges within budget.
-        let (nl, locked, _) = locked_majority(0b101);
-        let mut config = MultiKeyConfig::with_split_effort(0);
-        config.parallel = false;
-        config.term_dip_budget = Some(2);
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        assert!(outcome.is_complete(), "statuses: {:?}", outcome.reports);
-        assert!(outcome.max_depth() > 0, "the root term must have been subdivided");
-        assert!(!outcome.resplit_reports.is_empty());
-        for r in &outcome.resplit_reports {
+        let (nl, locked) = locked_majority(0b101);
+        let report = attack(&nl, &locked, 0, Some(2), None).unwrap();
+        assert!(report.is_complete(), "statuses: {:?}", report.reports);
+        assert!(report.max_depth() > 0, "the root term must have been subdivided");
+        assert!(!report.resplit_reports.is_empty());
+        for r in &report.resplit_reports {
             assert_eq!(r.status, AttackStatus::BudgetExhausted);
-            assert!(r.dips <= 2, "budgeted term overspent: {} DIPs", r.dips);
+            assert!(r.stats.dips <= 2, "budgeted term overspent: {} DIPs", r.stats.dips);
         }
         // The final tree's split order covers its deepest leaf.
-        assert!(outcome.split_inputs.len() >= outcome.max_depth());
+        assert!(report.split_inputs.len() >= report.max_depth());
         // Every leaf key still unlocks exactly its sub-space.
-        for sub in &outcome.keys {
-            check_subspace(&nl, &locked, &outcome.split_inputs, sub);
+        for sub in &report.keys {
+            check_subspace(&nl, &locked, &report.split_inputs, sub);
         }
     }
 
     #[test]
     fn adaptive_depth_cap_limits_the_tree() {
-        let (nl, locked, _) = locked_majority(0b011);
-        let mut config = MultiKeyConfig::with_split_effort(0);
-        config.parallel = false;
-        config.term_dip_budget = Some(1);
-        config.max_split_depth = Some(1);
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
+        let (nl, locked) = locked_majority(0b011);
+        let report = attack(&nl, &locked, 0, Some(1), Some(1)).unwrap();
         // At the cap terms run without the soft budget, so they converge.
-        assert!(outcome.is_complete());
-        assert!(outcome.max_depth() <= 1);
+        assert!(report.is_complete());
+        assert!(report.max_depth() <= 1);
     }
 
     #[test]
     fn simplify_shrinks_subtask_netlists() {
-        let (nl, locked, _) = locked_majority(0b001);
-        let mut config = MultiKeyConfig::with_split_effort(2);
-        config.parallel = false;
-        config.simplify = true;
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        for r in &outcome.reports {
-            assert!(
-                r.gates_after < r.gates_before,
-                "term {:02b}: {} -> {}",
-                r.pattern,
-                r.gates_before,
-                r.gates_after
-            );
-        }
-        // Ablation: without simplification the netlists keep their size.
-        config.simplify = false;
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        assert!(outcome.is_complete());
-        for r in &outcome.reports {
-            assert!(r.gates_after >= r.gates_before);
+        let (nl, locked) = locked_majority(0b001);
+        for simplify in [true, false] {
+            let mut oracle = SimOracle::new(&nl).unwrap();
+            let report = AttackSession::builder()
+                .oracle(&mut oracle)
+                .split_effort(2)
+                .threads(1)
+                .simplify(simplify)
+                .build()
+                .unwrap()
+                .run(&locked)
+                .unwrap();
+            assert!(report.is_complete());
+            for r in &report.reports {
+                // Ablation: without simplification the netlists keep their
+                // size.
+                assert_eq!(
+                    r.gates_after < r.gates_before,
+                    simplify,
+                    "simplify={simplify} term {:02b}: {} -> {}",
+                    r.pattern,
+                    r.gates_before,
+                    r.gates_after
+                );
+            }
         }
     }
 
     #[test]
     fn task_time_aggregates() {
-        let (nl, locked, _) = locked_majority(0b011);
-        let mut config = MultiKeyConfig::with_split_effort(1);
-        config.parallel = false;
-        let outcome = multi_key_attack(&locked, &nl, &config).unwrap();
-        assert!(outcome.min_task_time() <= outcome.mean_task_time());
-        assert!(outcome.mean_task_time() <= outcome.max_task_time());
-        assert!(outcome.max_task_time() <= outcome.wall_time);
+        let (nl, locked) = locked_majority(0b011);
+        let report = attack(&nl, &locked, 1, None, None).unwrap();
+        let stats = report.stats();
+        assert_eq!(stats.subtask_wall_times.len(), report.reports.len());
+        let min = stats.subtask_wall_times.iter().min().copied().unwrap();
+        assert!(min <= stats.max_subtask_time());
+        assert!(stats.max_subtask_time() <= stats.wall_time);
     }
 
     #[test]
     fn split_too_wide_rejected() {
-        let (nl, locked, _) = locked_majority(0b011);
-        let config = MultiKeyConfig::with_split_effort(12);
+        let (nl, locked) = locked_majority(0b011);
         assert!(matches!(
-            multi_key_attack(&locked, &nl, &config),
+            attack(&nl, &locked, 12, None, None),
             Err(AttackError::SplitTooWide { .. })
         ));
     }
@@ -874,16 +753,8 @@ mod tests {
             (0..64).map(|i| nl.add_input(format!("x{i}")).unwrap()).collect();
         let y = nl.add_gate("y", GateKind::Or, &inputs).unwrap();
         nl.mark_output(y).unwrap();
-        let config = MultiKeyConfig::with_split_effort(64);
         assert!(matches!(
-            multi_key_attack(&nl, &nl, &config),
-            Err(AttackError::SplitTooDeep { requested: 64, max: MAX_SPLIT_WIDTH })
-        ));
-        // An over-deep resplit cap is rejected the same way.
-        let mut config = MultiKeyConfig::with_split_effort(1);
-        config.max_split_depth = Some(64);
-        assert!(matches!(
-            multi_key_attack(&nl, &nl, &config),
+            attack(&nl, &nl, 64, None, None),
             Err(AttackError::SplitTooDeep { requested: 64, max: MAX_SPLIT_WIDTH })
         ));
     }

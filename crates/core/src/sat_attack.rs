@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
-    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, PortBinding,
+    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, Miter, PortBinding,
 };
 use polykey_locking::Key;
 use polykey_netlist::Netlist;
@@ -35,8 +35,8 @@ use crate::session::CancelToken;
 /// progress hook.
 #[derive(Default)]
 pub(crate) struct RunCtl<'c> {
-    /// Absolute wall-clock deadline (merged with the per-config
-    /// `time_limit`, whichever is earlier).
+    /// Absolute wall-clock deadline: a hard stop, reported as
+    /// [`AttackStatus::TimeLimit`].
     pub deadline: Option<Instant>,
     /// Cooperative cancellation, checked once per DIP-refinement
     /// iteration (a running solver call completes first).
@@ -51,20 +51,17 @@ impl RunCtl<'_> {
     }
 }
 
-/// Tuning knobs for the SAT attack.
+/// Tuning knobs for one SAT attack run.
 #[derive(Clone, Debug, Default)]
-#[must_use]
-pub struct SatAttackConfig {
+pub(crate) struct SatAttackConfig {
     /// Stop after this many DIPs (None = unlimited).
     pub max_dips: Option<u64>,
-    /// Wall-clock budget for the whole attack (None = unlimited).
-    pub time_limit: Option<Duration>,
     /// Force these primary-input positions to fixed values in every DIP
     /// (used by the multi-key attack to stay inside one sub-space).
     pub force_inputs: Vec<(usize, bool)>,
     /// Solver configuration.
     pub solver: SolverConfig,
-    /// Record every DIP pattern in the outcome (cheap; on by default).
+    /// Record every DIP pattern in the outcome.
     pub record_dips: bool,
     /// Encode per-DIP consistency constraints with inputs pinned as
     /// constants, folding each copy down to the key cone (`true`, the
@@ -74,17 +71,16 @@ pub struct SatAttackConfig {
     /// what makes LUT-based insertion expensive in Table 2.
     pub fold_dip_copies: bool,
     /// Soft DIP budget: stop with [`AttackStatus::BudgetExhausted`] after
-    /// this many DIPs (None = no budget). Unlike [`SatAttackConfig::max_dips`]
-    /// — a hard user-facing cap reported as [`AttackStatus::DipLimit`] —
-    /// exhausting this budget is a *scheduling* signal: the adaptive
-    /// multi-key engine reads it as "this term is too hard at its current
-    /// depth, split it deeper". When both are set and reached together,
-    /// the hard cap wins.
+    /// this many DIPs (None = no budget). Unlike `max_dips` — a hard
+    /// user-facing cap reported as [`AttackStatus::DipLimit`] — exhausting
+    /// this budget is a *scheduling* signal: the adaptive multi-key engine
+    /// reads it as "this term is too hard at its current depth, split it
+    /// deeper". When both are set and reached together, the hard cap wins.
     pub dip_budget: Option<u64>,
     /// Soft wall-clock budget for this run: expiring it reports
     /// [`AttackStatus::BudgetExhausted`] (with partial stats) instead of
     /// [`AttackStatus::TimeLimit`], which remains reserved for the hard
-    /// `time_limit` / session deadline. Used by the adaptive multi-key
+    /// session deadline in [`RunCtl`]. Used by the adaptive multi-key
     /// engine as the per-term resplit trigger.
     pub time_budget: Option<Duration>,
     /// Maximum DIPs harvested per oracle round-trip (values `0` and `1`
@@ -113,12 +109,6 @@ impl SatAttackConfig {
             ..Default::default()
         }
     }
-
-    /// The textbook configuration: per-DIP constraints as full circuit
-    /// copies (see [`SatAttackConfig::fold_dip_copies`]).
-    pub fn textbook() -> SatAttackConfig {
-        SatAttackConfig { fold_dip_copies: false, ..SatAttackConfig::new() }
-    }
 }
 
 /// How a SAT attack run ended.
@@ -130,10 +120,11 @@ pub enum AttackStatus {
     DipLimit,
     /// Stopped at the configured time limit.
     TimeLimit,
-    /// Stopped at a *soft* per-run budget ([`SatAttackConfig::dip_budget`]
-    /// / [`SatAttackConfig::time_budget`]) with partial stats intact. The
-    /// adaptive multi-key scheduler reacts by splitting the term one port
-    /// deeper and re-attacking both halves.
+    /// Stopped at a *soft* per-term budget
+    /// ([`crate::AttackSessionBuilder::term_dip_budget`] /
+    /// [`crate::AttackSessionBuilder::term_time_budget`]) with partial
+    /// stats intact. The adaptive multi-key scheduler reacts by splitting
+    /// the term one port deeper and re-attacking both halves.
     BudgetExhausted,
     /// Stopped by a [`crate::CancelToken`].
     Cancelled,
@@ -176,7 +167,7 @@ pub struct SatAttackStats {
 
 /// The result of a SAT attack run.
 #[derive(Clone, Debug)]
-pub struct SatAttackOutcome {
+pub(crate) struct SatAttackOutcome {
     /// Terminal status.
     pub status: AttackStatus,
     /// The recovered key (present on [`AttackStatus::Success`]).
@@ -185,57 +176,6 @@ pub struct SatAttackOutcome {
     pub dip_patterns: Vec<Vec<bool>>,
     /// Work counters.
     pub stats: SatAttackStats,
-}
-
-impl SatAttackOutcome {
-    /// True iff the attack succeeded.
-    pub fn is_success(&self) -> bool {
-        self.status == AttackStatus::Success
-    }
-}
-
-/// Runs the oracle-guided SAT attack against `locked`.
-///
-/// # Errors
-///
-/// - [`AttackError::OracleMismatch`] if the oracle's port counts disagree
-///   with the locked netlist.
-/// - [`AttackError::Miter`] / [`AttackError::Encode`] for structural
-///   failures (e.g. cyclic netlists).
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use polykey_attack::{sat_attack, SatAttackConfig, SimOracle};
-/// use polykey_locking::lock_rll;
-/// use polykey_netlist::{GateKind, Netlist};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut nl = Netlist::new("toy");
-/// let a = nl.add_input("a")?;
-/// let b = nl.add_input("b")?;
-/// let y = nl.add_gate("y", GateKind::And, &[a, b])?;
-/// nl.mark_output(y)?;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let locked = lock_rll(&nl, 1, &mut rng)?;
-/// let mut oracle = SimOracle::new(&nl)?;
-/// let outcome = sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new())?;
-/// assert!(outcome.is_success());
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `AttackSession::builder().oracle(..).build()?.run(locked)`"
-)]
-pub fn sat_attack(
-    locked: &Netlist,
-    oracle: &mut dyn Oracle,
-    config: &SatAttackConfig,
-) -> Result<SatAttackOutcome, AttackError> {
-    run_sat_attack(locked, oracle, config, &RunCtl::default())
 }
 
 /// A DIP harvested in the current epoch but not yet answered by the
@@ -276,8 +216,253 @@ fn encode_constraint_copy(
     Ok(enc.outputs)
 }
 
-/// The DIP-refinement engine behind both [`sat_attack`] and
-/// [`crate::AttackSession`].
+/// The mutable state of one DIP-refinement run: the incremental solver,
+/// the oracle, and the counters every exit reports.
+struct Run<'o> {
+    solver: Solver,
+    oracle: &'o mut dyn Oracle,
+    start: Instant,
+    queries_at_start: u64,
+    dips: u64,
+    oracle_rounds: u64,
+    epochs: u64,
+    dip_patterns: Vec<Vec<bool>>,
+}
+
+impl Run<'_> {
+    /// Closes the run with its terminal status and key.
+    fn finish(self, status: AttackStatus, key: Option<Key>) -> SatAttackOutcome {
+        SatAttackOutcome {
+            status,
+            key,
+            dip_patterns: self.dip_patterns,
+            stats: SatAttackStats {
+                dips: self.dips,
+                oracle_queries: self.oracle.queries() - self.queries_at_start,
+                oracle_rounds: self.oracle_rounds,
+                epochs: self.epochs,
+                wall_time: self.start.elapsed(),
+                solver: *self.solver.stats(),
+                cnf_vars: self.solver.num_vars(),
+                cnf_clauses: self.solver.num_clauses(),
+            },
+        }
+    }
+
+    /// Reads the current model's primary-input assignment — one DIP.
+    fn extract_dip(&self, miter: &Miter) -> Vec<bool> {
+        miter.inputs.iter().map(|&l| self.solver.model_value(l).unwrap_or(false)).collect()
+    }
+
+    /// The DIP-refinement loop: runs until the key space is exhausted or a
+    /// limit stops it, and returns how it ended.
+    fn refine(
+        &mut self,
+        locked: &Netlist,
+        miter: &Miter,
+        config: &SatAttackConfig,
+        ctl: &RunCtl<'_>,
+    ) -> Result<(AttackStatus, Option<Key>), AttackError> {
+        // The session deadline is a hard stop (`TimeLimit`); the soft
+        // per-run budget reports `BudgetExhausted`. The solver runs against
+        // whichever comes first.
+        let hard_deadline = ctl.deadline;
+        let soft_deadline = config.time_budget.map(|budget| self.start + budget);
+        let deadline = match (hard_deadline, soft_deadline) {
+            (Some(h), Some(s)) => Some(h.min(s)),
+            (h, s) => h.or(s),
+        };
+        // Which status an expired clock maps to: the hard deadline wins when
+        // both have passed, so a session timeout is never misread as a
+        // resplit request.
+        let expiry_status = |now: Instant| -> AttackStatus {
+            match (hard_deadline, soft_deadline) {
+                (Some(h), _) if now >= h => AttackStatus::TimeLimit,
+                (_, Some(s)) if now >= s => AttackStatus::BudgetExhausted,
+                _ => AttackStatus::TimeLimit,
+            }
+        };
+
+        loop {
+            // Cooperative cancellation, once per refinement iteration.
+            if ctl.cancelled() {
+                return Ok((AttackStatus::Cancelled, None));
+            }
+            // Respect the wall-clock budget across solver calls.
+            if let Some(dl) = deadline {
+                let now = Instant::now();
+                if now >= dl {
+                    return Ok((expiry_status(now), None));
+                }
+                self.solver.set_time_budget(Some(dl - now));
+            }
+            match self.solver.solve(&[miter.diff]) {
+                SolveResult::Unknown => return Ok((expiry_status(Instant::now()), None)),
+                SolveResult::Sat => {
+                    // The miter is still satisfiable, so more DIPs are
+                    // needed: a spent soft budget means this term is too
+                    // hard at its current depth. (Checked only here — a term
+                    // that converges exactly at its budget still succeeds.)
+                    if config.dip_budget.is_some_and(|budget| self.dips >= budget) {
+                        return Ok((AttackStatus::BudgetExhausted, None));
+                    }
+                    self.epochs += 1;
+                    // Harvest up to `dip_batch` distinct DIPs before paying
+                    // the oracle round-trip. After each harvested DIP the two
+                    // constraint copies are encoded immediately and their
+                    // outputs tied together (`assert_equal`): requiring the
+                    // key copies to *agree* at the pending input is a
+                    // relaxation of the response constraint asserted below
+                    // once the oracle answers, so no consistent key pair is
+                    // lost — but the re-solve can no longer return a key
+                    // pair the pending answer would eliminate anyway,
+                    // steering every harvested DIP toward fresh key-space.
+                    // The copies are kept so the answer lands on the same
+                    // CNF: batching costs no extra circuit encodings over
+                    // the classic loop.
+                    let mut batch: Vec<PendingDip> = Vec::new();
+                    let mut dip = self.extract_dip(miter);
+                    // Never harvest past the DIP limit or the soft DIP budget.
+                    let remaining = [config.max_dips, config.dip_budget]
+                        .into_iter()
+                        .flatten()
+                        .map(|cap| cap.saturating_sub(self.dips))
+                        .min();
+                    let target = match remaining {
+                        Some(r) => config.dip_batch.max(1).min((r.max(1)) as usize),
+                        None => config.dip_batch.max(1),
+                    };
+                    loop {
+                        if batch.len() + 1 >= target || ctl.cancelled() {
+                            // The epoch's last DIP needs no steering copies;
+                            // it is encoded on the classic path when answered.
+                            batch.push(PendingDip { dip, copies: None });
+                            break;
+                        }
+                        let left = encode_constraint_copy(
+                            &mut self.solver,
+                            locked,
+                            config,
+                            &dip,
+                            &miter.keys_left,
+                        )?;
+                        let right = encode_constraint_copy(
+                            &mut self.solver,
+                            locked,
+                            config,
+                            &dip,
+                            &miter.keys_right,
+                        )?;
+                        for (&l, &r) in left.iter().zip(&right) {
+                            assert_equal(&mut self.solver, l, r);
+                        }
+                        batch.push(PendingDip { dip, copies: Some([left, right]) });
+                        if let Some(dl) = deadline {
+                            let now = Instant::now();
+                            if now >= dl {
+                                break;
+                            }
+                            self.solver.set_time_budget(Some(dl - now));
+                        }
+                        match self.solver.solve(&[miter.diff]) {
+                            SolveResult::Sat => dip = self.extract_dip(miter),
+                            // Unsat: the epoch drained every remaining DIP
+                            // (the outer loop terminates once the answers
+                            // land). Unknown: out of time budget; answer what
+                            // we have.
+                            SolveResult::Unsat | SolveResult::Unknown => break,
+                        }
+                    }
+                    // One oracle round answers the whole batch.
+                    let patterns: Vec<Vec<bool>> =
+                        batch.iter().map(|p| p.dip.clone()).collect();
+                    let responses = self.oracle.query_batch(&patterns);
+                    self.oracle_rounds += 1;
+                    for (pending, response) in batch.iter().zip(&responses) {
+                        self.dips += 1;
+                        if let Some(on_dip) = ctl.on_dip {
+                            on_dip(self.dips);
+                        }
+                        if config.record_dips {
+                            self.dip_patterns.push(pending.dip.clone());
+                        }
+                        // Both key copies must reproduce the response at
+                        // this input.
+                        match &pending.copies {
+                            Some(copies) => {
+                                for outputs in copies {
+                                    for (out, &bit) in outputs.iter().zip(response) {
+                                        assert_value(&mut self.solver, *out, bit);
+                                    }
+                                }
+                            }
+                            None => {
+                                for keys in [&miter.keys_left, &miter.keys_right] {
+                                    let outputs = encode_constraint_copy(
+                                        &mut self.solver,
+                                        locked,
+                                        config,
+                                        &pending.dip,
+                                        keys,
+                                    )?;
+                                    for (out, &bit) in outputs.iter().zip(response) {
+                                        assert_value(&mut self.solver, *out, bit);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    if config.max_dips.is_some_and(|max| self.dips >= max) {
+                        return Ok((AttackStatus::DipLimit, None));
+                    }
+                }
+                SolveResult::Unsat => {
+                    // No more DIPs: every remaining key is functionally
+                    // correct. Key extraction must not assume the miter.
+                    if ctl.cancelled() {
+                        return Ok((AttackStatus::Cancelled, None));
+                    }
+                    // Only the *hard* deadline gates key extraction: the
+                    // search has converged, so a soft budget expiring here
+                    // must not discard the (one cheap solve away) key and
+                    // force a pointless resplit.
+                    if let Some(dl) = hard_deadline {
+                        let now = Instant::now();
+                        if now >= dl {
+                            return Ok((AttackStatus::TimeLimit, None));
+                        }
+                        self.solver.set_time_budget(Some(dl - now));
+                    } else {
+                        // Clear any stale soft-budget allowance from the loop.
+                        self.solver.set_time_budget(None);
+                    }
+                    return Ok(match self.solver.solve(&[]) {
+                        SolveResult::Sat => {
+                            let bits = miter
+                                .keys_left
+                                .iter()
+                                .map(|&l| self.solver.model_value(l).unwrap_or(false))
+                                .collect();
+                            (AttackStatus::Success, Some(Key::new(bits)))
+                        }
+                        SolveResult::Unsat => (AttackStatus::Inconsistent, None),
+                        SolveResult::Unknown => (AttackStatus::TimeLimit, None),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The DIP-refinement engine: runs the oracle-guided SAT attack against
+/// `locked`. Every [`crate::AttackSession`] term runs through here.
+///
+/// # Errors
+///
+/// - [`AttackError::OracleMismatch`] if the oracle's port counts disagree
+///   with the locked netlist.
+/// - [`AttackError::Miter`] / [`AttackError::Encode`] for structural
+///   failures (e.g. cyclic netlists).
 pub(crate) fn run_sat_attack(
     locked: &Netlist,
     oracle: &mut dyn Oracle,
@@ -299,31 +484,6 @@ pub(crate) fn run_sat_attack(
         });
     }
     let start = Instant::now();
-    // The earlier of the session deadline and this run's own time limit
-    // (hard stops, reported as `TimeLimit`).
-    let hard_deadline = match (ctl.deadline, config.time_limit) {
-        (Some(d), Some(limit)) => Some(d.min(start + limit)),
-        (Some(d), None) => Some(d),
-        (None, Some(limit)) => Some(start + limit),
-        (None, None) => None,
-    };
-    // The soft per-run budget (reported as `BudgetExhausted`); the solver
-    // runs against whichever deadline comes first.
-    let soft_deadline = config.time_budget.map(|budget| start + budget);
-    let deadline = match (hard_deadline, soft_deadline) {
-        (Some(h), Some(s)) => Some(h.min(s)),
-        (h, s) => h.or(s),
-    };
-    // Which status an expired clock maps to: the hard deadline wins when
-    // both have passed, so a session timeout is never misread as a
-    // resplit request.
-    let expiry_status = move |now: Instant| -> AttackStatus {
-        match (hard_deadline, soft_deadline) {
-            (Some(h), _) if now >= h => AttackStatus::TimeLimit,
-            (_, Some(s)) if now >= s => AttackStatus::BudgetExhausted,
-            _ => AttackStatus::TimeLimit,
-        }
-    };
     let queries_at_start = oracle.queries();
     let mut solver = Solver::with_config(config.solver);
     let miter = build_miter(&mut solver, locked, locked)?;
@@ -331,312 +491,25 @@ pub(crate) fn run_sat_attack(
         let lit = miter.inputs[idx];
         solver.add_clause(&[if value { lit } else { !lit }]);
     }
-
-    let mut dips: u64 = 0;
-    let mut oracle_rounds: u64 = 0;
-    let mut epochs: u64 = 0;
-    let mut dip_patterns: Vec<Vec<bool>> = Vec::new();
-    let finish = |status: AttackStatus,
-                  key: Option<Key>,
-                  dips: u64,
-                  oracle_rounds: u64,
-                  epochs: u64,
-                  dip_patterns: Vec<Vec<bool>>,
-                  solver: &Solver,
-                  oracle: &dyn Oracle| SatAttackOutcome {
-        status,
-        key,
-        dip_patterns,
-        stats: SatAttackStats {
-            dips,
-            oracle_queries: oracle.queries() - queries_at_start,
-            oracle_rounds,
-            epochs,
-            wall_time: start.elapsed(),
-            solver: *solver.stats(),
-            cnf_vars: solver.num_vars(),
-            cnf_clauses: solver.num_clauses(),
-        },
+    let mut run = Run {
+        solver,
+        oracle,
+        start,
+        queries_at_start,
+        dips: 0,
+        oracle_rounds: 0,
+        epochs: 0,
+        dip_patterns: Vec::new(),
     };
-
-    // Reads the current model's primary-input assignment — one DIP.
-    let extract_dip = |solver: &Solver| -> Vec<bool> {
-        miter.inputs.iter().map(|&l| solver.model_value(l).unwrap_or(false)).collect()
-    };
-
-    loop {
-        // Cooperative cancellation, once per refinement iteration.
-        if ctl.cancelled() {
-            return Ok(finish(
-                AttackStatus::Cancelled,
-                None,
-                dips,
-                oracle_rounds,
-                epochs,
-                dip_patterns,
-                &solver,
-                oracle,
-            ));
-        }
-        // Respect the wall-clock budget across solver calls.
-        if let Some(dl) = deadline {
-            let now = Instant::now();
-            if now >= dl {
-                return Ok(finish(
-                    expiry_status(now),
-                    None,
-                    dips,
-                    oracle_rounds,
-                    epochs,
-                    dip_patterns,
-                    &solver,
-                    oracle,
-                ));
-            }
-            solver.set_time_budget(Some(dl - now));
-        }
-        match solver.solve(&[miter.diff]) {
-            SolveResult::Unknown => {
-                return Ok(finish(
-                    expiry_status(Instant::now()),
-                    None,
-                    dips,
-                    oracle_rounds,
-                    epochs,
-                    dip_patterns,
-                    &solver,
-                    oracle,
-                ));
-            }
-            SolveResult::Sat => {
-                // The miter is still satisfiable, so more DIPs are needed:
-                // a spent soft budget means this term is too hard at its
-                // current depth. (Checked only here — a term that converges
-                // exactly at its budget still succeeds.)
-                if config.dip_budget.is_some_and(|budget| dips >= budget) {
-                    return Ok(finish(
-                        AttackStatus::BudgetExhausted,
-                        None,
-                        dips,
-                        oracle_rounds,
-                        epochs,
-                        dip_patterns,
-                        &solver,
-                        oracle,
-                    ));
-                }
-                epochs += 1;
-                // Harvest up to `dip_batch` distinct DIPs before paying the
-                // oracle round-trip. After each harvested DIP the two
-                // constraint copies are encoded immediately and their
-                // outputs tied together (`assert_equal`): requiring the key
-                // copies to *agree* at the pending input is a relaxation of
-                // the response constraint asserted below once the oracle
-                // answers, so no consistent key pair is lost — but the
-                // re-solve can no longer return a key pair the pending
-                // answer would eliminate anyway, steering every harvested
-                // DIP toward fresh key-space. The copies are kept so the
-                // answer lands on the same CNF: batching costs no extra
-                // circuit encodings over the classic loop.
-                let mut batch: Vec<PendingDip> = Vec::new();
-                let mut dip = extract_dip(&solver);
-                // Never harvest past the DIP limit or the soft DIP budget.
-                let remaining = [config.max_dips, config.dip_budget]
-                    .into_iter()
-                    .flatten()
-                    .map(|cap| cap.saturating_sub(dips))
-                    .min();
-                let target = match remaining {
-                    Some(r) => config.dip_batch.max(1).min((r.max(1)) as usize),
-                    None => config.dip_batch.max(1),
-                };
-                loop {
-                    if batch.len() + 1 >= target || ctl.cancelled() {
-                        // The epoch's last DIP needs no steering copies;
-                        // it is encoded on the classic path when answered.
-                        batch.push(PendingDip { dip, copies: None });
-                        break;
-                    }
-                    let left = encode_constraint_copy(
-                        &mut solver,
-                        locked,
-                        config,
-                        &dip,
-                        &miter.keys_left,
-                    )?;
-                    let right = encode_constraint_copy(
-                        &mut solver,
-                        locked,
-                        config,
-                        &dip,
-                        &miter.keys_right,
-                    )?;
-                    for (&l, &r) in left.iter().zip(&right) {
-                        assert_equal(&mut solver, l, r);
-                    }
-                    batch.push(PendingDip { dip, copies: Some([left, right]) });
-                    if let Some(dl) = deadline {
-                        let now = Instant::now();
-                        if now >= dl {
-                            break;
-                        }
-                        solver.set_time_budget(Some(dl - now));
-                    }
-                    match solver.solve(&[miter.diff]) {
-                        SolveResult::Sat => dip = extract_dip(&solver),
-                        // Unsat: the epoch drained every remaining DIP (the
-                        // outer loop terminates once the answers land).
-                        // Unknown: out of time budget; answer what we have.
-                        SolveResult::Unsat | SolveResult::Unknown => break,
-                    }
-                }
-                // One oracle round answers the whole batch.
-                let patterns: Vec<Vec<bool>> = batch.iter().map(|p| p.dip.clone()).collect();
-                let responses = oracle.query_batch(&patterns);
-                oracle_rounds += 1;
-                for (pending, response) in batch.iter().zip(&responses) {
-                    dips += 1;
-                    if let Some(on_dip) = ctl.on_dip {
-                        on_dip(dips);
-                    }
-                    if config.record_dips {
-                        dip_patterns.push(pending.dip.clone());
-                    }
-                    // Both key copies must reproduce the response at this
-                    // input.
-                    match &pending.copies {
-                        Some(copies) => {
-                            for outputs in copies {
-                                for (out, &bit) in outputs.iter().zip(response) {
-                                    assert_value(&mut solver, *out, bit);
-                                }
-                            }
-                        }
-                        None => {
-                            for keys in [&miter.keys_left, &miter.keys_right] {
-                                let outputs = encode_constraint_copy(
-                                    &mut solver,
-                                    locked,
-                                    config,
-                                    &pending.dip,
-                                    keys,
-                                )?;
-                                for (out, &bit) in outputs.iter().zip(response) {
-                                    assert_value(&mut solver, *out, bit);
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(max) = config.max_dips {
-                    if dips >= max {
-                        return Ok(finish(
-                            AttackStatus::DipLimit,
-                            None,
-                            dips,
-                            oracle_rounds,
-                            epochs,
-                            dip_patterns,
-                            &solver,
-                            oracle,
-                        ));
-                    }
-                }
-            }
-            SolveResult::Unsat => {
-                // No more DIPs: every remaining key is functionally correct.
-                // Key extraction must not assume the miter.
-                if ctl.cancelled() {
-                    return Ok(finish(
-                        AttackStatus::Cancelled,
-                        None,
-                        dips,
-                        oracle_rounds,
-                        epochs,
-                        dip_patterns,
-                        &solver,
-                        oracle,
-                    ));
-                }
-                // Only the *hard* deadline gates key extraction: the search
-                // has converged, so a soft budget expiring here must not
-                // discard the (one cheap solve away) key and force a
-                // pointless resplit.
-                if let Some(dl) = hard_deadline {
-                    let now = Instant::now();
-                    if now >= dl {
-                        return Ok(finish(
-                            AttackStatus::TimeLimit,
-                            None,
-                            dips,
-                            oracle_rounds,
-                            epochs,
-                            dip_patterns,
-                            &solver,
-                            oracle,
-                        ));
-                    }
-                    solver.set_time_budget(Some(dl - now));
-                } else {
-                    // Clear any stale soft-budget allowance from the loop.
-                    solver.set_time_budget(None);
-                }
-                return match solver.solve(&[]) {
-                    SolveResult::Sat => {
-                        let key = Key::new(
-                            miter
-                                .keys_left
-                                .iter()
-                                .map(|&l| solver.model_value(l).unwrap_or(false))
-                                .collect(),
-                        );
-                        Ok(finish(
-                            AttackStatus::Success,
-                            Some(key),
-                            dips,
-                            oracle_rounds,
-                            epochs,
-                            dip_patterns,
-                            &solver,
-                            oracle,
-                        ))
-                    }
-                    SolveResult::Unsat => Ok(finish(
-                        AttackStatus::Inconsistent,
-                        None,
-                        dips,
-                        oracle_rounds,
-                        epochs,
-                        dip_patterns,
-                        &solver,
-                        oracle,
-                    )),
-                    SolveResult::Unknown => Ok(finish(
-                        AttackStatus::TimeLimit,
-                        None,
-                        dips,
-                        oracle_rounds,
-                        epochs,
-                        dip_patterns,
-                        &solver,
-                        oracle,
-                    )),
-                };
-            }
-        }
-    }
+    let (status, key) = run.refine(locked, &miter, config, ctl)?;
+    Ok(run.finish(status, key))
 }
 
 #[cfg(test)]
-// The unit tests deliberately exercise the deprecated one-release shims;
-// the session surface is covered by `session.rs` and the integration tests.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use polykey_locking::{
-        lock_antisat, lock_rll, lock_sarlock_with_key, AntisatConfig, SarlockConfig,
-    };
+    use polykey_locking::{AntiSat, LockScheme, Rll, Sarlock};
     use polykey_netlist::{bits_of, GateKind, Simulator};
     use rand::SeedableRng;
 
@@ -651,6 +524,30 @@ mod tests {
         let y = nl.add_gate("y", GateKind::Or, &[ab, ac, bc]).unwrap();
         nl.mark_output(y).unwrap();
         nl
+    }
+
+    /// SARLock |K| = 3 on the majority gate, with the given correct key.
+    fn sarlock3(nl: &Netlist, key: u64) -> Netlist {
+        Sarlock::new(3).lock(nl, &Key::from_u64(key, 3)).unwrap().netlist
+    }
+
+    /// Runs the engine without a deadline, cancellation or progress hook.
+    fn attack(
+        locked: &Netlist,
+        oracle: &mut dyn Oracle,
+        config: &SatAttackConfig,
+    ) -> Result<SatAttackOutcome, AttackError> {
+        run_sat_attack(locked, oracle, config, &RunCtl::default())
+    }
+
+    /// Runs the engine under a session deadline that has already passed.
+    fn attack_past_deadline(
+        locked: &Netlist,
+        oracle: &mut dyn Oracle,
+        config: &SatAttackConfig,
+    ) -> SatAttackOutcome {
+        let ctl = RunCtl { deadline: Some(Instant::now()), ..RunCtl::default() };
+        run_sat_attack(locked, oracle, config, &ctl).unwrap()
     }
 
     /// Checks that a recovered key makes the locked circuit behave like the
@@ -669,11 +566,10 @@ mod tests {
     fn breaks_rll() {
         let nl = majority3();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let locked = lock_rll(&nl, 4, &mut rng).unwrap();
+        let locked = Rll::new(4).with_seed(17).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome =
-            sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
-        assert!(outcome.is_success());
+        let outcome = attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         let key = outcome.key.expect("success ⇒ key");
         assert!(key_is_functionally_correct(&nl, &locked.netlist, &key));
         assert_eq!(outcome.stats.oracle_queries, outcome.stats.dips);
@@ -684,14 +580,12 @@ mod tests {
         // SARLock with |K| = 3: the miter can eliminate exactly one wrong
         // key per DIP, so the attack needs ≈ 2^|K| - 1 DIPs.
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b101, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b101);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome =
-            sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
-        assert!(outcome.is_success());
+        let outcome = attack(&locked, &mut oracle, &SatAttackConfig::new()).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         let got = outcome.key.expect("key");
-        assert!(key_is_functionally_correct(&nl, &locked.netlist, &got));
+        assert!(key_is_functionally_correct(&nl, &locked, &got));
         assert!(
             (7..=8).contains(&outcome.stats.dips),
             "SARLock |K|=3 needs ~2^3-1 DIPs, got {}",
@@ -703,11 +597,10 @@ mod tests {
     fn breaks_antisat_functionally() {
         let nl = majority3();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let locked = lock_antisat(&nl, &AntisatConfig::new(2), &mut rng).unwrap();
+        let locked = AntiSat::new(2).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome =
-            sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
-        assert!(outcome.is_success());
+        let outcome = attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         let key = outcome.key.expect("key");
         // The recovered key need not equal the nominal one (Anti-SAT has
         // 2^n correct keys), but it must be functionally correct.
@@ -720,22 +613,19 @@ mod tests {
         // correct key while folding those DIPs into far fewer oracle
         // rounds.
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b101, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b101);
 
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let sequential =
-            sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
-        assert!(sequential.is_success());
+        let sequential = attack(&locked, &mut oracle, &SatAttackConfig::new()).unwrap();
+        assert_eq!(sequential.status, AttackStatus::Success);
         assert_eq!(sequential.stats.oracle_rounds, sequential.stats.dips);
 
-        let mut config = SatAttackConfig::new();
-        config.dip_batch = 64;
+        let config = SatAttackConfig { dip_batch: 64, ..SatAttackConfig::new() };
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let batched = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
-        assert!(batched.is_success());
+        let batched = attack(&locked, &mut oracle, &config).unwrap();
+        assert_eq!(batched.status, AttackStatus::Success);
         let got = batched.key.expect("key");
-        assert!(key_is_functionally_correct(&nl, &locked.netlist, &got));
+        assert!(key_is_functionally_correct(&nl, &locked, &got));
         // Every DIP is still one query, but the rounds collapse.
         assert_eq!(batched.stats.oracle_queries, batched.stats.dips);
         assert!(
@@ -754,13 +644,11 @@ mod tests {
     #[test]
     fn batch_harvest_respects_dip_limit() {
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b110, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b110);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::new();
-        config.max_dips = Some(2);
-        config.dip_batch = 64;
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
+        let config =
+            SatAttackConfig { max_dips: Some(2), dip_batch: 64, ..SatAttackConfig::new() };
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
         assert_eq!(outcome.status, AttackStatus::DipLimit);
         assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot max_dips");
         assert_eq!(outcome.stats.oracle_rounds, 1);
@@ -769,27 +657,24 @@ mod tests {
     #[test]
     fn batched_textbook_engine_still_breaks_sarlock() {
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b011, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b011);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::textbook();
-        config.dip_batch = 8;
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
-        assert!(outcome.is_success());
+        let config =
+            SatAttackConfig { fold_dip_copies: false, dip_batch: 8, ..SatAttackConfig::new() };
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         let got = outcome.key.expect("key");
-        assert!(key_is_functionally_correct(&nl, &locked.netlist, &got));
+        assert!(key_is_functionally_correct(&nl, &locked, &got));
         assert!(outcome.stats.oracle_rounds < outcome.stats.dips);
     }
 
     #[test]
     fn dip_limit_stops_early() {
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b110, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b110);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::new();
-        config.max_dips = Some(2);
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
+        let config = SatAttackConfig { max_dips: Some(2), ..SatAttackConfig::new() };
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
         assert_eq!(outcome.status, AttackStatus::DipLimit);
         assert_eq!(outcome.stats.dips, 2);
         assert!(outcome.key.is_none());
@@ -798,20 +683,19 @@ mod tests {
     #[test]
     fn forced_inputs_stay_forced() {
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b011, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b011);
         let inner = SimOracle::new(&nl).unwrap();
         let mut oracle = crate::oracle::RestrictedOracle::new(inner, vec![(0, true)]);
-        let mut config = SatAttackConfig::new();
-        config.force_inputs = vec![(0, true)];
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
-        assert!(outcome.is_success());
+        let config =
+            SatAttackConfig { force_inputs: vec![(0, true)], ..SatAttackConfig::new() };
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         // Every recorded DIP respects the forced bit.
         assert!(outcome.dip_patterns.iter().all(|d| d[0]));
         // The recovered key unlocks the a=1 half-space.
         let got = outcome.key.expect("key");
         let mut orig = Simulator::new(&nl).unwrap();
-        let mut lsim = Simulator::new(&locked.netlist).unwrap();
+        let mut lsim = Simulator::new(&locked).unwrap();
         for v in 0..8u64 {
             let bits = bits_of(v, 3);
             if bits[0] {
@@ -824,8 +708,8 @@ mod tests {
     fn keyless_circuit_succeeds_trivially() {
         let nl = majority3();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = sat_attack(&nl, &mut oracle, &SatAttackConfig::new()).unwrap();
-        assert!(outcome.is_success());
+        let outcome = attack(&nl, &mut oracle, &SatAttackConfig::new()).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, 0);
         assert_eq!(outcome.key.expect("empty key").len(), 0);
     }
@@ -842,7 +726,7 @@ mod tests {
         big.mark_output(g).unwrap();
         let mut oracle = SimOracle::new(&big).unwrap();
         assert!(matches!(
-            sat_attack(&nl, &mut oracle, &SatAttackConfig::new()),
+            attack(&nl, &mut oracle, &SatAttackConfig::new()),
             Err(AttackError::OracleMismatch { what: "inputs", .. })
         ));
     }
@@ -852,12 +736,10 @@ mod tests {
         // SARLock |K| = 3 needs ~7 DIPs; a soft budget of 2 must stop the
         // run as BudgetExhausted (a resplit request), not DipLimit.
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b101, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b101);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::new();
-        config.dip_budget = Some(2);
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
+        let config = SatAttackConfig { dip_budget: Some(2), ..SatAttackConfig::new() };
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
         assert_eq!(outcome.stats.dips, 2, "partial stats must survive");
         assert_eq!(outcome.stats.oracle_queries, 2);
@@ -869,59 +751,55 @@ mod tests {
         // The budget only fires when more DIPs are *needed*: a run whose
         // budget equals its natural DIP count must still extract the key.
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b011, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b011);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let unbudgeted =
-            sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
-        assert!(unbudgeted.is_success());
-        let mut config = SatAttackConfig::new();
-        config.dip_budget = Some(unbudgeted.stats.dips);
+        let unbudgeted = attack(&locked, &mut oracle, &SatAttackConfig::new()).unwrap();
+        assert_eq!(unbudgeted.status, AttackStatus::Success);
+        let config = SatAttackConfig {
+            dip_budget: Some(unbudgeted.stats.dips),
+            ..SatAttackConfig::new()
+        };
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
-        assert!(outcome.is_success());
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, unbudgeted.stats.dips);
     }
 
     #[test]
     fn zero_time_budget_reports_budget_exhausted() {
-        // The soft clock maps to BudgetExhausted; the hard `time_limit`
+        // The soft clock maps to BudgetExhausted; the hard session deadline
         // keeps reporting TimeLimit (see `time_limit_reports_timeout`).
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b110, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b110);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::new();
-        config.time_budget = Some(Duration::ZERO);
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
+        let config =
+            SatAttackConfig { time_budget: Some(Duration::ZERO), ..SatAttackConfig::new() };
+        let outcome = attack(&locked, &mut oracle, &config).unwrap();
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
     }
 
     #[test]
     fn hard_deadline_outranks_soft_budget() {
-        // With both clocks at zero the hard limit wins: a session timeout
-        // must never be misread as a resplit request.
+        // With both clocks expired the hard deadline wins: a session
+        // timeout must never be misread as a resplit request.
         let nl = majority3();
-        let key = polykey_locking::Key::from_u64(0b001, 3);
-        let locked = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
+        let locked = sarlock3(&nl, 0b001);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::new();
-        config.time_limit = Some(Duration::ZERO);
-        config.time_budget = Some(Duration::ZERO);
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
+        let config =
+            SatAttackConfig { time_budget: Some(Duration::ZERO), ..SatAttackConfig::new() };
+        let outcome = attack_past_deadline(&locked, &mut oracle, &config);
         assert_eq!(outcome.status, AttackStatus::TimeLimit);
     }
 
     #[test]
     fn time_limit_reports_timeout() {
-        // A zero time limit must stop immediately with TimeLimit.
+        // An expired session deadline must stop immediately with TimeLimit.
         let nl = majority3();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let locked = lock_rll(&nl, 4, &mut rng).unwrap();
+        let locked = Rll::new(4).with_seed(17).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let mut config = SatAttackConfig::new();
-        config.time_limit = Some(Duration::ZERO);
-        let outcome = sat_attack(&locked.netlist, &mut oracle, &config).unwrap();
+        let outcome =
+            attack_past_deadline(&locked.netlist, &mut oracle, &SatAttackConfig::new());
         assert_eq!(outcome.status, AttackStatus::TimeLimit);
     }
 }

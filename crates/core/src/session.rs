@@ -3,12 +3,13 @@
 //! A session bundles the attacker's oracle with every knob the suite's
 //! attacks share — splitting effort, worker threads, wall-clock budget,
 //! cancellation, progress reporting — behind a single [`AttackSession::run`]
-//! returning an [`AttackReport`]. `split_effort = 0` runs the classic
-//! one-key SAT attack; `split_effort = N > 0` runs Algorithm 1 with `2^N`
-//! sub-attacks. Either way the report carries uniform [`AttackStats`]
-//! (DIPs, oracle queries, solver conflicts, per-subtask wall times), so
-//! harnesses sweep schemes × efforts × circuits without caring which
-//! engine ran.
+//! returning an [`AttackReport`]. Every run goes through one engine, the
+//! term tree of Algorithm 1: `split_effort = N > 0` starts from `2^N`
+//! sub-attacks, and `split_effort = 0` is a one-term tree — the classic
+//! one-key SAT attack on the locked netlist as given, run on the calling
+//! thread. Either way the report carries uniform [`AttackStats`] (DIPs,
+//! oracle queries, solver conflicts, per-subtask wall times), so harnesses
+//! sweep schemes × efforts × circuits without caring how the tree grew.
 //!
 //! # Examples
 //!
@@ -55,12 +56,10 @@ use polykey_netlist::{Netlist, NodeId};
 use polykey_sat::{SolverConfig, SolverStats};
 
 use crate::error::AttackError;
-use crate::multikey::{run_multi_key, EngineOpts, MultiKeyConfig, MultiKeyOutcome, SubKey};
+use crate::multikey::{run_multi_key, EngineOpts, MultiKeyConfig, SubKey, SubTaskReport};
 use crate::oracle::{Oracle, SharedOracle};
 use crate::recombine::recombine_multikey;
-use crate::sat_attack::{
-    run_sat_attack, AttackStatus, RunCtl, SatAttackConfig, SatAttackOutcome,
-};
+use crate::sat_attack::{AttackStatus, RunCtl, SatAttackConfig};
 use crate::split::SplitStrategy;
 
 /// A cloneable cooperative-cancellation handle.
@@ -180,145 +179,92 @@ impl AttackStats {
     }
 }
 
-/// The result of [`AttackSession::run`], subsuming the one-key and
-/// multi-key outcome types behind shared accessors.
+/// The result of [`AttackSession::run`]: the term tree the attack grew,
+/// with one leaf per sub-space (a single `pattern = 0, width = 0` leaf for
+/// `split_effort = 0`).
 #[derive(Clone, Debug)]
-pub enum AttackReport {
-    /// `split_effort = 0`: the classic oracle-guided SAT attack.
-    SingleKey(SatAttackOutcome),
-    /// `split_effort = N > 0`: Algorithm 1 with `2^N` sub-attacks.
-    MultiKey(MultiKeyOutcome),
+pub struct AttackReport {
+    /// The recovered sub-space keys (one per *successful* leaf term),
+    /// shallowest first, then by pattern.
+    pub keys: Vec<SubKey>,
+    /// Accounting for every leaf term of the final tree, shallowest first,
+    /// then by pattern.
+    pub reports: Vec<SubTaskReport>,
+    /// Accounting for interior terms: runs that exhausted their budget and
+    /// were subdivided ([`AttackStatus::BudgetExhausted`]). Their work
+    /// counters are real attack cost and are included in [`AttackStats`]
+    /// totals; empty in static runs.
+    pub resplit_reports: Vec<SubTaskReport>,
+    /// The splitting ports (ids in the locked netlist) in pattern bit
+    /// order. Adaptive resplits extend this list past the root `N`; a
+    /// term of width `w` pins the first `w` entries.
+    pub split_inputs: Vec<NodeId>,
+    /// End-to-end wall-clock time of the whole attack.
+    pub wall_time: Duration,
 }
 
 impl AttackReport {
-    /// True iff every sub-attack ended in [`AttackStatus::Success`].
+    /// True iff every leaf term ended in [`AttackStatus::Success`].
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        match self {
-            AttackReport::SingleKey(outcome) => outcome.status == AttackStatus::Success,
-            AttackReport::MultiKey(outcome) => outcome.is_complete(),
-        }
+        self.status() == AttackStatus::Success
     }
 
     /// The overall status: [`AttackStatus::Success`] when complete,
-    /// otherwise the first non-success sub-attack status.
+    /// otherwise the first non-success leaf status.
     #[must_use]
     pub fn status(&self) -> AttackStatus {
-        match self {
-            AttackReport::SingleKey(outcome) => outcome.status,
-            AttackReport::MultiKey(outcome) => outcome
-                .reports
-                .iter()
-                .map(|r| r.status)
-                .find(|&s| s != AttackStatus::Success)
-                .unwrap_or(AttackStatus::Success),
-        }
+        self.reports
+            .iter()
+            .map(|r| r.status)
+            .find(|&s| s != AttackStatus::Success)
+            .unwrap_or(AttackStatus::Success)
     }
 
-    /// The recovered globally-correct key, when one exists: the one-key
-    /// attack's key, or the single width-0 term key of a multi-key run
-    /// that never actually split.
+    /// The recovered globally-correct key, when one exists: the key of a
+    /// tree that never split (its single width-0 leaf).
     #[must_use]
     pub fn key(&self) -> Option<&Key> {
-        match self {
-            AttackReport::SingleKey(outcome) => outcome.key.as_ref(),
-            AttackReport::MultiKey(outcome) => match &outcome.keys[..] {
-                [sub] if sub.width == 0 => Some(&sub.key),
-                _ => None,
-            },
+        match &self.keys[..] {
+            [sub] if sub.width == 0 => Some(&sub.key),
+            _ => None,
         }
     }
 
-    /// The recovered sub-space keys: one per successful leaf term (the
-    /// one-key attack yields a single `pattern = 0, width = 0` entry).
+    /// The deepest leaf width in the final tree (the root `N` for static
+    /// runs).
     #[must_use]
-    pub fn sub_keys(&self) -> Vec<SubKey> {
-        match self {
-            AttackReport::SingleKey(outcome) => outcome
-                .key
-                .clone()
-                .map(|key| SubKey { pattern: 0, width: 0, key })
-                .into_iter()
-                .collect(),
-            AttackReport::MultiKey(outcome) => outcome.keys.clone(),
-        }
+    pub fn max_depth(&self) -> usize {
+        self.reports.iter().map(|r| r.width as usize).max().unwrap_or(0)
     }
 
-    /// The splitting ports (empty for the one-key attack).
-    #[must_use]
-    pub fn split_inputs(&self) -> &[NodeId] {
-        match self {
-            AttackReport::SingleKey(_) => &[],
-            AttackReport::MultiKey(outcome) => &outcome.split_inputs,
-        }
-    }
-
-    /// Uniform work counters across both report kinds.
+    /// Uniform work counters. Sums run over every term that did work —
+    /// leaves *and* budget-exhausted interior terms — so oracle/solver
+    /// accounting matches what was actually spent.
     #[must_use]
     pub fn stats(&self) -> AttackStats {
-        match self {
-            AttackReport::SingleKey(outcome) => AttackStats {
-                dips: outcome.stats.dips,
-                oracle_queries: outcome.stats.oracle_queries,
-                oracle_rounds: outcome.stats.oracle_rounds,
-                epochs: outcome.stats.epochs,
-                solver: outcome.stats.solver,
-                wall_time: outcome.stats.wall_time,
-                subtask_wall_times: vec![outcome.stats.wall_time],
-            },
-            // Sums run over every term that did work — leaves *and*
-            // budget-exhausted interior terms — so oracle/solver
-            // accounting matches what was actually spent.
-            AttackReport::MultiKey(outcome) => AttackStats {
-                dips: outcome.all_reports().map(|r| r.dips).sum(),
-                oracle_queries: outcome.all_reports().map(|r| r.oracle_queries).sum(),
-                oracle_rounds: outcome.all_reports().map(|r| r.oracle_rounds).sum(),
-                epochs: outcome.all_reports().map(|r| r.epochs).sum(),
-                solver: outcome.all_reports().map(|r| r.solver).sum(),
-                wall_time: outcome.wall_time,
-                subtask_wall_times: outcome.all_reports().map(|r| r.wall_time).collect(),
-            },
+        let terms = || self.reports.iter().chain(&self.resplit_reports).map(|r| &r.stats);
+        AttackStats {
+            dips: terms().map(|s| s.dips).sum(),
+            oracle_queries: terms().map(|s| s.oracle_queries).sum(),
+            oracle_rounds: terms().map(|s| s.oracle_rounds).sum(),
+            epochs: terms().map(|s| s.epochs).sum(),
+            solver: terms().map(|s| s.solver).sum(),
+            wall_time: self.wall_time,
+            subtask_wall_times: terms().map(|s| s.wall_time).collect(),
         }
     }
 
-    /// Builds the recombined, keyless netlist (Fig. 1(b)): the multi-key
-    /// MUX tree, or — for a one-key report — the locked design with the
-    /// recovered key pinned into the key ports.
+    /// Builds the recombined, keyless netlist (Fig. 1(b)): a MUX tree over
+    /// the split ports selecting each sub-space's key — for a tree that
+    /// never split, the locked design with the recovered key pinned.
     ///
     /// # Errors
     ///
     /// [`AttackError::BadKeySet`] if the run was incomplete (some term has
     /// no key), plus structural netlist errors.
     pub fn recombine(&self, locked: &Netlist) -> Result<Netlist, AttackError> {
-        match self {
-            AttackReport::SingleKey(_) => {
-                let keys = self.sub_keys();
-                recombine_multikey(locked, &[], &keys)
-            }
-            AttackReport::MultiKey(outcome) => {
-                recombine_multikey(locked, &outcome.split_inputs, &outcome.keys)
-            }
-        }
-    }
-
-    /// The underlying one-key outcome, if this was a `split_effort = 0`
-    /// run.
-    #[must_use]
-    pub fn as_single_key(&self) -> Option<&SatAttackOutcome> {
-        match self {
-            AttackReport::SingleKey(outcome) => Some(outcome),
-            AttackReport::MultiKey(_) => None,
-        }
-    }
-
-    /// The underlying multi-key outcome, if this was a `split_effort > 0`
-    /// run.
-    #[must_use]
-    pub fn as_multi_key(&self) -> Option<&MultiKeyOutcome> {
-        match self {
-            AttackReport::SingleKey(_) => None,
-            AttackReport::MultiKey(outcome) => Some(outcome),
-        }
+        recombine_multikey(locked, &self.split_inputs, &self.keys)
     }
 }
 
@@ -384,8 +330,9 @@ impl<'a> AttackSessionBuilder<'a> {
         self
     }
 
-    /// Sets the splitting effort `N`: `0` (default) runs the classic SAT
-    /// attack, `N > 0` runs Algorithm 1 with `2^N` sub-attacks.
+    /// Sets the splitting effort `N`: `N > 0` runs Algorithm 1 with `2^N`
+    /// sub-attacks; `0` (default) is the one-term tree, the classic SAT
+    /// attack on the calling thread.
     pub fn split_effort(mut self, n: usize) -> Self {
         self.split_effort = n;
         self
@@ -425,7 +372,8 @@ impl<'a> AttackSessionBuilder<'a> {
         self
     }
 
-    /// Records every DIP pattern in the outcome (default on; turn off for
+    /// Records every DIP pattern in each term's
+    /// [`SubTaskReport::dip_patterns`] (default on; turn off for
     /// benchmarking).
     pub fn record_dips(mut self, record: bool) -> Self {
         self.record_dips = record;
@@ -531,8 +479,7 @@ impl<'a> AttackSessionBuilder<'a> {
     ///     .build()?
     ///     .run(&locked.netlist)?;
     /// assert!(report.is_complete());
-    /// let outcome = report.as_multi_key().expect("adaptive runs split");
-    /// assert!(outcome.max_depth() > 0);
+    /// assert!(report.max_depth() > 0, "the root term was subdivided");
     /// let unlocked = report.recombine(&locked.netlist)?;
     /// assert_eq!(check_equivalence(&nl, &unlocked)?, EquivResult::Equivalent);
     /// # Ok(())
@@ -701,73 +648,31 @@ impl<'a> AttackSession<'a> {
     /// - Structural errors from cofactoring or encoding.
     pub fn run(&mut self, locked: &Netlist) -> Result<AttackReport, AttackError> {
         let deadline = self.time_budget.map(|budget| Instant::now() + budget);
-        let sat = SatAttackConfig {
-            max_dips: self.max_dips,
-            time_limit: None,
-            force_inputs: Vec::new(),
-            solver: self.solver,
-            record_dips: self.record_dips,
-            fold_dip_copies: !self.textbook,
-            dip_batch: self.dip_batch,
-            dip_budget: None,
-            time_budget: None,
+        let config = MultiKeyConfig {
+            split_effort: self.split_effort,
+            strategy: self.strategy,
+            simplify: self.simplify,
+            sat: SatAttackConfig {
+                max_dips: self.max_dips,
+                solver: self.solver,
+                record_dips: self.record_dips,
+                fold_dip_copies: !self.textbook,
+                dip_batch: self.dip_batch,
+                ..SatAttackConfig::new()
+            },
+            term_dip_budget: self.term_dip_budget,
+            term_time_budget: self.term_time_budget,
+            max_split_depth: self.max_split_depth,
         };
-        let progress = self.on_progress.as_deref();
-        // A per-term budget means adaptive splitting, which lives in the
-        // multi-key engine — even from a width-0 root, where the term tree
-        // grows purely on demand.
-        let adaptive = self.term_dip_budget.is_some() || self.term_time_budget.is_some();
-        if self.split_effort == 0 && !adaptive {
-            if let Some(progress) = progress {
-                progress(&ProgressEvent::TermStarted {
-                    pattern: 0,
-                    width: 0,
-                    terms: 1,
-                    gates: locked.num_gates(),
-                });
-            }
-            let on_dip = progress.map(|progress| {
-                move |dips: u64| progress(&ProgressEvent::Dip { pattern: 0, width: 0, dips })
-            });
-            let ctl = RunCtl {
-                deadline,
-                cancel: self.cancel.as_ref(),
-                on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
-            };
-            let outcome = run_sat_attack(locked, self.oracle, &sat, &ctl)?;
-            if let Some(progress) = progress {
-                progress(&ProgressEvent::TermFinished {
-                    pattern: 0,
-                    width: 0,
-                    status: outcome.status,
-                    dips: outcome.stats.dips,
-                    wall_time: outcome.stats.wall_time,
-                });
-            }
-            Ok(AttackReport::SingleKey(outcome))
-        } else {
-            // `MultiKeyConfig::parallel` is only read by the deprecated
-            // `multi_key_attack` shim; the engine's concurrency is governed
-            // by `EngineOpts::threads` below, so the default is left as-is.
-            let config = MultiKeyConfig {
-                split_effort: self.split_effort,
-                strategy: self.strategy,
-                simplify: self.simplify,
-                sat,
-                term_dip_budget: self.term_dip_budget,
-                term_time_budget: self.term_time_budget,
-                max_split_depth: self.max_split_depth,
-                ..MultiKeyConfig::default()
-            };
-            let shared = SharedOracle::new(self.oracle);
-            let opts = EngineOpts {
-                threads: self.threads,
-                ctl: RunCtl { deadline, cancel: self.cancel.as_ref(), on_dip: None },
-                progress: progress.map(|p| p as &(dyn Fn(&ProgressEvent) + Sync)),
-            };
-            let outcome = run_multi_key(locked, &shared, &config, &opts)?;
-            Ok(AttackReport::MultiKey(outcome))
-        }
+        let opts = EngineOpts {
+            threads: self.threads,
+            ctl: RunCtl { deadline, cancel: self.cancel.as_ref(), on_dip: None },
+            progress: self
+                .on_progress
+                .as_deref()
+                .map(|p| p as &(dyn Fn(&ProgressEvent) + Sync)),
+        };
+        run_multi_key(locked, &SharedOracle::new(self.oracle), &config, &opts)
     }
 }
 
@@ -775,8 +680,11 @@ impl<'a> AttackSession<'a> {
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use polykey_locking::{LockScheme, Rll, Sarlock};
+    use crate::sat_attack::run_sat_attack;
+    use polykey_circuits::{generate_random, RandomCircuitSpec};
+    use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
     use polykey_netlist::GateKind;
+    use rand::SeedableRng;
     use std::sync::Mutex;
 
     fn majority3() -> Netlist {
@@ -889,8 +797,7 @@ mod tests {
             .unwrap()
             .run(&locked.netlist)
             .expect("the session must survive a panicking callback");
-        let outcome = report.as_multi_key().expect("N > 0");
-        let statuses: Vec<AttackStatus> = outcome.reports.iter().map(|r| r.status).collect();
+        let statuses: Vec<AttackStatus> = report.reports.iter().map(|r| r.status).collect();
         assert_eq!(statuses.len(), 2);
         assert!(statuses.contains(&AttackStatus::Failed), "{statuses:?}");
         assert!(statuses.contains(&AttackStatus::Success), "{statuses:?}");
@@ -939,9 +846,76 @@ mod tests {
         let stats = report.stats();
         assert_eq!(stats.oracle_queries, stats.dips);
         assert_eq!(stats.subtask_wall_times.len(), 1);
-        // The single-key report recombines into a keyless equivalent too.
+        // The one-term report recombines into a keyless equivalent too.
         let unlocked = report.recombine(&locked.netlist).unwrap();
         assert!(unlocked.key_inputs().is_empty());
+    }
+
+    #[test]
+    fn one_key_run_matches_direct_sat_attack() {
+        // `split_effort(0)` is a one-term tree over the unmodified locked
+        // netlist: the same search, step for step, as calling the SAT
+        // attack engine directly.
+        let original = generate_random(&RandomCircuitSpec::new("diff", 7, 3, 50, 13));
+        let schemes: Vec<Box<dyn LockScheme>> = vec![
+            Box::new(Rll::new(6).with_seed(13)),
+            Box::new(Sarlock::new(5)),
+            Box::new(AntiSat::new(3)),
+            Box::new(LutLock::new(vec![2], 1).with_seed(13)),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for scheme in &schemes {
+            let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
+            let mut oracle = SimOracle::new(&original).unwrap();
+            let direct = run_sat_attack(
+                &locked,
+                &mut oracle,
+                &SatAttackConfig::new(),
+                &RunCtl::default(),
+            )
+            .unwrap();
+
+            let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
+            let mut oracle = SimOracle::new(&original).unwrap();
+            let report = AttackSession::builder()
+                .oracle(&mut oracle)
+                .on_progress(|e| events.lock().unwrap().push(e.clone()))
+                .build()
+                .unwrap()
+                .run(&locked)
+                .unwrap();
+
+            let name = scheme.name();
+            assert_eq!(direct.status, AttackStatus::Success, "{name}");
+            assert_eq!(report.key(), direct.key.as_ref(), "{name}");
+            let [term] = &report.reports[..] else { panic!("{name}: one term expected") };
+            assert_eq!((term.pattern, term.width), (0, 0), "{name}");
+            assert_eq!(term.stats.dips, direct.stats.dips, "{name}");
+            assert_eq!(term.stats.oracle_rounds, direct.stats.oracle_rounds, "{name}");
+            assert_eq!(term.stats.solver, direct.stats.solver, "{name}");
+            assert_eq!(term.dip_patterns, direct.dip_patterns, "{name}");
+            assert_eq!(term.gates_after, locked.num_gates(), "{name}: no re-synthesis");
+
+            let events = events.into_inner().unwrap();
+            let started: Vec<(u64, u8)> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    ProgressEvent::TermStarted { pattern, width, .. } => Some((pattern, width)),
+                    _ => None,
+                })
+                .collect();
+            let finished: Vec<(u64, u8)> = events
+                .iter()
+                .filter_map(|e| match *e {
+                    ProgressEvent::TermFinished { pattern, width, .. } => {
+                        Some((pattern, width))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(started, vec![(0, 0)], "{name}");
+            assert_eq!(finished, vec![(0, 0)], "{name}");
+        }
     }
 
     #[test]
@@ -959,7 +933,7 @@ mod tests {
             .unwrap();
         assert!(report.is_complete());
         assert!(report.key().is_none(), "N > 0 yields sub-space keys");
-        assert_eq!(report.sub_keys().len(), 4);
+        assert_eq!(report.keys.len(), 4);
         assert_eq!(report.stats().subtask_wall_times.len(), 4);
         // Total oracle queries flowed through the one shared oracle.
         assert_eq!(oracle.queries(), report.stats().oracle_queries);

@@ -63,6 +63,10 @@ pub fn select_split_inputs(
     if n > available {
         return Err(AttackError::SplitTooWide { requested: n, available });
     }
+    if n == 0 {
+        // Every one-key run asks for zero ports: skip the cone ranking.
+        return Ok(Vec::new());
+    }
     match strategy {
         SplitStrategy::FanoutCone => {
             let mut ranked = key_cone_influence(locked);

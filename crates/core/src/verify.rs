@@ -16,9 +16,8 @@ use crate::error::AttackError;
 /// # Examples
 ///
 /// ```
-/// use rand::SeedableRng;
 /// use polykey_attack::verify_key;
-/// use polykey_locking::lock_rll;
+/// use polykey_locking::{Key, LockScheme, Rll};
 /// use polykey_netlist::{GateKind, Netlist};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,8 +26,7 @@ use crate::error::AttackError;
 /// let b = nl.add_input("b")?;
 /// let y = nl.add_gate("y", GateKind::Or, &[a, b])?;
 /// nl.mark_output(y)?;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let locked = lock_rll(&nl, 1, &mut rng)?;
+/// let locked = Rll::new(1).with_seed(2).lock(&nl, &Key::from_u64(1, 1))?;
 /// assert!(verify_key(&nl, &locked.netlist, &locked.key)?);
 /// # Ok(())
 /// # }

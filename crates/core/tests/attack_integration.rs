@@ -86,11 +86,11 @@ fn all_split_strategies_give_subspace_correct_keys() {
             .expect("attack runs");
         assert!(report.is_complete(), "{strategy:?}");
         let positions: Vec<usize> = report
-            .split_inputs()
+            .split_inputs
             .iter()
             .map(|id| locked.netlist.inputs().iter().position(|p| p == id).expect("input"))
             .collect();
-        for sub in report.sub_keys() {
+        for sub in &report.keys {
             let forced: Vec<(usize, bool)> = positions
                 .iter()
                 .enumerate()
@@ -138,7 +138,7 @@ fn multikey_on_keyless_circuit() {
     let original = arith::parity(5);
     let report = attack(&original, &original, 1);
     assert!(report.is_complete());
-    for sub in report.sub_keys() {
+    for sub in &report.keys {
         assert_eq!(sub.key.len(), 0);
     }
 }
@@ -204,9 +204,8 @@ fn multikey_oracle_accounting() {
         .unwrap()
         .run(&locked.netlist)
         .expect("runs");
-    let outcome = report.as_multi_key().expect("N > 0");
-    for r in &outcome.reports {
-        assert_eq!(r.oracle_queries, r.dips, "term {:b}", r.pattern);
+    for r in &report.reports {
+        assert_eq!(r.stats.oracle_queries, r.stats.dips, "term {:b}", r.pattern);
     }
     // Total DIPs across terms ≈ sum of sub-space eliminations; at minimum
     // every term requires at least one solver round.
@@ -251,15 +250,14 @@ fn adaptive_budget_matches_static_equivalence_on_sarlock_iscas() {
         .run(&locked.netlist)
         .expect("runs");
     assert!(adaptive_report.is_complete());
-    let outcome = adaptive_report.as_multi_key().expect("N > 0");
     assert!(
-        outcome.max_depth() > 1,
+        adaptive_report.max_depth() > 1,
         "a hard term must have split deeper than the root (depths: {:?})",
-        outcome.reports.iter().map(|r| r.width).collect::<Vec<_>>()
+        adaptive_report.reports.iter().map(|r| r.width).collect::<Vec<_>>()
     );
-    assert!(!outcome.resplit_reports.is_empty());
+    assert!(!adaptive_report.resplit_reports.is_empty());
     assert!(
-        outcome.reports.iter().all(|r| r.dips <= 8),
+        adaptive_report.reports.iter().all(|r| r.stats.dips <= 8),
         "every leaf converged within its budget"
     );
     assert_eq!(oracle.queries(), adaptive_report.stats().oracle_queries);
@@ -331,10 +329,9 @@ fn panicking_oracle_fails_one_term_not_the_session() {
         .unwrap()
         .run(&locked.netlist)
         .expect("the session must survive the panic");
-    let outcome = report.as_multi_key().expect("N > 0");
     assert!(!report.is_complete());
     assert_eq!(report.status(), AttackStatus::Failed);
-    let statuses: Vec<AttackStatus> = outcome.reports.iter().map(|r| r.status).collect();
+    let statuses: Vec<AttackStatus> = report.reports.iter().map(|r| r.status).collect();
     assert_eq!(
         statuses.iter().filter(|&&s| s == AttackStatus::Failed).count(),
         1,
@@ -346,7 +343,7 @@ fn panicking_oracle_fails_one_term_not_the_session() {
         "the sibling term recovered the poisoned oracle lock: {statuses:?}"
     );
     // The surviving term's key is still sub-space correct.
-    assert_eq!(report.sub_keys().len(), 1);
+    assert_eq!(report.keys.len(), 1);
     // Served-query accounting survives the panic: the failed term reports
     // the queries the oracle actually answered before crashing (counted
     // outside the panic boundary), so the totals still reconcile.
@@ -369,10 +366,9 @@ fn fully_poisoned_oracle_fails_every_term_gracefully() {
         .unwrap()
         .run(&locked.netlist)
         .expect("the session must survive every panic");
-    let outcome = report.as_multi_key().expect("N > 0");
-    assert_eq!(outcome.reports.len(), 4);
-    assert!(outcome.reports.iter().all(|r| r.status == AttackStatus::Failed));
-    assert!(report.sub_keys().is_empty());
+    assert_eq!(report.reports.len(), 4);
+    assert!(report.reports.iter().all(|r| r.status == AttackStatus::Failed));
+    assert!(report.keys.is_empty());
 }
 
 /// Regression for the split-width overflow: `1u64 << 64` used to wrap to
@@ -396,32 +392,4 @@ fn split_effort_64_is_rejected_at_the_session_surface() {
         matches!(err, AttackError::SplitTooDeep { requested: 64, max: MAX_SPLIT_WIDTH }),
         "{err}"
     );
-}
-
-/// The deprecated free functions must keep producing the same results as
-/// the session surface for one release.
-#[allow(deprecated)]
-#[test]
-fn legacy_shims_agree_with_session() {
-    use polykey_attack::{multi_key_attack, sat_attack, MultiKeyConfig, SatAttackConfig};
-
-    let original = generate_random(&RandomCircuitSpec::new("shim", 6, 2, 40, 13));
-    let locked = Sarlock::new(4).lock(&original, &Key::from_u64(5, 4)).expect("lockable");
-
-    let mut oracle = SimOracle::new(&original).expect("oracle");
-    let legacy =
-        sat_attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).expect("runs");
-    let session = attack(&original, &locked.netlist, 0);
-    assert_eq!(legacy.status, session.status());
-    assert_eq!(legacy.stats.dips, session.stats().dips);
-
-    let mut config = MultiKeyConfig::with_split_effort(2);
-    config.parallel = false;
-    let legacy = multi_key_attack(&locked.netlist, &original, &config).expect("runs");
-    let session = attack(&original, &locked.netlist, 2);
-    assert!(legacy.is_complete() && session.is_complete());
-    let legacy_dips: Vec<u64> = legacy.reports.iter().map(|r| r.dips).collect();
-    let session_dips: Vec<u64> =
-        session.as_multi_key().expect("multi").reports.iter().map(|r| r.dips).collect();
-    assert_eq!(legacy_dips, session_dips);
 }

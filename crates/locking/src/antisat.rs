@@ -6,11 +6,6 @@
 //! functionally correct keys out of `2^{2n}` — a natural stress test for
 //! key *verification* logic, since recovered keys need not match the
 //! nominally "correct" one bit-for-bit.
-//!
-//! The scheme value is [`AntiSat`]; the free function [`lock_antisat`] is
-//! a deprecated shim kept for one release.
-
-use rand::Rng;
 
 use polykey_netlist::{GateKind, Netlist, NodeId};
 
@@ -64,12 +59,6 @@ impl Default for AntiSat {
     /// Two-input blocks (key width 4).
     fn default() -> AntiSat {
         AntiSat::new(2)
-    }
-}
-
-impl From<&AntisatConfig> for AntiSat {
-    fn from(config: &AntisatConfig) -> AntiSat {
-        AntiSat { n: config.n, target_output: config.target_output }
     }
 }
 
@@ -141,57 +130,10 @@ impl LockScheme for AntiSat {
     }
 }
 
-/// Configuration for the deprecated [`lock_antisat`] shim; new code uses
-/// the [`AntiSat`] scheme value directly.
-#[derive(Clone, Debug)]
-#[must_use]
-pub struct AntisatConfig {
-    /// Number of circuit inputs wired into each block (`n`); the total key
-    /// width is `2n`.
-    pub n: usize,
-    /// Index of the output to corrupt; defaults to the first output.
-    pub target_output: Option<usize>,
-}
-
-impl AntisatConfig {
-    /// A default configuration over `n` inputs (key width `2n`).
-    pub fn new(n: usize) -> AntisatConfig {
-        AntisatConfig { n, target_output: None }
-    }
-}
-
-/// Locks `netlist` with Anti-SAT using a random (equal-halves) correct key.
-///
-/// The returned key has `K_A = K_B`, which is one of the `2^n` correct keys.
-///
-/// # Errors
-///
-/// - [`LockError::AlreadyLocked`] if the netlist already has key inputs.
-/// - [`LockError::KeyTooWide`] if `n` exceeds the input count.
-/// - [`LockError::TooSmall`] for netlists without outputs or with `n = 0`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `AntiSat::new(n)` with `LockScheme::lock` or `lock_random`"
-)]
-pub fn lock_antisat<R: Rng>(
-    netlist: &Netlist,
-    config: &AntisatConfig,
-    rng: &mut R,
-) -> Result<LockedCircuit, LockError> {
-    if config.n == 0 {
-        return Err(LockError::TooSmall { what: "a non-zero block width" });
-    }
-    // Any K_A = K_B is correct; pick a random such key (the polarity
-    // constants then fold to plain Xor gates, the historical structure).
-    let half = Key::random(config.n, rng);
-    AntiSat::from(config).lock(netlist, &half.concat(&half))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polykey_netlist::{bits_of, Simulator};
-    use rand::SeedableRng;
 
     fn parity4() -> Netlist {
         let mut nl = Netlist::new("par4");
@@ -294,38 +236,5 @@ mod tests {
         locked.netlist.validate().unwrap();
         // 2n Xor + And + Nand + flip And + output Xor.
         assert_eq!(locked.netlist.num_gates(), nl.num_gates() + 2 * 4 + 4);
-    }
-
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        #[test]
-        fn shim_returns_equal_halves_key_that_unlocks() {
-            let nl = parity4();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-            let locked = lock_antisat(&nl, &AntisatConfig::new(3), &mut rng).unwrap();
-            assert_eq!(locked.key.bits()[..3], locked.key.bits()[3..]);
-            let mut orig = Simulator::new(&nl).unwrap();
-            let mut lsim = Simulator::new(&locked.netlist).unwrap();
-            for v in 0..16u64 {
-                let bits = bits_of(v, 4);
-                assert_eq!(lsim.eval(&bits, locked.key.bits()), orig.eval(&bits, &[]));
-            }
-        }
-
-        #[test]
-        fn shim_width_checks() {
-            let nl = parity4();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-            assert!(matches!(
-                lock_antisat(&nl, &AntisatConfig::new(9), &mut rng),
-                Err(LockError::KeyTooWide { .. })
-            ));
-            assert!(matches!(
-                lock_antisat(&nl, &AntisatConfig::new(0), &mut rng),
-                Err(LockError::TooSmall { .. })
-            ));
-        }
     }
 }

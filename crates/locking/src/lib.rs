@@ -20,11 +20,8 @@
 //! invisible under the correct key — a property the test suites verify
 //! exhaustively on small circuits.
 //!
-//! The pre-0.2 free functions (`lock_rll`, `lock_sarlock`,
-//! `lock_sarlock_with_key`, `lock_antisat`, `lock_lut`) remain as
-//! deprecated shims for one release; new code constructs scheme values.
 //! [`lock_sarlock_on_signals`] (the defense-direction variant reading
-//! internal nets) stays a free function: it is parameterized by node ids,
+//! internal nets) is a free function: it is parameterized by node ids,
 //! which no netlist-independent scheme value can carry.
 //!
 //! # Examples
@@ -61,18 +58,9 @@ mod rll;
 mod sarlock;
 mod scheme;
 
-pub use antisat::{AntiSat, AntisatConfig};
+pub use antisat::AntiSat;
 pub use common::{Key, LockError, LockedCircuit};
-pub use lut::{LutConfig, LutLock};
+pub use lut::LutLock;
 pub use rll::Rll;
-pub use sarlock::{lock_sarlock_on_signals, Sarlock, SarlockConfig};
+pub use sarlock::{lock_sarlock_on_signals, Sarlock};
 pub use scheme::LockScheme;
-
-#[allow(deprecated)]
-pub use antisat::lock_antisat;
-#[allow(deprecated)]
-pub use lut::lock_lut;
-#[allow(deprecated)]
-pub use rll::lock_rll;
-#[allow(deprecated)]
-pub use sarlock::{lock_sarlock, lock_sarlock_with_key};

@@ -9,9 +9,6 @@
 //! decomposition is not published; see `DESIGN.md` §3). Every LUT is built
 //! as a MUX tree over its key bits, which makes the per-iteration miter CNF
 //! large — the property that slows the baseline SAT attack in Table 2.
-//!
-//! The scheme value is [`LutLock`]; the free function [`lock_lut`] is a
-//! deprecated shim kept for one release.
 
 use rand::{Rng, RngExt};
 
@@ -112,12 +109,6 @@ impl Default for LutLock {
     }
 }
 
-impl From<&LutConfig> for LutLock {
-    fn from(config: &LutConfig) -> LutLock {
-        LutLock::new(config.stage1.clone(), config.stage2_extra)
-    }
-}
-
 impl LockScheme for LutLock {
     fn name(&self) -> &str {
         "lut"
@@ -136,43 +127,6 @@ impl LockScheme for LutLock {
             key,
             &mut placement_rng(self.seed),
         )
-    }
-}
-
-/// Configuration for the deprecated [`lock_lut`] shim; new code uses the
-/// [`LutLock`] scheme value directly.
-#[derive(Clone, Debug)]
-#[must_use]
-pub struct LutConfig {
-    /// Input widths of the stage-1 LUTs. Each reads the protected wire (for
-    /// the first LUT) or tapped nets.
-    pub stage1: Vec<usize>,
-    /// Number of extra direct taps into the stage-2 LUT (its width is
-    /// `stage1.len() + stage2_extra`).
-    pub stage2_extra: usize,
-}
-
-impl LutConfig {
-    /// The paper's configuration (see [`LutLock::paper`]).
-    pub fn paper() -> LutConfig {
-        LutConfig { stage1: vec![6, 6], stage2_extra: 2 }
-    }
-
-    /// The scaled-down configuration (see [`LutLock::small`]).
-    pub fn small() -> LutConfig {
-        LutConfig { stage1: vec![3, 3], stage2_extra: 1 }
-    }
-
-    /// Total key bits: `Σ 2^w` over stage-1 plus `2^(len+extra)` for
-    /// stage 2.
-    pub fn key_bits(&self) -> usize {
-        LutLock::from(self).key_bits()
-    }
-
-    /// Distinct circuit nets consumed by the module (the protected wire
-    /// counts as one).
-    pub fn module_inputs(&self) -> usize {
-        LutLock::from(self).module_inputs()
     }
 }
 
@@ -359,45 +313,6 @@ fn lock_lut_with(
     Ok(LockedCircuit { netlist: locked, key: key.clone() })
 }
 
-/// Locks `netlist` by splicing a two-stage LUT module into one wire, with
-/// a partially random correct key.
-///
-/// # Errors
-///
-/// - [`LockError::AlreadyLocked`] if the netlist already has key inputs.
-/// - [`LockError::TooSmall`] if no wire has enough cycle-free tap
-///   candidates for the requested module size.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LutLock::new(stage1, stage2_extra)` with `LockScheme::lock` or `lock_random`"
-)]
-pub fn lock_lut<R: Rng>(
-    netlist: &Netlist,
-    config: &LutConfig,
-    rng: &mut R,
-) -> Result<LockedCircuit, LockError> {
-    if config.stage1.is_empty() {
-        return Err(LockError::TooSmall { what: "at least one stage-1 lut" });
-    }
-    // Historical behavior: identity tables with randomized free entries.
-    // Sampling the key this way makes it equal to the canonical table, so
-    // no reconciling inverters are inserted.
-    let total = config.key_bits();
-    let mut bits: Vec<bool> = (0..total).map(|_| rng.random_bool(0.5)).collect();
-    {
-        let w0 = config.stage1[0];
-        for (idx, slot) in bits.iter_mut().enumerate().take(1usize << w0) {
-            *slot = idx >> (w0 - 1) & 1 == 1;
-        }
-        let s1_total: usize = config.stage1.iter().map(|w| 1usize << w).sum();
-        let w2 = config.stage1.len() + config.stage2_extra;
-        for idx in 0..(1usize << w2) {
-            bits[s1_total + idx] = idx & 1 == 1;
-        }
-    }
-    lock_lut_with(netlist, &config.stage1, config.stage2_extra, &Key::new(bits), rng)
-}
-
 /// Builds a `w`-input LUT as a MUX tree: `selects[j]` is select bit `j`
 /// (bit 0 = fastest-varying table index), `table[i]` drives entry `i`.
 /// Returns the tree's root node.
@@ -453,9 +368,6 @@ mod tests {
         let small = LutLock::small();
         assert_eq!(small.key_bits(), 24);
         assert_eq!(small.module_inputs(), 7);
-        // The legacy config mirrors the scheme arithmetic.
-        assert_eq!(LutConfig::paper().key_bits(), paper.key_bits());
-        assert_eq!(LutConfig::small().module_inputs(), small.module_inputs());
     }
 
     #[test]
@@ -538,40 +450,5 @@ mod tests {
         let locked = scheme.lock(&nl, &key).unwrap();
         assert_eq!(locked.key.len(), scheme.key_bits());
         assert_eq!(locked.netlist.key_inputs().len(), scheme.key_bits());
-    }
-
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        #[test]
-        fn shim_key_has_identity_tables_and_unlocks() {
-            let nl = sample();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-            let cfg = LutConfig { stage1: vec![2, 2], stage2_extra: 0 };
-            let locked = lock_lut(&nl, &cfg, &mut rng).unwrap();
-            assert_eq!(locked.key.len(), cfg.key_bits());
-            locked.netlist.validate().unwrap();
-            // LUT 0 identity on MSB: entries 0,1 false and 2,3 true.
-            assert_eq!(
-                &locked.key.bits()[..4],
-                &[false, false, true, true],
-                "canonical stage-1 identity table"
-            );
-            let mut orig = Simulator::new(&nl).unwrap();
-            let mut lsim = Simulator::new(&locked.netlist).unwrap();
-            for v in 0..32u64 {
-                let bits = bits_of(v, 5);
-                assert_eq!(lsim.eval(&bits, locked.key.bits()), orig.eval(&bits, &[]));
-            }
-        }
-
-        #[test]
-        fn shim_rejects_oversized_module() {
-            let nl = sample();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-            let cfg = LutConfig { stage1: vec![6, 6], stage2_extra: 2 };
-            assert!(matches!(lock_lut(&nl, &cfg, &mut rng), Err(LockError::TooSmall { .. })));
-        }
     }
 }

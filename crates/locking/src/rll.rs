@@ -4,9 +4,6 @@
 //! into each. An XOR key gate is transparent when its key bit is 0, an XNOR
 //! key gate when its key bit is 1, so the inserted polarity hides the
 //! correct key value from casual inspection.
-//!
-//! The scheme value is [`Rll`]; the free function [`lock_rll`] is a
-//! deprecated shim kept for one release.
 
 use rand::{Rng, RngExt};
 
@@ -125,27 +122,6 @@ fn lock_rll_with(
     Ok(LockedCircuit { netlist: locked, key: key.clone() })
 }
 
-/// Locks `netlist` by inserting `key_bits` XOR/XNOR key gates after random
-/// internal gates, with a random correct key.
-///
-/// # Errors
-///
-/// - [`LockError::AlreadyLocked`] if the netlist already has key inputs.
-/// - [`LockError::KeyTooWide`] if there are fewer internal gates than
-///   requested key bits.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Rll::new(key_bits).with_seed(..)` with `LockScheme::lock` or `lock_random`"
-)]
-pub fn lock_rll<R: Rng>(
-    netlist: &Netlist,
-    key_bits: usize,
-    rng: &mut R,
-) -> Result<LockedCircuit, LockError> {
-    let key = Key::random(key_bits, rng);
-    lock_rll_with(netlist, &key, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,29 +222,5 @@ mod tests {
         let locked = Rll::new(4).with_seed(3).lock(&nl, &Key::from_u64(6, 4)).unwrap();
         locked.netlist.validate().unwrap();
         assert_eq!(locked.netlist.num_gates(), nl.num_gates() + 4);
-    }
-
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-        use rand::SeedableRng;
-
-        #[test]
-        fn lock_rll_is_deterministic_per_seed_and_unlocks() {
-            let nl = sample();
-            let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
-            let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
-            let l1 = lock_rll(&nl, 2, &mut r1).unwrap();
-            let l2 = lock_rll(&nl, 2, &mut r2).unwrap();
-            assert_eq!(l1.key, l2.key);
-            assert_eq!(l1.netlist.num_nodes(), l2.netlist.num_nodes());
-
-            let mut orig = Simulator::new(&nl).unwrap();
-            let mut lsim = Simulator::new(&l1.netlist).unwrap();
-            for v in 0..8u64 {
-                let bits = bits_of(v, 3);
-                assert_eq!(lsim.eval(&bits, l1.key.bits()), orig.eval(&bits, &[]));
-            }
-        }
     }
 }

@@ -8,8 +8,6 @@
 //! distinguishing input patterns grows as `2^|K|` — the error profile shown
 //! in Fig. 1(a) of the paper.
 
-use rand::Rng;
-
 use polykey_netlist::{GateKind, Netlist, NodeId};
 
 use crate::common::{key_name, require_unlocked, Key, LockError, LockedCircuit};
@@ -72,16 +70,6 @@ impl Default for Sarlock {
     }
 }
 
-impl From<&SarlockConfig> for Sarlock {
-    fn from(config: &SarlockConfig) -> Sarlock {
-        Sarlock {
-            key_bits: config.key_bits,
-            compare_inputs: config.compare_inputs.clone(),
-            target_output: config.target_output,
-        }
-    }
-}
-
 impl LockScheme for Sarlock {
     fn name(&self) -> &str {
         "sarlock"
@@ -117,67 +105,6 @@ impl LockScheme for Sarlock {
     }
 }
 
-/// Configuration for the deprecated [`lock_sarlock`] shims; new code uses
-/// the [`Sarlock`] scheme value directly.
-#[derive(Clone, Debug)]
-#[must_use]
-pub struct SarlockConfig {
-    /// Key width; must not exceed the number of primary inputs.
-    pub key_bits: usize,
-    /// Indices (into the input list) of the inputs wired to the comparator.
-    /// Defaults to the first `key_bits` inputs.
-    pub compare_inputs: Option<Vec<usize>>,
-    /// Index (into the output list) of the output to corrupt. Defaults to
-    /// the last output.
-    pub target_output: Option<usize>,
-}
-
-impl SarlockConfig {
-    /// A default configuration with the given key width.
-    pub fn new(key_bits: usize) -> SarlockConfig {
-        SarlockConfig { key_bits, compare_inputs: None, target_output: None }
-    }
-}
-
-/// Locks `netlist` with SARLock using a random correct key.
-///
-/// # Errors
-///
-/// - [`LockError::AlreadyLocked`] if the netlist already has key inputs.
-/// - [`LockError::KeyTooWide`] if `key_bits` exceeds the input count.
-/// - [`LockError::TooSmall`] if the netlist has no outputs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sarlock::new(key_bits)` with `LockScheme::lock_random`"
-)]
-pub fn lock_sarlock<R: Rng>(
-    netlist: &Netlist,
-    config: &SarlockConfig,
-    rng: &mut R,
-) -> Result<LockedCircuit, LockError> {
-    let key = Key::random(config.key_bits, rng);
-    Sarlock::from(config).lock(netlist, &key)
-}
-
-/// Locks `netlist` with SARLock using an explicit correct key.
-///
-/// # Errors
-///
-/// As for [`lock_sarlock`], plus [`LockError::KeyTooWide`] if the key width
-/// disagrees with `config.key_bits`.
-#[deprecated(since = "0.2.0", note = "use `Sarlock::new(key_bits)` with `LockScheme::lock`")]
-pub fn lock_sarlock_with_key(
-    netlist: &Netlist,
-    config: &SarlockConfig,
-    key: &Key,
-) -> Result<LockedCircuit, LockError> {
-    if key.len() != config.key_bits {
-        // Preserve the historical error shape of the shim.
-        return Err(LockError::KeyTooWide { requested: key.len(), available: config.key_bits });
-    }
-    Sarlock::from(config).lock(netlist, key)
-}
-
 /// Locks `netlist` with a SARLock-style point function whose comparator
 /// reads *arbitrary nets* — internal signals included.
 ///
@@ -185,7 +112,7 @@ pub fn lock_sarlock_with_key(
 /// the comparator observes internal nets instead of primary inputs,
 /// pinning `N` input ports no longer bisects the comparator's domain, so
 /// input-space splitting loses its `2^N` leverage (measured by the
-/// `defense_probe` benchmark binary).
+/// `defense_probe` benchmark scenario).
 ///
 /// # Errors
 ///
@@ -420,26 +347,6 @@ mod tests {
         // 3 Xnor + 3 diff + match + wrong + flip + output Xor = 10 extra.
         assert_eq!(locked.netlist.num_gates(), nl.num_gates() + 10);
         assert_eq!(locked.netlist.outputs().len(), nl.outputs().len());
-    }
-
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        #[test]
-        fn with_key_shim_matches_scheme_and_checks_width() {
-            let nl = majority3();
-            let key = Key::from_u64(0b110, 3);
-            let via_shim = lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &key).unwrap();
-            let via_scheme = Sarlock::new(3).lock(&nl, &key).unwrap();
-            assert_eq!(via_shim.key, via_scheme.key);
-            assert_eq!(via_shim.netlist.num_nodes(), via_scheme.netlist.num_nodes());
-            // Historical error shape on width mismatch.
-            assert!(matches!(
-                lock_sarlock_with_key(&nl, &SarlockConfig::new(3), &Key::from_u64(0, 2)),
-                Err(LockError::KeyTooWide { requested: 2, available: 3 })
-            ));
-        }
     }
 }
 

@@ -40,11 +40,9 @@ mod cnf;
 mod dimacs;
 mod heap;
 mod lit;
-mod preprocess;
 mod solver;
 
 pub use cnf::{ClauseSink, CnfFormula};
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
-pub use preprocess::{preprocess, PreprocessConfig, PreprocessResult};
 pub use solver::{SolveResult, Solver, SolverConfig, SolverStats};

@@ -57,8 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.stats().dips,
         locked.key.len()
     );
-    let outcome = report.as_single_key().expect("N = 0");
-    for (i, dip) in outcome.dip_patterns.iter().enumerate() {
+    for (i, dip) in report.reports[0].dip_patterns.iter().enumerate() {
         let as_num: u64 =
             dip.iter().enumerate().fold(0, |acc, (j, &b)| acc | (u64::from(b) << j));
         println!("  DIP {}: input {as_num:03b} (eliminates key {as_num:03b})", i + 1);

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?
         .run(&locked.netlist)?;
     let baseline_stats = baseline.stats();
-    let cnf_vars = baseline.as_single_key().expect("N = 0").stats.cnf_vars;
+    let cnf_vars = baseline.reports[0].stats.cnf_vars;
     println!(
         "\nbaseline SAT attack: {} DIPs, {:?}, {} CNF vars",
         baseline_stats.dips, baseline_stats.wall_time, cnf_vars

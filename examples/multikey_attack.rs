@@ -52,15 +52,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?
         .run(&locked.netlist)?;
     assert!(report.is_complete());
-    let outcome = report.as_multi_key().expect("N > 0");
-    println!("\nmulti-key attack (N = 3, {} terms):", outcome.reports.len());
+    println!("\nmulti-key attack (N = 3, {} terms):", report.reports.len());
     let split_names: Vec<&str> =
-        report.split_inputs().iter().map(|&id| locked.netlist.node_name(id)).collect();
+        report.split_inputs.iter().map(|&id| locked.netlist.node_name(id)).collect();
     println!("  split ports (fan-out cone analysis): {split_names:?}");
-    for term in &outcome.reports {
+    for term in &report.reports {
         println!(
             "  term {:03b}: {} DIPs, {} gates (from {}), {:?}",
-            term.pattern, term.dips, term.gates_after, term.gates_before, term.wall_time
+            term.pattern,
+            term.stats.dips,
+            term.gates_after,
+            term.gates_before,
+            term.stats.wall_time
         );
     }
     println!(
@@ -79,12 +82,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Most sub-keys are globally *incorrect* — but each unlocks its
     // sub-space. Verify both facts formally.
     let positions: Vec<usize> = report
-        .split_inputs()
+        .split_inputs
         .iter()
         .map(|id| locked.netlist.inputs().iter().position(|p| p == id).expect("input"))
         .collect();
     let mut globally_wrong = 0;
-    for sub in report.sub_keys() {
+    for sub in &report.keys {
         let forced: Vec<(usize, bool)> = positions
             .iter()
             .enumerate()
@@ -101,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nsub-keys: {} of {} are globally incorrect, yet all unlock their sub-space",
         globally_wrong,
-        report.sub_keys().len()
+        report.keys.len()
     );
 
     // Fig. 1(b): recombine with a MUX tree and prove global equivalence.
@@ -128,14 +131,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?
         .run(&locked.netlist)?;
     assert!(adaptive.is_complete());
-    let tree = adaptive.as_multi_key().expect("N > 0");
     println!(
         "\nadaptive attack (root N = 1, budget 24 DIPs/term): {} leaves at depth {}, \
          {} resplits, max leaf {} DIPs",
-        tree.reports.len(),
-        tree.max_depth(),
-        tree.resplit_reports.len(),
-        tree.reports.iter().map(|r| r.dips).max().unwrap_or(0)
+        adaptive.reports.len(),
+        adaptive.max_depth(),
+        adaptive.resplit_reports.len(),
+        adaptive.reports.iter().map(|r| r.stats.dips).max().unwrap_or(0)
     );
     let recombined_tree = adaptive.recombine(&locked.netlist)?;
     assert_eq!(check_equivalence(&original, &recombined_tree)?, EquivResult::Equivalent);

@@ -41,7 +41,7 @@ fn session_matrix_recombines_every_scheme_at_every_effort() {
                 .expect("attack runs");
             assert!(report.is_complete(), "{} N={split_effort}", scheme.name());
             assert_eq!(
-                report.sub_keys().len(),
+                report.keys.len(),
                 1 << split_effort,
                 "{} N={split_effort}",
                 scheme.name()

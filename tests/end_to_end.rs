@@ -125,10 +125,7 @@ fn table1_shape_holds_on_small_instance() {
             .run(&locked.netlist)
             .expect("runs");
         assert!(report.is_complete());
-        let max_dips = match report.as_multi_key() {
-            Some(outcome) => outcome.reports.iter().map(|r| r.dips).max().unwrap(),
-            None => report.stats().dips,
-        };
+        let max_dips = report.reports.iter().map(|r| r.stats.dips).max().unwrap();
         max_dips_by_n.push(max_dips);
     }
     // Baseline ≈ 2^6 - 1 = 63 (±1 from termination accounting).
@@ -187,14 +184,14 @@ fn dip_patterns_are_real_distinguishing_inputs() {
         .run(&locked.netlist)
         .expect("runs");
     assert!(report.is_complete());
-    let outcome = report.as_single_key().expect("N = 0");
-    assert_eq!(outcome.dip_patterns.len() as u64, outcome.stats.dips);
-    for dip in &outcome.dip_patterns {
+    let term = &report.reports[0];
+    assert_eq!(term.dip_patterns.len() as u64, term.stats.dips);
+    for dip in &term.dip_patterns {
         assert_eq!(dip.len(), original.inputs().len());
     }
     // SARLock DIPs are distinct (each eliminates a distinct key).
-    let mut unique = outcome.dip_patterns.clone();
+    let mut unique = term.dip_patterns.clone();
     unique.sort();
     unique.dedup();
-    assert_eq!(unique.len(), outcome.dip_patterns.len());
+    assert_eq!(unique.len(), term.dip_patterns.len());
 }
