@@ -168,6 +168,48 @@ mod tests {
         }
     }
 
+    /// One gate over inputs `a, b, c` (as many as its arity takes), with
+    /// fan-in `inverted` read through an inverter.
+    fn one_gate(kind: GateKind, arity: usize, inverted: Option<usize>) -> Netlist {
+        let mut nl = Netlist::new("one_gate");
+        let mut fanins: Vec<_> =
+            ["a", "b", "c"].iter().map(|name| nl.add_input(*name).unwrap()).collect();
+        fanins.truncate(arity);
+        if let Some(j) = inverted {
+            fanins[j] = nl.add_gate("n", GateKind::Not, &[fanins[j]]).unwrap();
+        }
+        let g = nl.add_gate("g", kind, &fanins).unwrap();
+        nl.mark_output(g).unwrap();
+        nl
+    }
+
+    #[test]
+    fn inverted_fanins_are_not_merged() {
+        // The two sides share every variable and differ in one fan-in
+        // polarity: a structural-hash key that dropped that polarity
+        // would merge them and report equivalence.
+        for (kind, arity) in [
+            (GateKind::And, 2),
+            (GateKind::Or, 3),
+            (GateKind::Xor, 2),
+            (GateKind::Xnor, 3),
+            (GateKind::Mux, 3),
+        ] {
+            let a = one_gate(kind, arity, None);
+            for j in 0..arity {
+                let b = one_gate(kind, arity, Some(j));
+                let EquivResult::Inequivalent { counterexample } =
+                    check_equivalence(&a, &b).unwrap()
+                else {
+                    panic!("{kind:?} with fan-in {j} inverted reported equivalent");
+                };
+                let mut sa = Simulator::new(&a).unwrap();
+                let mut sb = Simulator::new(&b).unwrap();
+                assert_ne!(sa.eval(&counterexample, &[]), sb.eval(&counterexample, &[]));
+            }
+        }
+    }
+
     #[test]
     fn keyed_circuits_rejected() {
         let mut a = Netlist::new("keyed");

@@ -5,11 +5,19 @@
 //!
 //! - [`encode`]: Tseitin encoding of a netlist copy with caller-controlled
 //!   port bindings ([`Binding`]): fresh variables, shared literals, or
-//!   pinned constants (with on-the-fly constant propagation);
-//! - [`build_miter`]: two circuit copies sharing primary inputs plus a
-//!   `diff` literal that, when assumed, forces an output difference — the
-//!   engine of the oracle-guided SAT attack;
-//! - [`check_equivalence`]: one-call combinational equivalence checking.
+//!   pinned constants (with on-the-fly constant propagation). Gates are
+//!   hash-consed by kind and normalised fan-in literals, so structurally
+//!   identical logic is encoded once;
+//! - [`build_miter`]: two circuit copies sharing primary inputs and one
+//!   structural-hash table, plus a `diff` literal that, when assumed,
+//!   forces an output difference — the engine of the oracle-guided SAT
+//!   attack. Logic the copies share gets one variable, so only the parts
+//!   that can differ reach the solver;
+//! - [`check_equivalence`]: one-call combinational equivalence checking
+//!   over that miter.
+//!
+//! The attack miter, its per-DIP constraint copies and equivalence checks
+//! all take this one encoder path.
 //!
 //! # Examples
 //!
@@ -48,6 +56,6 @@ mod tseitin;
 pub use equiv::{check_equivalence, EquivError, EquivResult};
 pub use miter::{build_miter, Miter, MiterError};
 pub use tseitin::{
-    assert_equal, assert_value, encode, encode_key_variant, Binding, CnfValue, EncodeError,
-    EncodedCircuit, PortBinding,
+    assert_equal, assert_value, encode, Binding, CnfValue, EncodeError, EncodedCircuit,
+    PortBinding,
 };

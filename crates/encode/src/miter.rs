@@ -4,7 +4,7 @@
 use polykey_netlist::Netlist;
 use polykey_sat::{Lit, Solver};
 
-use crate::tseitin::{encode, Binding, CnfValue, EncodeError};
+use crate::tseitin::{encode_shared, Binding, CnfValue, EncodeError, GateTable};
 
 /// Errors raised while building a miter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +77,10 @@ pub struct Miter {
 ///
 /// The circuits must agree on the number of primary inputs and outputs; the
 /// inputs are shared between the copies while each copy receives fresh key
-/// variables (key counts may differ, e.g. original vs. locked).
+/// variables (key counts may differ, e.g. original vs. locked). Both copies
+/// are encoded against one structural-hash table, so identical logic on the
+/// two sides gets one variable and output pairs that hash to the same
+/// literal need no difference clause.
 ///
 /// # Errors
 ///
@@ -102,23 +105,20 @@ pub fn build_miter(
             right: right.outputs().len(),
         });
     }
-    let enc_left = encode(solver, left, &Binding::fresh(left))?;
+    // One structural-hash table for both copies: logic the two sides have
+    // in common (everything outside the key cone of a self-miter, most of
+    // a recombined netlist against its original) is encoded once, so the
+    // solver never re-proves its equality.
+    let mut table = GateTable::default();
+    let enc_left = encode_shared(solver, &mut table, left, &Binding::fresh(left))?;
     let shared: Vec<Lit> =
         enc_left.inputs.iter().map(|v| v.lit().expect("fresh inputs are literals")).collect();
-    // When both sides are literally the same netlist (the SAT attack's
-    // self-miter), share every node outside the key cone between the two
-    // copies: the solver then never re-proves the equality of identical
-    // key-independent logic, and only the key cone is duplicated.
-    let enc_right = if std::ptr::eq(left, right) {
-        crate::tseitin::encode_key_variant(
-            solver,
-            right,
-            &enc_left,
-            &vec![crate::tseitin::PortBinding::Fresh; right.key_inputs().len()],
-        )?
-    } else {
-        encode(solver, right, &Binding::with_shared_inputs(&shared, right.key_inputs().len()))?
-    };
+    let enc_right = encode_shared(
+        solver,
+        &mut table,
+        right,
+        &Binding::with_shared_inputs(&shared, right.key_inputs().len()),
+    )?;
 
     let keys_left: Vec<Lit> =
         enc_left.keys.iter().map(|v| v.lit().expect("fresh keys are literals")).collect();
@@ -130,8 +130,8 @@ pub fn build_miter(
     let mut always_differs = false;
     for (l, r) in enc_left.outputs.iter().zip(&enc_right.outputs) {
         if l == r {
-            // Structurally identical outputs (shared encoding) can never
-            // differ; no disjunct needed.
+            // Structurally identical outputs (one hashed encoding) can
+            // never differ; no disjunct needed.
             continue;
         }
         match (l, r) {

@@ -1,5 +1,5 @@
 //! Tseitin encoding of netlists into CNF, with caller-controlled port
-//! bindings.
+//! bindings and structural hashing.
 //!
 //! The SAT attack builds many CNF copies of the same circuit that differ
 //! only in how ports are presented: the miter shares primary-input variables
@@ -8,9 +8,19 @@
 //! variables with the miter copies. [`Binding`] expresses all of these cases
 //! and [`encode`] performs constant propagation on the fly, so pinned copies
 //! shrink to just the key-dependent logic.
+//!
+//! Encoded gates are hash-consed (structural hashing, as in ABC's `strash`):
+//! a gate whose kind and normalised fan-in literals match an already
+//! encoded gate reuses that gate's literal instead of a fresh variable.
+//! [`build_miter`](crate::build_miter) shares one table across both of its
+//! copies, so logic the two sides have in common is encoded once and never
+//! has to be re-proven equal by search.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use polykey_netlist::{GateKind, Netlist, NetlistError};
-use polykey_sat::{ClauseSink, Lit};
+use polykey_sat::{ClauseSink, Lit, Var};
 
 /// A CNF-level value: either a literal or a known constant.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -124,10 +134,27 @@ pub struct EncodedCircuit {
     pub keys: Vec<CnfValue>,
     /// CNF values of the outputs, in declaration order.
     pub outputs: Vec<CnfValue>,
-    /// CNF value of every node, indexed by [`polykey_netlist::NodeId`].
-    /// Enables structure sharing between circuit copies
-    /// (see [`encode_key_variant`]).
-    pub node_values: Vec<CnfValue>,
+}
+
+/// A gate's structural identity after normalisation: gates with equal keys
+/// compute the same function of the same variables.
+#[derive(PartialEq, Eq, Hash)]
+enum GateKey {
+    /// AND over sorted, deduplicated literals.
+    And(Vec<Lit>),
+    /// XOR of two distinct variables, smaller first; the table holds the
+    /// literal of the positive-polarity XOR.
+    Xor(Var, Var),
+    /// `s ? d1 : d0` with a positive select: `(s, d0, d1)`.
+    Mux(Var, Lit, Lit),
+}
+
+/// The structural-hash table of one encoding: every gate encoded so far,
+/// by normalised key. It is only meaningful together with the sink whose
+/// variables it names.
+#[derive(Default)]
+pub(crate) struct GateTable {
+    gates: HashMap<GateKey, Lit>,
 }
 
 /// Errors raised by encoding.
@@ -177,7 +204,9 @@ impl From<NetlistError> for EncodeError {
 /// Constants propagate during encoding: gates whose value is forced by
 /// pinned ports produce no variables or clauses. Inverting gates (`Not`,
 /// `Nand`, `Nor`, `Xnor`) reuse their base gate's variable with a negated
-/// literal, costing nothing extra.
+/// literal, costing nothing extra. Structurally identical gates (same kind
+/// over the same normalised fan-in literals, e.g. `OR(a, b)` and
+/// `NAND(¬a, ¬b)`) share one variable.
 ///
 /// # Errors
 ///
@@ -185,6 +214,18 @@ impl From<NetlistError> for EncodeError {
 /// [`EncodeError::Netlist`] for cyclic netlists.
 pub fn encode<S: ClauseSink>(
     sink: &mut S,
+    netlist: &Netlist,
+    binding: &Binding,
+) -> Result<EncodedCircuit, EncodeError> {
+    encode_shared(sink, &mut GateTable::default(), netlist, binding)
+}
+
+/// [`encode`] against a structural-hash table that earlier copies in the
+/// same `sink` have filled: gates this copy has in common with them reuse
+/// their literals.
+pub(crate) fn encode_shared<S: ClauseSink>(
+    sink: &mut S,
+    table: &mut GateTable,
     netlist: &Netlist,
     binding: &Binding,
 ) -> Result<EncodedCircuit, EncodeError> {
@@ -232,102 +273,33 @@ pub fn encode<S: ClauseSink>(
         }
         let fanins: Vec<CnfValue> =
             node.fanins().iter().map(|f| values[f.index()].expect("topo order")).collect();
-        values[id.index()] = Some(encode_gate(sink, node.kind(), &fanins));
+        values[id.index()] = Some(encode_gate(sink, table, node.kind(), &fanins));
     }
 
     let outputs =
         netlist.outputs().iter().map(|o| values[o.index()].expect("outputs encoded")).collect();
-    let node_values = values.into_iter().map(|v| v.expect("all nodes encoded")).collect();
-    Ok(EncodedCircuit { inputs: input_values, keys: key_values, outputs, node_values })
-}
-
-/// Encodes a *key variant* of an already-encoded circuit copy: primary
-/// inputs and every node **not** in the transitive fanout of a key input
-/// reuse `prior`'s CNF values verbatim; only the key inputs (bound per
-/// `key_binding`) and the key-controlled cone are encoded fresh.
-///
-/// This is how the SAT attack's miter shares structure between its two
-/// copies: the copies agree everywhere except downstream of the keys, so
-/// the solver never has to re-derive the equality of shared logic.
-///
-/// `prior` must come from [`encode`] (or this function) over the *same*
-/// netlist value.
-///
-/// # Errors
-///
-/// Returns [`EncodeError::BindingWidth`] on key-count mismatch (also used
-/// when `prior` does not match the netlist's node count) and
-/// [`EncodeError::Netlist`] for cyclic netlists.
-pub fn encode_key_variant<S: ClauseSink>(
-    sink: &mut S,
-    netlist: &Netlist,
-    prior: &EncodedCircuit,
-    key_binding: &[PortBinding],
-) -> Result<EncodedCircuit, EncodeError> {
-    if key_binding.len() != netlist.key_inputs().len() {
-        return Err(EncodeError::BindingWidth {
-            which: "keys",
-            expected: netlist.key_inputs().len(),
-            got: key_binding.len(),
-        });
-    }
-    if prior.node_values.len() != netlist.num_nodes() {
-        return Err(EncodeError::BindingWidth {
-            which: "prior node values",
-            expected: netlist.num_nodes(),
-            got: prior.node_values.len(),
-        });
-    }
-    let order = netlist.topological_order()?;
-    let key_cone = polykey_netlist::analysis::transitive_fanout(netlist, netlist.key_inputs());
-    let mut values: Vec<Option<CnfValue>> = vec![None; netlist.num_nodes()];
-
-    for &pi in netlist.inputs() {
-        values[pi.index()] = Some(prior.node_values[pi.index()]);
-    }
-    let mut key_values = Vec::with_capacity(key_binding.len());
-    for (i, &ki) in netlist.key_inputs().iter().enumerate() {
-        let v = match key_binding[i] {
-            PortBinding::Fresh => CnfValue::Lit(sink.new_var().positive()),
-            PortBinding::Shared(l) => CnfValue::Lit(l),
-            PortBinding::Pinned(b) => CnfValue::Const(b),
-        };
-        values[ki.index()] = Some(v);
-        key_values.push(v);
-    }
-    for id in order {
-        let node = netlist.node(id);
-        if node.kind().is_input() {
-            continue;
-        }
-        if !key_cone[id.index()] {
-            values[id.index()] = Some(prior.node_values[id.index()]);
-            continue;
-        }
-        let fanins: Vec<CnfValue> =
-            node.fanins().iter().map(|f| values[f.index()].expect("topo order")).collect();
-        values[id.index()] = Some(encode_gate(sink, node.kind(), &fanins));
-    }
-    let outputs =
-        netlist.outputs().iter().map(|o| values[o.index()].expect("outputs encoded")).collect();
-    let node_values = values.into_iter().map(|v| v.expect("all nodes encoded")).collect();
-    Ok(EncodedCircuit { inputs: prior.inputs.clone(), keys: key_values, outputs, node_values })
+    Ok(EncodedCircuit { inputs: input_values, keys: key_values, outputs })
 }
 
 /// Encodes a single gate, folding constants.
-fn encode_gate<S: ClauseSink>(sink: &mut S, kind: GateKind, fanins: &[CnfValue]) -> CnfValue {
+fn encode_gate<S: ClauseSink>(
+    sink: &mut S,
+    table: &mut GateTable,
+    kind: GateKind,
+    fanins: &[CnfValue],
+) -> CnfValue {
     match kind {
         GateKind::Input | GateKind::KeyInput => unreachable!("handled by caller"),
         GateKind::Const(v) => CnfValue::Const(v),
         GateKind::Buf => fanins[0],
         GateKind::Not => fanins[0].negate(),
-        GateKind::And => encode_and(sink, fanins),
-        GateKind::Nand => encode_and(sink, fanins).negate(),
-        GateKind::Or => encode_and(sink, &negate_all(fanins)).negate(),
-        GateKind::Nor => encode_and(sink, &negate_all(fanins)),
-        GateKind::Xor => encode_xor(sink, fanins),
-        GateKind::Xnor => encode_xor(sink, fanins).negate(),
-        GateKind::Mux => encode_mux(sink, fanins[0], fanins[1], fanins[2]),
+        GateKind::And => encode_and(sink, table, fanins),
+        GateKind::Nand => encode_and(sink, table, fanins).negate(),
+        GateKind::Or => encode_and(sink, table, &negate_all(fanins)).negate(),
+        GateKind::Nor => encode_and(sink, table, &negate_all(fanins)),
+        GateKind::Xor => encode_xor(sink, table, fanins),
+        GateKind::Xnor => encode_xor(sink, table, fanins).negate(),
+        GateKind::Mux => encode_mux(sink, table, fanins[0], fanins[1], fanins[2]),
     }
 }
 
@@ -335,8 +307,21 @@ fn negate_all(fanins: &[CnfValue]) -> Vec<CnfValue> {
     fanins.iter().map(|v| v.negate()).collect()
 }
 
+/// `l` negated when `flip` holds.
+fn flip_if(l: Lit, flip: bool) -> Lit {
+    if flip {
+        !l
+    } else {
+        l
+    }
+}
+
 /// `y = AND(fanins)` with constant folding and degenerate-case elision.
-fn encode_and<S: ClauseSink>(sink: &mut S, fanins: &[CnfValue]) -> CnfValue {
+fn encode_and<S: ClauseSink>(
+    sink: &mut S,
+    table: &mut GateTable,
+    fanins: &[CnfValue],
+) -> CnfValue {
     let mut lits: Vec<Lit> = Vec::with_capacity(fanins.len());
     for &v in fanins {
         match v {
@@ -356,31 +341,44 @@ fn encode_and<S: ClauseSink>(sink: &mut S, fanins: &[CnfValue]) -> CnfValue {
     match lits.len() {
         0 => CnfValue::Const(true),
         1 => CnfValue::Lit(lits[0]),
-        _ => {
-            let y = sink.new_var().positive();
-            // y → l_i, and (∧ l_i) → y.
-            let mut long = Vec::with_capacity(lits.len() + 1);
-            long.push(y);
-            for &l in &lits {
-                sink.add_clause(&[!y, l]);
-                long.push(!l);
+        _ => match table.gates.entry(GateKey::And(lits)) {
+            Entry::Occupied(hit) => CnfValue::Lit(*hit.get()),
+            Entry::Vacant(miss) => {
+                let GateKey::And(lits) = miss.key() else { unreachable!("keyed as AND") };
+                let y = sink.new_var().positive();
+                // y → l_i, and (∧ l_i) → y.
+                let mut long = Vec::with_capacity(lits.len() + 1);
+                long.push(y);
+                for &l in lits {
+                    sink.add_clause(&[!y, l]);
+                    long.push(!l);
+                }
+                sink.add_clause(&long);
+                CnfValue::Lit(*miss.insert(y))
             }
-            sink.add_clause(&long);
-            CnfValue::Lit(y)
-        }
+        },
     }
 }
 
 /// Parity via a chain of binary XOR variables.
-fn encode_xor<S: ClauseSink>(sink: &mut S, fanins: &[CnfValue]) -> CnfValue {
+fn encode_xor<S: ClauseSink>(
+    sink: &mut S,
+    table: &mut GateTable,
+    fanins: &[CnfValue],
+) -> CnfValue {
     let mut acc = CnfValue::Const(false);
     for &v in fanins {
-        acc = encode_xor2(sink, acc, v);
+        acc = encode_xor2(sink, table, acc, v);
     }
     acc
 }
 
-fn encode_xor2<S: ClauseSink>(sink: &mut S, a: CnfValue, b: CnfValue) -> CnfValue {
+fn encode_xor2<S: ClauseSink>(
+    sink: &mut S,
+    table: &mut GateTable,
+    a: CnfValue,
+    b: CnfValue,
+) -> CnfValue {
     match (a, b) {
         (CnfValue::Const(x), CnfValue::Const(y)) => CnfValue::Const(x ^ y),
         (CnfValue::Const(false), v) | (v, CnfValue::Const(false)) => v,
@@ -392,12 +390,19 @@ fn encode_xor2<S: ClauseSink>(sink: &mut S, a: CnfValue, b: CnfValue) -> CnfValu
             if x == !y {
                 return CnfValue::Const(true);
             }
-            let y2 = sink.new_var().positive();
-            sink.add_clause(&[!y2, x, y]);
-            sink.add_clause(&[!y2, !x, !y]);
-            sink.add_clause(&[y2, !x, y]);
-            sink.add_clause(&[y2, x, !y]);
-            CnfValue::Lit(y2)
+            // x ⊕ y = var(x) ⊕ var(y) ⊕ parity: the key drops the signs,
+            // the parity flips the shared literal.
+            let parity = x.is_negated() ^ y.is_negated();
+            let key = GateKey::Xor(x.var().min(y.var()), x.var().max(y.var()));
+            let positive = *table.gates.entry(key).or_insert_with(|| {
+                let y2 = sink.new_var().positive();
+                sink.add_clause(&[!y2, x, y]);
+                sink.add_clause(&[!y2, !x, !y]);
+                sink.add_clause(&[y2, !x, y]);
+                sink.add_clause(&[y2, x, !y]);
+                flip_if(y2, parity)
+            });
+            CnfValue::Lit(flip_if(positive, parity))
         }
     }
 }
@@ -405,6 +410,7 @@ fn encode_xor2<S: ClauseSink>(sink: &mut S, a: CnfValue, b: CnfValue) -> CnfValu
 /// `y = s ? d1 : d0`.
 fn encode_mux<S: ClauseSink>(
     sink: &mut S,
+    table: &mut GateTable,
     s: CnfValue,
     d0: CnfValue,
     d1: CnfValue,
@@ -419,23 +425,36 @@ fn encode_mux<S: ClauseSink>(
             match (d0, d1) {
                 (CnfValue::Const(false), CnfValue::Const(true)) => CnfValue::Lit(sl),
                 (CnfValue::Const(true), CnfValue::Const(false)) => CnfValue::Lit(!sl),
-                (CnfValue::Const(false), d1) => encode_and(sink, &[CnfValue::Lit(sl), d1]),
+                (CnfValue::Const(false), d1) => {
+                    encode_and(sink, table, &[CnfValue::Lit(sl), d1])
+                }
                 (CnfValue::Const(true), d1) => {
                     // ¬s ∨ d1 = ¬(s ∧ ¬d1)
-                    encode_and(sink, &[CnfValue::Lit(sl), d1.negate()]).negate()
+                    encode_and(sink, table, &[CnfValue::Lit(sl), d1.negate()]).negate()
                 }
-                (d0, CnfValue::Const(false)) => encode_and(sink, &[CnfValue::Lit(!sl), d0]),
+                (d0, CnfValue::Const(false)) => {
+                    encode_and(sink, table, &[CnfValue::Lit(!sl), d0])
+                }
                 (d0, CnfValue::Const(true)) => {
-                    encode_and(sink, &[CnfValue::Lit(!sl), d0.negate()]).negate()
+                    encode_and(sink, table, &[CnfValue::Lit(!sl), d0.negate()]).negate()
                 }
                 (CnfValue::Lit(a), CnfValue::Lit(b)) => {
-                    let y = sink.new_var().positive();
-                    // s → (y = b)
-                    sink.add_clause(&[!sl, !y, b]);
-                    sink.add_clause(&[!sl, y, !b]);
-                    // ¬s → (y = a)
-                    sink.add_clause(&[sl, !y, a]);
-                    sink.add_clause(&[sl, y, !a]);
+                    // ¬s ? b : a is s ? a : b.
+                    let key = if sl.is_negated() {
+                        GateKey::Mux(sl.var(), b, a)
+                    } else {
+                        GateKey::Mux(sl.var(), a, b)
+                    };
+                    let y = *table.gates.entry(key).or_insert_with(|| {
+                        let y = sink.new_var().positive();
+                        // s → (y = b)
+                        sink.add_clause(&[!sl, !y, b]);
+                        sink.add_clause(&[!sl, y, !b]);
+                        // ¬s → (y = a)
+                        sink.add_clause(&[sl, !y, a]);
+                        sink.add_clause(&[sl, y, !a]);
+                        y
+                    });
                     CnfValue::Lit(y)
                 }
             }
@@ -547,6 +566,39 @@ mod tests {
         let x = nl.add_gate("x", GateKind::Xnor, &[a, k0]).unwrap();
         let y = nl.add_gate("y", GateKind::Or, &[x, k1]).unwrap();
         nl.mark_output(y).unwrap();
+        check_against_simulation(&nl);
+    }
+
+    #[test]
+    fn structurally_equal_gates_share_a_variable() {
+        // Each pair computes one function of the same variables, written
+        // with different kinds, fan-in order or polarities.
+        let mut nl = Netlist::new("strash");
+        let a = nl.add_input("a").unwrap();
+        let b = nl.add_input("b").unwrap();
+        let s = nl.add_input("s").unwrap();
+        let na = nl.add_gate("na", GateKind::Not, &[a]).unwrap();
+        let nb = nl.add_gate("nb", GateKind::Not, &[b]).unwrap();
+        let ns = nl.add_gate("ns", GateKind::Not, &[s]).unwrap();
+        let pairs = [
+            (GateKind::Or, vec![a, b], GateKind::Nand, vec![nb, na]),
+            (GateKind::Xor, vec![a, b], GateKind::Xnor, vec![na, b]),
+            (GateKind::Xnor, vec![a, b], GateKind::Xor, vec![b, na]),
+            (GateKind::Mux, vec![s, a, b], GateKind::Mux, vec![ns, b, a]),
+        ];
+        for (i, (k1, f1, k2, f2)) in pairs.iter().enumerate() {
+            let g1 = nl.add_gate(format!("l{i}"), *k1, f1).unwrap();
+            let g2 = nl.add_gate(format!("r{i}"), *k2, f2).unwrap();
+            nl.mark_output(g1).unwrap();
+            nl.mark_output(g2).unwrap();
+        }
+        let mut solver = Solver::new();
+        let enc = encode(&mut solver, &nl, &Binding::fresh(&nl)).unwrap();
+        for pair in enc.outputs.chunks(2) {
+            assert_eq!(pair[0], pair[1], "equal structure, one literal");
+        }
+        // Three inputs plus one variable each for OR, XOR and MUX.
+        assert_eq!(solver.num_vars(), 6);
         check_against_simulation(&nl);
     }
 

@@ -1,22 +1,26 @@
 //! Property-based tests: Tseitin encodings must agree with circuit
 //! simulation under every binding mode, and miters must be exactly as
-//! satisfiable as the circuits differ.
+//! satisfiable as the circuits differ — also when structural hashing merges
+//! most of the two sides.
 
 use proptest::prelude::*;
 
 use polykey_encode::{
-    assert_value, build_miter, check_equivalence, encode, encode_key_variant, Binding,
-    CnfValue, EquivResult, PortBinding,
+    assert_value, build_miter, check_equivalence, encode, Binding, CnfValue, EquivResult,
+    PortBinding,
 };
 use polykey_netlist::{bits_of, GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::{SolveResult, Solver};
 
 /// Builds a random DAG netlist with `num_inputs` inputs and `num_keys` key
-/// inputs from a byte recipe (deterministic, always valid).
+/// inputs from a byte recipe (deterministic, always valid). With
+/// `negate = Some((g, j))`, fan-in `j` of gate `g` is read through an
+/// inverter that no other gate sees.
 fn build_circuit(
     num_inputs: usize,
     num_keys: usize,
     recipe: &[(u8, u16, u16, u16)],
+    negate: Option<(usize, usize)>,
 ) -> Netlist {
     let mut nl = Netlist::new("prop");
     let mut pool: Vec<NodeId> = Vec::new();
@@ -41,8 +45,13 @@ fn build_circuit(
         };
         let picks = [f0, f1, f2];
         let arity = kind.arity().unwrap_or(2 + (sel as usize >> 4) % 2);
-        let fanins: Vec<NodeId> =
+        let mut fanins: Vec<NodeId> =
             (0..arity).map(|i| pool[picks[i.min(2)] as usize % pool.len()]).collect();
+        if let Some((_, j)) = negate.filter(|&(at, _)| at == g) {
+            let j = j % arity;
+            fanins[j] =
+                nl.add_gate(format!("n{g}"), GateKind::Not, &[fanins[j]]).expect("fresh");
+        }
         pool.push(nl.add_gate(format!("g{g}"), kind, &fanins).expect("fresh"));
     }
     // Mark the last few nodes as outputs.
@@ -53,9 +62,47 @@ fn build_circuit(
     nl
 }
 
-fn arb_circuit(num_inputs: usize, num_keys: usize) -> impl Strategy<Value = Netlist> {
+fn arb_recipe() -> impl Strategy<Value = Vec<(u8, u16, u16, u16)>> {
     proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u16>()), 1..25)
-        .prop_map(move |recipe| build_circuit(num_inputs, num_keys, &recipe))
+}
+
+fn arb_circuit(num_inputs: usize, num_keys: usize) -> impl Strategy<Value = Netlist> {
+    arb_recipe().prop_map(move |recipe| build_circuit(num_inputs, num_keys, &recipe, None))
+}
+
+/// Keyless circuit pairs that share all structure but one gate: `b` is `a`
+/// with one gate's kind or one of its fan-in picks replaced, or with one
+/// fan-in inverted. Independent random circuits hardly ever share a gate,
+/// so only pairs like these put most of a miter through the
+/// structural-hash table; the inverted fan-in is the case a table that
+/// mishandles polarity would merge.
+fn arb_overlapping_pair(num_inputs: usize) -> impl Strategy<Value = (Netlist, Netlist)> {
+    (arb_recipe(), any::<u16>(), 0u8..5, any::<u16>()).prop_map(
+        move |(recipe, at, field, value)| {
+            let at = at as usize % recipe.len();
+            let mut mutated = recipe.clone();
+            let mut negate = None;
+            match field {
+                0 => mutated[at].0 = value as u8,
+                1 => mutated[at].1 = value,
+                2 => mutated[at].2 = value,
+                3 => mutated[at].3 = value,
+                _ => negate = Some((at, value as usize)),
+            }
+            (
+                build_circuit(num_inputs, 0, &recipe, None),
+                build_circuit(num_inputs, 0, &mutated, negate),
+            )
+        },
+    )
+}
+
+/// The value `v` takes in the solver's model.
+fn model_bit(solver: &Solver, v: &CnfValue) -> bool {
+    match v {
+        CnfValue::Lit(l) => solver.model_value(*l).expect("assigned"),
+        CnfValue::Const(b) => *b,
+    }
 }
 
 /// Solves the encoded circuit with pinned ports and compares each output
@@ -75,11 +122,7 @@ fn check_encoding(nl: &Netlist, ibits: &[bool], kbits: &[bool]) {
     }
     assert_eq!(solver.solve(&[]), SolveResult::Sat);
     for (o, v) in enc.outputs.iter().enumerate() {
-        let got = match v {
-            CnfValue::Lit(l) => solver.model_value(*l).expect("assigned"),
-            CnfValue::Const(b) => *b,
-        };
-        assert_eq!(got, expected[o], "fresh-binding output {o}");
+        assert_eq!(model_bit(&solver, v), expected[o], "fresh-binding output {o}");
     }
 
     // Mode 2: everything pinned — outputs must be constants.
@@ -105,33 +148,61 @@ proptest! {
     }
 
     #[test]
-    fn key_variant_encoding_matches_full_encoding(nl in arb_circuit(3, 3), pattern in 0u64..64) {
-        // encode_key_variant with pinned keys must give the same outputs as
-        // a full encoding with the same pinned keys, for all inputs.
-        let kbits = bits_of(pattern >> 3, 3);
+    fn self_miter_copies_match_simulation_under_pinned_keys(
+        nl in arb_circuit(3, 3),
+        pattern in 0u64..512,
+    ) {
+        // A self-miter hashes every key-independent gate of the right copy
+        // onto the left copy's literal. With the inputs and each copy's
+        // keys pinned, both copies must still compute the simulated
+        // outputs, however much they share.
         let ibits = bits_of(pattern & 0x7, 3);
+        let kbits_left = bits_of((pattern >> 3) & 0x7, 3);
+        let kbits_right = bits_of(pattern >> 6, 3);
         let mut sim = Simulator::new(&nl).expect("acyclic");
-        let expected = sim.eval(&ibits, &kbits);
 
         let mut solver = Solver::new();
-        let base = encode(&mut solver, &nl, &Binding::fresh(&nl)).expect("encode");
-        let variant = encode_key_variant(
-            &mut solver,
-            &nl,
-            &base,
-            &kbits.iter().map(|&b| PortBinding::Pinned(b)).collect::<Vec<_>>(),
-        ).expect("variant");
-        // Pin the (shared) inputs.
-        for (v, &b) in base.inputs.iter().zip(&ibits) {
-            assert_value(&mut solver, *v, b);
+        let miter = build_miter(&mut solver, &nl, &nl).expect("miter");
+        let pins = miter
+            .inputs
+            .iter()
+            .zip(&ibits)
+            .chain(miter.keys_left.iter().zip(&kbits_left))
+            .chain(miter.keys_right.iter().zip(&kbits_right));
+        for (&l, &b) in pins {
+            assert_value(&mut solver, CnfValue::Lit(l), b);
         }
         prop_assert_eq!(solver.solve(&[]), SolveResult::Sat);
-        for (o, v) in variant.outputs.iter().enumerate() {
-            let got = match v {
-                CnfValue::Lit(l) => solver.model_value(*l).expect("assigned"),
-                CnfValue::Const(b) => *b,
-            };
-            prop_assert_eq!(got, expected[o], "variant output {}", o);
+        for (outputs, kbits) in
+            [(&miter.outputs_left, &kbits_left), (&miter.outputs_right, &kbits_right)]
+        {
+            let expected = sim.eval(&ibits, kbits);
+            let got: Vec<bool> = outputs.iter().map(|v| model_bit(&solver, v)).collect();
+            prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn overlapping_pairs_verdicts_match_simulation(pair in arb_overlapping_pair(4)) {
+        let (a, b) = pair;
+        // check_equivalence must agree with exhaustive simulation on pairs
+        // that differ in one gate, and every counterexample must really
+        // distinguish the two circuits.
+        let mut sa = Simulator::new(&a).expect("acyclic");
+        let mut sb = Simulator::new(&b).expect("acyclic");
+        let differs = (0..16u64).any(|v| {
+            let bits = bits_of(v, 4);
+            sa.eval(&bits, &[]) != sb.eval(&bits, &[])
+        });
+        match check_equivalence(&a, &b).expect("equiv") {
+            EquivResult::Equivalent => prop_assert!(!differs),
+            EquivResult::Inequivalent { counterexample } => {
+                prop_assert!(differs);
+                prop_assert_ne!(
+                    sa.eval(&counterexample, &[]),
+                    sb.eval(&counterexample, &[])
+                );
+            }
         }
     }
 

@@ -11,6 +11,11 @@ use std::time::{Duration, Instant};
 use crate::clause::{ClauseDb, ClauseRef, Watcher};
 use crate::lit::{LBool, Lit, Var};
 
+/// Work units (decisions plus propagations) between two clock reads under
+/// a time budget: at tens of nanoseconds per unit, a deadline is noticed
+/// well within a millisecond.
+const CLOCK_POLL_STRIDE: u64 = 4096;
+
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum SolveResult {
@@ -183,6 +188,9 @@ pub struct Solver {
     // Budgets.
     conflict_budget: Option<u64>,
     deadline: Option<Instant>,
+    /// Work count (decisions plus propagations) at which the deadline is
+    /// next compared with the clock.
+    next_clock_poll: u64,
     budget_exhausted: bool,
 
     /// Trail length at the last `simplify`, to skip no-op passes.
@@ -227,6 +235,7 @@ impl Solver {
             analyze_stack: Vec::new(),
             conflict_budget: None,
             deadline: None,
+            next_clock_poll: 0,
             budget_exhausted: false,
             simp_trail_len: 0,
         }
@@ -287,7 +296,8 @@ impl Solver {
     }
 
     /// Limits the next `solve` call to roughly `limit` of wall-clock time
-    /// (checked every few hundred conflicts). `None` removes the limit.
+    /// (checked every few thousand decisions and propagations). `None`
+    /// removes the limit.
     pub fn set_time_budget(&mut self, limit: Option<Duration>) {
         self.deadline = limit.map(|d| Instant::now() + d);
     }
@@ -363,6 +373,7 @@ impl Solver {
         self.model.clear();
         self.conflict_core.clear();
         self.budget_exhausted = false;
+        self.next_clock_poll = 0;
         if !self.ok {
             return SolveResult::Unsat;
         }
@@ -935,17 +946,22 @@ impl Solver {
         }
     }
 
-    fn out_of_budget(&self, conflicts_start: u64) -> bool {
+    fn out_of_budget(&mut self, conflicts_start: u64) -> bool {
         if let Some(budget) = self.conflict_budget {
             if self.stats.conflicts - conflicts_start >= budget {
                 return true;
             }
         }
         if let Some(deadline) = self.deadline {
-            // Checking the clock is cheap relative to propagation between
-            // decisions; check on a stride via conflicts counter.
-            if self.stats.conflicts % 256 == 0 && Instant::now() >= deadline {
-                return true;
+            // A clock read costs far more than one decision, so read it on a
+            // work stride. Every pass through here makes a decision, while
+            // the conflict count can stand still for any number of passes.
+            let work = self.stats.decisions + self.stats.propagations;
+            if work >= self.next_clock_poll {
+                self.next_clock_poll = work + CLOCK_POLL_STRIDE;
+                if Instant::now() >= deadline {
+                    return true;
+                }
             }
         }
         false
@@ -1159,24 +1175,31 @@ mod tests {
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
     }
 
-    #[test]
+    /// `holes + 1` pigeons into `holes` holes: unsatisfiable, and
+    /// exponentially hard for resolution as `holes` grows.
     #[allow(clippy::needless_range_loop)]
-    fn pigeonhole_5_into_4_is_unsat() {
-        let n = 5usize;
-        let m = 4usize;
+    fn pigeonhole(holes: usize) -> Solver {
+        let pigeons = holes + 1;
         let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> =
-            (0..n).map(|_| (0..m).map(|_| s.new_var().positive()).collect()).collect();
+        let p: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| s.new_var().positive()).collect())
+            .collect();
         for row in &p {
             s.add_clause(row);
         }
-        for j in 0..m {
-            for i1 in 0..n {
-                for i2 in (i1 + 1)..n {
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
                     s.add_clause(&[!p[i1][j], !p[i2][j]]);
                 }
             }
         }
+        s
+    }
+
+    #[test]
+    fn pigeonhole_5_into_4_is_unsat() {
+        let mut s = pigeonhole(4);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
         assert!(s.stats().conflicts > 0);
     }
@@ -1198,30 +1221,29 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn conflict_budget_interrupts() {
         // A hard instance: pigeonhole 8 into 7 with a tiny conflict budget.
-        let n = 8usize;
-        let m = 7usize;
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> =
-            (0..n).map(|_| (0..m).map(|_| s.new_var().positive()).collect()).collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for j in 0..m {
-            for i1 in 0..n {
-                for i2 in (i1 + 1)..n {
-                    s.add_clause(&[!p[i1][j], !p[i2][j]]);
-                }
-            }
-        }
+        let mut s = pigeonhole(7);
         s.set_conflict_budget(Some(10));
         assert_eq!(s.solve(&[]), SolveResult::Unknown);
         assert!(s.budget_exhausted());
         // Remove the budget and finish.
         s.set_conflict_budget(None);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn time_budget_interrupts() {
+        // Pigeonhole 10 into 9 runs for far longer than the 20 ms budget.
+        // The deadline must be noticed whatever the conflict count, and
+        // within a bound that leaves room for a loaded test host.
+        let mut s = pigeonhole(9);
+        let started = Instant::now();
+        s.set_time_budget(Some(Duration::from_millis(20)));
+        assert_eq!(s.solve(&[]), SolveResult::Unknown);
+        assert!(s.budget_exhausted());
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "20 ms budget overran to {took:?}");
     }
 
     #[test]
