@@ -13,7 +13,7 @@ use polykey_attack::{
     AttackReport, AttackSession, AttackStats, AttackStatus, SimOracle, SplitStrategy,
 };
 use polykey_circuits::Iscas85;
-use polykey_encode::{build_miter, check_equivalence, EquivResult};
+use polykey_encode::{build_miter, check_equivalence, ConeEncoder, EquivResult};
 use polykey_locking::{
     lock_sarlock_on_signals, AntiSat, Key, LockScheme, LutLock, Rll, Sarlock,
 };
@@ -1142,14 +1142,15 @@ fn random_3sat(vars: usize, ratio: f64, seed: u64) -> CnfFormula {
 }
 
 /// Per-layer timings (`layers`): packed simulation, re-synthesis,
-/// cofactoring, LUT locking, the CDCL solver and equivalence proofs, each
-/// on fixed inputs.
+/// cofactoring, LUT locking, per-DIP constraint encoding, the CDCL solver
+/// and equivalence proofs, each on fixed inputs.
 ///
 /// Each cell reports `iter_ms`, the fastest of `LAYER_REPS` runs, plus
-/// its deterministic work counter: `conflicts` for solver cells (gated),
-/// `gates` / `gates_after` / `locked_gates` for netlist and proof cells
-/// (informational). Single cells sit below the timing noise floor; the
-/// scenario's `__total__` does not.
+/// its deterministic work counter: `conflicts` for solver cells and
+/// `cnf_clauses` for the encoding cell (gated), `gates` / `gates_after` /
+/// `locked_gates` for netlist and proof cells (informational). Single
+/// cells sit below the timing noise floor; the scenario's `__total__`
+/// does not.
 pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
     let mut records = Vec::new();
     let mut table = TextTable::new(vec!["layer", "input", "iter", "work"]);
@@ -1221,6 +1222,33 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         proof("c7552_sarlock8", &c7552, &unlocked);
     }
 
+    {
+        // The DIP loop's encoding work: both constraint copies for each of
+        // 255 fixed DIPs (SARLock |K|=8 needs 2^8 - 1), into one solver.
+        let c7552 = Iscas85::C7552.build();
+        let locked = Sarlock::new(8).lock(&c7552, &Key::from_u64(0x5A, 8)).expect("lockable");
+        let netlist = &locked.netlist;
+        let width = netlist.inputs().len();
+        let dips: Vec<Vec<bool>> = (0..255u64)
+            .map(|i| bits_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), width))
+            .collect();
+        let (time, clauses) = fastest(|| {
+            let mut solver = Solver::new();
+            let key_vector = |solver: &mut Solver| -> Vec<Lit> {
+                (0..8).map(|_| solver.new_var().positive()).collect()
+            };
+            let keys = [key_vector(&mut solver), key_vector(&mut solver)];
+            let mut cone = ConeEncoder::new(netlist).expect("acyclic");
+            for dip in &dips {
+                for keys in &keys {
+                    cone.encode(&mut solver, dip, keys).expect("widths match");
+                }
+            }
+            solver.num_clauses() as u64
+        });
+        cell("dip_copies", "c7552_sarlock8", time, "cnf_clauses", clauses);
+    }
+
     let solve = |f: &CnfFormula, assumptions: &[Lit]| -> (SolveResult, SolverStats) {
         let mut solver = f.to_solver();
         let result = solver.solve(assumptions);
@@ -1249,6 +1277,38 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
             solver.stats().conflicts
         });
         cell("incremental", "120x", time, "conflicts", conflicts);
+    }
+    {
+        // The DIP loop's solver pattern: each round adds clauses over fresh
+        // variables plus one level-0 unit that satisfies some of them, then
+        // solves under an assumption. Every round leaves `simplify` work.
+        let base = random_3sat(150, 3.5, 11);
+        let (time, conflicts) = fastest(|| {
+            let mut solver = base.to_solver();
+            let mut state = 0x5EED_u64;
+            let mut next = move || {
+                state =
+                    state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            // An old variable's literal, from one draw.
+            let old = |r: u64| Lit::new(Var::new((r % 150) as u32), r >> 20 & 1 == 1);
+            for _ in 0..300 {
+                let unit = solver.new_var().positive();
+                // Two clauses the unit satisfies, which `simplify` removes,
+                // and three that stay, each over its own fresh variable.
+                solver.add_clause(&[unit, old(next()), old(next())]);
+                solver.add_clause(&[unit, old(next()), old(next())]);
+                for _ in 0..3 {
+                    let fresh = Lit::new(solver.new_var(), next() % 2 == 0);
+                    solver.add_clause(&[fresh, old(next()), old(next())]);
+                }
+                solver.add_clause(&[unit]);
+                solver.solve(&[old(next())]);
+            }
+            solver.stats().conflicts
+        });
+        cell("incremental_units", "300x", time, "conflicts", conflicts);
     }
 
     let mut out = String::new();

@@ -56,12 +56,23 @@ use crate::split::{next_split_position, select_split_inputs, SplitStrategy};
 /// [`AttackError::SplitTooDeep`].
 pub const MAX_SPLIT_WIDTH: usize = 63;
 
+/// The term pool's size when the session sets no thread count: one worker
+/// per root term, but never more than `cores`. Each term's wall time is
+/// the latency the paper reports for a machine with a core per term, and
+/// a term waiting for a core would count that wait as well. Adaptive runs
+/// take every core, so freshly split children find an idle worker.
+fn default_workers(num_root_terms: usize, adaptive: bool, cores: usize) -> usize {
+    if adaptive {
+        cores
+    } else {
+        num_root_terms.min(cores)
+    }
+}
+
 /// Worker-pool and instrumentation knobs for [`run_multi_key`], supplied
 /// by the [`crate::AttackSession`].
 pub(crate) struct EngineOpts<'e> {
-    /// Worker threads for the term pool; `None` = one thread per *root*
-    /// term (or the machine's parallelism in adaptive mode, whichever is
-    /// larger).
+    /// Worker threads for the term pool; `None` = [`default_workers`].
     pub threads: Option<usize>,
     /// Deadline + cancellation shared across all terms.
     pub ctl: RunCtl<'e>,
@@ -397,10 +408,8 @@ pub(crate) fn run_multi_key(
     };
 
     // Dispatch over a bounded worker pool pulling from a shared queue:
-    // `threads = None` keeps one thread per root term (the paper's 16-core
-    // setup at N = 4), widened to the machine's parallelism in adaptive
-    // mode so freshly split children find idle workers; `threads = Some(k)`
-    // caps concurrency.
+    // `threads = None` takes `default_workers`; `threads = Some(k)` caps
+    // concurrency.
     let sched = Scheduler {
         state: Mutex::new(SchedState {
             queue: (0..num_root_terms as u64)
@@ -461,12 +470,13 @@ pub(crate) fn run_multi_key(
         }
     };
 
-    let default_workers = if adaptive {
-        num_root_terms.max(std::thread::available_parallelism().map_or(1, |p| p.get()))
-    } else {
-        num_root_terms
-    };
-    let workers = opts.threads.unwrap_or(default_workers).clamp(1, default_workers.max(1));
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    // Workers beyond the root terms would idle, unless resplits add terms.
+    let useful = if adaptive { num_root_terms.max(cores) } else { num_root_terms };
+    let workers = opts
+        .threads
+        .unwrap_or_else(|| default_workers(num_root_terms, adaptive, cores))
+        .clamp(1, useful.max(1));
     if workers > 1 {
         std::thread::scope(|scope| {
             // The worker closure captures only shared references, so it is
@@ -605,6 +615,42 @@ mod tests {
             assert_eq!(sub.width, 1);
             check_subspace(&nl, &locked, &report.split_inputs, sub);
         }
+    }
+
+    #[test]
+    fn default_pool_never_exceeds_the_core_count() {
+        for cores in [1, 2, 3, 16] {
+            for terms in [1, 2, 8, 16, 1024] {
+                for adaptive in [false, true] {
+                    let workers = default_workers(terms, adaptive, cores);
+                    assert!((1..=cores).contains(&workers), "{terms} terms on {cores} cores");
+                    if !adaptive {
+                        assert!(workers <= terms, "an idle worker for {terms} terms");
+                    }
+                }
+            }
+        }
+        // A session on the default pool runs its eight terms on no more
+        // threads than this host has cores.
+        let (nl, locked) = locked_majority(0b110);
+        let mut oracle = SimOracle::new(&nl).unwrap();
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .split_effort(3)
+            .on_progress(|event| {
+                if let ProgressEvent::TermStarted { .. } = event {
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                }
+            })
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        assert!(report.is_complete());
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let used = threads.lock().unwrap().len();
+        assert!((1..=cores.min(8)).contains(&used), "{used} term threads on {cores} cores");
     }
 
     #[test]

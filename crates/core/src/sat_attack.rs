@@ -20,7 +20,8 @@
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
-    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, Miter, PortBinding,
+    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, ConeEncoder, Miter,
+    PortBinding,
 };
 use polykey_locking::Key;
 use polykey_netlist::Netlist;
@@ -188,32 +189,48 @@ struct PendingDip {
     copies: Option<[Vec<CnfValue>; 2]>,
 }
 
-/// Encodes one consistency-constraint copy of `locked` at `dip` for the
-/// given shared key literals, returning the copy's output values. In the
-/// folded mode inputs are pinned as constants (the copy collapses to its
-/// key cone); in textbook mode a full copy is added with unit clauses on
-/// the inputs.
-fn encode_constraint_copy(
-    solver: &mut Solver,
-    locked: &Netlist,
-    config: &SatAttackConfig,
-    dip: &[bool],
-    keys: &[polykey_sat::Lit],
-) -> Result<Vec<CnfValue>, AttackError> {
-    let binding = if config.fold_dip_copies {
-        Binding::with_pinned_inputs_shared_keys(dip, keys)
-    } else {
-        let mut b = Binding::fresh(locked);
-        b.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
-        b
-    };
-    let enc = encode(solver, locked, &binding)?;
-    if !config.fold_dip_copies {
-        for (val, &bit) in enc.inputs.iter().zip(dip) {
-            assert_value(solver, *val, bit);
+/// How the per-DIP consistency-constraint copies of `locked` are encoded.
+enum DipCopies<'n> {
+    /// Inputs pinned as constants: each copy is the key cone only.
+    Folded(Box<ConeEncoder<'n>>),
+    /// The textbook formulation: a full copy with unit clauses on the
+    /// inputs.
+    Full(&'n Netlist),
+}
+
+impl<'n> DipCopies<'n> {
+    fn new(
+        locked: &'n Netlist,
+        config: &SatAttackConfig,
+    ) -> Result<DipCopies<'n>, AttackError> {
+        Ok(if config.fold_dip_copies {
+            DipCopies::Folded(Box::new(ConeEncoder::new(locked)?))
+        } else {
+            DipCopies::Full(locked)
+        })
+    }
+
+    /// Encodes one copy at `dip` for the given shared key literals and
+    /// returns its output values.
+    fn encode(
+        &mut self,
+        solver: &mut Solver,
+        dip: &[bool],
+        keys: &[polykey_sat::Lit],
+    ) -> Result<Vec<CnfValue>, AttackError> {
+        match self {
+            DipCopies::Folded(cone) => Ok(cone.encode(solver, dip, keys)?),
+            DipCopies::Full(locked) => {
+                let mut binding = Binding::fresh(locked);
+                binding.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
+                let enc = encode(solver, locked, &binding)?;
+                for (val, &bit) in enc.inputs.iter().zip(dip) {
+                    assert_value(solver, *val, bit);
+                }
+                Ok(enc.outputs)
+            }
         }
     }
-    Ok(enc.outputs)
 }
 
 /// The mutable state of one DIP-refinement run: the incremental solver,
@@ -258,7 +275,7 @@ impl Run<'_> {
     /// limit stops it, and returns how it ended.
     fn refine(
         &mut self,
-        locked: &Netlist,
+        copies: &mut DipCopies<'_>,
         miter: &Miter,
         config: &SatAttackConfig,
         ctl: &RunCtl<'_>,
@@ -339,20 +356,8 @@ impl Run<'_> {
                             batch.push(PendingDip { dip, copies: None });
                             break;
                         }
-                        let left = encode_constraint_copy(
-                            &mut self.solver,
-                            locked,
-                            config,
-                            &dip,
-                            &miter.keys_left,
-                        )?;
-                        let right = encode_constraint_copy(
-                            &mut self.solver,
-                            locked,
-                            config,
-                            &dip,
-                            &miter.keys_right,
-                        )?;
+                        let left = copies.encode(&mut self.solver, &dip, &miter.keys_left)?;
+                        let right = copies.encode(&mut self.solver, &dip, &miter.keys_right)?;
                         for (&l, &r) in left.iter().zip(&right) {
                             assert_equal(&mut self.solver, l, r);
                         }
@@ -398,13 +403,8 @@ impl Run<'_> {
                             }
                             None => {
                                 for keys in [&miter.keys_left, &miter.keys_right] {
-                                    let outputs = encode_constraint_copy(
-                                        &mut self.solver,
-                                        locked,
-                                        config,
-                                        &pending.dip,
-                                        keys,
-                                    )?;
+                                    let outputs =
+                                        copies.encode(&mut self.solver, &pending.dip, keys)?;
                                     for (out, &bit) in outputs.iter().zip(response) {
                                         assert_value(&mut self.solver, *out, bit);
                                     }
@@ -501,7 +501,8 @@ pub(crate) fn run_sat_attack(
         epochs: 0,
         dip_patterns: Vec::new(),
     };
-    let (status, key) = run.refine(locked, &miter, config, ctl)?;
+    let mut copies = DipCopies::new(locked, config)?;
+    let (status, key) = run.refine(&mut copies, &miter, config, ctl)?;
     Ok(run.finish(status, key))
 }
 

@@ -301,7 +301,7 @@ impl Default for AttackSessionBuilder<'_> {
 
 impl<'a> AttackSessionBuilder<'a> {
     /// Starts a builder with the defaults: plain SAT attack, re-synthesis
-    /// on, one thread per term, no limits.
+    /// on, one thread per term up to the core count, no limits.
     pub fn new() -> AttackSessionBuilder<'a> {
         AttackSessionBuilder {
             oracle: None,
@@ -352,8 +352,9 @@ impl<'a> AttackSessionBuilder<'a> {
         self
     }
 
-    /// Caps the sub-attack worker threads. Default: one thread per term;
-    /// `1` forces sequential execution.
+    /// Caps the sub-attack worker threads. Default: one thread per root
+    /// term, at most one per core (every core in adaptive mode); `1`
+    /// forces sequential execution.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self

@@ -8,6 +8,8 @@
 //!   pinned constants (with on-the-fly constant propagation). Gates are
 //!   hash-consed by kind and normalised fan-in literals, so structurally
 //!   identical logic is encoded once;
+//! - [`ConeEncoder`]: the same copies with inputs pinned to a pattern,
+//!   visiting only the key cone — the per-DIP constraints of the attack;
 //! - [`build_miter`]: two circuit copies sharing primary inputs and one
 //!   structural-hash table, plus a `diff` literal that, when assumed,
 //!   forces an output difference — the engine of the oracle-guided SAT
@@ -17,7 +19,7 @@
 //!   over that miter.
 //!
 //! The attack miter, its per-DIP constraint copies and equivalence checks
-//! all take this one encoder path.
+//! all take this one gate encoder.
 //!
 //! # Examples
 //!
@@ -56,6 +58,6 @@ mod tseitin;
 pub use equiv::{check_equivalence, EquivError, EquivResult};
 pub use miter::{build_miter, Miter, MiterError};
 pub use tseitin::{
-    assert_equal, assert_value, encode, Binding, CnfValue, EncodeError, EncodedCircuit,
-    PortBinding,
+    assert_equal, assert_value, encode, Binding, CnfValue, ConeEncoder, EncodeError,
+    EncodedCircuit, PortBinding,
 };

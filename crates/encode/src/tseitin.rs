@@ -7,7 +7,9 @@
 //! per-DIP consistency constraints pin inputs to constants while sharing key
 //! variables with the miter copies. [`Binding`] expresses all of these cases
 //! and [`encode`] performs constant propagation on the fly, so pinned copies
-//! shrink to just the key-dependent logic.
+//! shrink to just the key-dependent logic. [`ConeEncoder`] produces the
+//! per-DIP copies without visiting the rest: it walks only the key cone and
+//! reads the other gates' constants from one simulation pass per pattern.
 //!
 //! Encoded gates are hash-consed (structural hashing, as in ABC's `strash`):
 //! a gate whose kind and normalised fan-in literals match an already
@@ -19,7 +21,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use polykey_netlist::{GateKind, Netlist, NetlistError};
+use polykey_netlist::analysis::key_controlled_mask;
+use polykey_netlist::{GateKind, Netlist, NetlistError, NodeId, Simulator};
 use polykey_sat::{ClauseSink, Lit, Var};
 
 /// A CNF-level value: either a literal or a known constant.
@@ -108,14 +111,6 @@ impl Binding {
         }
     }
 
-    /// Inputs pinned to a pattern, keys shared with an existing copy.
-    pub fn with_pinned_inputs_shared_keys(pattern: &[bool], keys: &[Lit]) -> Binding {
-        Binding {
-            inputs: pattern.iter().map(|&b| PortBinding::Pinned(b)).collect(),
-            keys: keys.iter().map(|&l| PortBinding::Shared(l)).collect(),
-        }
-    }
-
     /// Inputs shared with an existing copy, fresh keys.
     pub fn with_shared_inputs(inputs: &[Lit], num_keys: usize) -> Binding {
         Binding {
@@ -138,7 +133,7 @@ pub struct EncodedCircuit {
 
 /// A gate's structural identity after normalisation: gates with equal keys
 /// compute the same function of the same variables.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash, Debug)]
 enum GateKey {
     /// AND over sorted, deduplicated literals.
     And(Vec<Lit>),
@@ -152,7 +147,7 @@ enum GateKey {
 /// The structural-hash table of one encoding: every gate encoded so far,
 /// by normalised key. It is only meaningful together with the sink whose
 /// variables it names.
-#[derive(Default)]
+#[derive(Default, Debug)]
 pub(crate) struct GateTable {
     gates: HashMap<GateKey, Lit>,
 }
@@ -279,6 +274,121 @@ pub(crate) fn encode_shared<S: ClauseSink>(
     let outputs =
         netlist.outputs().iter().map(|o| values[o.index()].expect("outputs encoded")).collect();
     Ok(EncodedCircuit { inputs: input_values, keys: key_values, outputs })
+}
+
+/// Encodes per-DIP constraint copies: inputs pinned to a pattern, keys
+/// shared with existing literals, and only the key cone visited.
+///
+/// With every primary input pinned, the gates outside the transitive
+/// fan-out of the key inputs are constants. The encoder computes the
+/// topological order and that cone once. For each new pattern it runs one
+/// packed simulation pass for the off-cone constants, which every copy at
+/// that pattern reuses. Each copy then encodes the cone gates in their
+/// topological order against a fresh structural-hash table. The off-cone
+/// gates would have folded without emitting anything, so a copy adds
+/// exactly the variables and clauses, in the same order, as [`encode`]
+/// under inputs [`PortBinding::Pinned`] to the pattern and keys
+/// [`PortBinding::Shared`].
+#[derive(Debug)]
+pub struct ConeEncoder<'n> {
+    netlist: &'n Netlist,
+    /// The key-controlled gates, in topological order.
+    cone: Vec<NodeId>,
+    sim: Simulator<'n>,
+    /// The pattern the off-cone entries of `values` hold, once simulated.
+    pattern: Option<Vec<bool>>,
+    packed_inputs: Vec<u64>,
+    zero_keys: Vec<u64>,
+    values: Vec<CnfValue>,
+    fanins: Vec<CnfValue>,
+    table: GateTable,
+}
+
+impl<'n> ConeEncoder<'n> {
+    /// Prepares the cone of `netlist` for encoding.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError::Netlist`] for cyclic netlists.
+    pub fn new(netlist: &'n Netlist) -> Result<ConeEncoder<'n>, EncodeError> {
+        let in_cone = key_controlled_mask(netlist);
+        let cone = netlist
+            .topological_order()?
+            .into_iter()
+            .filter(|&id| in_cone[id.index()] && !netlist.node(id).kind().is_input())
+            .collect();
+        Ok(ConeEncoder {
+            netlist,
+            cone,
+            sim: Simulator::new(netlist)?,
+            pattern: None,
+            packed_inputs: vec![0; netlist.inputs().len()],
+            zero_keys: vec![0; netlist.key_inputs().len()],
+            values: vec![CnfValue::Const(false); netlist.num_nodes()],
+            fanins: Vec::new(),
+            table: GateTable::default(),
+        })
+    }
+
+    /// Encodes one copy with inputs pinned to `pattern` and keys bound to
+    /// `keys`, returning its output values in declaration order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError::BindingWidth`] if `pattern` or `keys` does not
+    /// match the netlist's port counts.
+    pub fn encode<S: ClauseSink>(
+        &mut self,
+        sink: &mut S,
+        pattern: &[bool],
+        keys: &[Lit],
+    ) -> Result<Vec<CnfValue>, EncodeError> {
+        let nl = self.netlist;
+        if pattern.len() != nl.inputs().len() {
+            return Err(EncodeError::BindingWidth {
+                which: "inputs",
+                expected: nl.inputs().len(),
+                got: pattern.len(),
+            });
+        }
+        if keys.len() != nl.key_inputs().len() {
+            return Err(EncodeError::BindingWidth {
+                which: "keys",
+                expected: nl.key_inputs().len(),
+                got: keys.len(),
+            });
+        }
+        if self.pattern.as_deref() != Some(pattern) {
+            self.simulate(pattern);
+        }
+        for (&k, &lit) in nl.key_inputs().iter().zip(keys) {
+            self.values[k.index()] = CnfValue::Lit(lit);
+        }
+        self.table.gates.clear();
+        for &id in &self.cone {
+            let node = nl.node(id);
+            self.fanins.clear();
+            self.fanins.extend(node.fanins().iter().map(|f| self.values[f.index()]));
+            self.values[id.index()] =
+                encode_gate(sink, &mut self.table, node.kind(), &self.fanins);
+        }
+        Ok(nl.outputs().iter().map(|o| self.values[o.index()]).collect())
+    }
+
+    /// Sets every node's value to its constant at `pattern`; the cone
+    /// entries are overwritten by each copy.
+    fn simulate(&mut self, pattern: &[bool]) {
+        for (word, &bit) in self.packed_inputs.iter_mut().zip(pattern) {
+            *word = if bit { u64::MAX } else { 0 };
+        }
+        let words = self.sim.node_values_packed(&self.packed_inputs, &self.zero_keys);
+        for (value, &word) in self.values.iter_mut().zip(words) {
+            *value = CnfValue::Const(word & 1 == 1);
+        }
+        let stored = self.pattern.get_or_insert_with(Vec::new);
+        stored.clear();
+        stored.extend_from_slice(pattern);
+    }
 }
 
 /// Encodes a single gate, folding constants.

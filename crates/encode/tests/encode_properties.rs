@@ -1,16 +1,17 @@
 //! Property-based tests: Tseitin encodings must agree with circuit
-//! simulation under every binding mode, and miters must be exactly as
-//! satisfiable as the circuits differ — also when structural hashing merges
-//! most of the two sides.
+//! simulation under every binding mode, the cone encoder must emit exactly
+//! what the plain encoder emits for pinned inputs, and miters must be
+//! exactly as satisfiable as the circuits differ — also when structural
+//! hashing merges most of the two sides.
 
 use proptest::prelude::*;
 
 use polykey_encode::{
-    assert_value, build_miter, check_equivalence, encode, Binding, CnfValue, EquivResult,
-    PortBinding,
+    assert_value, build_miter, check_equivalence, encode, Binding, CnfValue, ConeEncoder,
+    EquivResult, PortBinding,
 };
 use polykey_netlist::{bits_of, GateKind, Netlist, NodeId, Simulator};
-use polykey_sat::{SolveResult, Solver};
+use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, Var};
 
 /// Builds a random DAG netlist with `num_inputs` inputs and `num_keys` key
 /// inputs from a byte recipe (deterministic, always valid). With
@@ -145,6 +146,60 @@ proptest! {
         let ibits = bits_of(pattern & 0xF, 4);
         let kbits = bits_of(pattern >> 4, 2);
         check_encoding(&nl, &ibits, &kbits);
+    }
+
+    #[test]
+    fn cone_encoder_matches_plain_encoding(
+        nl in arb_circuit(4, 3),
+        dips in proptest::collection::vec(0u64..16, 1..5),
+        key_lits in proptest::collection::vec((0u32..4, proptest::bool::ANY), 6),
+        key_values in 0u64..16,
+    ) {
+        // Copies as the attack adds them: two key vectors per DIP, over
+        // shared key literals that may repeat or be negated, several DIPs
+        // deep in one sink. Both encoders must emit the same variables and
+        // clauses in the same order, and the same output values.
+        let keys: Vec<Lit> =
+            key_lits.iter().map(|&(v, negated)| Lit::new(Var::new(v), negated)).collect();
+        let (keys_left, keys_right) = keys.split_at(3);
+        let mut plain = CnfFormula::new();
+        let mut folded = CnfFormula::new();
+        plain.new_vars(4);
+        folded.new_vars(4);
+        let mut cone = ConeEncoder::new(&nl).expect("acyclic");
+        let mut copies = Vec::new();
+        for &dip in &dips {
+            let ibits = bits_of(dip, 4);
+            for keys in [keys_left, keys_right] {
+                let binding = Binding {
+                    inputs: ibits.iter().map(|&b| PortBinding::Pinned(b)).collect(),
+                    keys: keys.iter().map(|&l| PortBinding::Shared(l)).collect(),
+                };
+                let expected = encode(&mut plain, &nl, &binding).expect("encode").outputs;
+                let got = cone.encode(&mut folded, &ibits, keys).expect("encode");
+                prop_assert_eq!(&got, &expected);
+                copies.push((ibits.clone(), keys, got));
+            }
+        }
+        prop_assert_eq!(folded.num_vars(), plain.num_vars());
+        prop_assert_eq!(folded.clauses().collect::<Vec<_>>(), plain.clauses().collect::<Vec<_>>());
+
+        // Under random key values every copy computes the simulated outputs.
+        let mut solver = folded.to_solver();
+        for v in 0..4u32 {
+            let value = Var::new(v).positive();
+            assert_value(&mut solver, CnfValue::Lit(value), key_values >> v & 1 == 1);
+        }
+        prop_assert_eq!(solver.solve(&[]), SolveResult::Sat);
+        let mut sim = Simulator::new(&nl).expect("acyclic");
+        for (ibits, keys, outputs) in &copies {
+            let kbits: Vec<bool> = keys
+                .iter()
+                .map(|l| (key_values >> l.var().index() & 1 == 1) != l.is_negated())
+                .collect();
+            let got: Vec<bool> = outputs.iter().map(|v| model_bit(&solver, v)).collect();
+            prop_assert_eq!(got, sim.eval(ibits, &kbits));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::clause::{ClauseDb, ClauseRef, Watcher};
+use crate::clause::{ClauseDb, ClauseRef, Occurrences, Watcher};
 use crate::lit::{LBool, Lit, Var};
 
 /// Work units (decisions plus propagations) between two clock reads under
@@ -161,6 +161,10 @@ pub struct Solver {
     /// Watch lists indexed by literal code: clauses to inspect when the
     /// indexing literal becomes true (i.e. its negation is falsified).
     watches: Vec<Vec<Watcher>>,
+    /// Per-literal occurrence lists: the clauses containing the literal, so
+    /// `simplify` visits only the clauses a new level-0 fact satisfies.
+    /// Stale entries are pruned once they could outnumber the live ones.
+    occurs: Occurrences,
 
     assigns: Vec<LBool>,
     vardata: Vec<VarData>,
@@ -216,6 +220,7 @@ impl Solver {
             stats: SolverStats::default(),
             db: ClauseDb::new(),
             watches: Vec::new(),
+            occurs: Occurrences::default(),
             assigns: Vec::new(),
             vardata: Vec::new(),
             trail: Vec::new(),
@@ -251,6 +256,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.occurs.new_var();
         self.order.grow_to(self.assigns.len());
         self.order.insert(v, &self.activity);
         v
@@ -495,6 +501,12 @@ impl Solver {
         let l1 = c.lits[1];
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        for &l in &c.lits {
+            // `add_clause` drops level-0 literals and learnt clauses carry
+            // none, so no clause is indexed under an already fixed literal.
+            debug_assert!(self.fixed_value(l).is_none());
+            self.occurs.push(&self.db, l, cref);
+        }
     }
 
     /// Propagates all enqueued facts. Returns a conflicting clause, if any.
@@ -832,29 +844,57 @@ impl Solver {
             }
         }
         self.stats.deleted_clauses += deleted as u64;
+        self.bound_occurrences();
+    }
+
+    /// Prunes the occurrence lists when their entries exceed twice the
+    /// literals of the live clauses, so stale entries cost amortised
+    /// constant time each and memory stays proportional to the database.
+    fn bound_occurrences(&mut self) {
+        if self.occurs.len() <= 2 * self.db.lits_live() {
+            return;
+        }
+        self.occurs.compact(&self.db);
     }
 
     /// Removes clauses satisfied at level 0. Call only at decision level 0.
+    ///
+    /// Earlier passes removed every clause satisfied by the facts they saw,
+    /// so only the occurrences of facts fixed since the last pass are
+    /// visited. The satisfied clauses are removed in slot order, as a scan
+    /// of the whole database would: removal order decides watch-list order
+    /// and slot reuse, and with them the search.
     fn simplify(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok || self.trail.len() == self.simp_trail_len {
             return;
         }
-        self.simp_trail_len = self.trail.len();
-        let refs: Vec<ClauseRef> = self.db.refs().collect();
-        for cref in refs {
-            let satisfied =
-                self.db.get(cref).lits.iter().any(|&l| self.lit_value(l) == LBool::True);
-            if satisfied {
-                // If this clause is the level-0 reason of its first literal,
-                // the literal stays assigned forever; drop the stale reason.
-                let l0 = self.db.get(cref).lits[0];
-                if self.reason(l0.var()) == Some(cref) {
-                    self.vardata[l0.var().index()].reason = None;
-                }
-                self.remove_clause(cref);
-            }
+        let mut candidates = Vec::new();
+        for &l in &self.trail[self.simp_trail_len..] {
+            self.occurs.take(&self.db, l, &mut candidates);
+            // `!l` is false for good: no clause becomes satisfied through it.
+            self.occurs.drop_list(!l);
         }
+        self.simp_trail_len = self.trail.len();
+        candidates.sort_unstable_by_key(|cref| cref.0);
+        candidates.dedup();
+        // Every candidate is live and lists a literal that is now true.
+        for cref in candidates {
+            debug_assert!(self
+                .db
+                .get(cref)
+                .lits
+                .iter()
+                .any(|&l| self.lit_value(l) == LBool::True));
+            // If this clause is the level-0 reason of its first literal,
+            // the literal stays assigned forever; drop the stale reason.
+            let l0 = self.db.get(cref).lits[0];
+            if self.reason(l0.var()) == Some(cref) {
+                self.vardata[l0.var().index()].reason = None;
+            }
+            self.remove_clause(cref);
+        }
+        self.bound_occurrences();
     }
 
     // ------------------------------------------------------------------
@@ -1014,9 +1054,28 @@ fn luby(y: f64, mut x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cnf::{ClauseSink, CnfFormula};
+    use proptest::prelude::*;
+    use rand::{RngExt, SeedableRng};
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)
+    }
+
+    impl Solver {
+        /// Full scan: after a solve, `simplify` must have removed every
+        /// clause that a level-0 fact satisfies.
+        fn assert_simplified(&self) {
+            for c in self.db.live() {
+                let fixed_true = c.lits.iter().find(|&&l| self.fixed_value(l) == Some(true));
+                assert!(fixed_true.is_none(), "{:?} is satisfied at level 0", c.lits);
+            }
+        }
+
+        /// Entries over all occurrence lists, stale ones included.
+        fn occurrence_entries(&self) -> usize {
+            self.occurs.len()
+        }
     }
 
     /// Builds a solver with `n` variables.
@@ -1244,6 +1303,86 @@ mod tests {
         assert!(s.budget_exhausted());
         let took = started.elapsed();
         assert!(took < Duration::from_millis(500), "20 ms budget overran to {took:?}");
+    }
+
+    /// One round of an incremental session: clauses of two to four
+    /// literals, unit facts, and one assumption, over eight variables.
+    type Round = (Vec<Vec<(u32, bool)>>, Vec<(u32, bool)>, (u32, bool));
+
+    fn arb_round() -> impl Strategy<Value = Round> {
+        let lit = (0u32..8, proptest::bool::ANY);
+        (
+            proptest::collection::vec(proptest::collection::vec(lit.clone(), 2..=4), 0..12),
+            proptest::collection::vec(lit.clone(), 0..3),
+            lit,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The DIP loop's pattern: solve, add clauses and level-0 units,
+        /// solve again. Each verdict matches brute force, and after each
+        /// solve no live clause is satisfied at level 0.
+        #[test]
+        fn incremental_simplify_leaves_no_satisfied_clause(
+            rounds in proptest::collection::vec(arb_round(), 1..6),
+        ) {
+            let to_lit = |&(v, neg): &(u32, bool)| Lit::new(Var::new(v), neg);
+            let mut s = solver_with_vars(8);
+            let mut f = CnfFormula::new();
+            f.set_num_vars(8);
+            for (clauses, units, assumption) in &rounds {
+                let units = units.iter().map(|u| vec![*u]);
+                for clause in clauses.iter().cloned().chain(units) {
+                    let lits: Vec<Lit> = clause.iter().map(to_lit).collect();
+                    s.add_clause(&lits);
+                    f.add_clause(&lits);
+                }
+                let assumption = to_lit(assumption);
+                let mut assumed = f.clone();
+                assumed.add_clause(&[assumption]);
+                for (assumptions, formula) in [(&[assumption][..], &assumed), (&[], &f)] {
+                    let result = s.solve(assumptions);
+                    let expected = formula.count_models_brute_force() > 0;
+                    prop_assert_eq!(result == SolveResult::Sat, expected);
+                    if s.is_ok() {
+                        s.assert_simplified();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn occurrence_lists_stay_bounded() {
+        // Stale entries of deleted learnt clauses must not pile up across
+        // `reduce_db` cycles.
+        let bounded = |s: &Solver, what: &str| {
+            assert!(s.stats().deleted_clauses > 2000, "{what}: too few reduce_db cycles");
+            let entries = s.occurrence_entries();
+            let lits = s.num_clause_lits();
+            assert!(entries <= 2 * lits, "{what}: {entries} entries for {lits} literals");
+        };
+        // Each run stops after several thousand conflicts: enough for
+        // several cycles at the initial limit of 1000 learnt clauses.
+        let mut s = pigeonhole(8);
+        s.set_conflict_budget(Some(5000));
+        let _ = s.solve(&[]);
+        bounded(&s, "pigeonhole 9 into 8");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0CC5);
+        let vars = 250u32;
+        let mut s = solver_with_vars(vars as usize);
+        for _ in 0..(vars as f64 * 4.26) as usize {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(Var::new(rng.random_range(0..vars)), rng.random_bool(0.5)))
+                .collect();
+            s.add_clause(&clause);
+        }
+        s.set_conflict_budget(Some(5000));
+        let _ = s.solve(&[]);
+        bounded(&s, "random 3-SAT");
     }
 
     #[test]
