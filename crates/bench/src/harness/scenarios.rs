@@ -13,7 +13,7 @@ use polykey_attack::{
     AttackReport, AttackSession, AttackStats, AttackStatus, SimOracle, SplitStrategy,
 };
 use polykey_circuits::Iscas85;
-use polykey_encode::{build_miter, check_equivalence, ConeEncoder, EquivResult};
+use polykey_encode::{build_miter, check_equivalence, DipConstraints, EquivResult};
 use polykey_locking::{
     lock_sarlock_on_signals, AntiSat, Key, LockScheme, LutLock, Rll, Sarlock,
 };
@@ -1223,8 +1223,10 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
     }
 
     {
-        // The DIP loop's encoding work: both constraint copies for each of
-        // 255 fixed DIPs (SARLock |K|=8 needs 2^8 - 1), into one solver.
+        // The DIP loop's encoding work: the attack miter, then both
+        // constraint copies for each of 255 fixed DIPs (SARLock |K|=8 needs
+        // 2^8 - 1) with the oracle's responses, through the elimination
+        // buffer into the miter's solver.
         let c7552 = Iscas85::C7552.build();
         let locked = Sarlock::new(8).lock(&c7552, &Key::from_u64(0x5A, 8)).expect("lockable");
         let netlist = &locked.netlist;
@@ -1232,17 +1234,14 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         let dips: Vec<Vec<bool>> = (0..255u64)
             .map(|i| bits_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), width))
             .collect();
+        let mut oracle = Simulator::new(&c7552).expect("acyclic");
+        let responses: Vec<Vec<bool>> = dips.iter().map(|dip| oracle.eval(dip, &[])).collect();
         let (time, clauses) = fastest(|| {
             let mut solver = Solver::new();
-            let key_vector = |solver: &mut Solver| -> Vec<Lit> {
-                (0..8).map(|_| solver.new_var().positive()).collect()
-            };
-            let keys = [key_vector(&mut solver), key_vector(&mut solver)];
-            let mut cone = ConeEncoder::new(netlist).expect("acyclic");
-            for dip in &dips {
-                for keys in &keys {
-                    cone.encode(&mut solver, dip, keys).expect("widths match");
-                }
+            let miter = build_miter(&mut solver, netlist, netlist).expect("acyclic");
+            let mut constraints = DipConstraints::new(netlist, &miter).expect("acyclic");
+            for (dip, response) in dips.iter().zip(&responses) {
+                constraints.add_answered(&mut solver, dip, response).expect("widths match");
             }
             solver.num_clauses() as u64
         });

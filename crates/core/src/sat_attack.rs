@@ -9,7 +9,8 @@
 //!    disagree.
 //! 3. Query the oracle at the DIP and constrain both key copies to
 //!    reproduce the observed output (two more CNF copies of the circuit,
-//!    with inputs pinned to the DIP so they fold down to key logic only).
+//!    with inputs pinned to the DIP so they fold down to key logic only;
+//!    their private variables are eliminated before the solver sees them).
 //! 4. Repeat until the miter is unsatisfiable: every remaining key is
 //!    functionally equivalent on all inputs; return one of them.
 //!
@@ -20,7 +21,7 @@
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
-    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, ConeEncoder, Miter,
+    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, DipConstraints, Miter,
     PortBinding,
 };
 use polykey_locking::Key;
@@ -191,46 +192,87 @@ struct PendingDip {
 
 /// How the per-DIP consistency-constraint copies of `locked` are encoded.
 enum DipCopies<'n> {
-    /// Inputs pinned as constants: each copy is the key cone only.
-    Folded(Box<ConeEncoder<'n>>),
+    /// Inputs pinned as constants: each copy is the key cone only, hashed
+    /// against the miter, and its private variables are eliminated before
+    /// the solver sees them.
+    Folded(Box<DipConstraints<'n>>),
     /// The textbook formulation: a full copy with unit clauses on the
     /// inputs.
-    Full(&'n Netlist),
+    Full(&'n Netlist, &'n Miter),
 }
 
 impl<'n> DipCopies<'n> {
     fn new(
         locked: &'n Netlist,
+        miter: &'n Miter,
         config: &SatAttackConfig,
     ) -> Result<DipCopies<'n>, AttackError> {
         Ok(if config.fold_dip_copies {
-            DipCopies::Folded(Box::new(ConeEncoder::new(locked)?))
+            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter)?))
         } else {
-            DipCopies::Full(locked)
+            DipCopies::Full(locked, miter)
         })
     }
 
-    /// Encodes one copy at `dip` for the given shared key literals and
-    /// returns its output values.
-    fn encode(
+    /// Requires both key copies to reproduce `response` at `dip`.
+    fn add_answered(
         &mut self,
         solver: &mut Solver,
         dip: &[bool],
-        keys: &[polykey_sat::Lit],
-    ) -> Result<Vec<CnfValue>, AttackError> {
+        response: &[bool],
+    ) -> Result<(), AttackError> {
         match self {
-            DipCopies::Folded(cone) => Ok(cone.encode(solver, dip, keys)?),
-            DipCopies::Full(locked) => {
-                let mut binding = Binding::fresh(locked);
-                binding.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
-                let enc = encode(solver, locked, &binding)?;
-                for (val, &bit) in enc.inputs.iter().zip(dip) {
-                    assert_value(solver, *val, bit);
+            DipCopies::Folded(constraints) => {
+                constraints.add_answered(solver, dip, response)?
+            }
+            DipCopies::Full(locked, miter) => {
+                for keys in [&miter.keys_left, &miter.keys_right] {
+                    let outputs = encode_full(solver, locked, dip, keys)?;
+                    for (out, &bit) in outputs.iter().zip(response) {
+                        assert_value(solver, *out, bit);
+                    }
                 }
-                Ok(enc.outputs)
+            }
+        }
+        Ok(())
+    }
+
+    /// Requires both key copies to agree at `dip`, whose response is still
+    /// pending, and returns their output values (`[left, right]`).
+    fn add_pending(
+        &mut self,
+        solver: &mut Solver,
+        dip: &[bool],
+    ) -> Result<[Vec<CnfValue>; 2], AttackError> {
+        match self {
+            DipCopies::Folded(constraints) => Ok(constraints.add_pending(solver, dip)?),
+            DipCopies::Full(locked, miter) => {
+                let left = encode_full(solver, locked, dip, &miter.keys_left)?;
+                let right = encode_full(solver, locked, dip, &miter.keys_right)?;
+                for (&l, &r) in left.iter().zip(&right) {
+                    assert_equal(solver, l, r);
+                }
+                Ok([left, right])
             }
         }
     }
+}
+
+/// One textbook copy of `locked` at `dip` over the given key literals:
+/// the full circuit with unit clauses on the inputs.
+fn encode_full(
+    solver: &mut Solver,
+    locked: &Netlist,
+    dip: &[bool],
+    keys: &[polykey_sat::Lit],
+) -> Result<Vec<CnfValue>, AttackError> {
+    let mut binding = Binding::fresh(locked);
+    binding.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
+    let enc = encode(solver, locked, &binding)?;
+    for (val, &bit) in enc.inputs.iter().zip(dip) {
+        assert_value(solver, *val, bit);
+    }
+    Ok(enc.outputs)
 }
 
 /// The mutable state of one DIP-refinement run: the incremental solver,
@@ -356,12 +398,8 @@ impl Run<'_> {
                             batch.push(PendingDip { dip, copies: None });
                             break;
                         }
-                        let left = copies.encode(&mut self.solver, &dip, &miter.keys_left)?;
-                        let right = copies.encode(&mut self.solver, &dip, &miter.keys_right)?;
-                        for (&l, &r) in left.iter().zip(&right) {
-                            assert_equal(&mut self.solver, l, r);
-                        }
-                        batch.push(PendingDip { dip, copies: Some([left, right]) });
+                        let outputs = copies.add_pending(&mut self.solver, &dip)?;
+                        batch.push(PendingDip { dip, copies: Some(outputs) });
                         if let Some(dl) = deadline {
                             let now = Instant::now();
                             if now >= dl {
@@ -402,13 +440,7 @@ impl Run<'_> {
                                 }
                             }
                             None => {
-                                for keys in [&miter.keys_left, &miter.keys_right] {
-                                    let outputs =
-                                        copies.encode(&mut self.solver, &pending.dip, keys)?;
-                                    for (out, &bit) in outputs.iter().zip(response) {
-                                        assert_value(&mut self.solver, *out, bit);
-                                    }
-                                }
+                                copies.add_answered(&mut self.solver, &pending.dip, response)?
                             }
                         }
                     }
@@ -501,7 +533,7 @@ pub(crate) fn run_sat_attack(
         epochs: 0,
         dip_patterns: Vec::new(),
     };
-    let mut copies = DipCopies::new(locked, config)?;
+    let mut copies = DipCopies::new(locked, &miter, config)?;
     let (status, key) = run.refine(&mut copies, &miter, config, ctl)?;
     Ok(run.finish(status, key))
 }

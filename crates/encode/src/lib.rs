@@ -9,7 +9,11 @@
 //!   hash-consed by kind and normalised fan-in literals, so structurally
 //!   identical logic is encoded once;
 //! - [`ConeEncoder`]: the same copies with inputs pinned to a pattern,
-//!   visiting only the key cone — the per-DIP constraints of the attack;
+//!   visiting only the key cone;
+//! - [`DipConstraints`]: the per-DIP constraints of the attack — two cone
+//!   copies hashed against the miter's gates, whose private variables an
+//!   [`ElimBuffer`](polykey_sat::ElimBuffer) eliminates before the solver
+//!   sees them;
 //! - [`build_miter`]: two circuit copies sharing primary inputs and one
 //!   structural-hash table, plus a `diff` literal that, when assumed,
 //!   forces an output difference — the engine of the oracle-guided SAT
@@ -51,10 +55,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod dip;
 mod equiv;
 mod miter;
 mod tseitin;
 
+pub use dip::DipConstraints;
 pub use equiv::{check_equivalence, EquivError, EquivResult};
 pub use miter::{build_miter, Miter, MiterError};
 pub use tseitin::{

@@ -71,6 +71,8 @@ pub struct Miter {
     /// True when a pair of constant outputs already differs: the circuits
     /// are unconditionally distinguishable and `diff` is forced true.
     pub always_differs: bool,
+    /// The structural-hash table both copies were encoded against.
+    pub(crate) table: GateTable,
 }
 
 /// Builds a miter between `left` and `right` inside `solver`.
@@ -171,6 +173,7 @@ pub fn build_miter(
         outputs_right: enc_right.outputs,
         diff,
         always_differs,
+        table,
     })
 }
 

@@ -16,7 +16,8 @@
 //! encoded gate reuses that gate's literal instead of a fresh variable.
 //! [`build_miter`](crate::build_miter) shares one table across both of its
 //! copies, so logic the two sides have in common is encoded once and never
-//! has to be re-proven equal by search.
+//! has to be re-proven equal by search. The miter keeps that table, and the
+//! attack's per-DIP copies look their gates up in it before their own.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -133,7 +134,7 @@ pub struct EncodedCircuit {
 
 /// A gate's structural identity after normalisation: gates with equal keys
 /// compute the same function of the same variables.
-#[derive(PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 enum GateKey {
     /// AND over sorted, deduplicated literals.
     And(Vec<Lit>),
@@ -147,9 +148,34 @@ enum GateKey {
 /// The structural-hash table of one encoding: every gate encoded so far,
 /// by normalised key. It is only meaningful together with the sink whose
 /// variables it names.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub(crate) struct GateTable {
     gates: HashMap<GateKey, Lit>,
+}
+
+/// Where one copy looks its gates up: a read-only table of gates encoded
+/// earlier in the same sink (the miter's, for per-DIP copies), then the
+/// copy's own table, which also records its misses.
+struct Strash<'t> {
+    shared: Option<&'t GateTable>,
+    own: &'t mut GateTable,
+}
+
+impl Strash<'_> {
+    /// The literal of the gate `key`, encoded by `make` on a miss in both
+    /// tables.
+    fn lookup(&mut self, key: GateKey, make: impl FnOnce(&GateKey) -> Lit) -> Lit {
+        if let Some(&hit) = self.shared.and_then(|t| t.gates.get(&key)) {
+            return hit;
+        }
+        match self.own.gates.entry(key) {
+            Entry::Occupied(hit) => *hit.get(),
+            Entry::Vacant(miss) => {
+                let lit = make(miss.key());
+                *miss.insert(lit)
+            }
+        }
+    }
 }
 
 /// Errors raised by encoding.
@@ -261,6 +287,7 @@ pub(crate) fn encode_shared<S: ClauseSink>(
         key_values.push(v);
     }
 
+    let mut strash = Strash { shared: None, own: table };
     for id in order {
         let node = netlist.node(id);
         if node.kind().is_input() {
@@ -268,7 +295,7 @@ pub(crate) fn encode_shared<S: ClauseSink>(
         }
         let fanins: Vec<CnfValue> =
             node.fanins().iter().map(|f| values[f.index()].expect("topo order")).collect();
-        values[id.index()] = Some(encode_gate(sink, table, node.kind(), &fanins));
+        values[id.index()] = Some(encode_gate(sink, &mut strash, node.kind(), &fanins));
     }
 
     let outputs =
@@ -284,14 +311,21 @@ pub(crate) fn encode_shared<S: ClauseSink>(
 /// topological order and that cone once. For each new pattern it runs one
 /// packed simulation pass for the off-cone constants, which every copy at
 /// that pattern reuses. Each copy then encodes the cone gates in their
-/// topological order against a fresh structural-hash table. The off-cone
-/// gates would have folded without emitting anything, so a copy adds
-/// exactly the variables and clauses, in the same order, as [`encode`]
-/// under inputs [`PortBinding::Pinned`] to the pattern and keys
-/// [`PortBinding::Shared`].
+/// topological order against a structural-hash table of its own, cleared
+/// per copy. The off-cone gates would have folded without emitting
+/// anything, so a copy adds exactly the variables and clauses, in the same
+/// order, as [`encode`] under inputs [`PortBinding::Pinned`] to the pattern
+/// and keys [`PortBinding::Shared`].
+///
+/// Built for a miter instead (the per-DIP copies of the attack, see
+/// [`DipConstraints`](crate::DipConstraints)), a copy first looks each
+/// gate up in the miter's table: key-only logic the miter already encodes
+/// reuses the miter's literal and adds nothing.
 #[derive(Debug)]
 pub struct ConeEncoder<'n> {
     netlist: &'n Netlist,
+    /// The miter's table, read before the copy's own.
+    shared: Option<&'n GateTable>,
     /// The key-controlled gates, in topological order.
     cone: Vec<NodeId>,
     sim: Simulator<'n>,
@@ -311,6 +345,15 @@ impl<'n> ConeEncoder<'n> {
     ///
     /// Returns [`EncodeError::Netlist`] for cyclic netlists.
     pub fn new(netlist: &'n Netlist) -> Result<ConeEncoder<'n>, EncodeError> {
+        ConeEncoder::over(netlist, None)
+    }
+
+    /// [`ConeEncoder::new`] whose copies also reuse the gates of `shared`,
+    /// a table filled in the sink they are encoded into.
+    pub(crate) fn over(
+        netlist: &'n Netlist,
+        shared: Option<&'n GateTable>,
+    ) -> Result<ConeEncoder<'n>, EncodeError> {
         let in_cone = key_controlled_mask(netlist);
         let cone = netlist
             .topological_order()?
@@ -319,6 +362,7 @@ impl<'n> ConeEncoder<'n> {
             .collect();
         Ok(ConeEncoder {
             netlist,
+            shared,
             cone,
             sim: Simulator::new(netlist)?,
             pattern: None,
@@ -365,12 +409,12 @@ impl<'n> ConeEncoder<'n> {
             self.values[k.index()] = CnfValue::Lit(lit);
         }
         self.table.gates.clear();
+        let mut strash = Strash { shared: self.shared, own: &mut self.table };
         for &id in &self.cone {
             let node = nl.node(id);
             self.fanins.clear();
             self.fanins.extend(node.fanins().iter().map(|f| self.values[f.index()]));
-            self.values[id.index()] =
-                encode_gate(sink, &mut self.table, node.kind(), &self.fanins);
+            self.values[id.index()] = encode_gate(sink, &mut strash, node.kind(), &self.fanins);
         }
         Ok(nl.outputs().iter().map(|o| self.values[o.index()]).collect())
     }
@@ -394,7 +438,7 @@ impl<'n> ConeEncoder<'n> {
 /// Encodes a single gate, folding constants.
 fn encode_gate<S: ClauseSink>(
     sink: &mut S,
-    table: &mut GateTable,
+    strash: &mut Strash<'_>,
     kind: GateKind,
     fanins: &[CnfValue],
 ) -> CnfValue {
@@ -403,13 +447,13 @@ fn encode_gate<S: ClauseSink>(
         GateKind::Const(v) => CnfValue::Const(v),
         GateKind::Buf => fanins[0],
         GateKind::Not => fanins[0].negate(),
-        GateKind::And => encode_and(sink, table, fanins),
-        GateKind::Nand => encode_and(sink, table, fanins).negate(),
-        GateKind::Or => encode_and(sink, table, &negate_all(fanins)).negate(),
-        GateKind::Nor => encode_and(sink, table, &negate_all(fanins)),
-        GateKind::Xor => encode_xor(sink, table, fanins),
-        GateKind::Xnor => encode_xor(sink, table, fanins).negate(),
-        GateKind::Mux => encode_mux(sink, table, fanins[0], fanins[1], fanins[2]),
+        GateKind::And => encode_and(sink, strash, fanins),
+        GateKind::Nand => encode_and(sink, strash, fanins).negate(),
+        GateKind::Or => encode_and(sink, strash, &negate_all(fanins)).negate(),
+        GateKind::Nor => encode_and(sink, strash, &negate_all(fanins)),
+        GateKind::Xor => encode_xor(sink, strash, fanins),
+        GateKind::Xnor => encode_xor(sink, strash, fanins).negate(),
+        GateKind::Mux => encode_mux(sink, strash, fanins[0], fanins[1], fanins[2]),
     }
 }
 
@@ -429,7 +473,7 @@ fn flip_if(l: Lit, flip: bool) -> Lit {
 /// `y = AND(fanins)` with constant folding and degenerate-case elision.
 fn encode_and<S: ClauseSink>(
     sink: &mut S,
-    table: &mut GateTable,
+    strash: &mut Strash<'_>,
     fanins: &[CnfValue],
 ) -> CnfValue {
     let mut lits: Vec<Lit> = Vec::with_capacity(fanins.len());
@@ -451,41 +495,38 @@ fn encode_and<S: ClauseSink>(
     match lits.len() {
         0 => CnfValue::Const(true),
         1 => CnfValue::Lit(lits[0]),
-        _ => match table.gates.entry(GateKey::And(lits)) {
-            Entry::Occupied(hit) => CnfValue::Lit(*hit.get()),
-            Entry::Vacant(miss) => {
-                let GateKey::And(lits) = miss.key() else { unreachable!("keyed as AND") };
-                let y = sink.new_var().positive();
-                // y → l_i, and (∧ l_i) → y.
-                let mut long = Vec::with_capacity(lits.len() + 1);
-                long.push(y);
-                for &l in lits {
-                    sink.add_clause(&[!y, l]);
-                    long.push(!l);
-                }
-                sink.add_clause(&long);
-                CnfValue::Lit(*miss.insert(y))
+        _ => CnfValue::Lit(strash.lookup(GateKey::And(lits), |key| {
+            let GateKey::And(lits) = key else { unreachable!("keyed as AND") };
+            let y = sink.new_var().positive();
+            // y → l_i, and (∧ l_i) → y.
+            let mut long = Vec::with_capacity(lits.len() + 1);
+            long.push(y);
+            for &l in lits {
+                sink.add_clause(&[!y, l]);
+                long.push(!l);
             }
-        },
+            sink.add_clause(&long);
+            y
+        })),
     }
 }
 
 /// Parity via a chain of binary XOR variables.
 fn encode_xor<S: ClauseSink>(
     sink: &mut S,
-    table: &mut GateTable,
+    strash: &mut Strash<'_>,
     fanins: &[CnfValue],
 ) -> CnfValue {
     let mut acc = CnfValue::Const(false);
     for &v in fanins {
-        acc = encode_xor2(sink, table, acc, v);
+        acc = encode_xor2(sink, strash, acc, v);
     }
     acc
 }
 
 fn encode_xor2<S: ClauseSink>(
     sink: &mut S,
-    table: &mut GateTable,
+    strash: &mut Strash<'_>,
     a: CnfValue,
     b: CnfValue,
 ) -> CnfValue {
@@ -504,7 +545,7 @@ fn encode_xor2<S: ClauseSink>(
             // the parity flips the shared literal.
             let parity = x.is_negated() ^ y.is_negated();
             let key = GateKey::Xor(x.var().min(y.var()), x.var().max(y.var()));
-            let positive = *table.gates.entry(key).or_insert_with(|| {
+            let positive = strash.lookup(key, |_| {
                 let y2 = sink.new_var().positive();
                 sink.add_clause(&[!y2, x, y]);
                 sink.add_clause(&[!y2, !x, !y]);
@@ -520,7 +561,7 @@ fn encode_xor2<S: ClauseSink>(
 /// `y = s ? d1 : d0`.
 fn encode_mux<S: ClauseSink>(
     sink: &mut S,
-    table: &mut GateTable,
+    strash: &mut Strash<'_>,
     s: CnfValue,
     d0: CnfValue,
     d1: CnfValue,
@@ -536,17 +577,17 @@ fn encode_mux<S: ClauseSink>(
                 (CnfValue::Const(false), CnfValue::Const(true)) => CnfValue::Lit(sl),
                 (CnfValue::Const(true), CnfValue::Const(false)) => CnfValue::Lit(!sl),
                 (CnfValue::Const(false), d1) => {
-                    encode_and(sink, table, &[CnfValue::Lit(sl), d1])
+                    encode_and(sink, strash, &[CnfValue::Lit(sl), d1])
                 }
                 (CnfValue::Const(true), d1) => {
                     // ¬s ∨ d1 = ¬(s ∧ ¬d1)
-                    encode_and(sink, table, &[CnfValue::Lit(sl), d1.negate()]).negate()
+                    encode_and(sink, strash, &[CnfValue::Lit(sl), d1.negate()]).negate()
                 }
                 (d0, CnfValue::Const(false)) => {
-                    encode_and(sink, table, &[CnfValue::Lit(!sl), d0])
+                    encode_and(sink, strash, &[CnfValue::Lit(!sl), d0])
                 }
                 (d0, CnfValue::Const(true)) => {
-                    encode_and(sink, table, &[CnfValue::Lit(!sl), d0.negate()]).negate()
+                    encode_and(sink, strash, &[CnfValue::Lit(!sl), d0.negate()]).negate()
                 }
                 (CnfValue::Lit(a), CnfValue::Lit(b)) => {
                     // ¬s ? b : a is s ? a : b.
@@ -555,7 +596,7 @@ fn encode_mux<S: ClauseSink>(
                     } else {
                         GateKey::Mux(sl.var(), a, b)
                     };
-                    let y = *table.gates.entry(key).or_insert_with(|| {
+                    let y = strash.lookup(key, |_| {
                         let y = sink.new_var().positive();
                         // s → (y = b)
                         sink.add_clause(&[!sl, !y, b]);

@@ -1,14 +1,15 @@
 //! Property-based tests: Tseitin encodings must agree with circuit
 //! simulation under every binding mode, the cone encoder must emit exactly
-//! what the plain encoder emits for pinned inputs, and miters must be
-//! exactly as satisfiable as the circuits differ — also when structural
-//! hashing merges most of the two sides.
+//! what the plain encoder emits for pinned inputs, per-DIP constraints
+//! with eliminated copies must constrain the keys exactly as plain copies
+//! do, and miters must be exactly as satisfiable as the circuits differ —
+//! also when structural hashing merges most of the two sides.
 
 use proptest::prelude::*;
 
 use polykey_encode::{
-    assert_value, build_miter, check_equivalence, encode, Binding, CnfValue, ConeEncoder,
-    EquivResult, PortBinding,
+    assert_equal, assert_value, build_miter, check_equivalence, encode, Binding, CnfValue,
+    ConeEncoder, DipConstraints, EquivResult, PortBinding,
 };
 use polykey_netlist::{bits_of, GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, Var};
@@ -200,6 +201,78 @@ proptest! {
             let got: Vec<bool> = outputs.iter().map(|v| model_bit(&solver, v)).collect();
             prop_assert_eq!(got, sim.eval(ibits, &kbits));
         }
+    }
+
+    #[test]
+    fn eliminated_dip_copies_constrain_keys_like_plain_copies(
+        nl in arb_circuit(4, 3),
+        dips in proptest::collection::vec((0u64..16, 0u64..4, proptest::bool::ANY), 1..6),
+        answers in proptest::collection::vec(0u64..4, 5),
+    ) {
+        // Two solvers over the same self-miter. `plain` gets each DIP's two
+        // copies straight from a `ConeEncoder`, `eliminated` gets them
+        // through `DipConstraints`. Answered DIPs assert a random response;
+        // pending ones tie the copies and keep their outputs, which get a
+        // random answer afterwards. Under every assignment of both key
+        // vectors, alone and with the miter's `diff`, the solvers agree.
+        let mut plain = Solver::new();
+        let miter = build_miter(&mut plain, &nl, &nl).expect("miter");
+        let mut eliminated = Solver::new();
+        let twin = build_miter(&mut eliminated, &nl, &nl).expect("miter");
+        prop_assert_eq!(
+            (&miter.keys_left, &miter.keys_right, miter.diff),
+            (&twin.keys_left, &twin.keys_right, twin.diff)
+        );
+        let outputs = nl.outputs().len();
+        let mut cone = ConeEncoder::new(&nl).expect("acyclic");
+        let mut constraints = DipConstraints::new(&nl, &twin).expect("acyclic");
+        let mut pending = Vec::new();
+        for &(dip, response, is_pending) in &dips {
+            let ibits = bits_of(dip, 4);
+            let copies = [&miter.keys_left, &miter.keys_right]
+                .map(|keys| cone.encode(&mut plain, &ibits, keys).expect("encode"));
+            if is_pending {
+                for (&l, &r) in copies[0].iter().zip(&copies[1]) {
+                    assert_equal(&mut plain, l, r);
+                }
+                let kept = constraints.add_pending(&mut eliminated, &ibits).expect("encode");
+                pending.push((copies, kept));
+            } else {
+                let response = bits_of(response, outputs);
+                for (&out, &bit) in copies.iter().flatten().zip(response.iter().cycle()) {
+                    assert_value(&mut plain, out, bit);
+                }
+                constraints.add_answered(&mut eliminated, &ibits, &response).expect("encode");
+            }
+        }
+
+        let agree = |plain: &mut Solver, eliminated: &mut Solver| -> Result<(), proptest::test_runner::TestCaseError> {
+            for bits in 0..64u64 {
+                let mut assumptions: Vec<Lit> = miter
+                    .keys_left
+                    .iter()
+                    .chain(&miter.keys_right)
+                    .enumerate()
+                    .map(|(i, &k)| if bits >> i & 1 == 1 { k } else { !k })
+                    .collect();
+                prop_assert_eq!(plain.solve(&assumptions), eliminated.solve(&assumptions));
+                assumptions.push(miter.diff);
+                prop_assert_eq!(plain.solve(&assumptions), eliminated.solve(&assumptions));
+            }
+            Ok(())
+        };
+        agree(&mut plain, &mut eliminated)?;
+        // The kept outputs must be the eliminated solver's view of the
+        // same signals: answering them alike keeps the solvers in step.
+        for ((copies, kept), &answer) in pending.iter().zip(answers.iter().cycle()) {
+            let response = bits_of(answer, outputs);
+            for (solver, copies) in [(&mut plain, copies), (&mut eliminated, kept)] {
+                for (&out, &bit) in copies.iter().flatten().zip(response.iter().cycle()) {
+                    assert_value(solver, out, bit);
+                }
+            }
+        }
+        agree(&mut plain, &mut eliminated)?;
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests over random netlists: simplification and I/O
-//! round-trips must preserve circuit function.
+//! round-trips must preserve circuit function, and the `.bench` parser
+//! answers any input with a netlist or an error, never a panic.
 
 use proptest::prelude::*;
 
@@ -149,4 +150,63 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn parse_bench_never_panics_on_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = parse_bench(&bytes[..], "bytes");
+    }
+
+    #[test]
+    fn parse_bench_never_panics_on_token_soup(
+        picks in proptest::collection::vec(any::<u16>(), 0..64),
+    ) {
+        let text: String = picks.iter().map(|&i| BENCH_TOKENS[i as usize % BENCH_TOKENS.len()]).collect();
+        let _ = parse_bench(text.as_bytes(), "soup");
+    }
 }
+
+/// Fragments of `.bench` syntax, well-formed and not, for token soup.
+const BENCH_TOKENS: &[&str] = &[
+    "INPUT(",
+    "OUTPUT(",
+    "KEYINPUT(",
+    "input",
+    "=",
+    " = ",
+    "AND(",
+    "NAND(",
+    "OR(",
+    "NOR(",
+    "XOR(",
+    "XNOR(",
+    "NOT(",
+    "BUF(",
+    "MUX(",
+    "DFF(",
+    "vdd",
+    "gnd",
+    "(",
+    ")",
+    ",",
+    ", ",
+    "a",
+    "b",
+    "y",
+    "keyinput0",
+    "key_input1",
+    "g1",
+    "#",
+    "\n",
+    "\n",
+    " ",
+    "\t",
+    "18446744073709551616",
+    "4294967295",
+    "-1",
+    "0",
+    "p cnf",
+    "\u{e9}",
+    "\r\n",
+];

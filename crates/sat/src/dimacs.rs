@@ -11,6 +11,10 @@ use std::io::{self, BufRead, Write};
 use crate::cnf::{ClauseSink, CnfFormula};
 use crate::lit::Lit;
 
+/// The largest variable number (1-based, as DIMACS counts) that
+/// [`Lit::from_dimacs`] can represent.
+const MAX_VAR: u64 = i32::MAX as u64;
+
 /// Errors produced while parsing DIMACS input.
 #[derive(Debug)]
 pub enum ParseDimacsError {
@@ -58,7 +62,8 @@ impl From<io::Error> for ParseDimacsError {
 /// # Errors
 ///
 /// Returns [`ParseDimacsError`] on I/O failure, malformed tokens, a repeated
-/// header, or an unterminated final clause.
+/// header, an unterminated final clause, or a literal or header variable
+/// count beyond `i32::MAX`, the largest variable a [`Lit`] can represent.
 ///
 /// # Examples
 ///
@@ -98,10 +103,15 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<CnfFormula, ParseDimacsErro
                     message: "expected `p cnf <vars> <clauses>`".into(),
                 });
             }
-            let vars: usize = parts.next().and_then(|t| t.parse().ok()).ok_or_else(|| {
-                ParseDimacsError::Syntax { line: line_no, message: "bad variable count".into() }
-            })?;
-            formula.set_num_vars(vars);
+            let vars = parts
+                .next()
+                .and_then(|t| t.parse::<u64>().ok())
+                .filter(|&n| n <= MAX_VAR)
+                .ok_or_else(|| ParseDimacsError::Syntax {
+                    line: line_no,
+                    message: "bad variable count".into(),
+                })?;
+            formula.set_num_vars(vars as usize);
             continue;
         }
         for token in trimmed.split_whitespace() {
@@ -112,7 +122,7 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<CnfFormula, ParseDimacsErro
             if value == 0 {
                 formula.add_clause(&current);
                 current.clear();
-            } else if value.unsigned_abs() > u32::MAX as u64 {
+            } else if value.unsigned_abs() > MAX_VAR {
                 return Err(ParseDimacsError::Syntax {
                     line: line_no,
                     message: format!("literal `{token}` out of range"),
@@ -197,6 +207,30 @@ mod tests {
         let err =
             parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n".as_bytes()).expect_err("dup header");
         assert!(err.to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn parse_rejects_literals_beyond_the_largest_variable() {
+        for token in ["4294967295", "3000000000", "2147483648", "-2147483648", "-4294967295"] {
+            let input = format!("p cnf 1 1\n{token} 0\n");
+            let err = parse_dimacs(input.as_bytes()).expect_err(token);
+            assert!(err.to_string().contains("out of range"), "{token}: {err}");
+        }
+        let f =
+            parse_dimacs("2147483647 -2147483647 0\n".as_bytes()).expect("largest variable");
+        let top = Lit::from_dimacs(i32::MAX);
+        assert_eq!(f.clauses().next(), Some(&[top, !top][..]));
+    }
+
+    #[test]
+    fn parse_rejects_header_counts_beyond_the_largest_variable() {
+        for count in ["99999999999", "2147483648", "18446744073709551616"] {
+            let input = format!("p cnf {count} 1\n1 0\n");
+            let err = parse_dimacs(input.as_bytes()).expect_err(count);
+            assert!(err.to_string().contains("variable count"), "{count}: {err}");
+        }
+        let f = parse_dimacs("p cnf 2147483647 0\n".as_bytes()).expect("largest count");
+        assert_eq!(f.num_vars(), i32::MAX as usize);
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! ```
 //!
 //! Encoders that should work against either a [`Solver`] or a
-//! [`CnfFormula`] can be written against the [`ClauseSink`] trait.
+//! [`CnfFormula`] can be written against the [`ClauseSink`] trait. An
+//! [`ElimBuffer`] sits between such an encoder and its target: it
+//! eliminates the variables private to one batch of clauses before the
+//! target sees them.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,11 +41,13 @@
 mod clause;
 mod cnf;
 mod dimacs;
+mod elim;
 mod heap;
 mod lit;
 mod solver;
 
 pub use cnf::{ClauseSink, CnfFormula};
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
+pub use elim::ElimBuffer;
 pub use lit::{LBool, Lit, Var};
 pub use solver::{SolveResult, Solver, SolverConfig, SolverStats};
