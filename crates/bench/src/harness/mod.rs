@@ -23,8 +23,8 @@
 //!       "scenario": "matrix",
 //!       "labels": {"circuit": "c432", "scheme": "rll", "n": "0"},
 //!       "metrics": {"wall_ms": 12.5, "dips": 5, "oracle_rounds": 5,
-//!                   "oracle_queries": 5, "epochs": 5, "conflicts": 113,
-//!                   "restarts": 1, "learnt_clauses": 95}
+//!                   "oracle_queries": 5, "conflicts": 113, "restarts": 1,
+//!                   "learnt_clauses": 95}
 //!     }
 //!   ]
 //! }
@@ -158,8 +158,7 @@ impl Record {
 
     /// Appends the uniform attack counters every attack cell reports:
     /// `wall_ms`, `max_term_ms`, `dips`, `oracle_queries`,
-    /// `oracle_rounds`, `epochs`, `conflicts`, `restarts`,
-    /// `learnt_clauses`.
+    /// `oracle_rounds`, `conflicts`, `restarts`, `learnt_clauses`.
     #[must_use]
     pub fn attack_metrics(self, stats: &AttackStats) -> Record {
         self.metric("wall_ms", ms(stats.wall_time))
@@ -167,7 +166,6 @@ impl Record {
             .metric("dips", stats.dips as f64)
             .metric("oracle_queries", stats.oracle_queries as f64)
             .metric("oracle_rounds", stats.oracle_rounds as f64)
-            .metric("epochs", stats.epochs as f64)
             .metric("conflicts", stats.solver.conflicts as f64)
             .metric("restarts", stats.solver.restarts as f64)
             .metric("learnt_clauses", stats.solver.learnt_clauses as f64)
@@ -440,7 +438,6 @@ const COST_COUNTERS: &[&str] = &[
     "min_dips",
     "oracle_queries",
     "oracle_rounds",
-    "epochs",
     "conflicts",
     "restarts",
     "learnt_clauses",

@@ -261,210 +261,3 @@ mod tests {
         }
     }
 }
-
-/// An `n`-bit 4-operation ALU: inputs `a`, `b` (n bits each) and a 2-bit
-/// opcode `op0`, `op1`; output `y` (n bits).
-///
-/// | op1 op0 | function |
-/// |---------|----------|
-/// | 0 0     | a AND b  |
-/// | 0 1     | a OR b   |
-/// | 1 0     | a XOR b  |
-/// | 1 1     | a + b (mod 2^n) |
-///
-/// # Panics
-///
-/// Panics if `n` is 0.
-pub fn alu(n: usize) -> Netlist {
-    assert!(n > 0);
-    let mut nl = Netlist::new(format!("alu{n}"));
-    let a: Vec<NodeId> =
-        (0..n).map(|i| nl.add_input(format!("a{i}")).expect("fresh")).collect();
-    let b: Vec<NodeId> =
-        (0..n).map(|i| nl.add_input(format!("b{i}")).expect("fresh")).collect();
-    let op0 = nl.add_input("op0").expect("fresh");
-    let op1 = nl.add_input("op1").expect("fresh");
-
-    // Adder chain (no carry-in).
-    let mut carry: Option<NodeId> = None;
-    let mut sum = Vec::with_capacity(n);
-    for i in 0..n {
-        let (s, c) =
-            full_adder(&mut nl, a[i], b[i], carry, &format!("alu_fa{i}")).expect("valid adder");
-        sum.push(s);
-        carry = c;
-    }
-    for i in 0..n {
-        let and = nl.add_gate(format!("alu_and{i}"), GateKind::And, &[a[i], b[i]]).expect("f");
-        let or = nl.add_gate(format!("alu_or{i}"), GateKind::Or, &[a[i], b[i]]).expect("f");
-        let xor = nl.add_gate(format!("alu_xor{i}"), GateKind::Xor, &[a[i], b[i]]).expect("f");
-        // select by op0 within each op1 half, then by op1.
-        let lo =
-            nl.add_gate(format!("alu_lo{i}"), GateKind::Mux, &[op0, and, or]).expect("fresh");
-        let hi = nl
-            .add_gate(format!("alu_hi{i}"), GateKind::Mux, &[op0, xor, sum[i]])
-            .expect("fresh");
-        let y = nl.add_gate(format!("y{i}"), GateKind::Mux, &[op1, lo, hi]).expect("fresh");
-        nl.mark_output(y).expect("distinct");
-    }
-    nl
-}
-
-/// An `n`-bit logical barrel shifter (left shift): inputs `x` (n bits) and
-/// `s` (⌈log2 n⌉ bits); outputs `y = x << s` (bits shifted past the top are
-/// dropped, zeros shift in).
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn barrel_shifter(n: usize) -> Netlist {
-    assert!(n >= 2);
-    let stages = usize::BITS as usize - (n - 1).leading_zeros() as usize;
-    let mut nl = Netlist::new(format!("bshift{n}"));
-    let x: Vec<NodeId> =
-        (0..n).map(|i| nl.add_input(format!("x{i}")).expect("fresh")).collect();
-    let s: Vec<NodeId> =
-        (0..stages).map(|i| nl.add_input(format!("s{i}")).expect("fresh")).collect();
-    let zero = nl.add_const("shift_zero", false).expect("fresh");
-
-    let mut layer = x;
-    for (stage, &sel) in s.iter().enumerate() {
-        let amount = 1usize << stage;
-        let mut next = Vec::with_capacity(n);
-        for i in 0..n {
-            let shifted = if i >= amount { layer[i - amount] } else { zero };
-            let m = nl
-                .add_gate(format!("sh{stage}_{i}"), GateKind::Mux, &[sel, layer[i], shifted])
-                .expect("fresh");
-            next.push(m);
-        }
-        layer = next;
-    }
-    for (i, &bit) in layer.iter().enumerate() {
-        let _ = i;
-        nl.mark_output(bit).expect("distinct");
-    }
-    nl
-}
-
-/// An `n`-input population counter: outputs the binary count of set input
-/// bits (⌈log2(n+1)⌉ output bits), built from a full-adder tree.
-///
-/// # Panics
-///
-/// Panics if `n` is 0.
-pub fn popcount(n: usize) -> Netlist {
-    assert!(n > 0);
-    let mut nl = Netlist::new(format!("popcount{n}"));
-    let inputs: Vec<NodeId> =
-        (0..n).map(|i| nl.add_input(format!("x{i}")).expect("fresh")).collect();
-    // Column-wise carry-save reduction: columns[w] = bits of weight 2^w.
-    let mut columns: Vec<Vec<NodeId>> = vec![inputs];
-    let mut w = 0usize;
-    let mut uid = 0usize;
-    while w < columns.len() {
-        while columns[w].len() > 1 {
-            if columns[w].len() >= 3 {
-                let a = columns[w].pop().expect("len>=3");
-                let b = columns[w].pop().expect("len>=2");
-                let c = columns[w].pop().expect("len>=1");
-                let (s, carry) =
-                    full_adder(&mut nl, a, b, Some(c), &format!("pc{uid}")).expect("valid");
-                uid += 1;
-                columns[w].push(s);
-                if columns.len() == w + 1 {
-                    columns.push(Vec::new());
-                }
-                columns[w + 1].push(carry.expect("full adder carries"));
-            } else {
-                let a = columns[w].pop().expect("len==2");
-                let b = columns[w].pop().expect("len==1");
-                let (s, carry) =
-                    full_adder(&mut nl, a, b, None, &format!("pc{uid}")).expect("valid");
-                uid += 1;
-                columns[w].push(s);
-                if columns.len() == w + 1 {
-                    columns.push(Vec::new());
-                }
-                columns[w + 1].push(carry.expect("half adder carries"));
-            }
-        }
-        w += 1;
-    }
-    for column in &columns {
-        if let Some(&bit) = column.first() {
-            nl.mark_output(bit).expect("distinct");
-        }
-    }
-    nl
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-    use polykey_netlist::{bits_of, bits_to_u64, Simulator};
-
-    #[test]
-    fn alu_matches_reference() {
-        let n = 4;
-        let nl = alu(n);
-        assert_eq!(nl.inputs().len(), 2 * n + 2);
-        assert_eq!(nl.outputs().len(), n);
-        let mut sim = Simulator::new(&nl).unwrap();
-        for a in 0..16u64 {
-            for b in 0..16u64 {
-                for op in 0..4u64 {
-                    let mut inputs = bits_of(a, n);
-                    inputs.extend(bits_of(b, n));
-                    inputs.push(op & 1 == 1);
-                    inputs.push(op >> 1 & 1 == 1);
-                    let got = bits_to_u64(&sim.eval(&inputs, &[]));
-                    let want = match op {
-                        0 => a & b,
-                        1 => a | b,
-                        2 => a ^ b,
-                        _ => (a + b) % 16,
-                    };
-                    assert_eq!(got, want, "a={a} b={b} op={op}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn barrel_shifter_matches_reference() {
-        let n = 8;
-        let nl = barrel_shifter(n);
-        assert_eq!(nl.inputs().len(), n + 3);
-        let mut sim = Simulator::new(&nl).unwrap();
-        for x in [0u64, 1, 0b1011_0110, 0xFF, 0x5A] {
-            for s in 0..8u64 {
-                let mut inputs = bits_of(x, n);
-                inputs.extend(bits_of(s, 3));
-                let got = bits_to_u64(&sim.eval(&inputs, &[]));
-                let want = (x << s) & 0xFF;
-                assert_eq!(got, want, "x={x:#x} s={s}");
-            }
-        }
-    }
-
-    #[test]
-    fn popcount_matches_reference() {
-        for n in [1usize, 3, 5, 8, 11] {
-            let nl = popcount(n);
-            let mut sim = Simulator::new(&nl).unwrap();
-            for v in 0..(1u64 << n) {
-                let bits = bits_of(v, n);
-                let got = bits_to_u64(&sim.eval(&bits, &[]));
-                assert_eq!(got, v.count_ones() as u64, "n={n} v={v:b}");
-            }
-        }
-    }
-
-    #[test]
-    fn generators_validate() {
-        for nl in [alu(6), barrel_shifter(16), popcount(12)] {
-            nl.validate().unwrap();
-        }
-    }
-}

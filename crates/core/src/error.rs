@@ -32,6 +32,13 @@ pub enum AttackError {
         /// The deepest representable split width.
         max: usize,
     },
+    /// A sub-space pin names an input position the netlist does not have.
+    InputOutOfRange {
+        /// The offending input position.
+        position: usize,
+        /// Primary inputs of the netlist.
+        inputs: usize,
+    },
     /// Recombination received an inconsistent key set.
     BadKeySet {
         /// What was wrong.
@@ -66,6 +73,12 @@ impl std::fmt::Display for AttackError {
                     f,
                     "splitting depth {requested} exceeds the engine's maximum of {max} \
                      (sub-space patterns are 64-bit prefix paths)"
+                )
+            }
+            AttackError::InputOutOfRange { position, inputs } => {
+                write!(
+                    f,
+                    "input position {position} is out of range for {inputs} primary inputs"
                 )
             }
             AttackError::BadKeySet { message } => write!(f, "bad key set: {message}"),

@@ -15,13 +15,14 @@
 //! wildly uneven in practice: the SARLock term containing the protected
 //! pattern dominates wall-clock while its siblings converge in a handful
 //! of DIPs. With a per-term budget configured
-//! ([`MultiKeyConfig::term_dip_budget`] /
-//! [`MultiKeyConfig::term_time_budget`]) the engine therefore runs
+//! ([`crate::AttackSessionBuilder::term_dip_budget`] /
+//! [`crate::AttackSessionBuilder::term_time_budget`]) the engine therefore runs
 //! *adaptively*: a term that exhausts its budget without converging is
 //! split one port deeper — re-ranking the remaining inputs on the term's
 //! own cofactored netlist — and its two children go back onto the work
 //! queue. Easy sub-spaces finish at shallow depth; hard ones are
-//! subdivided until they yield (or hit [`MultiKeyConfig::max_split_depth`]).
+//! subdivided until they yield (or hit
+//! [`crate::AttackSessionBuilder::max_split_depth`]).
 //! Terms are identified by `(pattern, width)` prefix-tree paths rather
 //! than flat grid indices.
 //!
@@ -36,18 +37,16 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use polykey_locking::Key;
 use polykey_netlist::{cofactor, cofactor_simplify, Netlist, NodeId};
 
 use crate::error::AttackError;
 use crate::oracle::{SharedOracle, TermOracle};
-use crate::sat_attack::{
-    run_sat_attack, AttackStatus, RunCtl, SatAttackConfig, SatAttackStats,
-};
-use crate::session::{AttackReport, ProgressEvent};
-use crate::split::{next_split_position, select_split_inputs, SplitStrategy};
+use crate::sat_attack::{run_sat_attack, AttackStatus, SatAttackStats, TermCtl};
+use crate::session::{AttackConfig, AttackReport, ProgressEvent};
+use crate::split::{next_split_position, select_split_inputs};
 
 /// The deepest split the engine supports: sub-space patterns are `u64`
 /// prefix paths, so any effort or resplit beyond 63 pinned ports would
@@ -67,42 +66,6 @@ fn default_workers(num_root_terms: usize, adaptive: bool, cores: usize) -> usize
     } else {
         num_root_terms.min(cores)
     }
-}
-
-/// Worker-pool and instrumentation knobs for [`run_multi_key`], supplied
-/// by the [`crate::AttackSession`].
-pub(crate) struct EngineOpts<'e> {
-    /// Worker threads for the term pool; `None` = [`default_workers`].
-    pub threads: Option<usize>,
-    /// Deadline + cancellation shared across all terms.
-    pub ctl: RunCtl<'e>,
-    /// Progress events (term started/split/finished, per-term DIPs).
-    pub progress: Option<&'e (dyn Fn(&ProgressEvent) + Sync)>,
-}
-
-/// Tuning knobs for the multi-key attack.
-#[derive(Clone, Debug)]
-pub(crate) struct MultiKeyConfig {
-    /// The splitting effort `N`: the attack starts from `2^N` root terms.
-    pub split_effort: usize,
-    /// How splitting ports are chosen — for the root grid and for every
-    /// adaptive resplit.
-    pub strategy: SplitStrategy,
-    /// Re-synthesize each cofactored netlist (Algorithm 1 line 4). Turning
-    /// this off is the `ablation_simplify` experiment.
-    pub simplify: bool,
-    /// Configuration for each per-term SAT attack.
-    pub sat: SatAttackConfig,
-    /// Per-term DIP budget: a term that spends this many DIPs without
-    /// converging is split one port deeper and re-attacked as two
-    /// children. `None` keeps the paper's static grid.
-    pub term_dip_budget: Option<u64>,
-    /// Per-term wall-clock budget with the same resplit semantics.
-    pub term_time_budget: Option<Duration>,
-    /// Deepest adaptive split depth. `None` = as deep as the input count
-    /// and [`MAX_SPLIT_WIDTH`] allow. Terms that exhaust their budget *at*
-    /// the cap keep attacking under the ordinary limits instead.
-    pub max_split_depth: Option<usize>,
 }
 
 /// One sub-space key, identified by its prefix-tree path: the first
@@ -200,8 +163,7 @@ impl Scheduler {
 pub(crate) fn run_multi_key(
     locked: &Netlist,
     oracle: &SharedOracle<'_>,
-    config: &MultiKeyConfig,
-    opts: &EngineOpts<'_>,
+    config: &AttackConfig<'_>,
 ) -> Result<AttackReport, AttackError> {
     if oracle.num_inputs() != locked.inputs().len() {
         return Err(AttackError::OracleMismatch {
@@ -224,6 +186,8 @@ pub(crate) fn run_multi_key(
         .max(n);
     let adaptive = config.term_dip_budget.is_some() || config.term_time_budget.is_some();
     let start = Instant::now();
+    let deadline = config.time_budget.map(|budget| start + budget);
+    let progress = config.on_progress.as_deref();
 
     // The global split-port order: index `j` is the port every term of
     // width > j pins with pattern bit `j`. Adaptive resplits extend it —
@@ -311,7 +275,7 @@ pub(crate) fn run_multi_key(
             } else {
                 Cow::Owned(cofactor(locked, &pins)?)
             };
-            if let Some(progress) = opts.progress {
+            if let Some(progress) = progress {
                 progress(&ProgressEvent::TermStarted {
                     pattern,
                     width: path.width,
@@ -319,32 +283,28 @@ pub(crate) fn run_multi_key(
                     gates: restricted.num_gates(),
                 });
             }
-            let positions = order_positions(&ports);
-            let forced: Vec<(usize, bool)> = positions
-                .iter()
+            let force_inputs: Vec<(usize, bool)> = order_positions(&ports)
+                .into_iter()
                 .enumerate()
-                .map(|(j, &pos)| (pos, pattern >> j & 1 == 1))
+                .map(|(j, pos)| (pos, pattern >> j & 1 == 1))
                 .collect();
-            let mut term_sat = config.sat.clone();
-            term_sat.force_inputs = forced;
-            if width < max_depth {
-                // Terms that can still be subdivided run under the resplit
-                // budgets; at the depth cap only the ordinary limits apply.
-                term_sat.dip_budget = config.term_dip_budget;
-                term_sat.time_budget = config.term_time_budget;
-            }
-            let mut term_oracle = TermOracle::new(oracle, &term_queries);
-            let on_dip = opts.progress.map(|progress| {
+            let on_dip = progress.map(|progress| {
                 move |dips: u64| {
                     progress(&ProgressEvent::Dip { pattern, width: path.width, dips })
                 }
             });
-            let term_ctl = RunCtl {
-                deadline: opts.ctl.deadline,
-                cancel: opts.ctl.cancel,
+            // Terms that can still be subdivided run under the resplit
+            // budgets; at the depth cap only the session deadline applies.
+            let resplittable = width < max_depth;
+            let term = TermCtl {
+                force_inputs,
+                dip_budget: config.term_dip_budget.filter(|_| resplittable),
+                time_budget: config.term_time_budget.filter(|_| resplittable),
+                deadline,
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
-            let outcome = run_sat_attack(&restricted, &mut term_oracle, &term_sat, &term_ctl)?;
+            let mut term_oracle = TermOracle::new(oracle, &term_queries);
+            let outcome = run_sat_attack(&restricted, &mut term_oracle, config, &term)?;
             let mut stats = outcome.stats;
             stats.wall_time = term_start.elapsed();
             let report = SubTaskReport {
@@ -356,7 +316,7 @@ pub(crate) fn run_multi_key(
                 gates_before: locked.num_gates(),
                 gates_after: restricted.num_gates(),
             };
-            if let Some(progress) = opts.progress {
+            if let Some(progress) = progress {
                 progress(&ProgressEvent::TermFinished {
                     pattern,
                     width: path.width,
@@ -367,7 +327,7 @@ pub(crate) fn run_multi_key(
             }
             if report.status == AttackStatus::BudgetExhausted && width < max_depth {
                 extend_split_order(&restricted, width)?;
-                if let Some(progress) = opts.progress {
+                if let Some(progress) = progress {
                     progress(&ProgressEvent::TermSplit {
                         pattern,
                         width: path.width,
@@ -473,7 +433,7 @@ pub(crate) fn run_multi_key(
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     // Workers beyond the root terms would idle, unless resplits add terms.
     let useful = if adaptive { num_root_terms.max(cores) } else { num_root_terms };
-    let workers = opts
+    let workers = config
         .threads
         .unwrap_or_else(|| default_workers(num_root_terms, adaptive, cores))
         .clamp(1, useful.max(1));

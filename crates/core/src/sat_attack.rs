@@ -26,91 +26,36 @@ use polykey_encode::{
 };
 use polykey_locking::Key;
 use polykey_netlist::Netlist;
-use polykey_sat::{SolveResult, Solver, SolverConfig, SolverStats};
+use polykey_sat::{SolveResult, Solver, SolverStats};
 
 use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::session::CancelToken;
+use crate::session::AttackConfig;
 
-/// Shared run control the [`crate::AttackSession`] threads through every
-/// engine call: an absolute deadline, a cancellation token, and a per-DIP
-/// progress hook.
+/// What one term's SAT attack reads beyond the session's
+/// [`AttackConfig`]: its sub-space pins, its soft budgets, the run's
+/// deadline and its progress hook.
 #[derive(Default)]
-pub(crate) struct RunCtl<'c> {
-    /// Absolute wall-clock deadline: a hard stop, reported as
-    /// [`AttackStatus::TimeLimit`].
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation, checked once per DIP-refinement
-    /// iteration (a running solver call completes first).
-    pub cancel: Option<&'c CancelToken>,
-    /// Called after each discovered DIP with the running DIP count.
-    pub on_dip: Option<&'c (dyn Fn(u64) + Sync)>,
-}
-
-impl RunCtl<'_> {
-    fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-}
-
-/// Tuning knobs for one SAT attack run.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SatAttackConfig {
-    /// Stop after this many DIPs (None = unlimited).
-    pub max_dips: Option<u64>,
-    /// Force these primary-input positions to fixed values in every DIP
-    /// (used by the multi-key attack to stay inside one sub-space).
+pub(crate) struct TermCtl<'c> {
+    /// Primary-input positions forced to fixed values in every DIP (the
+    /// multi-key attack's way of staying inside one sub-space).
     pub force_inputs: Vec<(usize, bool)>,
-    /// Solver configuration.
-    pub solver: SolverConfig,
-    /// Record every DIP pattern in the outcome.
-    pub record_dips: bool,
-    /// Encode per-DIP consistency constraints with inputs pinned as
-    /// constants, folding each copy down to the key cone (`true`, the
-    /// optimized default) — or as full circuit copies with unit clauses on
-    /// the inputs (`false`), the textbook formulation of the original SAT
-    /// attack and of the paper's tooling, whose per-iteration CNF growth is
-    /// what makes LUT-based insertion expensive in Table 2.
-    pub fold_dip_copies: bool,
     /// Soft DIP budget: stop with [`AttackStatus::BudgetExhausted`] after
-    /// this many DIPs (None = no budget). Unlike `max_dips` — a hard
-    /// user-facing cap reported as [`AttackStatus::DipLimit`] — exhausting
-    /// this budget is a *scheduling* signal: the adaptive multi-key engine
-    /// reads it as "this term is too hard at its current depth, split it
-    /// deeper". When both are set and reached together, the hard cap wins.
+    /// this many DIPs (None = no budget). Exhausting it is a *scheduling*
+    /// signal: the adaptive multi-key engine reads it as "this term is too
+    /// hard at its current depth, split it deeper".
     pub dip_budget: Option<u64>,
     /// Soft wall-clock budget for this run: expiring it reports
     /// [`AttackStatus::BudgetExhausted`] (with partial stats) instead of
     /// [`AttackStatus::TimeLimit`], which remains reserved for the hard
-    /// session deadline in [`RunCtl`]. Used by the adaptive multi-key
-    /// engine as the per-term resplit trigger.
+    /// `deadline`. Used by the adaptive multi-key engine as the per-term
+    /// resplit trigger.
     pub time_budget: Option<Duration>,
-    /// Maximum DIPs harvested per oracle round-trip (values `0` and `1`
-    /// both mean the classic one-DIP-per-round loop).
-    ///
-    /// With `dip_batch = k > 1`, each refinement epoch re-solves the miter
-    /// under blocking clauses to collect up to `k` distinct DIPs, answers
-    /// them all in a single [`Oracle::query_batch`] call, and only then
-    /// asserts the consistency constraints. Oracles backed by the packed
-    /// simulator serve up to 64 patterns per simulation pass, so `64`
-    /// matches the simulator word width. The recovered key is functionally
-    /// identical either way; the trade is more (cheap) solver calls and
-    /// possibly redundant DIPs against far fewer (expensive) oracle
-    /// round-trips — see `SatAttackStats::oracle_rounds`.
-    pub dip_batch: usize,
-}
-
-impl SatAttackConfig {
-    /// The default configuration: unlimited, recording DIPs, folding
-    /// per-DIP copies, one DIP per oracle round.
-    pub fn new() -> SatAttackConfig {
-        SatAttackConfig {
-            record_dips: true,
-            fold_dip_copies: true,
-            dip_batch: 1,
-            ..Default::default()
-        }
-    }
+    /// Absolute wall-clock deadline of the whole session run: a hard stop,
+    /// reported as [`AttackStatus::TimeLimit`].
+    pub deadline: Option<Instant>,
+    /// Called after each discovered DIP with the running DIP count.
+    pub on_dip: Option<&'c (dyn Fn(u64) + Sync)>,
 }
 
 /// How a SAT attack run ended.
@@ -118,8 +63,6 @@ impl SatAttackConfig {
 pub enum AttackStatus {
     /// The key space was exhausted and a functionally correct key returned.
     Success,
-    /// Stopped at the configured DIP limit.
-    DipLimit,
     /// Stopped at the configured time limit.
     TimeLimit,
     /// Stopped at a *soft* per-term budget
@@ -149,14 +92,9 @@ pub struct SatAttackStats {
     pub oracle_queries: u64,
     /// Oracle round-trips: a batch of DIPs answered by one
     /// [`Oracle::query_batch`] call counts once. Equals `oracle_queries`
-    /// when `dip_batch <= 1`; the gap between the two is exactly what
+    /// when `dip_batch` is 1; the gap between the two is exactly what
     /// batching saves.
     pub oracle_rounds: u64,
-    /// DIP-refinement epochs: satisfiable outer miter solves, each of which
-    /// harvested one batch of DIPs. Equals `oracle_rounds` under the
-    /// current one-round-per-epoch engine; kept separate so the telemetry
-    /// stays truthful if the pipelines ever diverge.
-    pub epochs: u64,
     /// Total wall-clock time.
     pub wall_time: Duration,
     /// Final solver counters (cumulative over all iterations).
@@ -174,7 +112,8 @@ pub(crate) struct SatAttackOutcome {
     pub status: AttackStatus,
     /// The recovered key (present on [`AttackStatus::Success`]).
     pub key: Option<Key>,
-    /// The DIPs, in discovery order (if `record_dips` was set).
+    /// The DIPs, in discovery order (if [`AttackConfig::record_dips`] was
+    /// set).
     pub dip_patterns: Vec<Vec<bool>>,
     /// Work counters.
     pub stats: SatAttackStats,
@@ -205,12 +144,12 @@ impl<'n> DipCopies<'n> {
     fn new(
         locked: &'n Netlist,
         miter: &'n Miter,
-        config: &SatAttackConfig,
+        textbook: bool,
     ) -> Result<DipCopies<'n>, AttackError> {
-        Ok(if config.fold_dip_copies {
-            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter)?))
-        } else {
+        Ok(if textbook {
             DipCopies::Full(locked, miter)
+        } else {
+            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter)?))
         })
     }
 
@@ -284,7 +223,6 @@ struct Run<'o> {
     queries_at_start: u64,
     dips: u64,
     oracle_rounds: u64,
-    epochs: u64,
     dip_patterns: Vec<Vec<bool>>,
 }
 
@@ -299,7 +237,6 @@ impl Run<'_> {
                 dips: self.dips,
                 oracle_queries: self.oracle.queries() - self.queries_at_start,
                 oracle_rounds: self.oracle_rounds,
-                epochs: self.epochs,
                 wall_time: self.start.elapsed(),
                 solver: *self.solver.stats(),
                 cnf_vars: self.solver.num_vars(),
@@ -319,14 +256,14 @@ impl Run<'_> {
         &mut self,
         copies: &mut DipCopies<'_>,
         miter: &Miter,
-        config: &SatAttackConfig,
-        ctl: &RunCtl<'_>,
+        config: &AttackConfig<'_>,
+        term: &TermCtl<'_>,
     ) -> Result<(AttackStatus, Option<Key>), AttackError> {
         // The session deadline is a hard stop (`TimeLimit`); the soft
         // per-run budget reports `BudgetExhausted`. The solver runs against
         // whichever comes first.
-        let hard_deadline = ctl.deadline;
-        let soft_deadline = config.time_budget.map(|budget| self.start + budget);
+        let hard_deadline = term.deadline;
+        let soft_deadline = term.time_budget.map(|budget| self.start + budget);
         let deadline = match (hard_deadline, soft_deadline) {
             (Some(h), Some(s)) => Some(h.min(s)),
             (h, s) => h.or(s),
@@ -344,7 +281,7 @@ impl Run<'_> {
 
         loop {
             // Cooperative cancellation, once per refinement iteration.
-            if ctl.cancelled() {
+            if config.cancelled() {
                 return Ok((AttackStatus::Cancelled, None));
             }
             // Respect the wall-clock budget across solver calls.
@@ -362,10 +299,9 @@ impl Run<'_> {
                     // needed: a spent soft budget means this term is too
                     // hard at its current depth. (Checked only here — a term
                     // that converges exactly at its budget still succeeds.)
-                    if config.dip_budget.is_some_and(|budget| self.dips >= budget) {
+                    if term.dip_budget.is_some_and(|budget| self.dips >= budget) {
                         return Ok((AttackStatus::BudgetExhausted, None));
                     }
-                    self.epochs += 1;
                     // Harvest up to `dip_batch` distinct DIPs before paying
                     // the oracle round-trip. After each harvested DIP the two
                     // constraint copies are encoded immediately and their
@@ -381,18 +317,14 @@ impl Run<'_> {
                     // the classic loop.
                     let mut batch: Vec<PendingDip> = Vec::new();
                     let mut dip = self.extract_dip(miter);
-                    // Never harvest past the DIP limit or the soft DIP budget.
-                    let remaining = [config.max_dips, config.dip_budget]
-                        .into_iter()
-                        .flatten()
-                        .map(|cap| cap.saturating_sub(self.dips))
-                        .min();
-                    let target = match remaining {
-                        Some(r) => config.dip_batch.max(1).min((r.max(1)) as usize),
-                        None => config.dip_batch.max(1),
+                    // Never harvest past the soft DIP budget (not yet spent:
+                    // checked above).
+                    let target = match term.dip_budget {
+                        Some(budget) => config.dip_batch.min((budget - self.dips) as usize),
+                        None => config.dip_batch,
                     };
                     loop {
-                        if batch.len() + 1 >= target || ctl.cancelled() {
+                        if batch.len() + 1 >= target || config.cancelled() {
                             // The epoch's last DIP needs no steering copies;
                             // it is encoded on the classic path when answered.
                             batch.push(PendingDip { dip, copies: None });
@@ -423,7 +355,7 @@ impl Run<'_> {
                     self.oracle_rounds += 1;
                     for (pending, response) in batch.iter().zip(&responses) {
                         self.dips += 1;
-                        if let Some(on_dip) = ctl.on_dip {
+                        if let Some(on_dip) = term.on_dip {
                             on_dip(self.dips);
                         }
                         if config.record_dips {
@@ -444,14 +376,11 @@ impl Run<'_> {
                             }
                         }
                     }
-                    if config.max_dips.is_some_and(|max| self.dips >= max) {
-                        return Ok((AttackStatus::DipLimit, None));
-                    }
                 }
                 SolveResult::Unsat => {
                     // No more DIPs: every remaining key is functionally
                     // correct. Key extraction must not assume the miter.
-                    if ctl.cancelled() {
+                    if config.cancelled() {
                         return Ok((AttackStatus::Cancelled, None));
                     }
                     // Only the *hard* deadline gates key extraction: the
@@ -498,8 +427,8 @@ impl Run<'_> {
 pub(crate) fn run_sat_attack(
     locked: &Netlist,
     oracle: &mut dyn Oracle,
-    config: &SatAttackConfig,
-    ctl: &RunCtl<'_>,
+    config: &AttackConfig<'_>,
+    term: &TermCtl<'_>,
 ) -> Result<SatAttackOutcome, AttackError> {
     if oracle.num_inputs() != locked.inputs().len() {
         return Err(AttackError::OracleMismatch {
@@ -517,9 +446,9 @@ pub(crate) fn run_sat_attack(
     }
     let start = Instant::now();
     let queries_at_start = oracle.queries();
-    let mut solver = Solver::with_config(config.solver);
+    let mut solver = Solver::new();
     let miter = build_miter(&mut solver, locked, locked)?;
-    for &(idx, value) in &config.force_inputs {
+    for &(idx, value) in &term.force_inputs {
         let lit = miter.inputs[idx];
         solver.add_clause(&[if value { lit } else { !lit }]);
     }
@@ -530,11 +459,10 @@ pub(crate) fn run_sat_attack(
         queries_at_start,
         dips: 0,
         oracle_rounds: 0,
-        epochs: 0,
         dip_patterns: Vec::new(),
     };
-    let mut copies = DipCopies::new(locked, &miter, config)?;
-    let (status, key) = run.refine(&mut copies, &miter, config, ctl)?;
+    let mut copies = DipCopies::new(locked, &miter, config.textbook)?;
+    let (status, key) = run.refine(&mut copies, &miter, config, term)?;
     Ok(run.finish(status, key))
 }
 
@@ -564,23 +492,23 @@ mod tests {
         Sarlock::new(3).lock(nl, &Key::from_u64(key, 3)).unwrap().netlist
     }
 
-    /// Runs the engine without a deadline, cancellation or progress hook.
+    /// Runs one unpinned, unbudgeted term without a deadline or progress
+    /// hook.
     fn attack(
         locked: &Netlist,
         oracle: &mut dyn Oracle,
-        config: &SatAttackConfig,
+        config: &AttackConfig<'_>,
     ) -> Result<SatAttackOutcome, AttackError> {
-        run_sat_attack(locked, oracle, config, &RunCtl::default())
+        run_sat_attack(locked, oracle, config, &TermCtl::default())
     }
 
-    /// Runs the engine under a session deadline that has already passed.
-    fn attack_past_deadline(
+    /// Runs one term under the session defaults.
+    fn attack_term(
         locked: &Netlist,
         oracle: &mut dyn Oracle,
-        config: &SatAttackConfig,
+        term: &TermCtl<'_>,
     ) -> SatAttackOutcome {
-        let ctl = RunCtl { deadline: Some(Instant::now()), ..RunCtl::default() };
-        run_sat_attack(locked, oracle, config, &ctl).unwrap()
+        run_sat_attack(locked, oracle, &AttackConfig::default(), term).unwrap()
     }
 
     /// Checks that a recovered key makes the locked circuit behave like the
@@ -601,7 +529,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let locked = Rll::new(4).with_seed(17).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
+        let outcome = attack(&locked.netlist, &mut oracle, &AttackConfig::default()).unwrap();
         assert_eq!(outcome.status, AttackStatus::Success);
         let key = outcome.key.expect("success ⇒ key");
         assert!(key_is_functionally_correct(&nl, &locked.netlist, &key));
@@ -615,7 +543,7 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b101);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked, &mut oracle, &SatAttackConfig::new()).unwrap();
+        let outcome = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
         assert_eq!(outcome.status, AttackStatus::Success);
         let got = outcome.key.expect("key");
         assert!(key_is_functionally_correct(&nl, &locked, &got));
@@ -632,7 +560,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let locked = AntiSat::new(2).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked.netlist, &mut oracle, &SatAttackConfig::new()).unwrap();
+        let outcome = attack(&locked.netlist, &mut oracle, &AttackConfig::default()).unwrap();
         assert_eq!(outcome.status, AttackStatus::Success);
         let key = outcome.key.expect("key");
         // The recovered key need not equal the nominal one (Anti-SAT has
@@ -649,11 +577,11 @@ mod tests {
         let locked = sarlock3(&nl, 0b101);
 
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let sequential = attack(&locked, &mut oracle, &SatAttackConfig::new()).unwrap();
+        let sequential = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
         assert_eq!(sequential.status, AttackStatus::Success);
         assert_eq!(sequential.stats.oracle_rounds, sequential.stats.dips);
 
-        let config = SatAttackConfig { dip_batch: 64, ..SatAttackConfig::new() };
+        let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
         let mut oracle = SimOracle::new(&nl).unwrap();
         let batched = attack(&locked, &mut oracle, &config).unwrap();
         assert_eq!(batched.status, AttackStatus::Success);
@@ -676,15 +604,18 @@ mod tests {
 
     #[test]
     fn batch_harvest_respects_dip_limit() {
+        // SARLock |K| = 3 needs ~7 DIPs: a 64-DIP batch would drain them
+        // all in one round, but the harvest stops at the soft budget.
         let nl = majority3();
         let locked = sarlock3(&nl, 0b110);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let config =
-            SatAttackConfig { max_dips: Some(2), dip_batch: 64, ..SatAttackConfig::new() };
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
-        assert_eq!(outcome.status, AttackStatus::DipLimit);
-        assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot max_dips");
+        let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
+        let term = TermCtl { dip_budget: Some(2), ..TermCtl::default() };
+        let outcome = run_sat_attack(&locked, &mut oracle, &config, &term).unwrap();
+        assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
+        assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot the DIP budget");
         assert_eq!(outcome.stats.oracle_rounds, 1);
+        assert!(outcome.key.is_none());
     }
 
     #[test]
@@ -692,25 +623,12 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b011);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let config =
-            SatAttackConfig { fold_dip_copies: false, dip_batch: 8, ..SatAttackConfig::new() };
+        let config = AttackConfig { textbook: true, dip_batch: 8, ..AttackConfig::default() };
         let outcome = attack(&locked, &mut oracle, &config).unwrap();
         assert_eq!(outcome.status, AttackStatus::Success);
         let got = outcome.key.expect("key");
         assert!(key_is_functionally_correct(&nl, &locked, &got));
         assert!(outcome.stats.oracle_rounds < outcome.stats.dips);
-    }
-
-    #[test]
-    fn dip_limit_stops_early() {
-        let nl = majority3();
-        let locked = sarlock3(&nl, 0b110);
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        let config = SatAttackConfig { max_dips: Some(2), ..SatAttackConfig::new() };
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
-        assert_eq!(outcome.status, AttackStatus::DipLimit);
-        assert_eq!(outcome.stats.dips, 2);
-        assert!(outcome.key.is_none());
     }
 
     #[test]
@@ -720,9 +638,8 @@ mod tests {
         // A plain oracle: the unit clauses alone keep every DIP in the
         // a=1 half-space.
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let config =
-            SatAttackConfig { force_inputs: vec![(0, true)], ..SatAttackConfig::new() };
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        let term = TermCtl { force_inputs: vec![(0, true)], ..TermCtl::default() };
+        let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::Success);
         // Every recorded DIP respects the forced bit.
         assert!(outcome.dip_patterns.iter().all(|d| d[0]));
@@ -742,7 +659,7 @@ mod tests {
     fn keyless_circuit_succeeds_trivially() {
         let nl = majority3();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&nl, &mut oracle, &SatAttackConfig::new()).unwrap();
+        let outcome = attack(&nl, &mut oracle, &AttackConfig::default()).unwrap();
         assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, 0);
         assert_eq!(outcome.key.expect("empty key").len(), 0);
@@ -760,7 +677,7 @@ mod tests {
         big.mark_output(g).unwrap();
         let mut oracle = SimOracle::new(&big).unwrap();
         assert!(matches!(
-            attack(&nl, &mut oracle, &SatAttackConfig::new()),
+            attack(&nl, &mut oracle, &AttackConfig::default()),
             Err(AttackError::OracleMismatch { what: "inputs", .. })
         ));
     }
@@ -768,12 +685,12 @@ mod tests {
     #[test]
     fn dip_budget_stops_softly_with_partial_stats() {
         // SARLock |K| = 3 needs ~7 DIPs; a soft budget of 2 must stop the
-        // run as BudgetExhausted (a resplit request), not DipLimit.
+        // run as BudgetExhausted (a resplit request) with its counters.
         let nl = majority3();
         let locked = sarlock3(&nl, 0b101);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let config = SatAttackConfig { dip_budget: Some(2), ..SatAttackConfig::new() };
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        let term = TermCtl { dip_budget: Some(2), ..TermCtl::default() };
+        let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
         assert_eq!(outcome.stats.dips, 2, "partial stats must survive");
         assert_eq!(outcome.stats.oracle_queries, 2);
@@ -787,14 +704,11 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b011);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let unbudgeted = attack(&locked, &mut oracle, &SatAttackConfig::new()).unwrap();
+        let unbudgeted = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
         assert_eq!(unbudgeted.status, AttackStatus::Success);
-        let config = SatAttackConfig {
-            dip_budget: Some(unbudgeted.stats.dips),
-            ..SatAttackConfig::new()
-        };
+        let term = TermCtl { dip_budget: Some(unbudgeted.stats.dips), ..TermCtl::default() };
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, unbudgeted.stats.dips);
     }
@@ -806,9 +720,8 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b110);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let config =
-            SatAttackConfig { time_budget: Some(Duration::ZERO), ..SatAttackConfig::new() };
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        let term = TermCtl { time_budget: Some(Duration::ZERO), ..TermCtl::default() };
+        let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
     }
 
@@ -819,9 +732,12 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b001);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let config =
-            SatAttackConfig { time_budget: Some(Duration::ZERO), ..SatAttackConfig::new() };
-        let outcome = attack_past_deadline(&locked, &mut oracle, &config);
+        let term = TermCtl {
+            time_budget: Some(Duration::ZERO),
+            deadline: Some(Instant::now()),
+            ..TermCtl::default()
+        };
+        let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::TimeLimit);
     }
 
@@ -832,8 +748,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let locked = Rll::new(4).with_seed(17).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome =
-            attack_past_deadline(&locked.netlist, &mut oracle, &SatAttackConfig::new());
+        let term = TermCtl { deadline: Some(Instant::now()), ..TermCtl::default() };
+        let outcome = attack_term(&locked.netlist, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::TimeLimit);
     }
 }

@@ -49,17 +49,17 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use polykey_locking::Key;
 use polykey_netlist::{Netlist, NodeId};
-use polykey_sat::{SolverConfig, SolverStats};
+use polykey_sat::SolverStats;
 
 use crate::error::AttackError;
-use crate::multikey::{run_multi_key, EngineOpts, MultiKeyConfig, SubKey, SubTaskReport};
+use crate::multikey::{run_multi_key, SubKey, SubTaskReport};
 use crate::oracle::{Oracle, SharedOracle};
 use crate::recombine::recombine_multikey;
-use crate::sat_attack::{AttackStatus, RunCtl, SatAttackConfig};
+use crate::sat_attack::AttackStatus;
 use crate::split::SplitStrategy;
 
 /// A cloneable cooperative-cancellation handle.
@@ -157,17 +157,16 @@ pub struct AttackStats {
     /// answered per round, so this drops well below `oracle_queries`; the
     /// two are equal for the classic one-DIP-per-round loop.
     pub oracle_rounds: u64,
-    /// DIP-refinement epochs, summed over all sub-attacks (see
-    /// [`crate::SatAttackStats::epochs`]).
-    pub epochs: u64,
     /// Full CDCL solver counters (conflicts, restarts, learnt clauses, …),
     /// summed field-wise over all sub-attacks.
     pub solver: SolverStats,
     /// End-to-end wall-clock time of the session run.
     pub wall_time: Duration,
-    /// Per-subtask wall times, in pattern order (one entry for the plain
-    /// SAT attack). Their maximum is the attack latency on a machine with
-    /// enough cores — the paper's headline metric.
+    /// Per-term wall times: the leaves in [`AttackReport::reports`] order
+    /// (by `(width, pattern)`), then the resplit terms in
+    /// [`AttackReport::resplit_reports`] order. A one-term tree has one
+    /// entry. Their maximum is the attack latency on a machine with enough
+    /// cores — the paper's headline metric.
     pub subtask_wall_times: Vec<Duration>,
 }
 
@@ -248,7 +247,6 @@ impl AttackReport {
             dips: terms().map(|s| s.dips).sum(),
             oracle_queries: terms().map(|s| s.oracle_queries).sum(),
             oracle_rounds: terms().map(|s| s.oracle_rounds).sum(),
-            epochs: terms().map(|s| s.epochs).sum(),
             solver: terms().map(|s| s.solver).sum(),
             wall_time: self.wall_time,
             subtask_wall_times: terms().map(|s| s.wall_time).collect(),
@@ -270,26 +268,115 @@ impl AttackReport {
 
 type ProgressFn<'a> = dyn Fn(&ProgressEvent) + Send + Sync + 'a;
 
+/// Every session-wide setting: what the builder edits, `build()`
+/// validates, and the engine reads — from the term scheduler down to each
+/// term's SAT attack. `Default` gives the builder's defaults.
+pub(crate) struct AttackConfig<'a> {
+    /// The splitting effort `N`: the attack starts from `2^N` root terms.
+    pub split_effort: usize,
+    /// How splitting ports are chosen, for the root grid and for every
+    /// adaptive resplit.
+    pub strategy: SplitStrategy,
+    /// Re-synthesize each cofactored netlist (Algorithm 1 line 4).
+    pub simplify: bool,
+    /// Worker threads for the term pool; `None` = one per root term, at
+    /// most one per core.
+    pub threads: Option<usize>,
+    /// Wall-clock budget for a whole run: a hard stop, reported as
+    /// [`AttackStatus::TimeLimit`].
+    pub time_budget: Option<Duration>,
+    /// Record every DIP pattern in the term reports.
+    pub record_dips: bool,
+    /// Encode each per-DIP constraint as a full circuit copy with unit
+    /// clauses on the inputs (the textbook formulation), instead of
+    /// folding the copy down to its key clauses.
+    pub textbook: bool,
+    /// DIPs harvested and answered per oracle round-trip (at least 1).
+    pub dip_batch: usize,
+    /// Per-term DIP budget: a term that spends it without converging is
+    /// split one port deeper. With [`AttackConfig::term_time_budget`],
+    /// `None` for both keeps the paper's static grid.
+    pub term_dip_budget: Option<u64>,
+    /// Per-term wall-clock budget with the same resplit semantics.
+    pub term_time_budget: Option<Duration>,
+    /// Deepest adaptive split depth; `None` = as deep as the input count
+    /// and [`crate::MAX_SPLIT_WIDTH`] allow.
+    pub max_split_depth: Option<usize>,
+    /// Progress events (term started/split/finished, per-term DIPs).
+    pub on_progress: Option<Box<ProgressFn<'a>>>,
+    /// Cooperative cancellation, checked once per DIP-refinement
+    /// iteration.
+    pub cancel: Option<CancelToken>,
+}
+
+impl Default for AttackConfig<'_> {
+    fn default() -> Self {
+        AttackConfig {
+            split_effort: 0,
+            strategy: SplitStrategy::default(),
+            simplify: true,
+            threads: None,
+            time_budget: None,
+            record_dips: true,
+            textbook: false,
+            dip_batch: 1,
+            term_dip_budget: None,
+            term_time_budget: None,
+            max_split_depth: None,
+            on_progress: None,
+            cancel: None,
+        }
+    }
+}
+
+impl AttackConfig<'_> {
+    /// True once the session's [`CancelToken`] has fired.
+    pub fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Rejects settings the engine cannot run.
+    fn validate(&self) -> Result<(), AttackError> {
+        let reject = |message: String| Err(AttackError::SessionConfig { message });
+        if self.threads == Some(0) {
+            return reject("`threads` must be at least 1".into());
+        }
+        if self.dip_batch == 0 {
+            return reject("`dip_batch` must be at least 1".into());
+        }
+        if self.term_dip_budget == Some(0) {
+            return reject("`term_dip_budget` must be at least 1".into());
+        }
+        if self.term_time_budget == Some(Duration::ZERO) {
+            // A zero budget expires before a term's first solver call:
+            // every term would split without doing any work, expanding the
+            // tree to the full grid at the depth cap.
+            return reject("`term_time_budget` must be non-zero".into());
+        }
+        if let Some(depth) = self.max_split_depth {
+            if depth > crate::MAX_SPLIT_WIDTH {
+                return reject(format!(
+                    "`max_split_depth` {depth} exceeds the engine's maximum split width {}",
+                    crate::MAX_SPLIT_WIDTH
+                ));
+            }
+            if depth < self.split_effort {
+                return reject(format!(
+                    "`max_split_depth` {depth} is shallower than `split_effort` {}",
+                    self.split_effort
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Builder for [`AttackSession`] — see that type's docs for the
 /// end-to-end example.
 #[must_use]
 pub struct AttackSessionBuilder<'a> {
     oracle: Option<&'a mut (dyn Oracle + Send)>,
-    split_effort: usize,
-    strategy: SplitStrategy,
-    simplify: bool,
-    threads: Option<usize>,
-    time_budget: Option<Duration>,
-    max_dips: Option<u64>,
-    record_dips: bool,
-    textbook: bool,
-    dip_batch: usize,
-    term_dip_budget: Option<u64>,
-    term_time_budget: Option<Duration>,
-    max_split_depth: Option<usize>,
-    solver: SolverConfig,
-    on_progress: Option<Box<ProgressFn<'a>>>,
-    cancel: Option<CancelToken>,
+    config: AttackConfig<'a>,
 }
 
 impl Default for AttackSessionBuilder<'_> {
@@ -303,24 +390,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// Starts a builder with the defaults: plain SAT attack, re-synthesis
     /// on, one thread per term up to the core count, no limits.
     pub fn new() -> AttackSessionBuilder<'a> {
-        AttackSessionBuilder {
-            oracle: None,
-            split_effort: 0,
-            strategy: SplitStrategy::default(),
-            simplify: true,
-            threads: None,
-            time_budget: None,
-            max_dips: None,
-            record_dips: true,
-            textbook: false,
-            dip_batch: 1,
-            term_dip_budget: None,
-            term_time_budget: None,
-            max_split_depth: None,
-            solver: SolverConfig::default(),
-            on_progress: None,
-            cancel: None,
-        }
+        AttackSessionBuilder { oracle: None, config: AttackConfig::default() }
     }
 
     /// Sets the attacker's black-box oracle (required). Any `Send` oracle
@@ -334,21 +404,21 @@ impl<'a> AttackSessionBuilder<'a> {
     /// sub-attacks; `0` (default) is the one-term tree, the classic SAT
     /// attack on the calling thread.
     pub fn split_effort(mut self, n: usize) -> Self {
-        self.split_effort = n;
+        self.config.split_effort = n;
         self
     }
 
     /// Sets how the `N` splitting ports are chosen (default: the paper's
     /// fan-out-cone heuristic).
     pub fn strategy(mut self, strategy: SplitStrategy) -> Self {
-        self.strategy = strategy;
+        self.config.strategy = strategy;
         self
     }
 
     /// Enables/disables per-term re-synthesis (Algorithm 1 line 4;
     /// default on).
     pub fn simplify(mut self, simplify: bool) -> Self {
-        self.simplify = simplify;
+        self.config.simplify = simplify;
         self
     }
 
@@ -356,20 +426,14 @@ impl<'a> AttackSessionBuilder<'a> {
     /// term, at most one per core (every core in adaptive mode); `1`
     /// forces sequential execution.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.config.threads = Some(threads);
         self
     }
 
     /// Sets a wall-clock budget for the whole run (shared by all terms);
     /// exhausted runs report [`AttackStatus::TimeLimit`].
     pub fn time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
-
-    /// Stops each sub-attack after this many DIPs.
-    pub fn max_dips(mut self, max_dips: u64) -> Self {
-        self.max_dips = Some(max_dips);
+        self.config.time_budget = Some(budget);
         self
     }
 
@@ -377,7 +441,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// [`SubTaskReport::dip_patterns`] (default on; turn off for
     /// benchmarking).
     pub fn record_dips(mut self, record: bool) -> Self {
-        self.record_dips = record;
+        self.config.record_dips = record;
         self
     }
 
@@ -386,7 +450,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// tooling, whose per-iteration CNF growth is what makes LUT insertion
     /// expensive in Table 2.
     pub fn textbook(mut self, textbook: bool) -> Self {
-        self.textbook = textbook;
+        self.config.textbook = textbook;
         self
     }
 
@@ -436,7 +500,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// # }
     /// ```
     pub fn dip_batch(mut self, dip_batch: usize) -> Self {
-        self.dip_batch = dip_batch;
+        self.config.dip_batch = dip_batch;
         self
     }
 
@@ -487,7 +551,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// # }
     /// ```
     pub fn term_dip_budget(mut self, budget: u64) -> Self {
-        self.term_dip_budget = Some(budget);
+        self.config.term_dip_budget = Some(budget);
         self
     }
 
@@ -496,7 +560,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// [`AttackSessionBuilder::term_dip_budget`]). Both budgets may be set
     /// together; whichever exhausts first triggers the resplit.
     pub fn term_time_budget(mut self, budget: Duration) -> Self {
-        self.term_time_budget = Some(budget);
+        self.config.term_time_budget = Some(budget);
         self
     }
 
@@ -505,13 +569,7 @@ impl<'a> AttackSessionBuilder<'a> {
     /// subdivided, so giving up early would serve nothing). Default: as
     /// deep as the input count and [`crate::MAX_SPLIT_WIDTH`] allow.
     pub fn max_split_depth(mut self, depth: usize) -> Self {
-        self.max_split_depth = Some(depth);
-        self
-    }
-
-    /// Overrides the CDCL solver configuration.
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
+        self.config.max_split_depth = Some(depth);
         self
     }
 
@@ -520,14 +578,14 @@ impl<'a> AttackSessionBuilder<'a> {
     where
         F: Fn(&ProgressEvent) + Send + Sync + 'a,
     {
-        self.on_progress = Some(Box::new(callback));
+        self.config.on_progress = Some(Box::new(callback));
         self
     }
 
     /// Installs a cancellation token; cancelled runs report
     /// [`AttackStatus::Cancelled`].
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.config.cancel = Some(token);
         self
     }
 
@@ -535,74 +593,19 @@ impl<'a> AttackSessionBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// [`AttackError::SessionConfig`] if no oracle was provided or
-    /// `threads == 0`.
+    /// [`AttackError::SessionConfig`] if no oracle was provided, or a
+    /// setting is out of range: `threads`, `dip_batch` or
+    /// `term_dip_budget` of 0, a zero `term_time_budget`, or a
+    /// `max_split_depth` beyond [`crate::MAX_SPLIT_WIDTH`] or below
+    /// `split_effort`.
     pub fn build(self) -> Result<AttackSession<'a>, AttackError> {
         let Some(oracle) = self.oracle else {
             return Err(AttackError::SessionConfig {
                 message: "an oracle is required: call `.oracle(..)` before `.build()`".into(),
             });
         };
-        if self.threads == Some(0) {
-            return Err(AttackError::SessionConfig {
-                message: "`threads` must be at least 1".into(),
-            });
-        }
-        if self.dip_batch == 0 {
-            return Err(AttackError::SessionConfig {
-                message: "`dip_batch` must be at least 1".into(),
-            });
-        }
-        if self.term_dip_budget == Some(0) {
-            return Err(AttackError::SessionConfig {
-                message: "`term_dip_budget` must be at least 1".into(),
-            });
-        }
-        if self.term_time_budget == Some(Duration::ZERO) {
-            // A zero budget expires before a term's first solver call:
-            // every term would split without doing any work, expanding the
-            // tree to the full grid at the depth cap.
-            return Err(AttackError::SessionConfig {
-                message: "`term_time_budget` must be non-zero".into(),
-            });
-        }
-        if let Some(depth) = self.max_split_depth {
-            if depth > crate::MAX_SPLIT_WIDTH {
-                return Err(AttackError::SessionConfig {
-                    message: format!(
-                        "`max_split_depth` {depth} exceeds the engine's maximum split \
-                         width {}",
-                        crate::MAX_SPLIT_WIDTH
-                    ),
-                });
-            }
-            if depth < self.split_effort {
-                return Err(AttackError::SessionConfig {
-                    message: format!(
-                        "`max_split_depth` {depth} is shallower than `split_effort` {}",
-                        self.split_effort
-                    ),
-                });
-            }
-        }
-        Ok(AttackSession {
-            oracle,
-            split_effort: self.split_effort,
-            strategy: self.strategy,
-            simplify: self.simplify,
-            threads: self.threads,
-            time_budget: self.time_budget,
-            max_dips: self.max_dips,
-            record_dips: self.record_dips,
-            textbook: self.textbook,
-            dip_batch: self.dip_batch,
-            term_dip_budget: self.term_dip_budget,
-            term_time_budget: self.term_time_budget,
-            max_split_depth: self.max_split_depth,
-            solver: self.solver,
-            on_progress: self.on_progress,
-            cancel: self.cancel,
-        })
+        self.config.validate()?;
+        Ok(AttackSession { oracle, config: self.config })
     }
 }
 
@@ -612,21 +615,7 @@ impl<'a> AttackSessionBuilder<'a> {
 #[must_use = "an attack session does nothing until `run` is called"]
 pub struct AttackSession<'a> {
     oracle: &'a mut (dyn Oracle + Send),
-    split_effort: usize,
-    strategy: SplitStrategy,
-    simplify: bool,
-    threads: Option<usize>,
-    time_budget: Option<Duration>,
-    max_dips: Option<u64>,
-    record_dips: bool,
-    textbook: bool,
-    dip_batch: usize,
-    term_dip_budget: Option<u64>,
-    term_time_budget: Option<Duration>,
-    max_split_depth: Option<usize>,
-    solver: SolverConfig,
-    on_progress: Option<Box<ProgressFn<'a>>>,
-    cancel: Option<CancelToken>,
+    config: AttackConfig<'a>,
 }
 
 impl<'a> AttackSession<'a> {
@@ -648,32 +637,7 @@ impl<'a> AttackSession<'a> {
     ///   more than 63 ports).
     /// - Structural errors from cofactoring or encoding.
     pub fn run(&mut self, locked: &Netlist) -> Result<AttackReport, AttackError> {
-        let deadline = self.time_budget.map(|budget| Instant::now() + budget);
-        let config = MultiKeyConfig {
-            split_effort: self.split_effort,
-            strategy: self.strategy,
-            simplify: self.simplify,
-            sat: SatAttackConfig {
-                max_dips: self.max_dips,
-                solver: self.solver,
-                record_dips: self.record_dips,
-                fold_dip_copies: !self.textbook,
-                dip_batch: self.dip_batch,
-                ..SatAttackConfig::new()
-            },
-            term_dip_budget: self.term_dip_budget,
-            term_time_budget: self.term_time_budget,
-            max_split_depth: self.max_split_depth,
-        };
-        let opts = EngineOpts {
-            threads: self.threads,
-            ctl: RunCtl { deadline, cancel: self.cancel.as_ref(), on_dip: None },
-            progress: self
-                .on_progress
-                .as_deref()
-                .map(|p| p as &(dyn Fn(&ProgressEvent) + Sync)),
-        };
-        run_multi_key(locked, &SharedOracle::new(self.oracle), &config, &opts)
+        run_multi_key(locked, &SharedOracle::new(self.oracle), &self.config)
     }
 }
 
@@ -681,8 +645,9 @@ impl<'a> AttackSession<'a> {
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use crate::sat_attack::run_sat_attack;
+    use crate::sat_attack::{run_sat_attack, TermCtl};
     use polykey_circuits::{generate_random, RandomCircuitSpec};
+    use polykey_encode::{check_equivalence, EquivResult};
     use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
     use polykey_netlist::GateKind;
     use rand::SeedableRng;
@@ -830,6 +795,38 @@ mod tests {
     }
 
     #[test]
+    fn batched_adaptive_run_keeps_each_term_within_its_budget() {
+        // A 64-DIP batch would drain SARLock |K| = 3 in one round; the
+        // soft budget must clamp every term's harvest to 2 DIPs, and the
+        // mixed-depth keys must still recombine to the original design.
+        let nl = majority3();
+        let locked = Sarlock::new(3).lock(&nl, &Key::from_u64(0b101, 3)).unwrap();
+        let mut oracle = SimOracle::new(&nl).unwrap();
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .term_dip_budget(2)
+            .dip_batch(64)
+            .build()
+            .unwrap()
+            .run(&locked.netlist)
+            .unwrap();
+        assert!(report.is_complete(), "statuses: {:?}", report.reports);
+        assert!(!report.resplit_reports.is_empty(), "the root term was subdivided");
+        for r in &report.resplit_reports {
+            assert_eq!(r.status, AttackStatus::BudgetExhausted);
+            assert!(
+                r.stats.dips <= 2,
+                "term {:b}/{} spent {} DIPs",
+                r.pattern,
+                r.width,
+                r.stats.dips
+            );
+        }
+        let unlocked = report.recombine(&locked.netlist).unwrap();
+        assert_eq!(check_equivalence(&nl, &unlocked).unwrap(), EquivResult::Equivalent);
+    }
+
+    #[test]
     fn single_key_run_breaks_rll() {
         let nl = majority3();
         let locked = Rll::new(4).with_seed(17).lock(&nl, &Key::from_u64(9, 4)).unwrap();
@@ -871,8 +868,8 @@ mod tests {
             let direct = run_sat_attack(
                 &locked,
                 &mut oracle,
-                &SatAttackConfig::new(),
-                &RunCtl::default(),
+                &AttackConfig::default(),
+                &TermCtl::default(),
             )
             .unwrap();
 
@@ -1032,22 +1029,6 @@ mod tests {
             .run(&locked.netlist)
             .unwrap();
         assert_eq!(report.status(), AttackStatus::TimeLimit);
-    }
-
-    #[test]
-    fn max_dips_caps_each_term() {
-        let nl = majority3();
-        let locked = Sarlock::new(3).lock(&nl, &Key::from_u64(6, 3)).unwrap();
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        let report = AttackSession::builder()
-            .oracle(&mut oracle)
-            .max_dips(2)
-            .build()
-            .unwrap()
-            .run(&locked.netlist)
-            .unwrap();
-        assert_eq!(report.status(), AttackStatus::DipLimit);
-        assert_eq!(report.stats().dips, 2);
     }
 
     #[test]

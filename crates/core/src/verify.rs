@@ -1,6 +1,6 @@
 //! Key verification: formal and simulation-based checks of recovered keys.
 
-use polykey_encode::{check_equivalence, EquivResult};
+use polykey_encode::{check_equivalence, EquivError, EquivResult, MiterError};
 use polykey_locking::Key;
 use polykey_netlist::{cofactor, pin_keys, simplify, Netlist, Simulator};
 
@@ -47,15 +47,28 @@ pub fn verify_key(
 ///
 /// # Errors
 ///
-/// Structural errors (bad indices, wrong key width, cycles).
+/// - [`AttackError::InputOutOfRange`] if a forced position is not an input
+///   position of both netlists.
+/// - Structural errors (wrong key width, interface mismatch, cycles).
 pub fn verify_key_on_subspace(
     original: &Netlist,
     locked: &Netlist,
     key: &Key,
     forced: &[(usize, bool)],
 ) -> Result<bool, AttackError> {
-    let orig_pins: Vec<_> = forced.iter().map(|&(i, v)| (original.inputs()[i], v)).collect();
-    let locked_pins: Vec<_> = forced.iter().map(|&(i, v)| (locked.inputs()[i], v)).collect();
+    let pins = |nl: &Netlist| -> Result<Vec<_>, AttackError> {
+        forced
+            .iter()
+            .map(|&(position, v)| match nl.inputs().get(position) {
+                Some(&id) => Ok((id, v)),
+                None => {
+                    Err(AttackError::InputOutOfRange { position, inputs: nl.inputs().len() })
+                }
+            })
+            .collect()
+    };
+    let orig_pins = pins(original)?;
+    let locked_pins = pins(locked)?;
     let orig_cof = cofactor(original, &orig_pins)?;
     let locked_cof = cofactor(locked, &locked_pins)?;
     let pinned = pin_keys(&locked_cof, key.bits())?;
@@ -70,7 +83,9 @@ pub fn verify_key_on_subspace(
 ///
 /// # Errors
 ///
-/// Structural errors (wrong key width, cycles).
+/// - [`AttackError::Miter`] if the two netlists differ in input count.
+/// - [`AttackError::Equiv`] if `original` has key inputs.
+/// - Structural errors (wrong key width, cycles).
 pub fn random_sim_mismatches(
     original: &Netlist,
     locked: &Netlist,
@@ -78,10 +93,23 @@ pub fn random_sim_mismatches(
     patterns: usize,
     seed: u64,
 ) -> Result<usize, AttackError> {
-    let mut orig = Simulator::new(original)?;
-    let mut lsim = Simulator::new(locked)?;
     let ni = original.inputs().len();
-    let key_bits = key.bits();
+    if locked.inputs().len() != ni {
+        return Err(AttackError::Miter(MiterError::InterfaceMismatch {
+            what: "primary inputs",
+            left: ni,
+            right: locked.inputs().len(),
+        }));
+    }
+    if !original.key_inputs().is_empty() {
+        return Err(AttackError::Equiv(EquivError::HasKeyInputs {
+            name: original.name().to_string(),
+        }));
+    }
+    let mut orig = Simulator::new(original)?;
+    // Pinning rejects a key of the wrong width, as `verify_key` does.
+    let keyed = pin_keys(locked, key.bits())?;
+    let mut lsim = Simulator::new(&keyed)?;
     let mut state = seed | 1;
     let mut next_bit = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -90,7 +118,7 @@ pub fn random_sim_mismatches(
     let mut mismatches = 0;
     for _ in 0..patterns {
         let bits: Vec<bool> = (0..ni).map(|_| next_bit()).collect();
-        if orig.eval(&bits, &[]) != lsim.eval(&bits, key_bits) {
+        if orig.eval(&bits, &[]) != lsim.eval(&bits, &[]) {
             mismatches += 1;
         }
     }
@@ -142,6 +170,53 @@ mod tests {
             !verify_key_on_subspace(&nl, &locked.netlist, &sub_key, &[(0, true)]).unwrap(),
             "and wrong on the half-space containing its error"
         );
+    }
+
+    #[test]
+    fn subspace_positions_out_of_range_are_errors() {
+        let nl = xor3();
+        let key = Key::from_u64(0b010, 3);
+        let locked = Sarlock::new(3).lock(&nl, &key).unwrap();
+        assert!(matches!(
+            verify_key_on_subspace(&nl, &locked.netlist, &key, &[(0, true), (3, false)]),
+            Err(AttackError::InputOutOfRange { position: 3, inputs: 3 })
+        ));
+        // A position the locked netlist has but the original lacks.
+        let mut narrow = Netlist::new("x2");
+        let a = narrow.add_input("a").unwrap();
+        let b = narrow.add_input("b").unwrap();
+        let y = narrow.add_gate("y", GateKind::Xor, &[a, b]).unwrap();
+        narrow.mark_output(y).unwrap();
+        assert!(matches!(
+            verify_key_on_subspace(&narrow, &locked.netlist, &key, &[(2, true)]),
+            Err(AttackError::InputOutOfRange { position: 2, inputs: 2 })
+        ));
+    }
+
+    #[test]
+    fn random_sim_rejects_mismatched_interfaces() {
+        let nl = xor3();
+        let key = Key::from_u64(0b101, 3);
+        let locked = Sarlock::new(3).lock(&nl, &key).unwrap();
+        // A key of the wrong width.
+        let short = Key::from_u64(0b1, 1);
+        assert!(matches!(
+            random_sim_mismatches(&nl, &locked.netlist, &short, 8, 1),
+            Err(AttackError::Netlist(_))
+        ));
+        // A locked netlist with another input count than the original.
+        let mut wide = xor3();
+        wide.add_input("d").unwrap();
+        let wide_locked = Sarlock::new(3).lock(&wide, &key).unwrap();
+        assert!(matches!(
+            random_sim_mismatches(&nl, &wide_locked.netlist, &key, 8, 1),
+            Err(AttackError::Miter(MiterError::InterfaceMismatch { left: 3, right: 4, .. }))
+        ));
+        // A locked design passed as the original.
+        assert!(matches!(
+            random_sim_mismatches(&locked.netlist, &locked.netlist, &key, 8, 1),
+            Err(AttackError::Equiv(EquivError::HasKeyInputs { .. }))
+        ));
     }
 
     #[test]

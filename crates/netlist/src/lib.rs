@@ -42,11 +42,9 @@ mod gate;
 mod netlist;
 mod sim;
 mod transform;
-mod verilog;
 
 pub use bench::{parse_bench, write_bench, ParseBenchError};
 pub use gate::GateKind;
 pub use netlist::{Netlist, NetlistError, Node, NodeId};
 pub use sim::{bits_of, bits_to_u64, pack_patterns, unpack_patterns, Simulator};
 pub use transform::{cofactor, cofactor_simplify, pin_keys, simplify, SimplifyStats};
-pub use verilog::write_verilog;

@@ -50,4 +50,4 @@ pub use cnf::{ClauseSink, CnfFormula};
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
 pub use elim::ElimBuffer;
 pub use lit::{LBool, Lit, Var};
-pub use solver::{SolveResult, Solver, SolverConfig, SolverStats};
+pub use solver::{SolveResult, Solver, SolverStats};

@@ -88,38 +88,20 @@ impl std::iter::Sum for SolverStats {
     }
 }
 
-/// Tunable search parameters. The defaults mirror MiniSat 2.2.
-#[derive(Copy, Clone, Debug)]
-pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities per conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities per conflict.
-    pub clause_decay: f64,
-    /// Conflicts before the first restart.
-    pub restart_first: u64,
-    /// Base of the Luby restart sequence.
-    pub restart_inc: f64,
-    /// Fraction of original clauses allowed as learnt clauses initially.
-    pub learntsize_factor: f64,
-    /// Growth factor of the learnt-clause limit after each reduction.
-    pub learntsize_inc: f64,
-    /// Use deep (recursive) conflict-clause minimization.
-    pub deep_minimization: bool,
-}
+// Search parameters: the MiniSat 2.2 defaults.
 
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_first: 100,
-            restart_inc: 2.0,
-            learntsize_factor: 1.0 / 3.0,
-            learntsize_inc: 1.1,
-            deep_minimization: true,
-        }
-    }
-}
+/// Multiplicative decay applied to variable activities per conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to clause activities per conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Conflicts before the first restart.
+const RESTART_FIRST: u64 = 100;
+/// Base of the Luby restart sequence.
+const RESTART_INC: f64 = 2.0;
+/// Fraction of original clauses allowed as learnt clauses initially.
+const LEARNTSIZE_FACTOR: f64 = 1.0 / 3.0;
+/// Growth factor of the learnt-clause limit after each reduction.
+const LEARNTSIZE_INC: f64 = 1.1;
 
 #[derive(Copy, Clone, Debug)]
 struct VarData {
@@ -154,7 +136,6 @@ struct VarData {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    config: SolverConfig,
     stats: SolverStats,
 
     db: ClauseDb,
@@ -208,15 +189,9 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with default configuration.
+    /// Creates an empty solver.
     pub fn new() -> Solver {
-        Solver::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Solver {
         Solver {
-            config,
             stats: SolverStats::default(),
             db: ClauseDb::new(),
             watches: Vec::new(),
@@ -388,15 +363,13 @@ impl Solver {
         }
 
         if self.max_learnts == 0.0 {
-            self.max_learnts =
-                (self.db.num_original() as f64 * self.config.learntsize_factor).max(1000.0);
+            self.max_learnts = (self.db.num_original() as f64 * LEARNTSIZE_FACTOR).max(1000.0);
         }
 
         let conflicts_start = self.stats.conflicts;
         let mut curr_restarts = 0u64;
         let status = loop {
-            let budget = (luby(self.config.restart_inc, curr_restarts)
-                * self.config.restart_first as f64) as u64;
+            let budget = (luby(RESTART_INC, curr_restarts) * RESTART_FIRST as f64) as u64;
             let status = self.search(budget, assumptions, conflicts_start);
             curr_restarts += 1;
             match status {
@@ -642,21 +615,19 @@ impl Solver {
         self.analyze_toclear.clear();
         self.analyze_toclear.extend(learnt.iter().map(|l| l.var()));
         let before = learnt.len();
-        if self.config.deep_minimization {
-            let mut abstract_levels = 0u32;
-            for l in &learnt[1..] {
-                abstract_levels |= self.abstract_level(l.var());
-            }
-            let mut kept = 1;
-            for i in 1..learnt.len() {
-                let l = learnt[i];
-                if self.reason(l.var()).is_none() || !self.lit_redundant(l, abstract_levels) {
-                    learnt[kept] = l;
-                    kept += 1;
-                }
-            }
-            learnt.truncate(kept);
+        let mut abstract_levels = 0u32;
+        for l in &learnt[1..] {
+            abstract_levels |= self.abstract_level(l.var());
         }
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason(l.var()).is_none() || !self.lit_redundant(l, abstract_levels) {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
         self.stats.minimized_lits += (before - learnt.len()) as u64;
 
         // Find the backtrack level: the highest level among the other lits.
@@ -773,8 +744,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     fn rescale_clause_activity(&mut self) {
@@ -949,7 +920,7 @@ impl Solver {
                 }
                 if self.db.num_learnt() as f64 >= self.max_learnts + self.trail.len() as f64 {
                     self.reduce_db();
-                    self.max_learnts *= self.config.learntsize_inc;
+                    self.max_learnts *= LEARNTSIZE_INC;
                 }
 
                 // Assumptions first, then heuristic decisions.
