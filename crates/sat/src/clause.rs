@@ -1,5 +1,4 @@
-//! Clause storage for the solver: an indexed arena with lazy deletion, and
-//! the per-literal occurrence lists over it.
+//! Clause storage for the solver: an indexed arena with lazy deletion.
 
 use crate::lit::Lit;
 
@@ -42,8 +41,6 @@ impl Clause {
 #[derive(Debug, Default)]
 pub(crate) struct ClauseDb {
     clauses: Vec<Clause>,
-    /// Per slot: the number of clauses deleted from it so far.
-    generations: Vec<u32>,
     free: Vec<u32>,
     num_original: usize,
     num_learnt: usize,
@@ -70,7 +67,6 @@ impl ClauseDb {
             ClauseRef(slot)
         } else {
             self.clauses.push(clause);
-            self.generations.push(0);
             ClauseRef((self.clauses.len() - 1) as u32)
         }
     }
@@ -87,16 +83,7 @@ impl ClauseDb {
             self.num_original -= 1;
         }
         c.lits = Vec::new();
-        let generation = &mut self.generations[cref.0 as usize];
-        *generation = generation.wrapping_add(1);
         self.free.push(cref.0);
-    }
-
-    /// The generation of `cref`'s slot: it moves on when the slot's clause
-    /// is deleted, so a handle saved with it can tell a reused slot.
-    #[inline]
-    pub(crate) fn generation(&self, cref: ClauseRef) -> u32 {
-        self.generations[cref.0 as usize]
     }
 
     #[inline]
@@ -121,112 +108,18 @@ impl ClauseDb {
         self.lits_live
     }
 
-    /// Iterates over every live clause (a full scan, for tests).
-    #[cfg(test)]
-    pub(crate) fn live(&self) -> impl Iterator<Item = &Clause> + '_ {
-        self.clauses.iter().filter(|c| !c.deleted)
-    }
-
-    /// Iterates over the handles of live learnt clauses.
-    pub(crate) fn learnt_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+    /// Iterates over the handles of live clauses, in slot order.
+    pub(crate) fn refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
         self.clauses
             .iter()
             .enumerate()
-            .filter(|(_, c)| !c.deleted && c.learnt)
+            .filter(|(_, c)| !c.deleted)
             .map(|(i, _)| ClauseRef(i as u32))
     }
-}
 
-/// The end of an occurrence list.
-const NIL: u32 = u32::MAX;
-/// The head of a list emptied for good: its literal is fixed at level 0.
-const DROPPED: u32 = u32::MAX - 1;
-
-/// One occurrence: `cref` listed under `lit` while its slot was at
-/// generation `generation`, and the next older entry of `lit`'s list.
-#[derive(Copy, Clone, Debug)]
-struct Occurrence {
-    cref: ClauseRef,
-    generation: u32,
-    lit: Lit,
-    next: u32,
-}
-
-/// Per-literal occurrence lists of clause handles, chained through one
-/// entry pool so that indexing a clause allocates nothing per literal.
-///
-/// An entry is stale once its clause's slot has moved to a later
-/// generation (the clause was deleted), or once its list was dropped.
-/// Stale entries stay in the pool until [`Occurrences::compact`] removes
-/// them in one sequential pass.
-#[derive(Debug, Default)]
-pub(crate) struct Occurrences {
-    /// Per literal code: the newest entry of the literal's list, `NIL`, or
-    /// `DROPPED`.
-    heads: Vec<u32>,
-    pool: Vec<Occurrence>,
-}
-
-impl Occurrences {
-    /// Adds the two (empty) lists of a new variable.
-    pub(crate) fn new_var(&mut self) {
-        self.heads.push(NIL);
-        self.heads.push(NIL);
-    }
-
-    /// Lists the live clause `cref` under `lit`.
-    pub(crate) fn push(&mut self, db: &ClauseDb, lit: Lit, cref: ClauseRef) {
-        let head = &mut self.heads[lit.code()];
-        debug_assert_ne!(*head, DROPPED, "{lit} is fixed; no new clause contains it");
-        let next = *head;
-        *head = u32::try_from(self.pool.len()).expect("fewer than 2^32 occurrences");
-        self.pool.push(Occurrence { cref, generation: db.generation(cref), lit, next });
-    }
-
-    /// Appends the live clauses listed under `lit` to `out` and drops the
-    /// list for good.
-    pub(crate) fn take(&mut self, db: &ClauseDb, lit: Lit, out: &mut Vec<ClauseRef>) {
-        let mut at = std::mem::replace(&mut self.heads[lit.code()], DROPPED);
-        while at < DROPPED {
-            let entry = self.pool[at as usize];
-            if db.generation(entry.cref) == entry.generation {
-                out.push(entry.cref);
-            }
-            at = entry.next;
-        }
-    }
-
-    /// Drops the list of `lit` for good.
-    pub(crate) fn drop_list(&mut self, lit: Lit) {
-        self.heads[lit.code()] = DROPPED;
-    }
-
-    /// Entries in the pool, stale ones included.
-    pub(crate) fn len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Removes every stale entry, keeping each list's order.
-    pub(crate) fn compact(&mut self, db: &ClauseDb) {
-        for head in &mut self.heads {
-            if *head != DROPPED {
-                *head = NIL;
-            }
-        }
-        let heads = &mut self.heads;
-        let mut kept = 0;
-        for at in 0..self.pool.len() {
-            let mut entry = self.pool[at];
-            let head = &mut heads[entry.lit.code()];
-            if *head == DROPPED || db.generation(entry.cref) != entry.generation {
-                continue;
-            }
-            entry.next = *head;
-            *head = kept as u32;
-            self.pool[kept] = entry;
-            kept += 1;
-        }
-        self.pool.truncate(kept);
+    /// Iterates over the handles of live learnt clauses, in slot order.
+    pub(crate) fn learnt_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+        self.refs().filter(|&cref| self.get(cref).learnt)
     }
 }
 
@@ -285,50 +178,10 @@ mod tests {
         db.delete(b);
         assert!(db.get(b).deleted && db.get(b).lits.is_empty());
         assert!(!db.get(a).deleted && !db.get(c).deleted);
+        let live: Vec<_> = db.refs().collect();
+        assert_eq!(live, vec![a, c]);
         let learnt: Vec<_> = db.learnt_refs().collect();
         assert_eq!(learnt, vec![c]);
-    }
-
-    #[test]
-    fn occurrences_skip_stale_entries() {
-        let mut db = ClauseDb::new();
-        let mut occurs = Occurrences::default();
-        for _ in 0..4 {
-            occurs.new_var();
-        }
-        let index = |db: &mut ClauseDb, occurs: &mut Occurrences, c: &[i32]| {
-            let cref = db.insert(lits(c), false, 0);
-            for &l in &db.get(cref).lits {
-                occurs.push(db, l, cref);
-            }
-            cref
-        };
-        let a = index(&mut db, &mut occurs, &[1, 2]);
-        let b = index(&mut db, &mut occurs, &[1, -3]);
-        // `b`'s slot goes to a clause without literal 1: the old entry
-        // under 1 is stale, not a listing of the new clause.
-        db.delete(b);
-        let c = index(&mut db, &mut occurs, &[2, 4]);
-        assert_eq!(c, b, "the slot is reused");
-        assert_eq!(occurs.len(), 6);
-
-        let mut out = Vec::new();
-        occurs.take(&db, lits(&[1])[0], &mut out);
-        assert_eq!(out, vec![a], "the reused slot's clause lacks 1");
-        occurs.take(&db, lits(&[2])[0], &mut out);
-        occurs.take(&db, lits(&[4])[0], &mut out);
-        assert_eq!(out, vec![a, c, a, c], "the lists of 1, then 2 and 4");
-
-        // Compaction keeps only current entries of lists still open: `a`
-        // under -2, none under the dropped lists of 1, 2 and 4, and none
-        // of the deleted `b` under -3.
-        let d = index(&mut db, &mut occurs, &[-2, -3]);
-        occurs.compact(&db);
-        assert_eq!(occurs.len(), 2);
-        out.clear();
-        occurs.take(&db, lits(&[-2])[0], &mut out);
-        occurs.take(&db, lits(&[-3])[0], &mut out);
-        assert_eq!(out, vec![d, d]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::clause::{ClauseDb, ClauseRef, Occurrences, Watcher};
+use crate::clause::{ClauseDb, ClauseRef, Watcher};
 use crate::lit::{LBool, Lit, Var};
 
 /// Work units (decisions plus propagations) between two clock reads under
@@ -23,7 +23,7 @@ pub enum SolveResult {
     Sat,
     /// The formula is unsatisfiable under the given assumptions.
     Unsat,
-    /// A resource budget (conflicts or wall clock) ran out first.
+    /// The wall-clock budget ran out first.
     Unknown,
 }
 
@@ -142,10 +142,6 @@ pub struct Solver {
     /// Watch lists indexed by literal code: clauses to inspect when the
     /// indexing literal becomes true (i.e. its negation is falsified).
     watches: Vec<Vec<Watcher>>,
-    /// Per-literal occurrence lists: the clauses containing the literal, so
-    /// `simplify` visits only the clauses a new level-0 fact satisfies.
-    /// Stale entries are pruned once they could outnumber the live ones.
-    occurs: Occurrences,
 
     assigns: Vec<LBool>,
     vardata: Vec<VarData>,
@@ -170,8 +166,7 @@ pub struct Solver {
     analyze_toclear: Vec<Var>,
     analyze_stack: Vec<Lit>,
 
-    // Budgets.
-    conflict_budget: Option<u64>,
+    // Budget.
     deadline: Option<Instant>,
     /// Work count (decisions plus propagations) at which the deadline is
     /// next compared with the clock.
@@ -195,7 +190,6 @@ impl Solver {
             stats: SolverStats::default(),
             db: ClauseDb::new(),
             watches: Vec::new(),
-            occurs: Occurrences::default(),
             assigns: Vec::new(),
             vardata: Vec::new(),
             trail: Vec::new(),
@@ -213,7 +207,6 @@ impl Solver {
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
-            conflict_budget: None,
             deadline: None,
             next_clock_poll: 0,
             budget_exhausted: false,
@@ -231,7 +224,6 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.occurs.new_var();
         self.order.grow_to(self.assigns.len());
         self.order.insert(v, &self.activity);
         v
@@ -269,13 +261,6 @@ impl Solver {
         self.ok
     }
 
-    /// Limits the next `solve` call to roughly `conflicts` conflicts.
-    /// `None` removes the limit. The budget is not consumed across calls; it
-    /// applies per call.
-    pub fn set_conflict_budget(&mut self, conflicts: Option<u64>) {
-        self.conflict_budget = conflicts;
-    }
-
     /// Limits the next `solve` call to roughly `limit` of wall-clock time
     /// (checked every few thousand decisions and propagations). `None`
     /// removes the limit.
@@ -283,7 +268,7 @@ impl Solver {
         self.deadline = limit.map(|d| Instant::now() + d);
     }
 
-    /// True if the previous `solve` stopped because a budget ran out.
+    /// True if the previous `solve` stopped because the time budget ran out.
     pub fn budget_exhausted(&self) -> bool {
         self.budget_exhausted
     }
@@ -366,11 +351,10 @@ impl Solver {
             self.max_learnts = (self.db.num_original() as f64 * LEARNTSIZE_FACTOR).max(1000.0);
         }
 
-        let conflicts_start = self.stats.conflicts;
         let mut curr_restarts = 0u64;
         let status = loop {
             let budget = (luby(RESTART_INC, curr_restarts) * RESTART_FIRST as f64) as u64;
-            let status = self.search(budget, assumptions, conflicts_start);
+            let status = self.search(budget, assumptions);
             curr_restarts += 1;
             match status {
                 Some(res) => break res,
@@ -474,12 +458,6 @@ impl Solver {
         let l1 = c.lits[1];
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
-        for &l in &c.lits {
-            // `add_clause` drops level-0 literals and learnt clauses carry
-            // none, so no clause is indexed under an already fixed literal.
-            debug_assert!(self.fixed_value(l).is_none());
-            self.occurs.push(&self.db, l, cref);
-        }
     }
 
     /// Propagates all enqueued facts. Returns a conflicting clause, if any.
@@ -815,48 +793,27 @@ impl Solver {
             }
         }
         self.stats.deleted_clauses += deleted as u64;
-        self.bound_occurrences();
-    }
-
-    /// Prunes the occurrence lists when their entries exceed twice the
-    /// literals of the live clauses, so stale entries cost amortised
-    /// constant time each and memory stays proportional to the database.
-    fn bound_occurrences(&mut self) {
-        if self.occurs.len() <= 2 * self.db.lits_live() {
-            return;
-        }
-        self.occurs.compact(&self.db);
     }
 
     /// Removes clauses satisfied at level 0. Call only at decision level 0.
     ///
-    /// Earlier passes removed every clause satisfied by the facts they saw,
-    /// so only the occurrences of facts fixed since the last pass are
-    /// visited. The satisfied clauses are removed in slot order, as a scan
-    /// of the whole database would: removal order decides watch-list order
-    /// and slot reuse, and with them the search.
+    /// One scan of the live clauses in slot order, run only when the
+    /// level-0 trail has grown since the last pass. Removal order decides
+    /// watch-list order and slot reuse, and with them the search.
     fn simplify(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok || self.trail.len() == self.simp_trail_len {
             return;
         }
-        let mut candidates = Vec::new();
-        for &l in &self.trail[self.simp_trail_len..] {
-            self.occurs.take(&self.db, l, &mut candidates);
-            // `!l` is false for good: no clause becomes satisfied through it.
-            self.occurs.drop_list(!l);
-        }
         self.simp_trail_len = self.trail.len();
-        candidates.sort_unstable_by_key(|cref| cref.0);
-        candidates.dedup();
-        // Every candidate is live and lists a literal that is now true.
-        for cref in candidates {
-            debug_assert!(self
-                .db
-                .get(cref)
-                .lits
-                .iter()
-                .any(|&l| self.lit_value(l) == LBool::True));
+        let satisfied: Vec<ClauseRef> = self
+            .db
+            .refs()
+            .filter(|&cref| {
+                self.db.get(cref).lits.iter().any(|&l| self.lit_value(l) == LBool::True)
+            })
+            .collect();
+        for cref in satisfied {
             // If this clause is the level-0 reason of its first literal,
             // the literal stays assigned forever; drop the stale reason.
             let l0 = self.db.get(cref).lits[0];
@@ -865,7 +822,6 @@ impl Solver {
             }
             self.remove_clause(cref);
         }
-        self.bound_occurrences();
     }
 
     // ------------------------------------------------------------------
@@ -874,12 +830,7 @@ impl Solver {
 
     /// Runs CDCL search until a result, a restart, or budget exhaustion.
     /// Returns `None` to request a restart.
-    fn search(
-        &mut self,
-        nof_conflicts: u64,
-        assumptions: &[Lit],
-        conflicts_start: u64,
-    ) -> Option<SolveResult> {
+    fn search(&mut self, nof_conflicts: u64, assumptions: &[Lit]) -> Option<SolveResult> {
         debug_assert!(self.ok);
         let mut conflict_c = 0u64;
         loop {
@@ -910,7 +861,7 @@ impl Solver {
                     self.cancel_until(0);
                     return None; // restart
                 }
-                if self.out_of_budget(conflicts_start) {
+                if self.out_of_budget() {
                     self.budget_exhausted = true;
                     self.cancel_until(0);
                     return None;
@@ -957,25 +908,19 @@ impl Solver {
         }
     }
 
-    fn out_of_budget(&mut self, conflicts_start: u64) -> bool {
-        if let Some(budget) = self.conflict_budget {
-            if self.stats.conflicts - conflicts_start >= budget {
-                return true;
-            }
+    fn out_of_budget(&mut self) -> bool {
+        let Some(deadline) = self.deadline else {
+            return false;
+        };
+        // A clock read costs far more than one decision, so read it on a
+        // work stride. Every pass through here makes a decision, while the
+        // conflict count can stand still for any number of passes.
+        let work = self.stats.decisions + self.stats.propagations;
+        if work < self.next_clock_poll {
+            return false;
         }
-        if let Some(deadline) = self.deadline {
-            // A clock read costs far more than one decision, so read it on a
-            // work stride. Every pass through here makes a decision, while
-            // the conflict count can stand still for any number of passes.
-            let work = self.stats.decisions + self.stats.propagations;
-            if work >= self.next_clock_poll {
-                self.next_clock_poll = work + CLOCK_POLL_STRIDE;
-                if Instant::now() >= deadline {
-                    return true;
-                }
-            }
-        }
-        false
+        self.next_clock_poll = work + CLOCK_POLL_STRIDE;
+        Instant::now() >= deadline
     }
 
     fn compute_lbd(&self, lits: &[Lit]) -> u32 {
@@ -1037,15 +982,10 @@ mod tests {
         /// Full scan: after a solve, `simplify` must have removed every
         /// clause that a level-0 fact satisfies.
         fn assert_simplified(&self) {
-            for c in self.db.live() {
+            for c in self.db.refs().map(|cref| self.db.get(cref)) {
                 let fixed_true = c.lits.iter().find(|&&l| self.fixed_value(l) == Some(true));
                 assert!(fixed_true.is_none(), "{:?} is satisfied at level 0", c.lits);
             }
-        }
-
-        /// Entries over all occurrence lists, stale ones included.
-        fn occurrence_entries(&self) -> usize {
-            self.occurs.len()
         }
     }
 
@@ -1251,18 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_budget_interrupts() {
-        // A hard instance: pigeonhole 8 into 7 with a tiny conflict budget.
-        let mut s = pigeonhole(7);
-        s.set_conflict_budget(Some(10));
-        assert_eq!(s.solve(&[]), SolveResult::Unknown);
-        assert!(s.budget_exhausted());
-        // Remove the budget and finish.
-        s.set_conflict_budget(None);
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
-    }
-
-    #[test]
     fn time_budget_interrupts() {
         // Pigeonhole 10 into 9 runs for far longer than the 20 ms budget.
         // The deadline must be noticed whatever the conflict count, and
@@ -1326,34 +1254,47 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_lists_stay_bounded() {
-        // Stale entries of deleted learnt clauses must not pile up across
-        // `reduce_db` cycles.
-        let bounded = |s: &Solver, what: &str| {
-            assert!(s.stats().deleted_clauses > 2000, "{what}: too few reduce_db cycles");
-            let entries = s.occurrence_entries();
-            let lits = s.num_clause_lits();
-            assert!(entries <= 2 * lits, "{what}: {entries} entries for {lits} literals");
+    fn simplify_keeps_the_search() {
+        // The DIP loop's solver pattern, as in the `layers` cell
+        // `incremental_units`: a base formula, then rounds that each add
+        // clauses over fresh variables and one level-0 unit satisfying some
+        // of them, then solve under an assumption. The base sits near the
+        // 3-SAT threshold, so the search also learns level-0 units over old
+        // variables and reduces its learnt clauses. `simplify` must remove
+        // the satisfied clauses in slot order: removal order decides
+        // watch-list order and slot reuse, and with them every counter.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let vars = 150u32;
+        let old = |rng: &mut rand::rngs::StdRng| {
+            Lit::new(Var::new(rng.random_range(0..vars)), rng.random_bool(0.5))
         };
-        // Each run stops after several thousand conflicts: enough for
-        // several cycles at the initial limit of 1000 learnt clauses.
-        let mut s = pigeonhole(8);
-        s.set_conflict_budget(Some(5000));
-        let _ = s.solve(&[]);
-        bounded(&s, "pigeonhole 9 into 8");
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0CC5);
-        let vars = 250u32;
         let mut s = solver_with_vars(vars as usize);
-        for _ in 0..(vars as f64 * 4.26) as usize {
-            let clause: Vec<Lit> = (0..3)
-                .map(|_| Lit::new(Var::new(rng.random_range(0..vars)), rng.random_bool(0.5)))
-                .collect();
+        for _ in 0..(vars as f64 * 4.0) as usize {
+            let clause = [old(&mut rng), old(&mut rng), old(&mut rng)];
             s.add_clause(&clause);
         }
-        s.set_conflict_budget(Some(5000));
-        let _ = s.solve(&[]);
-        bounded(&s, "random 3-SAT");
+        for _ in 0..100 {
+            let unit = s.new_var().positive();
+            for _ in 0..2 {
+                s.add_clause(&[unit, old(&mut rng), old(&mut rng)]);
+            }
+            for _ in 0..3 {
+                let fresh = Lit::new(s.new_var(), rng.random_bool(0.5));
+                s.add_clause(&[fresh, old(&mut rng), old(&mut rng)]);
+            }
+            s.add_clause(&[unit]);
+            s.solve(&[old(&mut rng)]);
+        }
+        let st = s.stats();
+        let counters = (
+            st.conflicts,
+            st.decisions,
+            st.propagations,
+            st.learnt_clauses,
+            st.deleted_clauses,
+            st.restarts,
+        );
+        assert_eq!(counters, (4613, 12628, 154167, 4599, 2315, 27));
     }
 
     #[test]
