@@ -4,7 +4,7 @@
 //! Instead of hunting for the single correct key, the attack splits the
 //! input space on chosen ports, cofactors and re-synthesizes the locked
 //! netlist for each assignment, and runs an independent SAT attack per
-//! term. Each term returns a key that unlocks its sub-space (possibly
+//! root term. Each term returns a key that unlocks its sub-space (possibly
 //! globally *incorrect*); collectively — recombined with a MUX tree, see
 //! [`crate::recombine_multikey`] — the keys restore the full design
 //! function. With `N = 0` the tree is a single term with no pins: the
@@ -18,9 +18,16 @@
 //! ([`crate::AttackSessionBuilder::term_dip_budget`] /
 //! [`crate::AttackSessionBuilder::term_time_budget`]) the engine therefore runs
 //! *adaptively*: a term that exhausts its budget without converging is
-//! split one port deeper — re-ranking the remaining inputs on the term's
-//! own cofactored netlist — and its two children go back onto the work
-//! queue. Easy sub-spaces finish at shallow depth; hard ones are
+//! split one port deeper — re-ranking the remaining inputs on the netlist
+//! its solver encodes — and its two children go back onto the work queue.
+//! The children *resume* the parent's search rather than starting over:
+//! they share its netlist and miter, the first to start takes a copy of its
+//! solver and the other the solver itself, and each adds one unit clause
+//! for its new port.
+//! No child cofactors, builds a miter, or asks the oracle a DIP its parent
+//! already paid for, and every constraint and learnt clause carries over
+//! (each constraint is an oracle fact, so the correct key satisfies them
+//! all). Easy sub-spaces finish at shallow depth; hard ones are
 //! subdivided until they yield (or hit
 //! [`crate::AttackSessionBuilder::max_split_depth`]).
 //! Terms are identified by `(pattern, width)` prefix-tree paths rather
@@ -36,7 +43,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use polykey_locking::Key;
@@ -44,7 +51,7 @@ use polykey_netlist::{cofactor, cofactor_simplify, Netlist, NodeId};
 
 use crate::error::AttackError;
 use crate::oracle::{SharedOracle, TermOracle};
-use crate::sat_attack::{run_sat_attack, AttackStatus, SatAttackStats, TermCtl};
+use crate::sat_attack::{run_sat_attack, AttackStatus, SatAttackStats, Search, TermCtl};
 use crate::session::{AttackConfig, AttackReport, ProgressEvent};
 use crate::split::{next_split_position, select_split_inputs};
 
@@ -104,54 +111,60 @@ pub struct SubTaskReport {
     pub status: AttackStatus,
     /// The term's SAT-attack counters. `stats.wall_time` is the whole
     /// term's time, cofactoring and re-synthesis included (terms overlap
-    /// when parallel). A [`AttackStatus::Failed`] term keeps only the
-    /// oracle queries it was served; its other counters died with it.
+    /// when parallel). A child that resumed its parent's search counts only
+    /// its own work, so sums over the tree count each step once. A
+    /// [`AttackStatus::Failed`] term keeps only the oracle queries it was
+    /// served; its other counters died with it.
     pub stats: SatAttackStats,
     /// The term's DIPs in discovery order (empty unless
     /// [`crate::AttackSessionBuilder::record_dips`] is on).
     pub dip_patterns: Vec<Vec<bool>>,
     /// Gates in the locked netlist before cofactoring.
     pub gates_before: usize,
-    /// Gates in the netlist this term actually attacked (0 if the term's
-    /// worker panicked before cofactoring finished).
+    /// Gates in the netlist this term's solver encodes: its own cofactored
+    /// netlist for a root term, its root ancestor's for a resumed child (0
+    /// if the term's worker panicked before cofactoring finished).
     pub gates_after: usize,
 }
 
 /// One node of the term tree awaiting an attack.
-#[derive(Copy, Clone, Debug)]
-struct TermPath {
+struct TermPath<'n> {
     pattern: u64,
     width: u8,
+    /// The search of the exhausted parent this child resumes, shared with
+    /// its sibling until one of them starts (`None` for a root term, which
+    /// starts its own).
+    parent: Option<Arc<Search<'n>>>,
 }
 
 /// What attacking one term produced.
-enum TermOutput {
+enum TermOutput<'n> {
     /// The term is a leaf of the final tree (succeeded, failed, or gave up
     /// at a limit).
     Leaf(SubTaskReport, Option<SubKey>),
     /// The term exhausted its budget and was subdivided into two children.
-    Split(SubTaskReport, [TermPath; 2]),
+    Split(SubTaskReport, [TermPath<'n>; 2]),
 }
 
 /// Shared scheduler state: the work queue plus everything the workers
 /// produce. A single mutex keeps completion bookkeeping atomic with queue
 /// updates, which is what makes the "queue empty and nothing in flight"
 /// exit condition race-free.
-struct SchedState {
-    queue: VecDeque<TermPath>,
+struct SchedState<'n> {
+    queue: VecDeque<TermPath<'n>>,
     in_flight: usize,
     results: Vec<(SubTaskReport, Option<SubKey>)>,
     resplits: Vec<SubTaskReport>,
     error: Option<AttackError>,
 }
 
-struct Scheduler {
-    state: Mutex<SchedState>,
+struct Scheduler<'n> {
+    state: Mutex<SchedState<'n>>,
     cv: Condvar,
 }
 
-impl Scheduler {
-    fn lock(&self) -> MutexGuard<'_, SchedState> {
+impl<'n> Scheduler<'n> {
+    fn lock(&self) -> MutexGuard<'_, SchedState<'n>> {
         // A worker panic between lock and unlock would poison the state;
         // the bookkeeping is plain data, so recover rather than cascade.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -160,8 +173,8 @@ impl Scheduler {
 
 /// Algorithm 1 over an arbitrary shared oracle — the engine behind every
 /// [`crate::AttackSession`] run.
-pub(crate) fn run_multi_key(
-    locked: &Netlist,
+pub(crate) fn run_multi_key<'n>(
+    locked: &'n Netlist,
     oracle: &SharedOracle<'_>,
     config: &AttackConfig<'_>,
 ) -> Result<AttackReport, AttackError> {
@@ -192,7 +205,8 @@ pub(crate) fn run_multi_key(
     // The global split-port order: index `j` is the port every term of
     // width > j pins with pattern bit `j`. Adaptive resplits extend it —
     // the first term to need depth `j + 1` ranks the remaining inputs on
-    // its own cofactored netlist and appends the winner; siblings reuse it.
+    // the netlist its solver encodes and appends the winner; siblings
+    // reuse it.
     let split_order: Mutex<Vec<NodeId>> =
         Mutex::new(select_split_inputs(locked, n, config.strategy)?);
     let order_positions = |order: &[NodeId]| -> Vec<usize> {
@@ -213,11 +227,12 @@ pub(crate) fn run_multi_key(
     let spawned = AtomicUsize::new(num_root_terms);
 
     // Extends the split order to cover depth `width + 1`, choosing the new
-    // port by re-ranking the subdividing term's cofactored netlist. The
-    // O(inputs × netlist) ranking runs *outside* the lock — other workers
-    // only need the mutex for a cheap prefix copy at term start, and must
-    // not stall behind cone analysis. First writer wins; a racing sibling
-    // discards its ranking.
+    // port by re-ranking the netlist the subdividing term's solver encodes
+    // (its root ancestor's cofactored netlist: children resume their
+    // parent's search instead of cofactoring again). The ranking runs
+    // *outside* the lock — other workers only need the mutex for a cheap
+    // prefix copy at term start, and must not stall behind cone analysis.
+    // First writer wins; a racing sibling discards its ranking.
     let extend_split_order = |restricted: &Netlist, width: usize| -> Result<(), AttackError> {
         let used = {
             let order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
@@ -245,10 +260,10 @@ pub(crate) fn run_multi_key(
         }
     };
 
-    let run_term = |path: TermPath| -> Result<TermOutput, AttackError> {
+    let run_term = |path: TermPath<'n>| -> Result<TermOutput<'n>, AttackError> {
         let term_start = Instant::now();
-        let width = path.width as usize;
-        let pattern = path.pattern;
+        let TermPath { pattern, width: path_width, parent } = path;
+        let width = path_width as usize;
         // Served-query count lives *outside* the panic boundary, so a term
         // whose oracle crashes mid-run still reports the queries it spent.
         let term_queries = AtomicU64::new(0);
@@ -259,30 +274,53 @@ pub(crate) fn run_multi_key(
         // accounting). The shared-oracle mutex recovers from the resulting
         // poison (see `SharedOracle::lock`); the term's local state is
         // simply discarded.
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<TermOutput, AttackError> {
+        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, AttackError> {
             let ports: Vec<NodeId> = {
                 let order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
                 order[..width].to_vec()
             };
-            let pins: Vec<(NodeId, bool)> =
-                ports.iter().enumerate().map(|(j, &id)| (id, pattern >> j & 1 == 1)).collect();
-            // Algorithm 1 line 4 re-synthesizes *cofactored* netlists; a
-            // term with no pins attacks `locked` as given.
-            let restricted = if pins.is_empty() {
-                Cow::Borrowed(locked)
-            } else if config.simplify {
-                Cow::Owned(cofactor_simplify(locked, &pins)?.0)
-            } else {
-                Cow::Owned(cofactor(locked, &pins)?)
+            // Emitted before the miter is built, so the span from here to
+            // `TermFinished` covers the term's whole search.
+            let started = |gates: usize| {
+                if let Some(progress) = progress {
+                    progress(&ProgressEvent::TermStarted {
+                        pattern,
+                        width: path_width,
+                        terms: spawned.load(Ordering::Relaxed),
+                        gates,
+                    });
+                }
             };
-            if let Some(progress) = progress {
-                progress(&ProgressEvent::TermStarted {
-                    pattern,
-                    width: path.width,
-                    terms: spawned.load(Ordering::Relaxed),
-                    gates: restricted.num_gates(),
-                });
-            }
+            // A child resumes its parent's search, which already holds
+            // every pin but the newest (adding one again is a no-op): the
+            // first sibling to start copies it, the second takes it. A root
+            // term starts a search on the locked netlist cofactored on its
+            // pins and re-synthesized (Algorithm 1 line 4); a term with no
+            // pins attacks `locked` as given.
+            let search = match parent {
+                Some(shared) => {
+                    let search = Arc::try_unwrap(shared).unwrap_or_else(|s| (*s).clone());
+                    started(search.encoded.netlist.num_gates());
+                    search
+                }
+                None => {
+                    let pins: Vec<(NodeId, bool)> = ports
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &id)| (id, pattern >> j & 1 == 1))
+                        .collect();
+                    let restricted = if pins.is_empty() {
+                        Cow::Borrowed(locked)
+                    } else if config.simplify {
+                        Cow::Owned(cofactor_simplify(locked, &pins)?.0)
+                    } else {
+                        Cow::Owned(cofactor(locked, &pins)?)
+                    };
+                    started(restricted.num_gates());
+                    Search::new(restricted)?
+                }
+            };
+            let encoded = Arc::clone(&search.encoded);
             let force_inputs: Vec<(usize, bool)> = order_positions(&ports)
                 .into_iter()
                 .enumerate()
@@ -290,7 +328,7 @@ pub(crate) fn run_multi_key(
                 .collect();
             let on_dip = progress.map(|progress| {
                 move |dips: u64| {
-                    progress(&ProgressEvent::Dip { pattern, width: path.width, dips })
+                    progress(&ProgressEvent::Dip { pattern, width: path_width, dips })
                 }
             });
             // Terms that can still be subdivided run under the resplit
@@ -304,43 +342,55 @@ pub(crate) fn run_multi_key(
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
             let mut term_oracle = TermOracle::new(oracle, &term_queries);
-            let outcome = run_sat_attack(&restricted, &mut term_oracle, config, &term)?;
+            let outcome = run_sat_attack(search, &mut term_oracle, config, &term)?;
             let mut stats = outcome.stats;
             stats.wall_time = term_start.elapsed();
             let report = SubTaskReport {
                 pattern,
-                width: path.width,
+                width: path_width,
                 status: outcome.status,
                 stats,
                 dip_patterns: outcome.dip_patterns,
                 gates_before: locked.num_gates(),
-                gates_after: restricted.num_gates(),
+                gates_after: encoded.netlist.num_gates(),
             };
             if let Some(progress) = progress {
                 progress(&ProgressEvent::TermFinished {
                     pattern,
-                    width: path.width,
+                    width: path_width,
                     status: report.status,
                     dips: report.stats.dips,
                     wall_time: report.stats.wall_time,
                 });
             }
-            if report.status == AttackStatus::BudgetExhausted && width < max_depth {
-                extend_split_order(&restricted, width)?;
+            if let Some(search) = outcome.search.filter(|_| width < max_depth) {
+                extend_split_order(&encoded.netlist, width)?;
                 if let Some(progress) = progress {
                     progress(&ProgressEvent::TermSplit {
                         pattern,
-                        width: path.width,
+                        width: path_width,
                         dips: report.stats.dips,
                     });
                 }
+                // Both children resume this search. The copy is taken only
+                // when the first of them starts, so a queued pair holds one
+                // solver, not two.
+                let search = Arc::new(search);
                 let children = [
-                    TermPath { pattern, width: path.width + 1 },
-                    TermPath { pattern: pattern | 1u64 << width, width: path.width + 1 },
+                    TermPath {
+                        pattern,
+                        width: path_width + 1,
+                        parent: Some(Arc::clone(&search)),
+                    },
+                    TermPath {
+                        pattern: pattern | 1u64 << width,
+                        width: path_width + 1,
+                        parent: Some(search),
+                    },
                 ];
                 return Ok(TermOutput::Split(report, children));
             }
-            let key = outcome.key.map(|key| SubKey { pattern, width: path.width, key });
+            let key = outcome.key.map(|key| SubKey { pattern, width: path_width, key });
             Ok(TermOutput::Leaf(report, key))
         }));
         match attempt {
@@ -351,7 +401,7 @@ pub(crate) fn run_multi_key(
             Err(_panic) => Ok(TermOutput::Leaf(
                 SubTaskReport {
                     pattern,
-                    width: path.width,
+                    width: path_width,
                     status: AttackStatus::Failed,
                     stats: SatAttackStats {
                         oracle_queries: term_queries.load(Ordering::Relaxed),
@@ -373,7 +423,7 @@ pub(crate) fn run_multi_key(
     let sched = Scheduler {
         state: Mutex::new(SchedState {
             queue: (0..num_root_terms as u64)
-                .map(|pattern| TermPath { pattern, width: n as u8 })
+                .map(|pattern| TermPath { pattern, width: n as u8, parent: None })
                 .collect(),
             in_flight: 0,
             results: Vec::new(),
@@ -730,6 +780,104 @@ mod tests {
             }
             assert_eq!(oracle.queries(), report.stats().oracle_queries, "N={n}");
         }
+    }
+
+    /// SARLock |K| = 8 on the c432 stand-in, and the design it locks.
+    fn sarlock_c432() -> (Netlist, Netlist) {
+        let nl = polykey_circuits::Iscas85::C432.build();
+        let locked = Sarlock::new(8).lock(&nl, &Key::from_u64(0x5A, 8)).unwrap().netlist;
+        (nl, locked)
+    }
+
+    #[test]
+    fn resumed_terms_count_each_solve_once() {
+        // With one DIP per round, a term solves once per DIP, once more to
+        // find the miter unsatisfiable or its budget spent, and once to
+        // extract its key. A child that also counted its parent's solver
+        // work would break the equation.
+        let (nl, locked) = sarlock_c432();
+        let mut oracle = SimOracle::new(&nl).unwrap();
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .threads(1)
+            .dip_batch(1)
+            .term_dip_budget(32)
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        assert!(report.is_complete());
+        assert!(report.max_depth() > 1, "the tree must resume children of children");
+        for r in report.reports.iter().chain(&report.resplit_reports) {
+            let extraction = u64::from(r.status == AttackStatus::Success);
+            assert_eq!(
+                r.stats.solver.solves,
+                r.stats.dips + 1 + extraction,
+                "term {:b}/{}",
+                r.pattern,
+                r.width
+            );
+        }
+        // No DIP is asked twice: the tree pays what one key pays.
+        assert_eq!(report.stats().oracle_queries, 255);
+    }
+
+    /// Answers like `inner`, but its first round-trip takes `first_delay`.
+    struct SlowFirstRound<'a> {
+        inner: SimOracle<'a>,
+        first_delay: Option<std::time::Duration>,
+    }
+
+    impl Oracle for SlowFirstRound<'_> {
+        fn num_inputs(&self) -> usize {
+            self.inner.num_inputs()
+        }
+
+        fn num_outputs(&self) -> usize {
+            self.inner.num_outputs()
+        }
+
+        fn query(&mut self, input: &[bool]) -> Vec<bool> {
+            self.query_batch(&[input.to_vec()]).pop().unwrap()
+        }
+
+        fn query_batch(&mut self, inputs: &[Vec<bool>]) -> Vec<Vec<bool>> {
+            if let Some(delay) = self.first_delay.take() {
+                std::thread::sleep(delay);
+            }
+            self.inner.query_batch(inputs)
+        }
+
+        fn queries(&self) -> u64 {
+            self.inner.queries()
+        }
+    }
+
+    #[test]
+    fn depth_capped_children_of_a_timed_out_term_complete() {
+        // Regression: a resumed child inherits its parent's solver, whose
+        // soft deadline has passed. At the depth cap a child runs without
+        // a budget, and it used to stop at once with `TimeLimit` and 0 DIPs.
+        // The root's first oracle round outlasts its time budget, so the
+        // root stops with its solver's clock set and expired, however fast
+        // the host.
+        let (nl, locked) = sarlock_c432();
+        let budget = std::time::Duration::from_millis(50);
+        let mut oracle = SlowFirstRound {
+            inner: SimOracle::new(&nl).unwrap(),
+            first_delay: Some(2 * budget),
+        };
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .threads(1)
+            .term_time_budget(budget)
+            .max_split_depth(1)
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        assert!(report.is_complete(), "statuses: {:?}", report.status());
+        assert_eq!(report.max_depth(), 1, "the root term must have run out of time");
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //!
 //! The solver is used *incrementally*: learnt clauses carry over between
 //! iterations, and the miter is kept behind an assumption literal so the
-//! final key-extraction solve can ignore it.
+//! final key-extraction solve can ignore it. A run stopped by a soft
+//! budget hands its [`Search`] back, and another run can resume it with
+//! more input pins (the adaptive term tree's children do).
 
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
@@ -38,7 +42,8 @@ use crate::session::AttackConfig;
 #[derive(Default)]
 pub(crate) struct TermCtl<'c> {
     /// Primary-input positions forced to fixed values in every DIP (the
-    /// multi-key attack's way of staying inside one sub-space).
+    /// multi-key attack's way of staying inside one sub-space), added as
+    /// unit clauses on the miter inputs before the first solve.
     pub force_inputs: Vec<(usize, bool)>,
     /// Soft DIP budget: stop with [`AttackStatus::BudgetExhausted`] after
     /// this many DIPs (None = no budget). Exhausting it is a *scheduling*
@@ -97,7 +102,9 @@ pub struct SatAttackStats {
     pub oracle_rounds: u64,
     /// Total wall-clock time.
     pub wall_time: Duration,
-    /// Final solver counters (cumulative over all iterations).
+    /// Solver counters of this run, cumulative over its iterations. A run
+    /// that resumed an exhausted parent's search counts from the resume
+    /// point, so sums over a term tree count each search step once.
     pub solver: SolverStats,
     /// CNF variables at the end of the attack.
     pub cnf_vars: usize,
@@ -105,9 +112,43 @@ pub struct SatAttackStats {
     pub cnf_clauses: usize,
 }
 
+/// A netlist and its miter with itself: what one search's solver
+/// encodes. The children of an exhausted term share it.
+pub(crate) struct Encoded<'n> {
+    pub netlist: Cow<'n, Netlist>,
+    pub miter: Miter,
+}
+
+/// The state of one oracle-guided search: the incremental solver, with
+/// every constraint and learnt clause so far, over its [`Encoded`] miter.
+///
+/// Every constraint in the solver is a fact the oracle confirmed, so the
+/// correct key satisfies all of them: a search resumed with more input
+/// pins stays sound, and its learnt clauses stay implied because its
+/// clause set only grows.
+#[derive(Clone)]
+pub(crate) struct Search<'n> {
+    pub encoded: Arc<Encoded<'n>>,
+    pub solver: Solver,
+}
+
+impl<'n> Search<'n> {
+    /// Starts a search on `netlist`: its miter with itself in a new
+    /// solver.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::Miter`] for structural failures (e.g. cyclic
+    /// netlists).
+    pub fn new(netlist: Cow<'n, Netlist>) -> Result<Search<'n>, AttackError> {
+        let mut solver = Solver::new();
+        let miter = build_miter(&mut solver, &netlist, &netlist)?;
+        Ok(Search { encoded: Arc::new(Encoded { netlist, miter }), solver })
+    }
+}
+
 /// The result of a SAT attack run.
-#[derive(Clone, Debug)]
-pub(crate) struct SatAttackOutcome {
+pub(crate) struct SatAttackOutcome<'n> {
     /// Terminal status.
     pub status: AttackStatus,
     /// The recovered key (present on [`AttackStatus::Success`]).
@@ -117,6 +158,9 @@ pub(crate) struct SatAttackOutcome {
     pub dip_patterns: Vec<Vec<bool>>,
     /// Work counters.
     pub stats: SatAttackStats,
+    /// The search, handed back on [`AttackStatus::BudgetExhausted`] so the
+    /// term's children can resume it.
+    pub search: Option<Search<'n>>,
 }
 
 /// A DIP harvested in the current epoch but not yet answered by the
@@ -221,28 +265,52 @@ struct Run<'o> {
     oracle: &'o mut dyn Oracle,
     start: Instant,
     queries_at_start: u64,
+    solver_at_start: SolverStats,
     dips: u64,
     oracle_rounds: u64,
     dip_patterns: Vec<Vec<bool>>,
 }
 
 impl Run<'_> {
-    /// Closes the run with its terminal status and key.
-    fn finish(self, status: AttackStatus, key: Option<Key>) -> SatAttackOutcome {
-        SatAttackOutcome {
-            status,
-            key,
-            dip_patterns: self.dip_patterns,
-            stats: SatAttackStats {
-                dips: self.dips,
-                oracle_queries: self.oracle.queries() - self.queries_at_start,
-                oracle_rounds: self.oracle_rounds,
-                wall_time: self.start.elapsed(),
-                solver: *self.solver.stats(),
-                cnf_vars: self.solver.num_vars(),
-                cnf_clauses: self.solver.num_clauses(),
-            },
-        }
+    /// Closes the run with its terminal status and key, handing the search
+    /// back when a soft budget stopped it.
+    fn finish<'n>(
+        self,
+        status: AttackStatus,
+        key: Option<Key>,
+        encoded: Arc<Encoded<'n>>,
+    ) -> SatAttackOutcome<'n> {
+        let stats = SatAttackStats {
+            dips: self.dips,
+            oracle_queries: self.oracle.queries() - self.queries_at_start,
+            oracle_rounds: self.oracle_rounds,
+            wall_time: self.start.elapsed(),
+            solver: *self.solver.stats() - self.solver_at_start,
+            cnf_vars: self.solver.num_vars(),
+            cnf_clauses: self.solver.num_clauses(),
+        };
+        let search = (status == AttackStatus::BudgetExhausted)
+            .then_some(Search { encoded, solver: self.solver });
+        SatAttackOutcome { status, key, dip_patterns: self.dip_patterns, stats, search }
+    }
+
+    /// Points the solver's clock at `deadline` for its next call (or
+    /// clears it), so a resumed solver never runs against its parent's
+    /// expired deadline. Returns false, leaving the clock as it was, once
+    /// `deadline` has passed.
+    fn set_clock(&mut self, deadline: Option<Instant>) -> bool {
+        let budget = match deadline {
+            None => None,
+            Some(dl) => {
+                let now = Instant::now();
+                if now >= dl {
+                    return false;
+                }
+                Some(dl - now)
+            }
+        };
+        self.solver.set_time_budget(budget);
+        true
     }
 
     /// Reads the current model's primary-input assignment — one DIP.
@@ -285,12 +353,8 @@ impl Run<'_> {
                 return Ok((AttackStatus::Cancelled, None));
             }
             // Respect the wall-clock budget across solver calls.
-            if let Some(dl) = deadline {
-                let now = Instant::now();
-                if now >= dl {
-                    return Ok((expiry_status(now), None));
-                }
-                self.solver.set_time_budget(Some(dl - now));
+            if !self.set_clock(deadline) {
+                return Ok((expiry_status(Instant::now()), None));
             }
             match self.solver.solve(&[miter.diff]) {
                 SolveResult::Unknown => return Ok((expiry_status(Instant::now()), None)),
@@ -332,12 +396,8 @@ impl Run<'_> {
                         }
                         let outputs = copies.add_pending(&mut self.solver, &dip)?;
                         batch.push(PendingDip { dip, copies: Some(outputs) });
-                        if let Some(dl) = deadline {
-                            let now = Instant::now();
-                            if now >= dl {
-                                break;
-                            }
-                            self.solver.set_time_budget(Some(dl - now));
+                        if !self.set_clock(deadline) {
+                            break;
                         }
                         match self.solver.solve(&[miter.diff]) {
                             SolveResult::Sat => dip = self.extract_dip(miter),
@@ -387,15 +447,8 @@ impl Run<'_> {
                     // search has converged, so a soft budget expiring here
                     // must not discard the (one cheap solve away) key and
                     // force a pointless resplit.
-                    if let Some(dl) = hard_deadline {
-                        let now = Instant::now();
-                        if now >= dl {
-                            return Ok((AttackStatus::TimeLimit, None));
-                        }
-                        self.solver.set_time_budget(Some(dl - now));
-                    } else {
-                        // Clear any stale soft-budget allowance from the loop.
-                        self.solver.set_time_budget(None);
+                    if !self.set_clock(hard_deadline) {
+                        return Ok((AttackStatus::TimeLimit, None));
                     }
                     return Ok(match self.solver.solve(&[]) {
                         SolveResult::Sat => {
@@ -415,21 +468,24 @@ impl Run<'_> {
     }
 }
 
-/// The DIP-refinement engine: runs the oracle-guided SAT attack against
-/// `locked`. Every [`crate::AttackSession`] term runs through here.
+/// The DIP-refinement engine: runs the oracle-guided SAT attack, starting
+/// from or resuming `search`, after pinning `term.force_inputs`. Every
+/// [`crate::AttackSession`] term runs through here.
 ///
 /// # Errors
 ///
 /// - [`AttackError::OracleMismatch`] if the oracle's port counts disagree
-///   with the locked netlist.
-/// - [`AttackError::Miter`] / [`AttackError::Encode`] for structural
-///   failures (e.g. cyclic netlists).
-pub(crate) fn run_sat_attack(
-    locked: &Netlist,
+///   with the searched netlist.
+/// - [`AttackError::Encode`] for structural failures (e.g. cyclic
+///   netlists).
+pub(crate) fn run_sat_attack<'n>(
+    search: Search<'n>,
     oracle: &mut dyn Oracle,
     config: &AttackConfig<'_>,
     term: &TermCtl<'_>,
-) -> Result<SatAttackOutcome, AttackError> {
+) -> Result<SatAttackOutcome<'n>, AttackError> {
+    let Search { encoded, mut solver } = search;
+    let (locked, miter) = (&*encoded.netlist, &encoded.miter);
     if oracle.num_inputs() != locked.inputs().len() {
         return Err(AttackError::OracleMismatch {
             what: "inputs",
@@ -446,8 +502,7 @@ pub(crate) fn run_sat_attack(
     }
     let start = Instant::now();
     let queries_at_start = oracle.queries();
-    let mut solver = Solver::new();
-    let miter = build_miter(&mut solver, locked, locked)?;
+    let solver_at_start = *solver.stats();
     for &(idx, value) in &term.force_inputs {
         let lit = miter.inputs[idx];
         solver.add_clause(&[if value { lit } else { !lit }]);
@@ -457,13 +512,16 @@ pub(crate) fn run_sat_attack(
         oracle,
         start,
         queries_at_start,
+        solver_at_start,
         dips: 0,
         oracle_rounds: 0,
         dip_patterns: Vec::new(),
     };
-    let mut copies = DipCopies::new(locked, &miter, config.textbook)?;
-    let (status, key) = run.refine(&mut copies, &miter, config, term)?;
-    Ok(run.finish(status, key))
+    let (status, key) = {
+        let mut copies = DipCopies::new(locked, miter, config.textbook)?;
+        run.refine(&mut copies, miter, config, term)?
+    };
+    Ok(run.finish(status, key, encoded))
 }
 
 #[cfg(test)]
@@ -492,23 +550,28 @@ mod tests {
         Sarlock::new(3).lock(nl, &Key::from_u64(key, 3)).unwrap().netlist
     }
 
+    /// A new search on `locked`.
+    fn start(locked: &Netlist) -> Search<'_> {
+        Search::new(Cow::Borrowed(locked)).unwrap()
+    }
+
     /// Runs one unpinned, unbudgeted term without a deadline or progress
     /// hook.
-    fn attack(
-        locked: &Netlist,
+    fn attack<'n>(
+        locked: &'n Netlist,
         oracle: &mut dyn Oracle,
         config: &AttackConfig<'_>,
-    ) -> Result<SatAttackOutcome, AttackError> {
-        run_sat_attack(locked, oracle, config, &TermCtl::default())
+    ) -> Result<SatAttackOutcome<'n>, AttackError> {
+        run_sat_attack(start(locked), oracle, config, &TermCtl::default())
     }
 
     /// Runs one term under the session defaults.
-    fn attack_term(
-        locked: &Netlist,
+    fn attack_term<'n>(
+        locked: &'n Netlist,
         oracle: &mut dyn Oracle,
         term: &TermCtl<'_>,
-    ) -> SatAttackOutcome {
-        run_sat_attack(locked, oracle, &AttackConfig::default(), term).unwrap()
+    ) -> SatAttackOutcome<'n> {
+        run_sat_attack(start(locked), oracle, &AttackConfig::default(), term).unwrap()
     }
 
     /// Checks that a recovered key makes the locked circuit behave like the
@@ -611,7 +674,7 @@ mod tests {
         let mut oracle = SimOracle::new(&nl).unwrap();
         let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
         let term = TermCtl { dip_budget: Some(2), ..TermCtl::default() };
-        let outcome = run_sat_attack(&locked, &mut oracle, &config, &term).unwrap();
+        let outcome = run_sat_attack(start(&locked), &mut oracle, &config, &term).unwrap();
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
         assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot the DIP budget");
         assert_eq!(outcome.stats.oracle_rounds, 1);
@@ -695,6 +758,23 @@ mod tests {
         assert_eq!(outcome.stats.dips, 2, "partial stats must survive");
         assert_eq!(outcome.stats.oracle_queries, 2);
         assert!(outcome.key.is_none());
+    }
+
+    #[test]
+    fn resumed_solver_runs_against_its_own_clock() {
+        // A solver handed over from an exhausted run keeps the run's expired
+        // soft deadline; a resumed run without a budget must clear it
+        // rather than stop at once with `TimeLimit`.
+        let nl = majority3();
+        let locked = sarlock3(&nl, 0b010);
+        let mut search = start(&locked);
+        search.solver.set_time_budget(Some(Duration::ZERO));
+        let mut oracle = SimOracle::new(&nl).unwrap();
+        let outcome =
+            run_sat_attack(search, &mut oracle, &AttackConfig::default(), &TermCtl::default())
+                .unwrap();
+        assert_eq!(outcome.status, AttackStatus::Success);
+        assert!(outcome.stats.dips > 0);
     }
 
     #[test]

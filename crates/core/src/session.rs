@@ -107,7 +107,8 @@ pub enum ProgressEvent {
         /// the fixed `2^N` count; adaptive runs grow it with every
         /// resplit.
         terms: usize,
-        /// Gates in the netlist this term attacks (after cofactoring).
+        /// Gates in the netlist this term's solver encodes: a root term's
+        /// own cofactored netlist, which its resumed descendants share.
         gates: usize,
     },
     /// A distinguishing input pattern was found.
@@ -134,13 +135,15 @@ pub enum ProgressEvent {
         wall_time: Duration,
     },
     /// A term exhausted its per-term budget and was subdivided: its two
-    /// children (paths one bit wider) re-enter the work queue.
+    /// children (paths one bit wider) re-enter the work queue and resume
+    /// its search.
     TermSplit {
         /// The exhausted term's prefix-tree path.
         pattern: u64,
         /// The path's width (children have `width + 1`).
         width: u8,
-        /// DIPs the term spent before giving up (kept in the totals).
+        /// DIPs the term spent before giving up: kept in the totals, and
+        /// kept by the children, whose solvers hold their constraints.
         dips: u64,
     },
 }
@@ -506,10 +509,14 @@ impl<'a> AttackSessionBuilder<'a> {
 
     /// Turns on **adaptive splitting** with a per-term DIP budget: a term
     /// that spends `budget` DIPs without converging is split one port
-    /// deeper — re-ranking the remaining inputs on the term's own
-    /// cofactored netlist — and its two children re-enter the work queue.
-    /// Easy sub-spaces finish shallow; hard ones (say, the SARLock term
-    /// containing the protected pattern) are subdivided until they yield.
+    /// deeper — re-ranking the remaining inputs on the netlist its solver
+    /// encodes — and its two children re-enter the work queue. The
+    /// children resume the term's search: each pins its new port with one
+    /// unit clause and keeps every DIP constraint and learnt clause, so
+    /// no DIP is asked of the oracle twice and nothing is cofactored or
+    /// encoded again. Easy sub-spaces finish shallow; hard ones (say, the
+    /// SARLock term containing the protected pattern) are subdivided until
+    /// they yield.
     ///
     /// Works from any root effort, including `split_effort(0)`: the tree
     /// then grows purely on demand. See also
@@ -645,12 +652,13 @@ impl<'a> AttackSession<'a> {
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use crate::sat_attack::{run_sat_attack, TermCtl};
+    use crate::sat_attack::{run_sat_attack, Search, TermCtl};
     use polykey_circuits::{generate_random, RandomCircuitSpec};
     use polykey_encode::{check_equivalence, EquivResult};
     use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
     use polykey_netlist::GateKind;
     use rand::SeedableRng;
+    use std::borrow::Cow;
     use std::sync::Mutex;
 
     fn majority3() -> Netlist {
@@ -866,7 +874,7 @@ mod tests {
             let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
             let mut oracle = SimOracle::new(&original).unwrap();
             let direct = run_sat_attack(
-                &locked,
+                Search::new(Cow::Borrowed(&locked)).unwrap(),
                 &mut oracle,
                 &AttackConfig::default(),
                 &TermCtl::default(),

@@ -64,24 +64,44 @@ pub fn key_controlled_mask(netlist: &Netlist) -> Vec<bool> {
 /// For every primary input, the number of key-controlled *gates* in its
 /// transitive fanout cone — the ranking metric of the paper's fan-out cone
 /// analysis. Returns `(input, count)` pairs in input declaration order.
-pub fn key_cone_influence(netlist: &Netlist) -> Vec<(NodeId, usize)> {
+///
+/// One forward pass in topological order gives every node the set of
+/// primary inputs that reach it (a bitset, 64 inputs per word); each
+/// key-controlled gate then counts once for every input in its set.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::Cycle`] for cyclic netlists.
+pub fn key_cone_influence(netlist: &Netlist) -> Result<Vec<(NodeId, usize)>, NetlistError> {
+    let inputs = netlist.inputs();
+    let words = inputs.len().div_ceil(64);
+    let mut reach = vec![0u64; netlist.num_nodes() * words];
+    for (i, pi) in inputs.iter().enumerate() {
+        reach[pi.index() * words + i / 64] |= 1 << (i % 64);
+    }
     let key_mask = key_controlled_mask(netlist);
-    netlist
-        .inputs()
-        .iter()
-        .map(|&pi| {
-            let cone = transitive_fanout(netlist, &[pi]);
-            let count = netlist
-                .node_ids()
-                .filter(|&id| {
-                    cone[id.index()]
-                        && key_mask[id.index()]
-                        && !netlist.node(id).kind().is_input()
-                })
-                .count();
-            (pi, count)
-        })
-        .collect()
+    let mut counts = vec![0usize; inputs.len()];
+    for id in netlist.topological_order()? {
+        let node = netlist.node(id);
+        let at = id.index() * words;
+        for fanin in node.fanins() {
+            let from = fanin.index() * words;
+            for w in 0..words {
+                let word = reach[from + w];
+                reach[at + w] |= word;
+            }
+        }
+        if key_mask[id.index()] && !node.kind().is_input() {
+            for (w, &word) in reach[at..at + words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    counts[w * 64 + bits.trailing_zeros() as usize] += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+    Ok(inputs.iter().copied().zip(counts).collect())
 }
 
 /// Computes each node's logic level: inputs and constants at level 0, every
@@ -236,11 +256,85 @@ mod tests {
     #[test]
     fn influence_counts_key_controlled_gates() {
         let (nl, a, b, _k, _g, _y) = sample();
-        let influence = key_cone_influence(&nl);
+        let influence = key_cone_influence(&nl).unwrap();
         let by_id: HashMap<NodeId, usize> = influence.into_iter().collect();
         // Both a and b reach x and y (2 key-controlled gates each).
         assert_eq!(by_id[&a], 2);
         assert_eq!(by_id[&b], 2);
+    }
+
+    #[test]
+    fn influence_rejects_cycles() {
+        let (mut nl, _a, _b, _k, g, y) = sample();
+        nl.set_node(g, GateKind::Not, vec![y]);
+        assert!(matches!(key_cone_influence(&nl), Err(NetlistError::Cycle { .. })));
+    }
+
+    /// The per-input definition the one-pass ranking must match: a fresh
+    /// fanout cone per input, intersected with the key-controlled mask.
+    fn key_cone_influence_reference(netlist: &Netlist) -> Vec<(NodeId, usize)> {
+        let key_mask = key_controlled_mask(netlist);
+        netlist
+            .inputs()
+            .iter()
+            .map(|&pi| {
+                let cone = transitive_fanout(netlist, &[pi]);
+                let count = netlist
+                    .node_ids()
+                    .filter(|&id| {
+                        cone[id.index()]
+                            && key_mask[id.index()]
+                            && !netlist.node(id).kind().is_input()
+                    })
+                    .count();
+                (pi, count)
+            })
+            .collect()
+    }
+
+    /// Builds a random netlist from `steps`: each adds a primary input, a
+    /// key input, or a gate over earlier nodes, so inputs interleave with
+    /// gates and node ids do not follow input order.
+    fn random_netlist(steps: &[(u8, u16, u16, u16)]) -> Netlist {
+        let mut nl = Netlist::new("rand");
+        let mut pool = vec![nl.add_input("i").unwrap()];
+        for (n, &(sel, x, y, z)) in steps.iter().enumerate() {
+            let pick = |v: u16| pool[v as usize % pool.len()];
+            let id = match sel % 8 {
+                0 | 1 => nl.add_input(format!("i{n}")).unwrap(),
+                2 => nl.add_key_input(format!("k{n}")).unwrap(),
+                3 => nl.add_gate(format!("g{n}"), GateKind::Not, &[pick(x)]).unwrap(),
+                4 => nl.add_gate(format!("g{n}"), GateKind::Xor, &[pick(x), pick(y)]).unwrap(),
+                5 => nl
+                    .add_gate(format!("g{n}"), GateKind::Mux, &[pick(x), pick(y), pick(z)])
+                    .unwrap(),
+                _ => nl
+                    .add_gate(format!("g{n}"), GateKind::And, &[pick(x), pick(y), pick(z)])
+                    .unwrap(),
+            };
+            pool.push(id);
+        }
+        nl.mark_output(*pool.last().unwrap()).unwrap();
+        nl
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn one_pass_influence_matches_per_input_cones(
+            steps in proptest::collection::vec(
+                (0u8..8, 0u16..1024, 0u16..1024, 0u16..1024),
+                0..400,
+            )
+        ) {
+            // Up to ~100 primary inputs, so the bitsets span two words.
+            let nl = random_netlist(&steps);
+            proptest::prop_assert_eq!(
+                key_cone_influence(&nl).unwrap(),
+                key_cone_influence_reference(&nl)
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub(crate) struct ClauseRef(pub(crate) u32);
 /// invariant that `lits[1]` is the literal that was just falsified when a
 /// watcher fires, and `lits[0]` is the implied literal when the clause
 /// becomes unit.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Clause {
     pub(crate) lits: Vec<Lit>,
     /// Activity for learnt-clause garbage collection (bumped on conflict use).
@@ -38,7 +38,7 @@ impl Clause {
 /// list, bounding memory growth across [`Solver::reduce_db`] cycles.
 ///
 /// [`Solver::reduce_db`]: crate::Solver
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ClauseDb {
     clauses: Vec<Clause>,
     free: Vec<u32>,

@@ -8,7 +8,7 @@ use crate::lit::Var;
 ///
 /// The activity array lives in the solver; every operation that needs to
 /// compare takes it as a parameter so the heap holds no borrow.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct VarOrderHeap {
     heap: Vec<Var>,
     /// Position of each variable in `heap`, or `NONE` if absent.

@@ -76,6 +76,25 @@ impl std::ops::AddAssign for SolverStats {
     }
 }
 
+/// Field-wise difference: the work a solver did since an earlier snapshot
+/// of its own counters (e.g. since a clone of it resumed another's search).
+impl std::ops::Sub for SolverStats {
+    type Output = SolverStats;
+
+    fn sub(self, rhs: SolverStats) -> SolverStats {
+        SolverStats {
+            decisions: self.decisions - rhs.decisions,
+            conflicts: self.conflicts - rhs.conflicts,
+            propagations: self.propagations - rhs.propagations,
+            restarts: self.restarts - rhs.restarts,
+            learnt_clauses: self.learnt_clauses - rhs.learnt_clauses,
+            deleted_clauses: self.deleted_clauses - rhs.deleted_clauses,
+            minimized_lits: self.minimized_lits - rhs.minimized_lits,
+            solves: self.solves - rhs.solves,
+        }
+    }
+}
+
 /// Field-wise sum over an iterator of snapshots (see [`SolverStats`]'s
 /// `AddAssign`).
 impl std::iter::Sum for SolverStats {
@@ -134,7 +153,10 @@ struct VarData {
 /// assert_eq!(solver.solve(&[!c]), SolveResult::Unsat);
 /// assert_eq!(solver.solve(&[]), SolveResult::Sat);
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an independent solver in the same state: clauses, learnt
+/// clauses, activities, counters and the time budget's deadline.
+#[derive(Clone, Debug)]
 pub struct Solver {
     stats: SolverStats,
 

@@ -103,6 +103,47 @@ proptest! {
         let mut scratch = combined.to_solver();
         prop_assert_eq!(res_inc, scratch.solve(&[]));
     }
+
+    #[test]
+    fn cloned_solver_continues_like_the_original(
+        f in arb_cnf(16, 70, 3),
+        rounds in proptest::collection::vec((arb_cnf(16, 6, 3), 0u16..256), 1..4),
+    ) {
+        // A clone taken mid-session (after a solve, with learnt clauses and
+        // activities) must make the same search steps as the original on
+        // the same input.
+        let mut original = f.to_solver();
+        let _ = original.solve(&[]);
+        let mut clone = original.clone();
+        prop_assert_eq!(clone.stats(), original.stats());
+        let vars = |s: &Solver| -> Vec<Option<bool>> {
+            (0..16).map(|i| s.model_value(Var::new(i).positive())).collect()
+        };
+        for (extra, bits) in &rounds {
+            for c in extra.clauses() {
+                original.add_clause(c);
+                clone.add_clause(c);
+            }
+            let assumptions: Vec<Lit> = (0..4)
+                .filter(|i| bits >> (2 * i) & 1 == 1)
+                .map(|i| Lit::new(Var::new(i), bits >> (2 * i + 1) & 1 == 1))
+                .collect();
+            prop_assert_eq!(original.solve(&assumptions), clone.solve(&assumptions));
+            prop_assert_eq!(original.stats(), clone.stats());
+            prop_assert_eq!(vars(&original), vars(&clone));
+        }
+        // Clauses added to the clone never reach the original: it keeps
+        // behaving like a second copy of itself.
+        let mut reference = original.clone();
+        let x = Var::new(0).positive();
+        clone.add_clause(&[x]);
+        clone.add_clause(&[!x]);
+        prop_assert_eq!(clone.solve(&[]), SolveResult::Unsat);
+        prop_assert_eq!(original.num_clauses(), reference.num_clauses());
+        prop_assert_eq!(original.solve(&[]), reference.solve(&[]));
+        prop_assert_eq!(original.stats(), reference.stats());
+        prop_assert_eq!(vars(&original), vars(&reference));
+    }
 }
 
 // ---------------------------------------------------------------------
