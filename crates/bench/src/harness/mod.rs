@@ -23,7 +23,8 @@
 //!       "scenario": "matrix",
 //!       "labels": {"circuit": "c432", "scheme": "rll", "n": "0"},
 //!       "metrics": {"wall_ms": 12.5, "dips": 5, "oracle_rounds": 5,
-//!                   "oracle_queries": 5, "conflicts": 113, "restarts": 1,
+//!                   "oracle_queries": 5, "conflicts": 113,
+//!                   "propagations": 2140, "restarts": 1,
 //!                   "learnt_clauses": 95}
 //!     }
 //!   ]
@@ -158,7 +159,8 @@ impl Record {
 
     /// Appends the uniform attack counters every attack cell reports:
     /// `wall_ms`, `max_term_ms`, `dips`, `oracle_queries`,
-    /// `oracle_rounds`, `conflicts`, `restarts`, `learnt_clauses`.
+    /// `oracle_rounds`, `conflicts`, `propagations`, `restarts`,
+    /// `learnt_clauses`.
     #[must_use]
     pub fn attack_metrics(self, stats: &AttackStats) -> Record {
         self.metric("wall_ms", ms(stats.wall_time))
@@ -167,6 +169,7 @@ impl Record {
             .metric("oracle_queries", stats.oracle_queries as f64)
             .metric("oracle_rounds", stats.oracle_rounds as f64)
             .metric("conflicts", stats.solver.conflicts as f64)
+            .metric("propagations", stats.solver.propagations as f64)
             .metric("restarts", stats.solver.restarts as f64)
             .metric("learnt_clauses", stats.solver.learnt_clauses as f64)
     }
@@ -439,6 +442,7 @@ const COST_COUNTERS: &[&str] = &[
     "oracle_queries",
     "oracle_rounds",
     "conflicts",
+    "propagations",
     "restarts",
     "learnt_clauses",
     "cnf_vars",

@@ -92,14 +92,6 @@ pub struct SubKey {
     pub key: Key,
 }
 
-impl SubKey {
-    /// The value this term pins on split port `j` (`j < width`).
-    #[must_use]
-    pub fn split_bit(&self, j: usize) -> bool {
-        self.pattern >> j & 1 == 1
-    }
-}
-
 /// Per-term accounting.
 #[derive(Clone, Debug)]
 pub struct SubTaskReport {
@@ -317,7 +309,7 @@ pub(crate) fn run_multi_key<'n>(
                         Cow::Owned(cofactor(locked, &pins)?)
                     };
                     started(restricted.num_gates());
-                    Search::new(restricted)?
+                    Search::new(restricted, config.textbook)?
                 }
             };
             let encoded = Arc::clone(&search.encoded);
@@ -599,8 +591,10 @@ mod tests {
         let ni = original.inputs().len();
         for v in 0..(1u64 << ni) {
             let bits = bits_of(v, ni);
-            let in_subspace =
-                positions.iter().enumerate().all(|(j, &pos)| bits[pos] == sub.split_bit(j));
+            let in_subspace = positions
+                .iter()
+                .enumerate()
+                .all(|(j, &pos)| bits[pos] == (sub.pattern >> j & 1 == 1));
             if in_subspace {
                 assert_eq!(
                     lsim.eval(&bits, sub.key.bits()),

@@ -2,15 +2,25 @@
 //!
 //! The attack loop:
 //!
-//! 1. Build a miter of two copies of the locked circuit sharing primary
-//!    inputs, with independent key vectors `K1`, `K2`.
+//! 1. Cut the locked circuit down to the key's cone of influence: every
+//!    input, the outputs in the key inputs' transitive fanout, and their
+//!    fan-in. Build a miter of two copies of that cone sharing primary
+//!    inputs, with independent key vectors `K1`, `K2`. An output outside
+//!    the cone computes the same function under every key, so it can never
+//!    tell two keys apart.
 //! 2. Ask the solver for a *distinguishing input pattern* (DIP): an input on
 //!    which some two keys consistent with everything observed so far
 //!    disagree.
-//! 3. Query the oracle at the DIP and constrain both key copies to
-//!    reproduce the observed output (two more CNF copies of the circuit,
-//!    with inputs pinned to the DIP so they fold down to key logic only;
-//!    their private variables are eliminated before the solver sees them).
+//! 3. Query the oracle at the DIP (on the whole chip) and constrain both
+//!    key copies to reproduce its response on the cone's outputs (two more
+//!    CNF copies of the cone, with inputs pinned to the DIP so they fold
+//!    down to key logic only; their private variables are eliminated
+//!    before the solver sees them). The response on the other outputs is
+//!    buffered and checked against the locked circuit by packed
+//!    simulation, 64 DIPs per pass and once more before a key is
+//!    reported or the search handed on; a mismatch ends the run as
+//!    [`AttackStatus::Inconsistent`]. The textbook formulation keeps every
+//!    output in the cone and checks nothing by simulation.
 //! 4. Repeat until the miter is unsatisfiable: every remaining key is
 //!    functionally equivalent on all inputs; return one of them.
 //!
@@ -29,7 +39,8 @@ use polykey_encode::{
     PortBinding,
 };
 use polykey_locking::Key;
-use polykey_netlist::Netlist;
+use polykey_netlist::analysis::key_reachable_outputs;
+use polykey_netlist::{keep_outputs, Netlist, Simulator};
 use polykey_sat::{SolveResult, Solver, SolverStats};
 
 use crate::error::AttackError;
@@ -112,11 +123,24 @@ pub struct SatAttackStats {
     pub cnf_clauses: usize,
 }
 
-/// A netlist and its miter with itself: what one search's solver
-/// encodes. The children of an exhausted term share it.
+/// A netlist and the miter of its key cone with itself: what one search's
+/// solver encodes. The children of an exhausted term share it.
 pub(crate) struct Encoded<'n> {
+    /// The attacked netlist, with every output.
     pub netlist: Cow<'n, Netlist>,
-    pub miter: Miter,
+    /// The positions of the outputs the solver encodes, ascending.
+    kept: Vec<usize>,
+    /// `netlist` cut down to the `kept` outputs and their fan-in, or `None`
+    /// when every output is kept.
+    cone: Option<Netlist>,
+    miter: Miter,
+}
+
+impl Encoded<'_> {
+    /// The netlist the miter and the per-DIP copies encode.
+    fn cone(&self) -> &Netlist {
+        self.cone.as_ref().unwrap_or(&self.netlist)
+    }
 }
 
 /// The state of one oracle-guided search: the incremental solver, with
@@ -133,17 +157,25 @@ pub(crate) struct Search<'n> {
 }
 
 impl<'n> Search<'n> {
-    /// Starts a search on `netlist`: its miter with itself in a new
-    /// solver.
+    /// Starts a search on `netlist`: the miter of its key cone with itself
+    /// in a new solver. The cone keeps every input and only the outputs
+    /// the key inputs reach, with their fan-in; the `textbook` formulation
+    /// keeps every output.
     ///
     /// # Errors
     ///
     /// [`AttackError::Miter`] for structural failures (e.g. cyclic
     /// netlists).
-    pub fn new(netlist: Cow<'n, Netlist>) -> Result<Search<'n>, AttackError> {
+    pub fn new(netlist: Cow<'n, Netlist>, textbook: bool) -> Result<Search<'n>, AttackError> {
+        let outputs = netlist.outputs().len();
+        let kept =
+            if textbook { (0..outputs).collect() } else { key_reachable_outputs(&netlist) };
+        let cone =
+            if kept.len() == outputs { None } else { Some(keep_outputs(&netlist, &kept)?) };
         let mut solver = Solver::new();
-        let miter = build_miter(&mut solver, &netlist, &netlist)?;
-        Ok(Search { encoded: Arc::new(Encoded { netlist, miter }), solver })
+        let encoded = cone.as_ref().unwrap_or(&netlist);
+        let miter = build_miter(&mut solver, encoded, encoded)?;
+        Ok(Search { encoded: Arc::new(Encoded { netlist, kept, cone, miter }), solver })
     }
 }
 
@@ -258,6 +290,92 @@ fn encode_full(
     Ok(enc.outputs)
 }
 
+/// Splits each oracle response between the solver and simulation.
+///
+/// The solver sees the response on the outputs the search encodes. Every
+/// other output lies outside the key's fanout: it computes the same
+/// function under every key, so it never tells two keys apart, and the
+/// oracle must match the locked netlist on it under any key. Those answers
+/// are buffered and compared in one packed simulation pass of the full
+/// netlist per 64 DIPs, and once more before a run reports a key or hands
+/// its search on.
+struct Responses<'n> {
+    kept: &'n [usize],
+    /// The outputs outside the cone, with a simulator of the full netlist;
+    /// `None` when the solver encodes every output.
+    dropped: Option<(Vec<usize>, Simulator<'n>)>,
+    /// The buffered DIPs (bit `p` of word `i`: input `i` of DIP `p`).
+    inputs: Vec<u64>,
+    /// The buffered answers on the dropped outputs, one word per output.
+    answers: Vec<u64>,
+    buffered: usize,
+}
+
+impl<'n> Responses<'n> {
+    fn new(encoded: &'n Encoded<'_>) -> Result<Responses<'n>, AttackError> {
+        let netlist: &'n Netlist = &encoded.netlist;
+        let outputs = netlist.outputs().len();
+        let dropped = if encoded.kept.len() == outputs {
+            None
+        } else {
+            let dropped = (0..outputs).filter(|i| encoded.kept.binary_search(i).is_err());
+            Some((dropped.collect::<Vec<usize>>(), Simulator::new(netlist)?))
+        };
+        let answers = vec![0; dropped.as_ref().map_or(0, |(d, _)| d.len())];
+        Ok(Responses {
+            kept: &encoded.kept,
+            dropped,
+            inputs: vec![0; netlist.inputs().len()],
+            answers,
+            buffered: 0,
+        })
+    }
+
+    /// The response on the outputs the solver encodes.
+    fn kept<'r>(&self, response: &'r [bool]) -> Cow<'r, [bool]> {
+        if self.dropped.is_none() {
+            Cow::Borrowed(response)
+        } else {
+            self.kept.iter().map(|&i| response[i]).collect()
+        }
+    }
+
+    /// Buffers the response at `dip` on the dropped outputs. Returns false
+    /// when this fills a batch that the oracle contradicts.
+    fn buffer(&mut self, dip: &[bool], response: &[bool]) -> bool {
+        let Some((dropped, _)) = &self.dropped else { return true };
+        let bit = 1u64 << self.buffered;
+        for (word, _) in self.inputs.iter_mut().zip(dip).filter(|(_, &b)| b) {
+            *word |= bit;
+        }
+        for (word, _) in self.answers.iter_mut().zip(dropped).filter(|(_, &i)| response[i]) {
+            *word |= bit;
+        }
+        self.buffered += 1;
+        self.buffered < 64 || self.check()
+    }
+
+    /// Simulates the buffered DIPs and empties the buffer. Returns false if
+    /// the oracle answered any of them differently from the netlist.
+    fn check(&mut self) -> bool {
+        let Some((dropped, sim)) = &mut self.dropped else { return true };
+        if self.buffered == 0 {
+            return true;
+        }
+        let keys = vec![0; sim.netlist().key_inputs().len()];
+        let outputs = sim.eval_packed(&self.inputs, &keys);
+        let live = u64::MAX >> (64 - self.buffered);
+        let consistent = dropped
+            .iter()
+            .zip(&self.answers)
+            .all(|(&i, &answer)| (outputs[i] ^ answer) & live == 0);
+        self.inputs.fill(0);
+        self.answers.fill(0);
+        self.buffered = 0;
+        consistent
+    }
+}
+
 /// The mutable state of one DIP-refinement run: the incremental solver,
 /// the oracle, and the counters every exit reports.
 struct Run<'o> {
@@ -323,6 +441,7 @@ impl Run<'_> {
     fn refine(
         &mut self,
         copies: &mut DipCopies<'_>,
+        checked: &mut Responses<'_>,
         miter: &Miter,
         config: &AttackConfig<'_>,
         term: &TermCtl<'_>,
@@ -422,18 +541,22 @@ impl Run<'_> {
                             self.dip_patterns.push(pending.dip.clone());
                         }
                         // Both key copies must reproduce the response at
-                        // this input.
+                        // this input, on the outputs they encode.
+                        let kept = checked.kept(response);
                         match &pending.copies {
                             Some(copies) => {
                                 for outputs in copies {
-                                    for (out, &bit) in outputs.iter().zip(response) {
+                                    for (out, &bit) in outputs.iter().zip(kept.iter()) {
                                         assert_value(&mut self.solver, *out, bit);
                                     }
                                 }
                             }
                             None => {
-                                copies.add_answered(&mut self.solver, &pending.dip, response)?
+                                copies.add_answered(&mut self.solver, &pending.dip, &kept)?
                             }
+                        }
+                        if !checked.buffer(&pending.dip, response) {
+                            return Ok((AttackStatus::Inconsistent, None));
                         }
                     }
                 }
@@ -518,8 +641,16 @@ pub(crate) fn run_sat_attack<'n>(
         dip_patterns: Vec::new(),
     };
     let (status, key) = {
-        let mut copies = DipCopies::new(locked, miter, config.textbook)?;
-        run.refine(&mut copies, miter, config, term)?
+        let mut copies = DipCopies::new(encoded.cone(), miter, config.textbook)?;
+        let mut checked = Responses::new(&encoded)?;
+        match run.refine(&mut copies, &mut checked, miter, config, term)? {
+            // The answers still buffered must hold before the run reports a
+            // key or hands its search on.
+            (AttackStatus::Success | AttackStatus::BudgetExhausted, _) if !checked.check() => {
+                (AttackStatus::Inconsistent, None)
+            }
+            verdict => verdict,
+        }
     };
     Ok(run.finish(status, key, encoded))
 }
@@ -552,7 +683,7 @@ mod tests {
 
     /// A new search on `locked`.
     fn start(locked: &Netlist) -> Search<'_> {
-        Search::new(Cow::Borrowed(locked)).unwrap()
+        Search::new(Cow::Borrowed(locked), false).unwrap()
     }
 
     /// Runs one unpinned, unbudgeted term without a deadline or progress
@@ -562,7 +693,8 @@ mod tests {
         oracle: &mut dyn Oracle,
         config: &AttackConfig<'_>,
     ) -> Result<SatAttackOutcome<'n>, AttackError> {
-        run_sat_attack(start(locked), oracle, config, &TermCtl::default())
+        let search = Search::new(Cow::Borrowed(locked), config.textbook).unwrap();
+        run_sat_attack(search, oracle, config, &TermCtl::default())
     }
 
     /// Runs one term under the session defaults.
@@ -819,6 +951,120 @@ mod tests {
         };
         let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::TimeLimit);
+    }
+
+    /// An oracle that answers one query wrong: the `at`-th (counted from
+    /// zero over its lifetime) comes back with output `flip` inverted.
+    struct FlipOnce<'a> {
+        inner: SimOracle<'a>,
+        at: u64,
+        flip: usize,
+    }
+
+    impl Oracle for FlipOnce<'_> {
+        fn num_inputs(&self) -> usize {
+            self.inner.num_inputs()
+        }
+
+        fn num_outputs(&self) -> usize {
+            self.inner.num_outputs()
+        }
+
+        fn query(&mut self, input: &[bool]) -> Vec<bool> {
+            let asked = self.inner.queries();
+            let mut response = self.inner.query(input);
+            if asked == self.at {
+                response[self.flip] = !response[self.flip];
+            }
+            response
+        }
+
+        fn queries(&self) -> u64 {
+            self.inner.queries()
+        }
+    }
+
+    /// SARLock |K| = 8 on the c432 stand-in, which reaches one of its
+    /// seven outputs, with the position of an output the key cannot reach.
+    fn sarlock_c432() -> (Netlist, Netlist, usize) {
+        let original = polykey_circuits::Iscas85::C432.build();
+        let locked = Sarlock::new(8).lock(&original, &Key::from_u64(0xA5, 8)).unwrap().netlist;
+        let kept = key_reachable_outputs(&locked);
+        assert_eq!(kept.len(), 1);
+        let free = (0..locked.outputs().len()).find(|i| !kept.contains(i)).unwrap();
+        (original, locked, free)
+    }
+
+    #[test]
+    fn a_wrong_answer_on_a_key_free_output_is_caught_in_its_batch() {
+        // 255 DIPs: a wrong answer among the first 64 shows when the 64th
+        // is answered, and the run stops there.
+        let (original, locked, free) = sarlock_c432();
+        let mut oracle =
+            FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 10, flip: free };
+        let outcome = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Inconsistent);
+        assert_eq!(outcome.stats.dips, 64);
+        assert!(outcome.key.is_none());
+    }
+
+    #[test]
+    fn a_wrong_answer_in_the_last_partial_batch_is_caught_before_the_key() {
+        let (original, locked, free) = sarlock_c432();
+        let mut oracle = SimOracle::new(&original).unwrap();
+        let clean = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        assert_eq!(clean.status, AttackStatus::Success);
+        assert_eq!(clean.stats.dips % 64, 63, "the last batch is partial");
+        // The last DIP answered wrong: no later batch fills up, so only the
+        // check before the key is reported can see it.
+        let at = clean.stats.dips - 1;
+        let mut oracle = FlipOnce { inner: SimOracle::new(&original).unwrap(), at, flip: free };
+        let outcome = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        assert_eq!(outcome.status, AttackStatus::Inconsistent);
+        assert_eq!(outcome.stats.dips, clean.stats.dips);
+        assert!(outcome.key.is_none());
+    }
+
+    #[test]
+    fn a_wrong_answer_is_caught_before_a_search_is_handed_on() {
+        // Caught by the check before `BudgetExhausted`: the search is not
+        // handed to children.
+        let (original, locked, free) = sarlock_c432();
+        let term = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
+        let mut oracle =
+            FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 5, flip: free };
+        let outcome =
+            run_sat_attack(start(&locked), &mut oracle, &AttackConfig::default(), &term)
+                .unwrap();
+        assert_eq!(outcome.status, AttackStatus::Inconsistent);
+        assert_eq!(outcome.stats.dips, 32);
+        assert!(outcome.search.is_none());
+    }
+
+    #[test]
+    fn a_resumed_search_catches_a_wrong_answer_of_its_own() {
+        // The parent's 32 answers are right and its search is handed on;
+        // the child resumes it on one half of the input space and meets
+        // the wrong answer among its own first DIPs.
+        let (original, locked, free) = sarlock_c432();
+        let mut oracle =
+            FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 35, flip: free };
+        let budget = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
+        let parent =
+            run_sat_attack(start(&locked), &mut oracle, &AttackConfig::default(), &budget)
+                .unwrap();
+        assert_eq!(parent.status, AttackStatus::BudgetExhausted);
+        let child = TermCtl { force_inputs: vec![(0, true)], ..TermCtl::default() };
+        let outcome = run_sat_attack(
+            parent.search.expect("handed on"),
+            &mut oracle,
+            &AttackConfig::default(),
+            &child,
+        )
+        .unwrap();
+        assert_eq!(outcome.status, AttackStatus::Inconsistent);
+        assert!(outcome.stats.dips > 3);
+        assert!(outcome.key.is_none());
     }
 
     #[test]

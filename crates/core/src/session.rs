@@ -290,9 +290,10 @@ pub(crate) struct AttackConfig<'a> {
     pub time_budget: Option<Duration>,
     /// Record every DIP pattern in the term reports.
     pub record_dips: bool,
-    /// Encode each per-DIP constraint as a full circuit copy with unit
-    /// clauses on the inputs (the textbook formulation), instead of
-    /// folding the copy down to its key clauses.
+    /// Encode the miter and each per-DIP constraint over every output,
+    /// each constraint as a full circuit copy with unit clauses on the
+    /// inputs (the textbook formulation), instead of over the key's cone
+    /// with each copy folded down to its key clauses.
     pub textbook: bool,
     /// DIPs harvested and answered per oracle round-trip (at least 1).
     pub dip_batch: usize,
@@ -448,10 +449,11 @@ impl<'a> AttackSessionBuilder<'a> {
         self
     }
 
-    /// Uses the textbook per-DIP encoding (full circuit copies) instead of
-    /// the optimized folded encoding — the formulation of the paper's
-    /// tooling, whose per-iteration CNF growth is what makes LUT insertion
-    /// expensive in Table 2.
+    /// Uses the textbook encoding (a miter and per-DIP copies of the full
+    /// circuit) instead of the optimized one over the key's cone with
+    /// folded copies — the formulation of the paper's tooling, whose
+    /// per-iteration CNF growth is what makes LUT insertion expensive in
+    /// Table 2.
     pub fn textbook(mut self, textbook: bool) -> Self {
         self.config.textbook = textbook;
         self
@@ -874,7 +876,7 @@ mod tests {
             let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
             let mut oracle = SimOracle::new(&original).unwrap();
             let direct = run_sat_attack(
-                Search::new(Cow::Borrowed(&locked)).unwrap(),
+                Search::new(Cow::Borrowed(&locked), false).unwrap(),
                 &mut oracle,
                 &AttackConfig::default(),
                 &TermCtl::default(),

@@ -54,7 +54,8 @@ fn textbook_and_folded_engines_agree() {
 
     assert_eq!(folded.status(), AttackStatus::Success);
     assert_eq!(textbook.status(), AttackStatus::Success);
-    // Identical solver-visible search problem ⇒ identical DIP sequence.
+    // SARLock rules out one wrong key per DIP whether the solver encodes
+    // the key's cone or the full netlist ⇒ identical DIP count.
     assert_eq!(folded.stats().dips, textbook.stats().dips);
     let kf = folded.key().expect("key");
     let kt = textbook.key().expect("key");

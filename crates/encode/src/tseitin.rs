@@ -104,14 +104,6 @@ impl Binding {
         }
     }
 
-    /// Fresh keys, inputs pinned to the given pattern.
-    pub fn with_pinned_inputs(netlist: &Netlist, pattern: &[bool]) -> Binding {
-        Binding {
-            inputs: pattern.iter().map(|&b| PortBinding::Pinned(b)).collect(),
-            keys: vec![PortBinding::Fresh; netlist.key_inputs().len()],
-        }
-    }
-
     /// Inputs shared with an existing copy, fresh keys.
     pub fn with_shared_inputs(inputs: &[Lit], num_keys: usize) -> Binding {
         Binding {
@@ -757,7 +749,10 @@ mod tests {
     fn pinned_inputs_fold_everything() {
         let nl = sample();
         let mut solver = Solver::new();
-        let binding = Binding::with_pinned_inputs(&nl, &[true, false, true]);
+        let binding = Binding {
+            inputs: [true, false, true].map(PortBinding::Pinned).to_vec(),
+            keys: Vec::new(),
+        };
         let enc = encode(&mut solver, &nl, &binding).unwrap();
         // No keys, all inputs pinned: outputs must be compile-time constants
         // and the solver must have received no variables at all.

@@ -61,6 +61,14 @@ pub fn key_controlled_mask(netlist: &Netlist) -> Vec<bool> {
     transitive_fanout(netlist, netlist.key_inputs())
 }
 
+/// The positions, in declaration order, of the outputs in the transitive
+/// fanout of the key inputs. Every other output computes the same function
+/// under every key.
+pub fn key_reachable_outputs(netlist: &Netlist) -> Vec<usize> {
+    let key_mask = key_controlled_mask(netlist);
+    (0..netlist.outputs().len()).filter(|&i| key_mask[netlist.outputs()[i].index()]).collect()
+}
+
 /// For every primary input, the number of key-controlled *gates* in its
 /// transitive fanout cone — the ranking metric of the paper's fan-out cone
 /// analysis. Returns `(input, count)` pairs in input declaration order.
@@ -251,6 +259,19 @@ mod tests {
         assert!(mask[x.index()]);
         assert!(!mask[g.index()], "AND is upstream of the key gate");
         assert!(!mask[a.index()]);
+    }
+
+    #[test]
+    fn reachable_outputs_are_the_key_controlled_ones() {
+        let (mut nl, a, b, _k, g, _y) = sample();
+        assert_eq!(key_reachable_outputs(&nl), vec![0]);
+        // Outputs declared after the key output: one key-free, one keyed.
+        nl.mark_output(g).unwrap();
+        let x = nl.find("x").unwrap();
+        let free = nl.add_gate("free", GateKind::Or, &[a, b]).unwrap();
+        nl.mark_output(free).unwrap();
+        nl.mark_output(x).unwrap();
+        assert_eq!(key_reachable_outputs(&nl), vec![0, 3]);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! - structural analysis: fan-in/fan-out cones, key-controlled masks, logic
 //!   levels ([`analysis`]);
 //! - logic simplification used as the attack's re-synthesis step:
-//!   [`cofactor`], [`simplify`] and [`cofactor_simplify`].
+//!   [`cofactor`], [`simplify`] and [`cofactor_simplify`]; and
+//!   [`keep_outputs`], which cuts a netlist down to the cone of chosen
+//!   outputs (the attack's cone of influence).
 //!
 //! # Examples
 //!
@@ -47,4 +49,6 @@ pub use bench::{parse_bench, write_bench, ParseBenchError};
 pub use gate::GateKind;
 pub use netlist::{Netlist, NetlistError, Node, NodeId};
 pub use sim::{bits_of, bits_to_u64, pack_patterns, unpack_patterns, Simulator};
-pub use transform::{cofactor, cofactor_simplify, pin_keys, simplify, SimplifyStats};
+pub use transform::{
+    cofactor, cofactor_simplify, keep_outputs, pin_keys, simplify, SimplifyStats,
+};

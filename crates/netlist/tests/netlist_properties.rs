@@ -1,12 +1,14 @@
 //! Property-based tests over random netlists: simplification and I/O
-//! round-trips must preserve circuit function, and the `.bench` parser
+//! round-trips must preserve circuit function, the key's cone of influence
+//! must match the full netlist on the outputs it keeps, and the `.bench` parser
 //! answers any input with a netlist or an error, never a panic.
 
 use proptest::prelude::*;
 
+use polykey_netlist::analysis::key_reachable_outputs;
 use polykey_netlist::{
-    bits_of, cofactor, cofactor_simplify, parse_bench, simplify, write_bench, GateKind,
-    Netlist, NodeId, Simulator,
+    bits_of, cofactor, cofactor_simplify, keep_outputs, parse_bench, simplify, write_bench,
+    GateKind, Netlist, NodeId, Simulator,
 };
 
 /// A recipe for one random gate.
@@ -19,10 +21,23 @@ struct GateRecipe {
 /// Builds a random combinational netlist from recipes: every gate reads
 /// already-existing nodes, so the result is a DAG by construction.
 fn build_random(num_inputs: usize, recipes: &[GateRecipe], num_outputs: usize) -> Netlist {
+    build_random_keyed(num_inputs, 0, recipes, num_outputs)
+}
+
+/// [`build_random`] with `num_keys` key inputs among the nodes gates read.
+fn build_random_keyed(
+    num_inputs: usize,
+    num_keys: usize,
+    recipes: &[GateRecipe],
+    num_outputs: usize,
+) -> Netlist {
     let mut nl = Netlist::new("rand");
     let mut pool: Vec<NodeId> = Vec::new();
     for i in 0..num_inputs {
         pool.push(nl.add_input(format!("i{i}")).expect("fresh"));
+    }
+    for k in 0..num_keys {
+        pool.push(nl.add_key_input(format!("k{k}")).expect("fresh"));
     }
     for (g, recipe) in recipes.iter().enumerate() {
         let kind = match recipe.kind_sel % 9 {
@@ -60,6 +75,28 @@ fn arb_netlist() -> impl Strategy<Value = Netlist> {
         .prop_map(|(kind_sel, fanin_picks)| GateRecipe { kind_sel, fanin_picks });
     (2usize..6, proptest::collection::vec(recipe, 1..40), 1usize..4)
         .prop_map(|(inputs, recipes, outputs)| build_random(inputs, &recipes, outputs))
+}
+
+/// Random netlists with 1–3 key inputs and up to 8 outputs, so some
+/// outputs usually lie outside the keys' fanout.
+fn arb_keyed_netlist() -> impl Strategy<Value = Netlist> {
+    let recipe = (any::<u8>(), proptest::collection::vec(any::<u16>(), 3))
+        .prop_map(|(kind_sel, fanin_picks)| GateRecipe { kind_sel, fanin_picks });
+    (2usize..8, 1usize..4, proptest::collection::vec(recipe, 1..60), 1usize..9).prop_map(
+        |(inputs, keys, recipes, outputs)| build_random_keyed(inputs, keys, &recipes, outputs),
+    )
+}
+
+/// 64 pseudo-random patterns of `width` ports, packed one word per port.
+fn random_words(state: &mut u64, width: usize) -> Vec<u64> {
+    (0..width)
+        .map(|_| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state
+        })
+        .collect()
 }
 
 /// Exhaustive equivalence check for netlists with ≤ 12 input bits.
@@ -147,6 +184,38 @@ proptest! {
             let scalar = sim.eval(pattern, &[]);
             for (o, &w) in packed_out.iter().enumerate() {
                 prop_assert_eq!(w >> p & 1 == 1, scalar[o]);
+            }
+        }
+    }
+
+    #[test]
+    fn key_cone_matches_the_full_netlist_on_kept_outputs(
+        nl in arb_keyed_netlist(),
+        seed in any::<u64>(),
+    ) {
+        let kept = key_reachable_outputs(&nl);
+        let cone = keep_outputs(&nl, &kept).expect("acyclic");
+        prop_assert_eq!(cone.inputs().len(), nl.inputs().len());
+        prop_assert_eq!(cone.key_inputs().len(), nl.key_inputs().len());
+        prop_assert_eq!(cone.outputs().len(), kept.len());
+        prop_assert!(cone.num_gates() <= nl.num_gates());
+        cone.validate().expect("cone netlist is well-formed");
+        let mut full = Simulator::new(&nl).expect("acyclic");
+        let mut part = Simulator::new(&cone).expect("acyclic");
+        let mut state = seed | 1;
+        for _ in 0..4 {
+            let inputs = random_words(&mut state, nl.inputs().len());
+            let keys = random_words(&mut state, nl.key_inputs().len());
+            let other_keys = random_words(&mut state, nl.key_inputs().len());
+            let want = full.eval_packed(&inputs, &keys);
+            let got = part.eval_packed(&inputs, &keys);
+            for (j, &pos) in kept.iter().enumerate() {
+                prop_assert_eq!(got[j], want[pos], "kept output {}", pos);
+            }
+            // The dropped outputs compute the same under every key.
+            let under_other = full.eval_packed(&inputs, &other_keys);
+            for pos in (0..want.len()).filter(|p| !kept.contains(p)) {
+                prop_assert_eq!(under_other[pos], want[pos], "dropped output {}", pos);
             }
         }
     }

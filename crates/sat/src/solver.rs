@@ -290,11 +290,6 @@ impl Solver {
         self.deadline = limit.map(|d| Instant::now() + d);
     }
 
-    /// True if the previous `solve` stopped because the time budget ran out.
-    pub fn budget_exhausted(&self) -> bool {
-        self.budget_exhausted
-    }
-
     /// Adds a clause. Returns `false` if the clause set is now known
     /// unsatisfiable (e.g. after adding an empty or directly contradictory
     /// clause).
@@ -407,7 +402,8 @@ impl Solver {
 
     /// The value of `lit` implied at decision level 0 (by unit propagation of
     /// the clause set alone), if any.
-    pub fn fixed_value(&self, lit: Lit) -> Option<bool> {
+    #[cfg(test)]
+    fn fixed_value(&self, lit: Lit) -> Option<bool> {
         let vd = &self.vardata[lit.var().index()];
         if vd.level == 0 {
             self.lit_value(lit).to_bool()
@@ -1221,7 +1217,6 @@ mod tests {
         let started = Instant::now();
         s.set_time_budget(Some(Duration::from_millis(20)));
         assert_eq!(s.solve(&[]), SolveResult::Unknown);
-        assert!(s.budget_exhausted());
         let took = started.elapsed();
         assert!(took < Duration::from_millis(500), "20 ms budget overran to {took:?}");
     }
