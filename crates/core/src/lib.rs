@@ -14,12 +14,11 @@
 //!   uniform [`AttackStats`]. `split_effort = N > 0` starts from `2^N`
 //!   parallel sub-attacks; `split_effort = 0` is a one-term tree, the
 //!   classic one-key SAT attack run on the calling thread. With a
-//!   per-term budget (`AttackSessionBuilder::term_dip_budget` /
-//!   `AttackSessionBuilder::term_time_budget`) the engine splits
-//!   **adaptively**: hard terms are subdivided one port at a time into a
-//!   prefix *tree* of `(pattern, width)` sub-spaces, so easy regions
-//!   finish shallow while the hard ones (the SARLock pattern term) get
-//!   exactly as much splitting as they need.
+//!   per-term DIP budget (`AttackSessionBuilder::term_dip_budget`) the
+//!   engine splits **adaptively**: hard terms are subdivided one port at
+//!   a time into a prefix *tree* of `(pattern, width)` sub-spaces, so easy
+//!   regions finish shallow while the hard ones (the SARLock pattern term)
+//!   get exactly as much splitting as they need.
 //! - [`AttackReport::recombine`] — Fig. 1(b): a MUX tree over the split
 //!   ports turns the sub-space keys into a keyless netlist equivalent to
 //!   the original design.
@@ -31,8 +30,7 @@
 //!   serves 64 patterns per bit-parallel simulation pass).
 //! - [`select_split_inputs`] — the paper's fan-out-cone split-port
 //!   heuristic plus ablation strategies.
-//! - [`verify_key`] / [`verify_key_on_subspace`] — SAT-based key checks;
-//!   [`random_sim_mismatches`] for quick probabilistic screening.
+//! - [`verify_key`] / [`verify_key_on_subspace`] — SAT-based key checks.
 //!
 //! ## End-to-end example
 //!
@@ -91,4 +89,4 @@ pub use session::{
     AttackReport, AttackSession, AttackSessionBuilder, AttackStats, CancelToken, ProgressEvent,
 };
 pub use split::{select_split_inputs, SplitStrategy};
-pub use verify::{random_sim_mismatches, verify_key, verify_key_on_subspace};
+pub use verify::{verify_key, verify_key_on_subspace};

@@ -14,10 +14,9 @@
 //! The paper fixes the splitting effort `N` up front, but term hardness is
 //! wildly uneven in practice: the SARLock term containing the protected
 //! pattern dominates wall-clock while its siblings converge in a handful
-//! of DIPs. With a per-term budget configured
-//! ([`crate::AttackSessionBuilder::term_dip_budget`] /
-//! [`crate::AttackSessionBuilder::term_time_budget`]) the engine therefore runs
-//! *adaptively*: a term that exhausts its budget without converging is
+//! of DIPs. With a per-term DIP budget configured
+//! ([`crate::AttackSessionBuilder::term_dip_budget`]) the engine therefore
+//! runs *adaptively*: a term that spends its budget without converging is
 //! split one port deeper — re-ranking the remaining inputs on the netlist
 //! its solver encodes — and its two children go back onto the work queue.
 //! The children *resume* the parent's search rather than starting over:
@@ -28,8 +27,8 @@
 //! already paid for, and every constraint and learnt clause carries over
 //! (each constraint is an oracle fact, so the correct key satisfies them
 //! all). Easy sub-spaces finish at shallow depth; hard ones are
-//! subdivided until they yield (or hit
-//! [`crate::AttackSessionBuilder::max_split_depth`]).
+//! subdivided until they yield, or until they pin every input (at most
+//! [`MAX_SPLIT_WIDTH`]), where a term runs without the budget.
 //! Terms are identified by `(pattern, width)` prefix-tree paths rather
 //! than flat grid indices.
 //!
@@ -183,15 +182,11 @@ pub(crate) fn run_multi_key<'n>(
     if n > MAX_SPLIT_WIDTH {
         return Err(AttackError::SplitTooDeep { requested: n, max: MAX_SPLIT_WIDTH });
     }
-    let max_depth = config
-        .max_split_depth
-        .unwrap_or(usize::MAX)
-        .min(locked.inputs().len())
-        .min(MAX_SPLIT_WIDTH)
-        .max(n);
-    let adaptive = config.term_dip_budget.is_some() || config.term_time_budget.is_some();
+    let max_depth = locked.inputs().len().min(MAX_SPLIT_WIDTH).max(n);
+    let adaptive = config.term_dip_budget.is_some();
     let start = Instant::now();
-    let deadline = config.time_budget.map(|budget| start + budget);
+    // A budget past the clock's range is no deadline.
+    let deadline = config.time_budget.and_then(|budget| start.checked_add(budget));
     let progress = config.on_progress.as_deref();
 
     // The global split-port order: index `j` is the port every term of
@@ -323,13 +318,11 @@ pub(crate) fn run_multi_key<'n>(
                     progress(&ProgressEvent::Dip { pattern, width: path_width, dips })
                 }
             });
-            // Terms that can still be subdivided run under the resplit
-            // budgets; at the depth cap only the session deadline applies.
-            let resplittable = width < max_depth;
+            // Terms that can still be subdivided run under the DIP budget;
+            // at the depth cap only the session deadline applies.
             let term = TermCtl {
                 force_inputs,
-                dip_budget: config.term_dip_budget.filter(|_| resplittable),
-                time_budget: config.term_time_budget.filter(|_| resplittable),
+                dip_budget: config.term_dip_budget.filter(|_| width < max_depth),
                 deadline,
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
@@ -355,7 +348,9 @@ pub(crate) fn run_multi_key<'n>(
                     wall_time: report.stats.wall_time,
                 });
             }
-            if let Some(search) = outcome.search.filter(|_| width < max_depth) {
+            // Only a budgeted term hands its search back, so `width` is
+            // below the depth cap.
+            if let Some(search) = outcome.search {
                 extend_split_order(&encoded.netlist, width)?;
                 if let Some(progress) = progress {
                     progress(&ProgressEvent::TermSplit {
@@ -538,6 +533,7 @@ mod tests {
     use crate::session::AttackSession;
     use polykey_locking::{LockScheme, Sarlock};
     use polykey_netlist::{bits_of, GateKind, Simulator};
+    use std::time::Duration;
 
     fn majority3() -> Netlist {
         let mut nl = Netlist::new("maj3");
@@ -559,22 +555,18 @@ mod tests {
     }
 
     /// Runs a sequential session with root effort `n` and an optional
-    /// per-term DIP budget and depth cap.
+    /// per-term DIP budget.
     fn attack(
         original: &Netlist,
         locked: &Netlist,
         n: usize,
         budget: Option<u64>,
-        depth_cap: Option<usize>,
     ) -> Result<AttackReport, AttackError> {
         let mut oracle = SimOracle::new(original).unwrap();
         let mut builder =
             AttackSession::builder().oracle(&mut oracle).split_effort(n).threads(1);
         if let Some(budget) = budget {
             builder = builder.term_dip_budget(budget);
-        }
-        if let Some(depth) = depth_cap {
-            builder = builder.max_split_depth(depth);
         }
         let report = builder.build().unwrap().run(locked);
         report
@@ -610,7 +602,7 @@ mod tests {
     #[test]
     fn n1_recovers_two_subspace_keys() {
         let (nl, locked) = locked_majority(0b101);
-        let report = attack(&nl, &locked, 1, None, None).unwrap();
+        let report = attack(&nl, &locked, 1, None).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.keys.len(), 2);
         assert_eq!(report.reports.len(), 2);
@@ -681,7 +673,7 @@ mod tests {
     #[test]
     fn n0_degenerates_to_plain_sat_attack() {
         let (nl, locked) = locked_majority(0b100);
-        let report = attack(&nl, &locked, 0, None, None).unwrap();
+        let report = attack(&nl, &locked, 0, None).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.keys.len(), 1);
         assert_eq!(report.keys[0].pattern, 0);
@@ -701,7 +693,7 @@ mod tests {
         let (nl, locked) = locked_majority(0b110);
         let mut dips_by_n = Vec::new();
         for n in 0..=2usize {
-            let report = attack(&nl, &locked, n, None, None).unwrap();
+            let report = attack(&nl, &locked, n, None).unwrap();
             assert!(report.is_complete(), "N={n}");
             let max_dips = report.reports.iter().map(|r| r.stats.dips).max().unwrap();
             dips_by_n.push(max_dips);
@@ -717,7 +709,7 @@ mod tests {
         // SARLock |K| = 3 needs ~7 DIPs at the root; a budget of 2 forces
         // the engine to subdivide until each leaf converges within budget.
         let (nl, locked) = locked_majority(0b101);
-        let report = attack(&nl, &locked, 0, Some(2), None).unwrap();
+        let report = attack(&nl, &locked, 0, Some(2)).unwrap();
         assert!(report.is_complete(), "statuses: {:?}", report.reports);
         assert!(report.max_depth() > 0, "the root term must have been subdivided");
         assert!(!report.resplit_reports.is_empty());
@@ -819,7 +811,7 @@ mod tests {
     /// Answers like `inner`, but its first round-trip takes `first_delay`.
     struct SlowFirstRound<'a> {
         inner: SimOracle<'a>,
-        first_delay: Option<std::time::Duration>,
+        first_delay: Option<Duration>,
     }
 
     impl Oracle for SlowFirstRound<'_> {
@@ -848,39 +840,54 @@ mod tests {
     }
 
     #[test]
-    fn depth_capped_children_of_a_timed_out_term_complete() {
-        // Regression: a resumed child inherits its parent's solver, whose
-        // soft deadline has passed. At the depth cap a child runs without
-        // a budget, and it used to stop at once with `TimeLimit` and 0 DIPs.
-        // The root's first oracle round outlasts its time budget, so the
-        // root stops with its solver's clock set and expired, however fast
-        // the host.
+    fn a_deadline_that_passes_between_solves_stops_the_run() {
+        // The first oracle round outlasts the session budget, so the
+        // deadline passes between two solves: the next solve's first clock
+        // read stops the run.
         let (nl, locked) = sarlock_c432();
-        let budget = std::time::Duration::from_millis(50);
+        let budget = Duration::from_millis(50);
         let mut oracle = SlowFirstRound {
             inner: SimOracle::new(&nl).unwrap(),
             first_delay: Some(2 * budget),
         };
+        let started = Instant::now();
         let report = AttackSession::builder()
             .oracle(&mut oracle)
-            .threads(1)
-            .term_time_budget(budget)
-            .max_split_depth(1)
+            .time_budget(budget)
             .build()
             .unwrap()
             .run(&locked)
             .unwrap();
-        assert!(report.is_complete(), "statuses: {:?}", report.status());
-        assert_eq!(report.max_depth(), 1, "the root term must have run out of time");
+        assert_eq!(report.status(), AttackStatus::TimeLimit);
+        assert_eq!(report.stats().dips, 1);
+        assert!(started.elapsed() < Duration::from_secs(2), "took {:?}", started.elapsed());
+    }
+
+    #[test]
+    fn an_unbounded_time_budget_is_no_deadline() {
+        // `start + Duration::MAX` overflows the clock: such a budget must
+        // mean no deadline, not a panic.
+        let (nl, locked) = locked_majority(0b011);
+        let mut oracle = SimOracle::new(&nl).unwrap();
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .time_budget(Duration::MAX)
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        assert!(report.is_complete());
     }
 
     #[test]
     fn adaptive_depth_cap_limits_the_tree() {
+        // A budget of one DIP splits down to terms that pin all three
+        // inputs. Those cannot be split again, so they run without the
+        // budget and converge.
         let (nl, locked) = locked_majority(0b011);
-        let report = attack(&nl, &locked, 0, Some(1), Some(1)).unwrap();
-        // At the cap terms run without the soft budget, so they converge.
+        let report = attack(&nl, &locked, 0, Some(1)).unwrap();
         assert!(report.is_complete());
-        assert!(report.max_depth() <= 1);
+        assert_eq!(report.max_depth(), locked.inputs().len());
     }
 
     #[test]
@@ -916,7 +923,7 @@ mod tests {
     #[test]
     fn task_time_aggregates() {
         let (nl, locked) = locked_majority(0b011);
-        let report = attack(&nl, &locked, 1, None, None).unwrap();
+        let report = attack(&nl, &locked, 1, None).unwrap();
         let stats = report.stats();
         assert_eq!(stats.subtask_wall_times.len(), report.reports.len());
         let min = stats.subtask_wall_times.iter().min().copied().unwrap();
@@ -928,7 +935,7 @@ mod tests {
     fn split_too_wide_rejected() {
         let (nl, locked) = locked_majority(0b011);
         assert!(matches!(
-            attack(&nl, &locked, 12, None, None),
+            attack(&nl, &locked, 12, None),
             Err(AttackError::SplitTooWide { .. })
         ));
     }
@@ -945,7 +952,7 @@ mod tests {
         let y = nl.add_gate("y", GateKind::Or, &inputs).unwrap();
         nl.mark_output(y).unwrap();
         assert!(matches!(
-            attack(&nl, &nl, 64, None, None),
+            attack(&nl, &nl, 64, None),
             Err(AttackError::SplitTooDeep { requested: 64, max: MAX_SPLIT_WIDTH })
         ));
     }

@@ -26,7 +26,7 @@
 //!
 //! The solver is used *incrementally*: learnt clauses carry over between
 //! iterations, and the miter is kept behind an assumption literal so the
-//! final key-extraction solve can ignore it. A run stopped by a soft
+//! final key-extraction solve can ignore it. A run stopped by its DIP
 //! budget hands its [`Search`] back, and another run can resume it with
 //! more input pins (the adaptive term tree's children do).
 
@@ -48,7 +48,7 @@ use crate::oracle::Oracle;
 use crate::session::AttackConfig;
 
 /// What one term's SAT attack reads beyond the session's
-/// [`AttackConfig`]: its sub-space pins, its soft budgets, the run's
+/// [`AttackConfig`]: its sub-space pins, its DIP budget, the run's
 /// deadline and its progress hook.
 #[derive(Default)]
 pub(crate) struct TermCtl<'c> {
@@ -61,14 +61,8 @@ pub(crate) struct TermCtl<'c> {
     /// signal: the adaptive multi-key engine reads it as "this term is too
     /// hard at its current depth, split it deeper".
     pub dip_budget: Option<u64>,
-    /// Soft wall-clock budget for this run: expiring it reports
-    /// [`AttackStatus::BudgetExhausted`] (with partial stats) instead of
-    /// [`AttackStatus::TimeLimit`], which remains reserved for the hard
-    /// `deadline`. Used by the adaptive multi-key engine as the per-term
-    /// resplit trigger.
-    pub time_budget: Option<Duration>,
-    /// Absolute wall-clock deadline of the whole session run: a hard stop,
-    /// reported as [`AttackStatus::TimeLimit`].
+    /// Absolute wall-clock deadline of the whole session run, reported as
+    /// [`AttackStatus::TimeLimit`].
     pub deadline: Option<Instant>,
     /// Called after each discovered DIP with the running DIP count.
     pub on_dip: Option<&'c (dyn Fn(u64) + Sync)>,
@@ -81,11 +75,11 @@ pub enum AttackStatus {
     Success,
     /// Stopped at the configured time limit.
     TimeLimit,
-    /// Stopped at a *soft* per-term budget
-    /// ([`crate::AttackSessionBuilder::term_dip_budget`] /
-    /// [`crate::AttackSessionBuilder::term_time_budget`]) with partial
-    /// stats intact. The adaptive multi-key scheduler reacts by splitting
-    /// the term one port deeper and re-attacking both halves.
+    /// Spent its per-term DIP budget
+    /// ([`crate::AttackSessionBuilder::term_dip_budget`]) without
+    /// converging, with partial stats intact. The adaptive multi-key
+    /// scheduler reacts by splitting the term one port deeper and resuming
+    /// its search in both halves.
     BudgetExhausted,
     /// Stopped by a [`crate::CancelToken`].
     Cancelled,
@@ -391,7 +385,7 @@ struct Run<'o> {
 
 impl Run<'_> {
     /// Closes the run with its terminal status and key, handing the search
-    /// back when a soft budget stopped it.
+    /// back when the DIP budget stopped it.
     fn finish<'n>(
         self,
         status: AttackStatus,
@@ -412,32 +406,14 @@ impl Run<'_> {
         SatAttackOutcome { status, key, dip_patterns: self.dip_patterns, stats, search }
     }
 
-    /// Points the solver's clock at `deadline` for its next call (or
-    /// clears it), so a resumed solver never runs against its parent's
-    /// expired deadline. Returns false, leaving the clock as it was, once
-    /// `deadline` has passed.
-    fn set_clock(&mut self, deadline: Option<Instant>) -> bool {
-        let budget = match deadline {
-            None => None,
-            Some(dl) => {
-                let now = Instant::now();
-                if now >= dl {
-                    return false;
-                }
-                Some(dl - now)
-            }
-        };
-        self.solver.set_time_budget(budget);
-        true
-    }
-
     /// Reads the current model's primary-input assignment — one DIP.
     fn extract_dip(&self, miter: &Miter) -> Vec<bool> {
         miter.inputs.iter().map(|&l| self.solver.model_value(l).unwrap_or(false)).collect()
     }
 
     /// The DIP-refinement loop: runs until the key space is exhausted or a
-    /// limit stops it, and returns how it ended.
+    /// limit stops it, and returns how it ended. A solve past the deadline
+    /// returns `Unknown`, which ends the run as `TimeLimit`.
     fn refine(
         &mut self,
         copies: &mut DipCopies<'_>,
@@ -446,40 +422,16 @@ impl Run<'_> {
         config: &AttackConfig<'_>,
         term: &TermCtl<'_>,
     ) -> Result<(AttackStatus, Option<Key>), AttackError> {
-        // The session deadline is a hard stop (`TimeLimit`); the soft
-        // per-run budget reports `BudgetExhausted`. The solver runs against
-        // whichever comes first.
-        let hard_deadline = term.deadline;
-        let soft_deadline = term.time_budget.map(|budget| self.start + budget);
-        let deadline = match (hard_deadline, soft_deadline) {
-            (Some(h), Some(s)) => Some(h.min(s)),
-            (h, s) => h.or(s),
-        };
-        // Which status an expired clock maps to: the hard deadline wins when
-        // both have passed, so a session timeout is never misread as a
-        // resplit request.
-        let expiry_status = |now: Instant| -> AttackStatus {
-            match (hard_deadline, soft_deadline) {
-                (Some(h), _) if now >= h => AttackStatus::TimeLimit,
-                (_, Some(s)) if now >= s => AttackStatus::BudgetExhausted,
-                _ => AttackStatus::TimeLimit,
-            }
-        };
-
         loop {
             // Cooperative cancellation, once per refinement iteration.
             if config.cancelled() {
                 return Ok((AttackStatus::Cancelled, None));
             }
-            // Respect the wall-clock budget across solver calls.
-            if !self.set_clock(deadline) {
-                return Ok((expiry_status(Instant::now()), None));
-            }
             match self.solver.solve(&[miter.diff]) {
-                SolveResult::Unknown => return Ok((expiry_status(Instant::now()), None)),
+                SolveResult::Unknown => return Ok((AttackStatus::TimeLimit, None)),
                 SolveResult::Sat => {
                     // The miter is still satisfiable, so more DIPs are
-                    // needed: a spent soft budget means this term is too
+                    // needed: a spent DIP budget means this term is too
                     // hard at its current depth. (Checked only here — a term
                     // that converges exactly at its budget still succeeds.)
                     if term.dip_budget.is_some_and(|budget| self.dips >= budget) {
@@ -500,7 +452,7 @@ impl Run<'_> {
                     // the classic loop.
                     let mut batch: Vec<PendingDip> = Vec::new();
                     let mut dip = self.extract_dip(miter);
-                    // Never harvest past the soft DIP budget (not yet spent:
+                    // Never harvest past the DIP budget (not yet spent:
                     // checked above).
                     let target = match term.dip_budget {
                         Some(budget) => config.dip_batch.min((budget - self.dips) as usize),
@@ -515,14 +467,11 @@ impl Run<'_> {
                         }
                         let outputs = copies.add_pending(&mut self.solver, &dip)?;
                         batch.push(PendingDip { dip, copies: Some(outputs) });
-                        if !self.set_clock(deadline) {
-                            break;
-                        }
                         match self.solver.solve(&[miter.diff]) {
                             SolveResult::Sat => dip = self.extract_dip(miter),
                             // Unsat: the epoch drained every remaining DIP
                             // (the outer loop terminates once the answers
-                            // land). Unknown: out of time budget; answer what
+                            // land). Unknown: past the deadline; answer what
                             // we have.
                             SolveResult::Unsat | SolveResult::Unknown => break,
                         }
@@ -565,13 +514,6 @@ impl Run<'_> {
                     // correct. Key extraction must not assume the miter.
                     if config.cancelled() {
                         return Ok((AttackStatus::Cancelled, None));
-                    }
-                    // Only the *hard* deadline gates key extraction: the
-                    // search has converged, so a soft budget expiring here
-                    // must not discard the (one cheap solve away) key and
-                    // force a pointless resplit.
-                    if !self.set_clock(hard_deadline) {
-                        return Ok((AttackStatus::TimeLimit, None));
                     }
                     return Ok(match self.solver.solve(&[]) {
                         SolveResult::Sat => {
@@ -626,6 +568,8 @@ pub(crate) fn run_sat_attack<'n>(
     let start = Instant::now();
     let queries_at_start = oracle.queries();
     let solver_at_start = *solver.stats();
+    // Set once per run, which also clears the clock of a resumed search.
+    solver.set_deadline(term.deadline);
     for &(idx, value) in &term.force_inputs {
         let lit = miter.inputs[idx];
         solver.add_clause(&[if value { lit } else { !lit }]);
@@ -894,13 +838,13 @@ mod tests {
 
     #[test]
     fn resumed_solver_runs_against_its_own_clock() {
-        // A solver handed over from an exhausted run keeps the run's expired
-        // soft deadline; a resumed run without a budget must clear it
-        // rather than stop at once with `TimeLimit`.
+        // A solver handed over from another run keeps that run's deadline;
+        // a resumed run without one must clear it rather than stop at once
+        // with `TimeLimit`.
         let nl = majority3();
         let locked = sarlock3(&nl, 0b010);
         let mut search = start(&locked);
-        search.solver.set_time_budget(Some(Duration::ZERO));
+        search.solver.set_deadline(Some(Instant::now()));
         let mut oracle = SimOracle::new(&nl).unwrap();
         let outcome =
             run_sat_attack(search, &mut oracle, &AttackConfig::default(), &TermCtl::default())
@@ -923,34 +867,6 @@ mod tests {
         let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, unbudgeted.stats.dips);
-    }
-
-    #[test]
-    fn zero_time_budget_reports_budget_exhausted() {
-        // The soft clock maps to BudgetExhausted; the hard session deadline
-        // keeps reporting TimeLimit (see `time_limit_reports_timeout`).
-        let nl = majority3();
-        let locked = sarlock3(&nl, 0b110);
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        let term = TermCtl { time_budget: Some(Duration::ZERO), ..TermCtl::default() };
-        let outcome = attack_term(&locked, &mut oracle, &term);
-        assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
-    }
-
-    #[test]
-    fn hard_deadline_outranks_soft_budget() {
-        // With both clocks expired the hard deadline wins: a session
-        // timeout must never be misread as a resplit request.
-        let nl = majority3();
-        let locked = sarlock3(&nl, 0b001);
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        let term = TermCtl {
-            time_budget: Some(Duration::ZERO),
-            deadline: Some(Instant::now()),
-            ..TermCtl::default()
-        };
-        let outcome = attack_term(&locked, &mut oracle, &term);
-        assert_eq!(outcome.status, AttackStatus::TimeLimit);
     }
 
     /// An oracle that answers one query wrong: the `at`-th (counted from

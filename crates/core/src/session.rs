@@ -285,7 +285,7 @@ pub(crate) struct AttackConfig<'a> {
     /// Worker threads for the term pool; `None` = one per root term, at
     /// most one per core.
     pub threads: Option<usize>,
-    /// Wall-clock budget for a whole run: a hard stop, reported as
+    /// Wall-clock budget for a whole run, reported as
     /// [`AttackStatus::TimeLimit`].
     pub time_budget: Option<Duration>,
     /// Record every DIP pattern in the term reports.
@@ -298,14 +298,8 @@ pub(crate) struct AttackConfig<'a> {
     /// DIPs harvested and answered per oracle round-trip (at least 1).
     pub dip_batch: usize,
     /// Per-term DIP budget: a term that spends it without converging is
-    /// split one port deeper. With [`AttackConfig::term_time_budget`],
-    /// `None` for both keeps the paper's static grid.
+    /// split one port deeper. `None` keeps the paper's static grid.
     pub term_dip_budget: Option<u64>,
-    /// Per-term wall-clock budget with the same resplit semantics.
-    pub term_time_budget: Option<Duration>,
-    /// Deepest adaptive split depth; `None` = as deep as the input count
-    /// and [`crate::MAX_SPLIT_WIDTH`] allow.
-    pub max_split_depth: Option<usize>,
     /// Progress events (term started/split/finished, per-term DIPs).
     pub on_progress: Option<Box<ProgressFn<'a>>>,
     /// Cooperative cancellation, checked once per DIP-refinement
@@ -325,8 +319,6 @@ impl Default for AttackConfig<'_> {
             textbook: false,
             dip_batch: 1,
             term_dip_budget: None,
-            term_time_budget: None,
-            max_split_depth: None,
             on_progress: None,
             cancel: None,
         }
@@ -350,26 +342,6 @@ impl AttackConfig<'_> {
         }
         if self.term_dip_budget == Some(0) {
             return reject("`term_dip_budget` must be at least 1".into());
-        }
-        if self.term_time_budget == Some(Duration::ZERO) {
-            // A zero budget expires before a term's first solver call:
-            // every term would split without doing any work, expanding the
-            // tree to the full grid at the depth cap.
-            return reject("`term_time_budget` must be non-zero".into());
-        }
-        if let Some(depth) = self.max_split_depth {
-            if depth > crate::MAX_SPLIT_WIDTH {
-                return reject(format!(
-                    "`max_split_depth` {depth} exceeds the engine's maximum split width {}",
-                    crate::MAX_SPLIT_WIDTH
-                ));
-            }
-            if depth < self.split_effort {
-                return reject(format!(
-                    "`max_split_depth` {depth} is shallower than `split_effort` {}",
-                    self.split_effort
-                ));
-            }
         }
         Ok(())
     }
@@ -435,7 +407,8 @@ impl<'a> AttackSessionBuilder<'a> {
     }
 
     /// Sets a wall-clock budget for the whole run (shared by all terms);
-    /// exhausted runs report [`AttackStatus::TimeLimit`].
+    /// exhausted runs report [`AttackStatus::TimeLimit`]. A budget past
+    /// the clock's range sets no deadline.
     pub fn time_budget(mut self, budget: Duration) -> Self {
         self.config.time_budget = Some(budget);
         self
@@ -521,9 +494,9 @@ impl<'a> AttackSessionBuilder<'a> {
     /// they yield.
     ///
     /// Works from any root effort, including `split_effort(0)`: the tree
-    /// then grows purely on demand. See also
-    /// [`AttackSessionBuilder::term_time_budget`] and
-    /// [`AttackSessionBuilder::max_split_depth`].
+    /// then grows purely on demand. A term that pins every input (at most
+    /// [`crate::MAX_SPLIT_WIDTH`]) cannot be split further and runs
+    /// without the budget.
     ///
     /// # Examples
     ///
@@ -564,24 +537,6 @@ impl<'a> AttackSessionBuilder<'a> {
         self
     }
 
-    /// Turns on adaptive splitting with a per-term wall-clock budget: a
-    /// term still unconverged after `budget` is split one port deeper (see
-    /// [`AttackSessionBuilder::term_dip_budget`]). Both budgets may be set
-    /// together; whichever exhausts first triggers the resplit.
-    pub fn term_time_budget(mut self, budget: Duration) -> Self {
-        self.config.term_time_budget = Some(budget);
-        self
-    }
-
-    /// Caps how deep adaptive resplitting may grow the term tree. Terms
-    /// at the cap attack without the soft budgets (they can no longer be
-    /// subdivided, so giving up early would serve nothing). Default: as
-    /// deep as the input count and [`crate::MAX_SPLIT_WIDTH`] allow.
-    pub fn max_split_depth(mut self, depth: usize) -> Self {
-        self.config.max_split_depth = Some(depth);
-        self
-    }
-
     /// Installs a progress callback (may be called from worker threads).
     pub fn on_progress<F>(mut self, callback: F) -> Self
     where
@@ -602,11 +557,8 @@ impl<'a> AttackSessionBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// [`AttackError::SessionConfig`] if no oracle was provided, or a
-    /// setting is out of range: `threads`, `dip_batch` or
-    /// `term_dip_budget` of 0, a zero `term_time_budget`, or a
-    /// `max_split_depth` beyond [`crate::MAX_SPLIT_WIDTH`] or below
-    /// `split_effort`.
+    /// [`AttackError::SessionConfig`] if no oracle was provided, or
+    /// `threads`, `dip_batch` or `term_dip_budget` is 0.
     pub fn build(self) -> Result<AttackSession<'a>, AttackError> {
         let Some(oracle) = self.oracle else {
             return Err(AttackError::SessionConfig {
@@ -710,43 +662,6 @@ mod tests {
         let mut oracle = SimOracle::new(&nl).unwrap();
         assert!(matches!(
             AttackSession::builder().oracle(&mut oracle).term_dip_budget(0).build(),
-            Err(AttackError::SessionConfig { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_term_time_budget_rejected() {
-        // A zero soft clock would expire before any work: every term below
-        // the depth cap would split immediately, blowing the tree up to
-        // the full grid.
-        let nl = majority3();
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        assert!(matches!(
-            AttackSession::builder()
-                .oracle(&mut oracle)
-                .term_time_budget(Duration::ZERO)
-                .build(),
-            Err(AttackError::SessionConfig { .. })
-        ));
-    }
-
-    #[test]
-    fn invalid_max_split_depth_rejected() {
-        let nl = majority3();
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        // Deeper than the u64 pattern representation…
-        assert!(matches!(
-            AttackSession::builder().oracle(&mut oracle).max_split_depth(64).build(),
-            Err(AttackError::SessionConfig { .. })
-        ));
-        // …or shallower than the root effort.
-        let mut oracle = SimOracle::new(&nl).unwrap();
-        assert!(matches!(
-            AttackSession::builder()
-                .oracle(&mut oracle)
-                .split_effort(3)
-                .max_split_depth(2)
-                .build(),
             Err(AttackError::SessionConfig { .. })
         ));
     }

@@ -1,8 +1,8 @@
-//! Key verification: formal and simulation-based checks of recovered keys.
+//! Key verification: SAT-based checks of recovered keys.
 
-use polykey_encode::{check_equivalence, EquivError, EquivResult, MiterError};
+use polykey_encode::{check_equivalence, EquivResult};
 use polykey_locking::Key;
-use polykey_netlist::{cofactor, pin_keys, Netlist, Simulator};
+use polykey_netlist::{cofactor, pin_keys, Netlist};
 
 use crate::error::AttackError;
 
@@ -77,54 +77,6 @@ pub fn verify_key_on_subspace(
     let locked_cof = cofactor(locked, &locked_pins)?;
     let pinned = pin_keys(&locked_cof, key.bits())?;
     Ok(check_equivalence(&orig_cof, &pinned)? == EquivResult::Equivalent)
-}
-
-/// Fast probabilistic check: simulates `patterns` random input vectors and
-/// compares locked-under-key against the original. Returns the number of
-/// mismatching patterns (0 means "no corruption found", not proof).
-///
-/// # Errors
-///
-/// - [`AttackError::Miter`] if the two netlists differ in input count.
-/// - [`AttackError::Equiv`] if `original` has key inputs.
-/// - Structural errors (wrong key width, cycles).
-pub fn random_sim_mismatches(
-    original: &Netlist,
-    locked: &Netlist,
-    key: &Key,
-    patterns: usize,
-    seed: u64,
-) -> Result<usize, AttackError> {
-    let ni = original.inputs().len();
-    if locked.inputs().len() != ni {
-        return Err(AttackError::Miter(MiterError::InterfaceMismatch {
-            what: "primary inputs",
-            left: ni,
-            right: locked.inputs().len(),
-        }));
-    }
-    if !original.key_inputs().is_empty() {
-        return Err(AttackError::Equiv(EquivError::HasKeyInputs {
-            name: original.name().to_string(),
-        }));
-    }
-    let mut orig = Simulator::new(original)?;
-    // Pinning rejects a key of the wrong width, as `verify_key` does.
-    let keyed = pin_keys(locked, key.bits())?;
-    let mut lsim = Simulator::new(&keyed)?;
-    let mut state = seed | 1;
-    let mut next_bit = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 63 == 1
-    };
-    let mut mismatches = 0;
-    for _ in 0..patterns {
-        let bits: Vec<bool> = (0..ni).map(|_| next_bit()).collect();
-        if orig.eval(&bits, &[]) != lsim.eval(&bits, &[]) {
-            mismatches += 1;
-        }
-    }
-    Ok(mismatches)
 }
 
 #[cfg(test)]
@@ -214,43 +166,5 @@ mod tests {
             verify_key_on_subspace(&narrow, &locked.netlist, &key, &[(2, true)]),
             Err(AttackError::InputOutOfRange { position: 2, inputs: 2 })
         ));
-    }
-
-    #[test]
-    fn random_sim_rejects_mismatched_interfaces() {
-        let nl = xor3();
-        let key = Key::from_u64(0b101, 3);
-        let locked = Sarlock::new(3).lock(&nl, &key).unwrap();
-        // A key of the wrong width.
-        let short = Key::from_u64(0b1, 1);
-        assert!(matches!(
-            random_sim_mismatches(&nl, &locked.netlist, &short, 8, 1),
-            Err(AttackError::Netlist(_))
-        ));
-        // A locked netlist with another input count than the original.
-        let mut wide = xor3();
-        wide.add_input("d").unwrap();
-        let wide_locked = Sarlock::new(3).lock(&wide, &key).unwrap();
-        assert!(matches!(
-            random_sim_mismatches(&nl, &wide_locked.netlist, &key, 8, 1),
-            Err(AttackError::Miter(MiterError::InterfaceMismatch { left: 3, right: 4, .. }))
-        ));
-        // A locked design passed as the original.
-        assert!(matches!(
-            random_sim_mismatches(&locked.netlist, &locked.netlist, &key, 8, 1),
-            Err(AttackError::Equiv(EquivError::HasKeyInputs { .. }))
-        ));
-    }
-
-    #[test]
-    fn random_sim_finds_corruption() {
-        let nl = xor3();
-        let correct = Key::from_u64(0b110, 3);
-        let locked = Sarlock::new(3).lock(&nl, &correct).unwrap();
-        assert_eq!(random_sim_mismatches(&nl, &locked.netlist, &correct, 200, 1).unwrap(), 0);
-        // A wrong SARLock key errs on exactly 1 of 8 patterns; 200 random
-        // patterns hit it with overwhelming probability.
-        let wrong = Key::from_u64(0b111, 3);
-        assert!(random_sim_mismatches(&nl, &locked.netlist, &wrong, 200, 1).unwrap() > 0);
     }
 }

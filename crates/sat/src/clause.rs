@@ -44,8 +44,6 @@ pub(crate) struct ClauseDb {
     free: Vec<u32>,
     num_original: usize,
     num_learnt: usize,
-    /// Total literal count in live clauses, for stats.
-    lits_live: usize,
 }
 
 impl ClauseDb {
@@ -55,7 +53,6 @@ impl ClauseDb {
 
     pub(crate) fn insert(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit clauses live on the trail, not in the db");
-        self.lits_live += lits.len();
         if learnt {
             self.num_learnt += 1;
         } else {
@@ -76,7 +73,6 @@ impl ClauseDb {
         let c = &mut self.clauses[cref.0 as usize];
         debug_assert!(!c.deleted);
         c.deleted = true;
-        self.lits_live -= c.lits.len();
         if c.learnt {
             self.num_learnt -= 1;
         } else {
@@ -102,10 +98,6 @@ impl ClauseDb {
 
     pub(crate) fn num_learnt(&self) -> usize {
         self.num_learnt
-    }
-
-    pub(crate) fn lits_live(&self) -> usize {
-        self.lits_live
     }
 
     /// Iterates over the handles of live clauses, in slot order.
@@ -151,7 +143,6 @@ mod tests {
         assert!(db.get(c2).learnt);
         assert_eq!(db.num_original(), 1);
         assert_eq!(db.num_learnt(), 1);
-        assert_eq!(db.lits_live(), 5);
     }
 
     #[test]
@@ -161,11 +152,9 @@ mod tests {
         let _c2 = db.insert(lits(&[3, 4]), false, 0);
         db.delete(c1);
         assert_eq!(db.num_learnt(), 0);
-        assert_eq!(db.lits_live(), 2);
         let c3 = db.insert(lits(&[5, 6, 7]), false, 0);
         assert_eq!(c3, c1, "deleted slot should be reused");
         assert_eq!(db.num_original(), 2);
-        assert_eq!(db.lits_live(), 5);
         assert!(!db.get(c3).deleted && !db.get(c3).learnt);
     }
 

@@ -6,13 +6,13 @@
 //! activity/LBD-guided learnt-clause deletion, and incremental solving under
 //! assumptions.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::clause::{ClauseDb, ClauseRef, Watcher};
 use crate::lit::{LBool, Lit, Var};
 
 /// Work units (decisions plus propagations) between two clock reads under
-/// a time budget: at tens of nanoseconds per unit, a deadline is noticed
+/// a deadline: at tens of nanoseconds per unit, a deadline is noticed
 /// well within a millisecond.
 const CLOCK_POLL_STRIDE: u64 = 4096;
 
@@ -23,20 +23,8 @@ pub enum SolveResult {
     Sat,
     /// The formula is unsatisfiable under the given assumptions.
     Unsat,
-    /// The wall-clock budget ran out first.
+    /// The [`Solver::set_deadline`] deadline passed first.
     Unknown,
-}
-
-impl SolveResult {
-    /// True iff the result is [`SolveResult::Sat`].
-    pub fn is_sat(self) -> bool {
-        self == SolveResult::Sat
-    }
-
-    /// True iff the result is [`SolveResult::Unsat`].
-    pub fn is_unsat(self) -> bool {
-        self == SolveResult::Unsat
-    }
 }
 
 /// Counters describing the work a solver has performed.
@@ -155,7 +143,7 @@ struct VarData {
 /// ```
 ///
 /// A clone is an independent solver in the same state: clauses, learnt
-/// clauses, activities, counters and the time budget's deadline.
+/// clauses, activities, counters and the deadline.
 #[derive(Clone, Debug)]
 pub struct Solver {
     stats: SolverStats,
@@ -181,7 +169,6 @@ pub struct Solver {
 
     ok: bool,
     model: Vec<LBool>,
-    conflict_core: Vec<Lit>,
 
     // Scratch buffers for conflict analysis.
     seen: Vec<bool>,
@@ -225,7 +212,6 @@ impl Solver {
             max_learnts: 0.0,
             ok: true,
             model: Vec::new(),
-            conflict_core: Vec::new(),
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
@@ -261,17 +247,6 @@ impl Solver {
         self.db.num_original()
     }
 
-    /// Number of live learnt clauses.
-    pub fn num_learnts(&self) -> usize {
-        self.db.num_learnt()
-    }
-
-    /// Total number of literal occurrences in live clauses (a proxy for
-    /// memory footprint and propagation cost).
-    pub fn num_clause_lits(&self) -> usize {
-        self.db.lits_live()
-    }
-
     /// Work counters accumulated so far.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
@@ -283,11 +258,12 @@ impl Solver {
         self.ok
     }
 
-    /// Limits the next `solve` call to roughly `limit` of wall-clock time
-    /// (checked every few thousand decisions and propagations). `None`
+    /// Stops every later `solve` call at `deadline` with
+    /// [`SolveResult::Unknown`]. Each call reads the clock before its first
+    /// decision, then every few thousand decisions and propagations. `None`
     /// removes the limit.
-    pub fn set_time_budget(&mut self, limit: Option<Duration>) {
-        self.deadline = limit.map(|d| Instant::now() + d);
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
     /// Adds a clause. Returns `false` if the clause set is now known
@@ -348,13 +324,11 @@ impl Solver {
     /// Solves the clause set under the given assumptions.
     ///
     /// On [`SolveResult::Sat`] a model is available via
-    /// [`Solver::model_value`]. On [`SolveResult::Unsat`] with assumptions, a
-    /// subset of failed assumptions is available via
-    /// [`Solver::unsat_core`].
+    /// [`Solver::model_value`]. Past the [`Solver::set_deadline`] deadline
+    /// the call returns [`SolveResult::Unknown`].
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.stats.solves += 1;
         self.model.clear();
-        self.conflict_core.clear();
         self.budget_exhausted = false;
         self.next_clock_poll = 0;
         if !self.ok {
@@ -391,13 +365,6 @@ impl Solver {
     /// the last `solve` did not return `Sat` or the variable did not exist.
     pub fn model_value(&self, lit: Lit) -> Option<bool> {
         self.model.get(lit.var().index()).and_then(|v| v.xor(lit.is_negated()).to_bool())
-    }
-
-    /// After an `Unsat` answer under assumptions: a subset of the assumptions
-    /// whose conjunction is already unsatisfiable (each returned literal is
-    /// one of the assumption literals).
-    pub fn unsat_core(&self) -> &[Lit] {
-        &self.conflict_core
     }
 
     /// The value of `lit` implied at decision level 0 (by unit propagation of
@@ -684,45 +651,6 @@ impl Solver {
         true
     }
 
-    /// Computes the failed-assumption core: `failed` is an assumption literal
-    /// found false under the earlier assumptions. The core collects `failed`
-    /// plus every earlier assumption (decision) its falsification depends on,
-    /// so the returned literals are a subset of the caller's assumptions.
-    fn analyze_final(&mut self, failed: Lit) {
-        self.conflict_core.clear();
-        self.conflict_core.push(failed);
-        if self.decision_level() == 0 {
-            return;
-        }
-        self.seen[failed.var().index()] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let x = self.trail[i].var();
-            if self.seen[x.index()] {
-                match self.reason(x) {
-                    None => {
-                        debug_assert!(self.level(x) > 0);
-                        // A decision above level 0 is an assumption literal
-                        // (the assumption-check loop precedes all heuristic
-                        // decisions). `trail[i] == failed` is impossible: the
-                        // decision would have made `failed` true.
-                        self.conflict_core.push(self.trail[i]);
-                    }
-                    Some(cref) => {
-                        let clen = self.db.get(cref).len();
-                        for k in 1..clen {
-                            let l = self.db.get(cref).lits[k];
-                            if self.level(l.var()) > 0 {
-                                self.seen[l.var().index()] = true;
-                            }
-                        }
-                    }
-                }
-                self.seen[x.index()] = false;
-            }
-        }
-        self.seen[failed.var().index()] = false;
-    }
-
     // ------------------------------------------------------------------
     // Activities
     // ------------------------------------------------------------------
@@ -898,10 +826,7 @@ impl Solver {
                     let p = assumptions[self.decision_level() as usize];
                     match self.lit_value(p) {
                         LBool::True => self.new_decision_level(),
-                        LBool::False => {
-                            self.analyze_final(p);
-                            return Some(SolveResult::Unsat);
-                        }
+                        LBool::False => return Some(SolveResult::Unsat),
                         LBool::Undef => {
                             next = Some(p);
                             break;
@@ -991,6 +916,7 @@ mod tests {
     use crate::cnf::{ClauseSink, CnfFormula};
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
+    use std::time::Duration;
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)
@@ -1094,24 +1020,9 @@ mod tests {
     }
 
     #[test]
-    fn unsat_core_is_subset_of_assumptions() {
-        let mut s = solver_with_vars(3);
-        s.add_clause(&[lit(-1), lit(-2)]); // a and b can't both hold
-        assert_eq!(s.solve(&[lit(1), lit(2), lit(3)]), SolveResult::Unsat);
-        let core = s.unsat_core();
-        assert!(!core.is_empty());
-        for l in core {
-            assert!([lit(1), lit(2), lit(3)].contains(l), "core lit {l} not an assumption");
-        }
-        // x3 is irrelevant to the conflict.
-        assert!(!core.contains(&lit(3)));
-    }
-
-    #[test]
     fn conflicting_assumption_pair() {
         let mut s = solver_with_vars(1);
         assert_eq!(s.solve(&[lit(1), lit(-1)]), SolveResult::Unsat);
-        assert!(!s.unsat_core().is_empty());
         assert_eq!(s.solve(&[]), SolveResult::Sat);
     }
 
@@ -1215,7 +1126,7 @@ mod tests {
         // within a bound that leaves room for a loaded test host.
         let mut s = pigeonhole(9);
         let started = Instant::now();
-        s.set_time_budget(Some(Duration::from_millis(20)));
+        s.set_deadline(Some(started + Duration::from_millis(20)));
         assert_eq!(s.solve(&[]), SolveResult::Unknown);
         let took = started.elapsed();
         assert!(took < Duration::from_millis(500), "20 ms budget overran to {took:?}");

@@ -67,25 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn unsat_core_is_sound(f in arb_cnf(6, 25, 4), asm_bits in 0u8..64) {
-        let assumptions: Vec<Lit> = (0..6)
-            .map(|i| Lit::new(Var::new(i), asm_bits >> i & 1 == 1))
-            .collect();
-        let mut solver = f.to_solver();
-        if solver.solve(&assumptions) == SolveResult::Unsat {
-            let core: Vec<Lit> = solver.unsat_core().to_vec();
-            // Every core literal is one of the assumptions.
-            for l in &core {
-                prop_assert!(assumptions.contains(l), "core literal {} not assumed", l);
-            }
-            // The core alone must already be unsatisfiable (when the formula
-            // itself was satisfiable, the core carries the contradiction).
-            let mut again = f.to_solver();
-            prop_assert_eq!(again.solve(&core), SolveResult::Unsat);
-        }
-    }
-
-    #[test]
     fn incremental_solving_is_consistent(f in arb_cnf(7, 20, 4), extra in arb_cnf(7, 10, 4)) {
         // solve(f), then add extra clauses, then solve again ==
         // solving f ∪ extra from scratch.
