@@ -17,9 +17,10 @@ use polykey_encode::{build_miter, check_equivalence, DipConstraints, EquivResult
 use polykey_locking::{
     lock_sarlock_on_signals, AntiSat, Key, LockScheme, LutLock, Rll, Sarlock,
 };
-use polykey_netlist::analysis::levels;
+use polykey_netlist::analysis::{key_reachable_outputs, levels};
 use polykey_netlist::{
-    bits_of, cofactor_simplify, pin_keys, simplify, GateKind, Netlist, NodeId, Simulator,
+    bits_of, cofactor_simplify, keep_outputs, pin_keys, simplify, GateKind, Netlist, NodeId,
+    Simulator,
 };
 use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, SolverStats, Var};
 use rand::SeedableRng;
@@ -281,8 +282,9 @@ pub fn batch(ctx: &ScenarioCtx) -> ScenarioResult {
 }
 
 /// Table 1 (`table1`): `#DIP` vs splitting effort on
-/// SARLock-locked c7552. Every cell is recombined (Fig. 1b) and formally
-/// verified against the original.
+/// SARLock-locked c7552. Every cell asserts its `#DIP(max)`: `2^|K| − 1`
+/// at N = 0 and `2^(|K|−N)` for N ≥ 1. Every cell is recombined (Fig. 1b)
+/// and formally verified against the original.
 pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
     let key_sizes: Vec<usize> =
         if ctx.scale == Scale::Quick { vec![4, 8] } else { vec![4, 8, 12] };
@@ -329,6 +331,10 @@ pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
                 == EquivResult::Equivalent;
             assert!(verified, "|K|={kw} N={n} must recombine");
             let max_dips = max_term_dips(&report);
+            // The one-key attack rules out SARLock's wrong keys one DIP at
+            // a time; each split port halves the keys a term has left.
+            let expected = if n == 0 { (1 << kw) - 1 } else { 1 << (kw - n) };
+            assert_eq!(max_dips, expected, "SARLock |K|={kw} N={n}: #DIP(max)");
             let min_dips = report.reports.iter().map(|r| r.stats.dips).min().unwrap_or(0);
             let terms = report.reports.len();
             if max_dips != min_dips {
@@ -1170,12 +1176,13 @@ fn random_3sat(vars: usize, ratio: f64, seed: u64) -> CnfFormula {
 }
 
 /// Per-layer timings (`layers`): packed simulation, re-synthesis,
-/// cofactoring, LUT locking, per-DIP constraint encoding, the CDCL solver
-/// and equivalence proofs, each on fixed inputs.
+/// cofactoring, LUT locking, a search's cone and miter set-up, per-DIP
+/// constraint encoding, the CDCL solver and equivalence proofs, each on
+/// fixed inputs.
 ///
 /// Each cell reports `iter_ms`, the fastest of `LAYER_REPS` runs, plus
 /// its deterministic work counter: `conflicts` for solver cells and
-/// `cnf_clauses` for the encoding cell (gated), `gates` / `gates_after` /
+/// `cnf_clauses` for the encoding cells (gated), `gates` / `gates_after` /
 /// `locked_gates` for netlist and proof cells (informational). Single
 /// cells sit below the timing noise floor; the scenario's `__total__`
 /// does not.
@@ -1251,13 +1258,26 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
     }
 
     {
+        let c7552 = Iscas85::C7552.build();
+        let locked = Sarlock::new(8).lock(&c7552, &Key::from_u64(0x5A, 8)).expect("lockable");
+        let netlist = &locked.netlist;
+
+        // A search's set-up after its term is derived, as `Search::new`
+        // does it: the outputs the key reaches, their cone, and its miter.
+        // The locked netlist's order stays cached after the first run.
+        let (time, clauses) = fastest(|| {
+            let kept = key_reachable_outputs(netlist);
+            let cone = keep_outputs(netlist, &kept).expect("acyclic");
+            let mut solver = Solver::new();
+            build_miter(&mut solver, &cone, &cone).expect("acyclic");
+            solver.num_clauses() as u64
+        });
+        cell("cone_miter", "c7552_sarlock8", time, "cnf_clauses", clauses);
+
         // The DIP loop's encoding work: the attack miter, then both
         // constraint copies for each of 255 fixed DIPs (SARLock |K|=8 needs
         // 2^8 - 1) with the oracle's responses, through the elimination
         // buffer into the miter's solver.
-        let c7552 = Iscas85::C7552.build();
-        let locked = Sarlock::new(8).lock(&c7552, &Key::from_u64(0x5A, 8)).expect("lockable");
-        let netlist = &locked.netlist;
         let width = netlist.inputs().len();
         let dips: Vec<Vec<bool>> = (0..255u64)
             .map(|i| bits_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), width))

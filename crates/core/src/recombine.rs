@@ -217,7 +217,7 @@ pub fn recombine_multikey(
     }
 
     // Copy the locked design's gates over the new drivers.
-    for id in order {
+    for &id in order {
         let node = locked.node(id);
         if node.kind().is_input() {
             continue;

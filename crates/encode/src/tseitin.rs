@@ -280,7 +280,7 @@ pub(crate) fn encode_shared<S: ClauseSink>(
     }
 
     let mut strash = Strash { shared: None, own: table };
-    for id in order {
+    for &id in order {
         let node = netlist.node(id);
         if node.kind().is_input() {
             continue;
@@ -349,7 +349,8 @@ impl<'n> ConeEncoder<'n> {
         let in_cone = key_controlled_mask(netlist);
         let cone = netlist
             .topological_order()?
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&id| in_cone[id.index()] && !netlist.node(id).kind().is_input())
             .collect();
         Ok(ConeEncoder {

@@ -12,7 +12,29 @@ use crate::netlist::{Netlist, NetlistError, NodeId};
 /// Computes the transitive-fanout membership mask of a seed set: entry `i`
 /// is true iff node `i` is one of the seeds or reachable from them through
 /// fanout edges.
+///
+/// One forward pass over the cached topological order marks every node
+/// with a marked fanin; a cyclic netlist is walked through its fanout
+/// adjacency instead.
 pub fn transitive_fanout(netlist: &Netlist, seeds: &[NodeId]) -> Vec<bool> {
+    let Ok(order) = netlist.topological_order() else {
+        return fanout_walk(netlist, seeds);
+    };
+    let mut mask = vec![false; netlist.num_nodes()];
+    for &s in seeds {
+        mask[s.index()] = true;
+    }
+    for &id in order {
+        if !mask[id.index()] && netlist.node(id).fanins().iter().any(|f| mask[f.index()]) {
+            mask[id.index()] = true;
+        }
+    }
+    mask
+}
+
+/// [`transitive_fanout`] by a depth-first walk of the fanout adjacency,
+/// which needs no topological order.
+fn fanout_walk(netlist: &Netlist, seeds: &[NodeId]) -> Vec<bool> {
     let fanouts = netlist.fanout_adjacency();
     let mut mask = vec![false; netlist.num_nodes()];
     let mut stack: Vec<NodeId> = Vec::new();
@@ -89,7 +111,7 @@ pub fn key_cone_influence(netlist: &Netlist) -> Result<Vec<(NodeId, usize)>, Net
     }
     let key_mask = key_controlled_mask(netlist);
     let mut counts = vec![0usize; inputs.len()];
-    for id in netlist.topological_order()? {
+    for &id in netlist.topological_order()? {
         let node = netlist.node(id);
         let at = id.index() * words;
         for fanin in node.fanins() {
@@ -121,7 +143,7 @@ pub fn key_cone_influence(netlist: &Netlist) -> Result<Vec<(NodeId, usize)>, Net
 pub fn levels(netlist: &Netlist) -> Result<Vec<u32>, NetlistError> {
     let order = netlist.topological_order()?;
     let mut level = vec![0u32; netlist.num_nodes()];
-    for id in order {
+    for &id in order {
         let node = netlist.node(id);
         if !node.fanins().is_empty() {
             level[id.index()] =
@@ -355,6 +377,114 @@ mod tests {
                 key_cone_influence(&nl).unwrap(),
                 key_cone_influence_reference(&nl)
             );
+        }
+    }
+
+    /// The Kahn order the cached one replaced: a fresh `Vec<Vec<_>>` fanout
+    /// table per call, consumers ascending and deduplicated, the ready
+    /// stack popped from the end.
+    fn topological_order_reference(netlist: &Netlist) -> Result<Vec<NodeId>, NetlistError> {
+        let n = netlist.num_nodes();
+        let mut indegree: Vec<u32> = netlist
+            .node_ids()
+            .map(|id| {
+                let mut fanins = netlist.node(id).fanins().to_vec();
+                fanins.sort_unstable();
+                fanins.dedup();
+                fanins.len() as u32
+            })
+            .collect();
+        let fanouts = netlist.fanout_adjacency();
+        let mut order = Vec::with_capacity(n);
+        let mut ready: Vec<NodeId> =
+            (0..n).filter(|&i| indegree[i] == 0).map(NodeId::from_index).collect();
+        while let Some(id) = ready.pop() {
+            order.push(id);
+            for &out in &fanouts[id.index()] {
+                indegree[out.index()] -= 1;
+                if indegree[out.index()] == 0 {
+                    ready.push(out);
+                }
+            }
+        }
+        match (0..n).find(|&i| indegree[i] > 0) {
+            Some(i) => Err(NetlistError::Cycle {
+                involving: netlist.node_name(NodeId::from_index(i)).to_string(),
+            }),
+            None => Ok(order),
+        }
+    }
+
+    /// The cached order and the forward-pass fanout agree with the walks
+    /// they replaced, from several seed sets.
+    fn matches_reference_walks(
+        nl: &Netlist,
+        node: NodeId,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        proptest::prop_assert_eq!(
+            nl.topological_order().map(<[NodeId]>::to_vec),
+            topological_order_reference(nl)
+        );
+        for seeds in [nl.key_inputs(), nl.inputs(), nl.outputs(), &[node]] {
+            proptest::prop_assert_eq!(transitive_fanout(nl, seeds), fanout_walk(nl, seeds));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn parsed_forward_references_and_set_node_refresh_the_order() {
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(m, b)\nm = NOT(n)\nn = OR(a, b)\n";
+        let mut nl = crate::parse_bench(src.as_bytes(), "fwd").unwrap();
+        let (a, m, n) = (nl.find("a").unwrap(), nl.find("m").unwrap(), nl.find("n").unwrap());
+        assert_eq!(nl.topological_order().unwrap(), topological_order_reference(&nl).unwrap());
+        assert_eq!(transitive_fanout(&nl, &[a]), fanout_walk(&nl, &[a]));
+        // Rewire n to read m: a cycle the cached order must not hide.
+        nl.set_node(n, GateKind::Or, vec![a, m]);
+        assert_eq!(
+            nl.topological_order().map(<[NodeId]>::to_vec),
+            topological_order_reference(&nl)
+        );
+        assert!(nl.topological_order().is_err());
+        assert_eq!(transitive_fanout(&nl, &[a]), fanout_walk(&nl, &[a]));
+        // And back to acyclic, in a different shape.
+        nl.set_node(n, GateKind::Xor, vec![a, a]);
+        assert_eq!(nl.topological_order().unwrap(), topological_order_reference(&nl).unwrap());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn cached_order_and_forward_fanout_survive_edits(
+            steps in proptest::collection::vec(
+                (0u8..8, 0u16..1024, 0u16..1024, 0u16..1024),
+                0..200,
+            ),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0u16..1024, 0u16..1024, 0u16..1024),
+                0..12,
+            )
+        ) {
+            let mut nl = random_netlist(&steps);
+            let pick = |nl: &Netlist, v: u16| NodeId::from_index(v as usize % nl.num_nodes());
+            matches_reference_walks(&nl, pick(&nl, 0))?;
+            for (n, &(insert, x, y, z)) in edits.iter().enumerate() {
+                // Either edit can close a cycle: an inserted gate whose extra
+                // fanin reads its target, or a fanin replaced by a consumer.
+                if insert {
+                    let (target, extra) = (pick(&nl, x), pick(&nl, y));
+                    nl.insert_after(target, format!("e{n}"), GateKind::Xor, &[extra]).unwrap();
+                } else {
+                    let gate = pick(&nl, x);
+                    let fanins = nl.node(gate).fanins();
+                    if fanins.is_empty() {
+                        continue;
+                    }
+                    let old = fanins[y as usize % fanins.len()];
+                    nl.replace_fanin(gate, old, pick(&nl, z)).unwrap();
+                }
+                matches_reference_walks(&nl, pick(&nl, z))?;
+            }
         }
     }
 

@@ -289,7 +289,7 @@ pub fn write_bench<W: Write>(mut writer: W, netlist: &Netlist) -> io::Result<()>
     let order = netlist
         .topological_order()
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    for id in order {
+    for &id in order {
         let node = netlist.node(id);
         let kind = node.kind();
         if kind.is_input() {

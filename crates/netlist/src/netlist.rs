@@ -1,8 +1,9 @@
 //! The gate-level netlist: a named DAG of logic gates.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::gate::GateKind;
 
@@ -80,6 +81,11 @@ pub enum NetlistError {
         /// Name of the node.
         name: String,
     },
+    /// A pin list names the same input twice.
+    PinnedTwice {
+        /// Name of the input.
+        name: String,
+    },
     /// Unsupported construct (e.g. sequential elements in a `.bench` file).
     Unsupported(String),
 }
@@ -97,6 +103,7 @@ impl fmt::Display for NetlistError {
                 write!(f, "combinational cycle involving `{involving}`")
             }
             NetlistError::NotAnInput { name } => write!(f, "node `{name}` is not an input"),
+            NetlistError::PinnedTwice { name } => write!(f, "input `{name}` is pinned twice"),
             NetlistError::Unsupported(what) => write!(f, "unsupported construct: {what}"),
         }
     }
@@ -110,6 +117,12 @@ impl Error for NetlistError {}
 /// (fanins must already exist), carry unique names, and are classified into
 /// primary inputs, key inputs (added by locking schemes) and internal gates.
 /// Any node can be marked as a primary output.
+///
+/// Each name is stored once and shared by the netlists derived from this
+/// one ([`cofactor`](crate::cofactor), [`simplify`](crate::simplify),
+/// [`keep_outputs`](crate::keep_outputs), [`pin_keys`](crate::pin_keys)).
+/// The topological order is computed on first use and cached; every
+/// method that changes a node or a fanin clears it.
 ///
 /// # Examples
 ///
@@ -137,24 +150,37 @@ impl Error for NetlistError {}
 pub struct Netlist {
     name: String,
     nodes: Vec<Node>,
-    names: Vec<String>,
-    name_to_node: HashMap<String, NodeId>,
+    names: Vec<Arc<str>>,
+    name_to_node: HashMap<Arc<str>, NodeId>,
     primary_inputs: Vec<NodeId>,
     key_inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
+    order: OnceLock<Result<Vec<NodeId>, NetlistError>>,
 }
+
+// Searches hand netlists to term threads behind an `Arc`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Netlist>();
+};
 
 impl Netlist {
     /// Creates an empty netlist with the given design name.
     pub fn new(name: impl Into<String>) -> Netlist {
+        Netlist::with_capacity(name.into(), 0)
+    }
+
+    /// An empty netlist with room for `nodes` nodes.
+    pub(crate) fn with_capacity(name: String, nodes: usize) -> Netlist {
         Netlist {
-            name: name.into(),
-            nodes: Vec::new(),
-            names: Vec::new(),
-            name_to_node: HashMap::new(),
+            name,
+            nodes: Vec::with_capacity(nodes),
+            names: Vec::with_capacity(nodes),
+            name_to_node: HashMap::with_capacity(nodes),
             primary_inputs: Vec::new(),
             key_inputs: Vec::new(),
             outputs: Vec::new(),
+            order: OnceLock::new(),
         }
     }
 
@@ -214,6 +240,11 @@ impl Netlist {
         &self.names[id.index()]
     }
 
+    /// The stored name of a node, for a derived netlist to share.
+    pub(crate) fn shared_name(&self, id: NodeId) -> &Arc<str> {
+        &self.names[id.index()]
+    }
+
     /// Looks a node up by signal name.
     pub fn find(&self, name: &str) -> Option<NodeId> {
         self.name_to_node.get(name).copied()
@@ -224,20 +255,43 @@ impl Netlist {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    fn check_fresh_name(&self, name: &str) -> Result<(), NetlistError> {
-        if self.name_to_node.contains_key(name) {
-            Err(NetlistError::DuplicateName(name.to_string()))
-        } else {
-            Ok(())
+    /// Appends a node: the one insertion path of every constructor.
+    /// Inputs and key inputs join their port lists.
+    ///
+    /// # Errors
+    ///
+    /// - [`NetlistError::BadArity`] if the fanin count is invalid for `kind`
+    ///   (n-ary gates need at least one fanin).
+    /// - [`NetlistError::InvalidNode`] if a fanin id is out of range.
+    /// - [`NetlistError::DuplicateName`] if the name is taken.
+    pub(crate) fn push_node(
+        &mut self,
+        name: Arc<str>,
+        kind: GateKind,
+        fanins: Vec<NodeId>,
+    ) -> Result<NodeId, NetlistError> {
+        check_arity(&name, kind, fanins.len())?;
+        if let Some(f) = fanins.iter().find(|f| f.index() >= self.nodes.len()) {
+            return Err(NetlistError::InvalidNode(f.0));
         }
-    }
-
-    fn push_node(&mut self, name: String, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.name_to_node.insert(name.clone(), id);
-        self.names.push(name);
-        self.nodes.push(node);
-        id
+        match self.name_to_node.entry(name) {
+            Entry::Occupied(taken) => {
+                return Err(NetlistError::DuplicateName(taken.key().to_string()))
+            }
+            Entry::Vacant(slot) => {
+                self.names.push(Arc::clone(slot.key()));
+                slot.insert(id);
+            }
+        }
+        match kind {
+            GateKind::Input => self.primary_inputs.push(id),
+            GateKind::KeyInput => self.key_inputs.push(id),
+            _ => {}
+        }
+        self.nodes.push(Node { kind, fanins });
+        self.order.take();
+        Ok(id)
     }
 
     /// Adds a primary input.
@@ -246,11 +300,7 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::DuplicateName`] if the name is taken.
     pub fn add_input(&mut self, name: impl Into<String>) -> Result<NodeId, NetlistError> {
-        let name = name.into();
-        self.check_fresh_name(&name)?;
-        let id = self.push_node(name, Node { kind: GateKind::Input, fanins: Vec::new() });
-        self.primary_inputs.push(id);
-        Ok(id)
+        self.push_node(name.into().into(), GateKind::Input, Vec::new())
     }
 
     /// Adds a key input (the extra ports introduced by logic locking).
@@ -259,11 +309,7 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::DuplicateName`] if the name is taken.
     pub fn add_key_input(&mut self, name: impl Into<String>) -> Result<NodeId, NetlistError> {
-        let name = name.into();
-        self.check_fresh_name(&name)?;
-        let id = self.push_node(name, Node { kind: GateKind::KeyInput, fanins: Vec::new() });
-        self.key_inputs.push(id);
-        Ok(id)
+        self.push_node(name.into().into(), GateKind::KeyInput, Vec::new())
     }
 
     /// Adds a constant driver node.
@@ -276,9 +322,7 @@ impl Netlist {
         name: impl Into<String>,
         value: bool,
     ) -> Result<NodeId, NetlistError> {
-        let name = name.into();
-        self.check_fresh_name(&name)?;
-        Ok(self.push_node(name, Node { kind: GateKind::Const(value), fanins: Vec::new() }))
+        self.push_node(name.into().into(), GateKind::Const(value), Vec::new())
     }
 
     /// Adds a gate whose fanins must already exist.
@@ -289,39 +333,19 @@ impl Netlist {
     /// - [`NetlistError::BadArity`] if the fanin count is invalid for `kind`
     ///   (n-ary gates need at least one fanin).
     /// - [`NetlistError::InvalidNode`] if a fanin id is out of range.
+    /// - [`NetlistError::Unsupported`] for input kinds.
     pub fn add_gate(
         &mut self,
         name: impl Into<String>,
         kind: GateKind,
         fanins: &[NodeId],
     ) -> Result<NodeId, NetlistError> {
-        let name = name.into();
-        self.check_fresh_name(&name)?;
-        match kind.arity() {
-            Some(expected) if expected != fanins.len() => {
-                return Err(NetlistError::BadArity {
-                    gate: name,
-                    kind,
-                    expected,
-                    got: fanins.len(),
-                });
-            }
-            None if fanins.is_empty() => {
-                return Err(NetlistError::BadArity { gate: name, kind, expected: 1, got: 0 });
-            }
-            _ => {}
-        }
         if kind.is_input() {
             return Err(NetlistError::Unsupported(
                 "use add_input/add_key_input for input nodes".into(),
             ));
         }
-        for f in fanins {
-            if f.index() >= self.nodes.len() {
-                return Err(NetlistError::InvalidNode(f.0));
-            }
-        }
-        Ok(self.push_node(name, Node { kind, fanins: fanins.to_vec() }))
+        self.push_node(name.into().into(), kind, fanins.to_vec())
     }
 
     /// Marks a node as a primary output. A node may be marked only once.
@@ -382,6 +406,7 @@ impl Netlist {
                 *out = new_id;
             }
         }
+        self.order.take();
         Ok(new_id)
     }
 
@@ -411,39 +436,68 @@ impl Netlist {
             }
         }
         if found {
+            self.order.take();
             Ok(())
         } else {
-            Err(NetlistError::UnknownSignal(self.names[old.index()].clone()))
+            Err(NetlistError::UnknownSignal(self.node_name(old).to_string()))
         }
     }
 
-    /// Computes a topological order of all nodes (fanins before fanouts).
+    /// A topological order of all nodes (fanins before fanouts), computed
+    /// on the first call and cached until a node or fanin changes.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::Cycle`] if the netlist is cyclic (possible
     /// only for netlists built by the parser, which allows forward
     /// references).
-    pub fn topological_order(&self) -> Result<Vec<NodeId>, NetlistError> {
+    pub fn topological_order(&self) -> Result<&[NodeId], NetlistError> {
+        self.order.get_or_init(|| self.kahn_order()).as_deref().map_err(Clone::clone)
+    }
+
+    /// Kahn's algorithm over *distinct* fanin edges, so repeated fanins
+    /// like And(a, a) count once. The ready stack starts with the sources
+    /// in id order and pops from the end; each node releases its consumers
+    /// in ascending id order.
+    fn kahn_order(&self) -> Result<Vec<NodeId>, NetlistError> {
         let n = self.nodes.len();
-        // Kahn's algorithm over *distinct* fanin edges (the fanout adjacency
-        // is deduplicated, so repeated fanins like And(a, a) count once).
+        // The consumers of node `i` are `consumers[start[i]..start[i + 1]]`
+        // (a CSR layout). Nodes are visited in id order, so each list comes
+        // out ascending, and a consumer reading `f` twice finds itself as
+        // `f`'s latest entry.
         let mut indegree = vec![0u32; n];
-        let mut scratch: Vec<NodeId> = Vec::new();
+        let mut start = vec![0u32; n + 1];
+        let mut cursor = vec![u32::MAX; n];
         for (i, node) in self.nodes.iter().enumerate() {
-            scratch.clear();
-            scratch.extend_from_slice(&node.fanins);
-            scratch.sort_unstable();
-            scratch.dedup();
-            indegree[i] = scratch.len() as u32;
+            for f in &node.fanins {
+                if cursor[f.index()] != i as u32 {
+                    cursor[f.index()] = i as u32;
+                    start[f.index() + 1] += 1;
+                    indegree[i] += 1;
+                }
+            }
         }
-        let fanouts = self.fanout_adjacency();
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        cursor.copy_from_slice(&start[..n]);
+        let mut consumers = vec![NodeId(0); start[n] as usize];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for f in &node.fanins {
+                let at = cursor[f.index()] as usize;
+                if at == start[f.index()] as usize || consumers[at - 1].index() != i {
+                    consumers[at] = NodeId::from_index(i);
+                    cursor[f.index()] += 1;
+                }
+            }
+        }
         let mut order = Vec::with_capacity(n);
         let mut ready: Vec<NodeId> =
             (0..n).filter(|&i| indegree[i] == 0).map(NodeId::from_index).collect();
         while let Some(id) = ready.pop() {
             order.push(id);
-            for &out in &fanouts[id.index()] {
+            let i = id.index();
+            for &out in &consumers[start[i] as usize..start[i + 1] as usize] {
                 indegree[out.index()] -= 1;
                 if indegree[out.index()] == 0 {
                     ready.push(out);
@@ -453,7 +507,7 @@ impl Netlist {
         if order.len() != n {
             let stuck = (0..n)
                 .find(|&i| indegree[i] > 0)
-                .map(|i| self.names[i].clone())
+                .map(|i| self.names[i].to_string())
                 .unwrap_or_default();
             return Err(NetlistError::Cycle { involving: stuck });
         }
@@ -492,27 +546,9 @@ impl Netlist {
         for (i, node) in self.nodes.iter().enumerate() {
             let name = &self.names[i];
             if self.name_to_node.get(name) != Some(&NodeId::from_index(i)) {
-                return Err(NetlistError::DuplicateName(name.clone()));
+                return Err(NetlistError::DuplicateName(name.to_string()));
             }
-            match node.kind.arity() {
-                Some(expected) if expected != node.fanins.len() => {
-                    return Err(NetlistError::BadArity {
-                        gate: name.clone(),
-                        kind: node.kind,
-                        expected,
-                        got: node.fanins.len(),
-                    });
-                }
-                None if node.fanins.is_empty() => {
-                    return Err(NetlistError::BadArity {
-                        gate: name.clone(),
-                        kind: node.kind,
-                        expected: 1,
-                        got: 0,
-                    });
-                }
-                _ => {}
-            }
+            check_arity(name, node.kind, node.fanins.len())?;
             for f in &node.fanins {
                 if f.index() >= self.nodes.len() {
                     return Err(NetlistError::InvalidNode(f.0));
@@ -526,7 +562,7 @@ impl Netlist {
         }
         for &pi in self.primary_inputs.iter().chain(&self.key_inputs) {
             if !self.nodes[pi.index()].kind.is_input() {
-                return Err(NetlistError::NotAnInput { name: self.names[pi.index()].clone() });
+                return Err(NetlistError::NotAnInput { name: self.node_name(pi).to_string() });
             }
         }
         self.topological_order()?;
@@ -537,7 +573,19 @@ impl Netlist {
     /// forward references). Callers must re-validate.
     pub(crate) fn set_node(&mut self, id: NodeId, kind: GateKind, fanins: Vec<NodeId>) {
         self.nodes[id.index()] = Node { kind, fanins };
+        self.order.take();
     }
+}
+
+/// [`NetlistError::BadArity`] unless `got` fanins suit `kind`; n-ary gates
+/// need at least one.
+fn check_arity(gate: &str, kind: GateKind, got: usize) -> Result<(), NetlistError> {
+    let expected = match kind.arity() {
+        Some(expected) if expected != got => expected,
+        None if got == 0 => 1,
+        _ => return Ok(()),
+    };
+    Err(NetlistError::BadArity { gate: gate.to_string(), kind, expected, got })
 }
 
 impl fmt::Display for Netlist {

@@ -9,7 +9,7 @@ use crate::netlist::{Netlist, NetlistError, NodeId};
 
 /// A reusable simulator bound to one netlist.
 ///
-/// Construction computes and caches the topological order; each evaluation
+/// Construction borrows the netlist's cached topological order; each evaluation
 /// reuses an internal value buffer, so repeated calls do not allocate.
 ///
 /// # Examples
@@ -30,7 +30,7 @@ use crate::netlist::{Netlist, NetlistError, NodeId};
 #[derive(Debug)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    order: Vec<NodeId>,
+    order: &'a [NodeId],
     values: Vec<u64>,
     fanin_buf: Vec<u64>,
 }
@@ -101,7 +101,7 @@ impl<'a> Simulator<'a> {
         for (i, &id) in nl.key_inputs().iter().enumerate() {
             self.values[id.index()] = keys[i];
         }
-        for &id in &self.order {
+        for &id in self.order {
             let node = nl.node(id);
             match node.kind() {
                 GateKind::Input | GateKind::KeyInput => {}

@@ -15,7 +15,9 @@
 //! transformed netlists interchangeably. [`keep_outputs`] keeps the inputs
 //! and drops outputs.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::analysis::transitive_fanin;
 use crate::gate::GateKind;
@@ -52,46 +54,29 @@ pub struct SimplifyStats {
 ///
 /// - [`NetlistError::NotAnInput`] if a pinned node is not a primary input.
 /// - [`NetlistError::InvalidNode`] if a pinned id is out of range.
+/// - [`NetlistError::PinnedTwice`] if two pins name the same input.
 /// - [`NetlistError::Cycle`] if the netlist is cyclic.
 pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, NetlistError> {
+    let mut pinned = HashSet::with_capacity(pins.len());
     for &(id, _) in pins {
         if id.index() >= netlist.num_nodes() {
             return Err(NetlistError::InvalidNode(id.index() as u32));
         }
-        if !netlist.inputs().contains(&id) {
+        if netlist.node(id).kind() != GateKind::Input {
             return Err(NetlistError::NotAnInput { name: netlist.node_name(id).to_string() });
         }
+        if !pinned.insert(id) {
+            return Err(NetlistError::PinnedTwice { name: netlist.node_name(id).to_string() });
+        }
     }
-    let order = netlist.topological_order()?;
-    let mut out = Netlist::new(format!("{}_cof", netlist.name()));
-    let mut map: Vec<Option<NodeId>> = vec![None; netlist.num_nodes()];
-
-    for &pi in netlist.inputs() {
-        map[pi.index()] = Some(out.add_input(netlist.node_name(pi))?);
-    }
-    for &ki in netlist.key_inputs() {
-        map[ki.index()] = Some(out.add_key_input(netlist.node_name(ki))?);
-    }
+    let name = format!("{}_cof", netlist.name());
+    let (mut out, mut map) = derive(netlist, name, netlist.num_nodes() + pins.len(), true)?;
     // Create one constant node per pinned input and redirect reads to it.
     for &(id, value) in pins {
         let name = fresh_name(&out, &format!("{}$pin", netlist.node_name(id)));
-        let cid = out.add_const(name, value)?;
-        map[id.index()] = Some(cid);
+        map[id.index()] = Some(out.add_const(name, value)?);
     }
-
-    for id in order {
-        let node = netlist.node(id);
-        if node.kind().is_input() {
-            continue;
-        }
-        let fanins: Vec<NodeId> =
-            node.fanins().iter().map(|f| map[f.index()].expect("topo order")).collect();
-        let new_id = match node.kind() {
-            GateKind::Const(v) => out.add_const(netlist.node_name(id), v)?,
-            kind => out.add_gate(netlist.node_name(id), kind, &fanins)?,
-        };
-        map[id.index()] = Some(new_id);
-    }
+    copy_gates(netlist, &mut out, &mut map, |_| true)?;
     for &o in netlist.outputs() {
         let mapped = map[o.index()].expect("outputs are mapped");
         // A pinned input marked as output maps to its constant node, which
@@ -115,17 +100,14 @@ pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, N
 pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistError> {
     let order = netlist.topological_order()?;
     let needed = transitive_fanin(netlist, netlist.outputs());
-    let mut rb = Rebuilder::new(format!("{}_simp", netlist.name()));
+    let name = format!("{}_simp", netlist.name());
+    let (out, inputs) = derive(netlist, name, netlist.num_nodes(), true)?;
+    let mut map: Vec<Option<Driver>> =
+        inputs.into_iter().map(|m| m.map(Driver::Node)).collect();
+    let mut rb = Rebuilder { out, strash: HashMap::with_capacity(netlist.num_nodes()) };
 
-    let mut map: Vec<Option<Driver>> = vec![None; netlist.num_nodes()];
-    for &pi in netlist.inputs() {
-        map[pi.index()] = Some(Driver::Node(rb.out.add_input(netlist.node_name(pi))?));
-    }
-    for &ki in netlist.key_inputs() {
-        map[ki.index()] = Some(Driver::Node(rb.out.add_key_input(netlist.node_name(ki))?));
-    }
-
-    for id in order {
+    let mut fanins: Vec<Driver> = Vec::new();
+    for &id in order {
         let node = netlist.node(id);
         if node.kind().is_input() {
             continue;
@@ -133,28 +115,25 @@ pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistEr
         if !needed[id.index()] {
             continue; // dead logic: don't rebuild
         }
-        let fanins: Vec<Driver> =
-            node.fanins().iter().map(|f| map[f.index()].expect("topo order")).collect();
-        let name = netlist.node_name(id);
-        let driver = rb.build(node.kind(), &fanins, name)?;
+        fanins.clear();
+        fanins.extend(node.fanins().iter().map(|f| map[f.index()].expect("topo order")));
+        let driver = rb.build(node.kind(), &fanins, netlist.shared_name(id))?;
         map[id.index()] = Some(driver);
     }
 
     // Materialize outputs, preserving arity/order and names best-effort.
     for &o in netlist.outputs() {
-        let name = netlist.node_name(o).to_string();
+        let name = netlist.shared_name(o);
         let driver = map[o.index()].expect("output cone was rebuilt");
         let node = match driver {
             Driver::Const(v) => {
-                let n = fresh_or(&rb.out, &name);
-                rb.out.add_const(n, v)?
+                rb.out.push_node(fresh_or(&rb.out, name), GateKind::Const(v), Vec::new())?
             }
             Driver::Node(n) => {
                 if rb.out.outputs().contains(&n) {
                     // Two outputs collapsed onto one node: keep both ports by
                     // inserting an explicit buffer for the second.
-                    let nm = fresh_or(&rb.out, &name);
-                    rb.out.add_gate(nm, GateKind::Buf, &[n])?
+                    rb.out.push_node(fresh_or(&rb.out, name), GateKind::Buf, vec![n])?
                 } else {
                     n
                 }
@@ -193,29 +172,13 @@ pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistEr
 /// Panics if a position is not below the output count.
 pub fn keep_outputs(netlist: &Netlist, positions: &[usize]) -> Result<Netlist, NetlistError> {
     let kept: Vec<NodeId> = positions.iter().map(|&i| netlist.outputs()[i]).collect();
-    let order = netlist.topological_order()?;
     let needed = transitive_fanin(netlist, &kept);
-    let mut out = Netlist::new(netlist.name().to_string());
-    let mut map: Vec<Option<NodeId>> = vec![None; netlist.num_nodes()];
-    for &pi in netlist.inputs() {
-        map[pi.index()] = Some(out.add_input(netlist.node_name(pi))?);
-    }
-    for &ki in netlist.key_inputs() {
-        map[ki.index()] = Some(out.add_key_input(netlist.node_name(ki))?);
-    }
-    for id in order {
-        let node = netlist.node(id);
-        if node.kind().is_input() || !needed[id.index()] {
-            continue;
-        }
-        let fanins: Vec<NodeId> =
-            node.fanins().iter().map(|f| map[f.index()].expect("topo order")).collect();
-        let new_id = match node.kind() {
-            GateKind::Const(v) => out.add_const(netlist.node_name(id), v)?,
-            kind => out.add_gate(netlist.node_name(id), kind, &fanins)?,
-        };
-        map[id.index()] = Some(new_id);
-    }
+    // An upper bound: the inputs plus every node of the cone.
+    let nodes = netlist.inputs().len()
+        + netlist.key_inputs().len()
+        + needed.iter().filter(|&&n| n).count();
+    let (mut out, mut map) = derive(netlist, netlist.name().to_string(), nodes, true)?;
+    copy_gates(netlist, &mut out, &mut map, |id| needed[id.index()])?;
     for o in kept {
         out.mark_output(map[o.index()].expect("outputs are needed"))?;
     }
@@ -243,29 +206,13 @@ pub fn pin_keys(netlist: &Netlist, values: &[bool]) -> Result<Netlist, NetlistEr
             got: values.len(),
         });
     }
-    let order = netlist.topological_order()?;
-    let mut out = Netlist::new(format!("{}_keyed", netlist.name()));
-    let mut map: Vec<Option<NodeId>> = vec![None; netlist.num_nodes()];
-    for &pi in netlist.inputs() {
-        map[pi.index()] = Some(out.add_input(netlist.node_name(pi))?);
-    }
+    let name = format!("{}_keyed", netlist.name());
+    let (mut out, mut map) = derive(netlist, name, netlist.num_nodes(), false)?;
     for (i, &ki) in netlist.key_inputs().iter().enumerate() {
-        let name = fresh_or(&out, &format!("{}$pin", netlist.node_name(ki)));
-        map[ki.index()] = Some(out.add_const(name, values[i])?);
+        let name = fresh_or(&out, &format!("{}$pin", netlist.node_name(ki)).into());
+        map[ki.index()] = Some(out.push_node(name, GateKind::Const(values[i]), Vec::new())?);
     }
-    for id in order {
-        let node = netlist.node(id);
-        if node.kind().is_input() {
-            continue;
-        }
-        let fanins: Vec<NodeId> =
-            node.fanins().iter().map(|f| map[f.index()].expect("topo order")).collect();
-        let new_id = match node.kind() {
-            GateKind::Const(v) => out.add_const(netlist.node_name(id), v)?,
-            kind => out.add_gate(netlist.node_name(id), kind, &fanins)?,
-        };
-        map[id.index()] = Some(new_id);
-    }
+    copy_gates(netlist, &mut out, &mut map, |_| true)?;
     for &o in netlist.outputs() {
         out.mark_output(map[o.index()].expect("outputs are mapped"))?;
     }
@@ -286,12 +233,55 @@ pub fn cofactor_simplify(
     simplify(&pinned)
 }
 
-/// Returns `base` if unused in `nl`, otherwise `base$2`, `base$3`, ….
-fn fresh_or(nl: &Netlist, base: &str) -> String {
-    if nl.find(base).is_none() {
-        return base.to_string();
+/// Starts a netlist derived from `netlist`, with room for `nodes` nodes:
+/// its primary inputs, then (if `keys`) its key inputs, sharing their
+/// names. Returns it with the map from old node ids to new ones, filled
+/// for the copied inputs.
+fn derive(
+    netlist: &Netlist,
+    name: String,
+    nodes: usize,
+    keys: bool,
+) -> Result<(Netlist, Vec<Option<NodeId>>), NetlistError> {
+    let mut out = Netlist::with_capacity(name, nodes);
+    let mut map: Vec<Option<NodeId>> = vec![None; netlist.num_nodes()];
+    let key_inputs = if keys { netlist.key_inputs() } else { &[] };
+    for &pi in netlist.inputs().iter().chain(key_inputs) {
+        let kind = netlist.node(pi).kind();
+        map[pi.index()] =
+            Some(out.push_node(Arc::clone(netlist.shared_name(pi)), kind, Vec::new())?);
     }
-    fresh_name(nl, base)
+    Ok((out, map))
+}
+
+/// Copies every gate and constant of `netlist` that `keep` accepts into
+/// `out`, in topological order, reading fanins through `map` and sharing
+/// names.
+fn copy_gates(
+    netlist: &Netlist,
+    out: &mut Netlist,
+    map: &mut [Option<NodeId>],
+    keep: impl Fn(NodeId) -> bool,
+) -> Result<(), NetlistError> {
+    for &id in netlist.topological_order()? {
+        let node = netlist.node(id);
+        if node.kind().is_input() || !keep(id) {
+            continue;
+        }
+        let fanins =
+            node.fanins().iter().map(|f| map[f.index()].expect("topo order")).collect();
+        let name = Arc::clone(netlist.shared_name(id));
+        map[id.index()] = Some(out.push_node(name, node.kind(), fanins)?);
+    }
+    Ok(())
+}
+
+/// Returns `base` if unused in `nl`, otherwise `base$2`, `base$3`, ….
+fn fresh_or(nl: &Netlist, base: &Arc<str>) -> Arc<str> {
+    if nl.find(base).is_none() {
+        return Arc::clone(base);
+    }
+    fresh_name(nl, base).into()
 }
 
 /// Returns a name derived from `base` that is unused in `nl`.
@@ -313,10 +303,6 @@ struct Rebuilder {
 }
 
 impl Rebuilder {
-    fn new(name: String) -> Rebuilder {
-        Rebuilder { out: Netlist::new(name), strash: HashMap::new() }
-    }
-
     /// True if node `a` in the rebuilt netlist is `Not(b)`.
     fn is_not_of(&self, a: NodeId, b: NodeId) -> bool {
         let n = self.out.node(a);
@@ -333,23 +319,24 @@ impl Rebuilder {
         &mut self,
         kind: GateKind,
         mut fanins: Vec<NodeId>,
-        name_hint: &str,
+        name_hint: &Arc<str>,
     ) -> Result<Driver, NetlistError> {
         if kind.is_symmetric() {
             fanins.sort_unstable();
         }
-        let key = (kind, fanins.clone());
-        if let Some(&existing) = self.strash.get(&key) {
-            return Ok(Driver::Node(existing));
+        match self.strash.entry((kind, fanins)) {
+            Entry::Occupied(existing) => Ok(Driver::Node(*existing.get())),
+            Entry::Vacant(slot) => {
+                let name = fresh_or(&self.out, name_hint);
+                let id = self.out.push_node(name, kind, slot.key().1.clone())?;
+                slot.insert(id);
+                Ok(Driver::Node(id))
+            }
         }
-        let name = fresh_or(&self.out, name_hint);
-        let id = self.out.add_gate(name, kind, &fanins)?;
-        self.strash.insert(key, id);
-        Ok(Driver::Node(id))
     }
 
     /// Builds `Not(d)` with folding (`Not(Const)`, `Not(Not(x))`).
-    fn make_not(&mut self, d: Driver, name_hint: &str) -> Result<Driver, NetlistError> {
+    fn make_not(&mut self, d: Driver, name_hint: &Arc<str>) -> Result<Driver, NetlistError> {
         match d {
             Driver::Const(v) => Ok(Driver::Const(!v)),
             Driver::Node(x) => {
@@ -368,7 +355,7 @@ impl Rebuilder {
         &mut self,
         kind: GateKind,
         fanins: &[Driver],
-        name: &str,
+        name: &Arc<str>,
     ) -> Result<Driver, NetlistError> {
         match kind {
             GateKind::Input | GateKind::KeyInput => unreachable!("inputs handled by caller"),
@@ -387,7 +374,7 @@ impl Rebuilder {
         &mut self,
         kind: GateKind,
         fanins: &[Driver],
-        name: &str,
+        name: &Arc<str>,
     ) -> Result<Driver, NetlistError> {
         let (is_and, inverting) = match kind {
             GateKind::And => (true, false),
@@ -446,7 +433,7 @@ impl Rebuilder {
         &mut self,
         kind: GateKind,
         fanins: &[Driver],
-        name: &str,
+        name: &Arc<str>,
     ) -> Result<Driver, NetlistError> {
         let mut invert = kind == GateKind::Xnor;
         let mut nodes: Vec<NodeId> = Vec::with_capacity(fanins.len());
@@ -501,7 +488,11 @@ impl Rebuilder {
         }
     }
 
-    fn build_mux(&mut self, fanins: &[Driver], name: &str) -> Result<Driver, NetlistError> {
+    fn build_mux(
+        &mut self,
+        fanins: &[Driver],
+        name: &Arc<str>,
+    ) -> Result<Driver, NetlistError> {
         let (s, d0, d1) = (fanins[0], fanins[1], fanins[2]);
         match s {
             Driver::Const(b) => Ok(if b { d1 } else { d0 }),
@@ -665,6 +656,18 @@ mod tests {
         let nl = example();
         let g1 = nl.find("g1").unwrap();
         assert!(matches!(cofactor(&nl, &[(g1, false)]), Err(NetlistError::NotAnInput { .. })));
+    }
+
+    #[test]
+    fn cofactor_rejects_an_input_pinned_twice() {
+        let nl = example();
+        let (a, b) = (nl.find("a").unwrap(), nl.find("b").unwrap());
+        for pins in [[(a, false), (b, true), (a, true)], [(a, true), (b, true), (a, true)]] {
+            let err = cofactor(&nl, &pins).unwrap_err();
+            assert_eq!(err, NetlistError::PinnedTwice { name: "a".into() });
+            assert_eq!(err.to_string(), "input `a` is pinned twice");
+            assert_eq!(cofactor_simplify(&nl, &pins).unwrap_err(), err);
+        }
     }
 
     #[test]
