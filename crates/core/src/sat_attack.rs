@@ -4,23 +4,26 @@
 //!
 //! 1. Cut the locked circuit down to the key's cone of influence: every
 //!    input, the outputs in the key inputs' transitive fanout, and their
-//!    fan-in. Build a miter of two copies of that cone sharing primary
-//!    inputs, with independent key vectors `K1`, `K2`. An output outside
-//!    the cone computes the same function under every key, so it can never
-//!    tell two keys apart.
+//!    fan-in. An output outside the cone computes the same function under
+//!    every key, so it can never tell two keys apart. Then peel the
+//!    key-free layers off the cone's outputs (BUF and NOT gates, and XOR
+//!    and XNOR gates with one key-controlled fan-in): over two copies that
+//!    share their inputs, `g ⊕ f(K1)` and `g ⊕ f(K2)` differ exactly when
+//!    `f(K1)` and `f(K2)` do. Build a miter of two copies of what is left,
+//!    sharing primary inputs, with independent key vectors `K1`, `K2`.
 //! 2. Ask the solver for a *distinguishing input pattern* (DIP): an input on
 //!    which some two keys consistent with everything observed so far
 //!    disagree.
 //! 3. Query the oracle at the DIP (on the whole chip) and constrain both
 //!    key copies to reproduce its response on the cone's outputs (two more
-//!    CNF copies of the cone, with inputs pinned to the DIP so they fold
-//!    down to key logic only; their private variables are eliminated
-//!    before the solver sees them). The response on the other outputs is
-//!    buffered and checked against the locked circuit by packed
-//!    simulation, 64 DIPs per pass and once more before a key is
-//!    reported or the search handed on; a mismatch ends the run as
-//!    [`AttackStatus::Inconsistent`]. The textbook formulation keeps every
-//!    output in the cone and checks nothing by simulation.
+//!    CNF copies of the whole cone, peeled layers included, with inputs
+//!    pinned to the DIP so they fold down to key logic only; their private
+//!    variables are eliminated before the solver sees them). The response
+//!    on the other outputs is buffered and checked against the locked
+//!    circuit by packed simulation, 64 DIPs per pass and once more before
+//!    a key is reported or the search handed on; a mismatch ends the run
+//!    as [`AttackStatus::Inconsistent`]. The textbook formulation keeps every
+//!    output in the cone, peels nothing and checks nothing by simulation.
 //! 4. Repeat until the miter is unsatisfiable: every remaining key is
 //!    functionally equivalent on all inputs; return one of them.
 //!
@@ -40,7 +43,7 @@ use polykey_encode::{
 };
 use polykey_locking::Key;
 use polykey_netlist::analysis::key_reachable_outputs;
-use polykey_netlist::{keep_outputs, Netlist, Simulator};
+use polykey_netlist::{keep_outputs, peel_key_free_layers, Netlist, Simulator};
 use polykey_sat::{SolveResult, Solver, SolverStats};
 
 use crate::error::AttackError;
@@ -117,8 +120,9 @@ pub struct SatAttackStats {
     pub cnf_clauses: usize,
 }
 
-/// A netlist and the miter of its key cone with itself: what one search's
-/// solver encodes. The children of an exhausted term share it.
+/// A netlist, its key cone, and the miter of the cone's peeled outputs
+/// with themselves: what one search's solver encodes. The children of an
+/// exhausted term share it.
 pub(crate) struct Encoded<'n> {
     /// The attacked netlist, with every output.
     pub netlist: Cow<'n, Netlist>,
@@ -151,10 +155,14 @@ pub(crate) struct Search<'n> {
 }
 
 impl<'n> Search<'n> {
-    /// Starts a search on `netlist`: the miter of its key cone with itself
-    /// in a new solver. The cone keeps every input and only the outputs
-    /// the key inputs reach, with their fan-in; the `textbook` formulation
-    /// keeps every output.
+    /// Starts a search on `netlist` in a new solver. The key cone keeps
+    /// every input and only the outputs the key inputs reach, with their
+    /// fan-in. The miter compares two key copies of that cone with its
+    /// key-free output layers peeled off ([`peel_key_free_layers`]): it is
+    /// satisfiable on exactly the inputs and key pairs the whole cone's
+    /// miter is, but decides and propagates only the logic the key changes.
+    /// The per-DIP copies still encode the whole cone. The `textbook`
+    /// formulation keeps every output and peels nothing.
     ///
     /// # Errors
     ///
@@ -168,7 +176,9 @@ impl<'n> Search<'n> {
             if kept.len() == outputs { None } else { Some(keep_outputs(&netlist, &kept)?) };
         let mut solver = Solver::new();
         let encoded = cone.as_ref().unwrap_or(&netlist);
-        let miter = build_miter(&mut solver, encoded, encoded)?;
+        let differs =
+            if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded)? };
+        let miter = build_miter(&mut solver, &differs, &differs)?;
         Ok(Search { encoded: Arc::new(Encoded { netlist, kept, cone, miter }), solver })
     }
 }
@@ -603,8 +613,9 @@ pub(crate) fn run_sat_attack<'n>(
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use polykey_locking::{AntiSat, LockScheme, Rll, Sarlock};
+    use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
     use polykey_netlist::{bits_of, GateKind, Simulator};
+    use polykey_sat::Lit;
     use rand::SeedableRng;
 
     fn majority3() -> Netlist {
@@ -981,6 +992,129 @@ mod tests {
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert!(outcome.stats.dips > 3);
         assert!(outcome.key.is_none());
+    }
+
+    /// The search's miter must answer like the reference miter of its
+    /// whole key cone, `build_miter(cone, cone)`, for every key pair in
+    /// `pairs`, given as assumptions, and every DIP it returns must make
+    /// the two keys disagree on the whole locked netlist.
+    fn assert_peeled_miter_agrees(locked: &Netlist, pairs: &[(Key, Key)]) {
+        let Search { encoded, mut solver } = start(locked);
+        let mut full_solver = Solver::new();
+        let full = build_miter(&mut full_solver, encoded.cone(), encoded.cone()).unwrap();
+        assert!(solver.num_vars() <= full_solver.num_vars());
+        let mut sim = Simulator::new(locked).unwrap();
+        let assume = |miter: &Miter, k1: &Key, k2: &Key| -> Vec<Lit> {
+            let pin = |lits: &[Lit], key: &Key| -> Vec<Lit> {
+                lits.iter().zip(key.bits()).map(|(&l, &b)| if b { l } else { !l }).collect()
+            };
+            let mut lits = vec![miter.diff];
+            lits.extend(pin(&miter.keys_left, k1));
+            lits.extend(pin(&miter.keys_right, k2));
+            lits
+        };
+        let peeled = &encoded.miter;
+        for (k1, k2) in pairs {
+            let verdict = solver.solve(&assume(peeled, k1, k2));
+            assert_eq!(verdict, full_solver.solve(&assume(&full, k1, k2)), "{k1:?} {k2:?}");
+            if verdict == SolveResult::Sat {
+                let dip: Vec<bool> =
+                    peeled.inputs.iter().map(|&l| solver.model_value(l).unwrap()).collect();
+                assert_ne!(sim.eval(&dip, k1.bits()), sim.eval(&dip, k2.bits()), "DIP {dip:?}");
+            }
+        }
+    }
+
+    /// Every pair of keys of width `n`.
+    fn all_key_pairs(n: usize) -> Vec<(Key, Key)> {
+        let keys: Vec<Key> = (0..1u64 << n).map(|k| Key::from_u64(k, n)).collect();
+        keys.iter().flat_map(|a| keys.iter().map(move |b| (a.clone(), b.clone()))).collect()
+    }
+
+    #[test]
+    fn peeled_miter_agrees_on_hand_built_output_chains() {
+        // The output chains `polykey-netlist` tests peeling on: each
+        // output alone, then all of them.
+        let src = include_str!("../../netlist/tests/data/output_chains.bench");
+        let nl = polykey_netlist::parse_bench(src.as_bytes(), "chains").unwrap();
+        let pairs = all_key_pairs(2);
+        for i in 0..nl.outputs().len() {
+            assert_peeled_miter_agrees(&keep_outputs(&nl, &[i]).unwrap(), &pairs);
+        }
+        assert_peeled_miter_agrees(&nl, &pairs);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn peeled_miter_agrees_with_the_whole_cone_miter(
+            seed in proptest::prelude::any::<u64>(),
+            inputs in 5usize..9,
+            outputs in 1usize..5,
+            gates in 20usize..60,
+        ) {
+            let spec = polykey_circuits::RandomCircuitSpec::new(
+                "peel", inputs, outputs, gates.max(inputs), seed,
+            );
+            let original = polykey_circuits::generate_random(&spec);
+            let schemes: [Box<dyn LockScheme>; 3] = [
+                Box::new(Rll::new(3).with_seed(seed)),
+                Box::new(Sarlock::new(4)),
+                Box::new(AntiSat::new(2)),
+            ];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for scheme in &schemes {
+                let locked = scheme.lock_random(&original, &mut rng).unwrap();
+                let width = locked.key.len();
+                let mut pairs: Vec<(Key, Key)> = (0..16)
+                    .map(|_| (Key::random(width, &mut rng), Key::random(width, &mut rng)))
+                    .collect();
+                pairs.push((locked.key.clone(), locked.key.clone()));
+                assert_peeled_miter_agrees(&locked.netlist, &pairs);
+            }
+        }
+    }
+
+    #[test]
+    fn a_lut_lock_peels_nothing_and_keeps_its_miter() {
+        // LUT outputs end in a MUX tree, so nothing peels and the search's
+        // miter is the whole cone's, to the variable and clause.
+        let original = polykey_circuits::Iscas85::C432.build();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let locked = LutLock::small().with_seed(7).lock_random(&original, &mut rng).unwrap();
+        let search = start(&locked.netlist);
+        assert!(matches!(
+            peel_key_free_layers(search.encoded.cone()).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        let mut reference = Solver::new();
+        let cone = search.encoded.cone();
+        build_miter(&mut reference, cone, cone).unwrap();
+        let size = |solver: &Solver| (solver.num_vars(), solver.num_clauses());
+        assert_eq!(size(&search.solver), size(&reference));
+        assert_eq!(size(&search.solver), (218, 481));
+    }
+
+    #[test]
+    fn a_sarlock_miter_encodes_no_original_logic() {
+        // SARLock's flip is XORed into one output of c7552: the miter keeps
+        // the flip's comparator and mask over the inputs and keys, and no
+        // gate of the original circuit under that output.
+        let original = polykey_circuits::Iscas85::C7552.build();
+        let locked = Sarlock::new(8).lock(&original, &Key::from_u64(0xA5, 8)).unwrap().netlist;
+        let search = start(&locked);
+        let differs = peel_key_free_layers(search.encoded.cone()).unwrap();
+        let keyed = polykey_netlist::analysis::key_controlled_mask(&differs);
+        assert!(differs
+            .node_ids()
+            .all(|id| keyed[id.index()] || differs.node(id).kind().is_input()));
+        let (inputs, keys) = (locked.inputs().len(), locked.key_inputs().len());
+        let vars = search.solver.num_vars();
+        assert!(
+            vars <= inputs + 8 * keys,
+            "{vars} variables for {inputs} inputs and {keys} keys"
+        );
     }
 
     #[test]

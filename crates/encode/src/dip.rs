@@ -32,8 +32,10 @@ pub struct DipConstraints<'n> {
 
 impl<'n> DipConstraints<'n> {
     /// Prepares the constraints of `netlist` against `miter`, which must
-    /// be the miter of `netlist` with itself in the solver the constraints
-    /// are added to.
+    /// be in the solver the constraints are added to and have `netlist`'s
+    /// key inputs: the miter of `netlist` with itself, or of a cut of it
+    /// that keeps every input, such as
+    /// [`peel_key_free_layers`](polykey_netlist::peel_key_free_layers).
     ///
     /// # Errors
     ///

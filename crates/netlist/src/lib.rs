@@ -11,9 +11,10 @@
 //! - structural analysis: fan-in/fan-out cones, key-controlled masks, logic
 //!   levels ([`analysis`]);
 //! - logic simplification used as the attack's re-synthesis step:
-//!   [`cofactor`], [`simplify`] and [`cofactor_simplify`]; and
-//!   [`keep_outputs`], which cuts a netlist down to the cone of chosen
-//!   outputs (the attack's cone of influence).
+//!   [`cofactor`], [`simplify`] and [`cofactor_simplify`];
+//! - cone cuts: [`keep_outputs`], down to the cone of chosen outputs (the
+//!   attack's cone of influence), and [`peel_key_free_layers`], down to the
+//!   logic that tells two keys apart (what the attack's miter encodes).
 //!
 //! # Examples
 //!
@@ -50,5 +51,6 @@ pub use gate::GateKind;
 pub use netlist::{Netlist, NetlistError, Node, NodeId};
 pub use sim::{bits_of, bits_to_u64, pack_patterns, unpack_patterns, Simulator};
 pub use transform::{
-    cofactor, cofactor_simplify, keep_outputs, pin_keys, simplify, SimplifyStats,
+    cofactor, cofactor_simplify, keep_outputs, peel_key_free_layers, pin_keys, simplify,
+    SimplifyStats,
 };

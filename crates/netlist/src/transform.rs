@@ -7,19 +7,21 @@
 //! double-negation and buffer collapsing, structural hashing (common
 //! subexpression merging) and dead-logic elimination. The combined
 //! [`cofactor_simplify`] is the `generate_conditional_netlist` step.
-//! [`keep_outputs`] cuts a netlist down to the cone of chosen outputs.
+//! [`keep_outputs`] cuts a netlist down to the cone of chosen outputs, and
+//! [`peel_key_free_layers`] down to the logic that can tell two keys apart.
 //!
-//! All transformations but [`keep_outputs`] preserve the netlist
-//! *interface*: the primary-input, key-input and output lists keep their
-//! arity and order, so oracles and attacks can treat original and
-//! transformed netlists interchangeably. [`keep_outputs`] keeps the inputs
-//! and drops outputs.
+//! All transformations but these two preserve the netlist *interface*: the
+//! primary-input, key-input and output lists keep their arity and order, so
+//! oracles and attacks can treat original and transformed netlists
+//! interchangeably. [`keep_outputs`] and [`peel_key_free_layers`] keep the
+//! inputs and change the outputs.
 
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::analysis::transitive_fanin;
+use crate::analysis::{key_controlled_mask, transitive_fanin};
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, NetlistError, NodeId};
 
@@ -172,14 +174,83 @@ pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistEr
 /// Panics if a position is not below the output count.
 pub fn keep_outputs(netlist: &Netlist, positions: &[usize]) -> Result<Netlist, NetlistError> {
     let kept: Vec<NodeId> = positions.iter().map(|&i| netlist.outputs()[i]).collect();
-    let needed = transitive_fanin(netlist, &kept);
+    keep_nodes(netlist, &kept)
+}
+
+/// Cuts `netlist` down to the logic that can tell two keys apart on its
+/// outputs.
+///
+/// Each output is walked down through BUF and NOT gates, and through XOR
+/// and XNOR gates with exactly one key-controlled fan-in (into that
+/// fan-in), to the first node that is neither: its *root*. An output whose
+/// walk crosses no XOR or XNOR gate is its own root. Over two copies
+/// that share their inputs, the key-free operands of each peeled gate are
+/// equal on both sides, so an output differs between two keys exactly
+/// when its root does: `(g ⊕ f(K1) ⊕ c) ⊕ (g ⊕ f(K2) ⊕ c) = f(K1) ⊕ f(K2)`.
+///
+/// The result has the distinct roots as its outputs, in the order of the
+/// outputs they peel from, and their fan-in, in the original topological
+/// order; every primary and key input stays, in declaration order, as in
+/// [`keep_outputs`]. When no output peels, `netlist` itself is returned.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
+pub fn peel_key_free_layers(netlist: &Netlist) -> Result<Cow<'_, Netlist>, NetlistError> {
+    // A cycle of BUF, NOT or XOR gates would never end the walk.
+    netlist.topological_order()?;
+    let key_mask = key_controlled_mask(netlist);
+    let root = |output: NodeId| {
+        let (mut id, mut crossed_parity) = (output, false);
+        loop {
+            let node = netlist.node(id);
+            id = match node.kind() {
+                GateKind::Buf | GateKind::Not => node.fanins()[0],
+                GateKind::Xor | GateKind::Xnor => {
+                    let mut keyed = node.fanins().iter().filter(|f| key_mask[f.index()]);
+                    match (keyed.next(), keyed.next()) {
+                        (Some(&f), None) => {
+                            crossed_parity = true;
+                            f
+                        }
+                        _ => break,
+                    }
+                }
+                _ => break,
+            };
+        }
+        // BUF and NOT gates alone cost a miter nothing (their encodings
+        // alias their fan-in), so they are not worth a rebuild.
+        if crossed_parity {
+            id
+        } else {
+            output
+        }
+    };
+    let mut roots: Vec<NodeId> = Vec::with_capacity(netlist.outputs().len());
+    for &o in netlist.outputs() {
+        let r = root(o);
+        if !roots.contains(&r) {
+            roots.push(r);
+        }
+    }
+    if roots == netlist.outputs() {
+        return Ok(Cow::Borrowed(netlist));
+    }
+    keep_nodes(netlist, &roots).map(Cow::Owned)
+}
+
+/// Rebuilds `netlist` with the distinct `nodes` as its outputs, in that
+/// order, the gates in their transitive fanin, and every input.
+fn keep_nodes(netlist: &Netlist, nodes: &[NodeId]) -> Result<Netlist, NetlistError> {
+    let needed = transitive_fanin(netlist, nodes);
     // An upper bound: the inputs plus every node of the cone.
-    let nodes = netlist.inputs().len()
+    let capacity = netlist.inputs().len()
         + netlist.key_inputs().len()
         + needed.iter().filter(|&&n| n).count();
-    let (mut out, mut map) = derive(netlist, netlist.name().to_string(), nodes, true)?;
+    let (mut out, mut map) = derive(netlist, netlist.name().to_string(), capacity, true)?;
     copy_gates(netlist, &mut out, &mut map, |id| needed[id.index()])?;
-    for o in kept {
+    for o in nodes {
         out.mark_output(map[o.index()].expect("outputs are needed"))?;
     }
     Ok(out)
@@ -837,5 +908,77 @@ mod pin_keys_tests {
         let (simp, _) = simplify(&keyed).unwrap();
         // Xor with constant 0 folds to a plain wire.
         assert_eq!(simp.num_gates(), 0);
+    }
+}
+
+#[cfg(test)]
+mod peel_tests {
+    use super::*;
+    use crate::sim::{bits_of, Simulator};
+
+    /// Key-free BUF/NOT/XOR/XNOR layers over keyed logic; the file lists
+    /// what each output peels to.
+    fn chains() -> Netlist {
+        let src = include_str!("../tests/data/output_chains.bench");
+        crate::parse_bench(src.as_bytes(), "chains").unwrap()
+    }
+
+    fn names(nl: &Netlist, ids: &[NodeId]) -> Vec<String> {
+        ids.iter().map(|&id| nl.node_name(id).to_string()).collect()
+    }
+
+    #[test]
+    fn each_output_peels_to_its_first_node_past_the_key_free_layers() {
+        let nl = chains();
+        let peeled = peel_key_free_layers(&nl).unwrap();
+        assert!(matches!(peeled, Cow::Owned(_)));
+        assert_eq!(names(&peeled, peeled.outputs()), ["f", "h", "k0", "y4", "y5"]);
+        // Every input stays, in declaration order; the key-free `g` and the
+        // peeled layers go.
+        assert_eq!(names(&peeled, peeled.inputs()), names(&nl, nl.inputs()));
+        assert_eq!(names(&peeled, peeled.key_inputs()), names(&nl, nl.key_inputs()));
+        for gone in ["g", "nf", "x0", "b0", "y0", "y1", "y2", "y3"] {
+            assert!(peeled.find(gone).is_none(), "{gone} is peeled");
+        }
+        assert_eq!(peeled.num_gates(), 6, "f, h, y4, m, nm, y5");
+    }
+
+    #[test]
+    fn peeled_outputs_tell_the_same_key_pairs_apart() {
+        // Exhaustive: at every input, two keys disagree on some output of
+        // the netlist exactly when they disagree on some peeled output.
+        let nl = chains();
+        let peeled = peel_key_free_layers(&nl).unwrap();
+        let (mut full, mut cut) =
+            (Simulator::new(&nl).unwrap(), Simulator::new(&peeled).unwrap());
+        for x in 0..8 {
+            let x = bits_of(x, 3);
+            for (k1, k2) in (0..4).flat_map(|k1| (0..4).map(move |k2| (k1, k2))) {
+                let (k1, k2) = (bits_of(k1, 2), bits_of(k2, 2));
+                let differs = |sim: &mut Simulator<'_>| sim.eval(&x, &k1) != sim.eval(&x, &k2);
+                assert_eq!(differs(&mut full), differs(&mut cut), "x {x:?} keys {k1:?} {k2:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_netlist_with_no_parity_layer_to_peel_is_returned_as_is() {
+        let nl = chains();
+        let last = keep_outputs(&nl, &[4, 5]).unwrap();
+        assert!(matches!(peel_key_free_layers(&last).unwrap(), Cow::Borrowed(_)));
+        let mut keyless = Netlist::new("keyless");
+        let a = keyless.add_input("a").unwrap();
+        let b = keyless.add_input("b").unwrap();
+        let y = keyless.add_gate("y", GateKind::Xor, &[a, b]).unwrap();
+        keyless.mark_output(y).unwrap();
+        assert!(matches!(peel_key_free_layers(&keyless).unwrap(), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn peeling_rejects_cycles() {
+        let mut nl = chains();
+        let (g, y0) = (nl.find("g").unwrap(), nl.find("y0").unwrap());
+        nl.set_node(g, GateKind::Buf, vec![y0]);
+        assert!(matches!(peel_key_free_layers(&nl), Err(NetlistError::Cycle { .. })));
     }
 }
