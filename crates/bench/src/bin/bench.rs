@@ -19,8 +19,9 @@
 //! Each run writes one `BENCH_<group>.json` per scenario group (attack,
 //! encode) into `--out-dir` (default: the current directory). With
 //! `--compare <file>` the run is checked against that baseline
-//! with per-metric-class thresholds (see `harness::CompareConfig`;
-//! `--threshold` overrides both ratios) and the process exits nonzero on
+//! with per-metric-class thresholds (see `harness::compare`: security
+//! counters must match exactly, work counters get a tight ratio, and
+//! `--threshold` sets the timing ratio) and the process exits nonzero on
 //! any regression — that exit code is the CI perf gate.
 
 use std::process::ExitCode;

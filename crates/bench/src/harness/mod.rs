@@ -32,10 +32,12 @@
 //! ```
 //!
 //! `labels` identify the cell (circuit, scheme, sweep point); `metrics`
-//! are numbers. Metric names ending in `_ms` are wall-clock timings;
-//! the counter names listed in [`is_cost_metric`] are deterministic work
-//! counters. Both classes are regression-gated; all other metrics are
-//! informational.
+//! are numbers. Metric names ending in `_ms` are wall-clock timings,
+//! gated by a generous ratio. The security counters of
+//! [`is_exact_metric`] (`dips`, oracle queries and rounds, resplits) must
+//! match the baseline exactly, and the other counters of
+//! [`is_cost_metric`] are deterministic work counters under a tight ratio.
+//! All other metrics are informational.
 
 pub mod scenarios;
 
@@ -432,30 +434,38 @@ pub fn parse_document(text: &str) -> Result<Vec<Record>, String> {
         .collect()
 }
 
-/// Counter metrics that are regression-gated alongside the `*_ms`
-/// timings. Everything else (`speedup`, `ratio`, shape descriptors) is
-/// informational: it may legitimately move in either direction.
-const COST_COUNTERS: &[&str] = &[
-    "dips",
-    "max_dips",
-    "min_dips",
-    "oracle_queries",
-    "oracle_rounds",
+/// Security counters: how many DIPs, oracle queries and round-trips an
+/// attack needs, and how often its terms resplit. They are deterministic,
+/// and a move in either direction changes what a scheme costs an attacker,
+/// so [`compare`] requires them to equal the baseline exactly.
+const EXACT_COUNTERS: &[&str] =
+    &["dips", "max_dips", "min_dips", "oracle_queries", "oracle_rounds", "resplits"];
+
+/// Work counters: the solver's and the encoder's effort. They are gated
+/// from above by the tight [`CompareConfig::count_ratio`].
+const WORK_COUNTERS: &[&str] = &[
     "conflicts",
     "propagations",
     "restarts",
     "learnt_clauses",
     "cnf_vars",
     "cnf_clauses",
-    "resplits",
     "leaves",
+    "queries",
 ];
 
 /// True iff `name` is a cost metric (lower is better): a `*_ms` timing or
-/// one of the gated work counters.
+/// one of the gated counters.
 #[must_use]
 pub fn is_cost_metric(name: &str) -> bool {
-    name.ends_with("_ms") || COST_COUNTERS.contains(&name)
+    name.ends_with("_ms") || is_exact_metric(name) || WORK_COUNTERS.contains(&name)
+}
+
+/// True iff `name` is a security counter, which [`compare`] matches
+/// exactly.
+#[must_use]
+pub fn is_exact_metric(name: &str) -> bool {
+    EXACT_COUNTERS.contains(&name)
 }
 
 /// Synthesizes one aggregate record per scenario (labelled
@@ -492,48 +502,44 @@ pub fn scenario_totals(records: &[Record]) -> Vec<Record> {
     totals
 }
 
-/// Thresholds for [`compare`]. All bounds are on the `current / baseline`
-/// ratio of cost metrics; increases beyond them are regressions.
+/// Thresholds for [`compare`]. Security counters (see
+/// [`is_exact_metric`]) take no threshold: they must equal the baseline.
+/// The other bounds are on the `current / baseline` ratio of cost metrics;
+/// increases beyond them are regressions.
 #[derive(Clone, Debug)]
 pub struct CompareConfig {
     /// Allowed ratio for `*_ms` timing metrics. Generous by default (CI
-    /// machines are noisy); tighten locally with `--threshold`.
+    /// machines are noisy); `--threshold` sets it.
     pub time_ratio: f64,
-    /// Allowed ratio for deterministic work counters.
+    /// Allowed ratio for the deterministic work counters. Tight: a search
+    /// or encoding that does measurably more work fails the gate until the
+    /// baseline is refreshed.
     pub count_ratio: f64,
     /// Timing cells whose baseline is below this many milliseconds are
     /// skipped: sub-noise-floor ratios are meaningless.
     pub min_time_ms: f64,
-    /// Absolute slack added to counter bounds so near-zero baselines
+    /// Absolute slack added to work-counter bounds so near-zero baselines
     /// (e.g. `restarts = 0`) do not produce infinite ratios.
     pub count_slack: f64,
 }
 
 impl Default for CompareConfig {
     fn default() -> CompareConfig {
-        CompareConfig {
-            time_ratio: 3.0,
-            count_ratio: 2.0,
-            min_time_ms: 25.0,
-            count_slack: 16.0,
-        }
+        CompareConfig { time_ratio: 3.0, count_ratio: 1.02, min_time_ms: 25.0, count_slack: 2.0 }
     }
 }
 
 impl CompareConfig {
-    /// Scales both ratio bounds to `threshold` (the CLI `--threshold`
-    /// override).
+    /// Sets the timing ratio to `threshold` (the CLI `--threshold`
+    /// override); counters keep their bounds.
     #[must_use]
     pub fn with_threshold(threshold: f64) -> CompareConfig {
-        CompareConfig {
-            time_ratio: threshold,
-            count_ratio: threshold,
-            ..CompareConfig::default()
-        }
+        CompareConfig { time_ratio: threshold, ..CompareConfig::default() }
     }
 }
 
-/// One metric that regressed past its threshold.
+/// One metric that regressed past its threshold, or a security counter
+/// that moved.
 #[derive(Clone, Debug)]
 pub struct Regression {
     /// The cell, as [`Record::key`].
@@ -544,7 +550,8 @@ pub struct Regression {
     pub baseline: f64,
     /// Its current value.
     pub current: f64,
-    /// The maximum the threshold allowed.
+    /// The maximum the threshold allowed (the baseline itself for a
+    /// security counter, which must match it exactly).
     pub limit: f64,
 }
 
@@ -557,6 +564,10 @@ pub struct CompareReport {
     /// timed-out attack, lost coverage, or a stale baseline); any entry
     /// fails the comparison.
     pub missing_cells: Vec<String>,
+    /// Current cells with no matching cell in the baseline (new coverage
+    /// the baseline does not gate yet, or a renamed cell); any entry fails
+    /// the comparison.
+    pub extra_cells: Vec<String>,
     /// Gated baseline metrics absent from their matching current cell
     /// (`"<cell> <metric>"`); any entry fails the comparison.
     pub missing_metrics: Vec<String>,
@@ -567,19 +578,19 @@ pub struct CompareReport {
 }
 
 impl CompareReport {
-    /// True iff no metric regressed and every baseline cell and gated
-    /// metric was present.
+    /// True iff no metric regressed, no security counter moved, and both
+    /// runs have the same cells and every gated baseline metric.
     ///
-    /// Vanished cells and vanished metrics fail deliberately: either one
-    /// means the gate's coverage silently shrank — a cell vanishes when an
-    /// attack times out (no record at all), a metric vanishes when a
-    /// scenario stops emitting it — and a stale-but-green gate is worse
-    /// than a loud one. Refreshing the baseline is the reviewed, explicit
-    /// way to shrink coverage.
+    /// Cells and metrics on one side only fail deliberately: a cell
+    /// vanishes when an attack times out (no record at all), a metric
+    /// vanishes when a scenario stops emitting it, and a new cell is
+    /// coverage the gate would silently skip. Refreshing the baseline is
+    /// the reviewed, explicit way to change coverage.
     #[must_use]
     pub fn is_pass(&self) -> bool {
         self.regressions.is_empty()
             && self.missing_cells.is_empty()
+            && self.extra_cells.is_empty()
             && self.missing_metrics.is_empty()
     }
 
@@ -589,6 +600,14 @@ impl CompareReport {
         use std::fmt::Write as _;
         let mut out = String::new();
         for r in &self.regressions {
+            if is_exact_metric(&r.metric) {
+                let _ = writeln!(
+                    out,
+                    "CHANGED {} {}: {} -> {} (security counters must match exactly)",
+                    r.cell, r.metric, r.baseline, r.current
+                );
+                continue;
+            }
             // The growth ratio is reported only when the baseline supports
             // one: a zero baseline would print `inf`/`NaN` noise.
             let ratio = if r.baseline > 0.0 {
@@ -609,6 +628,13 @@ impl CompareReport {
                  coverage, or stale baseline — refresh bench/baselines/)"
             );
         }
+        for cell in &self.extra_cells {
+            let _ = writeln!(
+                out,
+                "NEW {cell}: not in the baseline, so not gated (refresh \
+                 bench/baselines/)"
+            );
+        }
         for entry in &self.missing_metrics {
             let _ = writeln!(
                 out,
@@ -625,9 +651,10 @@ impl CompareReport {
                 "PASS".to_string()
             } else {
                 format!(
-                    "FAIL ({} regressions, {} missing cells, {} missing metrics)",
+                    "FAIL ({} regressions, {} missing cells, {} new cells, {} missing metrics)",
                     self.regressions.len(),
                     self.missing_cells.len(),
+                    self.extra_cells.len(),
                     self.missing_metrics.len()
                 )
             }
@@ -639,14 +666,13 @@ impl CompareReport {
 /// Compares the `current` run against `baseline` records.
 ///
 /// For every baseline cell found in the current run, each cost metric
-/// (see [`is_cost_metric`]) is bounded: timings by
-/// `baseline * time_ratio` (skipped below the noise floor), counters by
-/// `baseline * count_ratio + count_slack`. Baseline cells *absent* from
-/// the current run fail the comparison, as do gated baseline metrics
-/// their matching cell no longer emits (see [`CompareReport::is_pass`]);
-/// new cells and metrics that only exist in the current run pass
-/// automatically. Compare against a baseline produced by the same
-/// scenario selection.
+/// (see [`is_cost_metric`]) is checked: security counters (see
+/// [`is_exact_metric`]) must equal the baseline, timings are bounded by
+/// `baseline * time_ratio` (skipped below the noise floor) and work
+/// counters by `baseline * count_ratio + count_slack`. A cell on one side
+/// only fails the comparison, as does a gated baseline metric its
+/// matching cell no longer emits (see [`CompareReport::is_pass`]). Compare
+/// against a baseline produced by the same scenario selection.
 #[must_use]
 pub fn compare(
     baseline: &[Record],
@@ -656,6 +682,10 @@ pub fn compare(
     let mut report = CompareReport::default();
     let current_by_key: std::collections::HashMap<String, &Record> =
         current.iter().map(|r| (r.key(), r)).collect();
+    let baseline_keys: std::collections::HashSet<String> =
+        baseline.iter().map(Record::key).collect();
+    report.extra_cells =
+        current.iter().map(Record::key).filter(|key| !baseline_keys.contains(key)).collect();
     for base in baseline {
         let key = base.key();
         let Some(cur) = current_by_key.get(&key) else {
@@ -673,22 +703,24 @@ pub fn compare(
                 report.missing_metrics.push(format!("{key} {metric}"));
                 continue;
             };
-            let limit = if metric.ends_with("_ms") {
+            let limit = if is_exact_metric(metric) {
+                *base_value
+            } else if metric.ends_with("_ms") {
                 if *base_value < config.min_time_ms {
                     continue;
                 }
                 base_value * config.time_ratio
-            } else if *base_value == 0.0 {
-                // A legitimately-zero baseline counter (e.g. `restarts: 0`)
-                // has no meaningful ratio: fall back to absolute slack only,
-                // so the cell can neither divide-by-zero in ratio reporting
-                // nor auto-fail the moment the counter becomes nonzero.
-                config.count_slack
             } else {
+                // A legitimately-zero baseline counter (e.g. `restarts: 0`)
+                // gets the absolute slack alone, so the cell can neither
+                // divide by zero in ratio reporting nor fail the moment
+                // the counter becomes nonzero.
                 base_value * config.count_ratio + config.count_slack
             };
             report.checked_metrics += 1;
-            if cur_value > limit {
+            let moved =
+                if is_exact_metric(metric) { cur_value != limit } else { cur_value > limit };
+            if moved {
                 report.regressions.push(Regression {
                     cell: key.clone(),
                     metric: metric.clone(),
@@ -776,14 +808,53 @@ mod tests {
 
     #[test]
     fn counter_inflation_is_flagged_and_slack_tolerates_noise() {
-        let baseline = vec![cell("matrix", "c432", 120.0, 100.0)];
-        // +10 DIPs sits inside 2x + 16 slack; 10x does not.
-        let ok = vec![cell("matrix", "c432", 120.0, 110.0)];
-        assert!(compare(&baseline, &ok, &CompareConfig::default()).is_pass());
-        let bad = vec![cell("matrix", "c432", 120.0, 1000.0)];
-        let report = compare(&baseline, &bad, &CompareConfig::default());
+        let with_conflicts = |conflicts: f64| {
+            vec![cell("matrix", "c432", 120.0, 7.0).metric("conflicts", conflicts)]
+        };
+        let baseline = with_conflicts(100.0);
+        // +3 conflicts sits inside 1.02x + 2 slack; +5 and 10x do not.
+        assert!(compare(&baseline, &with_conflicts(103.0), &CompareConfig::default()).is_pass());
+        for bad in [105.0, 1000.0] {
+            let report = compare(&baseline, &with_conflicts(bad), &CompareConfig::default());
+            assert_eq!(report.regressions.len(), 1);
+            assert_eq!(report.regressions[0].metric, "conflicts");
+        }
+        // Doing less work passes.
+        assert!(compare(&baseline, &with_conflicts(50.0), &CompareConfig::default()).is_pass());
+    }
+
+    #[test]
+    fn security_counters_must_match_exactly_in_both_directions() {
+        let baseline = vec![cell("matrix", "c432", 120.0, 7.0)];
+        for moved in [6.0, 8.0] {
+            let current = vec![cell("matrix", "c432", 120.0, moved)];
+            // No threshold loosens a security counter.
+            for config in [CompareConfig::default(), CompareConfig::with_threshold(100.0)] {
+                let report = compare(&baseline, &current, &config);
+                assert!(!report.is_pass(), "dips 7 -> {moved}");
+                assert_eq!(report.regressions.len(), 1);
+                assert_eq!(report.regressions[0].metric, "dips");
+                assert!(report.render().contains("CHANGED matrix{circuit=c432} dips: 7 -> "));
+            }
+        }
+        for metric in EXACT_COUNTERS {
+            assert!(is_exact_metric(metric) && is_cost_metric(metric));
+            let base = vec![Record::new("s").metric(metric, 5.0)];
+            let lower = vec![Record::new("s").metric(metric, 4.0)];
+            assert!(!compare(&base, &lower, &CompareConfig::default()).is_pass(), "{metric}");
+        }
+    }
+
+    #[test]
+    fn threshold_scales_only_timings() {
+        let baseline = vec![cell("matrix", "c432", 120.0, 7.0).metric("conflicts", 100.0)];
+        let slower = vec![cell("matrix", "c432", 1000.0, 7.0).metric("conflicts", 100.0)];
+        assert!(!compare(&baseline, &slower, &CompareConfig::default()).is_pass());
+        assert!(compare(&baseline, &slower, &CompareConfig::with_threshold(10.0)).is_pass());
+        let busier = vec![cell("matrix", "c432", 120.0, 7.0).metric("conflicts", 300.0)];
+        let report = compare(&baseline, &busier, &CompareConfig::with_threshold(10.0));
         assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].metric, "dips");
+        assert_eq!(report.regressions[0].metric, "conflicts");
     }
 
     #[test]
@@ -794,7 +865,7 @@ mod tests {
         let mut baseline = vec![cell("matrix", "c432", 120.0, 7.0)];
         baseline[0].metrics.push(("restarts".into(), 0.0));
         let mut within = vec![cell("matrix", "c432", 120.0, 7.0)];
-        within[0].metrics.push(("restarts".into(), 10.0));
+        within[0].metrics.push(("restarts".into(), 2.0));
         assert!(compare(&baseline, &within, &CompareConfig::default()).is_pass());
 
         let mut beyond = vec![cell("matrix", "c432", 120.0, 7.0)];
@@ -863,6 +934,20 @@ mod tests {
         assert_eq!(report.missing_cells.len(), 1);
         assert!(report.missing_cells[0].contains("gone"));
         assert!(report.render().contains("MISSING"));
+    }
+
+    #[test]
+    fn new_cells_fail_the_gate() {
+        // A cell the baseline lacks would go ungated: the baseline must be
+        // refreshed to cover it.
+        let baseline = vec![cell("matrix", "c432", 120.0, 7.0)];
+        let current =
+            vec![cell("matrix", "c432", 120.0, 7.0), cell("matrix", "fresh", 1.0, 1.0)];
+        let report = compare(&baseline, &current, &CompareConfig::default());
+        assert!(!report.is_pass());
+        assert!(report.regressions.is_empty() && report.missing_cells.is_empty());
+        assert_eq!(report.extra_cells, vec!["matrix{circuit=fresh}".to_string()]);
+        assert!(report.render().contains("NEW matrix{circuit=fresh}"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use polykey_attack::{
-    AttackReport, AttackSession, AttackStats, AttackStatus, SimOracle, SplitStrategy,
+    AttackReport, AttackSession, AttackStats, AttackStatus, Oracle, SimOracle, SplitStrategy,
 };
 use polykey_circuits::Iscas85;
 use polykey_encode::{build_miter, check_equivalence, DipConstraints, EquivResult};
@@ -1296,6 +1296,31 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
             solver.num_clauses() as u64
         });
         cell("dip_copies", "c7552_sarlock8", time, "cnf_clauses", clauses);
+
+        // The oracle's side of the DIP loop: the 255 DIPs a SARLock attack
+        // asks, in order, replayed one query at a time. Consecutive DIPs
+        // differ in a few inputs. The same number of pseudo-random patterns
+        // (about half the inputs flip each time) is the worst case for
+        // single-pattern simulation.
+        let mut recorder = SimOracle::new(&c7552).expect("keyless oracle");
+        let report = AttackSession::builder()
+            .oracle(&mut recorder)
+            .build()
+            .expect("oracle provided")
+            .run(netlist)
+            .expect("attack runs");
+        let recorded = &report.reports[0].dip_patterns;
+        assert_eq!(recorded.len(), 255, "SARLock |K|=8 needs 2^8 - 1 DIPs");
+        for (input, patterns) in [("c7552_sarlock8", recorded), ("c7552_random", &dips)] {
+            let (time, queries) = fastest(|| {
+                let mut oracle = SimOracle::new(&c7552).expect("keyless oracle");
+                for pattern in patterns {
+                    oracle.query(pattern);
+                }
+                oracle.queries()
+            });
+            cell("sim_oracle", input, time, "queries", queries);
+        }
     }
 
     let solve = |f: &CnfFormula, assumptions: &[Lit]| -> (SolveResult, SolverStats) {
