@@ -525,7 +525,12 @@ pub struct CompareConfig {
 
 impl Default for CompareConfig {
     fn default() -> CompareConfig {
-        CompareConfig { time_ratio: 3.0, count_ratio: 1.02, min_time_ms: 25.0, count_slack: 2.0 }
+        CompareConfig {
+            time_ratio: 3.0,
+            count_ratio: 1.02,
+            min_time_ms: 25.0,
+            count_slack: 2.0,
+        }
     }
 }
 

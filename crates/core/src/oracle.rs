@@ -71,6 +71,12 @@ pub trait Oracle {
 
 /// An oracle that simulates the original netlist (the "working chip").
 ///
+/// Single queries, and batches of one, are simulated incrementally: a
+/// query re-evaluates only the gates that the inputs it flips since the
+/// previous one reach (see [`Simulator`]). Consecutive DIPs differ in a
+/// few inputs, so a query costs a small part of a full pass. Larger batches
+/// take one bit-parallel pass per 64 patterns.
+///
 /// # Examples
 ///
 /// ```
@@ -128,6 +134,11 @@ impl Oracle for SimOracle<'_> {
     }
 
     fn query_batch(&mut self, inputs: &[Vec<bool>]) -> Vec<Vec<bool>> {
+        if let [input] = inputs {
+            // A lone pattern (every round of an unbatched attack) takes the
+            // incremental single-pattern path.
+            return vec![self.query(input)];
+        }
         let width = self.num_inputs();
         let mut responses = Vec::with_capacity(inputs.len());
         // One bit-parallel pass per 64 patterns: pattern p of the chunk
@@ -248,6 +259,7 @@ impl Oracle for TermOracle<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polykey_circuits::Iscas85;
     use polykey_netlist::GateKind;
 
     fn xor2() -> Netlist {
@@ -307,6 +319,40 @@ mod tests {
             assert_eq!(response, &vec![parity]);
         }
         assert_eq!(oracle.queries(), 96);
+    }
+
+    #[test]
+    fn one_pattern_batches_match_single_queries() {
+        // An unbatched attack sends every DIP as a batch of one: it must
+        // answer like `query`, on the same incremental path, and count one
+        // query. The patterns walk through no, one and every input flipping.
+        let nl = Iscas85::C432.build();
+        let width = nl.inputs().len();
+        let mut pattern = vec![false; width];
+        let mut patterns = Vec::new();
+        for step in 0..40 {
+            match step % 4 {
+                0 => {}
+                1 | 2 => pattern[step * 7 % width] ^= true,
+                _ => pattern.iter_mut().for_each(|b| *b = !*b),
+            }
+            patterns.push(pattern.clone());
+        }
+        let mut single = SimOracle::new(&nl).unwrap();
+        let mut batched = SimOracle::new(&nl).unwrap();
+        let mut reference = Simulator::new(&nl).unwrap();
+        for (served, pattern) in patterns.iter().enumerate() {
+            let expected = single.query(pattern);
+            assert_eq!(single.queries(), served as u64 + 1);
+            assert_eq!(
+                batched.query_batch(std::slice::from_ref(pattern)),
+                vec![expected.clone()]
+            );
+            assert_eq!(batched.queries(), served as u64 + 1);
+            let packed = reference
+                .eval_packed(&pack_patterns(std::slice::from_ref(pattern), width), &[]);
+            assert_eq!(unpack_patterns(&packed, 1), vec![expected]);
+        }
     }
 
     #[test]

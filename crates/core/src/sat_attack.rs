@@ -18,7 +18,10 @@
 //!    key copies to reproduce its response on the cone's outputs (two more
 //!    CNF copies of the whole cone, peeled layers included, with inputs
 //!    pinned to the DIP so they fold down to key logic only; their private
-//!    variables are eliminated before the solver sees them). The response
+//!    variables are eliminated before the solver sees them). A DIP differs
+//!    from the previous one in a few inputs, so both the simulated oracle
+//!    and the copies' off-cone constants re-evaluate only the gates those
+//!    inputs reach (event-driven single-pattern simulation). The response
 //!    on the other outputs is buffered and checked against the locked
 //!    circuit by packed simulation, 64 DIPs per pass and once more before
 //!    a key is reported or the search handed on; a mismatch ends the run

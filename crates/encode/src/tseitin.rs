@@ -300,9 +300,12 @@ pub(crate) fn encode_shared<S: ClauseSink>(
 ///
 /// With every primary input pinned, the gates outside the transitive
 /// fan-out of the key inputs are constants. The encoder computes the
-/// topological order and that cone once. For each new pattern it runs one
-/// packed simulation pass for the off-cone constants, which every copy at
-/// that pattern reuses. Each copy then encodes the cone gates in their
+/// topological order and that cone once. It keeps the off-cone constants
+/// of the last pattern, and a new pattern updates only the nodes whose
+/// value it changes, by incremental single-pattern simulation (see
+/// [`Simulator::eval_changes`]); every copy at that pattern reuses them.
+/// Consecutive DIPs differ in a few inputs, so this costs a small part of
+/// a full simulation pass. Each copy then encodes the cone gates in their
 /// topological order against a structural-hash table of its own, cleared
 /// per copy. The off-cone gates would have folded without emitting
 /// anything, so a copy adds exactly the variables and clauses, in the same
@@ -320,11 +323,10 @@ pub struct ConeEncoder<'n> {
     shared: Option<&'n GateTable>,
     /// The key-controlled gates, in topological order.
     cone: Vec<NodeId>,
+    /// Simulates the netlist under the all-zero key; the off-cone entries
+    /// of `values` hold its constants at the last pattern.
     sim: Simulator<'n>,
-    /// The pattern the off-cone entries of `values` hold, once simulated.
-    pattern: Option<Vec<bool>>,
-    packed_inputs: Vec<u64>,
-    zero_keys: Vec<u64>,
+    zero_keys: Vec<bool>,
     values: Vec<CnfValue>,
     fanins: Vec<CnfValue>,
     table: GateTable,
@@ -358,9 +360,7 @@ impl<'n> ConeEncoder<'n> {
             shared,
             cone,
             sim: Simulator::new(netlist)?,
-            pattern: None,
-            packed_inputs: vec![0; netlist.inputs().len()],
-            zero_keys: vec![0; netlist.key_inputs().len()],
+            zero_keys: vec![false; netlist.key_inputs().len()],
             values: vec![CnfValue::Const(false); netlist.num_nodes()],
             fanins: Vec::new(),
             table: GateTable::default(),
@@ -395,9 +395,7 @@ impl<'n> ConeEncoder<'n> {
                 got: keys.len(),
             });
         }
-        if self.pattern.as_deref() != Some(pattern) {
-            self.simulate(pattern);
-        }
+        self.simulate(pattern);
         for (&k, &lit) in nl.key_inputs().iter().zip(keys) {
             self.values[k.index()] = CnfValue::Lit(lit);
         }
@@ -412,19 +410,22 @@ impl<'n> ConeEncoder<'n> {
         Ok(nl.outputs().iter().map(|o| self.values[o.index()]).collect())
     }
 
-    /// Sets every node's value to its constant at `pattern`; the cone
-    /// entries are overwritten by each copy.
+    /// Sets every node's value to its constant at `pattern`, updating
+    /// only the nodes the pattern changes when the simulator reports them;
+    /// the cone entries are overwritten by each copy.
     fn simulate(&mut self, pattern: &[bool]) {
-        for (word, &bit) in self.packed_inputs.iter_mut().zip(pattern) {
-            *word = if bit { u64::MAX } else { 0 };
+        match self.sim.eval_changes(pattern, &self.zero_keys) {
+            (words, Some(changed)) => {
+                for &id in changed {
+                    self.values[id.index()] = CnfValue::Const(words[id.index()] & 1 == 1);
+                }
+            }
+            (words, None) => {
+                for (value, &word) in self.values.iter_mut().zip(words) {
+                    *value = CnfValue::Const(word & 1 == 1);
+                }
+            }
         }
-        let words = self.sim.node_values_packed(&self.packed_inputs, &self.zero_keys);
-        for (value, &word) in self.values.iter_mut().zip(words) {
-            *value = CnfValue::Const(word & 1 == 1);
-        }
-        let stored = self.pattern.get_or_insert_with(Vec::new);
-        stored.clear();
-        stored.extend_from_slice(pattern);
     }
 }
 

@@ -152,14 +152,29 @@ proptest! {
     #[test]
     fn cone_encoder_matches_plain_encoding(
         nl in arb_circuit(4, 3),
-        dips in proptest::collection::vec(0u64..16, 1..5),
+        steps in proptest::collection::vec((0u8..3, 0u64..16), 36..45),
         key_lits in proptest::collection::vec((0u32..4, proptest::bool::ANY), 6),
         key_values in 0u64..16,
     ) {
         // Copies as the attack adds them: two key vectors per DIP, over
-        // shared key literals that may repeat or be negated, several DIPs
-        // deep in one sink. Both encoders must emit the same variables and
-        // clauses in the same order, and the same output values.
+        // shared key literals that may repeat or be negated, about 40 DIPs
+        // deep in one sink. Each DIP is a new pattern, the last one with an
+        // input flipped, or the last one again, so the encoder's incremental
+        // simulation meets every kind of step. Both encoders must emit the
+        // same variables and clauses in the same order, and the same output
+        // values.
+        let mut dip = 0u64;
+        let dips: Vec<u64> = steps
+            .iter()
+            .map(|&(how, r)| {
+                dip = match how {
+                    0 => r,
+                    1 => dip ^ 1 << (r % 4),
+                    _ => dip,
+                };
+                dip
+            })
+            .collect();
         let keys: Vec<Lit> =
             key_lits.iter().map(|&(v, negated)| Lit::new(Var::new(v), negated)).collect();
         let (keys_left, keys_right) = keys.split_at(3);

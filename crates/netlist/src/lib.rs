@@ -7,7 +7,8 @@
 //!   ([`Netlist::insert_after`]);
 //! - ISCAS `.bench` reading and writing ([`parse_bench`], [`write_bench`]),
 //!   including the `keyinput` conventions of published locked benchmarks;
-//! - 64-way bit-parallel simulation ([`Simulator`]);
+//! - simulation ([`Simulator`]): 64-way bit-parallel for pattern sets,
+//!   event-driven for one pattern after another;
 //! - structural analysis: fan-in/fan-out cones, key-controlled masks, logic
 //!   levels ([`analysis`]);
 //! - logic simplification used as the attack's re-synthesis step:

@@ -121,8 +121,9 @@ impl Error for NetlistError {}
 /// Each name is stored once and shared by the netlists derived from this
 /// one ([`cofactor`](crate::cofactor), [`simplify`](crate::simplify),
 /// [`keep_outputs`](crate::keep_outputs), [`pin_keys`](crate::pin_keys)).
-/// The topological order is computed on first use and cached; every
-/// method that changes a node or a fanin clears it.
+/// The topological order is computed on first use and cached, together
+/// with each node's fan-out list; every method that changes a node or a
+/// fanin clears both.
 ///
 /// # Examples
 ///
@@ -155,7 +156,19 @@ pub struct Netlist {
     primary_inputs: Vec<NodeId>,
     key_inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    order: OnceLock<Result<Vec<NodeId>, NetlistError>>,
+    order: OnceLock<Result<Topology, NetlistError>>,
+}
+
+/// A netlist's cached topological order, with the fan-out lists Kahn's
+/// algorithm builds to find it.
+#[derive(Clone, Debug)]
+struct Topology {
+    order: Vec<NodeId>,
+    /// The distinct consumers of node `i` are
+    /// `consumers[start[i]..start[i + 1]]`, in ascending id order (a CSR
+    /// layout).
+    start: Vec<u32>,
+    consumers: Vec<NodeId>,
 }
 
 // Searches hand netlists to term threads behind an `Arc`.
@@ -452,14 +465,29 @@ impl Netlist {
     /// only for netlists built by the parser, which allows forward
     /// references).
     pub fn topological_order(&self) -> Result<&[NodeId], NetlistError> {
-        self.order.get_or_init(|| self.kahn_order()).as_deref().map_err(Clone::clone)
+        self.topology().map(|t| t.order.as_slice())
+    }
+
+    /// The distinct consumers of every node, cached with the topological
+    /// order: node `i`'s are `consumers[start[i]..start[i + 1]]`, in
+    /// ascending id order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
+    pub(crate) fn fanouts(&self) -> Result<(&[u32], &[NodeId]), NetlistError> {
+        self.topology().map(|t| (t.start.as_slice(), t.consumers.as_slice()))
+    }
+
+    fn topology(&self) -> Result<&Topology, NetlistError> {
+        self.order.get_or_init(|| self.kahn_order()).as_ref().map_err(Clone::clone)
     }
 
     /// Kahn's algorithm over *distinct* fanin edges, so repeated fanins
     /// like And(a, a) count once. The ready stack starts with the sources
     /// in id order and pops from the end; each node releases its consumers
-    /// in ascending id order.
-    fn kahn_order(&self) -> Result<Vec<NodeId>, NetlistError> {
+    /// in ascending id order. The fan-out lists it builds are kept.
+    fn kahn_order(&self) -> Result<Topology, NetlistError> {
         let n = self.nodes.len();
         // The consumers of node `i` are `consumers[start[i]..start[i + 1]]`
         // (a CSR layout). Nodes are visited in id order, so each list comes
@@ -511,7 +539,7 @@ impl Netlist {
                 .unwrap_or_default();
             return Err(NetlistError::Cycle { involving: stuck });
         }
-        Ok(order)
+        Ok(Topology { order, start, consumers })
     }
 
     /// Builds the reverse adjacency: for each node, the list of nodes that

@@ -1,16 +1,31 @@
-//! Bit-parallel netlist simulation.
+//! Netlist simulation: bit-parallel for many patterns, event-driven for
+//! one pattern after another.
 //!
-//! The simulator evaluates 64 input patterns per pass by packing one pattern
-//! per bit of a `u64` word, which is how the attack's oracle and all
-//! correctness checks evaluate circuits.
+//! [`Simulator::eval_packed`] evaluates 64 input patterns per pass by
+//! packing one pattern per bit of a `u64` word; the attack's response
+//! checks and all correctness checks evaluate circuits this way.
+//! [`Simulator::eval`] evaluates one pattern and keeps every node's value:
+//! the next pattern re-evaluates only the gates downstream of the inputs
+//! and keys it flips, level by level (event-driven simulation, after
+//! Ulrich, CACM 1969). Consecutive DIPs of an attack differ in a few
+//! inputs, so the oracle and the per-DIP constants pay for the handful of
+//! nodes that change, not for the whole circuit.
 
-use crate::gate::GateKind;
-use crate::netlist::{Netlist, NetlistError, NodeId};
+use crate::analysis::levels;
+use crate::netlist::{Netlist, NetlistError, Node, NodeId};
 
 /// A reusable simulator bound to one netlist.
 ///
-/// Construction borrows the netlist's cached topological order; each evaluation
-/// reuses an internal value buffer, so repeated calls do not allocate.
+/// Construction borrows the netlist's cached topological order and fan-out
+/// lists; each evaluation reuses internal buffers, so repeated calls do not
+/// allocate beyond the returned outputs.
+///
+/// Single patterns ([`Simulator::eval`]) are incremental: the simulator
+/// keeps the last pattern's node values and re-evaluates only the fan-out
+/// of nodes that change. A pattern whose events would cost more than a
+/// full pass finishes as a full pass, so a run of unrelated patterns costs
+/// about what full passes do. A packed evaluation overwrites the kept
+/// values, and the next single pattern starts with a full pass.
 ///
 /// # Examples
 ///
@@ -24,6 +39,10 @@ use crate::netlist::{Netlist, NetlistError, NodeId};
 /// nl.mark_output(y)?;
 /// let mut sim = Simulator::new(&nl)?;
 /// assert_eq!(sim.eval(&[false], &[]), vec![true]);
+/// // The next pattern flips `a`, so only `y` is re-evaluated.
+/// let (values, changed) = sim.eval_changes(&[true], &[]);
+/// assert_eq!(changed, Some(&[a, y][..]));
+/// assert_eq!(values[y.index()], 0);
 /// # Ok(())
 /// # }
 /// ```
@@ -31,8 +50,106 @@ use crate::netlist::{Netlist, NetlistError, NodeId};
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
     order: &'a [NodeId],
+    /// Node `i`'s distinct consumers are `consumers[start[i]..start[i + 1]]`.
+    start: &'a [u32],
+    consumers: &'a [NodeId],
     values: Vec<u64>,
     fanin_buf: Vec<u64>,
+    /// True while `values` holds one pattern in every bit (the last
+    /// single-pattern evaluation), so the next one can start from it.
+    single: bool,
+    /// The event queue, built on the first incremental evaluation.
+    events: Option<Events>,
+    /// The nodes the last incremental evaluation changed.
+    changed: Vec<NodeId>,
+}
+
+/// The levelised event queue of the single-pattern path.
+#[derive(Debug)]
+struct Events {
+    /// Each node's logic level: sources at 0, a gate one above its deepest
+    /// fanin, so a gate's consumers always sit at higher levels.
+    level: Vec<u32>,
+    /// The gates queued for re-evaluation, one bucket per level.
+    buckets: Vec<Vec<NodeId>>,
+    queued: Vec<bool>,
+    /// How many gates one pattern may queue before it finishes as a full
+    /// pass instead.
+    budget: usize,
+    /// The gates the current pattern has queued, and the lowest and
+    /// highest levels they went to.
+    count: usize,
+    lowest: usize,
+    highest: usize,
+}
+
+/// One event (queue, dequeue, evaluate, compare) costs about this many
+/// gate evaluations of a full pass, so a pattern may queue at most
+/// `1 / EVENT_COST` of the gates before a full pass is cheaper.
+const EVENT_COST: usize = 2;
+
+/// A pattern that flips more than `1 / FLIP_SHARE` of the ports (and more
+/// than one) goes straight to a full pass: unrelated patterns flip about
+/// half of them and would spend the budget only to fall back, while
+/// consecutive DIPs flip one or two.
+const FLIP_SHARE: usize = 8;
+
+impl Events {
+    fn new(netlist: &Netlist) -> Events {
+        let level = levels(netlist).expect("a simulated netlist is acyclic");
+        let depth = level.iter().copied().max().unwrap_or(0) as usize;
+        let gates = level.iter().filter(|&&l| l > 0).count();
+        Events {
+            level,
+            buckets: vec![Vec::new(); depth + 1],
+            queued: vec![false; netlist.num_nodes()],
+            // At least one gate, so that the smallest netlists take events
+            // too.
+            budget: (gates / EVENT_COST).max(1),
+            count: 0,
+            lowest: 0,
+            highest: 0,
+        }
+    }
+
+    /// Queues the gates of `consumers` that are not queued yet.
+    fn schedule(&mut self, consumers: &[NodeId]) {
+        for &c in consumers {
+            if !self.queued[c.index()] {
+                self.queued[c.index()] = true;
+                let level = self.level[c.index()] as usize;
+                self.buckets[level].push(c);
+                self.lowest = self.lowest.min(level);
+                self.highest = self.highest.max(level);
+                self.count += 1;
+            }
+        }
+    }
+
+    /// Empties the queue.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets[self.lowest.min(self.highest)..=self.highest] {
+            for id in bucket.drain(..) {
+                self.queued[id.index()] = false;
+            }
+        }
+    }
+}
+
+/// Evaluates one gate from its fanins' value words.
+fn eval_gate(node: &Node, values: &[u64], fanin_buf: &mut Vec<u64>) -> u64 {
+    fanin_buf.clear();
+    fanin_buf.extend(node.fanins().iter().map(|f| values[f.index()]));
+    node.kind().eval_packed(fanin_buf)
+}
+
+/// A pattern's value of one port, in every bit of a word.
+fn broadcast(bit: bool) -> u64 {
+    if bit {
+        u64::MAX
+    } else {
+        0
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -43,11 +160,17 @@ impl<'a> Simulator<'a> {
     /// Returns [`NetlistError::Cycle`] for cyclic netlists.
     pub fn new(netlist: &'a Netlist) -> Result<Simulator<'a>, NetlistError> {
         let order = netlist.topological_order()?;
+        let (start, consumers) = netlist.fanouts()?;
         Ok(Simulator {
             netlist,
             order,
+            start,
+            consumers,
             values: vec![0; netlist.num_nodes()],
             fanin_buf: Vec::with_capacity(8),
+            single: false,
+            events: None,
+            changed: Vec::new(),
         })
     }
 
@@ -64,11 +187,89 @@ impl<'a> Simulator<'a> {
     /// Panics if `inputs` or `keys` do not match the netlist's input and key
     /// port counts.
     pub fn eval(&mut self, inputs: &[bool], keys: &[bool]) -> Vec<bool> {
-        let inputs_packed: Vec<u64> =
-            inputs.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
-        let keys_packed: Vec<u64> =
-            keys.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
-        self.eval_packed(&inputs_packed, &keys_packed).iter().map(|&w| w & 1 == 1).collect()
+        let netlist = self.netlist;
+        let (values, _) = self.eval_changes(inputs, keys);
+        netlist.outputs().iter().map(|o| values[o.index()] & 1 == 1).collect()
+    }
+
+    /// Evaluates a single input pattern, like [`Simulator::eval`], and
+    /// returns every node's value word, indexed by [`NodeId`] (all ones for
+    /// true, all zeros for false), with the nodes whose value differs from
+    /// the previous single pattern's: ports first, then gates in level
+    /// order. The list is `None` when every node was recomputed instead: for
+    /// the first pattern, the first after a packed evaluation, and one that
+    /// flips too much for events to pay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` or `keys` do not match the netlist's input and key
+    /// port counts.
+    pub fn eval_changes(
+        &mut self,
+        inputs: &[bool],
+        keys: &[bool],
+    ) -> (&[u64], Option<&[NodeId]>) {
+        let nl = self.netlist;
+        assert_eq!(inputs.len(), nl.inputs().len(), "primary input width mismatch");
+        assert_eq!(keys.len(), nl.key_inputs().len(), "key input width mismatch");
+        let ports = nl.inputs().iter().zip(inputs).chain(nl.key_inputs().iter().zip(keys));
+        if !self.single {
+            for (&id, &bit) in ports {
+                self.values[id.index()] = broadcast(bit);
+            }
+            self.full_pass();
+            self.single = true;
+            return (&self.values, None);
+        }
+        let Simulator { netlist, start, consumers, values, fanin_buf, changed, .. } = self;
+        let fanouts =
+            |id: NodeId| &consumers[start[id.index()] as usize..start[id.index() + 1] as usize];
+        let events = self.events.get_or_insert_with(|| Events::new(netlist));
+        events.count = 0;
+        events.lowest = events.buckets.len();
+        events.highest = 0;
+        changed.clear();
+        for (&id, &bit) in ports {
+            let word = broadcast(bit);
+            if values[id.index()] != word {
+                values[id.index()] = word;
+                changed.push(id);
+            }
+        }
+        let flip_limit = ((inputs.len() + keys.len()) / FLIP_SHARE).max(1);
+        let mut within_budget = changed.len() <= flip_limit;
+        if within_budget {
+            for &id in changed.iter() {
+                events.schedule(fanouts(id));
+            }
+        }
+        // A gate's consumers sit at higher levels, so one sweep up the
+        // levels evaluates each queued gate after all its queued fanins.
+        let mut level = events.lowest;
+        while within_budget && level <= events.highest {
+            while let Some(id) = events.buckets[level].pop() {
+                events.queued[id.index()] = false;
+                let word = eval_gate(netlist.node(id), values, fanin_buf);
+                if values[id.index()] != word {
+                    values[id.index()] = word;
+                    changed.push(id);
+                    events.schedule(fanouts(id));
+                    if events.count > events.budget {
+                        within_budget = false;
+                        break;
+                    }
+                }
+            }
+            level += 1;
+        }
+        if within_budget {
+            return (&self.values, Some(&self.changed));
+        }
+        // Too many events: drop the queue and finish with a full pass. The
+        // ports already hold the new pattern.
+        events.clear();
+        self.full_pass();
+        (&self.values, None)
     }
 
     /// Evaluates 64 packed patterns at once: bit *i* of each word belongs to
@@ -101,17 +302,17 @@ impl<'a> Simulator<'a> {
         for (i, &id) in nl.key_inputs().iter().enumerate() {
             self.values[id.index()] = keys[i];
         }
+        self.full_pass();
+        self.single = false;
+    }
+
+    /// Evaluates every gate in topological order from the port values.
+    fn full_pass(&mut self) {
+        let nl = self.netlist;
         for &id in self.order {
             let node = nl.node(id);
-            match node.kind() {
-                GateKind::Input | GateKind::KeyInput => {}
-                kind => {
-                    self.fanin_buf.clear();
-                    for f in node.fanins() {
-                        self.fanin_buf.push(self.values[f.index()]);
-                    }
-                    self.values[id.index()] = kind.eval_packed(&self.fanin_buf);
-                }
+            if !node.kind().is_input() {
+                self.values[id.index()] = eval_gate(node, &self.values, &mut self.fanin_buf);
             }
         }
     }

@@ -1,10 +1,12 @@
 //! Property-based tests over random netlists: simplification and I/O
 //! round-trips must preserve circuit function, the key's cone of influence
-//! must match the full netlist on the outputs it keeps, and the `.bench` parser
+//! must match the full netlist on the outputs it keeps, incremental
+//! single-pattern simulation must match a full pass, and the `.bench` parser
 //! answers any input with a netlist or an error, never a panic.
 
 use proptest::prelude::*;
 
+use polykey_circuits::{generate_random, RandomCircuitSpec};
 use polykey_netlist::analysis::key_reachable_outputs;
 use polykey_netlist::{
     bits_of, cofactor, cofactor_simplify, keep_outputs, parse_bench, simplify, write_bench,
@@ -85,6 +87,34 @@ fn arb_keyed_netlist() -> impl Strategy<Value = Netlist> {
     (2usize..8, 1usize..4, proptest::collection::vec(recipe, 1..60), 1usize..9).prop_map(
         |(inputs, keys, recipes, outputs)| build_random_keyed(inputs, keys, &recipes, outputs),
     )
+}
+
+/// A [`generate_random`] circuit with `keys` key gates spliced in after
+/// pseudo-random nodes: XOR, XNOR, and a MUX that the wire selects between
+/// an earlier node and the key.
+fn keyed_random_circuit(seed: u64, inputs: usize, gates: usize, keys: usize) -> Netlist {
+    let spec = RandomCircuitSpec::new("r", inputs, 1 + seed as usize % 6, inputs + gates, seed);
+    let mut nl = generate_random(&spec);
+    let mut state = seed | 1;
+    for k in 0..keys {
+        let key = nl.add_key_input(format!("k{k}")).expect("fresh");
+        let mut draw = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        // `other` precedes `target` in topological order, so it does not
+        // read it, and the splice cannot close a cycle.
+        let order = nl.topological_order().expect("acyclic");
+        let at = draw() % order.len();
+        let (target, other) = (order[at], order[draw() % (at + 1)]);
+        let (kind, extra) = match k % 3 {
+            0 => (GateKind::Xor, vec![key]),
+            1 => (GateKind::Xnor, vec![key]),
+            _ => (GateKind::Mux, vec![other, key]),
+        };
+        nl.insert_after(target, format!("kg{k}"), kind, &extra).expect("valid gate");
+    }
+    nl
 }
 
 /// 64 pseudo-random patterns of `width` ports, packed one word per port.
@@ -185,6 +215,88 @@ proptest! {
             for (o, &w) in packed_out.iter().enumerate() {
                 prop_assert_eq!(w >> p & 1 == 1, scalar[o]);
             }
+        }
+    }
+
+    #[test]
+    fn incremental_eval_matches_a_full_pass(
+        seed in any::<u64>(),
+        inputs in 2usize..48,
+        gates in 0usize..400,
+        keys in 0usize..5,
+        steps in proptest::collection::vec((0u8..8, any::<u64>()), 1..40),
+    ) {
+        // One simulator sees the whole sequence; each pattern is checked
+        // against a fresh simulator's full pass, node by node, and so is the
+        // list of nodes it reports as changed.
+        let nl = keyed_random_circuit(seed, inputs, gates, keys);
+        let mut sim = Simulator::new(&nl).expect("acyclic");
+        let mut ins = vec![false; inputs];
+        let mut ks = vec![false; keys];
+        // The previous single pattern's node values, unless a packed
+        // evaluation came between.
+        let mut previous: Option<Vec<u64>> = None;
+        for (op, r) in steps {
+            match op {
+                // The same pattern again.
+                0 => {}
+                // One input flips.
+                1 => ins[r as usize % inputs] ^= true,
+                // A few inputs flip.
+                2 => {
+                    for i in 0..=r % 4 {
+                        ins[(r >> (8 * i)) as usize % inputs] ^= true;
+                    }
+                }
+                // Every input flips.
+                3 => ins.iter_mut().for_each(|b| *b = !*b),
+                // A new key, inputs unchanged.
+                4 => ks = bits_of(r, keys),
+                // A new pattern altogether.
+                5 => {
+                    ins = bits_of(r, inputs.min(64));
+                    ks = bits_of(r.rotate_left(17), keys);
+                }
+                // Packed evaluations in between overwrite the kept values.
+                6 => {
+                    let mut state = r | 1;
+                    let words = random_words(&mut state, inputs);
+                    let key_words = random_words(&mut state, keys);
+                    let got = sim.eval_packed(&words, &key_words);
+                    let want = Simulator::new(&nl).expect("acyclic").eval_packed(&words, &key_words);
+                    prop_assert_eq!(got, want);
+                    previous = None;
+                    continue;
+                }
+                _ => {
+                    let mut state = r | 1;
+                    let words = random_words(&mut state, inputs);
+                    let key_words = random_words(&mut state, keys);
+                    let got = sim.node_values_packed(&words, &key_words).to_vec();
+                    let mut fresh = Simulator::new(&nl).expect("acyclic");
+                    prop_assert_eq!(got, fresh.node_values_packed(&words, &key_words).to_vec());
+                    previous = None;
+                    continue;
+                }
+            }
+            let mut fresh = Simulator::new(&nl).expect("acyclic");
+            let want = fresh.eval_changes(&ins, &ks).0.to_vec();
+            let (got, changed) = sim.eval_changes(&ins, &ks);
+            prop_assert_eq!(got, &want[..]);
+            match (&previous, changed) {
+                (Some(before), Some(changed)) => {
+                    let mut reported: Vec<usize> = changed.iter().map(|id| id.index()).collect();
+                    reported.sort_unstable();
+                    let differing: Vec<usize> =
+                        (0..want.len()).filter(|&i| before[i] != want[i]).collect();
+                    prop_assert_eq!(reported, differing);
+                }
+                // A full pass, which may follow any pattern.
+                (Some(_), None) => {}
+                (None, changed) => prop_assert!(changed.is_none()),
+            }
+            prop_assert_eq!(sim.eval(&ins, &ks), fresh.eval(&ins, &ks));
+            previous = Some(want);
         }
     }
 
