@@ -304,14 +304,6 @@ pub fn registry() -> &'static [Scenario] {
             run: scenarios::ablation_split,
         },
         Scenario {
-            name: "ablation_simplify",
-            group: Group::Attack,
-            tags: &["ablation"],
-            quick: false,
-            summary: "Alg. 1 line 4 re-synthesis ablation",
-            run: scenarios::ablation_simplify,
-        },
-        Scenario {
             name: "fig1a",
             group: Group::Encode,
             tags: &["paper"],

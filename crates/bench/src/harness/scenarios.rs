@@ -155,8 +155,8 @@ pub fn matrix(ctx: &ScenarioCtx) -> ScenarioResult {
 
     let _ = writeln!(out, "{}", table.render());
     let _ = writeln!(out, "SARLock #DIP halves per splitting level; RLL and Anti-SAT are");
-    let _ = writeln!(out, "cheap everywhere; LUT cost sits in the miter size, which the");
-    let _ = writeln!(out, "cofactored terms shrink. One harness, every scheme.");
+    let _ = writeln!(out, "cheap everywhere; LUT cost sits in the miter size. One harness,");
+    let _ = writeln!(out, "every scheme.");
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
@@ -478,16 +478,13 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
             .expect("attack runs");
         let any_capped = report.reports.iter().any(|r| r.status == AttackStatus::TimeLimit);
         let (min, mean, max) = term_times(&report.stats());
-        let max_term_dips = max_term_dips(&report);
-        let min_gates = report.reports.iter().map(|r| r.gates_after).min().unwrap_or(0);
         eprintln!(
-            "  this work: min {} mean {} max {} over {} terms (max {} DIPs, term gates >= {}){}",
+            "  this work: min {} mean {} max {} over {} terms (max {} DIPs){}",
             fmt_duration(min),
             fmt_duration(mean),
             fmt_duration(max),
             report.reports.len(),
-            max_term_dips,
-            min_gates,
+            max_term_dips(&report),
             if any_capped { " (some terms hit the cap)" } else { "" }
         );
 
@@ -557,7 +554,7 @@ fn verified_unless_capped(
 }
 
 /// The diagnostic probe (`probe`): baseline vs per-term cost
-/// across LUT sizes and simplification settings on one circuit.
+/// across LUT sizes on one circuit.
 pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0x7AB1E2);
     let cap = Duration::from_secs(ctx.time_cap.unwrap_or(180));
@@ -607,44 +604,36 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
             baseline.status(),
             stats.solver.conflicts
         );
-        for simplify in [true, false] {
-            let mut oracle = SimOracle::new(&original).expect("oracle");
-            let report = AttackSession::builder()
-                .oracle(&mut oracle)
-                .split_effort(4)
-                .strategy(SplitStrategy::FanoutCone)
-                .simplify(simplify)
-                .record_dips(false)
-                .time_budget(cap)
-                .build()
-                .expect("oracle provided")
-                .run(&locked.netlist)
-                .expect("runs");
-            let max_dips = max_term_dips(&report);
-            let gates: Vec<usize> = report.reports.iter().map(|r| r.gates_after).collect();
-            let (min, mean, max) = term_times(&report.stats());
-            records.push(
-                Record::new("probe")
-                    .label("circuit", circuit.name())
-                    .label("keys", keys)
-                    .label("variant", if simplify { "n4_resynth" } else { "n4_pinned" })
-                    .attack_metrics(&report.stats())
-                    .metric("max_dips", max_dips as f64)
-                    .metric("min_gates", *gates.iter().min().expect("terms") as f64)
-                    .metric("max_gates", *gates.iter().max().expect("terms") as f64),
-            );
-            let _ = writeln!(
-                out,
-                "  N=4 simplify={simplify}: min {} mean {} max {} (max {} DIPs, gates {}..{}, complete={})",
-                fmt_duration(min),
-                fmt_duration(mean),
-                fmt_duration(max),
-                max_dips,
-                gates.iter().min().expect("terms"),
-                gates.iter().max().expect("terms"),
-                report.is_complete(),
-            );
-        }
+        let mut oracle = SimOracle::new(&original).expect("oracle");
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .split_effort(4)
+            .strategy(SplitStrategy::FanoutCone)
+            .record_dips(false)
+            .time_budget(cap)
+            .build()
+            .expect("oracle provided")
+            .run(&locked.netlist)
+            .expect("runs");
+        let max_dips = max_term_dips(&report);
+        let (min, mean, max) = term_times(&report.stats());
+        records.push(
+            Record::new("probe")
+                .label("circuit", circuit.name())
+                .label("keys", keys)
+                .label("variant", "n4")
+                .attack_metrics(&report.stats())
+                .metric("max_dips", max_dips as f64),
+        );
+        let _ = writeln!(
+            out,
+            "  N=4: min {} mean {} max {} (max {} DIPs, complete={})",
+            fmt_duration(min),
+            fmt_duration(mean),
+            fmt_duration(max),
+            max_dips,
+            report.is_complete(),
+        );
     }
     ScenarioResult { records, rendered: out, table: None }
 }
@@ -797,83 +786,6 @@ pub fn ablation_split(ctx: &ScenarioCtx) -> ScenarioResult {
     let _ = writeln!(out, "fan-out cone analysis finds the comparator inputs, so every");
     let _ = writeln!(out, "split level halves the remaining key space; naive choices");
     let _ = writeln!(out, "leave #DIP near the baseline 2^|K|.");
-    ScenarioResult { records, rendered: out, table: Some(table) }
-}
-
-/// The re-synthesis ablation (`ablation_simplify`):
-/// Algorithm 1 line 4 on vs off, on a LUT-locked circuit.
-pub fn ablation_simplify(ctx: &ScenarioCtx) -> ScenarioResult {
-    let circuit = if ctx.scale == Scale::Quick { Iscas85::C880 } else { Iscas85::C1908 };
-    let scheme = if ctx.scale == Scale::Full { LutLock::paper() } else { LutLock::small() };
-    let seed = ctx.seed.unwrap_or(0xAB1A7E);
-    let scheme = scheme.with_seed(seed);
-
-    let original = circuit.build();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let locked = scheme.lock_random(&original, &mut rng).expect("lockable");
-
-    let mut out = String::new();
-    let mut records = Vec::new();
-    let _ = writeln!(
-        out,
-        "Re-synthesis ablation: LUT({} keys) on {}, N = 4, 16 parallel terms\n",
-        scheme.key_bits(),
-        circuit
-    );
-
-    let mut table = TextTable::new(vec![
-        "variant",
-        "term gates (min..max)",
-        "max term time",
-        "mean term time",
-    ]);
-    for (name, tag, simplify) in [
-        ("with re-synthesis (paper)", "resynth", true),
-        ("without (pinned only)", "pinned", false),
-    ] {
-        let mut builder = AttackSession::builder()
-            .split_effort(4)
-            .strategy(SplitStrategy::FanoutCone)
-            .simplify(simplify)
-            .record_dips(false);
-        if let Some(cap) = ctx.time_cap {
-            builder = builder.time_budget(Duration::from_secs(cap));
-        }
-        let mut oracle = SimOracle::new(&original).expect("oracle");
-        let report = builder
-            .oracle(&mut oracle)
-            .build()
-            .expect("oracle provided")
-            .run(&locked.netlist)
-            .expect("attack runs");
-        assert!(report.is_complete());
-        let min_g = report.reports.iter().map(|r| r.gates_after).min().unwrap_or(0);
-        let max_g = report.reports.iter().map(|r| r.gates_after).max().unwrap_or(0);
-        let (_, mean, max) = term_times(&report.stats());
-        records.push(
-            Record::new("ablation_simplify")
-                .label("circuit", circuit.name())
-                .label("variant", tag)
-                .attack_metrics(&report.stats())
-                .metric("min_gates", min_g as f64)
-                .metric("max_gates", max_g as f64)
-                .metric("mean_term_ms", ms(mean)),
-        );
-        table.row(vec![
-            name.to_string(),
-            format!("{min_g}..{max_g}"),
-            fmt_duration(max),
-            fmt_duration(mean),
-        ]);
-        eprintln!("  {name}: done in {}", fmt_duration(report.stats().wall_time));
-    }
-    let _ = writeln!(out, "{}", table.render());
-    let _ = writeln!(
-        out,
-        "locked design has {} gates; pinning alone keeps them all, while",
-        locked.netlist.num_gates()
-    );
-    let _ = writeln!(out, "re-synthesis folds the pinned logic away before the SAT attack.");
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 

@@ -13,7 +13,6 @@
 //! | `bench --only batch` | batched-DIP sweep: oracle rounds vs queries at widths 1/8/32/64 |
 //! | `bench --only adaptive` | adaptive budget-driven term tree vs static `N` |
 //! | `bench --only ablation_split` | split-port heuristic ablation (§4) |
-//! | `bench --only ablation_simplify` | Alg. 1 line 4 re-synthesis ablation |
 //! | `bench --only defense_probe` | the conclusion's defense direction |
 //! | `bench --only layers` | packed simulation, re-synthesis, locking and solver timings |
 //!

@@ -2,14 +2,21 @@
 //! flat `2^N` grid to an adaptive term *tree*.
 //!
 //! Instead of hunting for the single correct key, the attack splits the
-//! input space on chosen ports, cofactors and re-synthesizes the locked
-//! netlist for each assignment, and runs an independent SAT attack per
-//! root term. Each term returns a key that unlocks its sub-space (possibly
+//! input space on chosen ports and runs an independent SAT attack per
+//! term. Each term returns a key that unlocks its sub-space (possibly
 //! globally *incorrect*); collectively — recombined with a MUX tree, see
 //! [`crate::recombine_multikey`] — the keys restore the full design
 //! function. With `N = 0` the tree is a single term with no pins: the
 //! classic one-key SAT attack on the locked netlist as given, run on the
 //! calling thread.
+//!
+//! A session encodes the locked netlist once: its key cone, peel and
+//! miter, in one solver. Every term starts from a copy of a solver and
+//! pins its sub-space with one unit clause per split port, where the paper
+//! cofactors and re-synthesizes the netlist per term (Algorithm 1 line 4).
+//! Root terms copy the session's solver, so the static grid is the term
+//! tree pre-split to depth `N`. Queued terms share the solver they resume,
+//! and the last of them to start takes it instead of a copy.
 //!
 //! The paper fixes the splitting effort `N` up front, but term hardness is
 //! wildly uneven in practice: the SARLock term containing the protected
@@ -17,18 +24,15 @@
 //! of DIPs. With a per-term DIP budget configured
 //! ([`crate::AttackSessionBuilder::term_dip_budget`]) the engine therefore
 //! runs *adaptively*: a term that spends its budget without converging is
-//! split one port deeper — re-ranking the remaining inputs on the netlist
-//! its solver encodes — and its two children go back onto the work queue.
-//! The children *resume* the parent's search rather than starting over:
-//! they share its netlist and miter, the first to start takes a copy of its
-//! solver and the other the solver itself, and each adds one unit clause
-//! for its new port.
-//! No child cofactors, builds a miter, or asks the oracle a DIP its parent
-//! already paid for, and every constraint and learnt clause carries over
-//! (each constraint is an oracle fact, so the correct key satisfies them
-//! all). Easy sub-spaces finish at shallow depth; hard ones are
-//! subdivided until they yield, or until they pin every input (at most
-//! [`MAX_SPLIT_WIDTH`]), where a term runs without the budget.
+//! split one port deeper — re-ranking the remaining inputs of the locked
+//! netlist — and its two children go back onto the work queue. The
+//! children *resume* the parent's solver rather than starting over, each
+//! with one more unit clause for its new port, so no child asks the oracle
+//! a DIP its parent already paid for, and every constraint and learnt
+//! clause carries over (each constraint is an oracle fact, so the correct
+//! key satisfies them all). Easy sub-spaces finish at shallow depth; hard
+//! ones are subdivided until they yield, or until they pin every input (at
+//! most [`MAX_SPLIT_WIDTH`]), where a term runs without the budget.
 //! Terms are identified by `(pattern, width)` prefix-tree paths rather
 //! than flat grid indices.
 //!
@@ -38,19 +42,19 @@
 //! [`AttackStatus::Failed`] instead of poisoning its siblings or tearing
 //! down the session.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use polykey_locking::Key;
-use polykey_netlist::{cofactor, cofactor_simplify, Netlist, NodeId};
+use polykey_netlist::{Netlist, NodeId};
+use polykey_sat::Solver;
 
 use crate::error::AttackError;
 use crate::oracle::{SharedOracle, TermOracle};
-use crate::sat_attack::{run_sat_attack, AttackStatus, SatAttackStats, Search, TermCtl};
+use crate::sat_attack::{run_sat_attack, AttackStatus, Encoded, SatAttackStats, TermCtl};
 use crate::session::{AttackConfig, AttackReport, ProgressEvent};
 use crate::split::{next_split_position, select_split_inputs};
 
@@ -101,61 +105,56 @@ pub struct SubTaskReport {
     /// How this term's SAT attack ended.
     pub status: AttackStatus,
     /// The term's SAT-attack counters. `stats.wall_time` is the whole
-    /// term's time, cofactoring and re-synthesis included (terms overlap
-    /// when parallel). A child that resumed its parent's search counts only
-    /// its own work, so sums over the tree count each step once. A
+    /// term's time (terms overlap when parallel); a root term's includes
+    /// the session's one encoding of the locked netlist, which it would
+    /// pay alone. A child that resumed its parent's search counts only its
+    /// own work, so sums over the tree count each step once. A
     /// [`AttackStatus::Failed`] term keeps only the oracle queries it was
     /// served; its other counters died with it.
     pub stats: SatAttackStats,
     /// The term's DIPs in discovery order (empty unless
     /// [`crate::AttackSessionBuilder::record_dips`] is on).
     pub dip_patterns: Vec<Vec<bool>>,
-    /// Gates in the locked netlist before cofactoring.
-    pub gates_before: usize,
-    /// Gates in the netlist this term's solver encodes: its own cofactored
-    /// netlist for a root term, its root ancestor's for a resumed child (0
-    /// if the term's worker panicked before cofactoring finished).
-    pub gates_after: usize,
 }
 
 /// One node of the term tree awaiting an attack.
-struct TermPath<'n> {
+struct TermPath {
     pattern: u64,
     width: u8,
-    /// The search of the exhausted parent this child resumes, shared with
-    /// its sibling until one of them starts (`None` for a root term, which
-    /// starts its own).
-    parent: Option<Arc<Search<'n>>>,
+    /// The solver this term resumes: the session's for a root term, its
+    /// exhausted parent's for a child. Shared by every queued term that
+    /// resumes it; the last of them to start takes it, the others a copy.
+    solver: Arc<Solver>,
 }
 
 /// What attacking one term produced.
-enum TermOutput<'n> {
+enum TermOutput {
     /// The term is a leaf of the final tree (succeeded, failed, or gave up
     /// at a limit).
     Leaf(SubTaskReport, Option<SubKey>),
     /// The term exhausted its budget and was subdivided into two children.
-    Split(SubTaskReport, [TermPath<'n>; 2]),
+    Split(SubTaskReport, [TermPath; 2]),
 }
 
 /// Shared scheduler state: the work queue plus everything the workers
 /// produce. A single mutex keeps completion bookkeeping atomic with queue
 /// updates, which is what makes the "queue empty and nothing in flight"
 /// exit condition race-free.
-struct SchedState<'n> {
-    queue: VecDeque<TermPath<'n>>,
+struct SchedState {
+    queue: VecDeque<TermPath>,
     in_flight: usize,
     results: Vec<(SubTaskReport, Option<SubKey>)>,
     resplits: Vec<SubTaskReport>,
     error: Option<AttackError>,
 }
 
-struct Scheduler<'n> {
-    state: Mutex<SchedState<'n>>,
+struct Scheduler {
+    state: Mutex<SchedState>,
     cv: Condvar,
 }
 
-impl<'n> Scheduler<'n> {
-    fn lock(&self) -> MutexGuard<'_, SchedState<'n>> {
+impl Scheduler {
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
         // A worker panic between lock and unlock would poison the state;
         // the bookkeeping is plain data, so recover rather than cascade.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -164,8 +163,8 @@ impl<'n> Scheduler<'n> {
 
 /// Algorithm 1 over an arbitrary shared oracle — the engine behind every
 /// [`crate::AttackSession`] run.
-pub(crate) fn run_multi_key<'n>(
-    locked: &'n Netlist,
+pub(crate) fn run_multi_key(
+    locked: &Netlist,
     oracle: &SharedOracle<'_>,
     config: &AttackConfig<'_>,
 ) -> Result<AttackReport, AttackError> {
@@ -191,9 +190,8 @@ pub(crate) fn run_multi_key<'n>(
 
     // The global split-port order: index `j` is the port every term of
     // width > j pins with pattern bit `j`. Adaptive resplits extend it —
-    // the first term to need depth `j + 1` ranks the remaining inputs on
-    // the netlist its solver encodes and appends the winner; siblings
-    // reuse it.
+    // the first term to need depth `j + 1` ranks the remaining inputs and
+    // appends the winner; siblings reuse it.
     let split_order: Mutex<Vec<NodeId>> =
         Mutex::new(select_split_inputs(locked, n, config.strategy)?);
     let order_positions = |order: &[NodeId]| -> Vec<usize> {
@@ -213,14 +211,20 @@ pub(crate) fn run_multi_key<'n>(
     // Total terms ever enqueued, for progress reporting.
     let spawned = AtomicUsize::new(num_root_terms);
 
+    // Every term searches the locked netlist: encode it once, with the
+    // miter in a solver that each root term copies and pins by unit
+    // clauses. A root term's time counts this encoding, as it would if the
+    // term ran alone.
+    let encoding = Instant::now();
+    let (encoded, root_solver) = Encoded::new(locked, config.textbook)?;
+    let encode_time = encoding.elapsed();
+
     // Extends the split order to cover depth `width + 1`, choosing the new
-    // port by re-ranking the netlist the subdividing term's solver encodes
-    // (its root ancestor's cofactored netlist: children resume their
-    // parent's search instead of cofactoring again). The ranking runs
+    // port by re-ranking the inputs of the locked netlist. The ranking runs
     // *outside* the lock — other workers only need the mutex for a cheap
     // prefix copy at term start, and must not stall behind cone analysis.
     // First writer wins; a racing sibling discards its ranking.
-    let extend_split_order = |restricted: &Netlist, width: usize| -> Result<(), AttackError> {
+    let extend_split_order = |width: usize| -> Result<(), AttackError> {
         let used = {
             let order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
             if order.len() > width {
@@ -228,7 +232,7 @@ pub(crate) fn run_multi_key<'n>(
             }
             order_positions(&order)
         };
-        let next = next_split_position(restricted, &used, config.strategy)?;
+        let next = next_split_position(locked, &used, config.strategy)?;
         let mut order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
         if order.len() > width {
             return Ok(()); // a sibling won the race while we ranked
@@ -247,67 +251,37 @@ pub(crate) fn run_multi_key<'n>(
         }
     };
 
-    let run_term = |path: TermPath<'n>| -> Result<TermOutput<'n>, AttackError> {
+    let run_term = |path: TermPath| -> Result<TermOutput, AttackError> {
         let term_start = Instant::now();
-        let TermPath { pattern, width: path_width, parent } = path;
+        let TermPath { pattern, width: path_width, solver } = path;
         let width = path_width as usize;
+        let setup = if width == n { encode_time } else { Duration::ZERO };
         // Served-query count lives *outside* the panic boundary, so a term
         // whose oracle crashes mid-run still reports the queries it spent.
         let term_queries = AtomicU64::new(0);
-        // The panic boundary covers the whole term — cofactoring, the SAT
-        // attack, resplit selection, *and* every progress callback — so a
-        // crashing oracle or a panicking user callback fails this term,
-        // not the session (and cannot strand the scheduler's in-flight
-        // accounting). The shared-oracle mutex recovers from the resulting
-        // poison (see `SharedOracle::lock`); the term's local state is
-        // simply discarded.
+        // The panic boundary covers the whole term — the SAT attack,
+        // resplit selection, *and* every progress callback — so a crashing
+        // oracle or a panicking user callback fails this term, not the
+        // session (and cannot strand the scheduler's in-flight accounting).
+        // The shared-oracle mutex recovers from the resulting poison (see
+        // `SharedOracle::lock`); the term's local state is simply
+        // discarded.
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, AttackError> {
             let ports: Vec<NodeId> = {
                 let order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
                 order[..width].to_vec()
             };
-            // Emitted before the miter is built, so the span from here to
-            // `TermFinished` covers the term's whole search.
-            let started = |gates: usize| {
-                if let Some(progress) = progress {
-                    progress(&ProgressEvent::TermStarted {
-                        pattern,
-                        width: path_width,
-                        terms: spawned.load(Ordering::Relaxed),
-                        gates,
-                    });
-                }
-            };
-            // A child resumes its parent's search, which already holds
-            // every pin but the newest (adding one again is a no-op): the
-            // first sibling to start copies it, the second takes it. A root
-            // term starts a search on the locked netlist cofactored on its
-            // pins and re-synthesized (Algorithm 1 line 4); a term with no
-            // pins attacks `locked` as given.
-            let search = match parent {
-                Some(shared) => {
-                    let search = Arc::try_unwrap(shared).unwrap_or_else(|s| (*s).clone());
-                    started(search.encoded.netlist.num_gates());
-                    search
-                }
-                None => {
-                    let pins: Vec<(NodeId, bool)> = ports
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &id)| (id, pattern >> j & 1 == 1))
-                        .collect();
-                    let restricted = if pins.is_empty() {
-                        Cow::Borrowed(locked)
-                    } else if config.simplify {
-                        Cow::Owned(cofactor_simplify(locked, &pins)?.0)
-                    } else {
-                        Cow::Owned(cofactor(locked, &pins)?)
-                    };
-                    started(restricted.num_gates());
-                    Search::new(restricted, config.textbook)?
-                }
-            };
-            let encoded = Arc::clone(&search.encoded);
+            if let Some(progress) = progress {
+                progress(&ProgressEvent::TermStarted {
+                    pattern,
+                    width: path_width,
+                    terms: spawned.load(Ordering::Relaxed),
+                    gates: locked.num_gates(),
+                });
+            }
+            // A child's solver already holds every pin but the newest, so
+            // adding one again is a no-op; a root term's holds none.
+            let solver = Arc::try_unwrap(solver).unwrap_or_else(|s| (*s).clone());
             let force_inputs: Vec<(usize, bool)> = order_positions(&ports)
                 .into_iter()
                 .enumerate()
@@ -327,17 +301,15 @@ pub(crate) fn run_multi_key<'n>(
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
             let mut term_oracle = TermOracle::new(oracle, &term_queries);
-            let outcome = run_sat_attack(search, &mut term_oracle, config, &term)?;
+            let outcome = run_sat_attack(&encoded, solver, &mut term_oracle, config, &term)?;
             let mut stats = outcome.stats;
-            stats.wall_time = term_start.elapsed();
+            stats.wall_time = setup + term_start.elapsed();
             let report = SubTaskReport {
                 pattern,
                 width: path_width,
                 status: outcome.status,
                 stats,
                 dip_patterns: outcome.dip_patterns,
-                gates_before: locked.num_gates(),
-                gates_after: encoded.netlist.num_gates(),
             };
             if let Some(progress) = progress {
                 progress(&ProgressEvent::TermFinished {
@@ -348,10 +320,10 @@ pub(crate) fn run_multi_key<'n>(
                     wall_time: report.stats.wall_time,
                 });
             }
-            // Only a budgeted term hands its search back, so `width` is
+            // Only a budgeted term hands its solver back, so `width` is
             // below the depth cap.
-            if let Some(search) = outcome.search {
-                extend_split_order(&encoded.netlist, width)?;
+            if let Some(solver) = outcome.solver {
+                extend_split_order(width)?;
                 if let Some(progress) = progress {
                     progress(&ProgressEvent::TermSplit {
                         pattern,
@@ -359,20 +331,16 @@ pub(crate) fn run_multi_key<'n>(
                         dips: report.stats.dips,
                     });
                 }
-                // Both children resume this search. The copy is taken only
+                // Both children resume this solver. The copy is taken only
                 // when the first of them starts, so a queued pair holds one
                 // solver, not two.
-                let search = Arc::new(search);
+                let solver = Arc::new(solver);
                 let children = [
-                    TermPath {
-                        pattern,
-                        width: path_width + 1,
-                        parent: Some(Arc::clone(&search)),
-                    },
+                    TermPath { pattern, width: path_width + 1, solver: Arc::clone(&solver) },
                     TermPath {
                         pattern: pattern | 1u64 << width,
                         width: path_width + 1,
-                        parent: Some(search),
+                        solver,
                     },
                 ];
                 return Ok(TermOutput::Split(report, children));
@@ -392,12 +360,10 @@ pub(crate) fn run_multi_key<'n>(
                     status: AttackStatus::Failed,
                     stats: SatAttackStats {
                         oracle_queries: term_queries.load(Ordering::Relaxed),
-                        wall_time: term_start.elapsed(),
+                        wall_time: setup + term_start.elapsed(),
                         ..SatAttackStats::default()
                     },
                     dip_patterns: Vec::new(),
-                    gates_before: locked.num_gates(),
-                    gates_after: 0,
                 },
                 None,
             )),
@@ -406,12 +372,16 @@ pub(crate) fn run_multi_key<'n>(
 
     // Dispatch over a bounded worker pool pulling from a shared queue:
     // `threads = None` takes `default_workers`; `threads = Some(k)` caps
-    // concurrency.
+    // concurrency. Every root term resumes the session's solver, so the
+    // last of them to start takes it.
+    let root_solver = Arc::new(root_solver);
+    let queue = (0..num_root_terms as u64)
+        .map(|pattern| TermPath { pattern, width: n as u8, solver: Arc::clone(&root_solver) })
+        .collect();
+    drop(root_solver);
     let sched = Scheduler {
         state: Mutex::new(SchedState {
-            queue: (0..num_root_terms as u64)
-                .map(|pattern| TermPath { pattern, width: n as u8, parent: None })
-                .collect(),
+            queue,
             in_flight: 0,
             results: Vec::new(),
             resplits: Vec::new(),
@@ -678,8 +648,6 @@ mod tests {
         assert_eq!(report.keys.len(), 1);
         assert_eq!(report.keys[0].pattern, 0);
         assert_eq!(report.keys[0].width, 0);
-        // The one term attacks the locked netlist as given.
-        assert_eq!(report.reports[0].gates_after, report.reports[0].gates_before);
         // With N = 0 the sub-space is the whole space: the key is globally
         // correct.
         check_subspace(&nl, &locked, &[], &report.keys[0]);
@@ -888,36 +856,6 @@ mod tests {
         let report = attack(&nl, &locked, 0, Some(1)).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.max_depth(), locked.inputs().len());
-    }
-
-    #[test]
-    fn simplify_shrinks_subtask_netlists() {
-        let (nl, locked) = locked_majority(0b001);
-        for simplify in [true, false] {
-            let mut oracle = SimOracle::new(&nl).unwrap();
-            let report = AttackSession::builder()
-                .oracle(&mut oracle)
-                .split_effort(2)
-                .threads(1)
-                .simplify(simplify)
-                .build()
-                .unwrap()
-                .run(&locked)
-                .unwrap();
-            assert!(report.is_complete());
-            for r in &report.reports {
-                // Ablation: without simplification the netlists keep their
-                // size.
-                assert_eq!(
-                    r.gates_after < r.gates_before,
-                    simplify,
-                    "simplify={simplify} term {:02b}: {} -> {}",
-                    r.pattern,
-                    r.gates_before,
-                    r.gates_after
-                );
-            }
-        }
     }
 
     #[test]

@@ -32,12 +32,13 @@
 //!
 //! The solver is used *incrementally*: learnt clauses carry over between
 //! iterations, and the miter is kept behind an assumption literal so the
-//! final key-extraction solve can ignore it. A run stopped by its DIP
-//! budget hands its [`Search`] back, and another run can resume it with
-//! more input pins (the adaptive term tree's children do).
+//! final key-extraction solve can ignore it. A session encodes its locked
+//! netlist once ([`Encoded`]); every run starts from a copy of a solver
+//! holding that encoding and pins its sub-space with unit clauses. A run
+//! stopped by its DIP budget hands its solver back, and another run can
+//! resume it with more input pins (the adaptive term tree's children do).
 
 use std::borrow::Cow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
@@ -124,11 +125,11 @@ pub struct SatAttackStats {
 }
 
 /// A netlist, its key cone, and the miter of the cone's peeled outputs
-/// with themselves: what one search's solver encodes. The children of an
-/// exhausted term share it.
+/// with themselves: what every solver of a session encodes. Built once per
+/// session and borrowed by each of its runs.
 pub(crate) struct Encoded<'n> {
     /// The attacked netlist, with every output.
-    pub netlist: Cow<'n, Netlist>,
+    pub netlist: &'n Netlist,
     /// The positions of the outputs the solver encodes, ascending.
     kept: Vec<usize>,
     /// `netlist` cut down to the `kept` outputs and their fan-in, or `None`
@@ -137,57 +138,52 @@ pub(crate) struct Encoded<'n> {
     miter: Miter,
 }
 
-impl Encoded<'_> {
-    /// The netlist the miter and the per-DIP copies encode.
-    fn cone(&self) -> &Netlist {
-        self.cone.as_ref().unwrap_or(&self.netlist)
-    }
-}
-
-/// The state of one oracle-guided search: the incremental solver, with
-/// every constraint and learnt clause so far, over its [`Encoded`] miter.
-///
-/// Every constraint in the solver is a fact the oracle confirmed, so the
-/// correct key satisfies all of them: a search resumed with more input
-/// pins stays sound, and its learnt clauses stay implied because its
-/// clause set only grows.
-#[derive(Clone)]
-pub(crate) struct Search<'n> {
-    pub encoded: Arc<Encoded<'n>>,
-    pub solver: Solver,
-}
-
-impl<'n> Search<'n> {
-    /// Starts a search on `netlist` in a new solver. The key cone keeps
-    /// every input and only the outputs the key inputs reach, with their
-    /// fan-in. The miter compares two key copies of that cone with its
-    /// key-free output layers peeled off ([`peel_key_free_layers`]): it is
-    /// satisfiable on exactly the inputs and key pairs the whole cone's
-    /// miter is, but decides and propagates only the logic the key changes.
-    /// The per-DIP copies still encode the whole cone. The `textbook`
-    /// formulation keeps every output and peels nothing.
+impl<'n> Encoded<'n> {
+    /// Encodes `netlist` for a search and returns the encoding with a new
+    /// solver that holds its miter: the state every run of a session
+    /// starts from. The key cone keeps every input and only the outputs
+    /// the key inputs reach, with their fan-in. The miter compares two key
+    /// copies of that cone with its key-free output layers peeled off
+    /// ([`peel_key_free_layers`]): it is satisfiable on exactly the inputs
+    /// and key pairs the whole cone's miter is, but decides and propagates
+    /// only the logic the key changes. The per-DIP copies still encode the
+    /// whole cone. The `textbook` formulation keeps every output and peels
+    /// nothing.
+    ///
+    /// Every constraint a run adds is a fact the oracle confirmed, so the
+    /// correct key satisfies all of them: a solver resumed with more input
+    /// pins stays sound, and its learnt clauses stay implied because its
+    /// clause set only grows.
     ///
     /// # Errors
     ///
     /// [`AttackError::Miter`] for structural failures (e.g. cyclic
     /// netlists).
-    pub fn new(netlist: Cow<'n, Netlist>, textbook: bool) -> Result<Search<'n>, AttackError> {
+    pub fn new(
+        netlist: &'n Netlist,
+        textbook: bool,
+    ) -> Result<(Encoded<'n>, Solver), AttackError> {
         let outputs = netlist.outputs().len();
         let kept =
-            if textbook { (0..outputs).collect() } else { key_reachable_outputs(&netlist) };
+            if textbook { (0..outputs).collect() } else { key_reachable_outputs(netlist) };
         let cone =
-            if kept.len() == outputs { None } else { Some(keep_outputs(&netlist, &kept)?) };
+            if kept.len() == outputs { None } else { Some(keep_outputs(netlist, &kept)?) };
         let mut solver = Solver::new();
-        let encoded = cone.as_ref().unwrap_or(&netlist);
+        let encoded = cone.as_ref().unwrap_or(netlist);
         let differs =
             if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded)? };
         let miter = build_miter(&mut solver, &differs, &differs)?;
-        Ok(Search { encoded: Arc::new(Encoded { netlist, kept, cone, miter }), solver })
+        Ok((Encoded { netlist, kept, cone, miter }, solver))
+    }
+
+    /// The netlist the miter and the per-DIP copies encode.
+    fn cone(&self) -> &Netlist {
+        self.cone.as_ref().unwrap_or(self.netlist)
     }
 }
 
 /// The result of a SAT attack run.
-pub(crate) struct SatAttackOutcome<'n> {
+pub(crate) struct SatAttackOutcome {
     /// Terminal status.
     pub status: AttackStatus,
     /// The recovered key (present on [`AttackStatus::Success`]).
@@ -197,9 +193,9 @@ pub(crate) struct SatAttackOutcome<'n> {
     pub dip_patterns: Vec<Vec<bool>>,
     /// Work counters.
     pub stats: SatAttackStats,
-    /// The search, handed back on [`AttackStatus::BudgetExhausted`] so the
-    /// term's children can resume it.
-    pub search: Option<Search<'n>>,
+    /// The solver, handed back on [`AttackStatus::BudgetExhausted`] so the
+    /// term's children can resume its search.
+    pub solver: Option<Solver>,
 }
 
 /// A DIP harvested in the current epoch but not yet answered by the
@@ -320,7 +316,7 @@ struct Responses<'n> {
 
 impl<'n> Responses<'n> {
     fn new(encoded: &'n Encoded<'_>) -> Result<Responses<'n>, AttackError> {
-        let netlist: &'n Netlist = &encoded.netlist;
+        let netlist: &'n Netlist = encoded.netlist;
         let outputs = netlist.outputs().len();
         let dropped = if encoded.kept.len() == outputs {
             None
@@ -397,14 +393,9 @@ struct Run<'o> {
 }
 
 impl Run<'_> {
-    /// Closes the run with its terminal status and key, handing the search
+    /// Closes the run with its terminal status and key, handing the solver
     /// back when the DIP budget stopped it.
-    fn finish<'n>(
-        self,
-        status: AttackStatus,
-        key: Option<Key>,
-        encoded: Arc<Encoded<'n>>,
-    ) -> SatAttackOutcome<'n> {
+    fn finish(self, status: AttackStatus, key: Option<Key>) -> SatAttackOutcome {
         let stats = SatAttackStats {
             dips: self.dips,
             oracle_queries: self.oracle.queries() - self.queries_at_start,
@@ -414,9 +405,8 @@ impl Run<'_> {
             cnf_vars: self.solver.num_vars(),
             cnf_clauses: self.solver.num_clauses(),
         };
-        let search = (status == AttackStatus::BudgetExhausted)
-            .then_some(Search { encoded, solver: self.solver });
-        SatAttackOutcome { status, key, dip_patterns: self.dip_patterns, stats, search }
+        let solver = (status == AttackStatus::BudgetExhausted).then_some(self.solver);
+        SatAttackOutcome { status, key, dip_patterns: self.dip_patterns, stats, solver }
     }
 
     /// Reads the current model's primary-input assignment — one DIP.
@@ -546,8 +536,9 @@ impl Run<'_> {
     }
 }
 
-/// The DIP-refinement engine: runs the oracle-guided SAT attack, starting
-/// from or resuming `search`, after pinning `term.force_inputs`. Every
+/// The DIP-refinement engine: runs the oracle-guided SAT attack on
+/// `encoded` in `solver` (a new one from [`Encoded::new`] or one a budgeted
+/// run handed back), after pinning `term.force_inputs`. Every
 /// [`crate::AttackSession`] term runs through here.
 ///
 /// # Errors
@@ -556,14 +547,14 @@ impl Run<'_> {
 ///   with the searched netlist.
 /// - [`AttackError::Encode`] for structural failures (e.g. cyclic
 ///   netlists).
-pub(crate) fn run_sat_attack<'n>(
-    search: Search<'n>,
+pub(crate) fn run_sat_attack(
+    encoded: &Encoded<'_>,
+    mut solver: Solver,
     oracle: &mut dyn Oracle,
     config: &AttackConfig<'_>,
     term: &TermCtl<'_>,
-) -> Result<SatAttackOutcome<'n>, AttackError> {
-    let Search { encoded, mut solver } = search;
-    let (locked, miter) = (&*encoded.netlist, &encoded.miter);
+) -> Result<SatAttackOutcome, AttackError> {
+    let (locked, miter) = (encoded.netlist, &encoded.miter);
     if oracle.num_inputs() != locked.inputs().len() {
         return Err(AttackError::OracleMismatch {
             what: "inputs",
@@ -599,7 +590,7 @@ pub(crate) fn run_sat_attack<'n>(
     };
     let (status, key) = {
         let mut copies = DipCopies::new(encoded.cone(), miter, config.textbook)?;
-        let mut checked = Responses::new(&encoded)?;
+        let mut checked = Responses::new(encoded)?;
         match run.refine(&mut copies, &mut checked, miter, config, term)? {
             // The answers still buffered must hold before the run reports a
             // key or hands its search on.
@@ -609,7 +600,7 @@ pub(crate) fn run_sat_attack<'n>(
             verdict => verdict,
         }
     };
-    Ok(run.finish(status, key, encoded))
+    Ok(run.finish(status, key))
 }
 
 #[cfg(test)]
@@ -639,29 +630,30 @@ mod tests {
         Sarlock::new(3).lock(nl, &Key::from_u64(key, 3)).unwrap().netlist
     }
 
-    /// A new search on `locked`.
-    fn start(locked: &Netlist) -> Search<'_> {
-        Search::new(Cow::Borrowed(locked), false).unwrap()
+    /// A new search on `locked`: its encoding and a solver holding it.
+    fn start(locked: &Netlist) -> (Encoded<'_>, Solver) {
+        Encoded::new(locked, false).unwrap()
     }
 
     /// Runs one unpinned, unbudgeted term without a deadline or progress
     /// hook.
-    fn attack<'n>(
-        locked: &'n Netlist,
+    fn attack(
+        locked: &Netlist,
         oracle: &mut dyn Oracle,
         config: &AttackConfig<'_>,
-    ) -> Result<SatAttackOutcome<'n>, AttackError> {
-        let search = Search::new(Cow::Borrowed(locked), config.textbook).unwrap();
-        run_sat_attack(search, oracle, config, &TermCtl::default())
+    ) -> Result<SatAttackOutcome, AttackError> {
+        let (encoded, solver) = Encoded::new(locked, config.textbook).unwrap();
+        run_sat_attack(&encoded, solver, oracle, config, &TermCtl::default())
     }
 
     /// Runs one term under the session defaults.
-    fn attack_term<'n>(
-        locked: &'n Netlist,
+    fn attack_term(
+        locked: &Netlist,
         oracle: &mut dyn Oracle,
         term: &TermCtl<'_>,
-    ) -> SatAttackOutcome<'n> {
-        run_sat_attack(start(locked), oracle, &AttackConfig::default(), term).unwrap()
+    ) -> SatAttackOutcome {
+        let (encoded, solver) = start(locked);
+        run_sat_attack(&encoded, solver, oracle, &AttackConfig::default(), term).unwrap()
     }
 
     /// Checks that a recovered key makes the locked circuit behave like the
@@ -764,7 +756,8 @@ mod tests {
         let mut oracle = SimOracle::new(&nl).unwrap();
         let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
         let term = TermCtl { dip_budget: Some(2), ..TermCtl::default() };
-        let outcome = run_sat_attack(start(&locked), &mut oracle, &config, &term).unwrap();
+        let (encoded, solver) = start(&locked);
+        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &term).unwrap();
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
         assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot the DIP budget");
         assert_eq!(outcome.stats.oracle_rounds, 1);
@@ -857,11 +850,12 @@ mod tests {
         // with `TimeLimit`.
         let nl = majority3();
         let locked = sarlock3(&nl, 0b010);
-        let mut search = start(&locked);
-        search.solver.set_deadline(Some(Instant::now()));
+        let (encoded, mut solver) = start(&locked);
+        solver.set_deadline(Some(Instant::now()));
         let mut oracle = SimOracle::new(&nl).unwrap();
+        let config = AttackConfig::default();
         let outcome =
-            run_sat_attack(search, &mut oracle, &AttackConfig::default(), &TermCtl::default())
+            run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default())
                 .unwrap();
         assert_eq!(outcome.status, AttackStatus::Success);
         assert!(outcome.stats.dips > 0);
@@ -963,12 +957,10 @@ mod tests {
         let term = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
         let mut oracle =
             FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 5, flip: free };
-        let outcome =
-            run_sat_attack(start(&locked), &mut oracle, &AttackConfig::default(), &term)
-                .unwrap();
+        let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert_eq!(outcome.stats.dips, 32);
-        assert!(outcome.search.is_none());
+        assert!(outcome.solver.is_none());
     }
 
     #[test]
@@ -980,18 +972,13 @@ mod tests {
         let mut oracle =
             FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 35, flip: free };
         let budget = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
-        let parent =
-            run_sat_attack(start(&locked), &mut oracle, &AttackConfig::default(), &budget)
-                .unwrap();
+        let (encoded, solver) = start(&locked);
+        let config = AttackConfig::default();
+        let parent = run_sat_attack(&encoded, solver, &mut oracle, &config, &budget).unwrap();
         assert_eq!(parent.status, AttackStatus::BudgetExhausted);
         let child = TermCtl { force_inputs: vec![(0, true)], ..TermCtl::default() };
-        let outcome = run_sat_attack(
-            parent.search.expect("handed on"),
-            &mut oracle,
-            &AttackConfig::default(),
-            &child,
-        )
-        .unwrap();
+        let solver = parent.solver.expect("handed on");
+        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &child).unwrap();
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert!(outcome.stats.dips > 3);
         assert!(outcome.key.is_none());
@@ -1002,7 +989,7 @@ mod tests {
     /// `pairs`, given as assumptions, and every DIP it returns must make
     /// the two keys disagree on the whole locked netlist.
     fn assert_peeled_miter_agrees(locked: &Netlist, pairs: &[(Key, Key)]) {
-        let Search { encoded, mut solver } = start(locked);
+        let (encoded, mut solver) = start(locked);
         let mut full_solver = Solver::new();
         let full = build_miter(&mut full_solver, encoded.cone(), encoded.cone()).unwrap();
         assert!(solver.num_vars() <= full_solver.num_vars());
@@ -1086,17 +1073,14 @@ mod tests {
         let original = polykey_circuits::Iscas85::C432.build();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let locked = LutLock::small().with_seed(7).lock_random(&original, &mut rng).unwrap();
-        let search = start(&locked.netlist);
-        assert!(matches!(
-            peel_key_free_layers(search.encoded.cone()).unwrap(),
-            Cow::Borrowed(_)
-        ));
+        let (encoded, solver) = start(&locked.netlist);
+        assert!(matches!(peel_key_free_layers(encoded.cone()).unwrap(), Cow::Borrowed(_)));
         let mut reference = Solver::new();
-        let cone = search.encoded.cone();
+        let cone = encoded.cone();
         build_miter(&mut reference, cone, cone).unwrap();
         let size = |solver: &Solver| (solver.num_vars(), solver.num_clauses());
-        assert_eq!(size(&search.solver), size(&reference));
-        assert_eq!(size(&search.solver), (218, 481));
+        assert_eq!(size(&solver), size(&reference));
+        assert_eq!(size(&solver), (218, 481));
     }
 
     #[test]
@@ -1106,14 +1090,14 @@ mod tests {
         // gate of the original circuit under that output.
         let original = polykey_circuits::Iscas85::C7552.build();
         let locked = Sarlock::new(8).lock(&original, &Key::from_u64(0xA5, 8)).unwrap().netlist;
-        let search = start(&locked);
-        let differs = peel_key_free_layers(search.encoded.cone()).unwrap();
+        let (encoded, solver) = start(&locked);
+        let differs = peel_key_free_layers(encoded.cone()).unwrap();
         let keyed = polykey_netlist::analysis::key_controlled_mask(&differs);
         assert!(differs
             .node_ids()
             .all(|id| keyed[id.index()] || differs.node(id).kind().is_input()));
         let (inputs, keys) = (locked.inputs().len(), locked.key_inputs().len());
-        let vars = search.solver.num_vars();
+        let vars = solver.num_vars();
         assert!(
             vars <= inputs + 8 * keys,
             "{vars} variables for {inputs} inputs and {keys} keys"

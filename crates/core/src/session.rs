@@ -107,8 +107,8 @@ pub enum ProgressEvent {
         /// the fixed `2^N` count; adaptive runs grow it with every
         /// resplit.
         terms: usize,
-        /// Gates in the netlist this term's solver encodes: a root term's
-        /// own cofactored netlist, which its resumed descendants share.
+        /// Gates in the netlist this term's solver encodes: the locked
+        /// netlist, which every term of the session shares.
         gates: usize,
     },
     /// A distinguishing input pattern was found.
@@ -280,8 +280,6 @@ pub(crate) struct AttackConfig<'a> {
     /// How splitting ports are chosen, for the root grid and for every
     /// adaptive resplit.
     pub strategy: SplitStrategy,
-    /// Re-synthesize each cofactored netlist (Algorithm 1 line 4).
-    pub simplify: bool,
     /// Worker threads for the term pool; `None` = one per root term, at
     /// most one per core.
     pub threads: Option<usize>,
@@ -312,7 +310,6 @@ impl Default for AttackConfig<'_> {
         AttackConfig {
             split_effort: 0,
             strategy: SplitStrategy::default(),
-            simplify: true,
             threads: None,
             time_budget: None,
             record_dips: true,
@@ -363,8 +360,8 @@ impl Default for AttackSessionBuilder<'_> {
 }
 
 impl<'a> AttackSessionBuilder<'a> {
-    /// Starts a builder with the defaults: plain SAT attack, re-synthesis
-    /// on, one thread per term up to the core count, no limits.
+    /// Starts a builder with the defaults: plain SAT attack, one thread per
+    /// term up to the core count, no limits.
     pub fn new() -> AttackSessionBuilder<'a> {
         AttackSessionBuilder { oracle: None, config: AttackConfig::default() }
     }
@@ -388,13 +385,6 @@ impl<'a> AttackSessionBuilder<'a> {
     /// fan-out-cone heuristic).
     pub fn strategy(mut self, strategy: SplitStrategy) -> Self {
         self.config.strategy = strategy;
-        self
-    }
-
-    /// Enables/disables per-term re-synthesis (Algorithm 1 line 4;
-    /// default on).
-    pub fn simplify(mut self, simplify: bool) -> Self {
-        self.config.simplify = simplify;
         self
     }
 
@@ -484,12 +474,11 @@ impl<'a> AttackSessionBuilder<'a> {
 
     /// Turns on **adaptive splitting** with a per-term DIP budget: a term
     /// that spends `budget` DIPs without converging is split one port
-    /// deeper — re-ranking the remaining inputs on the netlist its solver
-    /// encodes — and its two children re-enter the work queue. The
-    /// children resume the term's search: each pins its new port with one
-    /// unit clause and keeps every DIP constraint and learnt clause, so
-    /// no DIP is asked of the oracle twice and nothing is cofactored or
-    /// encoded again. Easy sub-spaces finish shallow; hard ones (say, the
+    /// deeper — re-ranking the remaining inputs of the locked netlist —
+    /// and its two children re-enter the work queue. The children resume
+    /// the term's search: each pins its new port with one unit clause and
+    /// keeps every DIP constraint and learnt clause, so no DIP is asked of
+    /// the oracle twice and nothing is encoded again. Easy sub-spaces finish shallow; hard ones (say, the
     /// SARLock term containing the protected pattern) are subdivided until
     /// they yield.
     ///
@@ -596,7 +585,7 @@ impl<'a> AttackSession<'a> {
     /// - [`AttackError::SplitTooDeep`] if the splitting effort exceeds
     ///   [`crate::MAX_SPLIT_WIDTH`] (u64 sub-space patterns cannot pin
     ///   more than 63 ports).
-    /// - Structural errors from cofactoring or encoding.
+    /// - Structural errors from encoding.
     pub fn run(&mut self, locked: &Netlist) -> Result<AttackReport, AttackError> {
         run_multi_key(locked, &SharedOracle::new(self.oracle), &self.config)
     }
@@ -606,13 +595,12 @@ impl<'a> AttackSession<'a> {
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use crate::sat_attack::{run_sat_attack, Search, TermCtl};
+    use crate::sat_attack::{run_sat_attack, Encoded, TermCtl};
     use polykey_circuits::{generate_random, RandomCircuitSpec};
     use polykey_encode::{check_equivalence, EquivResult};
     use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
     use polykey_netlist::GateKind;
     use rand::SeedableRng;
-    use std::borrow::Cow;
     use std::sync::Mutex;
 
     fn majority3() -> Netlist {
@@ -790,13 +778,11 @@ mod tests {
         for scheme in &schemes {
             let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
             let mut oracle = SimOracle::new(&original).unwrap();
-            let direct = run_sat_attack(
-                Search::new(Cow::Borrowed(&locked), false).unwrap(),
-                &mut oracle,
-                &AttackConfig::default(),
-                &TermCtl::default(),
-            )
-            .unwrap();
+            let (encoded, solver) = Encoded::new(&locked, false).unwrap();
+            let config = AttackConfig::default();
+            let direct =
+                run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default())
+                    .unwrap();
 
             let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
             let mut oracle = SimOracle::new(&original).unwrap();
@@ -817,7 +803,6 @@ mod tests {
             assert_eq!(term.stats.oracle_rounds, direct.stats.oracle_rounds, "{name}");
             assert_eq!(term.stats.solver, direct.stats.solver, "{name}");
             assert_eq!(term.dip_patterns, direct.dip_patterns, "{name}");
-            assert_eq!(term.gates_after, locked.num_gates(), "{name}: no re-synthesis");
 
             let events = events.into_inner().unwrap();
             let started: Vec<(u64, u8)> = events

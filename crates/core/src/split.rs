@@ -93,10 +93,9 @@ pub fn select_split_inputs(
 }
 
 /// Picks the next splitting port for an adaptive resplit: ranks *every*
-/// primary input of `netlist` (the cofactored view of the term being
-/// subdivided) with [`select_split_inputs`] and returns the position — in
-/// the input declaration order, which cofactoring preserves — of the best
-/// port whose position is not already in `used_positions`.
+/// primary input of `netlist` with [`select_split_inputs`] and returns the
+/// position — in the input declaration order — of the best port whose
+/// position is not already in `used_positions`.
 ///
 /// Returns `Ok(None)` when every input is already a splitting port.
 ///

@@ -1,8 +1,9 @@
 //! Key verification: SAT-based checks of recovered keys.
 
-use polykey_encode::{check_equivalence, EquivResult};
+use polykey_encode::{build_miter, check_equivalence, EquivError, EquivResult};
 use polykey_locking::Key;
-use polykey_netlist::{cofactor, pin_keys, Netlist};
+use polykey_netlist::{pin_keys, Netlist};
+use polykey_sat::{SolveResult, Solver};
 
 use crate::error::AttackError;
 
@@ -46,37 +47,37 @@ pub fn verify_key(
 
 /// Formally verifies that `key` unlocks `locked` on the sub-space where the
 /// given input positions take the given values (the guarantee a multi-key
-/// sub-attack provides). Both sides are cofactored on the sub-space and
-/// proved without re-synthesis, as in [`verify_key`].
+/// sub-attack provides). The proof pins the sub-space with one unit clause
+/// per forced input on the miter, as the attack pins its terms, and runs
+/// without re-synthesis, as in [`verify_key`].
 ///
 /// # Errors
 ///
 /// - [`AttackError::InputOutOfRange`] if a forced position is not an input
 ///   position of both netlists.
-/// - Structural errors (wrong key width, interface mismatch, cycles).
+/// - Structural errors (wrong key width, interface mismatch, cycles, an
+///   `original` with key inputs).
 pub fn verify_key_on_subspace(
     original: &Netlist,
     locked: &Netlist,
     key: &Key,
     forced: &[(usize, bool)],
 ) -> Result<bool, AttackError> {
-    let pins = |nl: &Netlist| -> Result<Vec<_>, AttackError> {
-        forced
-            .iter()
-            .map(|&(position, v)| match nl.inputs().get(position) {
-                Some(&id) => Ok((id, v)),
-                None => {
-                    Err(AttackError::InputOutOfRange { position, inputs: nl.inputs().len() })
-                }
-            })
-            .collect()
-    };
-    let orig_pins = pins(original)?;
-    let locked_pins = pins(locked)?;
-    let orig_cof = cofactor(original, &orig_pins)?;
-    let locked_cof = cofactor(locked, &locked_pins)?;
-    let pinned = pin_keys(&locked_cof, key.bits())?;
-    Ok(check_equivalence(&orig_cof, &pinned)? == EquivResult::Equivalent)
+    let inputs = original.inputs().len().min(locked.inputs().len());
+    if let Some(&(position, _)) = forced.iter().find(|&&(position, _)| position >= inputs) {
+        return Err(AttackError::InputOutOfRange { position, inputs });
+    }
+    if !original.key_inputs().is_empty() {
+        return Err(EquivError::HasKeyInputs { name: original.name().to_string() }.into());
+    }
+    let pinned = pin_keys(locked, key.bits())?;
+    let mut solver = Solver::new();
+    let miter = build_miter(&mut solver, original, &pinned)?;
+    for &(position, value) in forced {
+        let lit = miter.inputs[position];
+        solver.add_clause(&[if value { lit } else { !lit }]);
+    }
+    Ok(solver.solve(&[miter.diff]) == SolveResult::Unsat)
 }
 
 #[cfg(test)]

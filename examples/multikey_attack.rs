@@ -35,8 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         baseline_stats.dips, baseline_stats.wall_time
     );
 
-    // Algorithm 1 with N = 3: eight parallel sub-attacks, each on a
-    // cofactored + re-synthesized netlist, streaming progress events.
+    // Algorithm 1 with N = 3: eight parallel sub-attacks, each a copy of
+    // one search of the locked netlist with its three split ports pinned
+    // by unit clauses, streaming progress events.
     // `dip_batch(64)` makes every sub-attack harvest up to 64 DIPs per
     // epoch and answer them in one packed oracle pass.
     let mut oracle = SimOracle::new(&original)?;
@@ -58,12 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  split ports (fan-out cone analysis): {split_names:?}");
     for term in &report.reports {
         println!(
-            "  term {:03b}: {} DIPs, {} gates (from {}), {:?}",
-            term.pattern,
-            term.stats.dips,
-            term.gates_after,
-            term.gates_before,
-            term.stats.wall_time
+            "  term {:03b}: {} DIPs, {} conflicts, {:?}",
+            term.pattern, term.stats.dips, term.stats.solver.conflicts, term.stats.wall_time
         );
     }
     println!(

@@ -1,10 +1,13 @@
 //! Derived netlists are pinned node for node and name for name.
 //!
-//! Every search counter of the attack depends on how `cofactor_simplify`,
-//! `keep_outputs` and `pin_keys` number and name the nodes they emit, so a
-//! change to how those netlists are built must leave them identical. Each
-//! test fingerprints (name, kind, fanins) of every node in id order, plus
-//! the three port lists, and compares with a constant.
+//! The attack's search counters depend on how `keep_outputs` numbers and
+//! names the key cone it encodes, and recombination and key proofs on how
+//! `pin_keys` does. `cofactor_simplify` (Algorithm 1 line 4) is no longer
+//! on the attack path, but it stays a public transform that the `layers`
+//! scenario times. A change to how any of these netlists is built must
+//! leave them identical. Each test fingerprints (name, kind, fanins) of
+//! every node in id order, plus the three port lists, and compares with a
+//! constant.
 
 use polykey::circuits::Iscas85;
 use polykey::locking::{Key, LockScheme, Sarlock};
