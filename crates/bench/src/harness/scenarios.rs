@@ -320,7 +320,6 @@ pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
             let report = AttackSession::builder()
                 .oracle(&mut oracle)
                 .split_effort(n)
-                .strategy(SplitStrategy::FanoutCone)
                 .build()
                 .expect("oracle provided")
                 .run(&locked.netlist)
@@ -468,7 +467,6 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
         let report = AttackSession::builder()
             .oracle(&mut oracle)
             .split_effort(4)
-            .strategy(SplitStrategy::FanoutCone)
             .textbook(true)
             .time_budget(time_cap)
             .record_dips(false)
@@ -608,7 +606,6 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
         let report = AttackSession::builder()
             .oracle(&mut oracle)
             .split_effort(4)
-            .strategy(SplitStrategy::FanoutCone)
             .record_dips(false)
             .time_budget(cap)
             .build()
@@ -693,7 +690,6 @@ pub fn defense_probe(ctx: &ScenarioCtx) -> ScenarioResult {
             let report = AttackSession::builder()
                 .oracle(&mut oracle)
                 .split_effort(n)
-                .strategy(SplitStrategy::FanoutCone)
                 .record_dips(false)
                 .build()
                 .expect("oracle provided")
@@ -902,9 +898,6 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
             let mut builder = AttackSession::builder()
                 .oracle(&mut oracle)
                 .split_effort(root_n)
-                // Sequential execution keeps the resplit order — and with
-                // it every counter — deterministic for the regression gate.
-                .threads(1)
                 .record_dips(false);
             if let Some(b) = budget {
                 builder = builder.term_dip_budget(b);
@@ -1131,7 +1124,8 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         cell("simplify", circuit.name(), time, "gates_after", gates as u64);
     }
     {
-        // The per-term netlist preparation of Algorithm 1.
+        // Algorithm 1's per-term netlist preparation (line 4), which the
+        // engine replaces by pinning each term's ports with unit clauses.
         let nl = Iscas85::C7552.build();
         let pins: Vec<(NodeId, bool)> = nl.inputs()[..4].iter().map(|&id| (id, true)).collect();
         let (time, gates) =
@@ -1174,10 +1168,10 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         let locked = Sarlock::new(8).lock(&c7552, &Key::from_u64(0x5A, 8)).expect("lockable");
         let netlist = &locked.netlist;
 
-        // A search's set-up after its term is derived, as `Search::new`
-        // does it: the outputs the key reaches, their cone, its key-free
-        // output layers peeled off, and the miter of what is left. The
-        // locked netlist's order stays cached after the first run.
+        // A session's set-up, as `Encoded::new` does it: the outputs the
+        // key reaches, their cone, its key-free output layers peeled off,
+        // and the miter of what is left. The locked netlist's order stays
+        // cached after the first run.
         let (time, clauses) = fastest(|| {
             let kept = key_reachable_outputs(netlist);
             let cone = keep_outputs(netlist, &kept).expect("acyclic");

@@ -24,8 +24,8 @@
 //! of DIPs. With a per-term DIP budget configured
 //! ([`crate::AttackSessionBuilder::term_dip_budget`]) the engine therefore
 //! runs *adaptively*: a term that spends its budget without converging is
-//! split one port deeper — re-ranking the remaining inputs of the locked
-//! netlist — and its two children go back onto the work queue. The
+//! split one port deeper, on the next port of the session's one split
+//! ranking, and its two children go back onto the work queue. The
 //! children *resume* the parent's solver rather than starting over, each
 //! with one more unit clause for its new port, so no child asks the oracle
 //! a DIP its parent already paid for, and every constraint and learnt
@@ -49,14 +49,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use polykey_locking::Key;
-use polykey_netlist::{Netlist, NodeId};
+use polykey_netlist::Netlist;
 use polykey_sat::Solver;
 
 use crate::error::AttackError;
 use crate::oracle::{SharedOracle, TermOracle};
 use crate::sat_attack::{run_sat_attack, AttackStatus, Encoded, SatAttackStats, TermCtl};
 use crate::session::{AttackConfig, AttackReport, ProgressEvent};
-use crate::split::{next_split_position, select_split_inputs};
+use crate::split::select_split_inputs;
 
 /// The deepest split the engine supports: sub-space patterns are `u64`
 /// prefix paths, so any effort or resplit beyond 63 pinned ports would
@@ -175,6 +175,13 @@ pub(crate) fn run_multi_key(
             oracle: oracle.num_inputs(),
         });
     }
+    if oracle.num_outputs() != locked.outputs().len() {
+        return Err(AttackError::OracleMismatch {
+            what: "outputs",
+            netlist: locked.outputs().len(),
+            oracle: oracle.num_outputs(),
+        });
+    }
     let n = config.split_effort;
     // Guard every `1u64 << width` in the engine: splitting deeper than 63
     // ports cannot be represented in the u64 prefix paths.
@@ -188,24 +195,22 @@ pub(crate) fn run_multi_key(
     let deadline = config.time_budget.and_then(|budget| start.checked_add(budget));
     let progress = config.on_progress.as_deref();
 
-    // The global split-port order: index `j` is the port every term of
-    // width > j pins with pattern bit `j`. Adaptive resplits extend it —
-    // the first term to need depth `j + 1` ranks the remaining inputs and
-    // appends the winner; siblings reuse it.
-    let split_order: Mutex<Vec<NodeId>> =
-        Mutex::new(select_split_inputs(locked, n, config.strategy)?);
-    let order_positions = |order: &[NodeId]| -> Vec<usize> {
-        order
-            .iter()
-            .map(|id| {
-                locked
-                    .inputs()
-                    .iter()
-                    .position(|p| p == id)
-                    .expect("split ports come from the input list")
-            })
-            .collect()
-    };
+    // The split ports in pattern bit order: a term of width `w` pins the
+    // first `w`. A ranking is a pure function of the netlist and the
+    // strategy, and a shorter ranking is a prefix of a longer one, so one
+    // ranking to the depth cap serves the root grid and every resplit.
+    let ranked =
+        select_split_inputs(locked, if adaptive { max_depth } else { n }, config.strategy)?;
+    let positions: Vec<usize> = ranked
+        .iter()
+        .map(|id| {
+            locked
+                .inputs()
+                .iter()
+                .position(|p| p == id)
+                .expect("split ports come from the input list")
+        })
+        .collect();
 
     let num_root_terms = 1usize << n;
     // Total terms ever enqueued, for progress reporting.
@@ -219,38 +224,6 @@ pub(crate) fn run_multi_key(
     let (encoded, root_solver) = Encoded::new(locked, config.textbook)?;
     let encode_time = encoding.elapsed();
 
-    // Extends the split order to cover depth `width + 1`, choosing the new
-    // port by re-ranking the inputs of the locked netlist. The ranking runs
-    // *outside* the lock — other workers only need the mutex for a cheap
-    // prefix copy at term start, and must not stall behind cone analysis.
-    // First writer wins; a racing sibling discards its ranking.
-    let extend_split_order = |width: usize| -> Result<(), AttackError> {
-        let used = {
-            let order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
-            if order.len() > width {
-                return Ok(()); // a sibling already chose this depth's port
-            }
-            order_positions(&order)
-        };
-        let next = next_split_position(locked, &used, config.strategy)?;
-        let mut order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
-        if order.len() > width {
-            return Ok(()); // a sibling won the race while we ranked
-        }
-        match next {
-            Some(pos) => {
-                order.push(locked.inputs()[pos]);
-                Ok(())
-            }
-            // Unreachable while `max_depth <= inputs`, but keep the error
-            // honest rather than panicking.
-            None => Err(AttackError::SplitTooWide {
-                requested: width + 1,
-                available: locked.inputs().len(),
-            }),
-        }
-    };
-
     let run_term = |path: TermPath| -> Result<TermOutput, AttackError> {
         let term_start = Instant::now();
         let TermPath { pattern, width: path_width, solver } = path;
@@ -259,18 +232,14 @@ pub(crate) fn run_multi_key(
         // Served-query count lives *outside* the panic boundary, so a term
         // whose oracle crashes mid-run still reports the queries it spent.
         let term_queries = AtomicU64::new(0);
-        // The panic boundary covers the whole term — the SAT attack,
-        // resplit selection, *and* every progress callback — so a crashing
-        // oracle or a panicking user callback fails this term, not the
-        // session (and cannot strand the scheduler's in-flight accounting).
+        // The panic boundary covers the whole term — the SAT attack *and*
+        // every progress callback — so a crashing oracle or a panicking
+        // user callback fails this term, not the session (and cannot strand
+        // the scheduler's in-flight accounting).
         // The shared-oracle mutex recovers from the resulting poison (see
         // `SharedOracle::lock`); the term's local state is simply
         // discarded.
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, AttackError> {
-            let ports: Vec<NodeId> = {
-                let order = split_order.lock().unwrap_or_else(PoisonError::into_inner);
-                order[..width].to_vec()
-            };
             if let Some(progress) = progress {
                 progress(&ProgressEvent::TermStarted {
                     pattern,
@@ -282,10 +251,10 @@ pub(crate) fn run_multi_key(
             // A child's solver already holds every pin but the newest, so
             // adding one again is a no-op; a root term's holds none.
             let solver = Arc::try_unwrap(solver).unwrap_or_else(|s| (*s).clone());
-            let force_inputs: Vec<(usize, bool)> = order_positions(&ports)
-                .into_iter()
+            let force_inputs: Vec<(usize, bool)> = positions[..width]
+                .iter()
                 .enumerate()
-                .map(|(j, pos)| (pos, pattern >> j & 1 == 1))
+                .map(|(j, &pos)| (pos, pattern >> j & 1 == 1))
                 .collect();
             let on_dip = progress.map(|progress| {
                 move |dips: u64| {
@@ -323,7 +292,6 @@ pub(crate) fn run_multi_key(
             // Only a budgeted term hands its solver back, so `width` is
             // below the depth cap.
             if let Some(solver) = outcome.solver {
-                extend_split_order(width)?;
                 if let Some(progress) = progress {
                     progress(&ProgressEvent::TermSplit {
                         pattern,
@@ -486,7 +454,10 @@ pub(crate) fn run_multi_key(
         }
         reports.push(report);
     }
-    let split_inputs = split_order.into_inner().unwrap_or_else(PoisonError::into_inner);
+    // The split ports the final tree pins: its deepest leaf's, or the root
+    // grid's.
+    let mut split_inputs = ranked;
+    split_inputs.truncate(reports.iter().map(|r| r.width as usize).fold(n, usize::max));
     Ok(AttackReport {
         keys,
         reports,
@@ -502,7 +473,7 @@ mod tests {
     use crate::oracle::{Oracle, SimOracle};
     use crate::session::AttackSession;
     use polykey_locking::{LockScheme, Sarlock};
-    use polykey_netlist::{bits_of, GateKind, Simulator};
+    use polykey_netlist::{bits_of, GateKind, NodeId, Simulator};
     use std::time::Duration;
 
     fn majority3() -> Netlist {
@@ -876,6 +847,51 @@ mod tests {
             attack(&nl, &locked, 12, None),
             Err(AttackError::SplitTooWide { .. })
         ));
+    }
+
+    #[test]
+    fn oracle_port_counts_are_checked_before_any_term() {
+        // majority3 has three inputs and one output; each oracle below gets
+        // one of the counts wrong. The session must refuse it before any
+        // term starts, static or adaptive.
+        let (_, locked) = locked_majority(0b011);
+        let mut wide = Netlist::new("wide");
+        let ins: Vec<NodeId> =
+            (0..4).map(|i| wide.add_input(format!("x{i}")).unwrap()).collect();
+        let g = wide.add_gate("g", GateKind::And, &ins).unwrap();
+        wide.mark_output(g).unwrap();
+        let mut tall = majority3();
+        let a = tall.inputs()[0];
+        let extra = tall.add_gate("extra", GateKind::Not, &[a]).unwrap();
+        tall.mark_output(extra).unwrap();
+        for (oracle_nl, port, expected, served) in
+            [(&wide, "inputs", 3, 4), (&tall, "outputs", 1, 2)]
+        {
+            for budget in [None, Some(2)] {
+                let mut oracle = SimOracle::new(oracle_nl).unwrap();
+                let events = AtomicUsize::new(0);
+                let mut builder = AttackSession::builder()
+                    .oracle(&mut oracle)
+                    .split_effort(2)
+                    .on_progress(|_| {
+                        events.fetch_add(1, Ordering::Relaxed);
+                    });
+                if let Some(budget) = budget {
+                    builder = builder.term_dip_budget(budget);
+                }
+                let err = builder.build().unwrap().run(&locked).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        AttackError::OracleMismatch { what, netlist, oracle }
+                            if what == port && netlist == expected && oracle == served
+                    ),
+                    "{port}: {err:?}"
+                );
+                assert_eq!(events.load(Ordering::Relaxed), 0, "{port}: no term may start");
+                assert_eq!(oracle.queries(), 0, "{port}");
+            }
+        }
     }
 
     #[test]

@@ -543,8 +543,6 @@ impl Run<'_> {
 ///
 /// # Errors
 ///
-/// - [`AttackError::OracleMismatch`] if the oracle's port counts disagree
-///   with the searched netlist.
 /// - [`AttackError::Encode`] for structural failures (e.g. cyclic
 ///   netlists).
 pub(crate) fn run_sat_attack(
@@ -554,21 +552,7 @@ pub(crate) fn run_sat_attack(
     config: &AttackConfig<'_>,
     term: &TermCtl<'_>,
 ) -> Result<SatAttackOutcome, AttackError> {
-    let (locked, miter) = (encoded.netlist, &encoded.miter);
-    if oracle.num_inputs() != locked.inputs().len() {
-        return Err(AttackError::OracleMismatch {
-            what: "inputs",
-            netlist: locked.inputs().len(),
-            oracle: oracle.num_inputs(),
-        });
-    }
-    if oracle.num_outputs() != locked.outputs().len() {
-        return Err(AttackError::OracleMismatch {
-            what: "outputs",
-            netlist: locked.outputs().len(),
-            oracle: oracle.num_outputs(),
-        });
-    }
+    let miter = &encoded.miter;
     let start = Instant::now();
     let queries_at_start = oracle.queries();
     let solver_at_start = *solver.stats();
@@ -809,23 +793,6 @@ mod tests {
         assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, 0);
         assert_eq!(outcome.key.expect("empty key").len(), 0);
-    }
-
-    #[test]
-    fn oracle_width_mismatch_rejected() {
-        let nl = majority3();
-        let mut big = Netlist::new("big");
-        for i in 0..4 {
-            big.add_input(format!("x{i}")).unwrap();
-        }
-        let inputs = big.inputs().to_vec();
-        let g = big.add_gate("g", GateKind::And, &inputs).unwrap();
-        big.mark_output(g).unwrap();
-        let mut oracle = SimOracle::new(&big).unwrap();
-        assert!(matches!(
-            attack(&nl, &mut oracle, &AttackConfig::default()),
-            Err(AttackError::OracleMismatch { what: "inputs", .. })
-        ));
     }
 
     #[test]

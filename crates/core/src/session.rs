@@ -198,8 +198,9 @@ pub struct AttackReport {
     /// totals; empty in static runs.
     pub resplit_reports: Vec<SubTaskReport>,
     /// The splitting ports (ids in the locked netlist) in pattern bit
-    /// order. Adaptive resplits extend this list past the root `N`; a
-    /// term of width `w` pins the first `w` entries.
+    /// order: a term of width `w` pins the first `w` entries. The session
+    /// ranks them once; the list holds as many as the deepest leaf pins,
+    /// and never fewer than the root `N`.
     pub split_inputs: Vec<NodeId>,
     /// End-to-end wall-clock time of the whole attack.
     pub wall_time: Duration,
@@ -474,13 +475,13 @@ impl<'a> AttackSessionBuilder<'a> {
 
     /// Turns on **adaptive splitting** with a per-term DIP budget: a term
     /// that spends `budget` DIPs without converging is split one port
-    /// deeper — re-ranking the remaining inputs of the locked netlist —
-    /// and its two children re-enter the work queue. The children resume
-    /// the term's search: each pins its new port with one unit clause and
+    /// deeper, on the next port of the session's split ranking, and its
+    /// two children re-enter the work queue. The children resume the
+    /// term's search: each pins its new port with one unit clause and
     /// keeps every DIP constraint and learnt clause, so no DIP is asked of
-    /// the oracle twice and nothing is encoded again. Easy sub-spaces finish shallow; hard ones (say, the
-    /// SARLock term containing the protected pattern) are subdivided until
-    /// they yield.
+    /// the oracle twice and nothing is encoded again. Easy sub-spaces
+    /// finish shallow; hard ones (say, the SARLock term containing the
+    /// protected pattern) are subdivided until they yield.
     ///
     /// Works from any root effort, including `split_effort(0)`: the tree
     /// then grows purely on demand. A term that pins every input (at most

@@ -92,36 +92,6 @@ pub fn select_split_inputs(
     }
 }
 
-/// Picks the next splitting port for an adaptive resplit: ranks *every*
-/// primary input of `netlist` with [`select_split_inputs`] and returns the
-/// position — in the input declaration order — of the best port whose
-/// position is not already in `used_positions`.
-///
-/// Returns `Ok(None)` when every input is already a splitting port.
-///
-/// # Errors
-///
-/// Propagates [`select_split_inputs`] failures (never `SplitTooWide`,
-/// since the request is exactly the input count).
-pub(crate) fn next_split_position(
-    netlist: &Netlist,
-    used_positions: &[usize],
-    strategy: SplitStrategy,
-) -> Result<Option<usize>, AttackError> {
-    let ranked = select_split_inputs(netlist, netlist.inputs().len(), strategy)?;
-    for id in ranked {
-        let pos = netlist
-            .inputs()
-            .iter()
-            .position(|p| *p == id)
-            .expect("ranked ports are primary inputs");
-        if !used_positions.contains(&pos) {
-            return Ok(Some(pos));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,27 +155,5 @@ mod tests {
         let locked = sarlock_on_inputs_2_3();
         let picks = select_split_inputs(&locked, 0, SplitStrategy::FanoutCone).unwrap();
         assert!(picks.is_empty());
-    }
-
-    #[test]
-    fn next_split_position_skips_used_ports_and_drains() {
-        let locked = sarlock_on_inputs_2_3();
-        // The comparator sits on x2/x3, so the first pick is one of them…
-        let first = next_split_position(&locked, &[], SplitStrategy::FanoutCone)
-            .unwrap()
-            .expect("ports available");
-        assert!(first == 2 || first == 3, "first pick {first}");
-        // …and excluding it yields the other comparator input.
-        let second = next_split_position(&locked, &[first], SplitStrategy::FanoutCone)
-            .unwrap()
-            .expect("ports available");
-        assert!(second == 2 || second == 3);
-        assert_ne!(first, second);
-        // With every input used the well runs dry.
-        let all: Vec<usize> = (0..locked.inputs().len()).collect();
-        assert_eq!(
-            next_split_position(&locked, &all, SplitStrategy::FanoutCone).unwrap(),
-            None
-        );
     }
 }

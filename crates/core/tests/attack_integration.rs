@@ -8,8 +8,9 @@ use polykey_attack::{
 };
 use polykey_circuits::{arith, generate_random, Iscas85, RandomCircuitSpec};
 use polykey_encode::{check_equivalence, EquivResult};
-use polykey_locking::{Key, LockScheme, LutLock, Rll, Sarlock};
+use polykey_locking::{AntiSat, Key, LockScheme, LutLock, Rll, Sarlock};
 use polykey_netlist::Netlist;
+use proptest::prelude::*;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -194,6 +195,91 @@ fn split_selection_invariants() {
                 assert!(locked.netlist.inputs().contains(id));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The session ranks its split ports once, to the depth it may need,
+    /// and every term pins a prefix: a shorter ranking must be a prefix of
+    /// a longer one under every strategy.
+    #[test]
+    fn split_rankings_are_prefixes_of_the_full_ranking(
+        seed in any::<u64>(),
+        inputs in 6usize..16,
+        outputs in 1usize..5,
+        gates in 20usize..80,
+        scheme in 0usize..4,
+    ) {
+        let spec = RandomCircuitSpec::new("rank", inputs, outputs, gates.max(inputs), seed);
+        let original = generate_random(&spec);
+        let scheme: Box<dyn LockScheme> = match scheme {
+            0 => Box::new(Rll::new(6).with_seed(seed)),
+            1 => Box::new(Sarlock::new(4)),
+            2 => Box::new(AntiSat::new(3)),
+            _ => Box::new(LutLock::small().with_seed(seed)),
+        };
+        let locked = scheme.lock_random(&original, &mut rng(seed)).unwrap().netlist;
+        let all = locked.inputs().len();
+        for strategy in [
+            SplitStrategy::FanoutCone,
+            SplitStrategy::FirstInputs,
+            SplitStrategy::Random { seed },
+        ] {
+            let full = select_split_inputs(&locked, all, strategy).unwrap();
+            for n in 0..=all {
+                let ranked = select_split_inputs(&locked, n, strategy).unwrap();
+                prop_assert_eq!(&ranked[..], &full[..n], "{:?} n={}", strategy, n);
+            }
+        }
+    }
+}
+
+/// Adaptive resplits pin the next ports of the one session ranking, and
+/// the tree a session grows does not depend on how many workers grow it.
+#[test]
+fn adaptive_trees_pin_the_ranking_prefix_on_any_pool() {
+    let original = Iscas85::C432.build();
+    let locked =
+        Sarlock::new(6).lock(&original, &Key::from_u64(0b101101, 6)).expect("lockable");
+    let all = locked.netlist.inputs().len();
+    for strategy in [
+        SplitStrategy::FanoutCone,
+        SplitStrategy::FirstInputs,
+        SplitStrategy::Random { seed: 3 },
+    ] {
+        let full = select_split_inputs(&locked.netlist, all, strategy).expect("valid");
+        let mut trees = Vec::new();
+        for threads in [1, 2] {
+            let mut oracle = SimOracle::new(&original).expect("oracle");
+            let report = AttackSession::builder()
+                .oracle(&mut oracle)
+                .strategy(strategy)
+                .term_dip_budget(8)
+                .threads(threads)
+                .record_dips(false)
+                .build()
+                .unwrap()
+                .run(&locked.netlist)
+                .expect("runs");
+            assert!(report.is_complete(), "{strategy:?} threads={threads}");
+            assert!(report.max_depth() > 0, "{strategy:?}: the root must split");
+            assert_eq!(
+                report.split_inputs,
+                full[..report.max_depth()],
+                "{strategy:?} threads={threads}"
+            );
+            let mut terms: Vec<(u8, u64, u64)> = report
+                .reports
+                .iter()
+                .chain(&report.resplit_reports)
+                .map(|r| (r.width, r.pattern, r.stats.dips))
+                .collect();
+            terms.sort_unstable();
+            trees.push(terms);
+        }
+        assert_eq!(trees[0], trees[1], "{strategy:?}: one worker and two grow different trees");
     }
 }
 

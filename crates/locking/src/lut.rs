@@ -183,9 +183,9 @@ fn lock_lut_with(
     // Tap selection. The scheme is an N-*input* LUT module: its select
     // nets come from the input side of the design (the support of the cone
     // being replaced). Tapping primary inputs directly is the faithful
-    // realization — and it is what makes the multi-key attack's
-    // cofactoring fold the LUT tables when split ports are pinned. When a
-    // design has too few inputs, fall back to the shallowest internal nets.
+    // realization — and it is what puts the LUT select lines among the
+    // multi-key attack's candidate split ports. When a design has too few
+    // inputs, fall back to the shallowest internal nets.
     let node_levels = levels(netlist)?;
     let mut chosen: Option<(NodeId, Vec<NodeId>)> = None;
     for &target in &order {

@@ -11,8 +11,8 @@
 //!   event-driven for one pattern after another;
 //! - structural analysis: fan-in/fan-out cones, key-controlled masks, logic
 //!   levels ([`analysis`]);
-//! - logic simplification used as the attack's re-synthesis step:
-//!   [`cofactor`], [`simplify`] and [`cofactor_simplify`];
+//! - logic simplification, including Algorithm 1's per-term re-synthesis
+//!   step: [`cofactor`], [`simplify`] and [`cofactor_simplify`];
 //! - cone cuts: [`keep_outputs`], down to the cone of chosen outputs (the
 //!   attack's cone of influence), and [`peel_key_free_layers`], down to the
 //!   logic that tells two keys apart (what the attack's miter encodes).
