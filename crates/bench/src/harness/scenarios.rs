@@ -13,7 +13,7 @@ use polykey_attack::{
     AttackReport, AttackSession, AttackStats, AttackStatus, Oracle, SimOracle, SplitStrategy,
 };
 use polykey_circuits::Iscas85;
-use polykey_encode::{build_miter, check_equivalence, DipConstraints, EquivResult};
+use polykey_encode::{build_miter, check_equivalence, DipConstraints, EquivResult, KeyMirror};
 use polykey_locking::{
     lock_sarlock_on_signals, AntiSat, Key, LockScheme, LutLock, Rll, Sarlock,
 };
@@ -1195,7 +1195,9 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         let (time, clauses) = fastest(|| {
             let mut solver = Solver::new();
             let miter = build_miter(&mut solver, netlist, netlist).expect("acyclic");
-            let mut constraints = DipConstraints::new(netlist, &miter).expect("acyclic");
+            let mirror = KeyMirror::new(&miter);
+            let mut constraints =
+                DipConstraints::new(netlist, &miter, &mirror).expect("acyclic");
             for (dip, response) in dips.iter().zip(&responses) {
                 constraints.add_answered(&mut solver, dip, response).expect("widths match");
             }
@@ -1227,6 +1229,34 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
             });
             cell("sim_oracle", input, time, "queries", queries);
         }
+
+        // The same DIPs through the attack's own encoding: the peeled
+        // cone's miter in a solver each run copies, then each DIP's
+        // constraint over the cone with the oracle's response on the kept
+        // outputs. Consecutive DIPs re-simulate a few gates, so this is
+        // the per-DIP encoding and elimination the attack pays.
+        let kept = key_reachable_outputs(netlist);
+        let cone = keep_outputs(netlist, &kept).expect("acyclic");
+        let differs = peel_key_free_layers(&cone).expect("acyclic");
+        let mut session = Solver::new();
+        let miter = build_miter(&mut session, &differs, &differs).expect("acyclic");
+        let mirror = KeyMirror::new(&miter);
+        let responses: Vec<Vec<bool>> = recorded
+            .iter()
+            .map(|dip| {
+                let all = oracle.eval(dip, &[]);
+                kept.iter().map(|&i| all[i]).collect()
+            })
+            .collect();
+        let (time, clauses) = fastest(|| {
+            let mut solver = session.clone();
+            let mut constraints = DipConstraints::new(&cone, &miter, &mirror).expect("acyclic");
+            for (dip, response) in recorded.iter().zip(&responses) {
+                constraints.add_answered(&mut solver, dip, response).expect("widths match");
+            }
+            solver.num_clauses() as u64
+        });
+        cell("dip_copies", "c7552_sarlock8_attack", time, "cnf_clauses", clauses);
     }
 
     let solve = |f: &CnfFormula, assumptions: &[Lit]| -> (SolveResult, SolverStats) {

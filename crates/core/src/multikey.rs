@@ -25,10 +25,12 @@
 //! ([`crate::AttackSessionBuilder::term_dip_budget`]) the engine therefore
 //! runs *adaptively*: a term that spends its budget without converging is
 //! split one port deeper, on the next port of the session's one split
-//! ranking, and its two children go back onto the work queue. The
-//! children *resume* the parent's solver rather than starting over, each
-//! with one more unit clause for its new port, so no child asks the oracle
-//! a DIP its parent already paid for, and every constraint and learnt
+//! ranking, and its two children go to the front of the work queue, so
+//! the tree grows depth first: at most one waiting sibling per level holds
+//! a copy of a solver, however many terms split. The children *resume*
+//! the parent's solver rather than starting over, each with one more unit
+//! clause for its new port, so no child asks the oracle a DIP its parent
+//! already paid for, and every constraint and learnt
 //! clause carries over (each constraint is an oracle fact, so the correct
 //! key satisfies them all). Easy sub-spaces finish at shallow depth; hard
 //! ones are subdivided until they yield, or until they pin every input (at
@@ -391,7 +393,10 @@ pub(crate) fn run_multi_key(
                 Ok(TermOutput::Split(report, children)) => {
                     st.resplits.push(report);
                     spawned.fetch_add(children.len(), Ordering::Relaxed);
-                    st.queue.extend(children);
+                    // Depth first: the children run next, in pattern order.
+                    for child in children.into_iter().rev() {
+                        st.queue.push_front(child);
+                    }
                 }
                 Err(e) => {
                     // First error wins; the queue is drained so in-flight
@@ -472,6 +477,7 @@ mod tests {
     use super::*;
     use crate::oracle::{Oracle, SimOracle};
     use crate::session::AttackSession;
+    use crate::split::SplitStrategy;
     use polykey_locking::{LockScheme, Sarlock};
     use polykey_netlist::{bits_of, GateKind, NodeId, Simulator};
     use std::time::Duration;
@@ -827,6 +833,46 @@ mod tests {
         let report = attack(&nl, &locked, 0, Some(1)).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.max_depth(), locked.inputs().len());
+    }
+
+    #[test]
+    fn adaptive_trees_grow_depth_first() {
+        // Random split ports mostly miss SARLock's comparator, so a budget
+        // of two DIPs splits 142 terms, 8 levels deep. Grown depth first,
+        // the queue holds the roots not yet started and at most one
+        // waiting sibling per level: pending = roots + 2 * splits - starts
+        // stays within roots + depth (breadth first, it reached 112).
+        let original = polykey_circuits::Iscas85::C432.build();
+        let locked = Sarlock::new(5).lock(&original, &Key::from_u64(0x15, 5)).unwrap().netlist;
+        let roots = 2;
+        let pending = Mutex::new((roots, roots));
+        let mut oracle = SimOracle::new(&original).unwrap();
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .split_effort(1)
+            .strategy(SplitStrategy::Random { seed: 3 })
+            .term_dip_budget(2)
+            .threads(1)
+            .on_progress(|event| {
+                let mut guard = pending.lock().unwrap();
+                let (now, peak) = &mut *guard;
+                match event {
+                    ProgressEvent::TermStarted { .. } => *now -= 1,
+                    ProgressEvent::TermSplit { .. } => *now += 2,
+                    _ => {}
+                }
+                *peak = (*peak).max(*now);
+            })
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        assert!(report.is_complete());
+        assert!(report.resplit_reports.len() > 64, "a tree wide enough to matter");
+        let (now, peak) = pending.into_inner().unwrap();
+        assert_eq!(now, 0, "every queued term started");
+        let depth = report.max_depth();
+        assert!(peak <= roots + depth, "{peak} terms waited at once in a tree {depth} deep");
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //!    which some two keys consistent with everything observed so far
 //!    disagree.
 //! 3. Query the oracle at the DIP (on the whole chip) and constrain both
-//!    key copies to reproduce its response on the cone's outputs (two more
-//!    CNF copies of the whole cone, peeled layers included, with inputs
-//!    pinned to the DIP so they fold down to key logic only; their private
-//!    variables are eliminated before the solver sees them). A DIP differs
+//!    key copies to reproduce its response on the cone's outputs. The
+//!    constraint is one CNF copy of the whole cone, peeled layers
+//!    included, over the left keys, with inputs pinned to the DIP so it
+//!    folds down to key logic only; its private variables are eliminated
+//!    before the solver sees it, and what survives is added once as it is
+//!    and once renamed onto the right keys ([`KeyMirror`]). A DIP differs
 //!    from the previous one in a few inputs, so both the simulated oracle
-//!    and the copies' off-cone constants re-evaluate only the gates those
+//!    and the copy's off-cone constants re-evaluate only the gates those
 //!    inputs reach (event-driven single-pattern simulation). The response
 //!    on the other outputs is buffered and checked against the locked
 //!    circuit by packed simulation, 64 DIPs per pass and once more before
@@ -42,8 +44,8 @@ use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
-    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, DipConstraints, Miter,
-    PortBinding,
+    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, DipConstraints,
+    KeyMirror, Miter, PortBinding,
 };
 use polykey_locking::Key;
 use polykey_netlist::analysis::key_reachable_outputs;
@@ -124,9 +126,10 @@ pub struct SatAttackStats {
     pub cnf_clauses: usize,
 }
 
-/// A netlist, its key cone, and the miter of the cone's peeled outputs
-/// with themselves: what every solver of a session encodes. Built once per
-/// session and borrowed by each of its runs.
+/// A netlist, its key cone, the miter of the cone's peeled outputs with
+/// themselves, and that miter's left-to-right key renaming: what every
+/// solver of a session encodes. Built once per session and borrowed by
+/// each of its runs.
 pub(crate) struct Encoded<'n> {
     /// The attacked netlist, with every output.
     pub netlist: &'n Netlist,
@@ -136,6 +139,8 @@ pub(crate) struct Encoded<'n> {
     /// when every output is kept.
     cone: Option<Netlist>,
     miter: Miter,
+    /// Renames the per-DIP constraints of the left key copy onto the right.
+    mirror: KeyMirror,
 }
 
 impl<'n> Encoded<'n> {
@@ -147,8 +152,9 @@ impl<'n> Encoded<'n> {
     /// ([`peel_key_free_layers`]): it is satisfiable on exactly the inputs
     /// and key pairs the whole cone's miter is, but decides and propagates
     /// only the logic the key changes. The per-DIP copies still encode the
-    /// whole cone. The `textbook` formulation keeps every output and peels
-    /// nothing.
+    /// whole cone, once over the left keys, and are renamed onto the right
+    /// ones through a [`KeyMirror`] of the miter, built here. The `textbook`
+    /// formulation keeps every output and peels nothing.
     ///
     /// Every constraint a run adds is a fact the oracle confirmed, so the
     /// correct key satisfies all of them: a solver resumed with more input
@@ -173,7 +179,8 @@ impl<'n> Encoded<'n> {
         let differs =
             if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded)? };
         let miter = build_miter(&mut solver, &differs, &differs)?;
-        Ok((Encoded { netlist, kept, cone, miter }, solver))
+        let mirror = KeyMirror::new(&miter);
+        Ok((Encoded { netlist, kept, cone, miter, mirror }, solver))
     }
 
     /// The netlist the miter and the per-DIP copies encode.
@@ -210,9 +217,9 @@ struct PendingDip {
 
 /// How the per-DIP consistency-constraint copies of `locked` are encoded.
 enum DipCopies<'n> {
-    /// Inputs pinned as constants: each copy is the key cone only, hashed
-    /// against the miter, and its private variables are eliminated before
-    /// the solver sees them.
+    /// Inputs pinned as constants: the copy is the key cone only, hashed
+    /// against the miter, its private variables are eliminated before the
+    /// solver sees them, and it is added once per key copy.
     Folded(Box<DipConstraints<'n>>),
     /// The textbook formulation: a full copy with unit clauses on the
     /// inputs.
@@ -220,15 +227,12 @@ enum DipCopies<'n> {
 }
 
 impl<'n> DipCopies<'n> {
-    fn new(
-        locked: &'n Netlist,
-        miter: &'n Miter,
-        textbook: bool,
-    ) -> Result<DipCopies<'n>, AttackError> {
+    fn new(encoded: &'n Encoded<'_>, textbook: bool) -> Result<DipCopies<'n>, AttackError> {
+        let (locked, miter) = (encoded.cone(), &encoded.miter);
         Ok(if textbook {
             DipCopies::Full(locked, miter)
         } else {
-            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter)?))
+            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter, &encoded.mirror)?))
         })
     }
 
@@ -573,7 +577,7 @@ pub(crate) fn run_sat_attack(
         dip_patterns: Vec::new(),
     };
     let (status, key) = {
-        let mut copies = DipCopies::new(encoded.cone(), miter, config.textbook)?;
+        let mut copies = DipCopies::new(encoded, config.textbook)?;
         let mut checked = Responses::new(encoded)?;
         match run.refine(&mut copies, &mut checked, miter, config, term)? {
             // The answers still buffered must hold before the run reports a

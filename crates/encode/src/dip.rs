@@ -4,30 +4,34 @@
 use polykey_netlist::Netlist;
 use polykey_sat::{ElimBuffer, Lit, Solver};
 
-use crate::miter::Miter;
+use crate::miter::{KeyMirror, Miter};
 use crate::tseitin::{assert_equal, assert_value, CnfValue, ConeEncoder, EncodeError};
 
 /// Adds the constraints of distinguishing input patterns (DIPs) to the
 /// solver of an attack miter.
 ///
 /// A DIP constrains both key copies of the miter: each must reproduce the
-/// oracle's response at that input. Each copy is the key cone of the
-/// locked netlist with inputs pinned to the DIP, encoded by a
-/// [`ConeEncoder`] that reuses the miter's gates (such as SARLock's
-/// `K == K*` mask). Both copies go into one [`ElimBuffer`] together with
-/// the response units, or with the ties between their outputs while the
-/// response is pending. The buffer eliminates the copies' private
-/// variables, so the solver receives only what the DIP says about the key
-/// and miter variables, and later solves never re-propagate the copies'
-/// internals.
+/// oracle's response at that input. A copy is the key cone of the locked
+/// netlist with inputs pinned to the DIP, encoded by a [`ConeEncoder`]
+/// that reuses the miter's gates (such as SARLock's `K == K*` mask). Only
+/// the left copy is encoded: it goes into an [`ElimBuffer`] together with
+/// the response units, which eliminates its private variables, so the
+/// solver receives only what the DIP says about the key and miter
+/// variables, and later solves never re-propagate the copy's internals.
+/// What survives is added twice, once as it is and once renamed through
+/// the miter's [`KeyMirror`] onto the right key copy. While the response
+/// is pending, the two copies' outputs are tied instead.
 #[derive(Debug)]
 pub struct DipConstraints<'n> {
     cone: ConeEncoder<'n>,
-    /// The miter's left and right key literals.
-    keys: [&'n [Lit]; 2],
+    /// The miter's left key literals.
+    keys: &'n [Lit],
+    mirror: &'n KeyMirror,
     buffer: ElimBuffer,
-    /// The literal outputs of a pending DIP's copies.
+    /// The literal outputs of a pending DIP's left copy, and their twins
+    /// in the right copy.
     kept: Vec<Lit>,
+    mirrored: Vec<Lit>,
 }
 
 impl<'n> DipConstraints<'n> {
@@ -36,6 +40,7 @@ impl<'n> DipConstraints<'n> {
     /// key inputs: the miter of `netlist` with itself, or of a cut of it
     /// that keeps every input, such as
     /// [`peel_key_free_layers`](polykey_netlist::peel_key_free_layers).
+    /// `mirror` is [`KeyMirror::new`] of `miter`.
     ///
     /// # Errors
     ///
@@ -43,12 +48,15 @@ impl<'n> DipConstraints<'n> {
     pub fn new(
         netlist: &'n Netlist,
         miter: &'n Miter,
+        mirror: &'n KeyMirror,
     ) -> Result<DipConstraints<'n>, EncodeError> {
         Ok(DipConstraints {
             cone: ConeEncoder::over(netlist, Some(&miter.table))?,
-            keys: [&miter.keys_left, &miter.keys_right],
+            keys: &miter.keys_left,
+            mirror,
             buffer: ElimBuffer::new(),
             kept: Vec::new(),
+            mirrored: Vec::new(),
         })
     }
 
@@ -59,6 +67,12 @@ impl<'n> DipConstraints<'n> {
     /// Returns [`EncodeError::BindingWidth`] if `pattern` does not match
     /// the netlist's inputs or the miter's keys do not match its key
     /// inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy names a literal the mirror does not map, which
+    /// happens only when `mirror` does not belong to the self-miter this
+    /// was built with.
     pub fn add_answered(
         &mut self,
         solver: &mut Solver,
@@ -66,14 +80,12 @@ impl<'n> DipConstraints<'n> {
         response: &[bool],
     ) -> Result<(), EncodeError> {
         self.buffer.reset(solver.num_vars());
-        let left = self.cone.encode(&mut self.buffer, pattern, self.keys[0])?;
-        let right = self.cone.encode(&mut self.buffer, pattern, self.keys[1])?;
-        for outputs in [left, right] {
-            for (&out, &bit) in outputs.iter().zip(response) {
-                assert_value(&mut self.buffer, out, bit);
-            }
+        let outputs = self.cone.encode(&mut self.buffer, pattern, self.keys)?;
+        for (&out, &bit) in outputs.iter().zip(response) {
+            assert_value(&mut self.buffer, out, bit);
         }
-        self.buffer.flush(solver, &mut []);
+        let mirror = self.mirror;
+        self.buffer.flush_mirrored(solver, &mut [], &mut self.mirrored, |l| mirror.mirror(l));
         Ok(())
     }
 
@@ -84,30 +96,36 @@ impl<'n> DipConstraints<'n> {
     /// # Errors
     ///
     /// As [`DipConstraints::add_answered`].
+    ///
+    /// # Panics
+    ///
+    /// As [`DipConstraints::add_answered`].
     pub fn add_pending(
         &mut self,
         solver: &mut Solver,
         pattern: &[bool],
     ) -> Result<[Vec<CnfValue>; 2], EncodeError> {
         self.buffer.reset(solver.num_vars());
-        let left = self.cone.encode(&mut self.buffer, pattern, self.keys[0])?;
-        let right = self.cone.encode(&mut self.buffer, pattern, self.keys[1])?;
-        for (&l, &r) in left.iter().zip(&right) {
-            assert_equal(&mut self.buffer, l, r);
-        }
+        let outputs = self.cone.encode(&mut self.buffer, pattern, self.keys)?;
         self.kept.clear();
-        self.kept.extend(left.iter().chain(&right).filter_map(|v| v.lit()));
-        self.buffer.flush(solver, &mut self.kept);
-        let mut mapped = self.kept.iter();
-        let mut in_solver = |values: Vec<CnfValue>| -> Vec<CnfValue> {
-            values
-                .into_iter()
-                .map(|v| match v {
-                    CnfValue::Lit(_) => CnfValue::Lit(*mapped.next().expect("one per literal")),
+        self.kept.extend(outputs.iter().filter_map(|v| v.lit()));
+        let mirror = self.mirror;
+        self.buffer
+            .flush_mirrored(solver, &mut self.kept, &mut self.mirrored, |l| mirror.mirror(l));
+        let in_solver = |lits: &[Lit]| -> Vec<CnfValue> {
+            let mut lits = lits.iter();
+            outputs
+                .iter()
+                .map(|&v| match v {
+                    CnfValue::Lit(_) => CnfValue::Lit(*lits.next().expect("one per literal")),
                     constant => constant,
                 })
                 .collect()
         };
-        Ok([in_solver(left), in_solver(right)])
+        let (left, right) = (in_solver(&self.kept), in_solver(&self.mirrored));
+        for (&l, &r) in left.iter().zip(&right) {
+            assert_equal(solver, l, r);
+        }
+        Ok([left, right])
     }
 }

@@ -10,10 +10,11 @@
 //!   identical logic is encoded once;
 //! - [`ConeEncoder`]: the same copies with inputs pinned to a pattern,
 //!   visiting only the key cone;
-//! - [`DipConstraints`]: the per-DIP constraints of the attack — two cone
-//!   copies hashed against the miter's gates, whose private variables an
+//! - [`DipConstraints`]: the per-DIP constraints of the attack — one cone
+//!   copy hashed against the miter's gates, whose private variables an
 //!   [`ElimBuffer`](polykey_sat::ElimBuffer) eliminates before the solver
-//!   sees them;
+//!   sees it, added over the left keys and, renamed by the miter's
+//!   [`KeyMirror`], over the right ones;
 //! - [`build_miter`]: two circuit copies sharing primary inputs and one
 //!   structural-hash table, plus a `diff` literal that, when assumed,
 //!   forces an output difference — the engine of the oracle-guided SAT
@@ -62,7 +63,7 @@ mod tseitin;
 
 pub use dip::DipConstraints;
 pub use equiv::{check_equivalence, EquivError, EquivResult};
-pub use miter::{build_miter, Miter, MiterError};
+pub use miter::{build_miter, KeyMirror, Miter, MiterError};
 pub use tseitin::{
     assert_equal, assert_value, encode, Binding, CnfValue, ConeEncoder, EncodeError,
     EncodedCircuit, PortBinding,

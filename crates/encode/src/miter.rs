@@ -4,7 +4,7 @@
 use polykey_netlist::Netlist;
 use polykey_sat::{Lit, Solver};
 
-use crate::tseitin::{encode_shared, Binding, CnfValue, EncodeError, GateTable};
+use crate::tseitin::{encode_shared, flip_if, Binding, CnfValue, EncodeError, GateTable};
 
 /// Errors raised while building a miter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,6 +177,47 @@ pub fn build_miter(
     })
 }
 
+/// The renaming of a self-miter's left key copy onto its right one.
+///
+/// In `build_miter(&d, &d)` the right copy is the left one with the left
+/// key literals renamed to the right ones: a left gate that depends on the
+/// key has a twin in the right copy, stored under the renamed
+/// structural-hash key, and every other gate is shared. A `KeyMirror` maps
+/// the left keys and every key-dependent left gate to their twins. It is
+/// read off the miter's table in variable order, so the same miter always
+/// gives the same map.
+///
+/// A clause over left key literals and gates says, renamed through the
+/// map, the same about the right copy. The attack's per-DIP constraints
+/// ([`DipConstraints`](crate::DipConstraints)) encode and eliminate the
+/// left copy once and add it twice this way.
+#[derive(Clone, Debug)]
+pub struct KeyMirror {
+    /// Per solver variable: the twin of its positive literal.
+    image: Vec<Option<Lit>>,
+}
+
+impl KeyMirror {
+    /// Reads the map off `miter`, which should be a miter of a netlist
+    /// with itself; other miters map only the gates that have a twin.
+    pub fn new(miter: &Miter) -> KeyMirror {
+        KeyMirror { image: miter.table.twins(&miter.keys_left, &miter.keys_right) }
+    }
+
+    /// The right copy's twin of `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is neither a left key nor a key-dependent gate of the
+    /// left copy: nothing in the right copy is known to stand for it.
+    pub fn mirror(&self, l: Lit) -> Lit {
+        match self.image.get(l.var().index()) {
+            Some(&Some(twin)) => flip_if(twin, l.is_negated()),
+            _ => panic!("literal {l} has no twin in the right key copy"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +309,40 @@ mod tests {
 
         // Pinning the key to 0 makes the miter unsat: correct key.
         assert_eq!(solver.solve(&[miter.diff, !miter.keys_right[0]]), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn a_self_miter_mirrors_every_key_dependent_gate() {
+        // y = (a ⊕ k0) ∧ k1, z = MUX(k0, a, ¬b): the left copy's key
+        // literals and key-dependent gates map onto the right copy's,
+        // the shared input logic maps nowhere.
+        let mut nl = Netlist::new("keyed");
+        let a = nl.add_input("a").unwrap();
+        let b = nl.add_input("b").unwrap();
+        let k0 = nl.add_key_input("k0").unwrap();
+        let k1 = nl.add_key_input("k1").unwrap();
+        let x = nl.add_gate("x", GateKind::Xnor, &[a, k0]).unwrap();
+        let y = nl.add_gate("y", GateKind::And, &[x, k1]).unwrap();
+        let nb = nl.add_gate("nb", GateKind::Not, &[b]).unwrap();
+        let z = nl.add_gate("z", GateKind::Mux, &[k0, a, nb]).unwrap();
+        nl.mark_output(y).unwrap();
+        nl.mark_output(z).unwrap();
+        let mut solver = Solver::new();
+        let miter = build_miter(&mut solver, &nl, &nl).unwrap();
+        let mirror = KeyMirror::new(&miter);
+        for (&l, &r) in miter.keys_left.iter().zip(&miter.keys_right) {
+            assert_eq!(mirror.mirror(l), r);
+            assert_eq!(mirror.mirror(!l), !r);
+        }
+        for (l, r) in miter.outputs_left.iter().zip(&miter.outputs_right) {
+            let (l, r) = (l.lit().unwrap(), r.lit().unwrap());
+            assert_ne!(l, r);
+            assert_eq!(mirror.mirror(l), r);
+            assert_eq!(mirror.mirror(!l), !r);
+        }
+        let input = miter.inputs[0];
+        let unmapped = std::panic::catch_unwind(|| mirror.mirror(input));
+        assert!(unmapped.is_err(), "an input has no twin");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! and [`encode`] performs constant propagation on the fly, so pinned copies
 //! shrink to just the key-dependent logic. [`ConeEncoder`] produces the
 //! per-DIP copies without visiting the rest: it walks only the key cone and
-//! reads the other gates' constants from one simulation pass per pattern.
+//! reads the other gates' constants from incremental simulation of each
+//! pattern.
 //!
 //! Encoded gates are hash-consed (structural hashing, as in ABC's `strash`):
 //! a gate whose kind and normalised fan-in literals match an already
@@ -17,10 +18,13 @@
 //! [`build_miter`](crate::build_miter) shares one table across both of its
 //! copies, so logic the two sides have in common is encoded once and never
 //! has to be re-proven equal by search. The miter keeps that table, and the
-//! attack's per-DIP copies look their gates up in it before their own.
+//! attack's per-DIP copies look their gates up in it before their own. Read
+//! in variable order, it also pairs each key-dependent gate of a self-miter's
+//! left copy with its right twin ([`KeyMirror`](crate::KeyMirror)).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use polykey_netlist::analysis::key_controlled_mask;
 use polykey_netlist::{GateKind, Netlist, NetlistError, NodeId, Simulator};
@@ -137,12 +141,110 @@ enum GateKey {
     Mux(Var, Lit, Lit),
 }
 
+impl GateKey {
+    /// The key of this gate over fan-ins renamed by `rename` (`None`
+    /// leaves a literal as it is), with whether the table's literal for
+    /// the renamed key is this gate's renamed literal negated. `None` when
+    /// the renaming moves no fan-in. `rename` must commute with negation
+    /// and be injective.
+    fn renamed(&self, rename: impl Fn(Lit) -> Option<Lit>) -> Option<(GateKey, bool)> {
+        let r = |l: Lit| rename(l).unwrap_or(l);
+        let renamed = match self {
+            GateKey::And(lits) => {
+                let mut lits: Vec<Lit> = lits.iter().map(|&l| r(l)).collect();
+                lits.sort_unstable();
+                (GateKey::And(lits), false)
+            }
+            GateKey::Xor(a, b) => {
+                // The table holds `a ⊕ b` over positive variables; their
+                // images may be negated, which flips the shared literal.
+                let (a, b) = (r(a.positive()), r(b.positive()));
+                let key = GateKey::Xor(a.var().min(b.var()), a.var().max(b.var()));
+                (key, a.is_negated() ^ b.is_negated())
+            }
+            GateKey::Mux(s, d0, d1) => {
+                let (s, d0, d1) = (r(s.positive()), r(*d0), r(*d1));
+                let key = if s.is_negated() {
+                    GateKey::Mux(s.var(), d1, d0)
+                } else {
+                    GateKey::Mux(s.var(), d0, d1)
+                };
+                (key, false)
+            }
+        };
+        (renamed.0 != *self).then_some(renamed)
+    }
+}
+
+/// A multiplicative hasher for [`GateKey`]s, which hash a few small
+/// integers each (FxHash's mixing step: rotate, xor, multiply).
+#[derive(Default, Clone, Copy)]
+struct GateHasher(u64);
+
+impl GateHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for GateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The structural-hash table of one encoding: every gate encoded so far,
 /// by normalised key. It is only meaningful together with the sink whose
 /// variables it names.
 #[derive(Clone, Default, Debug)]
 pub(crate) struct GateTable {
-    gates: HashMap<GateKey, Lit>,
+    gates: HashMap<GateKey, Lit, BuildHasherDefault<GateHasher>>,
+}
+
+impl GateTable {
+    /// Per variable, the twin of its positive literal under the renaming
+    /// that sends each literal of `from` to the one at the same position
+    /// of `to`, extended from literals to gates: a gate whose key names a
+    /// renamed literal has as twin the gate of the renamed key, when the
+    /// table holds one. Gates are visited in variable order, which is
+    /// encoding order, so a gate's fan-ins have their twins before it.
+    pub(crate) fn twins(&self, from: &[Lit], to: &[Lit]) -> Vec<Option<Lit>> {
+        let mut entries: Vec<(&GateKey, Lit)> =
+            self.gates.iter().map(|(k, &l)| (k, l)).collect();
+        entries.sort_unstable_by_key(|&(_, lit)| lit.var());
+        let vars = entries.iter().map(|&(_, l)| l).chain(from.iter().copied());
+        let mut image = vec![None; vars.map(|l| l.var().index() + 1).max().unwrap_or(0)];
+        for (&l, &r) in from.iter().zip(to) {
+            image[l.var().index()] = Some(flip_if(r, l.is_negated()));
+        }
+        for (key, lit) in entries {
+            let renamed = key.renamed(|l: Lit| {
+                let twin = image.get(l.var().index()).copied().flatten();
+                twin.map(|t| flip_if(t, l.is_negated()))
+            });
+            let Some((renamed, flip)) = renamed else { continue };
+            if let Some(&twin) = self.gates.get(&renamed) {
+                image[lit.var().index()] = Some(flip_if(twin, flip ^ lit.is_negated()));
+            }
+        }
+        image
+    }
 }
 
 /// Where one copy looks its gates up: a read-only table of gates encoded
@@ -303,19 +405,20 @@ pub(crate) fn encode_shared<S: ClauseSink>(
 /// topological order and that cone once. It keeps the off-cone constants
 /// of the last pattern, and a new pattern updates only the nodes whose
 /// value it changes, by incremental single-pattern simulation (see
-/// [`Simulator::eval_changes`]); every copy at that pattern reuses them.
-/// Consecutive DIPs differ in a few inputs, so this costs a small part of
-/// a full simulation pass. Each copy then encodes the cone gates in their
-/// topological order against a structural-hash table of its own, cleared
-/// per copy. The off-cone gates would have folded without emitting
-/// anything, so a copy adds exactly the variables and clauses, in the same
-/// order, as [`encode`] under inputs [`PortBinding::Pinned`] to the pattern
-/// and keys [`PortBinding::Shared`].
+/// [`Simulator::eval_changes`]). Consecutive DIPs differ in a few inputs,
+/// so this costs a small part of a full simulation pass. Each copy then
+/// encodes the cone gates in their topological order against a
+/// structural-hash table of its own, cleared per copy. The off-cone gates
+/// would have folded without emitting anything, so a copy adds exactly the
+/// variables and clauses, in the same order, as [`encode`] under inputs
+/// [`PortBinding::Pinned`] to the pattern and keys [`PortBinding::Shared`].
 ///
-/// Built for a miter instead (the per-DIP copies of the attack, see
+/// Built for a miter instead (the per-DIP copy of the attack, see
 /// [`DipConstraints`](crate::DipConstraints)), a copy first looks each
 /// gate up in the miter's table: key-only logic the miter already encodes
-/// reuses the miter's literal and adds nothing.
+/// reuses the miter's literal and adds nothing. The attack encodes one
+/// copy per DIP, over the left keys, and renames it onto the right ones
+/// ([`KeyMirror`](crate::KeyMirror)).
 #[derive(Debug)]
 pub struct ConeEncoder<'n> {
     netlist: &'n Netlist,
@@ -456,7 +559,7 @@ fn negate_all(fanins: &[CnfValue]) -> Vec<CnfValue> {
 }
 
 /// `l` negated when `flip` holds.
-fn flip_if(l: Lit, flip: bool) -> Lit {
+pub(crate) fn flip_if(l: Lit, flip: bool) -> Lit {
     if flip {
         !l
     } else {

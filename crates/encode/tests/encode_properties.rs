@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use polykey_encode::{
     assert_equal, assert_value, build_miter, check_equivalence, encode, Binding, CnfValue,
-    ConeEncoder, DipConstraints, EquivResult, PortBinding,
+    ConeEncoder, DipConstraints, EquivResult, KeyMirror, PortBinding,
 };
 use polykey_netlist::{bits_of, GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, Var};
@@ -240,7 +240,8 @@ proptest! {
         );
         let outputs = nl.outputs().len();
         let mut cone = ConeEncoder::new(&nl).expect("acyclic");
-        let mut constraints = DipConstraints::new(&nl, &twin).expect("acyclic");
+        let mirror = KeyMirror::new(&twin);
+        let mut constraints = DipConstraints::new(&nl, &twin, &mirror).expect("acyclic");
         let mut pending = Vec::new();
         for &(dip, response, is_pending) in &dips {
             let ibits = bits_of(dip, 4);

@@ -18,6 +18,11 @@
 //! model of the batch exactly when it satisfies what the target receives.
 //! The caller names the buffer variables it still reads as *kept*; those
 //! are never eliminated and come back as target literals.
+//!
+//! [`ElimBuffer::flush_mirrored`] adds what survives twice: once as it is
+//! and once renamed onto other target literals, with fresh target
+//! variables for the surviving buffer ones. A batch that two isomorphic
+//! copies would fill is then built and eliminated only once.
 
 use crate::cnf::ClauseSink;
 use crate::lit::{Lit, Var};
@@ -94,6 +99,9 @@ pub struct ElimBuffer {
     pos: Vec<u32>,
     neg: Vec<u32>,
     scratch: Vec<Lit>,
+    /// Per literal code, target literals included: the complement occurs
+    /// in the positive clause being resolved. All false between uses.
+    clashes: Vec<bool>,
     /// Per buffer variable: its target variable, once allocated.
     map: Vec<Option<Var>>,
 }
@@ -123,6 +131,36 @@ impl ElimBuffer {
     /// [`reset`](ElimBuffer::reset), and receives no more clauses than
     /// the buffer held.
     pub fn flush<S: ClauseSink>(&mut self, target: &mut S, keep: &mut [Lit]) {
+        self.simplify(keep);
+        self.emit(target, keep, |l| l);
+        self.reset(self.base);
+    }
+
+    /// [`flush`](ElimBuffer::flush), then adds what survives a second
+    /// time: every target literal renamed by `rename`, and every surviving
+    /// buffer variable given a second target variable. `mirrored` is set to
+    /// `keep` in the second copy's numbering. The batch is simplified
+    /// once, so this costs half of building and eliminating the two copies
+    /// side by side, and adds the same clauses when `rename` maps one copy
+    /// onto the other.
+    pub fn flush_mirrored<S: ClauseSink>(
+        &mut self,
+        target: &mut S,
+        keep: &mut [Lit],
+        mirrored: &mut Vec<Lit>,
+        rename: impl Fn(Lit) -> Lit,
+    ) {
+        mirrored.clear();
+        mirrored.extend_from_slice(keep);
+        self.simplify(keep);
+        self.emit(target, keep, |l| l);
+        self.emit(target, mirrored, rename);
+        self.reset(self.base);
+    }
+
+    /// Unit propagation and elimination over the batch, never touching the
+    /// buffer variables of `keep`.
+    fn simplify(&mut self, keep: &[Lit]) {
         let n = self.num_vars;
         self.value.clear();
         self.value.resize(n, None);
@@ -144,8 +182,6 @@ impl ElimBuffer {
             self.value.fill(None);
             self.clauses.push(Span { start: 0, len: 0, live: true });
         }
-        self.emit(target, keep);
-        self.reset(self.base);
     }
 
     /// The local index of `l`'s variable, if it is a buffer variable.
@@ -306,28 +342,49 @@ impl ElimBuffer {
     /// the clauses they would replace.
     fn add_resolvents(&mut self, pos: &[u32], neg: &[u32], pivot: Var) -> bool {
         let (first, lits_len) = (self.clauses.len(), self.lits.len());
+        let codes = 2 * (self.base + self.num_vars);
+        if self.clashes.len() < codes {
+            self.clashes.resize(codes, false);
+        }
+        let mut fits = true;
         for &p in pos {
+            // No clause is a tautology itself, so a resolvent with `p` is
+            // one exactly when the other clause holds the complement of one
+            // of `p`'s literals besides the pivot.
+            let p_span = self.clauses[p as usize];
+            for i in p_span.range() {
+                let l = self.lits[i];
+                if l.var() != pivot {
+                    self.clashes[(!l).code()] = true;
+                }
+            }
             for &q in neg {
+                let q_span = self.clauses[q as usize];
+                if self.lits[q_span.range()].iter().any(|l| self.clashes[l.code()]) {
+                    continue;
+                }
+                if self.clauses.len() - first == pos.len() + neg.len() {
+                    fits = false;
+                    break;
+                }
                 self.scratch.clear();
-                for c in [p, q] {
-                    let span = self.clauses[c as usize];
+                for span in [p_span, q_span] {
                     self.scratch
                         .extend(self.lits[span.range()].iter().filter(|l| l.var() != pivot));
                 }
                 self.scratch.sort_unstable();
                 self.scratch.dedup();
-                // Sorted by code, `x` and `¬x` are neighbours.
-                if self.scratch.windows(2).any(|w| w[0] == !w[1]) {
-                    continue;
-                }
-                if self.clauses.len() - first == pos.len() + neg.len() {
-                    self.clauses.truncate(first);
-                    self.lits.truncate(lits_len);
-                    return false;
-                }
                 let start = self.lits.len();
                 self.lits.extend_from_slice(&self.scratch);
                 self.push_span(start);
+            }
+            for i in p_span.range() {
+                self.clashes[(!self.lits[i]).code()] = false;
+            }
+            if !fits {
+                self.clauses.truncate(first);
+                self.lits.truncate(lits_len);
+                return false;
             }
         }
         true
@@ -341,8 +398,15 @@ impl ElimBuffer {
 
     /// Allocates target variables for the kept buffer variables and those
     /// still in a live clause, in buffer order, and adds the live clauses
-    /// and the units of fixed kept variables to `target`.
-    fn emit<S: ClauseSink>(&mut self, target: &mut S, keep: &mut [Lit]) {
+    /// and the units of fixed kept variables to `target`, with every target
+    /// literal in them renamed by `rename`. Rewrites `keep` to target
+    /// literals.
+    fn emit<S: ClauseSink>(
+        &mut self,
+        target: &mut S,
+        keep: &mut [Lit],
+        rename: impl Fn(Lit) -> Lit,
+    ) {
         let mut needed = std::mem::take(&mut self.needed);
         needed.clone_from(&self.kept);
         for span in &self.clauses {
@@ -362,7 +426,7 @@ impl ElimBuffer {
             if span.live {
                 self.scratch.clear();
                 for i in span.range() {
-                    let l = self.to_target(self.lits[i]);
+                    let l = self.to_target(self.lits[i], &rename);
                     self.scratch.push(l);
                 }
                 target.add_clause(&self.scratch);
@@ -374,15 +438,16 @@ impl ElimBuffer {
             }
         }
         for l in keep.iter_mut() {
-            *l = self.to_target(*l);
+            *l = self.to_target(*l, &rename);
         }
     }
 
-    /// `l` in the target's numbering, once `emit` has allocated.
-    fn to_target(&self, l: Lit) -> Lit {
+    /// `l` in the target's numbering, once `emit` has allocated; a target
+    /// literal goes through `rename`.
+    fn to_target(&self, l: Lit, rename: impl Fn(Lit) -> Lit) -> Lit {
         match self.local_var(l) {
             Some(v) => Lit::new(self.map[v].expect("surviving variable"), l.is_negated()),
-            None => l,
+            None => rename(l),
         }
     }
 }
@@ -520,6 +585,34 @@ mod tests {
         assert_eq!(target.clauses().collect::<Vec<_>>(), [&[][..]]);
         assert_eq!(keep, [lit(2)], "the kept variable still gets a target variable");
         assert_eq!(target.num_vars(), 2);
+    }
+
+    #[test]
+    fn mirrored_flush_adds_a_renamed_second_copy() {
+        // Target literals 1, 2 and their twins 3, 4. The batch says
+        // 6 = 5 ∧ 1 with 5 = ¬2 private and 6 kept. The first copy's kept
+        // variable becomes target variable 5, the second's 6.
+        let (mut target, mut buffer) = setup(4, 2);
+        buffer.add_clause(&[lit(5), lit(2)]);
+        buffer.add_clause(&[lit(-5), lit(-2)]);
+        buffer.add_clause(&[lit(-6), lit(5)]);
+        buffer.add_clause(&[lit(-6), lit(1)]);
+        buffer.add_clause(&[lit(6), lit(-5), lit(-1)]);
+        let shift =
+            |l: Lit, by: u32| Lit::new(Var::new(l.var().index() as u32 + by), l.is_negated());
+        let mut keep = [lit(-6), lit(1)];
+        let mut mirrored = Vec::new();
+        buffer.flush_mirrored(&mut target, &mut keep, &mut mirrored, |l| shift(l, 2));
+        assert_eq!(target.num_vars(), 6, "one variable per copy for the kept one");
+        assert_eq!(keep, [lit(-5), lit(1)]);
+        assert_eq!(mirrored, [lit(-6), lit(3)]);
+        let clauses: Vec<&[Lit]> = target.clauses().collect();
+        let (first, second) = clauses.split_at(clauses.len() / 2);
+        let twin = |l: Lit| if l.var().index() < 4 { shift(l, 2) } else { shift(l, 1) };
+        let renamed: Vec<Vec<Lit>> =
+            first.iter().map(|c| c.iter().map(|&l| twin(l)).collect()).collect();
+        assert!(!first.is_empty());
+        assert_eq!(renamed, second, "the second copy is the first, renamed");
     }
 
     #[test]
