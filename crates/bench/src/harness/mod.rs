@@ -43,8 +43,6 @@ pub mod scenarios;
 
 use std::time::Duration;
 
-use polykey_attack::AttackStats;
-
 use crate::json::Json;
 use crate::TextTable;
 
@@ -157,23 +155,6 @@ impl Record {
     pub fn metric(mut self, name: &str, value: f64) -> Record {
         self.metrics.push((name.to_string(), value));
         self
-    }
-
-    /// Appends the uniform attack counters every attack cell reports:
-    /// `wall_ms`, `max_term_ms`, `dips`, `oracle_queries`,
-    /// `oracle_rounds`, `conflicts`, `propagations`, `restarts`,
-    /// `learnt_clauses`.
-    #[must_use]
-    pub fn attack_metrics(self, stats: &AttackStats) -> Record {
-        self.metric("wall_ms", ms(stats.wall_time))
-            .metric("max_term_ms", ms(stats.max_subtask_time()))
-            .metric("dips", stats.dips as f64)
-            .metric("oracle_queries", stats.oracle_queries as f64)
-            .metric("oracle_rounds", stats.oracle_rounds as f64)
-            .metric("conflicts", stats.solver.conflicts as f64)
-            .metric("propagations", stats.solver.propagations as f64)
-            .metric("restarts", stats.solver.restarts as f64)
-            .metric("learnt_clauses", stats.solver.learnt_clauses as f64)
     }
 
     /// Looks up a metric by name.

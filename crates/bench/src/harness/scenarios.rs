@@ -4,18 +4,20 @@
 //! [`ScenarioResult`] (records + rendered text) instead of printing: the
 //! `bench` bin prints `rendered` and persists `records` as `BENCH_*.json`
 //! telemetry. Progress chatter goes to stderr, so long runs stay
-//! observable.
+//! observable. Every attack scenario runs its cells through
+//! `attack_cell`, which proves each finished run's recombination.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use polykey_attack::{
-    AttackReport, AttackSession, AttackStats, AttackStatus, Oracle, SimOracle, SplitStrategy,
+    AttackReport, AttackSession, AttackSessionBuilder, AttackStats, AttackStatus, Oracle,
+    SimOracle, SplitStrategy,
 };
 use polykey_circuits::Iscas85;
-use polykey_encode::{build_miter, check_equivalence, DipConstraints, EquivResult, KeyMirror};
+use polykey_encode::{build_miter, check_equivalence, DipConstraints, KeyMirror};
 use polykey_locking::{
-    lock_sarlock_on_signals, AntiSat, Key, LockScheme, LutLock, Rll, Sarlock,
+    lock_sarlock_on_signals, AntiSat, Key, LockScheme, LockedCircuit, LutLock, Rll, Sarlock,
 };
 use polykey_netlist::analysis::{key_reachable_outputs, levels};
 use polykey_netlist::{
@@ -28,6 +30,57 @@ use rand::SeedableRng;
 use super::{ms, Record, Scale, ScenarioCtx, ScenarioResult};
 use crate::{fmt_duration, TextTable};
 
+/// One attack cell, the way every attack scenario runs one: a
+/// [`SimOracle`] of `original` answers the session `configure` sets up,
+/// and the session attacks `locked`. A finished run is recombined
+/// (Fig. 1b) and proven equivalent to `original`, and `record` gains
+/// `verified = 1`; a run with a leaf stopped by the time cap has no full
+/// key and gains `capped = 1` instead. Either way `record` gains the
+/// uniform attack metrics: `wall_ms`, `max_term_ms`, `dips`,
+/// `oracle_queries`, `oracle_rounds`, `conflicts`, `propagations`,
+/// `restarts`, `learnt_clauses` and `max_dips`, the largest per-term
+/// `#DIP` (the quantity of the paper's Table 1). The report comes back
+/// for the scenario's own metrics and table text.
+///
+/// # Panics
+///
+/// Panics if the run ends incomplete other than by the time cap, or if
+/// its recombination is not equivalent to `original`.
+fn attack_cell(
+    record: Record,
+    original: &Netlist,
+    locked: &Netlist,
+    configure: impl FnOnce(AttackSessionBuilder<'_>) -> AttackSessionBuilder<'_>,
+) -> (Record, AttackReport) {
+    let mut oracle = SimOracle::new(original).expect("keyless oracle");
+    let report = configure(AttackSession::builder().oracle(&mut oracle))
+        .build()
+        .expect("oracle provided")
+        .run(locked)
+        .expect("attack runs");
+    let stats = report.stats();
+    let max_dips = report.reports.iter().map(|r| r.stats.dips).max().unwrap_or(0);
+    let record = record
+        .metric("wall_ms", ms(stats.wall_time))
+        .metric("max_term_ms", ms(stats.max_subtask_time()))
+        .metric("dips", stats.dips as f64)
+        .metric("oracle_queries", stats.oracle_queries as f64)
+        .metric("oracle_rounds", stats.oracle_rounds as f64)
+        .metric("conflicts", stats.solver.conflicts as f64)
+        .metric("propagations", stats.solver.propagations as f64)
+        .metric("restarts", stats.solver.restarts as f64)
+        .metric("learnt_clauses", stats.solver.learnt_clauses as f64)
+        .metric("max_dips", max_dips as f64);
+    if report.reports.iter().any(|r| r.status == AttackStatus::TimeLimit) {
+        return (record.metric("capped", 1.0), report);
+    }
+    assert!(report.is_complete(), "{}: attack ended {:?}", record.key(), report.status());
+    let recombined = report.recombine(locked).expect("recombine");
+    let verified = check_equivalence(original, &recombined).expect("equiv").is_equivalent();
+    assert!(verified, "{} must recombine to the original", record.key());
+    (record.metric("verified", 1.0), report)
+}
+
 /// The scheme roster the sweeps share (matrix, batch, encode).
 fn scheme_roster(seed: u64) -> Vec<Box<dyn LockScheme>> {
     vec![
@@ -38,10 +91,46 @@ fn scheme_roster(seed: u64) -> Vec<Box<dyn LockScheme>> {
     ]
 }
 
-/// The largest per-term `#DIP` of a run — the quantity of the paper's
-/// Table 1.
-fn max_term_dips(report: &AttackReport) -> u64 {
-    report.reports.iter().map(|r| r.stats.dips).max().unwrap_or(0)
+/// The circuits the `matrix` and `batch` sweeps attack at `scale`.
+fn sweep_circuits(scale: Scale) -> Vec<Iscas85> {
+    match scale {
+        Scale::Quick => vec![Iscas85::C432],
+        Scale::Default => vec![Iscas85::C432, Iscas85::C880],
+        Scale::Full => vec![Iscas85::C432, Iscas85::C880, Iscas85::C1908],
+    }
+}
+
+/// One entry of a circuit × scheme sweep.
+struct RosterEntry {
+    circuit: Iscas85,
+    scheme: String,
+    original: Netlist,
+    locked: LockedCircuit,
+}
+
+/// Every circuit of `circuits` locked with every scheme of
+/// [`scheme_roster`], each from an RNG seeded with `seed`, circuit by
+/// circuit. A pair the scheme cannot lock is skipped with a note on
+/// stderr.
+fn locked_roster(circuits: &[Iscas85], seed: u64) -> Vec<RosterEntry> {
+    let schemes = scheme_roster(seed);
+    let mut entries = Vec::new();
+    for &circuit in circuits {
+        let original = circuit.build();
+        for scheme in &schemes {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            match scheme.lock_random(&original, &mut rng) {
+                Ok(locked) => entries.push(RosterEntry {
+                    circuit,
+                    scheme: scheme.name().to_string(),
+                    original: original.clone(),
+                    locked,
+                }),
+                Err(e) => eprintln!("{circuit}/{}: cannot lock ({e})", scheme.name()),
+            }
+        }
+    }
+    entries
 }
 
 /// The minimum, mean and maximum per-term wall time of a run.
@@ -50,6 +139,11 @@ fn term_times(stats: &AttackStats) -> (Duration, Duration, Duration) {
     let min = times.iter().min().copied().unwrap_or_default();
     let mean = times.iter().sum::<Duration>() / times.len().max(1) as u32;
     (min, mean, stats.max_subtask_time())
+}
+
+/// The `max_dips` an [`attack_cell`] record carries.
+fn max_dips(record: &Record) -> f64 {
+    record.metric_value("max_dips").expect("attack cells record max_dips")
 }
 
 /// The running example of Fig. 1: a 3-input majority gate.
@@ -70,21 +164,16 @@ fn majority3() -> Netlist {
 /// every cell is attacked, recombined (Fig. 1b), and formally verified.
 pub fn matrix(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xD1CE);
-    let circuits: Vec<Iscas85> = match ctx.scale {
-        Scale::Quick => vec![Iscas85::C432],
-        Scale::Default => vec![Iscas85::C432, Iscas85::C880],
-        Scale::Full => vec![Iscas85::C432, Iscas85::C880, Iscas85::C1908],
-    };
+    let circuits = sweep_circuits(ctx.scale);
     let max_effort = if ctx.scale == Scale::Full { 3 } else { 2 };
     let time_cap = Duration::from_secs(ctx.time_cap.unwrap_or(300));
-    let schemes = scheme_roster(seed);
 
     let mut out = String::new();
     let mut records = Vec::new();
     let _ = writeln!(
         out,
         "Attack matrix: {} schemes x N = 0..={max_effort} x {} circuits (cap {} per attack)",
-        schemes.len(),
+        scheme_roster(seed).len(),
         circuits.len(),
         fmt_duration(time_cap)
     );
@@ -99,58 +188,32 @@ pub fn matrix(ctx: &ScenarioCtx) -> ScenarioResult {
     }
     let mut table = TextTable::new(header);
 
-    for circuit in &circuits {
-        let original = circuit.build();
-        for scheme in &schemes {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let locked = match scheme.lock_random(&original, &mut rng) {
-                Ok(locked) => locked,
-                Err(e) => {
-                    eprintln!("{circuit}/{}: cannot lock ({e})", scheme.name());
-                    continue;
-                }
-            };
-            let mut row = vec![format!("{}/{}", circuit.name(), scheme.name())];
-            for n in 0..=max_effort {
-                let mut oracle = SimOracle::new(&original).expect("keyless oracle");
-                let report = AttackSession::builder()
-                    .oracle(&mut oracle)
-                    .split_effort(n)
-                    .record_dips(false)
-                    .time_budget(time_cap)
-                    .build()
-                    .expect("oracle provided")
-                    .run(&locked.netlist)
-                    .expect("attack runs");
-                if !report.is_complete() {
-                    row.push(format!("{:?}", report.status()));
-                    continue;
-                }
-                let max_dips = max_term_dips(&report);
-                // The executable correctness check: recombined sub-keys
-                // restore the original function, for every scheme.
-                let recombined = report.recombine(&locked.netlist).expect("recombine");
-                let verified = check_equivalence(&original, &recombined).expect("equiv")
-                    == EquivResult::Equivalent;
-                assert!(verified, "{}/{} N={n} must recombine", circuit.name(), scheme.name());
-                records.push(
-                    Record::new("matrix")
-                        .label("circuit", circuit.name())
-                        .label("scheme", scheme.name())
-                        .label("n", n)
-                        .attack_metrics(&report.stats())
-                        .metric("max_dips", max_dips as f64)
-                        .metric("verified", 1.0),
-                );
-                row.push(format!(
-                    "{max_dips} / {}{}",
-                    fmt_duration(report.stats().max_subtask_time()),
-                    if verified { " *" } else { "" }
-                ));
-            }
-            table.row(row);
-            eprintln!("{}/{} done", circuit.name(), scheme.name());
+    for entry in locked_roster(&circuits, seed) {
+        let name = format!("{}/{}", entry.circuit.name(), entry.scheme);
+        let mut row = vec![name.clone()];
+        for n in 0..=max_effort {
+            let (record, report) = attack_cell(
+                Record::new("matrix")
+                    .label("circuit", entry.circuit.name())
+                    .label("scheme", &entry.scheme)
+                    .label("n", n),
+                &entry.original,
+                &entry.locked.netlist,
+                |session| session.split_effort(n).record_dips(false).time_budget(time_cap),
+            );
+            row.push(if record.metric_value("verified").is_some() {
+                format!(
+                    "{} / {} *",
+                    max_dips(&record),
+                    fmt_duration(report.stats().max_subtask_time())
+                )
+            } else {
+                format!("{:?}", report.status())
+            });
+            records.push(record);
         }
+        table.row(row);
+        eprintln!("{name} done");
     }
 
     let _ = writeln!(out, "{}", table.render());
@@ -166,22 +229,14 @@ const BATCH_WIDTHS: [usize; 4] = [1, 8, 32, 64];
 /// queries for batch widths 1/8/32/64.
 pub fn batch(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xBA7C);
-    let circuits: Vec<Iscas85> = match ctx.scale {
-        Scale::Quick => vec![Iscas85::C432],
-        Scale::Default => vec![Iscas85::C432, Iscas85::C880],
-        Scale::Full => vec![Iscas85::C432, Iscas85::C880, Iscas85::C1908],
-    };
-    // SARLock is the interesting row: ~2^|K| DIPs, so batching collapses
-    // dozens of round-trips per attack. RLL/Anti-SAT/LUT converge in a
-    // handful of DIPs and bound the overhead side of the trade.
-    let schemes = scheme_roster(seed);
+    let circuits = sweep_circuits(ctx.scale);
 
     let mut out = String::new();
     let mut records = Vec::new();
     let _ = writeln!(
         out,
         "Batched-DIP sweep: {} schemes x batch widths {BATCH_WIDTHS:?} x {} circuits",
-        schemes.len(),
+        scheme_roster(seed).len(),
         circuits.len()
     );
     let _ = writeln!(out, "cells: oracle rounds / oracle queries (speedup x)");
@@ -195,78 +250,47 @@ pub fn batch(ctx: &ScenarioCtx) -> ScenarioResult {
     let mut table = TextTable::new(header);
     let mut best_speedup: (f64, String) = (1.0, String::new());
 
-    for circuit in &circuits {
-        let original = circuit.build();
-        for scheme in &schemes {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let locked = match scheme.lock_random(&original, &mut rng) {
-                Ok(locked) => locked,
-                Err(e) => {
-                    eprintln!("{circuit}/{}: cannot lock ({e})", scheme.name());
-                    continue;
+    // SARLock is the interesting row: ~2^|K| DIPs, so batching collapses
+    // dozens of round-trips per attack. RLL/Anti-SAT/LUT converge in a
+    // handful of DIPs and bound the overhead side of the trade.
+    for entry in locked_roster(&circuits, seed) {
+        let name = format!("{}/{}", entry.circuit.name(), entry.scheme);
+        let mut row = vec![name.clone()];
+        let mut sequential_key = None;
+        for k in BATCH_WIDTHS {
+            let (record, report) = attack_cell(
+                Record::new("batch")
+                    .label("circuit", entry.circuit.name())
+                    .label("scheme", &entry.scheme)
+                    .label("k", k),
+                &entry.original,
+                &entry.locked.netlist,
+                |session| session.dip_batch(k).record_dips(false),
+            );
+            let stats = report.stats();
+            let key = report.key().expect("single-key run").clone();
+            let key_mark = match &sequential_key {
+                None => {
+                    sequential_key = Some(key);
+                    String::new()
                 }
+                Some(reference) if *reference == key => " =".to_string(),
+                Some(_) => " ≡".to_string(),
             };
-            let mut row = vec![format!("{}/{}", circuit.name(), scheme.name())];
-            let mut sequential_key = None;
-            for k in BATCH_WIDTHS {
-                let mut oracle = SimOracle::new(&original).expect("keyless oracle");
-                let report = AttackSession::builder()
-                    .oracle(&mut oracle)
-                    .dip_batch(k)
-                    .record_dips(false)
-                    .build()
-                    .expect("oracle provided")
-                    .run(&locked.netlist)
-                    .expect("attack runs");
-                assert!(
-                    report.is_complete(),
-                    "{}/{} k={k} must succeed",
-                    circuit.name(),
-                    scheme.name()
-                );
-                let stats = report.stats();
-                // Correctness first: the recombined design must be exactly
-                // the original function at every batch width.
-                let recombined = report.recombine(&locked.netlist).expect("recombine");
-                assert_eq!(
-                    check_equivalence(&original, &recombined).expect("equiv"),
-                    EquivResult::Equivalent,
-                    "{}/{} k={k} must recombine to the original",
-                    circuit.name(),
-                    scheme.name()
-                );
-                let key = report.key().expect("single-key run").clone();
-                let key_mark = match &sequential_key {
-                    None => {
-                        sequential_key = Some(key);
-                        String::new()
-                    }
-                    Some(reference) if *reference == key => " =".to_string(),
-                    Some(_) => " ≡".to_string(),
-                };
-                let speedup = stats.oracle_queries as f64 / stats.oracle_rounds.max(1) as f64;
-                if speedup > best_speedup.0 {
-                    best_speedup =
-                        (speedup, format!("{}/{} at k={k}", circuit.name(), scheme.name()));
-                }
-                records.push(
-                    Record::new("batch")
-                        .label("circuit", circuit.name())
-                        .label("scheme", scheme.name())
-                        .label("k", k)
-                        .attack_metrics(&stats)
-                        .metric("speedup", speedup),
-                );
-                row.push(format!(
-                    "{}/{} ({speedup:.1}x){key_mark} {}",
-                    stats.oracle_rounds,
-                    stats.oracle_queries,
-                    fmt_duration(stats.wall_time)
-                ));
+            let speedup = stats.oracle_queries as f64 / stats.oracle_rounds.max(1) as f64;
+            if speedup > best_speedup.0 {
+                best_speedup = (speedup, format!("{name} at k={k}"));
             }
-            table.row(row);
-            eprintln!("{}/{} done", circuit.name(), scheme.name());
+            records.push(record.metric("speedup", speedup));
+            row.push(format!(
+                "{}/{} ({speedup:.1}x){key_mark} {}",
+                stats.oracle_rounds,
+                stats.oracle_queries,
+                fmt_duration(stats.wall_time)
+            ));
         }
+        table.row(row);
+        eprintln!("{name} done");
     }
 
     let _ = writeln!(out, "{}", table.render());
@@ -316,41 +340,26 @@ pub fn table1(ctx: &ScenarioCtx) -> ScenarioResult {
         let mut row = vec![format!("{kw}")];
         for n in 0..=4usize {
             let started = Instant::now();
-            let mut oracle = SimOracle::new(&c7552).expect("keyless oracle");
-            let report = AttackSession::builder()
-                .oracle(&mut oracle)
-                .split_effort(n)
-                .build()
-                .expect("oracle provided")
-                .run(&locked.netlist)
-                .expect("attack runs");
-            assert!(report.is_complete(), "|K|={kw} N={n} must succeed");
-            let recombined = report.recombine(&locked.netlist).expect("recombine");
-            let verified = check_equivalence(&c7552, &recombined).expect("equiv")
-                == EquivResult::Equivalent;
-            assert!(verified, "|K|={kw} N={n} must recombine");
-            let max_dips = max_term_dips(&report);
+            let (record, report) = attack_cell(
+                Record::new("table1").label("kw", kw).label("n", n),
+                &c7552,
+                &locked.netlist,
+                |session| session.split_effort(n),
+            );
+            let max_dips = max_dips(&record);
             // The one-key attack rules out SARLock's wrong keys one DIP at
             // a time; each split port halves the keys a term has left.
-            let expected = if n == 0 { (1 << kw) - 1 } else { 1 << (kw - n) };
-            assert_eq!(max_dips, expected, "SARLock |K|={kw} N={n}: #DIP(max)");
+            let expected = if n == 0 { (1u64 << kw) - 1 } else { 1 << (kw - n) };
+            assert_eq!(max_dips, expected as f64, "SARLock |K|={kw} N={n}: #DIP(max)");
             let min_dips = report.reports.iter().map(|r| r.stats.dips).min().unwrap_or(0);
             let terms = report.reports.len();
-            if max_dips != min_dips {
+            if max_dips != min_dips as f64 {
                 spread_note.push(format!(
                     "|K|={kw} N={n}: per-term #DIP ranges {min_dips}..{max_dips}"
                 ));
             }
-            records.push(
-                Record::new("table1")
-                    .label("kw", kw)
-                    .label("n", n)
-                    .attack_metrics(&report.stats())
-                    .metric("max_dips", max_dips as f64)
-                    .metric("min_dips", min_dips as f64)
-                    .metric("terms", terms as f64)
-                    .metric("verified", 1.0),
-            );
+            records
+                .push(record.metric("min_dips", min_dips as f64).metric("terms", terms as f64));
             row.push(format!("{max_dips}"));
             eprintln!(
                 "  |K|={kw} N={n}: #DIP(max)={max_dips} across {terms} terms in {}",
@@ -428,33 +437,31 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
             original.num_gates(),
             locked.netlist.num_gates()
         );
+        // Both variants run the textbook formulation (full circuit copies
+        // per DIP) that the paper's tooling uses; dropping `.textbook(true)`
+        // would measure the optimized folded engine instead. A record
+        // states `capped` either way.
+        let cell = |variant: &str, n: usize| {
+            let (record, report) = attack_cell(
+                Record::new("table2").label("circuit", bench.name()).label("variant", variant),
+                &original,
+                &locked.netlist,
+                |session| {
+                    session
+                        .split_effort(n)
+                        .textbook(true)
+                        .time_budget(time_cap)
+                        .record_dips(false)
+                },
+            );
+            let capped = record.metric_value("capped").is_some();
+            (if capped { record } else { record.metric("capped", 0.0) }, report, capped)
+        };
 
-        // Baseline: the conventional SAT attack on the whole circuit, in
-        // the textbook formulation (full circuit copies per DIP) that the
-        // paper's tooling uses; dropping `.textbook(true)` would measure
-        // the optimized folded engine instead.
-        let mut oracle = SimOracle::new(&original).expect("keyless oracle");
-        let baseline = AttackSession::builder()
-            .oracle(&mut oracle)
-            .textbook(true)
-            .time_budget(time_cap)
-            .record_dips(false)
-            .build()
-            .expect("oracle provided")
-            .run(&locked.netlist)
-            .expect("attack runs");
-        let baseline_capped = baseline.status() == AttackStatus::TimeLimit;
+        // Baseline: the conventional SAT attack on the whole circuit.
+        let (record, baseline, baseline_capped) = cell("baseline", 0);
+        records.push(record);
         let baseline_time = baseline.stats().wall_time;
-        records.push(verified_unless_capped(
-            Record::new("table2")
-                .label("circuit", bench.name())
-                .label("variant", "baseline")
-                .attack_metrics(&baseline.stats())
-                .metric("capped", u64::from(baseline_capped) as f64),
-            &original,
-            &locked.netlist,
-            &baseline,
-        ));
         eprintln!(
             "  baseline: {} ({} DIPs, status {:?})",
             fmt_duration(baseline_time),
@@ -463,18 +470,7 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
         );
 
         // This work: N = 4, 16 parallel terms.
-        let mut oracle = SimOracle::new(&original).expect("keyless oracle");
-        let report = AttackSession::builder()
-            .oracle(&mut oracle)
-            .split_effort(4)
-            .textbook(true)
-            .time_budget(time_cap)
-            .record_dips(false)
-            .build()
-            .expect("oracle provided")
-            .run(&locked.netlist)
-            .expect("attack runs");
-        let any_capped = report.reports.iter().any(|r| r.status == AttackStatus::TimeLimit);
+        let (record, report, any_capped) = cell("multikey_n4", 4);
         let (min, mean, max) = term_times(&report.stats());
         eprintln!(
             "  this work: min {} mean {} max {} over {} terms (max {} DIPs){}",
@@ -482,24 +478,17 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
             fmt_duration(mean),
             fmt_duration(max),
             report.reports.len(),
-            max_term_dips(&report),
+            max_dips(&record),
             if any_capped { " (some terms hit the cap)" } else { "" }
         );
 
         let ratio = max.as_secs_f64() / baseline_time.as_secs_f64().max(1e-9);
-        records.push(verified_unless_capped(
-            Record::new("table2")
-                .label("circuit", bench.name())
-                .label("variant", "multikey_n4")
-                .attack_metrics(&report.stats())
+        records.push(
+            record
                 .metric("min_term_ms", ms(min))
                 .metric("mean_term_ms", ms(mean))
-                .metric("max_over_baseline", ratio)
-                .metric("capped", u64::from(any_capped) as f64),
-            &original,
-            &locked.netlist,
-            &report,
-        ));
+                .metric("max_over_baseline", ratio),
+        );
         let fmt_capped = |d: Duration, capped: bool| {
             if capped {
                 format!(">{}", fmt_duration(d))
@@ -527,30 +516,6 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// Adds `verified = 1` to a `table2` record once the attack's recombined
-/// netlist is proven equivalent to `original`. An attack with a term
-/// stopped by the time cap has no full key to verify and gets no
-/// `verified` metric.
-///
-/// # Panics
-///
-/// Panics if a finished attack's recombination is not equivalent.
-fn verified_unless_capped(
-    record: Record,
-    original: &Netlist,
-    locked: &Netlist,
-    report: &AttackReport,
-) -> Record {
-    if report.reports.iter().any(|r| r.status == AttackStatus::TimeLimit) {
-        return record;
-    }
-    assert!(report.is_complete(), "{}: attack must finish", record.key());
-    let recombined = report.recombine(locked).expect("recombine");
-    let verified = check_equivalence(original, &recombined).expect("equiv").is_equivalent();
-    assert!(verified, "{} must recombine", record.key());
-    record.metric("verified", 1.0)
-}
-
 /// The diagnostic probe (`probe`): baseline vs per-term cost
 /// across LUT sizes on one circuit.
 pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
@@ -575,23 +540,20 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
                 continue;
             }
         };
-        let mut oracle = SimOracle::new(&original).expect("oracle");
-        let baseline = AttackSession::builder()
-            .oracle(&mut oracle)
-            .record_dips(false)
-            .time_budget(cap)
-            .build()
-            .expect("oracle provided")
-            .run(&locked.netlist)
-            .expect("runs");
+        let cell = |variant: &str, n: usize| {
+            attack_cell(
+                Record::new("probe")
+                    .label("circuit", circuit.name())
+                    .label("keys", keys)
+                    .label("variant", variant),
+                &original,
+                &locked.netlist,
+                |session| session.split_effort(n).record_dips(false).time_budget(cap),
+            )
+        };
+        let (record, baseline) = cell("baseline", 0);
+        records.push(record);
         let stats = baseline.stats();
-        records.push(
-            Record::new("probe")
-                .label("circuit", circuit.name())
-                .label("keys", keys)
-                .label("variant", "baseline")
-                .attack_metrics(&stats),
-        );
         let _ = writeln!(
             out,
             "{} on {}: baseline {} ({} DIPs, {:?}, {} conflicts)",
@@ -602,35 +564,18 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
             baseline.status(),
             stats.solver.conflicts
         );
-        let mut oracle = SimOracle::new(&original).expect("oracle");
-        let report = AttackSession::builder()
-            .oracle(&mut oracle)
-            .split_effort(4)
-            .record_dips(false)
-            .time_budget(cap)
-            .build()
-            .expect("oracle provided")
-            .run(&locked.netlist)
-            .expect("runs");
-        let max_dips = max_term_dips(&report);
+        let (record, report) = cell("n4", 4);
         let (min, mean, max) = term_times(&report.stats());
-        records.push(
-            Record::new("probe")
-                .label("circuit", circuit.name())
-                .label("keys", keys)
-                .label("variant", "n4")
-                .attack_metrics(&report.stats())
-                .metric("max_dips", max_dips as f64),
-        );
         let _ = writeln!(
             out,
             "  N=4: min {} mean {} max {} (max {} DIPs, complete={})",
             fmt_duration(min),
             fmt_duration(mean),
             fmt_duration(max),
-            max_dips,
+            max_dips(&record),
             report.is_complete(),
         );
+        records.push(record);
     }
     ScenarioResult { records, rendered: out, table: None }
 }
@@ -686,27 +631,18 @@ pub fn defense_probe(ctx: &ScenarioCtx) -> ScenarioResult {
         let mut row = vec![label.to_string()];
         let mut last_time = String::new();
         for n in 0..=3usize {
-            let mut oracle = SimOracle::new(&original).expect("oracle");
-            let report = AttackSession::builder()
-                .oracle(&mut oracle)
-                .split_effort(n)
-                .record_dips(false)
-                .build()
-                .expect("oracle provided")
-                .run(locked)
-                .expect("runs");
-            assert!(report.is_complete(), "{label} N={n}");
-            let max_dips = max_term_dips(&report);
-            records.push(
+            let (record, report) = attack_cell(
                 Record::new("defense_probe")
                     .label("circuit", circuit.name())
                     .label("variant", variant)
-                    .label("n", n)
-                    .attack_metrics(&report.stats())
-                    .metric("max_dips", max_dips as f64),
+                    .label("n", n),
+                &original,
+                locked,
+                |session| session.split_effort(n).record_dips(false),
             );
-            row.push(format!("{max_dips}"));
+            row.push(format!("{}", max_dips(&record)));
             last_time = fmt_duration(report.stats().max_subtask_time());
+            records.push(record);
         }
         row.push(last_time);
         table.row(row);
@@ -750,30 +686,20 @@ pub fn ablation_split(ctx: &ScenarioCtx) -> ScenarioResult {
         ("first inputs", "first_inputs", SplitStrategy::FirstInputs),
         ("random", "random", SplitStrategy::Random { seed }),
     ] {
-        let mut oracle = SimOracle::new(&original).expect("oracle");
-        let report = AttackSession::builder()
-            .oracle(&mut oracle)
-            .split_effort(3)
-            .strategy(strategy)
-            .record_dips(false)
-            .build()
-            .expect("oracle provided")
-            .run(&locked.netlist)
-            .expect("attack runs");
-        assert!(report.is_complete());
-        let max_dips = max_term_dips(&report);
-        records.push(
+        let (record, report) = attack_cell(
             Record::new("ablation_split")
                 .label("circuit", circuit.name())
-                .label("strategy", tag)
-                .attack_metrics(&report.stats())
-                .metric("max_dips", max_dips as f64),
+                .label("strategy", tag),
+            &original,
+            &locked.netlist,
+            |session| session.split_effort(3).strategy(strategy).record_dips(false),
         );
         table.row(vec![
             name.to_string(),
-            format!("{max_dips}"),
+            format!("{}", max_dips(&record)),
             fmt_duration(report.stats().max_subtask_time()),
         ]);
+        records.push(record);
         let picked: Vec<&str> =
             report.split_inputs.iter().map(|&id| locked.netlist.node_name(id)).collect();
         eprintln!("  {name}: split ports {picked:?}");
@@ -894,20 +820,18 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
         let key = Key::from_u64(seed & ((1 << key_width) - 1), key_width);
         let locked = Sarlock::new(key_width).lock(&original, &key).expect("lockable");
         for (mode, root_n, budget) in variants {
-            let mut oracle = SimOracle::new(&original).expect("keyless oracle");
-            let mut builder = AttackSession::builder()
-                .oracle(&mut oracle)
-                .split_effort(root_n)
-                .record_dips(false);
-            if let Some(b) = budget {
-                builder = builder.term_dip_budget(b);
-            }
-            let report = builder
-                .build()
-                .expect("oracle provided")
-                .run(&locked.netlist)
-                .expect("attack runs");
-            assert!(report.is_complete(), "{}/{mode} must succeed", circuit.name());
+            let (record, report) = attack_cell(
+                Record::new("adaptive").label("circuit", circuit.name()).label("mode", mode),
+                &original,
+                &locked.netlist,
+                |session| {
+                    let session = session.split_effort(root_n).record_dips(false);
+                    match budget {
+                        Some(b) => session.term_dip_budget(b),
+                        None => session,
+                    }
+                },
+            );
             let (leaves, depth, resplits) =
                 (report.reports.len(), report.max_depth(), report.resplit_reports.len());
             if budget.is_some() {
@@ -917,20 +841,12 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
                     circuit.name()
                 );
             }
-            let recombined = report.recombine(&locked.netlist).expect("recombine");
-            let verified = check_equivalence(&original, &recombined).expect("equiv")
-                == EquivResult::Equivalent;
-            assert!(verified, "{}/{mode} must recombine", circuit.name());
             let stats = report.stats();
             records.push(
-                Record::new("adaptive")
-                    .label("circuit", circuit.name())
-                    .label("mode", mode)
-                    .attack_metrics(&stats)
+                record
                     .metric("leaves", leaves as f64)
                     .metric("max_depth", depth as f64)
-                    .metric("resplits", resplits as f64)
-                    .metric("verified", 1.0),
+                    .metric("resplits", resplits as f64),
             );
             table.row(vec![
                 format!("{}/{mode}", circuit.name()),
@@ -960,53 +876,41 @@ pub fn encode(ctx: &ScenarioCtx) -> ScenarioResult {
         Scale::Default => vec![Iscas85::C432, Iscas85::C880, Iscas85::C1908],
         Scale::Full => Iscas85::all().to_vec(),
     };
-    let schemes = scheme_roster(seed);
 
     let mut out = String::new();
     let mut records = Vec::new();
     let _ = writeln!(
         out,
         "Miter encoding cost: {} schemes x {} circuits (Tseitin CNF of two locked copies)",
-        schemes.len(),
+        scheme_roster(seed).len(),
         circuits.len()
     );
     let _ = writeln!(out, "cells: CNF vars / clauses (encode time)\n");
 
     let mut table =
         TextTable::new(vec!["circuit / scheme", "key bits", "vars", "clauses", "time"]);
-    for circuit in &circuits {
-        let original = circuit.build();
-        for scheme in &schemes {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let locked = match scheme.lock_random(&original, &mut rng) {
-                Ok(locked) => locked,
-                Err(e) => {
-                    eprintln!("{circuit}/{}: cannot lock ({e})", scheme.name());
-                    continue;
-                }
-            };
-            let started = Instant::now();
-            let mut solver = Solver::new();
-            build_miter(&mut solver, &locked.netlist, &locked.netlist).expect("acyclic");
-            let elapsed = started.elapsed();
-            records.push(
-                Record::new("encode")
-                    .label("circuit", circuit.name())
-                    .label("scheme", scheme.name())
-                    .metric("encode_ms", ms(elapsed))
-                    .metric("cnf_vars", solver.num_vars() as f64)
-                    .metric("cnf_clauses", solver.num_clauses() as f64)
-                    .metric("key_bits", locked.key.len() as f64)
-                    .metric("locked_gates", locked.netlist.num_gates() as f64),
-            );
-            table.row(vec![
-                format!("{}/{}", circuit.name(), scheme.name()),
-                format!("{}", locked.key.len()),
-                format!("{}", solver.num_vars()),
-                format!("{}", solver.num_clauses()),
-                fmt_duration(elapsed),
-            ]);
-        }
+    for RosterEntry { circuit, scheme, locked, .. } in locked_roster(&circuits, seed) {
+        let started = Instant::now();
+        let mut solver = Solver::new();
+        build_miter(&mut solver, &locked.netlist, &locked.netlist).expect("acyclic");
+        let elapsed = started.elapsed();
+        records.push(
+            Record::new("encode")
+                .label("circuit", circuit.name())
+                .label("scheme", &scheme)
+                .metric("encode_ms", ms(elapsed))
+                .metric("cnf_vars", solver.num_vars() as f64)
+                .metric("cnf_clauses", solver.num_clauses() as f64)
+                .metric("key_bits", locked.key.len() as f64)
+                .metric("locked_gates", locked.netlist.num_gates() as f64),
+        );
+        table.row(vec![
+            format!("{}/{scheme}", circuit.name()),
+            format!("{}", locked.key.len()),
+            format!("{}", solver.num_vars()),
+            format!("{}", solver.num_clauses()),
+            fmt_duration(elapsed),
+        ]);
     }
     let _ = writeln!(out, "{}", table.render());
     let _ = writeln!(out, "the miter dominates each attack's base CNF; per-DIP copies then");
@@ -1325,4 +1229,58 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
     let _ = writeln!(out, "Layer timings: fastest of {LAYER_REPS} runs per cell\n");
     let _ = writeln!(out, "{}", table.render());
     ScenarioResult { records, rendered: out, table: Some(table) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SARLock `|K| = 3` on the majority gate, attacked at N = 1 under the
+    /// extra settings of `configure`.
+    fn majority_cell(
+        configure: impl FnOnce(AttackSessionBuilder<'_>) -> AttackSessionBuilder<'_>,
+    ) -> (Record, AttackReport) {
+        let original = majority3();
+        let locked =
+            Sarlock::new(3).lock(&original, &Key::from_u64(0b101, 3)).expect("lockable");
+        attack_cell(Record::new("test"), &original, &locked.netlist, |session| {
+            configure(session.split_effort(1))
+        })
+    }
+
+    #[test]
+    fn a_finished_cell_is_proven() {
+        let (record, report) = majority_cell(|session| session);
+        assert!(report.is_complete());
+        assert_eq!(record.metric_value("verified"), Some(1.0));
+        assert_eq!(record.metric_value("capped"), None);
+        let max_dips = report.reports.iter().map(|r| r.stats.dips).max();
+        assert_eq!(record.metric_value("max_dips"), max_dips.map(|d| d as f64));
+        assert_eq!(record.metric_value("dips"), Some(report.stats().dips as f64));
+    }
+
+    #[test]
+    fn a_capped_cell_is_recorded_unproven() {
+        let (record, report) = majority_cell(|session| session.time_budget(Duration::ZERO));
+        assert_eq!(report.status(), AttackStatus::TimeLimit);
+        assert_eq!(record.metric_value("capped"), Some(1.0));
+        assert_eq!(record.metric_value("verified"), None);
+        assert!(record.metric_value("max_dips").is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "must recombine to the original")]
+    fn a_cell_whose_recombination_differs_panics() {
+        // The oracle computes the majority; the locked netlist hides a
+        // three-input AND. The attack settles on a key that agrees with
+        // every DIP it asked, but no key turns the AND into a majority, so
+        // the proof fails.
+        let mut and3 = Netlist::new("and3");
+        let inputs: Vec<NodeId> =
+            ["a", "b", "c"].into_iter().map(|n| and3.add_input(n).expect("fresh")).collect();
+        let y = and3.add_gate("y", GateKind::And, &inputs).expect("fresh");
+        and3.mark_output(y).expect("distinct");
+        let locked = Sarlock::new(3).lock(&and3, &Key::from_u64(0b101, 3)).expect("lockable");
+        attack_cell(Record::new("test"), &majority3(), &locked.netlist, |session| session);
+    }
 }

@@ -11,7 +11,8 @@
 //!
 //! Real `.bench` files can always be used instead via
 //! [`polykey_netlist::parse_bench`]; everything downstream only depends on
-//! the netlist interface. See `DESIGN.md` §3 for the substitution rationale.
+//! the netlist interface. The paper's tables (`README.md`, "Reproducing
+//! the paper") are measured on these stand-ins, not on the originals.
 
 use polykey_netlist::Netlist;
 

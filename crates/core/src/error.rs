@@ -1,6 +1,6 @@
 //! The attack crate's error type.
 
-use polykey_encode::{EncodeError, EquivError, MiterError};
+use polykey_encode::EncodeError;
 use polykey_netlist::NetlistError;
 
 /// Errors raised by attack drivers.
@@ -51,12 +51,8 @@ pub enum AttackError {
     },
     /// A structural netlist failure.
     Netlist(NetlistError),
-    /// A CNF encoding failure.
+    /// A CNF encoding, miter or equivalence-checking failure.
     Encode(EncodeError),
-    /// A miter-construction failure.
-    Miter(MiterError),
-    /// An equivalence-checking failure.
-    Equiv(EquivError),
 }
 
 impl std::fmt::Display for AttackError {
@@ -87,8 +83,6 @@ impl std::fmt::Display for AttackError {
             }
             AttackError::Netlist(e) => write!(f, "netlist error: {e}"),
             AttackError::Encode(e) => write!(f, "encode error: {e}"),
-            AttackError::Miter(e) => write!(f, "miter error: {e}"),
-            AttackError::Equiv(e) => write!(f, "equivalence error: {e}"),
         }
     }
 }
@@ -98,8 +92,6 @@ impl std::error::Error for AttackError {
         match self {
             AttackError::Netlist(e) => Some(e),
             AttackError::Encode(e) => Some(e),
-            AttackError::Miter(e) => Some(e),
-            AttackError::Equiv(e) => Some(e),
             _ => None,
         }
     }
@@ -114,18 +106,6 @@ impl From<NetlistError> for AttackError {
 impl From<EncodeError> for AttackError {
     fn from(e: EncodeError) -> AttackError {
         AttackError::Encode(e)
-    }
-}
-
-impl From<MiterError> for AttackError {
-    fn from(e: MiterError) -> AttackError {
-        AttackError::Miter(e)
-    }
-}
-
-impl From<EquivError> for AttackError {
-    fn from(e: EquivError) -> AttackError {
-        AttackError::Equiv(e)
     }
 }
 

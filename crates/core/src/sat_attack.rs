@@ -141,6 +141,9 @@ pub(crate) struct Encoded<'n> {
     miter: Miter,
     /// Renames the per-DIP constraints of the left key copy onto the right.
     mirror: KeyMirror,
+    /// The textbook formulation: every output kept, nothing peeled, and
+    /// per-DIP copies of the whole netlist ([`DipCopies::Full`]).
+    textbook: bool,
 }
 
 impl<'n> Encoded<'n> {
@@ -163,8 +166,10 @@ impl<'n> Encoded<'n> {
     ///
     /// # Errors
     ///
-    /// [`AttackError::Miter`] for structural failures (e.g. cyclic
-    /// netlists).
+    /// A cyclic netlist ([`Netlist::replace_fanin`] can close a loop;
+    /// `parse_bench` rejects one): [`AttackError::Netlist`] when the folded
+    /// formulation cuts the cone, [`AttackError::Encode`] when the textbook
+    /// one encodes the whole netlist into the miter.
     pub fn new(
         netlist: &'n Netlist,
         textbook: bool,
@@ -180,7 +185,7 @@ impl<'n> Encoded<'n> {
             if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded)? };
         let miter = build_miter(&mut solver, &differs, &differs)?;
         let mirror = KeyMirror::new(&miter);
-        Ok((Encoded { netlist, kept, cone, miter, mirror }, solver))
+        Ok((Encoded { netlist, kept, cone, miter, mirror, textbook }, solver))
     }
 
     /// The netlist the miter and the per-DIP copies encode.
@@ -227,9 +232,9 @@ enum DipCopies<'n> {
 }
 
 impl<'n> DipCopies<'n> {
-    fn new(encoded: &'n Encoded<'_>, textbook: bool) -> Result<DipCopies<'n>, AttackError> {
+    fn new(encoded: &'n Encoded<'_>) -> Result<DipCopies<'n>, AttackError> {
         let (locked, miter) = (encoded.cone(), &encoded.miter);
-        Ok(if textbook {
+        Ok(if encoded.textbook {
             DipCopies::Full(locked, miter)
         } else {
             DipCopies::Folded(Box::new(DipConstraints::new(locked, miter, &encoded.mirror)?))
@@ -547,8 +552,10 @@ impl Run<'_> {
 ///
 /// # Errors
 ///
-/// - [`AttackError::Encode`] for structural failures (e.g. cyclic
-///   netlists).
+/// [`AttackError::Encode`] or [`AttackError::Netlist`] from the per-DIP
+/// encoders and the response check. Neither occurs for an `encoded` that
+/// [`Encoded::new`] accepted (it rejects cycles) and an oracle whose port
+/// counts match, which the session checks before any term runs.
 pub(crate) fn run_sat_attack(
     encoded: &Encoded<'_>,
     mut solver: Solver,
@@ -577,7 +584,7 @@ pub(crate) fn run_sat_attack(
         dip_patterns: Vec::new(),
     };
     let (status, key) = {
-        let mut copies = DipCopies::new(encoded, config.textbook)?;
+        let mut copies = DipCopies::new(encoded)?;
         let mut checked = Responses::new(encoded)?;
         match run.refine(&mut copies, &mut checked, miter, config, term)? {
             // The answers still buffered must hold before the run reports a

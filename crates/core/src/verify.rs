@@ -1,6 +1,6 @@
 //! Key verification: SAT-based checks of recovered keys.
 
-use polykey_encode::{build_miter, check_equivalence, EquivError, EquivResult};
+use polykey_encode::{build_miter, check_equivalence, EncodeError, EquivResult};
 use polykey_locking::Key;
 use polykey_netlist::{pin_keys, Netlist};
 use polykey_sat::{SolveResult, Solver};
@@ -68,7 +68,7 @@ pub fn verify_key_on_subspace(
         return Err(AttackError::InputOutOfRange { position, inputs });
     }
     if !original.key_inputs().is_empty() {
-        return Err(EquivError::HasKeyInputs { name: original.name().to_string() }.into());
+        return Err(EncodeError::HasKeyInputs { name: original.name().to_string() }.into());
     }
     let pinned = pin_keys(locked, key.bits())?;
     let mut solver = Solver::new();

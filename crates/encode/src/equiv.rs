@@ -3,7 +3,8 @@
 use polykey_netlist::Netlist;
 use polykey_sat::{SolveResult, Solver};
 
-use crate::miter::{build_miter, Miter, MiterError};
+use crate::miter::{build_miter, Miter};
+use crate::tseitin::EncodeError;
 
 /// The verdict of an equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,52 +26,15 @@ impl EquivResult {
     }
 }
 
-/// Errors raised by equivalence checking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EquivError {
-    /// Equivalence checking requires keyless circuits; pin keys first
-    /// (e.g. with `polykey_netlist::pin_keys`).
-    HasKeyInputs {
-        /// Name of the offending circuit.
-        name: String,
-    },
-    /// Miter construction failed.
-    Miter(MiterError),
-}
-
-impl std::fmt::Display for EquivError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EquivError::HasKeyInputs { name } => {
-                write!(f, "circuit `{name}` still has key inputs; pin them before checking")
-            }
-            EquivError::Miter(e) => write!(f, "miter error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for EquivError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EquivError::Miter(e) => Some(e),
-            EquivError::HasKeyInputs { .. } => None,
-        }
-    }
-}
-
-impl From<MiterError> for EquivError {
-    fn from(e: MiterError) -> EquivError {
-        EquivError::Miter(e)
-    }
-}
-
 /// Checks whether two keyless combinational circuits are functionally
 /// equivalent, via a miter and one SAT call.
 ///
 /// # Errors
 ///
-/// - [`EquivError::HasKeyInputs`] if either circuit still has key ports.
-/// - [`EquivError::Miter`] for interface mismatches.
+/// - [`EncodeError::HasKeyInputs`] if either circuit still has key ports.
+/// - [`EncodeError::InterfaceMismatch`] if their input or output counts
+///   differ.
+/// - [`EncodeError::Netlist`] for cyclic netlists.
 ///
 /// # Examples
 ///
@@ -96,10 +60,10 @@ impl From<MiterError> for EquivError {
 /// # Ok(())
 /// # }
 /// ```
-pub fn check_equivalence(left: &Netlist, right: &Netlist) -> Result<EquivResult, EquivError> {
+pub fn check_equivalence(left: &Netlist, right: &Netlist) -> Result<EquivResult, EncodeError> {
     for nl in [left, right] {
         if !nl.key_inputs().is_empty() {
-            return Err(EquivError::HasKeyInputs { name: nl.name().to_string() });
+            return Err(EncodeError::HasKeyInputs { name: nl.name().to_string() });
         }
     }
     let mut solver = Solver::new();
@@ -218,7 +182,7 @@ mod tests {
         let g = a.add_gate("g", GateKind::Xor, &[x, k]).unwrap();
         a.mark_output(g).unwrap();
         let err = check_equivalence(&a, &a.clone()).unwrap_err();
-        assert!(matches!(err, EquivError::HasKeyInputs { .. }));
+        assert!(matches!(err, EncodeError::HasKeyInputs { .. }));
         assert!(err.to_string().contains("keyed"));
     }
 

@@ -62,8 +62,8 @@ mod miter;
 mod tseitin;
 
 pub use dip::DipConstraints;
-pub use equiv::{check_equivalence, EquivError, EquivResult};
-pub use miter::{build_miter, KeyMirror, Miter, MiterError};
+pub use equiv::{check_equivalence, EquivResult};
+pub use miter::{build_miter, KeyMirror, Miter};
 pub use tseitin::{
     assert_equal, assert_value, encode, Binding, CnfValue, ConeEncoder, EncodeError,
     EncodedCircuit, PortBinding,

@@ -6,48 +6,6 @@ use polykey_sat::{Lit, Solver};
 
 use crate::tseitin::{encode_shared, flip_if, Binding, CnfValue, EncodeError, GateTable};
 
-/// Errors raised while building a miter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MiterError {
-    /// The two netlists have different interface arity.
-    InterfaceMismatch {
-        /// Description of the mismatching port class.
-        what: &'static str,
-        /// Arity on the left.
-        left: usize,
-        /// Arity on the right.
-        right: usize,
-    },
-    /// Encoding failed.
-    Encode(EncodeError),
-}
-
-impl std::fmt::Display for MiterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MiterError::InterfaceMismatch { what, left, right } => {
-                write!(f, "interface mismatch: {left} vs {right} {what}")
-            }
-            MiterError::Encode(e) => write!(f, "encode error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for MiterError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MiterError::Encode(e) => Some(e),
-            MiterError::InterfaceMismatch { .. } => None,
-        }
-    }
-}
-
-impl From<EncodeError> for MiterError {
-    fn from(e: EncodeError) -> MiterError {
-        MiterError::Encode(e)
-    }
-}
-
 /// A miter of two circuit copies sharing primary inputs.
 ///
 /// The `diff` literal is one-sided: asserting `diff` forces the two copies
@@ -86,22 +44,22 @@ pub struct Miter {
 ///
 /// # Errors
 ///
-/// Returns [`MiterError::InterfaceMismatch`] when input/output arities
-/// differ and [`MiterError::Encode`] for encoding failures.
+/// Returns [`EncodeError::InterfaceMismatch`] when input/output arities
+/// differ and [`EncodeError::Netlist`] for cyclic netlists.
 pub fn build_miter(
     solver: &mut Solver,
     left: &Netlist,
     right: &Netlist,
-) -> Result<Miter, MiterError> {
+) -> Result<Miter, EncodeError> {
     if left.inputs().len() != right.inputs().len() {
-        return Err(MiterError::InterfaceMismatch {
+        return Err(EncodeError::InterfaceMismatch {
             what: "primary inputs",
             left: left.inputs().len(),
             right: right.inputs().len(),
         });
     }
     if left.outputs().len() != right.outputs().len() {
-        return Err(MiterError::InterfaceMismatch {
+        return Err(EncodeError::InterfaceMismatch {
             what: "outputs",
             left: left.outputs().len(),
             right: right.outputs().len(),
@@ -282,7 +240,7 @@ mod tests {
         big.mark_output(y).unwrap();
         let mut solver = Solver::new();
         let err = build_miter(&mut solver, &and_circuit(), &big).unwrap_err();
-        assert!(matches!(err, MiterError::InterfaceMismatch { what: "primary inputs", .. }));
+        assert!(matches!(err, EncodeError::InterfaceMismatch { what: "primary inputs", .. }));
     }
 
     #[test]

@@ -284,6 +284,22 @@ pub enum EncodeError {
         /// Bindings supplied.
         got: usize,
     },
+    /// Two netlists that must share an interface (the sides of a miter)
+    /// have different arity.
+    InterfaceMismatch {
+        /// Description of the mismatching port class.
+        what: &'static str,
+        /// Arity on the left.
+        left: usize,
+        /// Arity on the right.
+        right: usize,
+    },
+    /// Equivalence checking requires keyless circuits; pin keys first
+    /// (e.g. with `polykey_netlist::pin_keys`).
+    HasKeyInputs {
+        /// Name of the offending circuit.
+        name: String,
+    },
     /// The netlist is structurally broken (e.g. cyclic).
     Netlist(NetlistError),
 }
@@ -294,6 +310,12 @@ impl std::fmt::Display for EncodeError {
             EncodeError::BindingWidth { which, expected, got } => {
                 write!(f, "binding for {which} has {got} entries, netlist has {expected}")
             }
+            EncodeError::InterfaceMismatch { what, left, right } => {
+                write!(f, "interface mismatch: {left} vs {right} {what}")
+            }
+            EncodeError::HasKeyInputs { name } => {
+                write!(f, "circuit `{name}` still has key inputs; pin them before checking")
+            }
             EncodeError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
     }
@@ -303,7 +325,9 @@ impl std::error::Error for EncodeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EncodeError::Netlist(e) => Some(e),
-            EncodeError::BindingWidth { .. } => None,
+            EncodeError::BindingWidth { .. }
+            | EncodeError::InterfaceMismatch { .. }
+            | EncodeError::HasKeyInputs { .. } => None,
         }
     }
 }

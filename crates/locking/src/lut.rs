@@ -6,9 +6,10 @@
 //! stage-2 LUT combines the stage-1 outputs with further taps. Each
 //! `w`-input LUT contributes `2^w` key bits, so the paper's "14-input
 //! 2-stage LUT" yields a key in the 140–160 bit range (the exact internal
-//! decomposition is not published; see `DESIGN.md` §3). Every LUT is built
-//! as a MUX tree over its key bits, which makes the per-iteration miter CNF
-//! large — the property that slows the baseline SAT attack in Table 2.
+//! decomposition is not published; [`LutLock::paper`] picks 144 bits).
+//! Every LUT is built as a MUX tree over its key bits, which makes the
+//! per-iteration miter CNF large — the property that slows the baseline
+//! SAT attack in Table 2.
 
 use rand::{Rng, RngExt};
 

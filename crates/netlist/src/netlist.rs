@@ -461,9 +461,9 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::Cycle`] if the netlist is cyclic (possible
-    /// only for netlists built by the parser, which allows forward
-    /// references).
+    /// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
+    /// `parse_bench` rejects cyclic input, but [`Netlist::replace_fanin`]
+    /// accepts a fanin from the gate's own fanout and so can close a loop.
     pub fn topological_order(&self) -> Result<&[NodeId], NetlistError> {
         self.topology().map(|t| t.order.as_slice())
     }

@@ -48,9 +48,10 @@
 //! # }
 //! ```
 //!
-//! See `README.md` for the quickstart and crate map, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured
-//! comparison of every table and figure.
+//! See `README.md` for the quickstart, the crate map and the `bench`
+//! scenario that regenerates each table and figure, and `ARCHITECTURE.md`
+//! for the design: the DIP-refinement data flow, the adaptive term tree
+//! and the benchmark harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
