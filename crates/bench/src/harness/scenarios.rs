@@ -21,8 +21,8 @@ use polykey_locking::{
 };
 use polykey_netlist::analysis::{key_reachable_outputs, levels};
 use polykey_netlist::{
-    bits_of, cofactor_simplify, keep_outputs, peel_key_free_layers, pin_keys, simplify,
-    GateKind, Netlist, NodeId, Simulator,
+    bits_of, keep_outputs, peel_key_free_layers, pin_keys, simplify, GateKind, Netlist, NodeId,
+    Simulator,
 };
 use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, SolverStats, Var};
 use rand::SeedableRng;
@@ -583,7 +583,7 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
 /// Picks `n` deep internal nets, spread across the circuit (the
 /// `defense_probe` comparator placement).
 fn deep_signals(nl: &Netlist, n: usize) -> Vec<NodeId> {
-    let lv = levels(nl).expect("acyclic");
+    let lv = levels(nl);
     let mut candidates: Vec<NodeId> = nl
         .node_ids()
         .filter(|&id| {
@@ -892,7 +892,7 @@ pub fn encode(ctx: &ScenarioCtx) -> ScenarioResult {
     for RosterEntry { circuit, scheme, locked, .. } in locked_roster(&circuits, seed) {
         let started = Instant::now();
         let mut solver = Solver::new();
-        build_miter(&mut solver, &locked.netlist, &locked.netlist).expect("acyclic");
+        build_miter(&mut solver, &locked.netlist, &locked.netlist).expect("one interface");
         let elapsed = started.elapsed();
         records.push(
             Record::new("encode")
@@ -1024,17 +1024,8 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
     }
     for circuit in [Iscas85::C880, Iscas85::C7552] {
         let nl = circuit.build();
-        let (time, gates) = fastest(|| simplify(&nl).expect("acyclic").1.gates_after);
+        let (time, gates) = fastest(|| simplify(&nl).1.gates_after);
         cell("simplify", circuit.name(), time, "gates_after", gates as u64);
-    }
-    {
-        // Algorithm 1's per-term netlist preparation (line 4), which the
-        // engine replaces by pinning each term's ports with unit clauses.
-        let nl = Iscas85::C7552.build();
-        let pins: Vec<(NodeId, bool)> = nl.inputs()[..4].iter().map(|&id| (id, true)).collect();
-        let (time, gates) =
-            fastest(|| cofactor_simplify(&nl, &pins).expect("valid").1.gates_after);
-        cell("cofactor_simplify", "c7552_n4", time, "gates_after", gates as u64);
     }
     {
         let nl = Iscas85::C880.build();
@@ -1078,10 +1069,10 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         // cached after the first run.
         let (time, clauses) = fastest(|| {
             let kept = key_reachable_outputs(netlist);
-            let cone = keep_outputs(netlist, &kept).expect("acyclic");
-            let differs = peel_key_free_layers(&cone).expect("acyclic");
+            let cone = keep_outputs(netlist, &kept).expect("distinct positions");
+            let differs = peel_key_free_layers(&cone);
             let mut solver = Solver::new();
-            build_miter(&mut solver, &differs, &differs).expect("acyclic");
+            build_miter(&mut solver, &differs, &differs).expect("one interface");
             solver.num_clauses() as u64
         });
         cell("cone_miter", "c7552_sarlock8", time, "cnf_clauses", clauses);
@@ -1098,10 +1089,9 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         let responses: Vec<Vec<bool>> = dips.iter().map(|dip| oracle.eval(dip, &[])).collect();
         let (time, clauses) = fastest(|| {
             let mut solver = Solver::new();
-            let miter = build_miter(&mut solver, netlist, netlist).expect("acyclic");
+            let miter = build_miter(&mut solver, netlist, netlist).expect("one interface");
             let mirror = KeyMirror::new(&miter);
-            let mut constraints =
-                DipConstraints::new(netlist, &miter, &mirror).expect("acyclic");
+            let mut constraints = DipConstraints::new(netlist, &miter, &mirror);
             for (dip, response) in dips.iter().zip(&responses) {
                 constraints.add_answered(&mut solver, dip, response).expect("widths match");
             }
@@ -1140,10 +1130,10 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         // outputs. Consecutive DIPs re-simulate a few gates, so this is
         // the per-DIP encoding and elimination the attack pays.
         let kept = key_reachable_outputs(netlist);
-        let cone = keep_outputs(netlist, &kept).expect("acyclic");
-        let differs = peel_key_free_layers(&cone).expect("acyclic");
+        let cone = keep_outputs(netlist, &kept).expect("distinct positions");
+        let differs = peel_key_free_layers(&cone);
         let mut session = Solver::new();
-        let miter = build_miter(&mut session, &differs, &differs).expect("acyclic");
+        let miter = build_miter(&mut session, &differs, &differs).expect("one interface");
         let mirror = KeyMirror::new(&miter);
         let responses: Vec<Vec<bool>> = recorded
             .iter()
@@ -1154,7 +1144,7 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
             .collect();
         let (time, clauses) = fastest(|| {
             let mut solver = session.clone();
-            let mut constraints = DipConstraints::new(&cone, &miter, &mirror).expect("acyclic");
+            let mut constraints = DipConstraints::new(&cone, &miter, &mirror);
             for (dip, response) in recorded.iter().zip(&responses) {
                 constraints.add_answered(&mut solver, dip, response).expect("widths match");
             }

@@ -116,10 +116,15 @@ pub fn generate_random(spec: &RandomCircuitSpec) -> Netlist {
     // Output selection: start from the sinks (nodes nothing reads) so that
     // no logic is dead, then merge surplus sinks pairwise, then top up from
     // the deepest remaining nodes.
-    let fanouts = nl.fanout_adjacency();
+    let mut read = vec![false; nl.num_nodes()];
+    for id in nl.node_ids() {
+        for f in nl.node(id).fanins() {
+            read[f.index()] = true;
+        }
+    }
     let mut sinks: Vec<NodeId> = nl
         .node_ids()
-        .filter(|id| fanouts[id.index()].is_empty() && !nl.node(*id).kind().is_input())
+        .filter(|id| !read[id.index()] && !nl.node(*id).kind().is_input())
         .collect();
     let mut merge_idx = 0usize;
     while sinks.len() > spec.outputs {

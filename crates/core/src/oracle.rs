@@ -106,9 +106,8 @@ impl<'a> SimOracle<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::Cycle`] for cyclic netlists, and
-    /// [`NetlistError::NotAnInput`] if the netlist has key inputs (an oracle
-    /// is an *unlocked* chip).
+    /// Returns [`NetlistError::NotAnInput`] if the netlist has key inputs
+    /// (an oracle is an *unlocked* chip).
     pub fn new(netlist: &'a Netlist) -> Result<SimOracle<'a>, NetlistError> {
         if !netlist.key_inputs().is_empty() {
             return Err(NetlistError::NotAnInput {

@@ -184,7 +184,7 @@ pub fn recombine_multikey(
         }
     }
 
-    let order = locked.topological_order()?;
+    let order = locked.topological_order();
     let mut out = Netlist::new(format!("{}_recombined", locked.name()));
     let mut map: Vec<Option<NodeId>> = vec![None; locked.num_nodes()];
 

@@ -166,10 +166,8 @@ impl<'n> Encoded<'n> {
     ///
     /// # Errors
     ///
-    /// A cyclic netlist ([`Netlist::replace_fanin`] can close a loop;
-    /// `parse_bench` rejects one): [`AttackError::Netlist`] when the folded
-    /// formulation cuts the cone, [`AttackError::Encode`] when the textbook
-    /// one encodes the whole netlist into the miter.
+    /// [`AttackError::Netlist`] from cutting the cone and
+    /// [`AttackError::Encode`] from building the miter.
     pub fn new(
         netlist: &'n Netlist,
         textbook: bool,
@@ -182,7 +180,7 @@ impl<'n> Encoded<'n> {
         let mut solver = Solver::new();
         let encoded = cone.as_ref().unwrap_or(netlist);
         let differs =
-            if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded)? };
+            if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded) };
         let miter = build_miter(&mut solver, &differs, &differs)?;
         let mirror = KeyMirror::new(&miter);
         Ok((Encoded { netlist, kept, cone, miter, mirror, textbook }, solver))
@@ -232,13 +230,13 @@ enum DipCopies<'n> {
 }
 
 impl<'n> DipCopies<'n> {
-    fn new(encoded: &'n Encoded<'_>) -> Result<DipCopies<'n>, AttackError> {
+    fn new(encoded: &'n Encoded<'_>) -> DipCopies<'n> {
         let (locked, miter) = (encoded.cone(), &encoded.miter);
-        Ok(if encoded.textbook {
+        if encoded.textbook {
             DipCopies::Full(locked, miter)
         } else {
-            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter, &encoded.mirror)?))
-        })
+            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter, &encoded.mirror)))
+        }
     }
 
     /// Requires both key copies to reproduce `response` at `dip`.
@@ -324,23 +322,24 @@ struct Responses<'n> {
 }
 
 impl<'n> Responses<'n> {
-    fn new(encoded: &'n Encoded<'_>) -> Result<Responses<'n>, AttackError> {
+    fn new(encoded: &'n Encoded<'_>) -> Responses<'n> {
         let netlist: &'n Netlist = encoded.netlist;
         let outputs = netlist.outputs().len();
         let dropped = if encoded.kept.len() == outputs {
             None
         } else {
             let dropped = (0..outputs).filter(|i| encoded.kept.binary_search(i).is_err());
-            Some((dropped.collect::<Vec<usize>>(), Simulator::new(netlist)?))
+            let sim = Simulator::new(netlist).expect("every netlist can be simulated");
+            Some((dropped.collect::<Vec<usize>>(), sim))
         };
         let answers = vec![0; dropped.as_ref().map_or(0, |(d, _)| d.len())];
-        Ok(Responses {
+        Responses {
             kept: &encoded.kept,
             dropped,
             inputs: vec![0; netlist.inputs().len()],
             answers,
             buffered: 0,
-        })
+        }
     }
 
     /// The response on the outputs the solver encodes.
@@ -552,10 +551,9 @@ impl Run<'_> {
 ///
 /// # Errors
 ///
-/// [`AttackError::Encode`] or [`AttackError::Netlist`] from the per-DIP
-/// encoders and the response check. Neither occurs for an `encoded` that
-/// [`Encoded::new`] accepted (it rejects cycles) and an oracle whose port
-/// counts match, which the session checks before any term runs.
+/// [`AttackError::Encode`] from the per-DIP encoders when the oracle's
+/// port counts do not match the netlist's, which the session checks
+/// before any term runs.
 pub(crate) fn run_sat_attack(
     encoded: &Encoded<'_>,
     mut solver: Solver,
@@ -584,8 +582,8 @@ pub(crate) fn run_sat_attack(
         dip_patterns: Vec::new(),
     };
     let (status, key) = {
-        let mut copies = DipCopies::new(encoded)?;
-        let mut checked = Responses::new(encoded)?;
+        let mut copies = DipCopies::new(encoded);
+        let mut checked = Responses::new(encoded);
         match run.refine(&mut copies, &mut checked, miter, config, term)? {
             // The answers still buffered must hold before the run reports a
             // key or hands its search on.
@@ -1052,7 +1050,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let locked = LutLock::small().with_seed(7).lock_random(&original, &mut rng).unwrap();
         let (encoded, solver) = start(&locked.netlist);
-        assert!(matches!(peel_key_free_layers(encoded.cone()).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(peel_key_free_layers(encoded.cone()), Cow::Borrowed(_)));
         let mut reference = Solver::new();
         let cone = encoded.cone();
         build_miter(&mut reference, cone, cone).unwrap();
@@ -1069,7 +1067,7 @@ mod tests {
         let original = polykey_circuits::Iscas85::C7552.build();
         let locked = Sarlock::new(8).lock(&original, &Key::from_u64(0xA5, 8)).unwrap().netlist;
         let (encoded, solver) = start(&locked);
-        let differs = peel_key_free_layers(encoded.cone()).unwrap();
+        let differs = peel_key_free_layers(encoded.cone());
         let keyed = polykey_netlist::analysis::key_controlled_mask(&differs);
         assert!(differs
             .node_ids()

@@ -69,7 +69,7 @@ pub fn select_split_inputs(
     }
     match strategy {
         SplitStrategy::FanoutCone => {
-            let mut ranked = key_cone_influence(locked)?;
+            let mut ranked = key_cone_influence(locked);
             // Sort by influence descending; ties broken by declaration
             // order (stable sort preserves it).
             ranked.sort_by_key(|&(_, influence)| std::cmp::Reverse(influence));

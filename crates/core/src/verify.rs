@@ -16,7 +16,7 @@ use crate::error::AttackError;
 ///
 /// # Errors
 ///
-/// Structural errors (interface mismatch, wrong key width, cycles).
+/// Structural errors (interface mismatch, wrong key width).
 ///
 /// # Examples
 ///
@@ -55,8 +55,8 @@ pub fn verify_key(
 ///
 /// - [`AttackError::InputOutOfRange`] if a forced position is not an input
 ///   position of both netlists.
-/// - Structural errors (wrong key width, interface mismatch, cycles, an
-///   `original` with key inputs).
+/// - Structural errors (wrong key width, interface mismatch, an `original`
+///   with key inputs).
 pub fn verify_key_on_subspace(
     original: &Netlist,
     locked: &Netlist,

@@ -41,23 +41,19 @@ impl<'n> DipConstraints<'n> {
     /// that keeps every input, such as
     /// [`peel_key_free_layers`](polykey_netlist::peel_key_free_layers).
     /// `mirror` is [`KeyMirror::new`] of `miter`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError::Netlist`] for cyclic netlists.
     pub fn new(
         netlist: &'n Netlist,
         miter: &'n Miter,
         mirror: &'n KeyMirror,
-    ) -> Result<DipConstraints<'n>, EncodeError> {
-        Ok(DipConstraints {
-            cone: ConeEncoder::over(netlist, Some(&miter.table))?,
+    ) -> DipConstraints<'n> {
+        DipConstraints {
+            cone: ConeEncoder::over(netlist, Some(&miter.table)),
             keys: &miter.keys_left,
             mirror,
             buffer: ElimBuffer::new(),
             kept: Vec::new(),
             mirrored: Vec::new(),
-        })
+        }
     }
 
     /// Requires both key copies to produce `response` at `pattern`.

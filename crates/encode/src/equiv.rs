@@ -34,7 +34,6 @@ impl EquivResult {
 /// - [`EncodeError::HasKeyInputs`] if either circuit still has key ports.
 /// - [`EncodeError::InterfaceMismatch`] if their input or output counts
 ///   differ.
-/// - [`EncodeError::Netlist`] for cyclic netlists.
 ///
 /// # Examples
 ///

@@ -45,7 +45,7 @@ pub struct Miter {
 /// # Errors
 ///
 /// Returns [`EncodeError::InterfaceMismatch`] when input/output arities
-/// differ and [`EncodeError::Netlist`] for cyclic netlists.
+/// differ.
 pub fn build_miter(
     solver: &mut Solver,
     left: &Netlist,

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use polykey_netlist::analysis::key_controlled_mask;
-use polykey_netlist::{GateKind, Netlist, NetlistError, NodeId, Simulator};
+use polykey_netlist::{GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::{ClauseSink, Lit, Var};
 
 /// A CNF-level value: either a literal or a known constant.
@@ -300,8 +300,6 @@ pub enum EncodeError {
         /// Name of the offending circuit.
         name: String,
     },
-    /// The netlist is structurally broken (e.g. cyclic).
-    Netlist(NetlistError),
 }
 
 impl std::fmt::Display for EncodeError {
@@ -316,27 +314,11 @@ impl std::fmt::Display for EncodeError {
             EncodeError::HasKeyInputs { name } => {
                 write!(f, "circuit `{name}` still has key inputs; pin them before checking")
             }
-            EncodeError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
     }
 }
 
-impl std::error::Error for EncodeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EncodeError::Netlist(e) => Some(e),
-            EncodeError::BindingWidth { .. }
-            | EncodeError::InterfaceMismatch { .. }
-            | EncodeError::HasKeyInputs { .. } => None,
-        }
-    }
-}
-
-impl From<NetlistError> for EncodeError {
-    fn from(e: NetlistError) -> EncodeError {
-        EncodeError::Netlist(e)
-    }
-}
+impl std::error::Error for EncodeError {}
 
 /// Encodes one copy of `netlist` into `sink` under the given port bindings.
 ///
@@ -349,8 +331,7 @@ impl From<NetlistError> for EncodeError {
 ///
 /// # Errors
 ///
-/// Returns [`EncodeError::BindingWidth`] on port-count mismatch and
-/// [`EncodeError::Netlist`] for cyclic netlists.
+/// Returns [`EncodeError::BindingWidth`] on port-count mismatch.
 pub fn encode<S: ClauseSink>(
     sink: &mut S,
     netlist: &Netlist,
@@ -382,7 +363,7 @@ pub(crate) fn encode_shared<S: ClauseSink>(
             got: binding.keys.len(),
         });
     }
-    let order = netlist.topological_order()?;
+    let order = netlist.topological_order();
     let mut values: Vec<Option<CnfValue>> = vec![None; netlist.num_nodes()];
 
     let bind_port = |sink: &mut S, b: PortBinding| -> CnfValue {
@@ -461,37 +442,30 @@ pub struct ConeEncoder<'n> {
 
 impl<'n> ConeEncoder<'n> {
     /// Prepares the cone of `netlist` for encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodeError::Netlist`] for cyclic netlists.
-    pub fn new(netlist: &'n Netlist) -> Result<ConeEncoder<'n>, EncodeError> {
+    pub fn new(netlist: &'n Netlist) -> ConeEncoder<'n> {
         ConeEncoder::over(netlist, None)
     }
 
     /// [`ConeEncoder::new`] whose copies also reuse the gates of `shared`,
     /// a table filled in the sink they are encoded into.
-    pub(crate) fn over(
-        netlist: &'n Netlist,
-        shared: Option<&'n GateTable>,
-    ) -> Result<ConeEncoder<'n>, EncodeError> {
+    pub(crate) fn over(netlist: &'n Netlist, shared: Option<&'n GateTable>) -> ConeEncoder<'n> {
         let in_cone = key_controlled_mask(netlist);
         let cone = netlist
-            .topological_order()?
+            .topological_order()
             .iter()
             .copied()
             .filter(|&id| in_cone[id.index()] && !netlist.node(id).kind().is_input())
             .collect();
-        Ok(ConeEncoder {
+        ConeEncoder {
             netlist,
             shared,
             cone,
-            sim: Simulator::new(netlist)?,
+            sim: Simulator::new(netlist).expect("every netlist can be simulated"),
             zero_keys: vec![false; netlist.key_inputs().len()],
             values: vec![CnfValue::Const(false); netlist.num_nodes()],
             fanins: Vec::new(),
             table: GateTable::default(),
-        })
+        }
     }
 
     /// Encodes one copy with inputs pinned to `pattern` and keys bound to

@@ -182,7 +182,7 @@ proptest! {
         let mut folded = CnfFormula::new();
         plain.new_vars(4);
         folded.new_vars(4);
-        let mut cone = ConeEncoder::new(&nl).expect("acyclic");
+        let mut cone = ConeEncoder::new(&nl);
         let mut copies = Vec::new();
         for &dip in &dips {
             let ibits = bits_of(dip, 4);
@@ -239,9 +239,9 @@ proptest! {
             (&twin.keys_left, &twin.keys_right, twin.diff)
         );
         let outputs = nl.outputs().len();
-        let mut cone = ConeEncoder::new(&nl).expect("acyclic");
+        let mut cone = ConeEncoder::new(&nl);
         let mirror = KeyMirror::new(&twin);
-        let mut constraints = DipConstraints::new(&nl, &twin, &mirror).expect("acyclic");
+        let mut constraints = DipConstraints::new(&nl, &twin, &mirror);
         let mut pending = Vec::new();
         for &(dip, response, is_pending) in &dips {
             let ibits = bits_of(dip, 4);

@@ -46,8 +46,8 @@ proptest! {
         for scheme in &schemes {
             let locked = scheme.lock_random(&original, &mut rng).expect("lockable");
             let kept = key_reachable_outputs(&locked.netlist);
-            let cone = keep_outputs(&locked.netlist, &kept).expect("acyclic");
-            let differs = peel_key_free_layers(&cone).expect("acyclic");
+            let cone = keep_outputs(&locked.netlist, &kept).expect("distinct positions");
+            let differs = peel_key_free_layers(&cone);
 
             // `plain` gets each DIP's two copies from two cone walks,
             // `mirrored` gets one walk, eliminated and added twice.
@@ -56,8 +56,8 @@ proptest! {
             let mut mirrored = Solver::new();
             let twin = build_miter(&mut mirrored, &differs, &differs).expect("miter");
             let mirror = KeyMirror::new(&twin);
-            let mut cone_walk = ConeEncoder::new(&cone).expect("acyclic");
-            let mut constraints = DipConstraints::new(&cone, &twin, &mirror).expect("acyclic");
+            let mut cone_walk = ConeEncoder::new(&cone);
+            let mut constraints = DipConstraints::new(&cone, &twin, &mirror);
             let mut pending = Vec::new();
             for &(bits, is_pending) in &dips {
                 let dip: Vec<bool> = (0..inputs).map(|i| bits >> i & 1 == 1).collect();

@@ -187,7 +187,7 @@ fn lock_lut_with(
     // realization — and it is what puts the LUT select lines among the
     // multi-key attack's candidate split ports. When a design has too few
     // inputs, fall back to the shallowest internal nets.
-    let node_levels = levels(netlist)?;
+    let node_levels = levels(netlist);
     let mut chosen: Option<(NodeId, Vec<NodeId>)> = None;
     for &target in &order {
         let cone = transitive_fanout(netlist, &[target]);

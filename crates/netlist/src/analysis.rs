@@ -7,49 +7,22 @@
 use std::collections::HashMap;
 
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, NetlistError, NodeId};
+use crate::netlist::{Netlist, NodeId};
 
 /// Computes the transitive-fanout membership mask of a seed set: entry `i`
 /// is true iff node `i` is one of the seeds or reachable from them through
 /// fanout edges.
 ///
 /// One forward pass over the cached topological order marks every node
-/// with a marked fanin; a cyclic netlist is walked through its fanout
-/// adjacency instead.
+/// with a marked fanin.
 pub fn transitive_fanout(netlist: &Netlist, seeds: &[NodeId]) -> Vec<bool> {
-    let Ok(order) = netlist.topological_order() else {
-        return fanout_walk(netlist, seeds);
-    };
     let mut mask = vec![false; netlist.num_nodes()];
     for &s in seeds {
         mask[s.index()] = true;
     }
-    for &id in order {
+    for &id in netlist.topological_order() {
         if !mask[id.index()] && netlist.node(id).fanins().iter().any(|f| mask[f.index()]) {
             mask[id.index()] = true;
-        }
-    }
-    mask
-}
-
-/// [`transitive_fanout`] by a depth-first walk of the fanout adjacency,
-/// which needs no topological order.
-fn fanout_walk(netlist: &Netlist, seeds: &[NodeId]) -> Vec<bool> {
-    let fanouts = netlist.fanout_adjacency();
-    let mut mask = vec![false; netlist.num_nodes()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &s in seeds {
-        if !mask[s.index()] {
-            mask[s.index()] = true;
-            stack.push(s);
-        }
-    }
-    while let Some(id) = stack.pop() {
-        for &out in &fanouts[id.index()] {
-            if !mask[out.index()] {
-                mask[out.index()] = true;
-                stack.push(out);
-            }
         }
     }
     mask
@@ -98,11 +71,7 @@ pub fn key_reachable_outputs(netlist: &Netlist) -> Vec<usize> {
 /// One forward pass in topological order gives every node the set of
 /// primary inputs that reach it (a bitset, 64 inputs per word); each
 /// key-controlled gate then counts once for every input in its set.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Cycle`] for cyclic netlists.
-pub fn key_cone_influence(netlist: &Netlist) -> Result<Vec<(NodeId, usize)>, NetlistError> {
+pub fn key_cone_influence(netlist: &Netlist) -> Vec<(NodeId, usize)> {
     let inputs = netlist.inputs();
     let words = inputs.len().div_ceil(64);
     let mut reach = vec![0u64; netlist.num_nodes() * words];
@@ -111,7 +80,7 @@ pub fn key_cone_influence(netlist: &Netlist) -> Result<Vec<(NodeId, usize)>, Net
     }
     let key_mask = key_controlled_mask(netlist);
     let mut counts = vec![0usize; inputs.len()];
-    for &id in netlist.topological_order()? {
+    for &id in netlist.topological_order() {
         let node = netlist.node(id);
         let at = id.index() * words;
         for fanin in node.fanins() {
@@ -131,36 +100,27 @@ pub fn key_cone_influence(netlist: &Netlist) -> Result<Vec<(NodeId, usize)>, Net
             }
         }
     }
-    Ok(inputs.iter().copied().zip(counts).collect())
+    inputs.iter().copied().zip(counts).collect()
 }
 
 /// Computes each node's logic level: inputs and constants at level 0, every
 /// gate one above its deepest fanin.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Cycle`] for cyclic netlists.
-pub fn levels(netlist: &Netlist) -> Result<Vec<u32>, NetlistError> {
-    let order = netlist.topological_order()?;
+pub fn levels(netlist: &Netlist) -> Vec<u32> {
     let mut level = vec![0u32; netlist.num_nodes()];
-    for &id in order {
+    for &id in netlist.topological_order() {
         let node = netlist.node(id);
         if !node.fanins().is_empty() {
             level[id.index()] =
                 1 + node.fanins().iter().map(|f| level[f.index()]).max().expect("non-empty");
         }
     }
-    Ok(level)
+    level
 }
 
 /// The combinational depth: the maximum level over all outputs.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Cycle`] for cyclic netlists.
-pub fn depth(netlist: &Netlist) -> Result<u32, NetlistError> {
-    let level = levels(netlist)?;
-    Ok(netlist.outputs().iter().map(|o| level[o.index()]).max().unwrap_or(0))
+pub fn depth(netlist: &Netlist) -> u32 {
+    let level = levels(netlist);
+    netlist.outputs().iter().map(|o| level[o.index()]).max().unwrap_or(0)
 }
 
 /// Summary statistics of a netlist.
@@ -182,11 +142,7 @@ pub struct NetlistStats {
 
 impl NetlistStats {
     /// Gathers statistics for a netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Cycle`] for cyclic netlists.
-    pub fn of(netlist: &Netlist) -> Result<NetlistStats, NetlistError> {
+    pub fn of(netlist: &Netlist) -> NetlistStats {
         let mut gates_by_kind: HashMap<&'static str, usize> = HashMap::new();
         for id in netlist.node_ids() {
             let kind = netlist.node(id).kind();
@@ -196,14 +152,14 @@ impl NetlistStats {
                 }
             }
         }
-        Ok(NetlistStats {
+        NetlistStats {
             inputs: netlist.inputs().len(),
             key_inputs: netlist.key_inputs().len(),
             outputs: netlist.outputs().len(),
             gates: netlist.num_gates(),
-            depth: depth(netlist)?,
+            depth: depth(netlist),
             gates_by_kind,
-        })
+        }
     }
 }
 
@@ -227,6 +183,7 @@ impl std::fmt::Display for NetlistStats {
 mod tests {
     use super::*;
     use crate::gate::GateKind;
+    use crate::netlist::{NetlistError, Node};
 
     /// a ──┐
     ///     AND ── NOT ── out
@@ -299,18 +256,11 @@ mod tests {
     #[test]
     fn influence_counts_key_controlled_gates() {
         let (nl, a, b, _k, _g, _y) = sample();
-        let influence = key_cone_influence(&nl).unwrap();
+        let influence = key_cone_influence(&nl);
         let by_id: HashMap<NodeId, usize> = influence.into_iter().collect();
         // Both a and b reach x and y (2 key-controlled gates each).
         assert_eq!(by_id[&a], 2);
         assert_eq!(by_id[&b], 2);
-    }
-
-    #[test]
-    fn influence_rejects_cycles() {
-        let (mut nl, _a, _b, _k, g, y) = sample();
-        nl.set_node(g, GateKind::Not, vec![y]);
-        assert!(matches!(key_cone_influence(&nl), Err(NetlistError::Cycle { .. })));
     }
 
     /// The per-input definition the one-pass ranking must match: a fresh
@@ -374,16 +324,55 @@ mod tests {
             // Up to ~100 primary inputs, so the bitsets span two words.
             let nl = random_netlist(&steps);
             proptest::prop_assert_eq!(
-                key_cone_influence(&nl).unwrap(),
+                key_cone_influence(&nl),
                 key_cone_influence_reference(&nl)
             );
         }
     }
 
+    /// Each node's distinct consumers, ascending: the fanout table the
+    /// reference walks read instead of the cached one.
+    fn fanout_adjacency(netlist: &Netlist) -> Vec<Vec<NodeId>> {
+        let mut fanouts = vec![Vec::new(); netlist.num_nodes()];
+        for id in netlist.node_ids() {
+            for f in netlist.node(id).fanins() {
+                fanouts[f.index()].push(id);
+            }
+        }
+        for list in &mut fanouts {
+            // Consumers arrive in id order, so repeats are adjacent.
+            list.dedup();
+        }
+        fanouts
+    }
+
+    /// [`transitive_fanout`] by a depth-first walk of the fanout table,
+    /// which needs no topological order.
+    fn fanout_walk(netlist: &Netlist, seeds: &[NodeId]) -> Vec<bool> {
+        let fanouts = fanout_adjacency(netlist);
+        let mut mask = vec![false; netlist.num_nodes()];
+        let mut stack: Vec<NodeId> = Vec::new();
+        for &s in seeds {
+            if !mask[s.index()] {
+                mask[s.index()] = true;
+                stack.push(s);
+            }
+        }
+        while let Some(id) = stack.pop() {
+            for &out in &fanouts[id.index()] {
+                if !mask[out.index()] {
+                    mask[out.index()] = true;
+                    stack.push(out);
+                }
+            }
+        }
+        mask
+    }
+
     /// The Kahn order the cached one replaced: a fresh `Vec<Vec<_>>` fanout
     /// table per call, consumers ascending and deduplicated, the ready
-    /// stack popped from the end.
-    fn topological_order_reference(netlist: &Netlist) -> Result<Vec<NodeId>, NetlistError> {
+    /// stack popped from the end. `None` if the netlist has a cycle.
+    fn topological_order_reference(netlist: &Netlist) -> Option<Vec<NodeId>> {
         let n = netlist.num_nodes();
         let mut indegree: Vec<u32> = netlist
             .node_ids()
@@ -394,7 +383,7 @@ mod tests {
                 fanins.len() as u32
             })
             .collect();
-        let fanouts = netlist.fanout_adjacency();
+        let fanouts = fanout_adjacency(netlist);
         let mut order = Vec::with_capacity(n);
         let mut ready: Vec<NodeId> =
             (0..n).filter(|&i| indegree[i] == 0).map(NodeId::from_index).collect();
@@ -407,12 +396,7 @@ mod tests {
                 }
             }
         }
-        match (0..n).find(|&i| indegree[i] > 0) {
-            Some(i) => Err(NetlistError::Cycle {
-                involving: netlist.node_name(NodeId::from_index(i)).to_string(),
-            }),
-            None => Ok(order),
-        }
+        (order.len() == n).then_some(order)
     }
 
     /// The cached order and the forward-pass fanout agree with the walks
@@ -422,7 +406,7 @@ mod tests {
         node: NodeId,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         proptest::prop_assert_eq!(
-            nl.topological_order().map(<[NodeId]>::to_vec),
+            Some(nl.topological_order().to_vec()),
             topological_order_reference(nl)
         );
         for seeds in [nl.key_inputs(), nl.inputs(), nl.outputs(), &[node]] {
@@ -435,20 +419,18 @@ mod tests {
     fn parsed_forward_references_and_set_node_refresh_the_order() {
         let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(m, b)\nm = NOT(n)\nn = OR(a, b)\n";
         let mut nl = crate::parse_bench(src.as_bytes(), "fwd").unwrap();
-        let (a, m, n) = (nl.find("a").unwrap(), nl.find("m").unwrap(), nl.find("n").unwrap());
-        assert_eq!(nl.topological_order().unwrap(), topological_order_reference(&nl).unwrap());
+        let (a, b, n) = (nl.find("a").unwrap(), nl.find("b").unwrap(), nl.find("n").unwrap());
+        assert_eq!(Some(nl.topological_order().to_vec()), topological_order_reference(&nl));
         assert_eq!(transitive_fanout(&nl, &[a]), fanout_walk(&nl, &[a]));
-        // Rewire n to read m: a cycle the cached order must not hide.
-        nl.set_node(n, GateKind::Or, vec![a, m]);
-        assert_eq!(
-            nl.topological_order().map(<[NodeId]>::to_vec),
-            topological_order_reference(&nl)
-        );
-        assert!(nl.topological_order().is_err());
-        assert_eq!(transitive_fanout(&nl, &[a]), fanout_walk(&nl, &[a]));
-        // And back to acyclic, in a different shape.
+        // Rewire n to read only a: the cached order must not go stale.
         nl.set_node(n, GateKind::Xor, vec![a, a]);
-        assert_eq!(nl.topological_order().unwrap(), topological_order_reference(&nl).unwrap());
+        assert_eq!(Some(nl.topological_order().to_vec()), topological_order_reference(&nl));
+        assert_eq!(transitive_fanout(&nl, &[b]), fanout_walk(&nl, &[b]));
+    }
+
+    /// Every node's kind and fanins, and the output list.
+    fn shape(nl: &Netlist) -> (Vec<Node>, Vec<NodeId>) {
+        (nl.node_ids().map(|id| nl.node(id).clone()).collect(), nl.outputs().to_vec())
     }
 
     proptest::proptest! {
@@ -469,19 +451,47 @@ mod tests {
             let pick = |nl: &Netlist, v: u16| NodeId::from_index(v as usize % nl.num_nodes());
             matches_reference_walks(&nl, pick(&nl, 0))?;
             for (n, &(insert, x, y, z)) in edits.iter().enumerate() {
-                // Either edit can close a cycle: an inserted gate whose extra
-                // fanin reads its target, or a fanin replaced by a consumer.
-                if insert {
+                // Either edit can close a loop: an inserted gate whose extra
+                // fanin reads its target, or a fanin replaced by the gate or
+                // one of its consumers. `unchecked` takes the edit unchecked.
+                let (before, mut unchecked) = (shape(&nl), nl.clone());
+                let result = if insert {
                     let (target, extra) = (pick(&nl, x), pick(&nl, y));
-                    nl.insert_after(target, format!("e{n}"), GateKind::Xor, &[extra]).unwrap();
+                    let name = format!("e{n}");
+                    let new =
+                        unchecked.add_gate(name.clone(), GateKind::Xor, &[target, extra]).unwrap();
+                    for i in 0..new.index() {
+                        let node = unchecked.node(NodeId::from_index(i)).clone();
+                        if node.fanins().contains(&target) {
+                            let fanins = node
+                                .fanins()
+                                .iter()
+                                .map(|&f| if f == target { new } else { f })
+                                .collect();
+                            unchecked.set_node(NodeId::from_index(i), node.kind(), fanins);
+                        }
+                    }
+                    nl.insert_after(target, name, GateKind::Xor, &[extra]).map(drop)
                 } else {
                     let gate = pick(&nl, x);
-                    let fanins = nl.node(gate).fanins();
-                    if fanins.is_empty() {
+                    let node = nl.node(gate);
+                    if node.fanins().is_empty() {
                         continue;
                     }
-                    let old = fanins[y as usize % fanins.len()];
-                    nl.replace_fanin(gate, old, pick(&nl, z)).unwrap();
+                    let (old, new) = (node.fanins()[y as usize % node.fanins().len()], pick(&nl, z));
+                    let fanins =
+                        node.fanins().iter().map(|&f| if f == old { new } else { f }).collect();
+                    unchecked.set_node(gate, node.kind(), fanins);
+                    nl.replace_fanin(gate, old, new)
+                };
+                let closes_loop = topological_order_reference(&unchecked).is_none();
+                match result {
+                    Ok(()) => proptest::prop_assert!(!closes_loop, "edit {n} closed a loop"),
+                    Err(e) => {
+                        proptest::prop_assert!(matches!(e, NetlistError::Cycle { .. }), "{e}");
+                        proptest::prop_assert!(closes_loop, "edit {n} refused: {e}");
+                        proptest::prop_assert_eq!(&shape(&nl), &before);
+                    }
                 }
                 matches_reference_walks(&nl, pick(&nl, z))?;
             }
@@ -491,17 +501,17 @@ mod tests {
     #[test]
     fn levels_and_depth() {
         let (nl, a, _b, _k, g, y) = sample();
-        let lv = levels(&nl).unwrap();
+        let lv = levels(&nl);
         assert_eq!(lv[a.index()], 0);
         assert_eq!(lv[g.index()], 1);
         assert_eq!(lv[y.index()], 3);
-        assert_eq!(depth(&nl).unwrap(), 3);
+        assert_eq!(depth(&nl), 3);
     }
 
     #[test]
     fn stats_summary() {
         let (nl, ..) = sample();
-        let stats = NetlistStats::of(&nl).unwrap();
+        let stats = NetlistStats::of(&nl);
         assert_eq!(stats.inputs, 2);
         assert_eq!(stats.key_inputs, 1);
         assert_eq!(stats.gates, 3);

@@ -260,8 +260,7 @@ fn parse_parenthesized(rest: &str) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors, and [`NetlistError::Cycle`] (as
-/// `io::ErrorKind::InvalidInput`) for cyclic netlists.
+/// Propagates I/O errors.
 pub fn write_bench<W: Write>(mut writer: W, netlist: &Netlist) -> io::Result<()> {
     writeln!(writer, "# {}", netlist.name())?;
     writeln!(
@@ -286,10 +285,7 @@ pub fn write_bench<W: Write>(mut writer: W, netlist: &Netlist) -> io::Result<()>
     for &o in netlist.outputs() {
         writeln!(writer, "OUTPUT({})", netlist.node_name(o))?;
     }
-    let order = netlist
-        .topological_order()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    for &id in order {
+    for &id in netlist.topological_order() {
         let node = netlist.node(id);
         let kind = node.kind();
         if kind.is_input() {

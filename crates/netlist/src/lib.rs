@@ -11,8 +11,8 @@
 //!   event-driven for one pattern after another;
 //! - structural analysis: fan-in/fan-out cones, key-controlled masks, logic
 //!   levels ([`analysis`]);
-//! - logic simplification, including Algorithm 1's per-term re-synthesis
-//!   step: [`cofactor`], [`simplify`] and [`cofactor_simplify`];
+//! - logic simplification: [`cofactor`] pins inputs to constants and
+//!   [`simplify`] sweeps the logic that leaves redundant;
 //! - cone cuts: [`keep_outputs`], down to the cone of chosen outputs (the
 //!   attack's cone of influence), and [`peel_key_free_layers`], down to the
 //!   logic that tells two keys apart (what the attack's miter encodes).
@@ -52,6 +52,5 @@ pub use gate::GateKind;
 pub use netlist::{Netlist, NetlistError, Node, NodeId};
 pub use sim::{bits_of, bits_to_u64, pack_patterns, unpack_patterns, Simulator};
 pub use transform::{
-    cofactor, cofactor_simplify, keep_outputs, peel_key_free_layers, pin_keys, simplify,
-    SimplifyStats,
+    cofactor, keep_outputs, peel_key_free_layers, pin_keys, simplify, SimplifyStats,
 };

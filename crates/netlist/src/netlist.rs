@@ -118,6 +118,13 @@ impl Error for NetlistError {}
 /// primary inputs, key inputs (added by locking schemes) and internal gates.
 /// Any node can be marked as a primary output.
 ///
+/// A netlist is acyclic by construction: a new gate reads only existing
+/// nodes, the two edits that rewire existing gates
+/// ([`insert_after`](Netlist::insert_after),
+/// [`replace_fanin`](Netlist::replace_fanin)) refuse to close a loop, and
+/// [`parse_bench`](crate::parse_bench) rejects cyclic files. So the
+/// topological order, and everything built on it, cannot fail.
+///
 /// Each name is stored once and shared by the netlists derived from this
 /// one ([`cofactor`](crate::cofactor), [`simplify`](crate::simplify),
 /// [`keep_outputs`](crate::keep_outputs), [`pin_keys`](crate::pin_keys)).
@@ -156,7 +163,7 @@ pub struct Netlist {
     primary_inputs: Vec<NodeId>,
     key_inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    order: OnceLock<Result<Topology, NetlistError>>,
+    order: OnceLock<Topology>,
 }
 
 /// A netlist's cached topological order, with the fan-out lists Kahn's
@@ -383,12 +390,14 @@ impl Netlist {
     /// `target` — including the output list — is redirected to the new gate.
     ///
     /// This is the primitive locking schemes use to splice key gates into a
-    /// wire. Inserting cannot create a cycle: the new gate only reads
-    /// existing nodes.
+    /// wire.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Netlist::add_gate`].
+    /// - [`NetlistError::Cycle`] if an extra fanin other than `target` reads
+    ///   `target`, directly or through other gates: once its consumers read
+    ///   the new gate, that would close a loop. The netlist is unchanged.
+    /// - Otherwise the same conditions as [`Netlist::add_gate`].
     pub fn insert_after(
         &mut self,
         target: NodeId,
@@ -396,8 +405,13 @@ impl Netlist {
         kind: GateKind,
         extra_fanins: &[NodeId],
     ) -> Result<NodeId, NetlistError> {
-        if target.index() >= self.nodes.len() {
-            return Err(NetlistError::InvalidNode(target.0));
+        for &id in std::iter::once(&target).chain(extra_fanins) {
+            if id.index() >= self.nodes.len() {
+                return Err(NetlistError::InvalidNode(id.0));
+            }
+        }
+        if extra_fanins.iter().any(|&e| e != target && self.reaches(e, target)) {
+            return Err(NetlistError::Cycle { involving: self.node_name(target).to_string() });
         }
         let mut fanins = Vec::with_capacity(1 + extra_fanins.len());
         fanins.push(target);
@@ -427,8 +441,10 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// [`NetlistError::InvalidNode`] if any id is out of range,
-    /// [`NetlistError::UnknownSignal`] if `old` is not a fanin of `gate`.
+    /// - [`NetlistError::InvalidNode`] if any id is out of range.
+    /// - [`NetlistError::UnknownSignal`] if `old` is not a fanin of `gate`.
+    /// - [`NetlistError::Cycle`] if `new` is `gate` or reads it, directly or
+    ///   through other gates. The netlist is unchanged.
     pub fn replace_fanin(
         &mut self,
         gate: NodeId,
@@ -440,47 +456,58 @@ impl Netlist {
                 return Err(NetlistError::InvalidNode(id.0));
             }
         }
-        let node = &mut self.nodes[gate.index()];
-        let mut found = false;
-        for f in &mut node.fanins {
+        if !self.nodes[gate.index()].fanins.contains(&old) {
+            return Err(NetlistError::UnknownSignal(self.node_name(old).to_string()));
+        }
+        if self.reaches(new, gate) {
+            return Err(NetlistError::Cycle { involving: self.node_name(gate).to_string() });
+        }
+        for f in &mut self.nodes[gate.index()].fanins {
             if *f == old {
                 *f = new;
-                found = true;
             }
         }
-        if found {
-            self.order.take();
-            Ok(())
-        } else {
-            Err(NetlistError::UnknownSignal(self.node_name(old).to_string()))
+        self.order.take();
+        Ok(())
+    }
+
+    /// Whether `from`'s fan-in cone, `from` included, contains `to`: a
+    /// walk over fanins that needs no topological order.
+    fn reaches(&self, from: NodeId, to: NodeId) -> bool {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = vec![from];
+        seen[from.index()] = true;
+        while let Some(id) = stack.pop() {
+            if id == to {
+                return true;
+            }
+            for &f in &self.nodes[id.index()].fanins {
+                if !seen[f.index()] {
+                    seen[f.index()] = true;
+                    stack.push(f);
+                }
+            }
         }
+        false
     }
 
     /// A topological order of all nodes (fanins before fanouts), computed
     /// on the first call and cached until a node or fanin changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
-    /// `parse_bench` rejects cyclic input, but [`Netlist::replace_fanin`]
-    /// accepts a fanin from the gate's own fanout and so can close a loop.
-    pub fn topological_order(&self) -> Result<&[NodeId], NetlistError> {
-        self.topology().map(|t| t.order.as_slice())
+    pub fn topological_order(&self) -> &[NodeId] {
+        &self.topology().order
     }
 
     /// The distinct consumers of every node, cached with the topological
     /// order: node `i`'s are `consumers[start[i]..start[i + 1]]`, in
     /// ascending id order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
-    pub(crate) fn fanouts(&self) -> Result<(&[u32], &[NodeId]), NetlistError> {
-        self.topology().map(|t| (t.start.as_slice(), t.consumers.as_slice()))
+    pub(crate) fn fanouts(&self) -> (&[u32], &[NodeId]) {
+        let t = self.topology();
+        (&t.start, &t.consumers)
     }
 
-    fn topology(&self) -> Result<&Topology, NetlistError> {
-        self.order.get_or_init(|| self.kahn_order()).as_ref().map_err(Clone::clone)
+    fn topology(&self) -> &Topology {
+        self.order
+            .get_or_init(|| self.kahn_order().expect("netlists are acyclic by construction"))
     }
 
     /// Kahn's algorithm over *distinct* fanin edges, so repeated fanins
@@ -542,27 +569,12 @@ impl Netlist {
         Ok(Topology { order, start, consumers })
     }
 
-    /// Builds the reverse adjacency: for each node, the list of nodes that
-    /// read it (with multiplicity collapsed per edge occurrence).
-    pub fn fanout_adjacency(&self) -> Vec<Vec<NodeId>> {
-        let mut fanouts = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for f in &node.fanins {
-                fanouts[f.index()].push(NodeId::from_index(i));
-            }
-        }
-        for list in &mut fanouts {
-            list.sort_unstable();
-            list.dedup();
-        }
-        fanouts
-    }
-
     /// Exhaustive structural validation: arity, id ranges, name table
     /// consistency, acyclicity, and output validity.
     ///
     /// The public construction API maintains these invariants; `validate` is
-    /// a safety net for parser-produced or hand-mutated netlists.
+    /// the check behind [`parse_bench`](crate::parse_bench), whose forward
+    /// references are the one way to build a cycle.
     ///
     /// # Errors
     ///
@@ -593,12 +605,15 @@ impl Netlist {
                 return Err(NetlistError::NotAnInput { name: self.node_name(pi).to_string() });
             }
         }
-        self.topological_order()?;
+        if self.order.get().is_none() {
+            let _ = self.order.set(self.kahn_order()?);
+        }
         Ok(())
     }
 
     /// Parser-internal: overwrite a node's definition (used to resolve
-    /// forward references). Callers must re-validate.
+    /// forward references). Callers must re-validate: this is the one edit
+    /// that can close a loop.
     pub(crate) fn set_node(&mut self, id: NodeId, kind: GateKind, fanins: Vec<NodeId>) {
         self.nodes[id.index()] = Node { kind, fanins };
         self.order.take();
@@ -751,7 +766,7 @@ mod tests {
     #[test]
     fn topological_order_respects_edges() {
         let nl = c17_like();
-        let order = nl.topological_order().unwrap();
+        let order = nl.topological_order();
         let mut pos = vec![0usize; nl.num_nodes()];
         for (i, id) in order.iter().enumerate() {
             pos[id.index()] = i;
@@ -763,16 +778,58 @@ mod tests {
         }
     }
 
+    /// Every node's kind and fanins, and the output list.
+    fn shape(nl: &Netlist) -> (Vec<Node>, Vec<NodeId>) {
+        (nl.nodes.clone(), nl.outputs.clone())
+    }
+
     #[test]
-    fn cycle_detected() {
-        // Build a cycle through the parser-internal hook.
+    fn insert_after_refuses_a_loop() {
+        // a -> g = NOT(a) -> h = NOT(g): a gate after g that reads h would
+        // make h read the new gate, which reads h.
         let mut nl = Netlist::new("t");
         let a = nl.add_input("a").unwrap();
         let g = nl.add_gate("g", GateKind::Not, &[a]).unwrap();
         let h = nl.add_gate("h", GateKind::Not, &[g]).unwrap();
-        nl.set_node(g, GateKind::Not, vec![h]);
-        assert!(matches!(nl.topological_order(), Err(NetlistError::Cycle { .. })));
-        assert!(nl.validate().is_err());
+        nl.mark_output(h).unwrap();
+        let before = shape(&nl);
+        assert_eq!(
+            nl.insert_after(g, "x", GateKind::Xor, &[h]),
+            Err(NetlistError::Cycle { involving: "g".into() })
+        );
+        assert_eq!(shape(&nl), before);
+        assert!(nl.find("x").is_none(), "a refused gate takes no name");
+        // Reading the target itself, or a node beside it, closes no loop.
+        let x = nl.insert_after(g, "x", GateKind::Xor, &[g]).unwrap();
+        assert_eq!(nl.node(x).fanins(), &[g, g]);
+        nl.insert_after(h, "y", GateKind::And, &[a, x]).unwrap();
+        assert!(nl.validate().is_ok());
+    }
+
+    #[test]
+    fn replace_fanin_refuses_a_loop() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a").unwrap();
+        let b = nl.add_input("b").unwrap();
+        let g = nl.add_gate("g", GateKind::And, &[a, b]).unwrap();
+        let h = nl.add_gate("h", GateKind::Not, &[g]).unwrap();
+        let y = nl.add_gate("y", GateKind::Or, &[h, b]).unwrap();
+        nl.mark_output(y).unwrap();
+        let before = shape(&nl);
+        // A self-loop, and a loop through a consumer two gates down.
+        for new in [g, y] {
+            assert_eq!(
+                nl.replace_fanin(g, a, new),
+                Err(NetlistError::Cycle { involving: "g".into() })
+            );
+            assert_eq!(shape(&nl), before);
+        }
+        // A node beside the gate is fine.
+        let c = nl.add_input("c").unwrap();
+        nl.replace_fanin(y, b, a).unwrap();
+        nl.replace_fanin(g, a, c).unwrap();
+        assert_eq!(nl.node(g).fanins(), &[c, b]);
+        assert!(nl.validate().is_ok());
     }
 
     #[test]

@@ -96,7 +96,7 @@ const FLIP_SHARE: usize = 8;
 
 impl Events {
     fn new(netlist: &Netlist) -> Events {
-        let level = levels(netlist).expect("a simulated netlist is acyclic");
+        let level = levels(netlist);
         let depth = level.iter().copied().max().unwrap_or(0) as usize;
         let gates = level.iter().filter(|&&l| l > 0).count();
         Events {
@@ -157,10 +157,10 @@ impl<'a> Simulator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::Cycle`] for cyclic netlists.
+    /// None: every netlist is acyclic, so every netlist can be simulated.
     pub fn new(netlist: &'a Netlist) -> Result<Simulator<'a>, NetlistError> {
-        let order = netlist.topological_order()?;
-        let (start, consumers) = netlist.fanouts()?;
+        let order = netlist.topological_order();
+        let (start, consumers) = netlist.fanouts();
         Ok(Simulator {
             netlist,
             order,

@@ -5,8 +5,7 @@
 //! it to the SAT attack. [`cofactor`] performs the pinning and
 //! [`simplify`] performs the redundancy removal: constant folding,
 //! double-negation and buffer collapsing, structural hashing (common
-//! subexpression merging) and dead-logic elimination. The combined
-//! [`cofactor_simplify`] is the `generate_conditional_netlist` step.
+//! subexpression merging) and dead-logic elimination.
 //! [`keep_outputs`] cuts a netlist down to the cone of chosen outputs, and
 //! [`peel_key_free_layers`] down to the logic that can tell two keys apart.
 //!
@@ -49,15 +48,15 @@ pub struct SimplifyStats {
 ///
 /// The pinned inputs stay in the input list (so the interface is unchanged)
 /// but no longer drive anything; their consumers read a constant node
-/// instead. Use [`simplify`] afterwards — or [`cofactor_simplify`] — to
-/// sweep the resulting dead logic.
+/// instead. Use [`simplify`] afterwards to sweep the resulting dead logic.
 ///
 /// # Errors
 ///
 /// - [`NetlistError::NotAnInput`] if a pinned node is not a primary input.
 /// - [`NetlistError::InvalidNode`] if a pinned id is out of range.
 /// - [`NetlistError::PinnedTwice`] if two pins name the same input.
-/// - [`NetlistError::Cycle`] if the netlist is cyclic.
+/// - [`NetlistError::DuplicateName`] if a gate already has the name a pin's
+///   constant node takes.
 pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, NetlistError> {
     let mut pinned = HashSet::with_capacity(pins.len());
     for &(id, _) in pins {
@@ -72,7 +71,7 @@ pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, N
         }
     }
     let name = format!("{}_cof", netlist.name());
-    let (mut out, mut map) = derive(netlist, name, netlist.num_nodes() + pins.len(), true)?;
+    let (mut out, mut map) = derive(netlist, name, netlist.num_nodes() + pins.len(), true);
     // Create one constant node per pinned input and redirect reads to it.
     for &(id, value) in pins {
         let name = fresh_name(&out, &format!("{}$pin", netlist.node_name(id)));
@@ -95,21 +94,16 @@ pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, N
 ///
 /// The interface (inputs, key inputs, outputs: count and order) is
 /// preserved. Output nodes keep their original names where possible.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
-pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistError> {
-    let order = netlist.topological_order()?;
+pub fn simplify(netlist: &Netlist) -> (Netlist, SimplifyStats) {
     let needed = transitive_fanin(netlist, netlist.outputs());
     let name = format!("{}_simp", netlist.name());
-    let (out, inputs) = derive(netlist, name, netlist.num_nodes(), true)?;
+    let (out, inputs) = derive(netlist, name, netlist.num_nodes(), true);
     let mut map: Vec<Option<Driver>> =
         inputs.into_iter().map(|m| m.map(Driver::Node)).collect();
     let mut rb = Rebuilder { out, strash: HashMap::with_capacity(netlist.num_nodes()) };
 
     let mut fanins: Vec<Driver> = Vec::new();
-    for &id in order {
+    for &id in netlist.topological_order() {
         let node = netlist.node(id);
         if node.kind().is_input() {
             continue;
@@ -119,7 +113,7 @@ pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistEr
         }
         fanins.clear();
         fanins.extend(node.fanins().iter().map(|f| map[f.index()].expect("topo order")));
-        let driver = rb.build(node.kind(), &fanins, netlist.shared_name(id))?;
+        let driver = rb.build(node.kind(), &fanins, netlist.shared_name(id));
         map[id.index()] = Some(driver);
     }
 
@@ -128,33 +122,28 @@ pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistEr
         let name = netlist.shared_name(o);
         let driver = map[o.index()].expect("output cone was rebuilt");
         let node = match driver {
-            Driver::Const(v) => {
-                rb.out.push_node(fresh_or(&rb.out, name), GateKind::Const(v), Vec::new())?
+            Driver::Const(v) => push_fresh(&mut rb.out, name, GateKind::Const(v), Vec::new()),
+            // Two outputs collapsed onto one node: keep both ports by
+            // inserting an explicit buffer for the second.
+            Driver::Node(n) if rb.out.outputs().contains(&n) => {
+                push_fresh(&mut rb.out, name, GateKind::Buf, vec![n])
             }
-            Driver::Node(n) => {
-                if rb.out.outputs().contains(&n) {
-                    // Two outputs collapsed onto one node: keep both ports by
-                    // inserting an explicit buffer for the second.
-                    rb.out.push_node(fresh_or(&rb.out, name), GateKind::Buf, vec![n])?
-                } else {
-                    n
-                }
-            }
+            Driver::Node(n) => n,
         };
-        rb.out.mark_output(node)?;
+        rb.out.mark_output(node).expect("each output node is new or unmarked");
     }
 
     // Folding can strand nodes that were live in the *input* cone (e.g. the
     // Not in And(a, ¬a) → 0); sweep them with a final dead-logic prune.
     let all: Vec<usize> = (0..rb.out.outputs().len()).collect();
-    let pruned = keep_outputs(&rb.out, &all)?;
+    let pruned = keep_outputs(&rb.out, &all).expect("the positions are distinct");
     let stats = SimplifyStats {
         nodes_before: netlist.num_nodes(),
         nodes_after: pruned.num_nodes(),
         gates_before: netlist.num_gates(),
         gates_after: pruned.num_gates(),
     };
-    Ok((pruned, stats))
+    (pruned, stats)
 }
 
 /// Rebuilds a netlist with only the outputs at `positions`, in that order,
@@ -166,8 +155,7 @@ pub fn simplify(netlist: &Netlist) -> Result<(Netlist, SimplifyStats), NetlistEr
 ///
 /// # Errors
 ///
-/// - [`NetlistError::DuplicateName`] if a position repeats.
-/// - [`NetlistError::Cycle`] if the netlist is cyclic.
+/// Returns [`NetlistError::DuplicateName`] if a position repeats.
 ///
 /// # Panics
 ///
@@ -192,13 +180,7 @@ pub fn keep_outputs(netlist: &Netlist, positions: &[usize]) -> Result<Netlist, N
 /// outputs they peel from, and their fan-in, in the original topological
 /// order; every primary and key input stays, in declaration order, as in
 /// [`keep_outputs`]. When no output peels, `netlist` itself is returned.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Cycle`] if the netlist is cyclic.
-pub fn peel_key_free_layers(netlist: &Netlist) -> Result<Cow<'_, Netlist>, NetlistError> {
-    // A cycle of BUF, NOT or XOR gates would never end the walk.
-    netlist.topological_order()?;
+pub fn peel_key_free_layers(netlist: &Netlist) -> Cow<'_, Netlist> {
     let key_mask = key_controlled_mask(netlist);
     let root = |output: NodeId| {
         let (mut id, mut crossed_parity) = (output, false);
@@ -235,9 +217,9 @@ pub fn peel_key_free_layers(netlist: &Netlist) -> Result<Cow<'_, Netlist>, Netli
         }
     }
     if roots == netlist.outputs() {
-        return Ok(Cow::Borrowed(netlist));
+        return Cow::Borrowed(netlist);
     }
-    keep_nodes(netlist, &roots).map(Cow::Owned)
+    Cow::Owned(keep_nodes(netlist, &roots).expect("the roots are distinct"))
 }
 
 /// Rebuilds `netlist` with the distinct `nodes` as its outputs, in that
@@ -248,7 +230,7 @@ fn keep_nodes(netlist: &Netlist, nodes: &[NodeId]) -> Result<Netlist, NetlistErr
     let capacity = netlist.inputs().len()
         + netlist.key_inputs().len()
         + needed.iter().filter(|&&n| n).count();
-    let (mut out, mut map) = derive(netlist, netlist.name().to_string(), capacity, true)?;
+    let (mut out, mut map) = derive(netlist, netlist.name().to_string(), capacity, true);
     copy_gates(netlist, &mut out, &mut map, |id| needed[id.index()])?;
     for o in nodes {
         out.mark_output(map[o.index()].expect("outputs are needed"))?;
@@ -267,7 +249,8 @@ fn keep_nodes(netlist: &Netlist, nodes: &[NodeId]) -> Result<Netlist, NetlistErr
 /// # Errors
 ///
 /// - [`NetlistError::BadArity`] if `values` does not match the key count.
-/// - [`NetlistError::Cycle`] if the netlist is cyclic.
+/// - [`NetlistError::DuplicateName`] if a gate already has the name a key's
+///   constant node takes.
 pub fn pin_keys(netlist: &Netlist, values: &[bool]) -> Result<Netlist, NetlistError> {
     if values.len() != netlist.key_inputs().len() {
         return Err(NetlistError::BadArity {
@@ -278,7 +261,7 @@ pub fn pin_keys(netlist: &Netlist, values: &[bool]) -> Result<Netlist, NetlistEr
         });
     }
     let name = format!("{}_keyed", netlist.name());
-    let (mut out, mut map) = derive(netlist, name, netlist.num_nodes(), false)?;
+    let (mut out, mut map) = derive(netlist, name, netlist.num_nodes(), false);
     for (i, &ki) in netlist.key_inputs().iter().enumerate() {
         let name = fresh_or(&out, &format!("{}$pin", netlist.node_name(ki)).into());
         map[ki.index()] = Some(out.push_node(name, GateKind::Const(values[i]), Vec::new())?);
@@ -290,20 +273,6 @@ pub fn pin_keys(netlist: &Netlist, values: &[bool]) -> Result<Netlist, NetlistEr
     Ok(out)
 }
 
-/// [`cofactor`] followed by [`simplify`]: the paper's
-/// `generate_conditional_netlist` (Algorithm 1, line 4).
-///
-/// # Errors
-///
-/// As for [`cofactor`] and [`simplify`].
-pub fn cofactor_simplify(
-    netlist: &Netlist,
-    pins: &[(NodeId, bool)],
-) -> Result<(Netlist, SimplifyStats), NetlistError> {
-    let pinned = cofactor(netlist, pins)?;
-    simplify(&pinned)
-}
-
 /// Starts a netlist derived from `netlist`, with room for `nodes` nodes:
 /// its primary inputs, then (if `keys`) its key inputs, sharing their
 /// names. Returns it with the map from old node ids to new ones, filled
@@ -313,16 +282,16 @@ fn derive(
     name: String,
     nodes: usize,
     keys: bool,
-) -> Result<(Netlist, Vec<Option<NodeId>>), NetlistError> {
+) -> (Netlist, Vec<Option<NodeId>>) {
     let mut out = Netlist::with_capacity(name, nodes);
     let mut map: Vec<Option<NodeId>> = vec![None; netlist.num_nodes()];
     let key_inputs = if keys { netlist.key_inputs() } else { &[] };
     for &pi in netlist.inputs().iter().chain(key_inputs) {
         let kind = netlist.node(pi).kind();
-        map[pi.index()] =
-            Some(out.push_node(Arc::clone(netlist.shared_name(pi)), kind, Vec::new())?);
+        let name = Arc::clone(netlist.shared_name(pi));
+        map[pi.index()] = Some(out.push_node(name, kind, Vec::new()).expect("unique names"));
     }
-    Ok((out, map))
+    (out, map)
 }
 
 /// Copies every gate and constant of `netlist` that `keep` accepts into
@@ -334,7 +303,7 @@ fn copy_gates(
     map: &mut [Option<NodeId>],
     keep: impl Fn(NodeId) -> bool,
 ) -> Result<(), NetlistError> {
-    for &id in netlist.topological_order()? {
+    for &id in netlist.topological_order() {
         let node = netlist.node(id);
         if node.kind().is_input() || !keep(id) {
             continue;
@@ -353,6 +322,17 @@ fn fresh_or(nl: &Netlist, base: &Arc<str>) -> Arc<str> {
         return Arc::clone(base);
     }
     fresh_name(nl, base).into()
+}
+
+/// Adds a node to `nl` named `name_hint`, or a fresh variant of it.
+fn push_fresh(
+    nl: &mut Netlist,
+    name_hint: &Arc<str>,
+    kind: GateKind,
+    fanins: Vec<NodeId>,
+) -> NodeId {
+    let name = fresh_or(nl, name_hint);
+    nl.push_node(name, kind, fanins).expect("a fresh name and a rebuilt gate's arity")
 }
 
 /// Returns a name derived from `base` that is unused in `nl`.
@@ -391,29 +371,28 @@ impl Rebuilder {
         kind: GateKind,
         mut fanins: Vec<NodeId>,
         name_hint: &Arc<str>,
-    ) -> Result<Driver, NetlistError> {
+    ) -> Driver {
         if kind.is_symmetric() {
             fanins.sort_unstable();
         }
         match self.strash.entry((kind, fanins)) {
-            Entry::Occupied(existing) => Ok(Driver::Node(*existing.get())),
+            Entry::Occupied(existing) => Driver::Node(*existing.get()),
             Entry::Vacant(slot) => {
-                let name = fresh_or(&self.out, name_hint);
-                let id = self.out.push_node(name, kind, slot.key().1.clone())?;
+                let id = push_fresh(&mut self.out, name_hint, kind, slot.key().1.clone());
                 slot.insert(id);
-                Ok(Driver::Node(id))
+                Driver::Node(id)
             }
         }
     }
 
     /// Builds `Not(d)` with folding (`Not(Const)`, `Not(Not(x))`).
-    fn make_not(&mut self, d: Driver, name_hint: &Arc<str>) -> Result<Driver, NetlistError> {
+    fn make_not(&mut self, d: Driver, name_hint: &Arc<str>) -> Driver {
         match d {
-            Driver::Const(v) => Ok(Driver::Const(!v)),
+            Driver::Const(v) => Driver::Const(!v),
             Driver::Node(x) => {
                 let n = self.out.node(x);
                 if n.kind() == GateKind::Not {
-                    Ok(Driver::Node(n.fanins()[0]))
+                    Driver::Node(n.fanins()[0])
                 } else {
                     self.emit(GateKind::Not, vec![x], name_hint)
                 }
@@ -422,16 +401,11 @@ impl Rebuilder {
     }
 
     /// Folds and emits one gate of the old netlist.
-    fn build(
-        &mut self,
-        kind: GateKind,
-        fanins: &[Driver],
-        name: &Arc<str>,
-    ) -> Result<Driver, NetlistError> {
+    fn build(&mut self, kind: GateKind, fanins: &[Driver], name: &Arc<str>) -> Driver {
         match kind {
             GateKind::Input | GateKind::KeyInput => unreachable!("inputs handled by caller"),
-            GateKind::Const(v) => Ok(Driver::Const(v)),
-            GateKind::Buf => Ok(fanins[0]),
+            GateKind::Const(v) => Driver::Const(v),
+            GateKind::Buf => fanins[0],
             GateKind::Not => self.make_not(fanins[0], name),
             GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
                 self.build_and_or(kind, fanins, name)
@@ -441,12 +415,7 @@ impl Rebuilder {
         }
     }
 
-    fn build_and_or(
-        &mut self,
-        kind: GateKind,
-        fanins: &[Driver],
-        name: &Arc<str>,
-    ) -> Result<Driver, NetlistError> {
+    fn build_and_or(&mut self, kind: GateKind, fanins: &[Driver], name: &Arc<str>) -> Driver {
         let (is_and, inverting) = match kind {
             GateKind::And => (true, false),
             GateKind::Nand => (true, true),
@@ -462,7 +431,7 @@ impl Rebuilder {
             match d {
                 Driver::Const(v) => {
                     if v == dominant {
-                        return Ok(Driver::Const(dominant ^ inverting));
+                        return Driver::Const(dominant ^ inverting);
                     }
                     // neutral constant: drop
                 }
@@ -475,17 +444,17 @@ impl Rebuilder {
         for i in 0..nodes.len() {
             for j in (i + 1)..nodes.len() {
                 if self.complementary(nodes[i], nodes[j]) {
-                    return Ok(Driver::Const(dominant ^ inverting));
+                    return Driver::Const(dominant ^ inverting);
                 }
             }
         }
         match nodes.len() {
-            0 => Ok(Driver::Const(!dominant ^ inverting)),
+            0 => Driver::Const(!dominant ^ inverting),
             1 => {
                 if inverting {
                     self.make_not(Driver::Node(nodes[0]), name)
                 } else {
-                    Ok(Driver::Node(nodes[0]))
+                    Driver::Node(nodes[0])
                 }
             }
             _ => {
@@ -500,12 +469,7 @@ impl Rebuilder {
         }
     }
 
-    fn build_parity(
-        &mut self,
-        kind: GateKind,
-        fanins: &[Driver],
-        name: &Arc<str>,
-    ) -> Result<Driver, NetlistError> {
+    fn build_parity(&mut self, kind: GateKind, fanins: &[Driver], name: &Arc<str>) -> Driver {
         let mut invert = kind == GateKind::Xnor;
         let mut nodes: Vec<NodeId> = Vec::with_capacity(fanins.len());
         for &d in fanins {
@@ -544,12 +508,12 @@ impl Rebuilder {
             break;
         }
         match nodes.len() {
-            0 => Ok(Driver::Const(invert)),
+            0 => Driver::Const(invert),
             1 => {
                 if invert {
                     self.make_not(Driver::Node(nodes[0]), name)
                 } else {
-                    Ok(Driver::Node(nodes[0]))
+                    Driver::Node(nodes[0])
                 }
             }
             _ => {
@@ -559,24 +523,26 @@ impl Rebuilder {
         }
     }
 
-    fn build_mux(
-        &mut self,
-        fanins: &[Driver],
-        name: &Arc<str>,
-    ) -> Result<Driver, NetlistError> {
+    fn build_mux(&mut self, fanins: &[Driver], name: &Arc<str>) -> Driver {
         let (s, d0, d1) = (fanins[0], fanins[1], fanins[2]);
         match s {
-            Driver::Const(b) => Ok(if b { d1 } else { d0 }),
+            Driver::Const(b) => {
+                if b {
+                    d1
+                } else {
+                    d0
+                }
+            }
             Driver::Node(sn) => {
                 if d0 == d1 {
-                    return Ok(d0);
+                    return d0;
                 }
                 match (d0, d1) {
                     (Driver::Const(a), Driver::Const(b)) => {
                         debug_assert_ne!(a, b, "equal consts handled above");
                         if b {
                             // Mux(s, 0, 1) = s
-                            return Ok(s);
+                            return s;
                         }
                         // Mux(s, 1, 0) = ¬s
                         self.make_not(s, name)
@@ -591,7 +557,7 @@ impl Rebuilder {
                     }
                     (Driver::Const(true), Driver::Node(y)) => {
                         // Mux(s, 1, y) = ¬s ∨ y
-                        let ns = self.make_not(s, name)?;
+                        let ns = self.make_not(s, name);
                         self.build_and_or(GateKind::Or, &[ns, Driver::Node(y)], name)
                     }
                     (Driver::Node(x), Driver::Const(true)) => {
@@ -604,7 +570,7 @@ impl Rebuilder {
                     }
                     (Driver::Node(x), Driver::Const(false)) => {
                         // Mux(s, x, 0) = ¬s ∧ x
-                        let ns = self.make_not(s, name)?;
+                        let ns = self.make_not(s, name);
                         self.build_and_or(GateKind::And, &[ns, Driver::Node(x)], name)
                     }
                     (Driver::Node(x), Driver::Node(y)) => {
@@ -684,7 +650,7 @@ mod tests {
     #[test]
     fn simplify_preserves_function() {
         let nl = example();
-        let (simp, stats) = simplify(&nl).unwrap();
+        let (simp, stats) = simplify(&nl);
         assert_equivalent(&nl, &simp);
         assert!(stats.gates_after < stats.gates_before);
         // NotNot collapsed, g1/g2 merged, g3 aliased, dead gate gone:
@@ -696,8 +662,8 @@ mod tests {
     #[test]
     fn simplify_is_idempotent_in_size() {
         let nl = example();
-        let (s1, _) = simplify(&nl).unwrap();
-        let (s2, _) = simplify(&s1).unwrap();
+        let (s1, _) = simplify(&nl);
+        let (s2, _) = simplify(&s1);
         assert_eq!(s1.num_nodes(), s2.num_nodes());
         assert_equivalent(&s1, &s2);
     }
@@ -737,7 +703,6 @@ mod tests {
             let err = cofactor(&nl, &pins).unwrap_err();
             assert_eq!(err, NetlistError::PinnedTwice { name: "a".into() });
             assert_eq!(err.to_string(), "input `a` is pinned twice");
-            assert_eq!(cofactor_simplify(&nl, &pins).unwrap_err(), err);
         }
     }
 
@@ -746,7 +711,7 @@ mod tests {
         let nl = example();
         let a = nl.find("a").unwrap();
         // a = 0 kills both And gates; the output degenerates to c.
-        let (cs, stats) = cofactor_simplify(&nl, &[(a, false)]).unwrap();
+        let (cs, stats) = simplify(&cofactor(&nl, &[(a, false)]).unwrap());
         assert_eq!(cs.num_gates(), 0, "xor with constant-0 side folds to buffer/alias");
         assert_eq!((stats.gates_before, stats.gates_after), (nl.num_gates(), 0));
         let mut sim = Simulator::new(&cs).unwrap();
@@ -764,7 +729,7 @@ mod tests {
         let na = nl.add_gate("na", GateKind::Not, &[a]).unwrap();
         let g = nl.add_gate("g", GateKind::And, &[a, na]).unwrap();
         nl.mark_output(g).unwrap();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         assert_eq!(s.num_gates(), 0);
         let mut sim = Simulator::new(&s).unwrap();
         assert_eq!(sim.eval(&[true], &[]), vec![false]);
@@ -779,7 +744,7 @@ mod tests {
         // a ⊕ b ⊕ a = b
         let g = nl.add_gate("g", GateKind::Xor, &[a, b, a]).unwrap();
         nl.mark_output(g).unwrap();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         assert_eq!(s.num_gates(), 0);
         assert_equivalent(&nl, &s);
     }
@@ -793,7 +758,7 @@ mod tests {
         // Xnor(a, ¬a, b) = ¬(a ⊕ ¬a ⊕ b) = ¬(1 ⊕ b) = b
         let g = nl.add_gate("g", GateKind::Xnor, &[a, na, b]).unwrap();
         nl.mark_output(g).unwrap();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         assert_equivalent(&nl, &s);
         assert_eq!(s.num_gates(), 0);
     }
@@ -807,7 +772,7 @@ mod tests {
         let one = nl.add_const("one", true).unwrap();
         let m = nl.add_gate("m", GateKind::Mux, &[one, a, b]).unwrap();
         nl.mark_output(m).unwrap();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         assert_eq!(s.num_gates(), 0);
         let mut sim = Simulator::new(&s).unwrap();
         assert_eq!(sim.eval(&[false, true], &[]), vec![true], "selects b");
@@ -821,7 +786,7 @@ mod tests {
         let nx = nl.add_gate("nx", GateKind::Not, &[x]).unwrap();
         let m = nl.add_gate("m", GateKind::Mux, &[s, x, nx]).unwrap();
         nl.mark_output(m).unwrap();
-        let (simp, _) = simplify(&nl).unwrap();
+        let (simp, _) = simplify(&nl);
         assert_equivalent(&nl, &simp);
         assert_eq!(simp.num_gates(), 1, "one Xor gate");
     }
@@ -835,7 +800,7 @@ mod tests {
         let g2 = nl.add_gate("g2", GateKind::And, &[b, a]).unwrap(); // merges with g1
         nl.mark_output(g1).unwrap();
         nl.mark_output(g2).unwrap();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         assert_eq!(s.outputs().len(), 2);
         assert_equivalent(&nl, &s);
     }
@@ -847,7 +812,7 @@ mod tests {
         let na = nl.add_gate("na", GateKind::Not, &[a]).unwrap();
         let g = nl.add_gate("g", GateKind::Or, &[a, na]).unwrap();
         nl.mark_output(g).unwrap();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         assert_eq!(s.outputs().len(), 1);
         let mut sim = Simulator::new(&s).unwrap();
         assert_eq!(sim.eval(&[false], &[]), vec![true]);
@@ -856,7 +821,7 @@ mod tests {
     #[test]
     fn interface_order_is_preserved() {
         let nl = example();
-        let (s, _) = simplify(&nl).unwrap();
+        let (s, _) = simplify(&nl);
         for (x, y) in nl.inputs().iter().zip(s.inputs()) {
             assert_eq!(nl.node_name(*x), s.node_name(*y));
         }
@@ -905,7 +870,7 @@ mod pin_keys_tests {
         let x = nl.add_gate("x", GateKind::Xor, &[a, k]).unwrap();
         nl.mark_output(x).unwrap();
         let keyed = pin_keys(&nl, &[false]).unwrap();
-        let (simp, _) = simplify(&keyed).unwrap();
+        let (simp, _) = simplify(&keyed);
         // Xor with constant 0 folds to a plain wire.
         assert_eq!(simp.num_gates(), 0);
     }
@@ -930,7 +895,7 @@ mod peel_tests {
     #[test]
     fn each_output_peels_to_its_first_node_past_the_key_free_layers() {
         let nl = chains();
-        let peeled = peel_key_free_layers(&nl).unwrap();
+        let peeled = peel_key_free_layers(&nl);
         assert!(matches!(peeled, Cow::Owned(_)));
         assert_eq!(names(&peeled, peeled.outputs()), ["f", "h", "k0", "y4", "y5"]);
         // Every input stays, in declaration order; the key-free `g` and the
@@ -948,7 +913,7 @@ mod peel_tests {
         // Exhaustive: at every input, two keys disagree on some output of
         // the netlist exactly when they disagree on some peeled output.
         let nl = chains();
-        let peeled = peel_key_free_layers(&nl).unwrap();
+        let peeled = peel_key_free_layers(&nl);
         let (mut full, mut cut) =
             (Simulator::new(&nl).unwrap(), Simulator::new(&peeled).unwrap());
         for x in 0..8 {
@@ -965,20 +930,12 @@ mod peel_tests {
     fn a_netlist_with_no_parity_layer_to_peel_is_returned_as_is() {
         let nl = chains();
         let last = keep_outputs(&nl, &[4, 5]).unwrap();
-        assert!(matches!(peel_key_free_layers(&last).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(peel_key_free_layers(&last), Cow::Borrowed(_)));
         let mut keyless = Netlist::new("keyless");
         let a = keyless.add_input("a").unwrap();
         let b = keyless.add_input("b").unwrap();
         let y = keyless.add_gate("y", GateKind::Xor, &[a, b]).unwrap();
         keyless.mark_output(y).unwrap();
-        assert!(matches!(peel_key_free_layers(&keyless).unwrap(), Cow::Borrowed(_)));
-    }
-
-    #[test]
-    fn peeling_rejects_cycles() {
-        let mut nl = chains();
-        let (g, y0) = (nl.find("g").unwrap(), nl.find("y0").unwrap());
-        nl.set_node(g, GateKind::Buf, vec![y0]);
-        assert!(matches!(peel_key_free_layers(&nl), Err(NetlistError::Cycle { .. })));
+        assert!(matches!(peel_key_free_layers(&keyless), Cow::Borrowed(_)));
     }
 }

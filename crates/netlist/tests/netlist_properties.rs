@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use polykey_circuits::{generate_random, RandomCircuitSpec};
 use polykey_netlist::analysis::key_reachable_outputs;
 use polykey_netlist::{
-    bits_of, cofactor, cofactor_simplify, keep_outputs, parse_bench, simplify, write_bench,
-    GateKind, Netlist, NodeId, Simulator,
+    bits_of, cofactor, keep_outputs, parse_bench, simplify, write_bench, GateKind, Netlist,
+    NodeId, Simulator,
 };
 
 /// A recipe for one random gate.
@@ -104,7 +104,7 @@ fn keyed_random_circuit(seed: u64, inputs: usize, gates: usize, keys: usize) -> 
         };
         // `other` precedes `target` in topological order, so it does not
         // read it, and the splice cannot close a cycle.
-        let order = nl.topological_order().expect("acyclic");
+        let order = nl.topological_order();
         let at = draw() % order.len();
         let (target, other) = (order[at], order[draw() % (at + 1)]);
         let (kind, extra) = match k % 3 {
@@ -147,7 +147,7 @@ proptest! {
 
     #[test]
     fn simplify_preserves_function(nl in arb_netlist()) {
-        let (simp, stats) = simplify(&nl).expect("acyclic by construction");
+        let (simp, stats) = simplify(&nl);
         prop_assert!(equivalent(&nl, &simp));
         prop_assert!(stats.nodes_after <= stats.nodes_before + nl.outputs().len(),
             "simplification may only add output buffers");
@@ -156,8 +156,8 @@ proptest! {
 
     #[test]
     fn simplify_is_idempotent(nl in arb_netlist()) {
-        let (s1, _) = simplify(&nl).expect("acyclic");
-        let (s2, _) = simplify(&s1).expect("acyclic");
+        let (s1, _) = simplify(&nl);
+        let (s2, _) = simplify(&s1);
         prop_assert_eq!(s1.num_nodes(), s2.num_nodes());
         prop_assert!(equivalent(&s1, &s2));
     }
@@ -178,7 +178,7 @@ proptest! {
         let pin_value = pin_bits & 1 == 1;
         let target = nl.inputs()[0];
         let cof = cofactor(&nl, &[(target, pin_value)]).expect("valid pin");
-        let (cs, _) = cofactor_simplify(&nl, &[(target, pin_value)]).expect("valid pin");
+        let (cs, _) = simplify(&cof);
 
         let mut orig = Simulator::new(&nl).expect("acyclic");
         let mut pinned = Simulator::new(&cof).expect("acyclic");
@@ -306,7 +306,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let kept = key_reachable_outputs(&nl);
-        let cone = keep_outputs(&nl, &kept).expect("acyclic");
+        let cone = keep_outputs(&nl, &kept).expect("distinct positions");
         prop_assert_eq!(cone.inputs().len(), nl.inputs().len());
         prop_assert_eq!(cone.key_inputs().len(), nl.key_inputs().len());
         prop_assert_eq!(cone.outputs().len(), kept.len());

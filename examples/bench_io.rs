@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => c17(),
     };
     println!("parsed: {netlist}");
-    println!("stats : {}", NetlistStats::of(&netlist)?);
+    println!("stats : {}", NetlistStats::of(&netlist));
 
     // Lock it (deterministically) and show the locked stats.
     let kw = netlist.inputs().len().min(4);
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Re-synthesis demo: simplification is a no-op on an already-tight
     // netlist but sweeps redundancy from generated ones.
-    let (simplified, stats) = simplify(&reparsed)?;
+    let (simplified, stats) = simplify(&reparsed);
     println!("--- after re-synthesis: {} (was {} gates) ---", simplified, stats.gates_before);
     Ok(())
 }

@@ -2,17 +2,16 @@
 //!
 //! The attack's search counters depend on how `keep_outputs` numbers and
 //! names the key cone it encodes, and recombination and key proofs on how
-//! `pin_keys` does. `cofactor_simplify` (Algorithm 1 line 4) is no longer
-//! on the attack path, but it stays a public transform that the `layers`
-//! scenario times. A change to how any of these netlists is built must
-//! leave them identical. Each test fingerprints (name, kind, fanins) of
+//! `pin_keys` does. `cofactor` followed by `simplify` (Algorithm 1 line 4)
+//! is no longer on the attack path, but both stay public transforms. A
+//! change to how any of these netlists is built must leave them identical. Each test fingerprints (name, kind, fanins) of
 //! every node in id order, plus the three port lists, and compares with a
 //! constant.
 
 use polykey::circuits::Iscas85;
 use polykey::locking::{Key, LockScheme, Sarlock};
 use polykey::netlist::analysis::key_reachable_outputs;
-use polykey::netlist::{cofactor_simplify, keep_outputs, pin_keys, Netlist, NodeId};
+use polykey::netlist::{cofactor, keep_outputs, pin_keys, simplify, Netlist, NodeId};
 
 /// FNV-1a over the netlist's structure: stable across platforms and
 /// toolchains, unlike the std hashers.
@@ -58,7 +57,8 @@ fn sarlock_c7552() -> (Netlist, Key) {
 #[test]
 fn cofactor_simplify_of_c7552_is_pinned() {
     let c7552 = Iscas85::C7552.build();
-    let (term, _) = cofactor_simplify(&c7552, &first_four_pinned(&c7552)).expect("valid pins");
+    let (term, _) =
+        simplify(&cofactor(&c7552, &first_four_pinned(&c7552)).expect("valid pins"));
     assert_eq!((term.num_nodes(), fingerprint(&term)), (3761, 151_623_214_246_714_311));
 }
 
@@ -66,9 +66,9 @@ fn cofactor_simplify_of_c7552_is_pinned() {
 fn locked_term_and_its_key_cone_are_pinned() {
     let (locked, _) = sarlock_c7552();
     let (term, _) =
-        cofactor_simplify(&locked, &first_four_pinned(&locked)).expect("valid pins");
+        simplify(&cofactor(&locked, &first_four_pinned(&locked)).expect("valid pins"));
     assert_eq!((term.num_nodes(), fingerprint(&term)), (3783, 1_295_139_257_615_978_995));
-    let cone = keep_outputs(&term, &key_reachable_outputs(&term)).expect("acyclic");
+    let cone = keep_outputs(&term, &key_reachable_outputs(&term)).expect("distinct positions");
     assert_eq!((cone.num_nodes(), fingerprint(&cone)), (1111, 17_625_293_004_780_226_001));
 }
 
