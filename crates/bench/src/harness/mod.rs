@@ -22,17 +22,17 @@
 //!     {
 //!       "scenario": "matrix",
 //!       "labels": {"circuit": "c432", "scheme": "rll", "n": "0"},
-//!       "metrics": {"wall_ms": 12.5, "dips": 5, "oracle_rounds": 5,
-//!                   "oracle_queries": 5, "conflicts": 113,
-//!                   "propagations": 2140, "restarts": 1,
-//!                   "learnt_clauses": 95}
+//!       "metrics": {"wall_ms": 12.5, "dips": 5, "oracle_queries": 5,
+//!                   "oracle_rounds": 5, "conflicts": 113, …,
+//!                   "max_term_ms": 12.1, "max_dips": 5, "verified": 1}
 //!     }
 //!   ]
 //! }
 //! ```
 //!
 //! `labels` identify the cell (circuit, scheme, sweep point); `metrics`
-//! are numbers. Metric names ending in `_ms` are wall-clock timings,
+//! are numbers: an attack cell's are `wall_ms`, `max_dips` and its work
+//! record's [`metrics`](polykey_attack::AttackStats::metrics). Metric names ending in `_ms` are wall-clock timings,
 //! gated by a generous ratio. The security counters of
 //! [`is_exact_metric`] (`dips`, oracle queries and rounds, resplits) must
 //! match the baseline exactly, and the other counters of
@@ -417,10 +417,12 @@ const EXACT_COUNTERS: &[&str] =
 /// Work counters: the solver's and the encoder's effort. They are gated
 /// from above by the tight [`CompareConfig::count_ratio`].
 const WORK_COUNTERS: &[&str] = &[
+    "decisions",
     "conflicts",
     "propagations",
     "restarts",
     "learnt_clauses",
+    "solves",
     "cnf_vars",
     "cnf_clauses",
     "leaves",

@@ -11,8 +11,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use polykey_attack::{
-    AttackReport, AttackSession, AttackSessionBuilder, AttackStats, AttackStatus, Oracle,
-    SimOracle, SplitStrategy,
+    AttackReport, AttackSession, AttackSessionBuilder, AttackStatus, Oracle, SimOracle,
+    SplitStrategy,
 };
 use polykey_circuits::Iscas85;
 use polykey_encode::{build_miter, check_equivalence, DipConstraints, KeyMirror};
@@ -35,12 +35,14 @@ use crate::{fmt_duration, TextTable};
 /// and the session attacks `locked`. A finished run is recombined
 /// (Fig. 1b) and proven equivalent to `original`, and `record` gains
 /// `verified = 1`; a run with a leaf stopped by the time cap has no full
-/// key and gains `capped = 1` instead. Either way `record` gains the
-/// uniform attack metrics: `wall_ms`, `max_term_ms`, `dips`,
-/// `oracle_queries`, `oracle_rounds`, `conflicts`, `propagations`,
-/// `restarts`, `learnt_clauses` and `max_dips`, the largest per-term
-/// `#DIP` (the quantity of the paper's Table 1). The report comes back
-/// for the scenario's own metrics and table text.
+/// key and gains `capped = 1` instead. Either way `record` gains
+/// `wall_ms`, the run's makespan ([`AttackReport::wall_time`]), every
+/// `(name, value)` pair of the tree's work record
+/// ([`metrics`](polykey_attack::AttackStats::metrics): the oracle and
+/// solver counters, `term_ms` and the slowest term's `max_term_ms`), and
+/// `max_dips`, the largest per-term `#DIP` (the quantity of the paper's
+/// Table 1). The report comes back for the scenario's own metrics and
+/// table text.
 ///
 /// # Panics
 ///
@@ -58,19 +60,12 @@ fn attack_cell(
         .expect("oracle provided")
         .run(locked)
         .expect("attack runs");
-    let stats = report.stats();
+    let mut record = record.metric("wall_ms", ms(report.wall_time));
+    for (name, value) in report.stats().metrics() {
+        record = record.metric(name, value);
+    }
     let max_dips = report.reports.iter().map(|r| r.stats.dips).max().unwrap_or(0);
-    let record = record
-        .metric("wall_ms", ms(stats.wall_time))
-        .metric("max_term_ms", ms(stats.max_subtask_time()))
-        .metric("dips", stats.dips as f64)
-        .metric("oracle_queries", stats.oracle_queries as f64)
-        .metric("oracle_rounds", stats.oracle_rounds as f64)
-        .metric("conflicts", stats.solver.conflicts as f64)
-        .metric("propagations", stats.solver.propagations as f64)
-        .metric("restarts", stats.solver.restarts as f64)
-        .metric("learnt_clauses", stats.solver.learnt_clauses as f64)
-        .metric("max_dips", max_dips as f64);
+    let record = record.metric("max_dips", max_dips as f64);
     if report.reports.iter().any(|r| r.status == AttackStatus::TimeLimit) {
         return (record.metric("capped", 1.0), report);
     }
@@ -133,11 +128,11 @@ fn locked_roster(circuits: &[Iscas85], seed: u64) -> Vec<RosterEntry> {
     entries
 }
 
-/// The minimum, mean and maximum per-term wall time of a run.
-fn term_times(stats: &AttackStats) -> (Duration, Duration, Duration) {
-    let times = &stats.subtask_wall_times;
-    let min = times.iter().min().copied().unwrap_or_default();
-    let mean = times.iter().sum::<Duration>() / times.len().max(1) as u32;
+/// The minimum, mean and maximum `term_time` over a run's terms.
+fn term_times(report: &AttackReport) -> (Duration, Duration, Duration) {
+    let stats = report.stats();
+    let min = report.terms().map(|t| t.stats.term_time).min().unwrap_or_default();
+    let mean = stats.term_time / report.terms().count().max(1) as u32;
     (min, mean, stats.max_subtask_time())
 }
 
@@ -286,7 +281,7 @@ pub fn batch(ctx: &ScenarioCtx) -> ScenarioResult {
                 "{}/{} ({speedup:.1}x){key_mark} {}",
                 stats.oracle_rounds,
                 stats.oracle_queries,
-                fmt_duration(stats.wall_time)
+                fmt_duration(report.wall_time)
             ));
         }
         table.row(row);
@@ -461,7 +456,7 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
         // Baseline: the conventional SAT attack on the whole circuit.
         let (record, baseline, baseline_capped) = cell("baseline", 0);
         records.push(record);
-        let baseline_time = baseline.stats().wall_time;
+        let baseline_time = baseline.wall_time;
         eprintln!(
             "  baseline: {} ({} DIPs, status {:?})",
             fmt_duration(baseline_time),
@@ -471,7 +466,7 @@ pub fn table2(ctx: &ScenarioCtx) -> ScenarioResult {
 
         // This work: N = 4, 16 parallel terms.
         let (record, report, any_capped) = cell("multikey_n4", 4);
-        let (min, mean, max) = term_times(&report.stats());
+        let (min, mean, max) = term_times(&report);
         eprintln!(
             "  this work: min {} mean {} max {} over {} terms (max {} DIPs){}",
             fmt_duration(min),
@@ -559,13 +554,13 @@ pub fn probe(ctx: &ScenarioCtx) -> ScenarioResult {
             "{} on {}: baseline {} ({} DIPs, {:?}, {} conflicts)",
             label,
             circuit,
-            fmt_duration(stats.wall_time),
+            fmt_duration(baseline.wall_time),
             stats.dips,
             baseline.status(),
             stats.solver.conflicts
         );
         let (record, report) = cell("n4", 4);
-        let (min, mean, max) = term_times(&report.stats());
+        let (min, mean, max) = term_times(&report);
         let _ = writeln!(
             out,
             "  N=4: min {} mean {} max {} (max {} DIPs, complete={})",
@@ -854,7 +849,7 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
                 format!("{leaves}"),
                 format!("{depth}"),
                 format!("{resplits}"),
-                fmt_duration(stats.wall_time),
+                fmt_duration(report.wall_time),
             ]);
             eprintln!("{}/{mode} done", circuit.name());
         }
@@ -1246,7 +1241,9 @@ mod tests {
         assert_eq!(record.metric_value("capped"), None);
         let max_dips = report.reports.iter().map(|r| r.stats.dips).max();
         assert_eq!(record.metric_value("max_dips"), max_dips.map(|d| d as f64));
-        assert_eq!(record.metric_value("dips"), Some(report.stats().dips as f64));
+        for (name, value) in report.stats().metrics() {
+            assert_eq!(record.metric_value(name), Some(value), "{name}");
+        }
     }
 
     #[test]

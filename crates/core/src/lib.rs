@@ -10,10 +10,10 @@
 //!
 //! - [`AttackSession`] — configure oracle, splitting effort, worker
 //!   threads, time budget, cancellation, and progress once; `run()`
-//!   returns an [`AttackReport`]: the term tree of Algorithm 1 with
-//!   uniform [`AttackStats`]. `split_effort = N > 0` starts from `2^N`
-//!   parallel sub-attacks; `split_effort = 0` is a one-term tree, the
-//!   classic one-key SAT attack run on the calling thread. With a
+//!   returns an [`AttackReport`]: the term tree of Algorithm 1, each term
+//!   with one [`AttackStats`] work record. `split_effort = N > 0` starts
+//!   from `2^N` parallel sub-attacks; `split_effort = 0` is a one-term
+//!   tree, the classic one-key SAT attack on the calling thread. With a
 //!   per-term DIP budget (`AttackSessionBuilder::term_dip_budget`) the
 //!   engine splits **adaptively**: hard terms are subdivided one port at
 //!   a time into a prefix *tree* of `(pattern, width)` sub-spaces, so easy
@@ -84,7 +84,7 @@ pub use error::AttackError;
 pub use multikey::{SubKey, SubTaskReport, MAX_SPLIT_WIDTH};
 pub use oracle::{Oracle, SimOracle};
 pub use recombine::recombine_multikey;
-pub use sat_attack::{AttackStatus, SatAttackStats};
+pub use sat_attack::AttackStatus;
 pub use session::{
     AttackReport, AttackSession, AttackSessionBuilder, AttackStats, CancelToken, ProgressEvent,
 };

@@ -56,8 +56,8 @@ use polykey_sat::Solver;
 
 use crate::error::AttackError;
 use crate::oracle::{SharedOracle, TermOracle};
-use crate::sat_attack::{run_sat_attack, AttackStatus, Encoded, SatAttackStats, TermCtl};
-use crate::session::{AttackConfig, AttackReport, ProgressEvent};
+use crate::sat_attack::{run_sat_attack, AttackStatus, Encoded, TermCtl};
+use crate::session::{AttackConfig, AttackReport, AttackStats, ProgressEvent};
 use crate::split::select_split_inputs;
 
 /// The deepest split the engine supports: sub-space patterns are `u64`
@@ -106,14 +106,16 @@ pub struct SubTaskReport {
     pub width: u8,
     /// How this term's SAT attack ended.
     pub status: AttackStatus,
-    /// The term's SAT-attack counters. `stats.wall_time` is the whole
-    /// term's time (terms overlap when parallel); a root term's includes
-    /// the session's one encoding of the locked netlist, which it would
-    /// pay alone. A child that resumed its parent's search counts only its
-    /// own work, so sums over the tree count each step once. A
-    /// [`AttackStatus::Failed`] term keeps only the oracle queries it was
-    /// served; its other counters died with it.
-    pub stats: SatAttackStats,
+    /// The term's work record, `stats.term_time` its wall-clock time. A
+    /// child that resumed its parent's search counts only its own work, so
+    /// sums over the tree count each step once. A [`AttackStatus::Failed`]
+    /// term keeps only its time and the oracle queries it was served; its
+    /// other counters died with it.
+    pub stats: AttackStats,
+    /// Variables in the term's solver at its end (0 if it failed).
+    pub cnf_vars: usize,
+    /// Original (not learnt) clauses in the term's solver at its end (0 if it failed).
+    pub cnf_clauses: usize,
     /// The term's DIPs in discovery order (empty unless
     /// [`crate::AttackSessionBuilder::record_dips`] is on).
     pub dip_patterns: Vec<Vec<bool>>,
@@ -223,14 +225,20 @@ pub(crate) fn run_multi_key(
     // clauses. A root term's time counts this encoding, as it would if the
     // term ran alone.
     let encoding = Instant::now();
-    let (encoded, root_solver) = Encoded::new(locked, config.textbook)?;
+    let (encoded, root_solver) = Encoded::new(locked, config.textbook);
     let encode_time = encoding.elapsed();
 
-    let run_term = |path: TermPath| -> Result<TermOutput, AttackError> {
+    let run_term = |path: TermPath| -> TermOutput {
         let term_start = Instant::now();
         let TermPath { pattern, width: path_width, solver } = path;
         let width = path_width as usize;
         let setup = if width == n { encode_time } else { Duration::ZERO };
+        // Every exit of the term reports through here, which stamps its time.
+        let report = |status, stats: AttackStats, (cnf_vars, cnf_clauses), dip_patterns| {
+            let stats = stats.timed(setup + term_start.elapsed());
+            let width = path_width;
+            SubTaskReport { pattern, width, status, stats, cnf_vars, cnf_clauses, dip_patterns }
+        };
         // Served-query count lives *outside* the panic boundary, so a term
         // whose oracle crashes mid-run still reports the queries it spent.
         let term_queries = AtomicU64::new(0);
@@ -241,7 +249,7 @@ pub(crate) fn run_multi_key(
         // The shared-oracle mutex recovers from the resulting poison (see
         // `SharedOracle::lock`); the term's local state is simply
         // discarded.
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, AttackError> {
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
             if let Some(progress) = progress {
                 progress(&ProgressEvent::TermStarted {
                     pattern,
@@ -272,23 +280,15 @@ pub(crate) fn run_multi_key(
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
             let mut term_oracle = TermOracle::new(oracle, &term_queries);
-            let outcome = run_sat_attack(&encoded, solver, &mut term_oracle, config, &term)?;
-            let mut stats = outcome.stats;
-            stats.wall_time = setup + term_start.elapsed();
-            let report = SubTaskReport {
-                pattern,
-                width: path_width,
-                status: outcome.status,
-                stats,
-                dip_patterns: outcome.dip_patterns,
-            };
+            let outcome = run_sat_attack(&encoded, solver, &mut term_oracle, config, &term);
+            let report =
+                report(outcome.status, outcome.stats, outcome.cnf_size, outcome.dip_patterns);
             if let Some(progress) = progress {
                 progress(&ProgressEvent::TermFinished {
                     pattern,
                     width: path_width,
                     status: report.status,
-                    dips: report.stats.dips,
-                    wall_time: report.stats.wall_time,
+                    stats: report.stats,
                 });
             }
             // Only a budgeted term hands its solver back, so `width` is
@@ -313,31 +313,19 @@ pub(crate) fn run_multi_key(
                         solver,
                     },
                 ];
-                return Ok(TermOutput::Split(report, children));
+                return TermOutput::Split(report, children);
             }
             let key = outcome.key.map(|key| SubKey { pattern, width: path_width, key });
-            Ok(TermOutput::Leaf(report, key))
+            TermOutput::Leaf(report, key)
         }));
-        match attempt {
-            Ok(result) => result,
-            // No progress emission here: the panicking party may *be* the
-            // progress callback. The report keeps the served-query count;
-            // DIP/solver counters died with the term's local state.
-            Err(_panic) => Ok(TermOutput::Leaf(
-                SubTaskReport {
-                    pattern,
-                    width: path_width,
-                    status: AttackStatus::Failed,
-                    stats: SatAttackStats {
-                        oracle_queries: term_queries.load(Ordering::Relaxed),
-                        wall_time: setup + term_start.elapsed(),
-                        ..SatAttackStats::default()
-                    },
-                    dip_patterns: Vec::new(),
-                },
-                None,
-            )),
-        }
+        // No progress emission on a panic: the panicking party may *be*
+        // the progress callback. The report keeps the served-query count;
+        // DIP/solver counters died with the term's local state.
+        attempt.unwrap_or_else(|_panic| {
+            let mut stats = AttackStats::default();
+            stats.oracle_queries = term_queries.load(Ordering::Relaxed);
+            TermOutput::Leaf(report(AttackStatus::Failed, stats, (0, 0), Vec::new()), None)
+        })
     };
 
     // Dispatch over a bounded worker pool pulling from a shared queue:
@@ -389,20 +377,14 @@ pub(crate) fn run_multi_key(
             // the in-flight count, a late completion must not underflow.
             st.in_flight = st.in_flight.saturating_sub(1);
             match output {
-                Ok(TermOutput::Leaf(report, key)) => st.results.push((report, key)),
-                Ok(TermOutput::Split(report, children)) => {
+                TermOutput::Leaf(report, key) => st.results.push((report, key)),
+                TermOutput::Split(report, children) => {
                     st.resplits.push(report);
                     spawned.fetch_add(children.len(), Ordering::Relaxed);
                     // Depth first: the children run next, in pattern order.
                     for child in children.into_iter().rev() {
                         st.queue.push_front(child);
                     }
-                }
-                Err(e) => {
-                    // First error wins; the queue is drained so in-flight
-                    // siblings finish and every worker exits.
-                    st.error.get_or_insert(e);
-                    st.queue.clear();
                 }
             }
             drop(st);
@@ -693,10 +675,8 @@ mod tests {
                 .iter()
                 .map(|id| locked.inputs().iter().position(|p| p == id).unwrap())
                 .collect();
-            let terms: Vec<&SubTaskReport> =
-                report.reports.iter().chain(&report.resplit_reports).collect();
-            assert!(terms.iter().any(|r| !r.dip_patterns.is_empty()), "N={n}");
-            for r in terms {
+            assert!(report.terms().any(|r| !r.dip_patterns.is_empty()), "N={n}");
+            for r in report.terms() {
                 for dip in &r.dip_patterns {
                     for (j, &pos) in positions[..r.width as usize].iter().enumerate() {
                         assert_eq!(
@@ -739,7 +719,7 @@ mod tests {
             .unwrap();
         assert!(report.is_complete());
         assert!(report.max_depth() > 1, "the tree must resume children of children");
-        for r in report.reports.iter().chain(&report.resplit_reports) {
+        for r in report.terms() {
             let extraction = u64::from(r.status == AttackStatus::Success);
             assert_eq!(
                 r.stats.solver.solves,
@@ -877,13 +857,24 @@ mod tests {
 
     #[test]
     fn task_time_aggregates() {
+        // A static grid, then an adaptive tree whose resplit terms count too.
         let (nl, locked) = locked_majority(0b011);
-        let report = attack(&nl, &locked, 1, None).unwrap();
-        let stats = report.stats();
-        assert_eq!(stats.subtask_wall_times.len(), report.reports.len());
-        let min = stats.subtask_wall_times.iter().min().copied().unwrap();
-        assert!(min <= stats.max_subtask_time());
-        assert!(stats.max_subtask_time() <= stats.wall_time);
+        for (n, budget) in [(1, None), (0, Some(2))] {
+            let report = attack(&nl, &locked, n, budget).unwrap();
+            assert!(report.is_complete());
+            assert_eq!(report.resplit_reports.is_empty(), budget.is_none());
+            let terms = || report.terms().map(|r| r.stats);
+            assert!(terms().all(|s| s.max_subtask_time() == s.term_time));
+            let stats = report.stats();
+            assert_eq!(stats.dips, terms().map(|s| s.dips).sum::<u64>());
+            assert_eq!(stats.oracle_queries, terms().map(|s| s.oracle_queries).sum::<u64>());
+            assert_eq!(stats.oracle_rounds, terms().map(|s| s.oracle_rounds).sum::<u64>());
+            assert_eq!(stats.solver, terms().map(|s| s.solver).sum());
+            assert_eq!(stats.term_time, terms().map(|s| s.term_time).sum());
+            let longest = terms().map(|s| s.term_time).max().unwrap();
+            assert_eq!(stats.max_subtask_time(), longest);
+            assert!(stats.max_subtask_time() <= report.wall_time);
+        }
     }
 
     #[test]

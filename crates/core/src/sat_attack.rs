@@ -41,7 +41,7 @@
 //! resume it with more input pins (the adaptive term tree's children do).
 
 use std::borrow::Cow;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use polykey_encode::{
     assert_equal, assert_value, build_miter, encode, Binding, CnfValue, DipConstraints,
@@ -52,9 +52,8 @@ use polykey_netlist::analysis::key_reachable_outputs;
 use polykey_netlist::{keep_outputs, peel_key_free_layers, Netlist, Simulator};
 use polykey_sat::{SolveResult, Solver, SolverStats};
 
-use crate::error::AttackError;
 use crate::oracle::Oracle;
-use crate::session::AttackConfig;
+use crate::session::{AttackConfig, AttackStats};
 
 /// What one term's SAT attack reads beyond the session's
 /// [`AttackConfig`]: its sub-space pins, its DIP budget, the run's
@@ -101,31 +100,6 @@ pub enum AttackStatus {
     Inconsistent,
 }
 
-/// Work counters for one SAT attack run.
-#[derive(Clone, Debug, Default)]
-pub struct SatAttackStats {
-    /// Distinguishing input patterns found (`#DIP` in the paper).
-    pub dips: u64,
-    /// Oracle queries issued (one per answered DIP, regardless of
-    /// batching).
-    pub oracle_queries: u64,
-    /// Oracle round-trips: a batch of DIPs answered by one
-    /// [`Oracle::query_batch`] call counts once. Equals `oracle_queries`
-    /// when `dip_batch` is 1; the gap between the two is exactly what
-    /// batching saves.
-    pub oracle_rounds: u64,
-    /// Total wall-clock time.
-    pub wall_time: Duration,
-    /// Solver counters of this run, cumulative over its iterations. A run
-    /// that resumed an exhausted parent's search counts from the resume
-    /// point, so sums over a term tree count each search step once.
-    pub solver: SolverStats,
-    /// CNF variables at the end of the attack.
-    pub cnf_vars: usize,
-    /// CNF clauses at the end of the attack (original, excluding learnt).
-    pub cnf_clauses: usize,
-}
-
 /// A netlist, its key cone, the miter of the cone's peeled outputs with
 /// themselves, and that miter's left-to-right key renaming: what every
 /// solver of a session encodes. Built once per session and borrowed by
@@ -163,27 +137,21 @@ impl<'n> Encoded<'n> {
     /// correct key satisfies all of them: a solver resumed with more input
     /// pins stays sound, and its learnt clauses stay implied because its
     /// clause set only grows.
-    ///
-    /// # Errors
-    ///
-    /// [`AttackError::Netlist`] from cutting the cone and
-    /// [`AttackError::Encode`] from building the miter.
-    pub fn new(
-        netlist: &'n Netlist,
-        textbook: bool,
-    ) -> Result<(Encoded<'n>, Solver), AttackError> {
+    pub fn new(netlist: &'n Netlist, textbook: bool) -> (Encoded<'n>, Solver) {
         let outputs = netlist.outputs().len();
         let kept =
             if textbook { (0..outputs).collect() } else { key_reachable_outputs(netlist) };
-        let cone =
-            if kept.len() == outputs { None } else { Some(keep_outputs(netlist, &kept)?) };
+        let cone = (kept.len() < outputs).then(|| {
+            keep_outputs(netlist, &kept).expect("the key's outputs are distinct positions")
+        });
         let mut solver = Solver::new();
         let encoded = cone.as_ref().unwrap_or(netlist);
         let differs =
             if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded) };
-        let miter = build_miter(&mut solver, &differs, &differs)?;
+        let miter = build_miter(&mut solver, &differs, &differs)
+            .expect("a netlist has its own interface");
         let mirror = KeyMirror::new(&miter);
-        Ok((Encoded { netlist, kept, cone, miter, mirror, textbook }, solver))
+        (Encoded { netlist, kept, cone, miter, mirror, textbook }, solver)
     }
 
     /// The netlist the miter and the per-DIP copies encode.
@@ -201,8 +169,11 @@ pub(crate) struct SatAttackOutcome {
     /// The DIPs, in discovery order (if [`AttackConfig::record_dips`] was
     /// set).
     pub dip_patterns: Vec<Vec<bool>>,
-    /// Work counters.
-    pub stats: SatAttackStats,
+    /// Work counters; `term_time` is left to the caller, which times the
+    /// whole term.
+    pub stats: AttackStats,
+    /// The solver's variables and original clauses at the end of the run.
+    pub cnf_size: (usize, usize),
     /// The solver, handed back on [`AttackStatus::BudgetExhausted`] so the
     /// term's children can resume its search.
     pub solver: Option<Solver>,
@@ -229,6 +200,10 @@ enum DipCopies<'n> {
     Full(&'n Netlist, &'n Miter),
 }
 
+/// Why no per-DIP encoding can fail: its port widths are the miter's.
+const MITER_WIDTHS: &str =
+    "every DIP is read off the miter's inputs, and every copy takes the miter's keys";
+
 impl<'n> DipCopies<'n> {
     fn new(encoded: &'n Encoded<'_>) -> DipCopies<'n> {
         let (locked, miter) = (encoded.cone(), &encoded.miter);
@@ -240,44 +215,36 @@ impl<'n> DipCopies<'n> {
     }
 
     /// Requires both key copies to reproduce `response` at `dip`.
-    fn add_answered(
-        &mut self,
-        solver: &mut Solver,
-        dip: &[bool],
-        response: &[bool],
-    ) -> Result<(), AttackError> {
+    fn add_answered(&mut self, solver: &mut Solver, dip: &[bool], response: &[bool]) {
         match self {
             DipCopies::Folded(constraints) => {
-                constraints.add_answered(solver, dip, response)?
+                constraints.add_answered(solver, dip, response).expect(MITER_WIDTHS)
             }
             DipCopies::Full(locked, miter) => {
                 for keys in [&miter.keys_left, &miter.keys_right] {
-                    let outputs = encode_full(solver, locked, dip, keys)?;
+                    let outputs = encode_full(solver, locked, dip, keys);
                     for (out, &bit) in outputs.iter().zip(response) {
                         assert_value(solver, *out, bit);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Requires both key copies to agree at `dip`, whose response is still
     /// pending, and returns their output values (`[left, right]`).
-    fn add_pending(
-        &mut self,
-        solver: &mut Solver,
-        dip: &[bool],
-    ) -> Result<[Vec<CnfValue>; 2], AttackError> {
+    fn add_pending(&mut self, solver: &mut Solver, dip: &[bool]) -> [Vec<CnfValue>; 2] {
         match self {
-            DipCopies::Folded(constraints) => Ok(constraints.add_pending(solver, dip)?),
+            DipCopies::Folded(constraints) => {
+                constraints.add_pending(solver, dip).expect(MITER_WIDTHS)
+            }
             DipCopies::Full(locked, miter) => {
-                let left = encode_full(solver, locked, dip, &miter.keys_left)?;
-                let right = encode_full(solver, locked, dip, &miter.keys_right)?;
+                let left = encode_full(solver, locked, dip, &miter.keys_left);
+                let right = encode_full(solver, locked, dip, &miter.keys_right);
                 for (&l, &r) in left.iter().zip(&right) {
                     assert_equal(solver, l, r);
                 }
-                Ok([left, right])
+                [left, right]
             }
         }
     }
@@ -290,14 +257,14 @@ fn encode_full(
     locked: &Netlist,
     dip: &[bool],
     keys: &[polykey_sat::Lit],
-) -> Result<Vec<CnfValue>, AttackError> {
+) -> Vec<CnfValue> {
     let mut binding = Binding::fresh(locked);
     binding.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
-    let enc = encode(solver, locked, &binding)?;
+    let enc = encode(solver, locked, &binding).expect(MITER_WIDTHS);
     for (val, &bit) in enc.inputs.iter().zip(dip) {
         assert_value(solver, *val, bit);
     }
-    Ok(enc.outputs)
+    enc.outputs
 }
 
 /// Splits each oracle response between the solver and simulation.
@@ -388,33 +355,26 @@ impl<'n> Responses<'n> {
 }
 
 /// The mutable state of one DIP-refinement run: the incremental solver,
-/// the oracle, and the counters every exit reports.
+/// the oracle, and the work record every exit reports.
 struct Run<'o> {
     solver: Solver,
     oracle: &'o mut dyn Oracle,
-    start: Instant,
     queries_at_start: u64,
     solver_at_start: SolverStats,
-    dips: u64,
-    oracle_rounds: u64,
+    stats: AttackStats,
     dip_patterns: Vec<Vec<bool>>,
 }
 
 impl Run<'_> {
     /// Closes the run with its terminal status and key, handing the solver
     /// back when the DIP budget stopped it.
-    fn finish(self, status: AttackStatus, key: Option<Key>) -> SatAttackOutcome {
-        let stats = SatAttackStats {
-            dips: self.dips,
-            oracle_queries: self.oracle.queries() - self.queries_at_start,
-            oracle_rounds: self.oracle_rounds,
-            wall_time: self.start.elapsed(),
-            solver: *self.solver.stats() - self.solver_at_start,
-            cnf_vars: self.solver.num_vars(),
-            cnf_clauses: self.solver.num_clauses(),
-        };
+    fn finish(mut self, status: AttackStatus, key: Option<Key>) -> SatAttackOutcome {
+        self.stats.oracle_queries = self.oracle.queries() - self.queries_at_start;
+        self.stats.solver = *self.solver.stats() - self.solver_at_start;
+        let cnf_size = (self.solver.num_vars(), self.solver.num_clauses());
         let solver = (status == AttackStatus::BudgetExhausted).then_some(self.solver);
-        SatAttackOutcome { status, key, dip_patterns: self.dip_patterns, stats, solver }
+        let (stats, dip_patterns) = (self.stats, self.dip_patterns);
+        SatAttackOutcome { status, key, dip_patterns, stats, cnf_size, solver }
     }
 
     /// Reads the current model's primary-input assignment — one DIP.
@@ -425,28 +385,37 @@ impl Run<'_> {
     /// The DIP-refinement loop: runs until the key space is exhausted or a
     /// limit stops it, and returns how it ended. A solve past the deadline
     /// returns `Unknown`, which ends the run as `TimeLimit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the oracle answers a batch with fewer or more answers than
+    /// patterns, or with an answer whose width is not the netlist's output
+    /// count: the term's panic boundary then fails the term, where a short
+    /// answer would otherwise constrain nothing on its missing outputs.
     fn refine(
         &mut self,
         copies: &mut DipCopies<'_>,
         checked: &mut Responses<'_>,
-        miter: &Miter,
+        encoded: &Encoded<'_>,
         config: &AttackConfig<'_>,
         term: &TermCtl<'_>,
-    ) -> Result<(AttackStatus, Option<Key>), AttackError> {
+    ) -> (AttackStatus, Option<Key>) {
+        let miter = &encoded.miter;
+        let outputs = encoded.netlist.outputs().len();
         loop {
             // Cooperative cancellation, once per refinement iteration.
             if config.cancelled() {
-                return Ok((AttackStatus::Cancelled, None));
+                return (AttackStatus::Cancelled, None);
             }
             match self.solver.solve(&[miter.diff]) {
-                SolveResult::Unknown => return Ok((AttackStatus::TimeLimit, None)),
+                SolveResult::Unknown => return (AttackStatus::TimeLimit, None),
                 SolveResult::Sat => {
                     // The miter is still satisfiable, so more DIPs are
                     // needed: a spent DIP budget means this term is too
                     // hard at its current depth. (Checked only here — a term
                     // that converges exactly at its budget still succeeds.)
-                    if term.dip_budget.is_some_and(|budget| self.dips >= budget) {
-                        return Ok((AttackStatus::BudgetExhausted, None));
+                    if term.dip_budget.is_some_and(|budget| self.stats.dips >= budget) {
+                        return (AttackStatus::BudgetExhausted, None);
                     }
                     // Harvest up to `dip_batch` distinct DIPs before paying
                     // the oracle round-trip. After each harvested DIP the two
@@ -466,7 +435,9 @@ impl Run<'_> {
                     // Never harvest past the DIP budget (not yet spent:
                     // checked above).
                     let target = match term.dip_budget {
-                        Some(budget) => config.dip_batch.min((budget - self.dips) as usize),
+                        Some(budget) => {
+                            config.dip_batch.min((budget - self.stats.dips) as usize)
+                        }
                         None => config.dip_batch,
                     };
                     loop {
@@ -476,7 +447,7 @@ impl Run<'_> {
                             batch.push(PendingDip { dip, copies: None });
                             break;
                         }
-                        let outputs = copies.add_pending(&mut self.solver, &dip)?;
+                        let outputs = copies.add_pending(&mut self.solver, &dip);
                         batch.push(PendingDip { dip, copies: Some(outputs) });
                         match self.solver.solve(&[miter.diff]) {
                             SolveResult::Sat => dip = self.extract_dip(miter),
@@ -491,11 +462,13 @@ impl Run<'_> {
                     let patterns: Vec<Vec<bool>> =
                         batch.iter().map(|p| p.dip.clone()).collect();
                     let responses = self.oracle.query_batch(&patterns);
-                    self.oracle_rounds += 1;
+                    self.stats.oracle_rounds += 1;
+                    assert_eq!(responses.len(), batch.len(), "one oracle answer per pattern");
                     for (pending, response) in batch.iter().zip(&responses) {
-                        self.dips += 1;
+                        assert_eq!(response.len(), outputs, "one answer bit per output");
+                        self.stats.dips += 1;
                         if let Some(on_dip) = term.on_dip {
-                            on_dip(self.dips);
+                            on_dip(self.stats.dips);
                         }
                         if config.record_dips {
                             self.dip_patterns.push(pending.dip.clone());
@@ -511,12 +484,10 @@ impl Run<'_> {
                                     }
                                 }
                             }
-                            None => {
-                                copies.add_answered(&mut self.solver, &pending.dip, &kept)?
-                            }
+                            None => copies.add_answered(&mut self.solver, &pending.dip, &kept),
                         }
                         if !checked.buffer(&pending.dip, response) {
-                            return Ok((AttackStatus::Inconsistent, None));
+                            return (AttackStatus::Inconsistent, None);
                         }
                     }
                 }
@@ -524,9 +495,9 @@ impl Run<'_> {
                     // No more DIPs: every remaining key is functionally
                     // correct. Key extraction must not assume the miter.
                     if config.cancelled() {
-                        return Ok((AttackStatus::Cancelled, None));
+                        return (AttackStatus::Cancelled, None);
                     }
-                    return Ok(match self.solver.solve(&[]) {
+                    return match self.solver.solve(&[]) {
                         SolveResult::Sat => {
                             let bits = miter
                                 .keys_left
@@ -537,7 +508,7 @@ impl Run<'_> {
                         }
                         SolveResult::Unsat => (AttackStatus::Inconsistent, None),
                         SolveResult::Unknown => (AttackStatus::TimeLimit, None),
-                    });
+                    };
                 }
             }
         }
@@ -549,20 +520,17 @@ impl Run<'_> {
 /// run handed back), after pinning `term.force_inputs`. Every
 /// [`crate::AttackSession`] term runs through here.
 ///
-/// # Errors
+/// # Panics
 ///
-/// [`AttackError::Encode`] from the per-DIP encoders when the oracle's
-/// port counts do not match the netlist's, which the session checks
-/// before any term runs.
+/// Panics on an oracle answer of the wrong shape (see [`Run::refine`]).
 pub(crate) fn run_sat_attack(
     encoded: &Encoded<'_>,
     mut solver: Solver,
     oracle: &mut dyn Oracle,
     config: &AttackConfig<'_>,
     term: &TermCtl<'_>,
-) -> Result<SatAttackOutcome, AttackError> {
+) -> SatAttackOutcome {
     let miter = &encoded.miter;
-    let start = Instant::now();
     let queries_at_start = oracle.queries();
     let solver_at_start = *solver.stats();
     // Set once per run, which also clears the clock of a resumed search.
@@ -574,17 +542,15 @@ pub(crate) fn run_sat_attack(
     let mut run = Run {
         solver,
         oracle,
-        start,
         queries_at_start,
         solver_at_start,
-        dips: 0,
-        oracle_rounds: 0,
+        stats: AttackStats::default(),
         dip_patterns: Vec::new(),
     };
     let (status, key) = {
         let mut copies = DipCopies::new(encoded);
         let mut checked = Responses::new(encoded);
-        match run.refine(&mut copies, &mut checked, miter, config, term)? {
+        match run.refine(&mut copies, &mut checked, encoded, config, term) {
             // The answers still buffered must hold before the run reports a
             // key or hands its search on.
             (AttackStatus::Success | AttackStatus::BudgetExhausted, _) if !checked.check() => {
@@ -593,7 +559,7 @@ pub(crate) fn run_sat_attack(
             verdict => verdict,
         }
     };
-    Ok(run.finish(status, key))
+    run.finish(status, key)
 }
 
 #[cfg(test)]
@@ -625,7 +591,7 @@ mod tests {
 
     /// A new search on `locked`: its encoding and a solver holding it.
     fn start(locked: &Netlist) -> (Encoded<'_>, Solver) {
-        Encoded::new(locked, false).unwrap()
+        Encoded::new(locked, false)
     }
 
     /// Runs one unpinned, unbudgeted term without a deadline or progress
@@ -634,8 +600,8 @@ mod tests {
         locked: &Netlist,
         oracle: &mut dyn Oracle,
         config: &AttackConfig<'_>,
-    ) -> Result<SatAttackOutcome, AttackError> {
-        let (encoded, solver) = Encoded::new(locked, config.textbook).unwrap();
+    ) -> SatAttackOutcome {
+        let (encoded, solver) = Encoded::new(locked, config.textbook);
         run_sat_attack(&encoded, solver, oracle, config, &TermCtl::default())
     }
 
@@ -646,7 +612,7 @@ mod tests {
         term: &TermCtl<'_>,
     ) -> SatAttackOutcome {
         let (encoded, solver) = start(locked);
-        run_sat_attack(&encoded, solver, oracle, &AttackConfig::default(), term).unwrap()
+        run_sat_attack(&encoded, solver, oracle, &AttackConfig::default(), term)
     }
 
     /// Checks that a recovered key makes the locked circuit behave like the
@@ -667,7 +633,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let locked = Rll::new(4).with_seed(17).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked.netlist, &mut oracle, &AttackConfig::default()).unwrap();
+        let outcome = attack(&locked.netlist, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Success);
         let key = outcome.key.expect("success ⇒ key");
         assert!(key_is_functionally_correct(&nl, &locked.netlist, &key));
@@ -681,7 +647,7 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b101);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        let outcome = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Success);
         let got = outcome.key.expect("key");
         assert!(key_is_functionally_correct(&nl, &locked, &got));
@@ -698,7 +664,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let locked = AntiSat::new(2).lock_random(&nl, &mut rng).unwrap();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&locked.netlist, &mut oracle, &AttackConfig::default()).unwrap();
+        let outcome = attack(&locked.netlist, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Success);
         let key = outcome.key.expect("key");
         // The recovered key need not equal the nominal one (Anti-SAT has
@@ -715,13 +681,13 @@ mod tests {
         let locked = sarlock3(&nl, 0b101);
 
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let sequential = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        let sequential = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(sequential.status, AttackStatus::Success);
         assert_eq!(sequential.stats.oracle_rounds, sequential.stats.dips);
 
         let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let batched = attack(&locked, &mut oracle, &config).unwrap();
+        let batched = attack(&locked, &mut oracle, &config);
         assert_eq!(batched.status, AttackStatus::Success);
         let got = batched.key.expect("key");
         assert!(key_is_functionally_correct(&nl, &locked, &got));
@@ -750,7 +716,7 @@ mod tests {
         let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
         let term = TermCtl { dip_budget: Some(2), ..TermCtl::default() };
         let (encoded, solver) = start(&locked);
-        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &term).unwrap();
+        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &term);
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
         assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot the DIP budget");
         assert_eq!(outcome.stats.oracle_rounds, 1);
@@ -763,7 +729,7 @@ mod tests {
         let locked = sarlock3(&nl, 0b011);
         let mut oracle = SimOracle::new(&nl).unwrap();
         let config = AttackConfig { textbook: true, dip_batch: 8, ..AttackConfig::default() };
-        let outcome = attack(&locked, &mut oracle, &config).unwrap();
+        let outcome = attack(&locked, &mut oracle, &config);
         assert_eq!(outcome.status, AttackStatus::Success);
         let got = outcome.key.expect("key");
         assert!(key_is_functionally_correct(&nl, &locked, &got));
@@ -798,7 +764,7 @@ mod tests {
     fn keyless_circuit_succeeds_trivially() {
         let nl = majority3();
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let outcome = attack(&nl, &mut oracle, &AttackConfig::default()).unwrap();
+        let outcome = attack(&nl, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Success);
         assert_eq!(outcome.stats.dips, 0);
         assert_eq!(outcome.key.expect("empty key").len(), 0);
@@ -831,8 +797,7 @@ mod tests {
         let mut oracle = SimOracle::new(&nl).unwrap();
         let config = AttackConfig::default();
         let outcome =
-            run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default())
-                .unwrap();
+            run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default());
         assert_eq!(outcome.status, AttackStatus::Success);
         assert!(outcome.stats.dips > 0);
     }
@@ -844,7 +809,7 @@ mod tests {
         let nl = majority3();
         let locked = sarlock3(&nl, 0b011);
         let mut oracle = SimOracle::new(&nl).unwrap();
-        let unbudgeted = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        let unbudgeted = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(unbudgeted.status, AttackStatus::Success);
         let term = TermCtl { dip_budget: Some(unbudgeted.stats.dips), ..TermCtl::default() };
         let mut oracle = SimOracle::new(&nl).unwrap();
@@ -902,7 +867,7 @@ mod tests {
         let (original, locked, free) = sarlock_c432();
         let mut oracle =
             FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 10, flip: free };
-        let outcome = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        let outcome = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert_eq!(outcome.stats.dips, 64);
         assert!(outcome.key.is_none());
@@ -912,14 +877,14 @@ mod tests {
     fn a_wrong_answer_in_the_last_partial_batch_is_caught_before_the_key() {
         let (original, locked, free) = sarlock_c432();
         let mut oracle = SimOracle::new(&original).unwrap();
-        let clean = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        let clean = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(clean.status, AttackStatus::Success);
         assert_eq!(clean.stats.dips % 64, 63, "the last batch is partial");
         // The last DIP answered wrong: no later batch fills up, so only the
         // check before the key is reported can see it.
         let at = clean.stats.dips - 1;
         let mut oracle = FlipOnce { inner: SimOracle::new(&original).unwrap(), at, flip: free };
-        let outcome = attack(&locked, &mut oracle, &AttackConfig::default()).unwrap();
+        let outcome = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert_eq!(outcome.stats.dips, clean.stats.dips);
         assert!(outcome.key.is_none());
@@ -950,11 +915,11 @@ mod tests {
         let budget = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
         let (encoded, solver) = start(&locked);
         let config = AttackConfig::default();
-        let parent = run_sat_attack(&encoded, solver, &mut oracle, &config, &budget).unwrap();
+        let parent = run_sat_attack(&encoded, solver, &mut oracle, &config, &budget);
         assert_eq!(parent.status, AttackStatus::BudgetExhausted);
         let child = TermCtl { force_inputs: vec![(0, true)], ..TermCtl::default() };
         let solver = parent.solver.expect("handed on");
-        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &child).unwrap();
+        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &child);
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert!(outcome.stats.dips > 3);
         assert!(outcome.key.is_none());

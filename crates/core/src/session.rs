@@ -7,9 +7,9 @@
 //! term tree of Algorithm 1: `split_effort = N > 0` starts from `2^N`
 //! sub-attacks, and `split_effort = 0` is a one-term tree — the classic
 //! one-key SAT attack on the locked netlist as given, run on the calling
-//! thread. Either way the report carries uniform [`AttackStats`] (DIPs,
-//! oracle queries, solver conflicts, per-subtask wall times), so harnesses
-//! sweep schemes × efforts × circuits without caring how the tree grew.
+//! thread. Either way each term reports one [`AttackStats`] work record
+//! and [`AttackReport::stats`] sums them, so harnesses sweep schemes ×
+//! efforts × circuits without caring how the tree grew.
 //!
 //! # Examples
 //!
@@ -129,10 +129,8 @@ pub enum ProgressEvent {
         width: u8,
         /// How the term ended.
         status: AttackStatus,
-        /// The term's final DIP count.
-        dips: u64,
-        /// The term's wall-clock time.
-        wall_time: Duration,
+        /// The term's work record, as in its [`SubTaskReport::stats`].
+        stats: AttackStats,
     },
     /// A term exhausted its per-term budget and was subdivided: its two
     /// children (paths one bit wider) re-enter the work queue and resume
@@ -148,36 +146,85 @@ pub enum ProgressEvent {
     },
 }
 
-/// Uniform work counters, available from every [`AttackReport`].
-#[derive(Clone, Debug, Default)]
+/// The work record of one term ([`SubTaskReport::stats`]), or of a term
+/// tree summed over its terms with `+=` ([`AttackReport::stats`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AttackStats {
-    /// Distinguishing input patterns, summed over all sub-attacks.
+    /// Distinguishing input patterns (`#DIP` in the paper).
     pub dips: u64,
-    /// Oracle queries, summed over all sub-attacks (one per answered DIP).
+    /// Oracle queries (one per answered DIP, regardless of batching).
     pub oracle_queries: u64,
-    /// Oracle round-trips, summed over all sub-attacks. With
-    /// [`AttackSessionBuilder::dip_batch`] `> 1` a whole batch of DIPs is
-    /// answered per round, so this drops well below `oracle_queries`; the
-    /// two are equal for the classic one-DIP-per-round loop.
+    /// Oracle round-trips. With [`AttackSessionBuilder::dip_batch`] `> 1`
+    /// a whole batch of DIPs is answered per round, so this drops well
+    /// below `oracle_queries`; the two are equal for the classic loop.
     pub oracle_rounds: u64,
-    /// Full CDCL solver counters (conflicts, restarts, learnt clauses, …),
-    /// summed field-wise over all sub-attacks.
+    /// CDCL solver counters (conflicts, restarts, learnt clauses, …). A
+    /// term that resumed its parent's search counts from the resume point,
+    /// so sums over a tree count each search step once.
     pub solver: SolverStats,
-    /// End-to-end wall-clock time of the session run.
-    pub wall_time: Duration,
-    /// Per-term wall times: the leaves in [`AttackReport::reports`] order
-    /// (by `(width, pattern)`), then the resplit terms in
-    /// [`AttackReport::resplit_reports`] order. A one-term tree has one
-    /// entry. Their maximum is the attack latency on a machine with enough
-    /// cores — the paper's headline metric.
-    pub subtask_wall_times: Vec<Duration>,
+    /// A term's wall-clock time, a root term's with the session's one
+    /// encoding, which it would pay alone. Summed over a tree: the total
+    /// work (the makespan is [`AttackReport::wall_time`]).
+    pub term_time: Duration,
+    /// The slowest term's `term_time`: sums combine it by max.
+    slowest_term: Duration,
 }
 
 impl AttackStats {
-    /// The longest sub-task — the parallel-attack latency.
+    /// The record of one term that took `term_time`.
+    pub(crate) fn timed(self, term_time: Duration) -> AttackStats {
+        AttackStats { term_time, slowest_term: term_time, ..self }
+    }
+
+    /// The slowest term: the attack latency on a machine with a core per
+    /// term, the paper's headline metric.
     #[must_use]
     pub fn max_subtask_time(&self) -> Duration {
-        self.subtask_wall_times.iter().max().copied().unwrap_or_default()
+        self.slowest_term
+    }
+
+    /// Every field as a `(name, value)` pair, times in milliseconds: the
+    /// names bench telemetry records.
+    #[must_use]
+    pub fn metrics(&self) -> [(&'static str, f64); 13] {
+        let SolverStats {
+            decisions,
+            conflicts,
+            propagations,
+            restarts,
+            learnt_clauses,
+            deleted_clauses,
+            minimized_lits,
+            solves,
+        } = self.solver;
+        let ms = |time: Duration| time.as_secs_f64() * 1e3;
+        [
+            ("dips", self.dips as f64),
+            ("oracle_queries", self.oracle_queries as f64),
+            ("oracle_rounds", self.oracle_rounds as f64),
+            ("decisions", decisions as f64),
+            ("conflicts", conflicts as f64),
+            ("propagations", propagations as f64),
+            ("restarts", restarts as f64),
+            ("learnt_clauses", learnt_clauses as f64),
+            ("deleted_clauses", deleted_clauses as f64),
+            ("minimized_lits", minimized_lits as f64),
+            ("solves", solves as f64),
+            ("term_ms", ms(self.term_time)),
+            ("max_term_ms", ms(self.slowest_term)),
+        ]
+    }
+}
+
+/// Counts and `term_time` add up; the slowest term is the slower one.
+impl std::ops::AddAssign for AttackStats {
+    fn add_assign(&mut self, other: AttackStats) {
+        self.dips += other.dips;
+        self.oracle_queries += other.oracle_queries;
+        self.oracle_rounds += other.oracle_rounds;
+        self.solver += other.solver;
+        self.term_time += other.term_time;
+        self.slowest_term = self.slowest_term.max(other.slowest_term);
     }
 }
 
@@ -241,20 +288,22 @@ impl AttackReport {
         self.reports.iter().map(|r| r.width as usize).max().unwrap_or(0)
     }
 
-    /// Uniform work counters. Sums run over every term that did work —
-    /// leaves *and* budget-exhausted interior terms — so oracle/solver
-    /// accounting matches what was actually spent.
+    /// Every term that did work: the leaves in [`AttackReport::reports`]
+    /// order, then the resplit terms in [`AttackReport::resplit_reports`]
+    /// order.
+    pub fn terms(&self) -> impl Iterator<Item = &SubTaskReport> {
+        self.reports.iter().chain(&self.resplit_reports)
+    }
+
+    /// The whole tree's work: the sum over [`AttackReport::terms`], so it
+    /// counts what budget-exhausted interior terms spent too.
     #[must_use]
     pub fn stats(&self) -> AttackStats {
-        let terms = || self.reports.iter().chain(&self.resplit_reports).map(|r| &r.stats);
-        AttackStats {
-            dips: terms().map(|s| s.dips).sum(),
-            oracle_queries: terms().map(|s| s.oracle_queries).sum(),
-            oracle_rounds: terms().map(|s| s.oracle_rounds).sum(),
-            solver: terms().map(|s| s.solver).sum(),
-            wall_time: self.wall_time,
-            subtask_wall_times: terms().map(|s| s.wall_time).collect(),
+        let mut total = AttackStats::default();
+        for term in self.terms() {
+            total += term.stats;
         }
+        total
     }
 
     /// Builds the recombined, keyless netlist (Fig. 1(b)): a MUX tree over
@@ -586,7 +635,6 @@ impl<'a> AttackSession<'a> {
     /// - [`AttackError::SplitTooDeep`] if the splitting effort exceeds
     ///   [`crate::MAX_SPLIT_WIDTH`] (u64 sub-space patterns cannot pin
     ///   more than 63 ports).
-    /// - Structural errors from encoding.
     pub fn run(&mut self, locked: &Netlist) -> Result<AttackReport, AttackError> {
         run_multi_key(locked, &SharedOracle::new(self.oracle), &self.config)
     }
@@ -757,7 +805,7 @@ mod tests {
         assert!(crate::verify::verify_key(&nl, &locked.netlist, key).unwrap());
         let stats = report.stats();
         assert_eq!(stats.oracle_queries, stats.dips);
-        assert_eq!(stats.subtask_wall_times.len(), 1);
+        assert_eq!(report.terms().count(), 1);
         // The one-term report recombines into a keyless equivalent too.
         let unlocked = report.recombine(&locked.netlist).unwrap();
         assert!(unlocked.key_inputs().is_empty());
@@ -779,11 +827,10 @@ mod tests {
         for scheme in &schemes {
             let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
             let mut oracle = SimOracle::new(&original).unwrap();
-            let (encoded, solver) = Encoded::new(&locked, false).unwrap();
+            let (encoded, solver) = Encoded::new(&locked, false);
             let config = AttackConfig::default();
             let direct =
-                run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default())
-                    .unwrap();
+                run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default());
 
             let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
             let mut oracle = SimOracle::new(&original).unwrap();
@@ -843,7 +890,7 @@ mod tests {
         assert!(report.is_complete());
         assert!(report.key().is_none(), "N > 0 yields sub-space keys");
         assert_eq!(report.keys.len(), 4);
-        assert_eq!(report.stats().subtask_wall_times.len(), 4);
+        assert_eq!(report.terms().count(), 4);
         // Total oracle queries flowed through the one shared oracle.
         assert_eq!(oracle.queries(), report.stats().oracle_queries);
     }
@@ -871,15 +918,77 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let finished =
-            events.iter().filter(|e| matches!(e, ProgressEvent::TermFinished { .. })).count();
+        let mut finished: Vec<(u64, AttackStats)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                ProgressEvent::TermFinished { pattern, stats, .. } => Some((pattern, stats)),
+                _ => None,
+            })
+            .collect();
+        finished.sort_unstable_by_key(|&(pattern, _)| pattern);
         let dip_total =
             events.iter().filter(|e| matches!(e, ProgressEvent::Dip { .. })).count() as u64;
         let mut started_sorted = started.clone();
         started_sorted.sort_unstable();
         assert_eq!(started_sorted, vec![0, 1]);
-        assert_eq!(finished, 2);
+        // Each event carries its term report's record.
+        let reported: Vec<(u64, AttackStats)> =
+            report.reports.iter().map(|r| (r.pattern, r.stats)).collect();
+        assert_eq!(finished, reported);
         assert_eq!(dip_total, report.stats().dips);
+    }
+
+    /// Answers like a [`SimOracle`] of its netlist, but drops the last
+    /// output bit of every answer.
+    struct ShortAnswers<'a>(SimOracle<'a>);
+
+    impl Oracle for ShortAnswers<'_> {
+        fn num_inputs(&self) -> usize {
+            self.0.num_inputs()
+        }
+
+        fn num_outputs(&self) -> usize {
+            self.0.num_outputs()
+        }
+
+        fn query(&mut self, input: &[bool]) -> Vec<bool> {
+            let mut response = self.0.query(input);
+            response.pop();
+            response
+        }
+
+        fn queries(&self) -> u64 {
+            self.0.queries()
+        }
+    }
+
+    #[test]
+    fn an_answer_of_the_wrong_width_fails_the_term() {
+        // A short answer constrains nothing on its missing output, so the
+        // same DIPs come back until the time budget ends the run; the term
+        // must fail at the first answer instead, with its query counted.
+        let original = polykey_circuits::c17();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let schemes: [Box<dyn LockScheme>; 2] =
+            [Box::new(Rll::new(6).with_seed(1)), Box::new(Sarlock::new(4))];
+        for scheme in &schemes {
+            let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
+            for textbook in [false, true] {
+                let mut oracle = ShortAnswers(SimOracle::new(&original).unwrap());
+                let report = AttackSession::builder()
+                    .oracle(&mut oracle)
+                    .textbook(textbook)
+                    .time_budget(Duration::from_secs(2))
+                    .build()
+                    .unwrap()
+                    .run(&locked)
+                    .unwrap();
+                let name = format!("{} textbook={textbook}", scheme.name());
+                assert_eq!(report.status(), AttackStatus::Failed, "{name}");
+                assert_eq!(report.stats().oracle_queries, 1, "{name}");
+                assert_eq!(oracle.queries(), 1, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -97,6 +97,22 @@ mod tests {
     }
 
     #[test]
+    fn a_gate_named_like_a_pinned_key_does_not_stop_the_proof() {
+        // `k$pin` is the name `pin_keys` first tries for key `k`'s constant.
+        let mut original = Netlist::new("inv");
+        let a = original.add_input("a").unwrap();
+        let y = original.add_gate("y", GateKind::Not, &[a]).unwrap();
+        original.mark_output(y).unwrap();
+        let mut locked = Netlist::new("inv_locked");
+        let a = locked.add_input("a").unwrap();
+        let k = locked.add_key_input("k").unwrap();
+        let y = locked.add_gate("k$pin", GateKind::Xor, &[a, k]).unwrap();
+        locked.mark_output(y).unwrap();
+        assert!(verify_key(&original, &locked, &Key::from_u64(1, 1)).unwrap());
+        assert!(!verify_key(&original, &locked, &Key::from_u64(0, 1)).unwrap());
+    }
+
+    #[test]
     fn correct_key_verifies_wrong_key_fails() {
         let nl = xor3();
         let correct = Key::from_u64(0b010, 3);

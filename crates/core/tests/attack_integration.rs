@@ -155,7 +155,7 @@ fn table2_pipeline_miniature() {
         .run(&locked.netlist)
         .expect("runs");
     assert!(report.is_complete());
-    assert_eq!(report.stats().subtask_wall_times.len(), 16);
+    assert_eq!(report.terms().count(), 16);
     let rec = report.recombine(&locked.netlist).expect("recombine");
     assert_eq!(check_equivalence(&original, &rec).expect("equiv"), EquivResult::Equivalent);
 }
@@ -270,12 +270,8 @@ fn adaptive_trees_pin_the_ranking_prefix_on_any_pool() {
                 full[..report.max_depth()],
                 "{strategy:?} threads={threads}"
             );
-            let mut terms: Vec<(u8, u64, u64)> = report
-                .reports
-                .iter()
-                .chain(&report.resplit_reports)
-                .map(|r| (r.width, r.pattern, r.stats.dips))
-                .collect();
+            let mut terms: Vec<(u8, u64, u64)> =
+                report.terms().map(|r| (r.width, r.pattern, r.stats.dips)).collect();
             terms.sort_unstable();
             trees.push(terms);
         }

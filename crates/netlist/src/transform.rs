@@ -55,8 +55,6 @@ pub struct SimplifyStats {
 /// - [`NetlistError::NotAnInput`] if a pinned node is not a primary input.
 /// - [`NetlistError::InvalidNode`] if a pinned id is out of range.
 /// - [`NetlistError::PinnedTwice`] if two pins name the same input.
-/// - [`NetlistError::DuplicateName`] if a gate already has the name a pin's
-///   constant node takes.
 pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, NetlistError> {
     let mut pinned = HashSet::with_capacity(pins.len());
     for &(id, _) in pins {
@@ -74,8 +72,7 @@ pub fn cofactor(netlist: &Netlist, pins: &[(NodeId, bool)]) -> Result<Netlist, N
     let (mut out, mut map) = derive(netlist, name, netlist.num_nodes() + pins.len(), true);
     // Create one constant node per pinned input and redirect reads to it.
     for &(id, value) in pins {
-        let name = fresh_name(&out, &format!("{}$pin", netlist.node_name(id)));
-        map[id.index()] = Some(out.add_const(name, value)?);
+        map[id.index()] = Some(add_pin(netlist, &mut out, id, value));
     }
     copy_gates(netlist, &mut out, &mut map, |_| true)?;
     for &o in netlist.outputs() {
@@ -248,9 +245,7 @@ fn keep_nodes(netlist: &Netlist, nodes: &[NodeId]) -> Result<Netlist, NetlistErr
 ///
 /// # Errors
 ///
-/// - [`NetlistError::BadArity`] if `values` does not match the key count.
-/// - [`NetlistError::DuplicateName`] if a gate already has the name a key's
-///   constant node takes.
+/// [`NetlistError::BadArity`] if `values` does not match the key count.
 pub fn pin_keys(netlist: &Netlist, values: &[bool]) -> Result<Netlist, NetlistError> {
     if values.len() != netlist.key_inputs().len() {
         return Err(NetlistError::BadArity {
@@ -262,9 +257,8 @@ pub fn pin_keys(netlist: &Netlist, values: &[bool]) -> Result<Netlist, NetlistEr
     }
     let name = format!("{}_keyed", netlist.name());
     let (mut out, mut map) = derive(netlist, name, netlist.num_nodes(), false);
-    for (i, &ki) in netlist.key_inputs().iter().enumerate() {
-        let name = fresh_or(&out, &format!("{}$pin", netlist.node_name(ki)).into());
-        map[ki.index()] = Some(out.push_node(name, GateKind::Const(values[i]), Vec::new())?);
+    for (&ki, &value) in netlist.key_inputs().iter().zip(values) {
+        map[ki.index()] = Some(add_pin(netlist, &mut out, ki, value));
     }
     copy_gates(netlist, &mut out, &mut map, |_| true)?;
     for &o in netlist.outputs() {
@@ -294,6 +288,16 @@ fn derive(
     (out, map)
 }
 
+/// Adds to `out` the constant node that pinned port `id` of `netlist` is
+/// read through: named `<port>$pin`, or `<port>$pin$2`, `$3`, … if that
+/// name is taken in `netlist` or `out`. It must be free in both, since the
+/// gates of `netlist` are copied into `out` afterwards under their names.
+fn add_pin(netlist: &Netlist, out: &mut Netlist, id: NodeId, value: bool) -> NodeId {
+    let base = format!("{}$pin", netlist.node_name(id)).into();
+    let name = fresh_or(&base, |n| netlist.find(n).is_some() || out.find(n).is_some());
+    out.push_node(name, GateKind::Const(value), Vec::new()).expect("a free name")
+}
+
 /// Copies every gate and constant of `netlist` that `keep` accepts into
 /// `out`, in topological order, reading fanins through `map` and sharing
 /// names.
@@ -316,12 +320,13 @@ fn copy_gates(
     Ok(())
 }
 
-/// Returns `base` if unused in `nl`, otherwise `base$2`, `base$3`, ….
-fn fresh_or(nl: &Netlist, base: &Arc<str>) -> Arc<str> {
-    if nl.find(base).is_none() {
+/// Returns `base` if `taken` does not hold for it, otherwise the first of
+/// `base$2`, `base$3`, … for which it does not.
+fn fresh_or(base: &Arc<str>, taken: impl Fn(&str) -> bool) -> Arc<str> {
+    if !taken(base) {
         return Arc::clone(base);
     }
-    fresh_name(nl, base).into()
+    (2..).map(|i| format!("{base}${i}")).find(|c| !taken(c)).expect("endless candidates").into()
 }
 
 /// Adds a node to `nl` named `name_hint`, or a fresh variant of it.
@@ -331,20 +336,8 @@ fn push_fresh(
     kind: GateKind,
     fanins: Vec<NodeId>,
 ) -> NodeId {
-    let name = fresh_or(nl, name_hint);
+    let name = fresh_or(name_hint, |n| nl.find(n).is_some());
     nl.push_node(name, kind, fanins).expect("a fresh name and a rebuilt gate's arity")
-}
-
-/// Returns a name derived from `base` that is unused in `nl`.
-fn fresh_name(nl: &Netlist, base: &str) -> String {
-    let mut i = 2usize;
-    loop {
-        let cand = format!("{base}${i}");
-        if nl.find(&cand).is_none() {
-            return cand;
-        }
-        i += 1;
-    }
 }
 
 /// Incremental netlist rebuilder with folding and structural hashing.
@@ -707,6 +700,27 @@ mod tests {
     }
 
     #[test]
+    fn cofactor_names_its_constant_freely_in_the_source_too() {
+        // The source already has gates named like the first two candidate
+        // names of `a`'s constant: the pin takes the third, and every gate
+        // keeps its name.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a").unwrap();
+        let b = nl.add_input("b").unwrap();
+        let g = nl.add_gate("a$pin", GateKind::And, &[a, b]).unwrap();
+        let y = nl.add_gate("a$pin$2", GateKind::Or, &[g, b]).unwrap();
+        nl.mark_output(y).unwrap();
+        let cof = cofactor(&nl, &[(a, true)]).unwrap();
+        assert_eq!(cof.node(cof.find("a$pin$3").unwrap()).kind(), GateKind::Const(true));
+        assert_eq!(cof.node(cof.find("a$pin").unwrap()).kind(), GateKind::And);
+        let mut sim = Simulator::new(&cof).unwrap();
+        let mut orig = Simulator::new(&nl).unwrap();
+        for b in [false, true] {
+            assert_eq!(sim.eval(&[false, b], &[]), orig.eval(&[true, b], &[]));
+        }
+    }
+
+    #[test]
     fn cofactor_simplify_shrinks() {
         let nl = example();
         let a = nl.find("a").unwrap();
@@ -851,6 +865,22 @@ mod pin_keys_tests {
         for v in 0..2u64 {
             let bits = bits_of(v, 1);
             assert_eq!(pinned.eval(&bits, &[]), orig.eval(&bits, &[true, false]));
+        }
+    }
+
+    #[test]
+    fn pin_keys_names_its_constant_freely_in_the_source_too() {
+        // `k$pin` is a gate of the source, so key `k` pins through `k$pin$2`.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a").unwrap();
+        let k = nl.add_key_input("k").unwrap();
+        let x = nl.add_gate("k$pin", GateKind::Xor, &[a, k]).unwrap();
+        nl.mark_output(x).unwrap();
+        let keyed = pin_keys(&nl, &[true]).unwrap();
+        assert_eq!(keyed.node(keyed.find("k$pin$2").unwrap()).kind(), GateKind::Const(true));
+        let mut sim = Simulator::new(&keyed).unwrap();
+        for a in [false, true] {
+            assert_eq!(sim.eval(&[a], &[]), vec![!a]);
         }
     }
 

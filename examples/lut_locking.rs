@@ -39,10 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?
         .run(&locked.netlist)?;
     let baseline_stats = baseline.stats();
-    let cnf_vars = baseline.reports[0].stats.cnf_vars;
+    let cnf_vars = baseline.reports[0].cnf_vars;
     println!(
         "\nbaseline SAT attack: {} DIPs, {:?}, {} CNF vars",
-        baseline_stats.dips, baseline_stats.wall_time, cnf_vars
+        baseline_stats.dips, baseline.wall_time, cnf_vars
     );
 
     // The multi-key attack with N = 2 (4 parallel terms).
@@ -55,14 +55,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run(&locked.netlist)?;
     assert!(report.is_complete());
     let stats = report.stats();
-    let terms = stats.subtask_wall_times.len() as u32;
-    let mean: std::time::Duration =
-        stats.subtask_wall_times.iter().sum::<std::time::Duration>() / terms;
+    let mean = stats.term_time / report.terms().count() as u32;
     println!(
         "multi-key attack (N = 2): max term {:?}, mean {:?} — vs baseline {:?}",
         stats.max_subtask_time(),
         mean,
-        baseline_stats.wall_time
+        baseline.wall_time
     );
 
     // Recombine and verify formally.

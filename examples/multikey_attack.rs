@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline_stats = baseline.stats();
     println!(
         "\nbaseline SAT attack : {} DIPs in {:?}",
-        baseline_stats.dips, baseline_stats.wall_time
+        baseline_stats.dips, baseline.wall_time
     );
 
     // Algorithm 1 with N = 3: eight parallel sub-attacks, each a copy of
@@ -46,8 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .split_effort(3)
         .dip_batch(64)
         .on_progress(|event| {
-            if let ProgressEvent::TermFinished { pattern, dips, wall_time, .. } = event {
-                eprintln!("  [progress] term {pattern:03b} done: {dips} DIPs in {wall_time:?}");
+            if let ProgressEvent::TermFinished { pattern, stats, .. } = event {
+                let (dips, time) = (stats.dips, stats.term_time);
+                eprintln!("  [progress] term {pattern:03b} done: {dips} DIPs in {time:?}");
             }
         })
         .build()?
@@ -60,13 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for term in &report.reports {
         println!(
             "  term {:03b}: {} DIPs, {} conflicts, {:?}",
-            term.pattern, term.stats.dips, term.stats.solver.conflicts, term.stats.wall_time
+            term.pattern, term.stats.dips, term.stats.solver.conflicts, term.stats.term_time
         );
     }
     println!(
         "  max term time {:?} vs baseline {:?}",
         report.stats().max_subtask_time(),
-        baseline_stats.wall_time
+        baseline.wall_time
     );
     println!(
         "  oracle traffic: {} DIPs answered in {} round-trips (baseline: {} in {})",

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let key = report.key().expect("attack succeeds on RLL");
     println!(
         "attack          : {} DIPs, {} oracle queries, {:?}",
-        stats.dips, stats.oracle_queries, stats.wall_time
+        stats.dips, stats.oracle_queries, report.wall_time
     );
     println!("recovered key   : {key}");
 
