@@ -392,13 +392,15 @@ pub(crate) fn run_multi_key(
         }
     };
 
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     // Workers beyond the root terms would idle, unless resplits add terms.
-    let useful = if adaptive { num_root_terms.max(cores) } else { num_root_terms };
-    let workers = config
-        .threads
-        .unwrap_or_else(|| default_workers(num_root_terms, adaptive, cores))
-        .clamp(1, useful.max(1));
+    // The core count (on Linux, a read of cgroup files) is asked for only
+    // where it can change the pool's size.
+    let cores = || std::thread::available_parallelism().map_or(1, |p| p.get());
+    let workers = match config.threads {
+        None => default_workers(num_root_terms, adaptive, cores()),
+        Some(k) if adaptive && k > num_root_terms => k.min(cores().max(num_root_terms)),
+        Some(k) => k.clamp(1, num_root_terms),
+    };
     if workers > 1 {
         std::thread::scope(|scope| {
             // The worker closure captures only shared references, so it is

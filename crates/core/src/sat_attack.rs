@@ -20,7 +20,10 @@
 //!    included, over the left keys, with inputs pinned to the DIP so it
 //!    folds down to key logic only; its private variables are eliminated
 //!    before the solver sees it, and what survives is added once as it is
-//!    and once renamed onto the right keys ([`KeyMirror`]). A DIP differs
+//!    and once renamed onto the right keys ([`KeyMirror`]), each clause
+//!    merged with an earlier DIP's survivor that differs from it in one
+//!    literal's sign (two SARLock exclusions of keys one bit apart become
+//!    one clause without that bit). A DIP differs
 //!    from the previous one in a few inputs, so both the simulated oracle
 //!    and the copy's off-cone constants re-evaluate only the gates those
 //!    inputs reach (event-driven single-pattern simulation). The response

@@ -186,7 +186,7 @@ impl AttackStats {
     /// Every field as a `(name, value)` pair, times in milliseconds: the
     /// names bench telemetry records.
     #[must_use]
-    pub fn metrics(&self) -> [(&'static str, f64); 13] {
+    pub fn metrics(&self) -> [(&'static str, f64); 14] {
         let SolverStats {
             decisions,
             conflicts,
@@ -196,6 +196,7 @@ impl AttackStats {
             deleted_clauses,
             minimized_lits,
             solves,
+            merged_clauses,
         } = self.solver;
         let ms = |time: Duration| time.as_secs_f64() * 1e3;
         [
@@ -210,6 +211,7 @@ impl AttackStats {
             ("deleted_clauses", deleted_clauses as f64),
             ("minimized_lits", minimized_lits as f64),
             ("solves", solves as f64),
+            ("merged_clauses", merged_clauses as f64),
             ("term_ms", ms(self.term_time)),
             ("max_term_ms", ms(self.slowest_term)),
         ]

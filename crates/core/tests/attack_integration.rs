@@ -64,31 +64,49 @@ fn textbook_and_folded_engines_agree() {
     assert!(verify_key(&original, &locked.netlist, kt).expect("verify"));
 }
 
-/// SARLock's security claim is its DIP count: each DIP rules out one wrong
-/// key, so |K| = 6 takes exactly 2^6 - 1 = 63. Every formulation of the
-/// constraints (folded copies at any batch size, textbook copies) must
-/// keep that count and end with a correct key.
-#[test]
-fn sarlock_dip_count_is_pinned_under_every_formulation() {
-    let original = Iscas85::C432.build();
-    let locked =
-        Sarlock::new(6).lock(&original, &Key::from_u64(0b011010, 6)).expect("lockable");
+/// Attacks `locked` with one key under every formulation of the
+/// constraints (folded copies at any batch size, textbook copies), and
+/// checks that each asks `dips` DIPs and ends with a correct key.
+fn assert_dips_under_every_formulation(original: &Netlist, locked: &Netlist, dips: u64) {
     for (textbook, dip_batch) in [(false, 1), (false, 8), (false, 64), (true, 1)] {
-        let mut oracle = SimOracle::new(&original).expect("oracle");
+        let mut oracle = SimOracle::new(original).expect("oracle");
         let report = AttackSession::builder()
             .oracle(&mut oracle)
             .textbook(textbook)
             .dip_batch(dip_batch)
             .build()
             .unwrap()
-            .run(&locked.netlist)
+            .run(locked)
             .expect("runs");
         let setting = format!("textbook = {textbook}, dip_batch = {dip_batch}");
         assert_eq!(report.status(), AttackStatus::Success, "{setting}");
-        assert_eq!(report.stats().dips, 63, "{setting}");
+        assert_eq!(report.stats().dips, dips, "{setting}");
         let key = report.key().expect("one key");
-        assert!(verify_key(&original, &locked.netlist, key).expect("verify"), "{setting}");
+        assert!(verify_key(original, locked, key).expect("verify"), "{setting}");
     }
+}
+
+/// SARLock's security claim is its DIP count: each DIP rules out one wrong
+/// key, so |K| = 6 takes exactly 2^6 - 1 = 63. Every formulation of the
+/// constraints must keep that count.
+#[test]
+fn sarlock_dip_count_is_pinned_under_every_formulation() {
+    let original = Iscas85::C432.build();
+    let locked =
+        Sarlock::new(6).lock(&original, &Key::from_u64(0b011010, 6)).expect("lockable");
+    assert_dips_under_every_formulation(&original, &locked.netlist, 63);
+}
+
+/// Anti-SAT's security claim is its DIP count too: each DIP rules out the
+/// wrong keys that corrupt one pattern of the block's `n` inputs, so
+/// `n = 6` (|K| = 12) takes 2^6 = 64 under every formulation.
+#[test]
+fn antisat_dip_count_is_pinned_under_every_formulation() {
+    let original = Iscas85::C432.build();
+    let locked = AntiSat::new(6)
+        .lock(&original, &Key::from_u64(0b1001_1101_0110, 12))
+        .expect("lockable");
+    assert_dips_under_every_formulation(&original, &locked.netlist, 64);
 }
 
 /// Multi-key attack across all split strategies still yields sub-space

@@ -19,8 +19,10 @@ use crate::tseitin::{assert_equal, assert_value, CnfValue, ConeEncoder, EncodeEr
 /// solver receives only what the DIP says about the key and miter
 /// variables, and later solves never re-propagate the copy's internals.
 /// What survives is added twice, once as it is and once renamed through
-/// the miter's [`KeyMirror`] onto the right key copy. While the response
-/// is pending, the two copies' outputs are tied instead.
+/// the miter's [`KeyMirror`] onto the right key copy, and the solver
+/// merges each clause with an earlier DIP's survivor that differs from it
+/// in one literal's sign. While the response is pending, the two copies'
+/// outputs are tied instead.
 #[derive(Debug)]
 pub struct DipConstraints<'n> {
     cone: ConeEncoder<'n>,

@@ -22,10 +22,14 @@
 //! [`ElimBuffer::flush_mirrored`] adds what survives twice: once as it is
 //! and once renamed onto other target literals, with fresh target
 //! variables for the surviving buffer ones. A batch that two isomorphic
-//! copies would fill is then built and eliminated only once.
+//! copies would fill is then built and eliminated only once. Its target
+//! is a [`Solver`], which merges each survivor with earlier ones that
+//! differ from it in one literal's sign (self-subsuming resolution, from
+//! the same paper).
 
 use crate::cnf::ClauseSink;
 use crate::lit::{Lit, Var};
+use crate::solver::Solver;
 
 /// One buffered clause: a range of [`ElimBuffer::lits`].
 #[derive(Copy, Clone, Debug)]
@@ -136,16 +140,23 @@ impl ElimBuffer {
         self.reset(self.base);
     }
 
-    /// [`flush`](ElimBuffer::flush), then adds what survives a second
-    /// time: every target literal renamed by `rename`, and every surviving
-    /// buffer variable given a second target variable. `mirrored` is set to
-    /// `keep` in the second copy's numbering. The batch is simplified
-    /// once, so this costs half of building and eliminating the two copies
-    /// side by side, and adds the same clauses when `rename` maps one copy
-    /// onto the other.
-    pub fn flush_mirrored<S: ClauseSink>(
+    /// [`flush`](ElimBuffer::flush) into `solver`, then adds what
+    /// survives a second time: every target literal renamed by `rename`,
+    /// and every surviving buffer variable given a second target variable.
+    /// `mirrored` is set to `keep` in the second copy's numbering. The
+    /// batch is simplified once, so this costs half of building and
+    /// eliminating the two copies side by side, and adds the same clauses
+    /// when `rename` maps one copy onto the other.
+    ///
+    /// Each clause, in either copy, is merged with the survivors of
+    /// earlier flushes into `solver`: a stored `C ∨ ¬l` and a new `C ∨ l`
+    /// become `C`, as often as a partner is found, and a `C` of one
+    /// literal becomes a level-0 fact. For a proof log, `C` is a RUP
+    /// lemma and the two partners are deletions. The models of `solver`
+    /// are those it would have had without the merge.
+    pub fn flush_mirrored(
         &mut self,
-        target: &mut S,
+        solver: &mut Solver,
         keep: &mut [Lit],
         mirrored: &mut Vec<Lit>,
         rename: impl Fn(Lit) -> Lit,
@@ -153,8 +164,9 @@ impl ElimBuffer {
         mirrored.clear();
         mirrored.extend_from_slice(keep);
         self.simplify(keep);
-        self.emit(target, keep, |l| l);
-        self.emit(target, mirrored, rename);
+        let mut target = Survivors(solver);
+        self.emit(&mut target, keep, |l| l);
+        self.emit(&mut target, mirrored, rename);
         self.reset(self.base);
     }
 
@@ -452,6 +464,19 @@ impl ElimBuffer {
     }
 }
 
+/// A solver that takes each clause as a survivor, to be merged.
+struct Survivors<'s>(&'s mut Solver);
+
+impl ClauseSink for Survivors<'_> {
+    fn new_var(&mut self) -> Var {
+        self.0.new_var()
+    }
+
+    fn add_clause(&mut self, lits: &[Lit]) {
+        self.0.add_survivor(lits);
+    }
+}
+
 impl ClauseSink for ElimBuffer {
     fn new_var(&mut self) -> Var {
         let v = Var::new((self.base + self.num_vars) as u32);
@@ -496,6 +521,8 @@ impl ClauseSink for ElimBuffer {
 mod tests {
     use super::*;
     use crate::cnf::CnfFormula;
+    use crate::SolveResult;
+    use proptest::prelude::*;
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)
@@ -592,7 +619,7 @@ mod tests {
         // Target literals 1, 2 and their twins 3, 4. The batch says
         // 6 = 5 ∧ 1 with 5 = ¬2 private and 6 kept. The first copy's kept
         // variable becomes target variable 5, the second's 6.
-        let (mut target, mut buffer) = setup(4, 2);
+        let (_, mut buffer) = setup(4, 2);
         buffer.add_clause(&[lit(5), lit(2)]);
         buffer.add_clause(&[lit(-5), lit(-2)]);
         buffer.add_clause(&[lit(-6), lit(5)]);
@@ -602,17 +629,150 @@ mod tests {
             |l: Lit, by: u32| Lit::new(Var::new(l.var().index() as u32 + by), l.is_negated());
         let mut keep = [lit(-6), lit(1)];
         let mut mirrored = Vec::new();
-        buffer.flush_mirrored(&mut target, &mut keep, &mut mirrored, |l| shift(l, 2));
-        assert_eq!(target.num_vars(), 6, "one variable per copy for the kept one");
+        let mut solver = Solver::new();
+        solver.new_vars(4);
+        buffer.flush_mirrored(&mut solver, &mut keep, &mut mirrored, |l| shift(l, 2));
+        assert_eq!(solver.num_vars(), 6, "one variable per copy for the kept one");
         assert_eq!(keep, [lit(-5), lit(1)]);
         assert_eq!(mirrored, [lit(-6), lit(3)]);
-        let clauses: Vec<&[Lit]> = target.clauses().collect();
+        let clauses = solver.original_clauses();
         let (first, second) = clauses.split_at(clauses.len() / 2);
         let twin = |l: Lit| if l.var().index() < 4 { shift(l, 2) } else { shift(l, 1) };
         let renamed: Vec<Vec<Lit>> =
             first.iter().map(|c| c.iter().map(|&l| twin(l)).collect()).collect();
         assert!(!first.is_empty());
         assert_eq!(renamed, second, "the second copy is the first, renamed");
+        assert_eq!(solver.stats().merged_clauses, 0, "no two survivors differ in one sign");
+    }
+
+    #[test]
+    fn mirrored_survivors_merge_within_each_copy() {
+        // A batch over target literals C = 1 ∨ 2, a = 3, b = 4: the four
+        // clauses C ∨ ±a ∨ ±b say C. Their twins over 5..=8 say C's twin.
+        let (_, mut buffer) = setup(8, 0);
+        for (a, b) in [(3, 4), (3, -4), (-3, 4), (-3, -4)] {
+            buffer.add_clause(&[lit(1), lit(2), lit(a), lit(b)]);
+        }
+        let mut solver = Solver::new();
+        solver.new_vars(8);
+        let twin = |l: Lit| Lit::new(Var::new(l.var().index() as u32 + 4), l.is_negated());
+        buffer.flush_mirrored(&mut solver, &mut [], &mut Vec::new(), twin);
+        assert_eq!(solver.original_clauses(), [vec![lit(1), lit(2)], vec![lit(5), lit(6)]]);
+        assert_eq!(solver.stats().merged_clauses, 6);
+    }
+
+    #[test]
+    fn plain_flush_into_a_solver_does_not_merge() {
+        let (_, mut buffer) = setup(3, 0);
+        buffer.add_clause(&[lit(1), lit(2), lit(3)]);
+        buffer.add_clause(&[lit(1), lit(2), lit(-3)]);
+        let mut solver = Solver::new();
+        solver.new_vars(3);
+        buffer.flush(&mut solver, &mut []);
+        assert_eq!(solver.num_clauses(), 2);
+        assert_eq!(solver.stats().merged_clauses, 0);
+    }
+
+    /// One batch of the differential test: clauses over the target's
+    /// variables, and a list of `(clause, position)` pairs, each adding
+    /// that clause again with the literal at that position flipped.
+    type Batch = (Vec<Vec<(u32, bool)>>, Vec<(usize, usize)>);
+
+    fn arb_batch() -> impl Strategy<Value = Batch> {
+        let lit = (0u32..8, proptest::bool::ANY);
+        (
+            proptest::collection::vec(proptest::collection::vec(lit, 1..=5), 0..=6),
+            proptest::collection::vec((0usize..6, 0usize..5), 0..=4),
+        )
+    }
+
+    /// The clauses of `batch` over `n` variables, forced pairs included.
+    fn batch_clauses((clauses, flips): &Batch, n: u32) -> Vec<Vec<Lit>> {
+        let to_lit = |&(v, neg): &(u32, bool)| Lit::new(Var::new(v % n), neg);
+        let mut out: Vec<Vec<Lit>> =
+            clauses.iter().map(|c| c.iter().map(to_lit).collect()).collect();
+        for &(c, at) in flips {
+            if let Some(clause) = out.get(c % out.len().max(1)) {
+                let mut flipped = clause.clone();
+                let at = at % flipped.len();
+                flipped[at] = !flipped[at];
+                out.push(flipped);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Merging survivors against the plain path: batches over up to
+        /// eight target variables, each flushed mirrored into one solver
+        /// (the twin of variable `v` is `v + 1 mod n`, sign flipped on odd
+        /// `v`) and added clause by clause to another. Every verdict
+        /// matches brute force, every stored clause follows from the
+        /// input, and the merging solver stores no more clauses.
+        #[test]
+        fn merging_survivors_keeps_every_verdict(
+            n in 1u32..=8,
+            rounds in proptest::collection::vec(
+                (arb_batch(), proptest::collection::vec((0u32..8, proptest::bool::ANY), 0..=3)),
+                1..=5,
+            ),
+        ) {
+            let twin = |l: Lit| {
+                let v = l.var().index() as u32;
+                Lit::new(Var::new((v + 1) % n), l.is_negated() != (v % 2 == 1))
+            };
+            let mut merging = Solver::new();
+            let mut plain = Solver::new();
+            let mut unsolved = [Solver::new(), Solver::new()];
+            let mut input = CnfFormula::new();
+            for s in [&mut merging, &mut plain] {
+                s.new_vars(n as usize);
+            }
+            for s in &mut unsolved {
+                s.new_vars(n as usize);
+            }
+            input.set_num_vars(n as usize);
+            let mut buffer = ElimBuffer::new();
+            for (batch, assumptions) in &rounds {
+                let clauses = batch_clauses(batch, n);
+                for s in [&mut merging, &mut unsolved[0]] {
+                    buffer.reset(n as usize);
+                    for c in &clauses {
+                        buffer.add_clause(c);
+                    }
+                    buffer.flush_mirrored(s, &mut [], &mut Vec::new(), twin);
+                }
+                // In the buffer's order: the batch, then its twin.
+                let renamed = clauses.iter().map(|c| c.iter().map(|&l| twin(l)).collect());
+                for lits in clauses.clone().into_iter().chain(renamed) {
+                    plain.add_clause(&lits);
+                    unsolved[1].add_clause(&lits);
+                    input.add_clause(&lits);
+                }
+                prop_assert!(unsolved[0].num_clauses() <= unsolved[1].num_clauses());
+
+                let assumptions: Vec<Lit> = assumptions
+                    .iter()
+                    .map(|&(v, neg)| Lit::new(Var::new(v % n), neg))
+                    .collect();
+                let mut assumed = input.clone();
+                for &a in &assumptions {
+                    assumed.add_clause(&[a]);
+                }
+                let expected = assumed.count_models_brute_force() > 0;
+                prop_assert_eq!(merging.solve(&assumptions) == SolveResult::Sat, expected);
+                prop_assert_eq!(plain.solve(&assumptions) == SolveResult::Sat, expected);
+                for clause in merging.original_clauses() {
+                    let mut refuted = input.clone();
+                    for &l in &clause {
+                        refuted.add_clause(&[!l]);
+                    }
+                    prop_assert_eq!(refuted.count_models_brute_force(), 0, "{:?}", clause);
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! [`CnfFormula`] can be written against the [`ClauseSink`] trait. An
 //! [`ElimBuffer`] sits between such an encoder and its target: it
 //! eliminates the variables private to one batch of clauses before the
-//! target sees them.
+//! target sees them. What it flushes into a solver with
+//! [`ElimBuffer::flush_mirrored`] is merged there with earlier such
+//! clauses that differ from it in one literal's sign.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

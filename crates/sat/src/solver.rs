@@ -4,8 +4,12 @@
 //! blockers, VSIDS decision heuristic with an indexed heap, first-UIP clause
 //! learning with deep (recursive) minimization, phase saving, Luby restarts,
 //! activity/LBD-guided learnt-clause deletion, and incremental solving under
-//! assumptions.
+//! assumptions. Clauses that reach it from an
+//! [`ElimBuffer`](crate::ElimBuffer) are merged with earlier ones that
+//! differ in one literal's sign.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use crate::clause::{ClauseDb, ClauseRef, Watcher};
@@ -46,6 +50,9 @@ pub struct SolverStats {
     pub minimized_lits: u64,
     /// Number of `solve` calls.
     pub solves: u64,
+    /// Number of stored clauses replaced by their resolvent with a new
+    /// clause that differs from them in one literal's sign.
+    pub merged_clauses: u64,
 }
 
 /// Field-wise accumulation, so callers can merge the per-solver snapshots
@@ -61,6 +68,7 @@ impl std::ops::AddAssign for SolverStats {
         self.deleted_clauses += rhs.deleted_clauses;
         self.minimized_lits += rhs.minimized_lits;
         self.solves += rhs.solves;
+        self.merged_clauses += rhs.merged_clauses;
     }
 }
 
@@ -79,6 +87,7 @@ impl std::ops::Sub for SolverStats {
             deleted_clauses: self.deleted_clauses - rhs.deleted_clauses,
             minimized_lits: self.minimized_lits - rhs.minimized_lits,
             solves: self.solves - rhs.solves,
+            merged_clauses: self.merged_clauses - rhs.merged_clauses,
         }
     }
 }
@@ -109,6 +118,42 @@ const RESTART_INC: f64 = 2.0;
 const LEARNTSIZE_FACTOR: f64 = 1.0 / 3.0;
 /// Growth factor of the learnt-clause limit after each reduction.
 const LEARNTSIZE_INC: f64 = 1.1;
+
+/// A [`Hasher`] for keys that are hashes already: it hands the one `u64`
+/// written to it through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Stored survivors by clause hash.
+type SurvivorIndex = HashMap<u64, ClauseRef, BuildHasherDefault<PassThrough>>;
+
+/// One literal's 64-bit hash (the SplitMix64 finalizer of its code). A
+/// clause's hash is the xor over its literals, so flipping `l` in a clause
+/// xors its hash with `lit_hash(l) ^ lit_hash(!l)`.
+fn lit_hash(l: Lit) -> u64 {
+    let mut z = (l.code() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn clause_hash(lits: &[Lit]) -> u64 {
+    lits.iter().fold(0, |h, &l| h ^ lit_hash(l))
+}
 
 #[derive(Copy, Clone, Debug)]
 struct VarData {
@@ -144,11 +189,23 @@ struct VarData {
 ///
 /// A clone is an independent solver in the same state: clauses, learnt
 /// clauses, activities, counters and the deadline.
+///
+/// Clauses that an [`ElimBuffer`](crate::ElimBuffer) flushes with
+/// [`flush_mirrored`](crate::ElimBuffer::flush_mirrored) (the *survivors*
+/// of a batch) are merged as they arrive: a stored survivor `C ∨ ¬l` and
+/// a new `C ∨ l` are replaced by `C`, repeatedly, and a `C` of one literal
+/// becomes a level-0 fact (self-subsuming resolution, Eén & Biere, SAT
+/// 2005). The model set stays the same. In proof terms `C` is a RUP
+/// lemma and the two partners are deletions. Clauses added with
+/// [`add_clause`](Solver::add_clause) are never merged.
 #[derive(Clone, Debug)]
 pub struct Solver {
     stats: SolverStats,
 
     db: ClauseDb,
+    /// The live survivors, by the xor of their literal hashes. A hash
+    /// collision keeps the later clause, so a lookup checks the literals.
+    survivors: SurvivorIndex,
     /// Watch lists indexed by literal code: clauses to inspect when the
     /// indexing literal becomes true (i.e. its negation is falsified).
     watches: Vec<Vec<Watcher>>,
@@ -198,6 +255,7 @@ impl Solver {
         Solver {
             stats: SolverStats::default(),
             db: ClauseDb::new(),
+            survivors: SurvivorIndex::default(),
             watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
@@ -277,14 +335,44 @@ impl Solver {
     ///
     /// Panics if a literal refers to a variable that was never created.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        if let Some(out) = self.normalize(lits) {
+            self.store(out);
+        }
+        self.ok
+    }
+
+    /// [`add_clause`](Solver::add_clause) for a survivor of an
+    /// [`ElimBuffer`](crate::ElimBuffer) batch: while a stored survivor
+    /// differs from the clause in exactly one literal's sign, that
+    /// survivor is removed and the literal dropped from the clause. What
+    /// is left is stored as a survivor, or enqueued if it is a unit.
+    pub(crate) fn add_survivor(&mut self, lits: &[Lit]) -> bool {
+        let Some(mut out) = self.normalize(lits) else {
+            return self.ok;
+        };
+        let mut hash = clause_hash(&out);
+        while let Some((i, partner)) = self.one_flip_partner(&out, hash) {
+            self.remove_at_level_0(partner);
+            self.stats.merged_clauses += 1;
+            hash ^= lit_hash(out.remove(i));
+        }
+        if let Some(cref) = self.store(out) {
+            self.survivors.insert(hash, cref);
+        }
+        self.ok
+    }
+
+    /// `lits` sorted, without duplicates and without the literals false
+    /// at level 0; `None` if there is nothing to add: the clause is a
+    /// tautology, is satisfied at level 0, or the solver is not ok.
+    fn normalize(&self, lits: &[Lit]) -> Option<Vec<Lit>> {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
-            return false;
+            return None;
         }
         for l in lits {
             assert!(l.var().index() < self.num_vars(), "literal {l} out of range");
         }
-        // Normalize: sort, dedup, drop falsified, detect tautology/satisfied.
         let mut ls: Vec<Lit> = lits.to_vec();
         ls.sort_unstable();
         ls.dedup();
@@ -293,32 +381,56 @@ impl Solver {
         for &l in &ls {
             if let Some(p) = prev {
                 if p == !l {
-                    return true; // tautology: x ∨ ¬x
+                    return None; // tautology: x ∨ ¬x
                 }
             }
             match self.lit_value(l) {
-                LBool::True => return true, // already satisfied at level 0
+                LBool::True => return None, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
                 LBool::Undef => out.push(l),
             }
             prev = Some(l);
         }
-        match out.len() {
+        Some(out)
+    }
+
+    /// Adds a normalized clause: the empty clause makes the solver not
+    /// ok, a unit is enqueued and propagated, and a longer clause is
+    /// stored and watched; its handle is returned.
+    fn store(&mut self, lits: Vec<Lit>) -> Option<ClauseRef> {
+        match lits.len() {
             0 => {
                 self.ok = false;
-                false
+                None
             }
             1 => {
-                self.unchecked_enqueue(out[0], None);
+                self.unchecked_enqueue(lits[0], None);
                 self.ok = self.propagate().is_none();
-                self.ok
+                None
             }
             _ => {
-                let cref = self.db.insert(out, false, 0);
+                let cref = self.db.insert(lits, false, 0);
                 self.attach_clause(cref);
-                true
+                Some(cref)
             }
         }
+    }
+
+    /// A stored survivor that equals the sorted clause `lits`, of hash
+    /// `hash`, with one literal's sign flipped, and that literal's
+    /// position in `lits`.
+    fn one_flip_partner(&self, lits: &[Lit], hash: u64) -> Option<(usize, ClauseRef)> {
+        lits.iter().enumerate().find_map(|(i, &l)| {
+            let &cref = self.survivors.get(&(hash ^ lit_hash(l) ^ lit_hash(!l)))?;
+            let c = self.db.get(cref);
+            // Equal lengths and no duplicates: every literal of the
+            // partner is one of `lits` other than `l`, or `¬l`.
+            let partner = !c.deleted
+                && !c.learnt
+                && c.len() == lits.len()
+                && c.lits.iter().all(|&p| p == !l || p != l && lits.binary_search(&p).is_ok());
+            partner.then_some((i, cref))
+        })
     }
 
     /// Solves the clause set under the given assumptions.
@@ -377,6 +489,19 @@ impl Solver {
         } else {
             None
         }
+    }
+
+    /// The stored problem clauses, each sorted, in slot order.
+    #[cfg(test)]
+    pub(crate) fn original_clauses(&self) -> Vec<Vec<Lit>> {
+        let originals = self.db.refs().map(|cref| self.db.get(cref)).filter(|c| !c.learnt);
+        originals
+            .map(|c| {
+                let mut lits = c.lits.clone();
+                lits.sort_unstable();
+                lits
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -687,10 +812,14 @@ impl Solver {
     /// Detaches a clause from its two watch lists and deletes it. Slots are
     /// reused, so stale watcher references must never survive a deletion.
     fn remove_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
-        };
+        let c = self.db.get(cref);
+        let (l0, l1) = (c.lits[0], c.lits[1]);
+        if !c.learnt && !self.survivors.is_empty() {
+            let hash = clause_hash(&c.lits);
+            if self.survivors.get(&hash) == Some(&cref) {
+                self.survivors.remove(&hash);
+            }
+        }
         for l in [l0, l1] {
             let ws = &mut self.watches[(!l).code()];
             if let Some(pos) = ws.iter().position(|w| w.cref == cref) {
@@ -698,6 +827,17 @@ impl Solver {
             }
         }
         self.db.delete(cref);
+    }
+
+    /// Removes a clause at decision level 0. If it is the level-0 reason
+    /// of its first literal, the literal stays assigned forever; the
+    /// stale reason is dropped.
+    fn remove_at_level_0(&mut self, cref: ClauseRef) {
+        let l0 = self.db.get(cref).lits[0];
+        if self.reason(l0.var()) == Some(cref) {
+            self.vardata[l0.var().index()].reason = None;
+        }
+        self.remove_clause(cref);
     }
 
     /// True if the clause is the reason for its first literal's assignment
@@ -760,13 +900,7 @@ impl Solver {
             })
             .collect();
         for cref in satisfied {
-            // If this clause is the level-0 reason of its first literal,
-            // the literal stays assigned forever; drop the stale reason.
-            let l0 = self.db.get(cref).lits[0];
-            if self.reason(l0.var()) == Some(cref) {
-                self.vardata[l0.var().index()].reason = None;
-            }
-            self.remove_clause(cref);
+            self.remove_at_level_0(cref);
         }
     }
 
@@ -1223,6 +1357,58 @@ mod tests {
             st.restarts,
         );
         assert_eq!(counters, (4613, 12628, 154167, 4599, 2315, 27));
+    }
+
+    #[test]
+    fn survivors_one_sign_apart_collapse() {
+        // C = 1 ∨ 2 with a = 3, b = 4: C ∨ a ∨ b and C ∨ a ∨ ¬b give C ∨ a,
+        // C ∨ ¬a ∨ b is stored, and C ∨ ¬a ∨ ¬b merges with it, then the
+        // resulting C ∨ ¬a with C ∨ a.
+        let mut s = solver_with_vars(4);
+        for (a, b) in [(3, 4), (3, -4), (-3, 4), (-3, -4)] {
+            assert!(s.add_survivor(&[lit(1), lit(2), lit(a), lit(b)]));
+        }
+        assert_eq!(s.num_clauses(), 1);
+        assert_eq!(s.original_clauses(), [vec![lit(1), lit(2)]]);
+        assert_eq!(s.stats().merged_clauses, 3);
+        assert_eq!(s.solve(&[lit(-1), lit(-2)]), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn a_unit_resolvent_is_a_level_0_fact() {
+        let mut s = solver_with_vars(3);
+        s.add_survivor(&[lit(1), lit(-2)]);
+        s.add_clause(&[lit(-1), lit(3)]);
+        s.add_survivor(&[lit(2), lit(1)]);
+        assert_eq!(s.fixed_value(lit(1)), Some(true));
+        assert_eq!(s.fixed_value(lit(3)), Some(true), "the unit is propagated");
+        assert_eq!(s.original_clauses(), [vec![lit(-1), lit(3)]]);
+        assert_eq!(s.stats().merged_clauses, 1);
+    }
+
+    #[test]
+    fn only_survivors_are_merge_partners() {
+        let mut s = solver_with_vars(3);
+        s.add_clause(&[lit(1), lit(2), lit(3)]);
+        s.add_survivor(&[lit(1), lit(2), lit(-3)]);
+        s.add_clause(&[lit(1), lit(-2), lit(-3)]);
+        assert_eq!(s.num_clauses(), 3);
+        assert_eq!(s.stats().merged_clauses, 0);
+    }
+
+    #[test]
+    fn a_removed_survivor_leaves_the_index() {
+        // 1 ∨ 2 ∨ 3 is satisfied at level 0 once 1 is, and `simplify`
+        // removes it; the clauses a merge removes leave the index too.
+        let mut s = solver_with_vars(4);
+        s.add_survivor(&[lit(1), lit(2), lit(3)]);
+        s.add_clause(&[lit(1)]);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert_eq!((s.num_clauses(), s.survivors.len()), (0, 0));
+        s.add_survivor(&[lit(2), lit(3), lit(4)]);
+        s.add_survivor(&[lit(2), lit(3), lit(-4)]);
+        assert_eq!(s.survivors.len(), 1);
+        assert_eq!(s.survivors.values().next(), s.db.refs().next().as_ref());
     }
 
     #[test]
