@@ -1121,25 +1121,20 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
 
         // The same DIPs through the attack's own encoding: the peeled
         // cone's miter in a solver each run copies, then each DIP's
-        // constraint over the cone with the oracle's response on the kept
-        // outputs. Consecutive DIPs re-simulate a few gates, so this is
-        // the per-DIP encoding and elimination the attack pays.
-        let kept = key_reachable_outputs(netlist);
-        let cone = keep_outputs(netlist, &kept).expect("distinct positions");
+        // constraint over the whole locked netlist with the oracle's whole
+        // response, the key-free outputs folding to constants. Consecutive
+        // DIPs re-simulate a few gates, so this is the per-DIP encoding and
+        // elimination the attack pays.
+        let cone = keep_outputs(netlist, &key_reachable_outputs(netlist)).expect("distinct");
         let differs = peel_key_free_layers(&cone);
         let mut session = Solver::new();
         let miter = build_miter(&mut session, &differs, &differs).expect("one interface");
         let mirror = KeyMirror::new(&miter);
-        let responses: Vec<Vec<bool>> = recorded
-            .iter()
-            .map(|dip| {
-                let all = oracle.eval(dip, &[]);
-                kept.iter().map(|&i| all[i]).collect()
-            })
-            .collect();
+        let responses: Vec<Vec<bool>> =
+            recorded.iter().map(|dip| oracle.eval(dip, &[])).collect();
         let (time, clauses) = fastest(|| {
             let mut solver = session.clone();
-            let mut constraints = DipConstraints::new(&cone, &miter, &mirror);
+            let mut constraints = DipConstraints::new(netlist, &miter, &mirror);
             for (dip, response) in recorded.iter().zip(&responses) {
                 constraints.add_answered(&mut solver, dip, response).expect("widths match");
             }

@@ -106,13 +106,22 @@ impl<'a> SimOracle<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::NotAnInput`] if the netlist has key inputs
-    /// (an oracle is an *unlocked* chip).
+    /// Returns [`NetlistError::Unsupported`], naming the netlist and its
+    /// first key inputs, if the netlist has key inputs (an oracle is an
+    /// *unlocked* chip).
     pub fn new(netlist: &'a Netlist) -> Result<SimOracle<'a>, NetlistError> {
-        if !netlist.key_inputs().is_empty() {
-            return Err(NetlistError::NotAnInput {
-                name: "oracle netlists must be keyless".to_string(),
-            });
+        let keys = netlist.key_inputs();
+        if !keys.is_empty() {
+            let mut names: Vec<String> =
+                keys.iter().take(4).map(|&k| format!("`{}`", netlist.node_name(k))).collect();
+            if keys.len() > 4 {
+                names.push(format!("… ({} in all)", keys.len()));
+            }
+            return Err(NetlistError::Unsupported(format!(
+                "key inputs {} in oracle netlist `{}` (an oracle is an unlocked chip)",
+                names.join(", "),
+                netlist.name()
+            )));
         }
         Ok(SimOracle { sim: Simulator::new(netlist)?, queries: 0 })
     }
@@ -284,9 +293,21 @@ mod tests {
     #[test]
     fn keyed_netlist_rejected_as_oracle() {
         let mut nl = xor2();
-        let k = nl.add_key_input("k").unwrap();
-        let _ = k;
-        assert!(SimOracle::new(&nl).is_err());
+        nl.add_key_input("k").unwrap();
+        let err = SimOracle::new(&nl).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "unsupported construct: key inputs `k` in oracle netlist `{}` \
+                 (an oracle is an unlocked chip)",
+                nl.name()
+            )
+        );
+        for i in 0..5 {
+            nl.add_key_input(format!("k{i}")).unwrap();
+        }
+        let err = SimOracle::new(&nl).unwrap_err().to_string();
+        assert!(err.contains("key inputs `k`, `k0`, `k1`, `k2`, … (6 in all) in"), "{err}");
     }
 
     #[test]

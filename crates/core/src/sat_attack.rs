@@ -15,23 +15,24 @@
 //!    which some two keys consistent with everything observed so far
 //!    disagree.
 //! 3. Query the oracle at the DIP (on the whole chip) and constrain both
-//!    key copies to reproduce its response on the cone's outputs. The
-//!    constraint is one CNF copy of the whole cone, peeled layers
-//!    included, over the left keys, with inputs pinned to the DIP so it
-//!    folds down to key logic only; its private variables are eliminated
-//!    before the solver sees it, and what survives is added once as it is
-//!    and once renamed onto the right keys ([`KeyMirror`]), each clause
-//!    merged with an earlier DIP's survivor that differs from it in one
-//!    literal's sign (two SARLock exclusions of keys one bit apart become
-//!    one clause without that bit). A DIP differs
-//!    from the previous one in a few inputs, so both the simulated oracle
-//!    and the copy's off-cone constants re-evaluate only the gates those
-//!    inputs reach (event-driven single-pattern simulation). The response
-//!    on the other outputs is buffered and checked against the locked
-//!    circuit by packed simulation, 64 DIPs per pass and once more before
-//!    a key is reported or the search handed on; a mismatch ends the run
-//!    as [`AttackStatus::Inconsistent`]. The textbook formulation keeps every
-//!    output in the cone, peels nothing and checks nothing by simulation.
+//!    key copies to reproduce its whole response. The constraint is one
+//!    CNF copy of the whole locked netlist over the left keys, with inputs
+//!    pinned to the DIP so it folds down to key logic only: only the key
+//!    cone is walked, and every other gate is a constant of the copy's
+//!    simulation. An output outside the cone folds with its answer, to
+//!    nothing when the answer is right and to the empty clause when it is
+//!    wrong, which ends the run as [`AttackStatus::Inconsistent`] once that
+//!    oracle round is answered. The copy's private variables are
+//!    eliminated before the solver sees it, and what survives is added
+//!    once as it is and once renamed onto the right keys ([`KeyMirror`]),
+//!    each clause merged with an earlier DIP's survivor that differs from
+//!    it in one literal's sign (two SARLock exclusions of keys one bit
+//!    apart become one clause without that bit). A DIP differs from the
+//!    previous one in a few inputs, so both the simulated oracle and the
+//!    copy's constants re-evaluate only the gates those inputs reach
+//!    (event-driven single-pattern simulation). The textbook formulation
+//!    encodes every output in the miter, peels nothing, and encodes each
+//!    DIP's copies in full.
 //! 4. Repeat until the miter is unsatisfiable: every remaining key is
 //!    functionally equivalent on all inputs; return one of them.
 //!
@@ -52,7 +53,7 @@ use polykey_encode::{
 };
 use polykey_locking::Key;
 use polykey_netlist::analysis::key_reachable_outputs;
-use polykey_netlist::{keep_outputs, peel_key_free_layers, Netlist, Simulator};
+use polykey_netlist::{keep_outputs, peel_key_free_layers, Netlist};
 use polykey_sat::{SolveResult, Solver, SolverStats};
 
 use crate::oracle::Oracle;
@@ -103,18 +104,14 @@ pub enum AttackStatus {
     Inconsistent,
 }
 
-/// A netlist, its key cone, the miter of the cone's peeled outputs with
-/// themselves, and that miter's left-to-right key renaming: what every
-/// solver of a session encodes. Built once per session and borrowed by
-/// each of its runs.
+/// A netlist, the miter of its key cone's peeled outputs with themselves,
+/// and that miter's left-to-right key renaming: what every solver of a
+/// session encodes. Built once per session and borrowed by each of its
+/// runs.
 pub(crate) struct Encoded<'n> {
-    /// The attacked netlist, with every output.
+    /// The attacked netlist, with every output: what the per-DIP copies
+    /// encode.
     pub netlist: &'n Netlist,
-    /// The positions of the outputs the solver encodes, ascending.
-    kept: Vec<usize>,
-    /// `netlist` cut down to the `kept` outputs and their fan-in, or `None`
-    /// when every output is kept.
-    cone: Option<Netlist>,
     miter: Miter,
     /// Renames the per-DIP constraints of the left key copy onto the right.
     mirror: KeyMirror,
@@ -131,8 +128,8 @@ impl<'n> Encoded<'n> {
     /// copies of that cone with its key-free output layers peeled off
     /// ([`peel_key_free_layers`]): it is satisfiable on exactly the inputs
     /// and key pairs the whole cone's miter is, but decides and propagates
-    /// only the logic the key changes. The per-DIP copies still encode the
-    /// whole cone, once over the left keys, and are renamed onto the right
+    /// only the logic the key changes. The per-DIP copies encode the whole
+    /// netlist, once over the left keys, and are renamed onto the right
     /// ones through a [`KeyMirror`] of the miter, built here. The `textbook`
     /// formulation keeps every output and peels nothing.
     ///
@@ -154,12 +151,7 @@ impl<'n> Encoded<'n> {
         let miter = build_miter(&mut solver, &differs, &differs)
             .expect("a netlist has its own interface");
         let mirror = KeyMirror::new(&miter);
-        (Encoded { netlist, kept, cone, miter, mirror, textbook }, solver)
-    }
-
-    /// The netlist the miter and the per-DIP copies encode.
-    fn cone(&self) -> &Netlist {
-        self.cone.as_ref().unwrap_or(self.netlist)
+        (Encoded { netlist, miter, mirror, textbook }, solver)
     }
 }
 
@@ -194,7 +186,7 @@ struct PendingDip {
 
 /// How the per-DIP consistency-constraint copies of `locked` are encoded.
 enum DipCopies<'n> {
-    /// Inputs pinned as constants: the copy is the key cone only, hashed
+    /// Inputs pinned as constants: the copy walks the key cone only, hashed
     /// against the miter, its private variables are eliminated before the
     /// solver sees them, and it is added once per key copy.
     Folded(Box<DipConstraints<'n>>),
@@ -209,7 +201,7 @@ const MITER_WIDTHS: &str =
 
 impl<'n> DipCopies<'n> {
     fn new(encoded: &'n Encoded<'_>) -> DipCopies<'n> {
-        let (locked, miter) = (encoded.cone(), &encoded.miter);
+        let (locked, miter) = (encoded.netlist, &encoded.miter);
         if encoded.textbook {
             DipCopies::Full(locked, miter)
         } else {
@@ -270,93 +262,6 @@ fn encode_full(
     enc.outputs
 }
 
-/// Splits each oracle response between the solver and simulation.
-///
-/// The solver sees the response on the outputs the search encodes. Every
-/// other output lies outside the key's fanout: it computes the same
-/// function under every key, so it never tells two keys apart, and the
-/// oracle must match the locked netlist on it under any key. Those answers
-/// are buffered and compared in one packed simulation pass of the full
-/// netlist per 64 DIPs, and once more before a run reports a key or hands
-/// its search on.
-struct Responses<'n> {
-    kept: &'n [usize],
-    /// The outputs outside the cone, with a simulator of the full netlist;
-    /// `None` when the solver encodes every output.
-    dropped: Option<(Vec<usize>, Simulator<'n>)>,
-    /// The buffered DIPs (bit `p` of word `i`: input `i` of DIP `p`).
-    inputs: Vec<u64>,
-    /// The buffered answers on the dropped outputs, one word per output.
-    answers: Vec<u64>,
-    buffered: usize,
-}
-
-impl<'n> Responses<'n> {
-    fn new(encoded: &'n Encoded<'_>) -> Responses<'n> {
-        let netlist: &'n Netlist = encoded.netlist;
-        let outputs = netlist.outputs().len();
-        let dropped = if encoded.kept.len() == outputs {
-            None
-        } else {
-            let dropped = (0..outputs).filter(|i| encoded.kept.binary_search(i).is_err());
-            let sim = Simulator::new(netlist).expect("every netlist can be simulated");
-            Some((dropped.collect::<Vec<usize>>(), sim))
-        };
-        let answers = vec![0; dropped.as_ref().map_or(0, |(d, _)| d.len())];
-        Responses {
-            kept: &encoded.kept,
-            dropped,
-            inputs: vec![0; netlist.inputs().len()],
-            answers,
-            buffered: 0,
-        }
-    }
-
-    /// The response on the outputs the solver encodes.
-    fn kept<'r>(&self, response: &'r [bool]) -> Cow<'r, [bool]> {
-        if self.dropped.is_none() {
-            Cow::Borrowed(response)
-        } else {
-            self.kept.iter().map(|&i| response[i]).collect()
-        }
-    }
-
-    /// Buffers the response at `dip` on the dropped outputs. Returns false
-    /// when this fills a batch that the oracle contradicts.
-    fn buffer(&mut self, dip: &[bool], response: &[bool]) -> bool {
-        let Some((dropped, _)) = &self.dropped else { return true };
-        let bit = 1u64 << self.buffered;
-        for (word, _) in self.inputs.iter_mut().zip(dip).filter(|(_, &b)| b) {
-            *word |= bit;
-        }
-        for (word, _) in self.answers.iter_mut().zip(dropped).filter(|(_, &i)| response[i]) {
-            *word |= bit;
-        }
-        self.buffered += 1;
-        self.buffered < 64 || self.check()
-    }
-
-    /// Simulates the buffered DIPs and empties the buffer. Returns false if
-    /// the oracle answered any of them differently from the netlist.
-    fn check(&mut self) -> bool {
-        let Some((dropped, sim)) = &mut self.dropped else { return true };
-        if self.buffered == 0 {
-            return true;
-        }
-        let keys = vec![0; sim.netlist().key_inputs().len()];
-        let outputs = sim.eval_packed(&self.inputs, &keys);
-        let live = u64::MAX >> (64 - self.buffered);
-        let consistent = dropped
-            .iter()
-            .zip(&self.answers)
-            .all(|(&i, &answer)| (outputs[i] ^ answer) & live == 0);
-        self.inputs.fill(0);
-        self.answers.fill(0);
-        self.buffered = 0;
-        consistent
-    }
-}
-
 /// The mutable state of one DIP-refinement run: the incremental solver,
 /// the oracle, and the work record every exit reports.
 struct Run<'o> {
@@ -398,7 +303,6 @@ impl Run<'_> {
     fn refine(
         &mut self,
         copies: &mut DipCopies<'_>,
-        checked: &mut Responses<'_>,
         encoded: &Encoded<'_>,
         config: &AttackConfig<'_>,
         term: &TermCtl<'_>,
@@ -477,20 +381,19 @@ impl Run<'_> {
                             self.dip_patterns.push(pending.dip.clone());
                         }
                         // Both key copies must reproduce the response at
-                        // this input, on the outputs they encode.
-                        let kept = checked.kept(response);
+                        // this input. A wrong answer leaves the solver
+                        // unsatisfiable, so the next solve ends the run.
                         match &pending.copies {
                             Some(copies) => {
                                 for outputs in copies {
-                                    for (out, &bit) in outputs.iter().zip(kept.iter()) {
+                                    for (out, &bit) in outputs.iter().zip(response) {
                                         assert_value(&mut self.solver, *out, bit);
                                     }
                                 }
                             }
-                            None => copies.add_answered(&mut self.solver, &pending.dip, &kept),
-                        }
-                        if !checked.buffer(&pending.dip, response) {
-                            return (AttackStatus::Inconsistent, None);
+                            None => {
+                                copies.add_answered(&mut self.solver, &pending.dip, response)
+                            }
                         }
                     }
                 }
@@ -550,18 +453,7 @@ pub(crate) fn run_sat_attack(
         stats: AttackStats::default(),
         dip_patterns: Vec::new(),
     };
-    let (status, key) = {
-        let mut copies = DipCopies::new(encoded);
-        let mut checked = Responses::new(encoded);
-        match run.refine(&mut copies, &mut checked, encoded, config, term) {
-            // The answers still buffered must hold before the run reports a
-            // key or hands its search on.
-            (AttackStatus::Success | AttackStatus::BudgetExhausted, _) if !checked.check() => {
-                (AttackStatus::Inconsistent, None)
-            }
-            verdict => verdict,
-        }
-    };
+    let (status, key) = run.refine(&mut DipCopies::new(encoded), encoded, config, term);
     run.finish(status, key)
 }
 
@@ -827,6 +719,14 @@ mod tests {
         inner: SimOracle<'a>,
         at: u64,
         flip: usize,
+        /// The pattern answered wrong, once it was asked.
+        flipped: Option<Vec<bool>>,
+    }
+
+    impl<'a> FlipOnce<'a> {
+        fn new(original: &'a Netlist, at: u64, flip: usize) -> FlipOnce<'a> {
+            FlipOnce { inner: SimOracle::new(original).unwrap(), at, flip, flipped: None }
+        }
     }
 
     impl Oracle for FlipOnce<'_> {
@@ -843,6 +743,7 @@ mod tests {
             let mut response = self.inner.query(input);
             if asked == self.at {
                 response[self.flip] = !response[self.flip];
+                self.flipped = Some(input.to_vec());
             }
             response
         }
@@ -864,15 +765,14 @@ mod tests {
     }
 
     #[test]
-    fn a_wrong_answer_on_a_key_free_output_is_caught_in_its_batch() {
-        // 255 DIPs: a wrong answer among the first 64 shows when the 64th
-        // is answered, and the run stops there.
+    fn a_wrong_answer_on_a_key_free_output_ends_the_run_at_its_dip() {
+        // The 11th DIP is answered wrong; its copy folds the key-free
+        // output to the empty clause, and the next solve ends the run.
         let (original, locked, free) = sarlock_c432();
-        let mut oracle =
-            FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 10, flip: free };
+        let mut oracle = FlipOnce::new(&original, 10, free);
         let outcome = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
-        assert_eq!(outcome.stats.dips, 64);
+        assert_eq!(outcome.stats.dips, 11);
         assert!(outcome.key.is_none());
     }
 
@@ -882,11 +782,10 @@ mod tests {
         let mut oracle = SimOracle::new(&original).unwrap();
         let clean = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(clean.status, AttackStatus::Success);
-        assert_eq!(clean.stats.dips % 64, 63, "the last batch is partial");
-        // The last DIP answered wrong: no later batch fills up, so only the
-        // check before the key is reported can see it.
+        // The last DIP answered wrong: the solve after it, which would
+        // have proven the key, finds no key consistent.
         let at = clean.stats.dips - 1;
-        let mut oracle = FlipOnce { inner: SimOracle::new(&original).unwrap(), at, flip: free };
+        let mut oracle = FlipOnce::new(&original, at, free);
         let outcome = attack(&locked, &mut oracle, &AttackConfig::default());
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert_eq!(outcome.stats.dips, clean.stats.dips);
@@ -894,17 +793,69 @@ mod tests {
     }
 
     #[test]
-    fn a_wrong_answer_is_caught_before_a_search_is_handed_on() {
-        // Caught by the check before `BudgetExhausted`: the search is not
-        // handed to children.
+    fn a_wrong_answer_ends_a_budgeted_run_before_its_search_is_handed_on() {
+        // The 6th of 32 budgeted DIPs is answered wrong: the run ends
+        // there, and the search is not handed to children.
         let (original, locked, free) = sarlock_c432();
         let term = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
-        let mut oracle =
-            FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 5, flip: free };
+        let mut oracle = FlipOnce::new(&original, 5, free);
         let outcome = attack_term(&locked, &mut oracle, &term);
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
-        assert_eq!(outcome.stats.dips, 32);
+        assert_eq!(outcome.stats.dips, 6);
         assert!(outcome.solver.is_none());
+    }
+
+    #[test]
+    fn a_wrong_key_free_answer_stops_folded_and_textbook_runs_at_the_same_dip() {
+        // The textbook formulation asserts each response on a full copy,
+        // so a wrong answer ends its run in the oracle round that brought
+        // it. The folded formulation must stop at the same DIP, for a
+        // wrong answer anywhere in the 255-DIP run and for any batch size.
+        let (original, locked, free) = sarlock_c432();
+        let ats = [0, 10, 63, 100, 254];
+        for (dip_batch, expected) in [
+            (1, [1, 11, 64, 101, 255]),
+            (8, [8, 16, 64, 104, 255]),
+            (64, [64, 64, 64, 128, 255]),
+        ] {
+            for (&at, &dips) in ats.iter().zip(&expected) {
+                for textbook in [false, true] {
+                    let config =
+                        AttackConfig { dip_batch, textbook, ..AttackConfig::default() };
+                    let mut oracle = FlipOnce::new(&original, at, free);
+                    let outcome = attack(&locked, &mut oracle, &config);
+                    let run = format!("batch {dip_batch}, wrong DIP {at}, textbook {textbook}");
+                    assert_eq!(outcome.status, AttackStatus::Inconsistent, "{run}");
+                    assert_eq!(outcome.stats.dips, dips, "{run}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_term_answered_wrong_is_inconsistent() {
+        // An N = 1 session: the term whose half of the input space holds
+        // the wrong answer ends inconsistent, the other term succeeds.
+        let (original, locked, free) = sarlock_c432();
+        let mut oracle = FlipOnce::new(&original, 20, free);
+        let report = crate::AttackSession::builder()
+            .oracle(&mut oracle)
+            .split_effort(1)
+            .build()
+            .unwrap()
+            .run(&locked)
+            .unwrap();
+        let wrong = oracle.flipped.expect("the 21st query was asked");
+        let port = locked.inputs().iter().position(|&id| id == report.split_inputs[0]).unwrap();
+        assert_eq!(report.reports.len(), 2);
+        for term in &report.reports {
+            let expected = if term.pattern == u64::from(wrong[port]) {
+                AttackStatus::Inconsistent
+            } else {
+                AttackStatus::Success
+            };
+            assert_eq!(term.status, expected, "term {}", term.pattern);
+        }
     }
 
     #[test]
@@ -913,8 +864,7 @@ mod tests {
         // the child resumes it on one half of the input space and meets
         // the wrong answer among its own first DIPs.
         let (original, locked, free) = sarlock_c432();
-        let mut oracle =
-            FlipOnce { inner: SimOracle::new(&original).unwrap(), at: 35, flip: free };
+        let mut oracle = FlipOnce::new(&original, 35, free);
         let budget = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
         let (encoded, solver) = start(&locked);
         let config = AttackConfig::default();
@@ -928,14 +878,21 @@ mod tests {
         assert!(outcome.key.is_none());
     }
 
+    /// The key cone `Encoded::new` builds its miter from: every input, and
+    /// the outputs the key reaches with their fan-in.
+    fn key_cone(locked: &Netlist) -> Netlist {
+        keep_outputs(locked, &key_reachable_outputs(locked)).unwrap()
+    }
+
     /// The search's miter must answer like the reference miter of its
     /// whole key cone, `build_miter(cone, cone)`, for every key pair in
     /// `pairs`, given as assumptions, and every DIP it returns must make
     /// the two keys disagree on the whole locked netlist.
     fn assert_peeled_miter_agrees(locked: &Netlist, pairs: &[(Key, Key)]) {
         let (encoded, mut solver) = start(locked);
+        let cone = key_cone(locked);
         let mut full_solver = Solver::new();
-        let full = build_miter(&mut full_solver, encoded.cone(), encoded.cone()).unwrap();
+        let full = build_miter(&mut full_solver, &cone, &cone).unwrap();
         assert!(solver.num_vars() <= full_solver.num_vars());
         let mut sim = Simulator::new(locked).unwrap();
         let assume = |miter: &Miter, k1: &Key, k2: &Key| -> Vec<Lit> {
@@ -1017,11 +974,11 @@ mod tests {
         let original = polykey_circuits::Iscas85::C432.build();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let locked = LutLock::small().with_seed(7).lock_random(&original, &mut rng).unwrap();
-        let (encoded, solver) = start(&locked.netlist);
-        assert!(matches!(peel_key_free_layers(encoded.cone()), Cow::Borrowed(_)));
+        let (_, solver) = start(&locked.netlist);
+        let cone = key_cone(&locked.netlist);
+        assert!(matches!(peel_key_free_layers(&cone), Cow::Borrowed(_)));
         let mut reference = Solver::new();
-        let cone = encoded.cone();
-        build_miter(&mut reference, cone, cone).unwrap();
+        build_miter(&mut reference, &cone, &cone).unwrap();
         let size = |solver: &Solver| (solver.num_vars(), solver.num_clauses());
         assert_eq!(size(&solver), size(&reference));
         assert_eq!(size(&solver), (218, 481));
@@ -1034,8 +991,9 @@ mod tests {
         // gate of the original circuit under that output.
         let original = polykey_circuits::Iscas85::C7552.build();
         let locked = Sarlock::new(8).lock(&original, &Key::from_u64(0xA5, 8)).unwrap().netlist;
-        let (encoded, solver) = start(&locked);
-        let differs = peel_key_free_layers(encoded.cone());
+        let (_, solver) = start(&locked);
+        let cone = key_cone(&locked);
+        let differs = peel_key_free_layers(&cone);
         let keyed = polykey_netlist::analysis::key_controlled_mask(&differs);
         assert!(differs
             .node_ids()

@@ -11,10 +11,13 @@ use crate::tseitin::{assert_equal, assert_value, CnfValue, ConeEncoder, EncodeEr
 /// solver of an attack miter.
 ///
 /// A DIP constrains both key copies of the miter: each must reproduce the
-/// oracle's response at that input. A copy is the key cone of the locked
-/// netlist with inputs pinned to the DIP, encoded by a [`ConeEncoder`]
-/// that reuses the miter's gates (such as SARLock's `K == K*` mask). Only
-/// the left copy is encoded: it goes into an [`ElimBuffer`] together with
+/// oracle's whole response at that input. A copy is the locked netlist
+/// with inputs pinned to the DIP, encoded by a [`ConeEncoder`] that walks
+/// only its key cone and reuses the miter's gates (such as SARLock's
+/// `K == K*` mask). An output outside the key's fan-out is a constant of
+/// the copy, so its answer folds: a right one adds nothing, a wrong one
+/// the empty clause, which leaves no key consistent. Only the left copy
+/// is encoded: it goes into an [`ElimBuffer`] together with
 /// the response units, which eliminates its private variables, so the
 /// solver receives only what the DIP says about the key and miter
 /// variables, and later solves never re-propagate the copy's internals.
@@ -40,8 +43,10 @@ impl<'n> DipConstraints<'n> {
     /// Prepares the constraints of `netlist` against `miter`, which must
     /// be in the solver the constraints are added to and have `netlist`'s
     /// key inputs: the miter of `netlist` with itself, or of a cut of it
-    /// that keeps every input, such as
-    /// [`peel_key_free_layers`](polykey_netlist::peel_key_free_layers).
+    /// that keeps every input, such as its key cone
+    /// ([`keep_outputs`](polykey_netlist::keep_outputs)) with the key-free
+    /// layers peeled off
+    /// ([`peel_key_free_layers`](polykey_netlist::peel_key_free_layers)).
     /// `mirror` is [`KeyMirror::new`] of `miter`.
     pub fn new(
         netlist: &'n Netlist,
@@ -58,7 +63,8 @@ impl<'n> DipConstraints<'n> {
         }
     }
 
-    /// Requires both key copies to produce `response` at `pattern`.
+    /// Requires both key copies to produce `response`, one bit per output
+    /// of the netlist, at `pattern`.
     ///
     /// # Errors
     ///

@@ -405,18 +405,18 @@ pub(crate) fn encode_shared<S: ClauseSink>(
 /// Encodes per-DIP constraint copies: inputs pinned to a pattern, keys
 /// shared with existing literals, and only the key cone visited.
 ///
-/// With every primary input pinned, the gates outside the transitive
+/// With every primary input pinned, the nodes outside the transitive
 /// fan-out of the key inputs are constants. The encoder computes the
-/// topological order and that cone once. It keeps the off-cone constants
-/// of the last pattern, and a new pattern updates only the nodes whose
-/// value it changes, by incremental single-pattern simulation (see
-/// [`Simulator::eval_changes`]). Consecutive DIPs differ in a few inputs,
-/// so this costs a small part of a full simulation pass. Each copy then
-/// encodes the cone gates in their topological order against a
-/// structural-hash table of its own, cleared per copy. The off-cone gates
+/// topological order and that cone once. Each pattern is simulated
+/// incrementally ([`Simulator::node_values`]): consecutive DIPs differ in
+/// a few inputs, so this costs a small part of a full simulation pass. A
+/// copy then encodes the cone gates in their topological order against a
+/// structural-hash table of its own, cleared per copy, and reads every
+/// fan-in outside the cone as the simulator's constant. The off-cone gates
 /// would have folded without emitting anything, so a copy adds exactly the
 /// variables and clauses, in the same order, as [`encode`] under inputs
 /// [`PortBinding::Pinned`] to the pattern and keys [`PortBinding::Shared`].
+/// An output outside the cone comes back as a constant.
 ///
 /// Built for a miter instead (the per-DIP copy of the attack, see
 /// [`DipConstraints`](crate::DipConstraints)), a copy first looks each
@@ -431,10 +431,13 @@ pub struct ConeEncoder<'n> {
     shared: Option<&'n GateTable>,
     /// The key-controlled gates, in topological order.
     cone: Vec<NodeId>,
-    /// Simulates the netlist under the all-zero key; the off-cone entries
-    /// of `values` hold its constants at the last pattern.
+    /// Per node: whether the keys control it ([`key_controlled_mask`]).
+    keyed: Vec<bool>,
+    /// Simulates the netlist under the all-zero key; its words of the
+    /// nodes the keys do not control are the copy's constants.
     sim: Simulator<'n>,
     zero_keys: Vec<bool>,
+    /// The current copy's values of the key-controlled nodes.
     values: Vec<CnfValue>,
     fanins: Vec<CnfValue>,
     table: GateTable,
@@ -449,17 +452,18 @@ impl<'n> ConeEncoder<'n> {
     /// [`ConeEncoder::new`] whose copies also reuse the gates of `shared`,
     /// a table filled in the sink they are encoded into.
     pub(crate) fn over(netlist: &'n Netlist, shared: Option<&'n GateTable>) -> ConeEncoder<'n> {
-        let in_cone = key_controlled_mask(netlist);
+        let keyed = key_controlled_mask(netlist);
         let cone = netlist
             .topological_order()
             .iter()
             .copied()
-            .filter(|&id| in_cone[id.index()] && !netlist.node(id).kind().is_input())
+            .filter(|&id| keyed[id.index()] && !netlist.node(id).kind().is_input())
             .collect();
         ConeEncoder {
             netlist,
             shared,
             cone,
+            keyed,
             sim: Simulator::new(netlist).expect("every netlist can be simulated"),
             zero_keys: vec![false; netlist.key_inputs().len()],
             values: vec![CnfValue::Const(false); netlist.num_nodes()],
@@ -496,37 +500,30 @@ impl<'n> ConeEncoder<'n> {
                 got: keys.len(),
             });
         }
-        self.simulate(pattern);
+        let ConeEncoder { shared, cone, keyed, sim, zero_keys, values, fanins, table, .. } =
+            self;
+        let words = sim.node_values(pattern, zero_keys);
+        // A node's value in this copy: its encoding if the keys control it,
+        // its simulated constant otherwise.
+        let value = |values: &[CnfValue], id: NodeId| {
+            if keyed[id.index()] {
+                values[id.index()]
+            } else {
+                CnfValue::Const(words[id.index()] & 1 == 1)
+            }
+        };
         for (&k, &lit) in nl.key_inputs().iter().zip(keys) {
-            self.values[k.index()] = CnfValue::Lit(lit);
+            values[k.index()] = CnfValue::Lit(lit);
         }
-        self.table.gates.clear();
-        let mut strash = Strash { shared: self.shared, own: &mut self.table };
-        for &id in &self.cone {
+        table.gates.clear();
+        let mut strash = Strash { shared: *shared, own: table };
+        for &id in cone.iter() {
             let node = nl.node(id);
-            self.fanins.clear();
-            self.fanins.extend(node.fanins().iter().map(|f| self.values[f.index()]));
-            self.values[id.index()] = encode_gate(sink, &mut strash, node.kind(), &self.fanins);
+            fanins.clear();
+            fanins.extend(node.fanins().iter().map(|&f| value(values, f)));
+            values[id.index()] = encode_gate(sink, &mut strash, node.kind(), fanins);
         }
-        Ok(nl.outputs().iter().map(|o| self.values[o.index()]).collect())
-    }
-
-    /// Sets every node's value to its constant at `pattern`, updating
-    /// only the nodes the pattern changes when the simulator reports them;
-    /// the cone entries are overwritten by each copy.
-    fn simulate(&mut self, pattern: &[bool]) {
-        match self.sim.eval_changes(pattern, &self.zero_keys) {
-            (words, Some(changed)) => {
-                for &id in changed {
-                    self.values[id.index()] = CnfValue::Const(words[id.index()] & 1 == 1);
-                }
-            }
-            (words, None) => {
-                for (value, &word) in self.values.iter_mut().zip(words) {
-                    *value = CnfValue::Const(word & 1 == 1);
-                }
-            }
-        }
+        Ok(nl.outputs().iter().map(|&o| value(values, o)).collect())
     }
 }
 

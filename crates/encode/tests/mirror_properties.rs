@@ -1,9 +1,10 @@
 //! Differential property test of the mirrored per-DIP constraints: on
 //! random circuits locked with RLL, SARLock, Anti-SAT and LUT, encoded as
-//! the attack encodes them (key cone, peeled miter), constraints encoded
-//! once over the left keys and renamed onto the right ones must constrain
-//! both key vectors exactly as two plain cone walks do, on the answered
-//! and on the pending path.
+//! the attack encodes them (copies of the whole locked netlist against
+//! its key cone's peeled miter), constraints encoded once over the left
+//! keys and renamed onto the right ones must constrain both key vectors
+//! exactly as two plain cone walks do, on the answered and on the pending
+//! path.
 
 use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
@@ -56,13 +57,12 @@ proptest! {
             let mut mirrored = Solver::new();
             let twin = build_miter(&mut mirrored, &differs, &differs).expect("miter");
             let mirror = KeyMirror::new(&twin);
-            let mut cone_walk = ConeEncoder::new(&cone);
-            let mut constraints = DipConstraints::new(&cone, &twin, &mirror);
+            let mut cone_walk = ConeEncoder::new(&locked.netlist);
+            let mut constraints = DipConstraints::new(&locked.netlist, &twin, &mirror);
             let mut pending = Vec::new();
             for &(bits, is_pending) in &dips {
                 let dip: Vec<bool> = (0..inputs).map(|i| bits >> i & 1 == 1).collect();
-                let answer = oracle.eval(&dip, &[]);
-                let response: Vec<bool> = kept.iter().map(|&i| answer[i]).collect();
+                let response = oracle.eval(&dip, &[]);
                 let copies = [&miter.keys_left, &miter.keys_right]
                     .map(|keys| cone_walk.encode(&mut plain, &dip, keys).expect("encode"));
                 if is_pending {

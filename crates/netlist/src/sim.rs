@@ -2,14 +2,15 @@
 //! one pattern after another.
 //!
 //! [`Simulator::eval_packed`] evaluates 64 input patterns per pass by
-//! packing one pattern per bit of a `u64` word; the attack's response
-//! checks and all correctness checks evaluate circuits this way.
-//! [`Simulator::eval`] evaluates one pattern and keeps every node's value:
-//! the next pattern re-evaluates only the gates downstream of the inputs
-//! and keys it flips, level by level (event-driven simulation, after
-//! Ulrich, CACM 1969). Consecutive DIPs of an attack differ in a few
-//! inputs, so the oracle and the per-DIP constants pay for the handful of
-//! nodes that change, not for the whole circuit.
+//! packing one pattern per bit of a `u64` word; a simulated oracle's
+//! batched answers and all correctness checks evaluate circuits this way.
+//! [`Simulator::eval`] and [`Simulator::node_values`] evaluate one pattern
+//! and keep every node's value: the next pattern re-evaluates only the
+//! gates downstream of the inputs and keys it flips, level by level
+//! (event-driven simulation, after Ulrich, CACM 1969). Consecutive DIPs of
+//! an attack differ in a few inputs, so the oracle and the per-DIP
+//! constants pay for the handful of nodes that change, not for the whole
+//! circuit.
 
 use crate::analysis::levels;
 use crate::netlist::{Netlist, NetlistError, Node, NodeId};
@@ -40,8 +41,8 @@ use crate::netlist::{Netlist, NetlistError, Node, NodeId};
 /// let mut sim = Simulator::new(&nl)?;
 /// assert_eq!(sim.eval(&[false], &[]), vec![true]);
 /// // The next pattern flips `a`, so only `y` is re-evaluated.
-/// let (values, changed) = sim.eval_changes(&[true], &[]);
-/// assert_eq!(changed, Some(&[a, y][..]));
+/// let values = sim.node_values(&[true], &[]);
+/// assert_eq!(values[a.index()], u64::MAX);
 /// assert_eq!(values[y.index()], 0);
 /// # Ok(())
 /// # }
@@ -60,8 +61,6 @@ pub struct Simulator<'a> {
     single: bool,
     /// The event queue, built on the first incremental evaluation.
     events: Option<Events>,
-    /// The nodes the last incremental evaluation changed.
-    changed: Vec<NodeId>,
 }
 
 /// The levelised event queue of the single-pattern path.
@@ -170,7 +169,6 @@ impl<'a> Simulator<'a> {
             fanin_buf: Vec::with_capacity(8),
             single: false,
             events: None,
-            changed: Vec::new(),
         })
     }
 
@@ -188,27 +186,20 @@ impl<'a> Simulator<'a> {
     /// port counts.
     pub fn eval(&mut self, inputs: &[bool], keys: &[bool]) -> Vec<bool> {
         let netlist = self.netlist;
-        let (values, _) = self.eval_changes(inputs, keys);
+        let values = self.node_values(inputs, keys);
         netlist.outputs().iter().map(|o| values[o.index()] & 1 == 1).collect()
     }
 
     /// Evaluates a single input pattern, like [`Simulator::eval`], and
     /// returns every node's value word, indexed by [`NodeId`] (all ones for
-    /// true, all zeros for false), with the nodes whose value differs from
-    /// the previous single pattern's: ports first, then gates in level
-    /// order. The list is `None` when every node was recomputed instead: for
-    /// the first pattern, the first after a packed evaluation, and one that
-    /// flips too much for events to pay.
+    /// true, all zeros for false): the single-pattern twin of
+    /// [`Simulator::node_values_packed`].
     ///
     /// # Panics
     ///
     /// Panics if `inputs` or `keys` do not match the netlist's input and key
     /// port counts.
-    pub fn eval_changes(
-        &mut self,
-        inputs: &[bool],
-        keys: &[bool],
-    ) -> (&[u64], Option<&[NodeId]>) {
+    pub fn node_values(&mut self, inputs: &[bool], keys: &[bool]) -> &[u64] {
         let nl = self.netlist;
         assert_eq!(inputs.len(), nl.inputs().len(), "primary input width mismatch");
         assert_eq!(keys.len(), nl.key_inputs().len(), "key input width mismatch");
@@ -219,28 +210,26 @@ impl<'a> Simulator<'a> {
             }
             self.full_pass();
             self.single = true;
-            return (&self.values, None);
+            return &self.values;
         }
-        let Simulator { netlist, start, consumers, values, fanin_buf, changed, .. } = self;
+        let Simulator { netlist, start, consumers, values, fanin_buf, .. } = self;
         let fanouts =
             |id: NodeId| &consumers[start[id.index()] as usize..start[id.index() + 1] as usize];
         let events = self.events.get_or_insert_with(|| Events::new(netlist));
         events.count = 0;
         events.lowest = events.buckets.len();
         events.highest = 0;
-        changed.clear();
+        let flips =
+            ports.clone().filter(|&(id, &bit)| values[id.index()] != broadcast(bit)).count();
+        let flip_limit = ((inputs.len() + keys.len()) / FLIP_SHARE).max(1);
+        let mut within_budget = flips <= flip_limit;
         for (&id, &bit) in ports {
             let word = broadcast(bit);
             if values[id.index()] != word {
                 values[id.index()] = word;
-                changed.push(id);
-            }
-        }
-        let flip_limit = ((inputs.len() + keys.len()) / FLIP_SHARE).max(1);
-        let mut within_budget = changed.len() <= flip_limit;
-        if within_budget {
-            for &id in changed.iter() {
-                events.schedule(fanouts(id));
+                if within_budget {
+                    events.schedule(fanouts(id));
+                }
             }
         }
         // A gate's consumers sit at higher levels, so one sweep up the
@@ -252,7 +241,6 @@ impl<'a> Simulator<'a> {
                 let word = eval_gate(netlist.node(id), values, fanin_buf);
                 if values[id.index()] != word {
                     values[id.index()] = word;
-                    changed.push(id);
                     events.schedule(fanouts(id));
                     if events.count > events.budget {
                         within_budget = false;
@@ -262,14 +250,13 @@ impl<'a> Simulator<'a> {
             }
             level += 1;
         }
-        if within_budget {
-            return (&self.values, Some(&self.changed));
+        if !within_budget {
+            // Too many events: drop the queue and finish with a full pass.
+            // The ports already hold the new pattern.
+            events.clear();
+            self.full_pass();
         }
-        // Too many events: drop the queue and finish with a full pass. The
-        // ports already hold the new pattern.
-        events.clear();
-        self.full_pass();
-        (&self.values, None)
+        &self.values
     }
 
     /// Evaluates 64 packed patterns at once: bit *i* of each word belongs to

@@ -227,15 +227,11 @@ proptest! {
         steps in proptest::collection::vec((0u8..8, any::<u64>()), 1..40),
     ) {
         // One simulator sees the whole sequence; each pattern is checked
-        // against a fresh simulator's full pass, node by node, and so is the
-        // list of nodes it reports as changed.
+        // against a fresh simulator's full pass, node by node.
         let nl = keyed_random_circuit(seed, inputs, gates, keys);
         let mut sim = Simulator::new(&nl).expect("acyclic");
         let mut ins = vec![false; inputs];
         let mut ks = vec![false; keys];
-        // The previous single pattern's node values, unless a packed
-        // evaluation came between.
-        let mut previous: Option<Vec<u64>> = None;
         for (op, r) in steps {
             match op {
                 // The same pattern again.
@@ -265,7 +261,6 @@ proptest! {
                     let got = sim.eval_packed(&words, &key_words);
                     let want = Simulator::new(&nl).expect("acyclic").eval_packed(&words, &key_words);
                     prop_assert_eq!(got, want);
-                    previous = None;
                     continue;
                 }
                 _ => {
@@ -275,28 +270,13 @@ proptest! {
                     let got = sim.node_values_packed(&words, &key_words).to_vec();
                     let mut fresh = Simulator::new(&nl).expect("acyclic");
                     prop_assert_eq!(got, fresh.node_values_packed(&words, &key_words).to_vec());
-                    previous = None;
                     continue;
                 }
             }
             let mut fresh = Simulator::new(&nl).expect("acyclic");
-            let want = fresh.eval_changes(&ins, &ks).0.to_vec();
-            let (got, changed) = sim.eval_changes(&ins, &ks);
-            prop_assert_eq!(got, &want[..]);
-            match (&previous, changed) {
-                (Some(before), Some(changed)) => {
-                    let mut reported: Vec<usize> = changed.iter().map(|id| id.index()).collect();
-                    reported.sort_unstable();
-                    let differing: Vec<usize> =
-                        (0..want.len()).filter(|&i| before[i] != want[i]).collect();
-                    prop_assert_eq!(reported, differing);
-                }
-                // A full pass, which may follow any pattern.
-                (Some(_), None) => {}
-                (None, changed) => prop_assert!(changed.is_none()),
-            }
+            let want = fresh.node_values(&ins, &ks).to_vec();
+            prop_assert_eq!(sim.node_values(&ins, &ks), &want[..]);
             prop_assert_eq!(sim.eval(&ins, &ks), fresh.eval(&ins, &ks));
-            previous = Some(want);
         }
     }
 
