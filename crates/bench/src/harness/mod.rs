@@ -305,7 +305,9 @@ pub fn registry() -> &'static [Scenario] {
             group: Group::Encode,
             tags: &["layers", "solver"],
             quick: true,
-            summary: "per-layer timings: packed simulation, re-synthesis, locking, CDCL solver",
+            summary: "per-layer timings: packed and single-pattern simulation, re-synthesis, \
+                      LUT locking, the attack's session encoding and per-DIP constraints, \
+                      CDCL solver, equivalence proofs",
             run: scenarios::layers,
         },
     ]

@@ -15,15 +15,12 @@ use polykey_attack::{
     SplitStrategy,
 };
 use polykey_circuits::Iscas85;
-use polykey_encode::{build_miter, check_equivalence, DipConstraints, KeyMirror};
+use polykey_encode::{build_miter, check_equivalence, AttackEncoding};
 use polykey_locking::{
     lock_sarlock_on_signals, AntiSat, Key, LockScheme, LockedCircuit, LutLock, Rll, Sarlock,
 };
-use polykey_netlist::analysis::{key_reachable_outputs, levels};
-use polykey_netlist::{
-    bits_of, keep_outputs, peel_key_free_layers, pin_keys, simplify, GateKind, Netlist, NodeId,
-    Simulator,
-};
+use polykey_netlist::analysis::levels;
+use polykey_netlist::{bits_of, pin_keys, simplify, GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, SolverStats, Var};
 use rand::SeedableRng;
 
@@ -1058,40 +1055,39 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
         let locked = Sarlock::new(8).lock(&c7552, &Key::from_u64(0x5A, 8)).expect("lockable");
         let netlist = &locked.netlist;
 
-        // A session's set-up, as `Encoded::new` does it: the outputs the
-        // key reaches, their cone, its key-free output layers peeled off,
-        // and the miter of what is left. The locked netlist's order stays
-        // cached after the first run.
-        let (time, clauses) = fastest(|| {
-            let kept = key_reachable_outputs(netlist);
-            let cone = keep_outputs(netlist, &kept).expect("distinct positions");
-            let differs = peel_key_free_layers(&cone);
-            let mut solver = Solver::new();
-            build_miter(&mut solver, &differs, &differs).expect("one interface");
-            solver.num_clauses() as u64
-        });
+        // A session's set-up: the outputs the key reaches, their cone, its
+        // key-free output layers peeled off, the miter of what is left,
+        // and the key cone and renaming the per-DIP copies use. The
+        // locked netlist's order stays cached after the first run.
+        let (time, clauses) =
+            fastest(|| AttackEncoding::new(netlist, false).1.num_clauses() as u64);
         cell("cone_miter", "c7552_sarlock8", time, "cnf_clauses", clauses);
 
-        // The DIP loop's encoding work: the attack miter, then both
-        // constraint copies for each of 255 fixed DIPs (SARLock |K|=8 needs
-        // 2^8 - 1) with the oracle's responses, through the elimination
-        // buffer into the miter's solver.
+        // The DIP loop's encoding work, as one run of the attack does it:
+        // a copy of the session's solver, then each DIP's constraint over
+        // the whole locked netlist with the oracle's whole response, the
+        // key-free outputs folding to constants, through the elimination
+        // buffer. First 255 pseudo-random DIPs (SARLock |K|=8 needs
+        // 2^8 - 1), which flip about half the inputs each time.
+        let (encoding, session) = AttackEncoding::new(netlist, false);
+        let mut oracle = Simulator::new(&c7552).expect("acyclic");
+        let mut dip_copies = |dips: &[Vec<bool>]| {
+            let responses: Vec<Vec<bool>> =
+                dips.iter().map(|dip| oracle.eval(dip, &[])).collect();
+            fastest(|| {
+                let mut solver = session.clone();
+                let mut constraints = encoding.dip_constraints();
+                for (dip, response) in dips.iter().zip(&responses) {
+                    constraints.add_answered(&mut solver, dip, response);
+                }
+                solver.num_clauses() as u64
+            })
+        };
         let width = netlist.inputs().len();
         let dips: Vec<Vec<bool>> = (0..255u64)
             .map(|i| bits_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), width))
             .collect();
-        let mut oracle = Simulator::new(&c7552).expect("acyclic");
-        let responses: Vec<Vec<bool>> = dips.iter().map(|dip| oracle.eval(dip, &[])).collect();
-        let (time, clauses) = fastest(|| {
-            let mut solver = Solver::new();
-            let miter = build_miter(&mut solver, netlist, netlist).expect("one interface");
-            let mirror = KeyMirror::new(&miter);
-            let mut constraints = DipConstraints::new(netlist, &miter, &mirror);
-            for (dip, response) in dips.iter().zip(&responses) {
-                constraints.add_answered(&mut solver, dip, response).expect("widths match");
-            }
-            solver.num_clauses() as u64
-        });
+        let (time, clauses) = dip_copies(&dips);
         cell("dip_copies", "c7552_sarlock8", time, "cnf_clauses", clauses);
 
         // The oracle's side of the DIP loop: the 255 DIPs a SARLock attack
@@ -1119,27 +1115,10 @@ pub fn layers(_ctx: &ScenarioCtx) -> ScenarioResult {
             cell("sim_oracle", input, time, "queries", queries);
         }
 
-        // The same DIPs through the attack's own encoding: the peeled
-        // cone's miter in a solver each run copies, then each DIP's
-        // constraint over the whole locked netlist with the oracle's whole
-        // response, the key-free outputs folding to constants. Consecutive
-        // DIPs re-simulate a few gates, so this is the per-DIP encoding and
+        // Then the DIPs the attack asked, in order: consecutive DIPs
+        // re-simulate a few gates, so this is the per-DIP encoding and
         // elimination the attack pays.
-        let cone = keep_outputs(netlist, &key_reachable_outputs(netlist)).expect("distinct");
-        let differs = peel_key_free_layers(&cone);
-        let mut session = Solver::new();
-        let miter = build_miter(&mut session, &differs, &differs).expect("one interface");
-        let mirror = KeyMirror::new(&miter);
-        let responses: Vec<Vec<bool>> =
-            recorded.iter().map(|dip| oracle.eval(dip, &[])).collect();
-        let (time, clauses) = fastest(|| {
-            let mut solver = session.clone();
-            let mut constraints = DipConstraints::new(netlist, &miter, &mirror);
-            for (dip, response) in recorded.iter().zip(&responses) {
-                constraints.add_answered(&mut solver, dip, response).expect("widths match");
-            }
-            solver.num_clauses() as u64
-        });
+        let (time, clauses) = dip_copies(recorded);
         cell("dip_copies", "c7552_sarlock8_attack", time, "cnf_clauses", clauses);
     }
 

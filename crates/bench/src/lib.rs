@@ -14,7 +14,7 @@
 //! | `bench --only adaptive` | adaptive budget-driven term tree vs static `N` |
 //! | `bench --only ablation_split` | split-port heuristic ablation (§4) |
 //! | `bench --only defense_probe` | the conclusion's defense direction |
-//! | `bench --only layers` | packed simulation, re-synthesis, locking and solver timings |
+//! | `bench --only layers` | per-layer timings: packed simulation, the oracle's event-driven single-pattern simulation (a recorded SARLock DIP sequence and random patterns), re-synthesis, LUT locking, the attack's session encoding, per-DIP constraint encoding (pseudo-random DIPs and the recorded SARLock DIPs, both through the attack's own encoding), CDCL solver (including the DIP loop's incremental pattern), equivalence proofs |
 //!
 //! (`bench` is `cargo run --release -p polykey-bench --bin bench --`.)
 //! Every run prints the scenarios' tables, writes `BENCH_*.json`

@@ -50,13 +50,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use polykey_encode::AttackEncoding;
 use polykey_locking::Key;
 use polykey_netlist::Netlist;
 use polykey_sat::Solver;
 
 use crate::error::AttackError;
 use crate::oracle::{SharedOracle, TermOracle};
-use crate::sat_attack::{run_sat_attack, AttackStatus, Encoded, TermCtl};
+use crate::sat_attack::{run_sat_attack, AttackStatus, TermCtl};
 use crate::session::{AttackConfig, AttackReport, AttackStats, ProgressEvent};
 use crate::split::select_split_inputs;
 
@@ -224,9 +225,9 @@ pub(crate) fn run_multi_key(
     // miter in a solver that each root term copies and pins by unit
     // clauses. A root term's time counts this encoding, as it would if the
     // term ran alone.
-    let encoding = Instant::now();
-    let (encoded, root_solver) = Encoded::new(locked, config.textbook);
-    let encode_time = encoding.elapsed();
+    let started = Instant::now();
+    let (encoding, root_solver) = AttackEncoding::new(locked, config.textbook);
+    let encode_time = started.elapsed();
 
     let run_term = |path: TermPath| -> TermOutput {
         let term_start = Instant::now();
@@ -280,7 +281,7 @@ pub(crate) fn run_multi_key(
                 on_dip: on_dip.as_ref().map(|f| f as &(dyn Fn(u64) + Sync)),
             };
             let mut term_oracle = TermOracle::new(oracle, &term_queries);
-            let outcome = run_sat_attack(&encoded, solver, &mut term_oracle, config, &term);
+            let outcome = run_sat_attack(&encoding, solver, &mut term_oracle, config, &term);
             let report =
                 report(outcome.status, outcome.stats, outcome.cnf_size, outcome.dip_patterns);
             if let Some(progress) = progress {

@@ -24,10 +24,10 @@
 //!    wrong, which ends the run as [`AttackStatus::Inconsistent`] once that
 //!    oracle round is answered. The copy's private variables are
 //!    eliminated before the solver sees it, and what survives is added
-//!    once as it is and once renamed onto the right keys ([`KeyMirror`]),
-//!    each clause merged with an earlier DIP's survivor that differs from
-//!    it in one literal's sign (two SARLock exclusions of keys one bit
-//!    apart become one clause without that bit). A DIP differs from the
+//!    once as it is and once renamed onto the right keys, each clause
+//!    merged with an earlier DIP's survivor that differs from it in one
+//!    literal's sign (two SARLock exclusions of keys one bit apart become
+//!    one clause without that bit). A DIP differs from the
 //!    previous one in a few inputs, so both the simulated oracle and the
 //!    copy's constants re-evaluate only the gates those inputs reach
 //!    (event-driven single-pattern simulation). The textbook formulation
@@ -38,22 +38,20 @@
 //!
 //! The solver is used *incrementally*: learnt clauses carry over between
 //! iterations, and the miter is kept behind an assumption literal so the
-//! final key-extraction solve can ignore it. A session encodes its locked
-//! netlist once ([`Encoded`]); every run starts from a copy of a solver
-//! holding that encoding and pins its sub-space with unit clauses. A run
-//! stopped by its DIP budget hands its solver back, and another run can
-//! resume it with more input pins (the adaptive term tree's children do).
+//! final key-extraction solve can ignore it. The CNF of steps 1 and 3, in
+//! both formulations, is `polykey-encode`'s: a session encodes its locked
+//! netlist once ([`AttackEncoding`]), every run starts from a copy of a
+//! solver holding that encoding, pins its sub-space with unit clauses, and
+//! adds each DIP through the encoding's
+//! [`DipConstraints`](polykey_encode::DipConstraints). This module keeps
+//! the loop: solve, harvest, query, count. A run stopped by its DIP budget
+//! hands its solver back, and another run can resume it with more input
+//! pins (the adaptive term tree's children do).
 
-use std::borrow::Cow;
 use std::time::Instant;
 
-use polykey_encode::{
-    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, DipConstraints,
-    KeyMirror, Miter, PortBinding,
-};
+use polykey_encode::{AttackEncoding, Miter, PendingCopies};
 use polykey_locking::Key;
-use polykey_netlist::analysis::key_reachable_outputs;
-use polykey_netlist::{keep_outputs, peel_key_free_layers, Netlist};
 use polykey_sat::{SolveResult, Solver, SolverStats};
 
 use crate::oracle::Oracle;
@@ -104,57 +102,6 @@ pub enum AttackStatus {
     Inconsistent,
 }
 
-/// A netlist, the miter of its key cone's peeled outputs with themselves,
-/// and that miter's left-to-right key renaming: what every solver of a
-/// session encodes. Built once per session and borrowed by each of its
-/// runs.
-pub(crate) struct Encoded<'n> {
-    /// The attacked netlist, with every output: what the per-DIP copies
-    /// encode.
-    pub netlist: &'n Netlist,
-    miter: Miter,
-    /// Renames the per-DIP constraints of the left key copy onto the right.
-    mirror: KeyMirror,
-    /// The textbook formulation: every output kept, nothing peeled, and
-    /// per-DIP copies of the whole netlist ([`DipCopies::Full`]).
-    textbook: bool,
-}
-
-impl<'n> Encoded<'n> {
-    /// Encodes `netlist` for a search and returns the encoding with a new
-    /// solver that holds its miter: the state every run of a session
-    /// starts from. The key cone keeps every input and only the outputs
-    /// the key inputs reach, with their fan-in. The miter compares two key
-    /// copies of that cone with its key-free output layers peeled off
-    /// ([`peel_key_free_layers`]): it is satisfiable on exactly the inputs
-    /// and key pairs the whole cone's miter is, but decides and propagates
-    /// only the logic the key changes. The per-DIP copies encode the whole
-    /// netlist, once over the left keys, and are renamed onto the right
-    /// ones through a [`KeyMirror`] of the miter, built here. The `textbook`
-    /// formulation keeps every output and peels nothing.
-    ///
-    /// Every constraint a run adds is a fact the oracle confirmed, so the
-    /// correct key satisfies all of them: a solver resumed with more input
-    /// pins stays sound, and its learnt clauses stay implied because its
-    /// clause set only grows.
-    pub fn new(netlist: &'n Netlist, textbook: bool) -> (Encoded<'n>, Solver) {
-        let outputs = netlist.outputs().len();
-        let kept =
-            if textbook { (0..outputs).collect() } else { key_reachable_outputs(netlist) };
-        let cone = (kept.len() < outputs).then(|| {
-            keep_outputs(netlist, &kept).expect("the key's outputs are distinct positions")
-        });
-        let mut solver = Solver::new();
-        let encoded = cone.as_ref().unwrap_or(netlist);
-        let differs =
-            if textbook { Cow::Borrowed(encoded) } else { peel_key_free_layers(encoded) };
-        let miter = build_miter(&mut solver, &differs, &differs)
-            .expect("a netlist has its own interface");
-        let mirror = KeyMirror::new(&miter);
-        (Encoded { netlist, miter, mirror, textbook }, solver)
-    }
-}
-
 /// The result of a SAT attack run.
 pub(crate) struct SatAttackOutcome {
     /// Terminal status.
@@ -172,94 +119,6 @@ pub(crate) struct SatAttackOutcome {
     /// The solver, handed back on [`AttackStatus::BudgetExhausted`] so the
     /// term's children can resume its search.
     pub solver: Option<Solver>,
-}
-
-/// A DIP harvested in the current epoch but not yet answered by the
-/// oracle. All but the last DIP of a batch carry their already-encoded
-/// constraint copies (`[left, right]` output values), added during the
-/// harvest to steer subsequent re-solves; the oracle's response is later
-/// asserted directly on those values.
-struct PendingDip {
-    dip: Vec<bool>,
-    copies: Option<[Vec<CnfValue>; 2]>,
-}
-
-/// How the per-DIP consistency-constraint copies of `locked` are encoded.
-enum DipCopies<'n> {
-    /// Inputs pinned as constants: the copy walks the key cone only, hashed
-    /// against the miter, its private variables are eliminated before the
-    /// solver sees them, and it is added once per key copy.
-    Folded(Box<DipConstraints<'n>>),
-    /// The textbook formulation: a full copy with unit clauses on the
-    /// inputs.
-    Full(&'n Netlist, &'n Miter),
-}
-
-/// Why no per-DIP encoding can fail: its port widths are the miter's.
-const MITER_WIDTHS: &str =
-    "every DIP is read off the miter's inputs, and every copy takes the miter's keys";
-
-impl<'n> DipCopies<'n> {
-    fn new(encoded: &'n Encoded<'_>) -> DipCopies<'n> {
-        let (locked, miter) = (encoded.netlist, &encoded.miter);
-        if encoded.textbook {
-            DipCopies::Full(locked, miter)
-        } else {
-            DipCopies::Folded(Box::new(DipConstraints::new(locked, miter, &encoded.mirror)))
-        }
-    }
-
-    /// Requires both key copies to reproduce `response` at `dip`.
-    fn add_answered(&mut self, solver: &mut Solver, dip: &[bool], response: &[bool]) {
-        match self {
-            DipCopies::Folded(constraints) => {
-                constraints.add_answered(solver, dip, response).expect(MITER_WIDTHS)
-            }
-            DipCopies::Full(locked, miter) => {
-                for keys in [&miter.keys_left, &miter.keys_right] {
-                    let outputs = encode_full(solver, locked, dip, keys);
-                    for (out, &bit) in outputs.iter().zip(response) {
-                        assert_value(solver, *out, bit);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Requires both key copies to agree at `dip`, whose response is still
-    /// pending, and returns their output values (`[left, right]`).
-    fn add_pending(&mut self, solver: &mut Solver, dip: &[bool]) -> [Vec<CnfValue>; 2] {
-        match self {
-            DipCopies::Folded(constraints) => {
-                constraints.add_pending(solver, dip).expect(MITER_WIDTHS)
-            }
-            DipCopies::Full(locked, miter) => {
-                let left = encode_full(solver, locked, dip, &miter.keys_left);
-                let right = encode_full(solver, locked, dip, &miter.keys_right);
-                for (&l, &r) in left.iter().zip(&right) {
-                    assert_equal(solver, l, r);
-                }
-                [left, right]
-            }
-        }
-    }
-}
-
-/// One textbook copy of `locked` at `dip` over the given key literals:
-/// the full circuit with unit clauses on the inputs.
-fn encode_full(
-    solver: &mut Solver,
-    locked: &Netlist,
-    dip: &[bool],
-    keys: &[polykey_sat::Lit],
-) -> Vec<CnfValue> {
-    let mut binding = Binding::fresh(locked);
-    binding.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
-    let enc = encode(solver, locked, &binding).expect(MITER_WIDTHS);
-    for (val, &bit) in enc.inputs.iter().zip(dip) {
-        assert_value(solver, *val, bit);
-    }
-    enc.outputs
 }
 
 /// The mutable state of one DIP-refinement run: the incremental solver,
@@ -298,17 +157,18 @@ impl Run<'_> {
     ///
     /// Panics if the oracle answers a batch with fewer or more answers than
     /// patterns, or with an answer whose width is not the netlist's output
-    /// count: the term's panic boundary then fails the term, where a short
-    /// answer would otherwise constrain nothing on its missing outputs.
+    /// count ([`DipConstraints::answer`](polykey_encode::DipConstraints::answer)
+    /// refuses it before the DIP is counted): the term's panic boundary
+    /// then fails the term, where a short answer would otherwise constrain
+    /// nothing on its missing outputs.
     fn refine(
         &mut self,
-        copies: &mut DipCopies<'_>,
-        encoded: &Encoded<'_>,
+        encoding: &AttackEncoding<'_>,
         config: &AttackConfig<'_>,
         term: &TermCtl<'_>,
     ) -> (AttackStatus, Option<Key>) {
-        let miter = &encoded.miter;
-        let outputs = encoded.netlist.outputs().len();
+        let miter = encoding.miter();
+        let mut constraints = encoding.dip_constraints();
         loop {
             // Cooperative cancellation, once per refinement iteration.
             if config.cancelled() {
@@ -327,17 +187,17 @@ impl Run<'_> {
                     // Harvest up to `dip_batch` distinct DIPs before paying
                     // the oracle round-trip. After each harvested DIP the two
                     // constraint copies are encoded immediately and their
-                    // outputs tied together (`assert_equal`): requiring the
-                    // key copies to *agree* at the pending input is a
-                    // relaxation of the response constraint asserted below
-                    // once the oracle answers, so no consistent key pair is
-                    // lost — but the re-solve can no longer return a key
-                    // pair the pending answer would eliminate anyway,
-                    // steering every harvested DIP toward fresh key-space.
-                    // The copies are kept so the answer lands on the same
-                    // CNF: batching costs no extra circuit encodings over
-                    // the classic loop.
-                    let mut batch: Vec<PendingDip> = Vec::new();
+                    // outputs tied together: requiring the key copies to
+                    // *agree* at the pending input is a relaxation of the
+                    // response constraint asserted below once the oracle
+                    // answers, so no consistent key pair is lost — but the
+                    // re-solve can no longer return a key pair the pending
+                    // answer would eliminate anyway, steering every
+                    // harvested DIP toward fresh key-space. The copies are
+                    // kept so the answer lands on the same CNF: batching
+                    // costs no extra circuit encodings over the classic loop.
+                    let mut dips: Vec<Vec<bool>> = Vec::new();
+                    let mut pending: Vec<Option<PendingCopies>> = Vec::new();
                     let mut dip = self.extract_dip(miter);
                     // Never harvest past the DIP budget (not yet spent:
                     // checked above).
@@ -348,14 +208,15 @@ impl Run<'_> {
                         None => config.dip_batch,
                     };
                     loop {
-                        if batch.len() + 1 >= target || config.cancelled() {
+                        if dips.len() + 1 >= target || config.cancelled() {
                             // The epoch's last DIP needs no steering copies;
                             // it is encoded on the classic path when answered.
-                            batch.push(PendingDip { dip, copies: None });
+                            dips.push(dip);
+                            pending.push(None);
                             break;
                         }
-                        let outputs = copies.add_pending(&mut self.solver, &dip);
-                        batch.push(PendingDip { dip, copies: Some(outputs) });
+                        pending.push(Some(constraints.add_pending(&mut self.solver, &dip)));
+                        dips.push(dip);
                         match self.solver.solve(&[miter.diff]) {
                             SolveResult::Sat => dip = self.extract_dip(miter),
                             // Unsat: the epoch drained every remaining DIP
@@ -366,34 +227,27 @@ impl Run<'_> {
                         }
                     }
                     // One oracle round answers the whole batch.
-                    let patterns: Vec<Vec<bool>> =
-                        batch.iter().map(|p| p.dip.clone()).collect();
-                    let responses = self.oracle.query_batch(&patterns);
+                    let responses = self.oracle.query_batch(&dips);
                     self.stats.oracle_rounds += 1;
-                    assert_eq!(responses.len(), batch.len(), "one oracle answer per pattern");
-                    for (pending, response) in batch.iter().zip(&responses) {
-                        assert_eq!(response.len(), outputs, "one answer bit per output");
+                    assert_eq!(responses.len(), dips.len(), "one oracle answer per pattern");
+                    for ((dip, copies), response) in
+                        dips.into_iter().zip(pending).zip(&responses)
+                    {
+                        // Both key copies must reproduce the response at
+                        // this input. A wrong answer leaves the solver
+                        // unsatisfiable, so the next solve ends the run.
+                        match copies {
+                            Some(copies) => {
+                                constraints.answer(&mut self.solver, copies, response)
+                            }
+                            None => constraints.add_answered(&mut self.solver, &dip, response),
+                        }
                         self.stats.dips += 1;
                         if let Some(on_dip) = term.on_dip {
                             on_dip(self.stats.dips);
                         }
                         if config.record_dips {
-                            self.dip_patterns.push(pending.dip.clone());
-                        }
-                        // Both key copies must reproduce the response at
-                        // this input. A wrong answer leaves the solver
-                        // unsatisfiable, so the next solve ends the run.
-                        match &pending.copies {
-                            Some(copies) => {
-                                for outputs in copies {
-                                    for (out, &bit) in outputs.iter().zip(response) {
-                                        assert_value(&mut self.solver, *out, bit);
-                                    }
-                                }
-                            }
-                            None => {
-                                copies.add_answered(&mut self.solver, &pending.dip, response)
-                            }
+                            self.dip_patterns.push(dip);
                         }
                     }
                 }
@@ -422,21 +276,21 @@ impl Run<'_> {
 }
 
 /// The DIP-refinement engine: runs the oracle-guided SAT attack on
-/// `encoded` in `solver` (a new one from [`Encoded::new`] or one a budgeted
-/// run handed back), after pinning `term.force_inputs`. Every
+/// `encoding` in `solver` (a new one from [`AttackEncoding::new`] or one a
+/// budgeted run handed back), after pinning `term.force_inputs`. Every
 /// [`crate::AttackSession`] term runs through here.
 ///
 /// # Panics
 ///
 /// Panics on an oracle answer of the wrong shape (see [`Run::refine`]).
 pub(crate) fn run_sat_attack(
-    encoded: &Encoded<'_>,
+    encoding: &AttackEncoding<'_>,
     mut solver: Solver,
     oracle: &mut dyn Oracle,
     config: &AttackConfig<'_>,
     term: &TermCtl<'_>,
 ) -> SatAttackOutcome {
-    let miter = &encoded.miter;
+    let miter = encoding.miter();
     let queries_at_start = oracle.queries();
     let solver_at_start = *solver.stats();
     // Set once per run, which also clears the clock of a resumed search.
@@ -453,7 +307,7 @@ pub(crate) fn run_sat_attack(
         stats: AttackStats::default(),
         dip_patterns: Vec::new(),
     };
-    let (status, key) = run.refine(&mut DipCopies::new(encoded), encoded, config, term);
+    let (status, key) = run.refine(encoding, config, term);
     run.finish(status, key)
 }
 
@@ -461,10 +315,15 @@ pub(crate) fn run_sat_attack(
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
+    use polykey_encode::build_miter;
     use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
-    use polykey_netlist::{bits_of, GateKind, Simulator};
+    use polykey_netlist::analysis::key_reachable_outputs;
+    use polykey_netlist::{
+        bits_of, keep_outputs, peel_key_free_layers, GateKind, Netlist, Simulator,
+    };
     use polykey_sat::Lit;
     use rand::SeedableRng;
+    use std::borrow::Cow;
 
     fn majority3() -> Netlist {
         let mut nl = Netlist::new("maj3");
@@ -485,8 +344,8 @@ mod tests {
     }
 
     /// A new search on `locked`: its encoding and a solver holding it.
-    fn start(locked: &Netlist) -> (Encoded<'_>, Solver) {
-        Encoded::new(locked, false)
+    fn start(locked: &Netlist) -> (AttackEncoding<'_>, Solver) {
+        AttackEncoding::new(locked, false)
     }
 
     /// Runs one unpinned, unbudgeted term without a deadline or progress
@@ -496,8 +355,8 @@ mod tests {
         oracle: &mut dyn Oracle,
         config: &AttackConfig<'_>,
     ) -> SatAttackOutcome {
-        let (encoded, solver) = Encoded::new(locked, config.textbook);
-        run_sat_attack(&encoded, solver, oracle, config, &TermCtl::default())
+        let (encoding, solver) = AttackEncoding::new(locked, config.textbook);
+        run_sat_attack(&encoding, solver, oracle, config, &TermCtl::default())
     }
 
     /// Runs one term under the session defaults.
@@ -506,8 +365,8 @@ mod tests {
         oracle: &mut dyn Oracle,
         term: &TermCtl<'_>,
     ) -> SatAttackOutcome {
-        let (encoded, solver) = start(locked);
-        run_sat_attack(&encoded, solver, oracle, &AttackConfig::default(), term)
+        let (encoding, solver) = start(locked);
+        run_sat_attack(&encoding, solver, oracle, &AttackConfig::default(), term)
     }
 
     /// Checks that a recovered key makes the locked circuit behave like the
@@ -610,8 +469,8 @@ mod tests {
         let mut oracle = SimOracle::new(&nl).unwrap();
         let config = AttackConfig { dip_batch: 64, ..AttackConfig::default() };
         let term = TermCtl { dip_budget: Some(2), ..TermCtl::default() };
-        let (encoded, solver) = start(&locked);
-        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &term);
+        let (encoding, solver) = start(&locked);
+        let outcome = run_sat_attack(&encoding, solver, &mut oracle, &config, &term);
         assert_eq!(outcome.status, AttackStatus::BudgetExhausted);
         assert_eq!(outcome.stats.dips, 2, "harvest must not overshoot the DIP budget");
         assert_eq!(outcome.stats.oracle_rounds, 1);
@@ -687,12 +546,12 @@ mod tests {
         // with `TimeLimit`.
         let nl = majority3();
         let locked = sarlock3(&nl, 0b010);
-        let (encoded, mut solver) = start(&locked);
+        let (encoding, mut solver) = start(&locked);
         solver.set_deadline(Some(Instant::now()));
         let mut oracle = SimOracle::new(&nl).unwrap();
         let config = AttackConfig::default();
         let outcome =
-            run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default());
+            run_sat_attack(&encoding, solver, &mut oracle, &config, &TermCtl::default());
         assert_eq!(outcome.status, AttackStatus::Success);
         assert!(outcome.stats.dips > 0);
     }
@@ -866,19 +725,19 @@ mod tests {
         let (original, locked, free) = sarlock_c432();
         let mut oracle = FlipOnce::new(&original, 35, free);
         let budget = TermCtl { dip_budget: Some(32), ..TermCtl::default() };
-        let (encoded, solver) = start(&locked);
+        let (encoding, solver) = start(&locked);
         let config = AttackConfig::default();
-        let parent = run_sat_attack(&encoded, solver, &mut oracle, &config, &budget);
+        let parent = run_sat_attack(&encoding, solver, &mut oracle, &config, &budget);
         assert_eq!(parent.status, AttackStatus::BudgetExhausted);
         let child = TermCtl { force_inputs: vec![(0, true)], ..TermCtl::default() };
         let solver = parent.solver.expect("handed on");
-        let outcome = run_sat_attack(&encoded, solver, &mut oracle, &config, &child);
+        let outcome = run_sat_attack(&encoding, solver, &mut oracle, &config, &child);
         assert_eq!(outcome.status, AttackStatus::Inconsistent);
         assert!(outcome.stats.dips > 3);
         assert!(outcome.key.is_none());
     }
 
-    /// The key cone `Encoded::new` builds its miter from: every input, and
+    /// The key cone `AttackEncoding::new` builds its miter from: every input, and
     /// the outputs the key reaches with their fan-in.
     fn key_cone(locked: &Netlist) -> Netlist {
         keep_outputs(locked, &key_reachable_outputs(locked)).unwrap()
@@ -889,7 +748,7 @@ mod tests {
     /// `pairs`, given as assumptions, and every DIP it returns must make
     /// the two keys disagree on the whole locked netlist.
     fn assert_peeled_miter_agrees(locked: &Netlist, pairs: &[(Key, Key)]) {
-        let (encoded, mut solver) = start(locked);
+        let (encoding, mut solver) = start(locked);
         let cone = key_cone(locked);
         let mut full_solver = Solver::new();
         let full = build_miter(&mut full_solver, &cone, &cone).unwrap();
@@ -904,7 +763,7 @@ mod tests {
             lits.extend(pin(&miter.keys_right, k2));
             lits
         };
-        let peeled = &encoded.miter;
+        let peeled = encoding.miter();
         for (k1, k2) in pairs {
             let verdict = solver.solve(&assume(peeled, k1, k2));
             assert_eq!(verdict, full_solver.solve(&assume(&full, k1, k2)), "{k1:?} {k2:?}");

@@ -646,9 +646,9 @@ impl<'a> AttackSession<'a> {
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use crate::sat_attack::{run_sat_attack, Encoded, TermCtl};
+    use crate::sat_attack::{run_sat_attack, TermCtl};
     use polykey_circuits::{generate_random, RandomCircuitSpec};
-    use polykey_encode::{check_equivalence, EquivResult};
+    use polykey_encode::{check_equivalence, AttackEncoding, EquivResult};
     use polykey_locking::{AntiSat, LockScheme, LutLock, Rll, Sarlock};
     use polykey_netlist::GateKind;
     use rand::SeedableRng;
@@ -829,10 +829,10 @@ mod tests {
         for scheme in &schemes {
             let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
             let mut oracle = SimOracle::new(&original).unwrap();
-            let (encoded, solver) = Encoded::new(&locked, false);
+            let (encoding, solver) = AttackEncoding::new(&locked, false);
             let config = AttackConfig::default();
             let direct =
-                run_sat_attack(&encoded, solver, &mut oracle, &config, &TermCtl::default());
+                run_sat_attack(&encoding, solver, &mut oracle, &config, &TermCtl::default());
 
             let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
             let mut oracle = SimOracle::new(&original).unwrap();
@@ -968,7 +968,8 @@ mod tests {
     fn an_answer_of_the_wrong_width_fails_the_term() {
         // A short answer constrains nothing on its missing output, so the
         // same DIPs come back until the time budget ends the run; the term
-        // must fail at the first answer instead, with its query counted.
+        // must fail at the first answer instead, with its query counted and
+        // no DIP reported.
         let original = polykey_circuits::c17();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let schemes: [Box<dyn LockScheme>; 2] =
@@ -977,8 +978,14 @@ mod tests {
             let locked = scheme.lock_random(&original, &mut rng).unwrap().netlist;
             for textbook in [false, true] {
                 let mut oracle = ShortAnswers(SimOracle::new(&original).unwrap());
+                let dips = Mutex::new(0);
                 let report = AttackSession::builder()
                     .oracle(&mut oracle)
+                    .on_progress(|e| {
+                        if matches!(e, ProgressEvent::Dip { .. }) {
+                            *dips.lock().unwrap() += 1;
+                        }
+                    })
                     .textbook(textbook)
                     .time_budget(Duration::from_secs(2))
                     .build()
@@ -989,6 +996,7 @@ mod tests {
                 assert_eq!(report.status(), AttackStatus::Failed, "{name}");
                 assert_eq!(report.stats().oracle_queries, 1, "{name}");
                 assert_eq!(oracle.queries(), 1, "{name}");
+                assert_eq!(*dips.lock().unwrap(), 0, "{name}");
             }
         }
     }

@@ -10,18 +10,18 @@
 //!   identical logic is encoded once;
 //! - [`ConeEncoder`]: the same copies with inputs pinned to a pattern,
 //!   visiting only the key cone;
-//! - [`DipConstraints`]: the per-DIP constraints of the attack — one cone
-//!   copy hashed against the miter's gates, whose private variables an
-//!   [`ElimBuffer`](polykey_sat::ElimBuffer) eliminates before the solver
-//!   sees it, added over the left keys and, renamed by the miter's
-//!   [`KeyMirror`], over the right ones;
 //! - [`build_miter`]: two circuit copies sharing primary inputs and one
 //!   structural-hash table, plus a `diff` literal that, when assumed,
 //!   forces an output difference — the engine of the oracle-guided SAT
 //!   attack. Logic the copies share gets one variable, so only the parts
 //!   that can differ reach the solver;
 //! - [`check_equivalence`]: one-call combinational equivalence checking
-//!   over that miter.
+//!   over that miter;
+//! - [`AttackEncoding`]: the attack's CNF, built once per session: the
+//!   miter of the key cone with its key-free output layers peeled off (in
+//!   the textbook formulation, of the whole netlist), and what each run's
+//!   [`DipConstraints`] need to add a DIP — a cone copy hashed against the
+//!   miter, eliminated and renamed onto the right keys, or two full copies.
 //!
 //! The attack miter, its per-DIP constraint copies and equivalence checks
 //! all take this one gate encoder.
@@ -56,14 +56,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod dip;
+mod attack;
 mod equiv;
 mod miter;
 mod tseitin;
 
-pub use dip::DipConstraints;
+pub use attack::{AttackEncoding, DipConstraints, PendingCopies};
 pub use equiv::{check_equivalence, EquivResult};
-pub use miter::{build_miter, KeyMirror, Miter};
+pub use miter::{build_miter, Miter};
 pub use tseitin::{
     assert_equal, assert_value, encode, Binding, CnfValue, ConeEncoder, EncodeError,
     EncodedCircuit, PortBinding,

@@ -148,9 +148,11 @@ pub fn build_miter(
 /// A clause over left key literals and gates says, renamed through the
 /// map, the same about the right copy. The attack's per-DIP constraints
 /// ([`DipConstraints`](crate::DipConstraints)) encode and eliminate the
-/// left copy once and add it twice this way.
+/// left copy once and add it twice this way; an
+/// [`AttackEncoding`](crate::AttackEncoding) reads its map once per
+/// session.
 #[derive(Clone, Debug)]
-pub struct KeyMirror {
+pub(crate) struct KeyMirror {
     /// Per solver variable: the twin of its positive literal.
     image: Vec<Option<Lit>>,
 }
@@ -158,7 +160,7 @@ pub struct KeyMirror {
 impl KeyMirror {
     /// Reads the map off `miter`, which should be a miter of a netlist
     /// with itself; other miters map only the gates that have a twin.
-    pub fn new(miter: &Miter) -> KeyMirror {
+    pub(crate) fn new(miter: &Miter) -> KeyMirror {
         KeyMirror { image: miter.table.twins(&miter.keys_left, &miter.keys_right) }
     }
 
@@ -168,7 +170,7 @@ impl KeyMirror {
     ///
     /// Panics if `l` is neither a left key nor a key-dependent gate of the
     /// left copy: nothing in the right copy is known to stand for it.
-    pub fn mirror(&self, l: Lit) -> Lit {
+    pub(crate) fn mirror(&self, l: Lit) -> Lit {
         match self.image.get(l.var().index()) {
             Some(&Some(twin)) => flip_if(twin, l.is_negated()),
             _ => panic!("literal {l} has no twin in the right key copy"),

@@ -20,8 +20,9 @@
 //! has to be re-proven equal by search. The miter keeps that table, and the
 //! attack's per-DIP copies look their gates up in it before their own. Read
 //! in variable order, it also pairs each key-dependent gate of a self-miter's
-//! left copy with its right twin ([`KeyMirror`](crate::KeyMirror)).
+//! left copy with its right twin (`KeyMirror`).
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -402,6 +403,37 @@ pub(crate) fn encode_shared<S: ClauseSink>(
     Ok(EncodedCircuit { inputs: input_values, keys: key_values, outputs })
 }
 
+/// The part of a [`ConeEncoder`] that depends on the netlist alone: which
+/// nodes the keys control, and the key-controlled gates in topological
+/// order. An attack session computes it once and lends it to every run's
+/// encoder.
+#[derive(Clone, Debug)]
+pub(crate) struct ConePlan {
+    /// The key-controlled gates, in topological order.
+    cone: Vec<NodeId>,
+    /// Per node: whether the keys control it ([`key_controlled_mask`]).
+    keyed: Vec<bool>,
+}
+
+impl ConePlan {
+    /// The cone of `netlist`'s key inputs.
+    pub(crate) fn new(netlist: &Netlist) -> ConePlan {
+        let keyed = key_controlled_mask(netlist);
+        let cone = netlist
+            .topological_order()
+            .iter()
+            .copied()
+            .filter(|&id| keyed[id.index()] && !netlist.node(id).kind().is_input())
+            .collect();
+        ConePlan { cone, keyed }
+    }
+
+    /// Whether the keys control `id`.
+    pub(crate) fn controls(&self, id: NodeId) -> bool {
+        self.keyed[id.index()]
+    }
+}
+
 /// Encodes per-DIP constraint copies: inputs pinned to a pattern, keys
 /// shared with existing literals, and only the key cone visited.
 ///
@@ -418,21 +450,18 @@ pub(crate) fn encode_shared<S: ClauseSink>(
 /// [`PortBinding::Pinned`] to the pattern and keys [`PortBinding::Shared`].
 /// An output outside the cone comes back as a constant.
 ///
-/// Built for a miter instead (the per-DIP copy of the attack, see
-/// [`DipConstraints`](crate::DipConstraints)), a copy first looks each
-/// gate up in the miter's table: key-only logic the miter already encodes
-/// reuses the miter's literal and adds nothing. The attack encodes one
-/// copy per DIP, over the left keys, and renames it onto the right ones
-/// ([`KeyMirror`](crate::KeyMirror)).
+/// The attack's encoders ([`DipConstraints`](crate::DipConstraints)) share
+/// their session's cone instead of computing their own, and first look
+/// each gate up in the miter's table: key-only logic the miter already
+/// encodes reuses the miter's literal and adds nothing. The attack encodes
+/// one copy per DIP, over the left keys, and renames it onto the right
+/// ones.
 #[derive(Debug)]
 pub struct ConeEncoder<'n> {
     netlist: &'n Netlist,
     /// The miter's table, read before the copy's own.
     shared: Option<&'n GateTable>,
-    /// The key-controlled gates, in topological order.
-    cone: Vec<NodeId>,
-    /// Per node: whether the keys control it ([`key_controlled_mask`]).
-    keyed: Vec<bool>,
+    plan: Cow<'n, ConePlan>,
     /// Simulates the netlist under the all-zero key; its words of the
     /// nodes the keys do not control are the copy's constants.
     sim: Simulator<'n>,
@@ -446,24 +475,21 @@ pub struct ConeEncoder<'n> {
 impl<'n> ConeEncoder<'n> {
     /// Prepares the cone of `netlist` for encoding.
     pub fn new(netlist: &'n Netlist) -> ConeEncoder<'n> {
-        ConeEncoder::over(netlist, None)
+        ConeEncoder::over(netlist, Cow::Owned(ConePlan::new(netlist)), None)
     }
 
-    /// [`ConeEncoder::new`] whose copies also reuse the gates of `shared`,
-    /// a table filled in the sink they are encoded into.
-    pub(crate) fn over(netlist: &'n Netlist, shared: Option<&'n GateTable>) -> ConeEncoder<'n> {
-        let keyed = key_controlled_mask(netlist);
-        let cone = netlist
-            .topological_order()
-            .iter()
-            .copied()
-            .filter(|&id| keyed[id.index()] && !netlist.node(id).kind().is_input())
-            .collect();
+    /// An encoder of `netlist` along `plan`, `ConePlan::new` of it,
+    /// whose copies also reuse the gates of `shared`, a table filled in
+    /// the sink they are encoded into.
+    pub(crate) fn over(
+        netlist: &'n Netlist,
+        plan: Cow<'n, ConePlan>,
+        shared: Option<&'n GateTable>,
+    ) -> ConeEncoder<'n> {
         ConeEncoder {
             netlist,
             shared,
-            cone,
-            keyed,
+            plan,
             sim: Simulator::new(netlist).expect("every netlist can be simulated"),
             zero_keys: vec![false; netlist.key_inputs().len()],
             values: vec![CnfValue::Const(false); netlist.num_nodes()],
@@ -475,33 +501,21 @@ impl<'n> ConeEncoder<'n> {
     /// Encodes one copy with inputs pinned to `pattern` and keys bound to
     /// `keys`, returning its output values in declaration order.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`EncodeError::BindingWidth`] if `pattern` or `keys` does not
-    /// match the netlist's port counts.
+    /// Panics if `pattern` or `keys` does not match the netlist's input
+    /// and key port counts.
     pub fn encode<S: ClauseSink>(
         &mut self,
         sink: &mut S,
         pattern: &[bool],
         keys: &[Lit],
-    ) -> Result<Vec<CnfValue>, EncodeError> {
+    ) -> Vec<CnfValue> {
         let nl = self.netlist;
-        if pattern.len() != nl.inputs().len() {
-            return Err(EncodeError::BindingWidth {
-                which: "inputs",
-                expected: nl.inputs().len(),
-                got: pattern.len(),
-            });
-        }
-        if keys.len() != nl.key_inputs().len() {
-            return Err(EncodeError::BindingWidth {
-                which: "keys",
-                expected: nl.key_inputs().len(),
-                got: keys.len(),
-            });
-        }
-        let ConeEncoder { shared, cone, keyed, sim, zero_keys, values, fanins, table, .. } =
-            self;
+        assert_eq!(pattern.len(), nl.inputs().len(), "one pattern bit per input");
+        assert_eq!(keys.len(), nl.key_inputs().len(), "one key literal per key input");
+        let ConeEncoder { shared, plan, sim, zero_keys, values, fanins, table, .. } = self;
+        let ConePlan { cone, keyed } = &**plan;
         let words = sim.node_values(pattern, zero_keys);
         // A node's value in this copy: its encoding if the keys control it,
         // its simulated constant otherwise.
@@ -517,13 +531,13 @@ impl<'n> ConeEncoder<'n> {
         }
         table.gates.clear();
         let mut strash = Strash { shared: *shared, own: table };
-        for &id in cone.iter() {
+        for &id in cone {
             let node = nl.node(id);
             fanins.clear();
             fanins.extend(node.fanins().iter().map(|&f| value(values, f)));
             values[id.index()] = encode_gate(sink, &mut strash, node.kind(), fanins);
         }
-        Ok(nl.outputs().iter().map(|&o| value(values, o)).collect())
+        nl.outputs().iter().map(|&o| value(values, o)).collect()
     }
 }
 

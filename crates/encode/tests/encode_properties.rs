@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use polykey_encode::{
-    assert_equal, assert_value, build_miter, check_equivalence, encode, Binding, CnfValue,
-    ConeEncoder, DipConstraints, EquivResult, KeyMirror, PortBinding,
+    assert_equal, assert_value, build_miter, check_equivalence, encode, AttackEncoding,
+    Binding, CnfValue, ConeEncoder, EquivResult, PortBinding,
 };
 use polykey_netlist::{bits_of, GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::{ClauseSink, CnfFormula, Lit, SolveResult, Solver, Var};
@@ -192,7 +192,7 @@ proptest! {
                     keys: keys.iter().map(|&l| PortBinding::Shared(l)).collect(),
                 };
                 let expected = encode(&mut plain, &nl, &binding).expect("encode").outputs;
-                let got = cone.encode(&mut folded, &ibits, keys).expect("encode");
+                let got = cone.encode(&mut folded, &ibits, keys);
                 prop_assert_eq!(&got, &expected);
                 copies.push((ibits.clone(), keys, got));
             }
@@ -224,41 +224,36 @@ proptest! {
         dips in proptest::collection::vec((0u64..16, 0u64..4, proptest::bool::ANY), 1..6),
         answers in proptest::collection::vec(0u64..4, 5),
     ) {
-        // Two solvers over the same self-miter. `plain` gets each DIP's two
-        // copies straight from a `ConeEncoder`, `eliminated` gets them
-        // through `DipConstraints`. Answered DIPs assert a random response;
-        // pending ones tie the copies and keep their outputs, which get a
-        // random answer afterwards. Under every assignment of both key
-        // vectors, alone and with the miter's `diff`, the solvers agree.
-        let mut plain = Solver::new();
-        let miter = build_miter(&mut plain, &nl, &nl).expect("miter");
-        let mut eliminated = Solver::new();
-        let twin = build_miter(&mut eliminated, &nl, &nl).expect("miter");
-        prop_assert_eq!(
-            (&miter.keys_left, &miter.keys_right, miter.diff),
-            (&twin.keys_left, &twin.keys_right, twin.diff)
-        );
+        // Two solvers that start from the attack's encoding of `nl`.
+        // `plain` gets each DIP's two copies straight from a `ConeEncoder`,
+        // `eliminated` gets them through `DipConstraints`. Answered DIPs
+        // assert a random response; pending ones tie the copies and keep
+        // them, and get a random answer afterwards. Under every assignment
+        // of both key vectors, alone and with the miter's `diff`, the
+        // solvers agree.
+        let (encoding, mut eliminated) = AttackEncoding::new(&nl, false);
+        let miter = encoding.miter();
+        let mut plain = eliminated.clone();
         let outputs = nl.outputs().len();
         let mut cone = ConeEncoder::new(&nl);
-        let mirror = KeyMirror::new(&twin);
-        let mut constraints = DipConstraints::new(&nl, &twin, &mirror);
+        let mut constraints = encoding.dip_constraints();
         let mut pending = Vec::new();
         for &(dip, response, is_pending) in &dips {
             let ibits = bits_of(dip, 4);
             let copies = [&miter.keys_left, &miter.keys_right]
-                .map(|keys| cone.encode(&mut plain, &ibits, keys).expect("encode"));
+                .map(|keys| cone.encode(&mut plain, &ibits, keys));
             if is_pending {
                 for (&l, &r) in copies[0].iter().zip(&copies[1]) {
                     assert_equal(&mut plain, l, r);
                 }
-                let kept = constraints.add_pending(&mut eliminated, &ibits).expect("encode");
+                let kept = constraints.add_pending(&mut eliminated, &ibits);
                 pending.push((copies, kept));
             } else {
                 let response = bits_of(response, outputs);
                 for (&out, &bit) in copies.iter().flatten().zip(response.iter().cycle()) {
                     assert_value(&mut plain, out, bit);
                 }
-                constraints.add_answered(&mut eliminated, &ibits, &response).expect("encode");
+                constraints.add_answered(&mut eliminated, &ibits, &response);
             }
         }
 
@@ -278,15 +273,14 @@ proptest! {
             Ok(())
         };
         agree(&mut plain, &mut eliminated)?;
-        // The kept outputs must be the eliminated solver's view of the
-        // same signals: answering them alike keeps the solvers in step.
-        for ((copies, kept), &answer) in pending.iter().zip(answers.iter().cycle()) {
+        // The kept copies must be the eliminated solver's view of the same
+        // signals: answering them alike keeps the solvers in step.
+        for ((copies, kept), &answer) in pending.into_iter().zip(answers.iter().cycle()) {
             let response = bits_of(answer, outputs);
-            for (solver, copies) in [(&mut plain, copies), (&mut eliminated, kept)] {
-                for (&out, &bit) in copies.iter().flatten().zip(response.iter().cycle()) {
-                    assert_value(solver, out, bit);
-                }
+            for (&out, &bit) in copies.iter().flatten().zip(response.iter().cycle()) {
+                assert_value(&mut plain, out, bit);
             }
+            constraints.answer(&mut eliminated, kept, &response);
         }
         agree(&mut plain, &mut eliminated)?;
     }

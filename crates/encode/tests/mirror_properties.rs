@@ -10,12 +10,9 @@ use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
 
 use polykey_circuits::{generate_random, RandomCircuitSpec};
-use polykey_encode::{
-    assert_equal, assert_value, build_miter, ConeEncoder, DipConstraints, KeyMirror,
-};
+use polykey_encode::{assert_equal, assert_value, AttackEncoding, ConeEncoder};
 use polykey_locking::{AntiSat, Key, LockScheme, LutLock, Rll, Sarlock};
-use polykey_netlist::analysis::key_reachable_outputs;
-use polykey_netlist::{keep_outputs, peel_key_free_layers, Simulator};
+use polykey_netlist::Simulator;
 use polykey_sat::{Lit, Solver};
 
 /// `lits` assumed to the bits of `key`.
@@ -46,30 +43,25 @@ proptest! {
         let mut oracle = Simulator::new(&original).expect("acyclic");
         for scheme in &schemes {
             let locked = scheme.lock_random(&original, &mut rng).expect("lockable");
-            let kept = key_reachable_outputs(&locked.netlist);
-            let cone = keep_outputs(&locked.netlist, &kept).expect("distinct positions");
-            let differs = peel_key_free_layers(&cone);
-
-            // `plain` gets each DIP's two copies from two cone walks,
-            // `mirrored` gets one walk, eliminated and added twice.
-            let mut plain = Solver::new();
-            let miter = build_miter(&mut plain, &differs, &differs).expect("miter");
-            let mut mirrored = Solver::new();
-            let twin = build_miter(&mut mirrored, &differs, &differs).expect("miter");
-            let mirror = KeyMirror::new(&twin);
+            // Both solvers start from the attack's encoding. `plain` gets
+            // each DIP's two copies from two cone walks, `mirrored` gets
+            // one walk, eliminated and added twice.
+            let (encoding, mut mirrored) = AttackEncoding::new(&locked.netlist, false);
+            let miter = encoding.miter();
+            let mut plain: Solver = mirrored.clone();
             let mut cone_walk = ConeEncoder::new(&locked.netlist);
-            let mut constraints = DipConstraints::new(&locked.netlist, &twin, &mirror);
+            let mut constraints = encoding.dip_constraints();
             let mut pending = Vec::new();
             for &(bits, is_pending) in &dips {
                 let dip: Vec<bool> = (0..inputs).map(|i| bits >> i & 1 == 1).collect();
                 let response = oracle.eval(&dip, &[]);
                 let copies = [&miter.keys_left, &miter.keys_right]
-                    .map(|keys| cone_walk.encode(&mut plain, &dip, keys).expect("encode"));
+                    .map(|keys| cone_walk.encode(&mut plain, &dip, keys));
                 if is_pending {
                     for (&l, &r) in copies[0].iter().zip(&copies[1]) {
                         assert_equal(&mut plain, l, r);
                     }
-                    let twins = constraints.add_pending(&mut mirrored, &dip).expect("encode");
+                    let twins = constraints.add_pending(&mut mirrored, &dip);
                     pending.push((copies, twins, response));
                 } else {
                     for outputs in &copies {
@@ -77,7 +69,7 @@ proptest! {
                             assert_value(&mut plain, out, bit);
                         }
                     }
-                    constraints.add_answered(&mut mirrored, &dip, &response).expect("encode");
+                    constraints.add_answered(&mut mirrored, &dip, &response);
                 }
             }
 
@@ -110,21 +102,20 @@ proptest! {
                 Ok(())
             };
             agree(&mut plain, &mut mirrored)?;
-            // The pending copies' values must be the mirrored solver's view
-            // of the same signals: answering them alike keeps the solvers in
-            // step. Some answers are the oracle's, some flip a bit.
+            // The pending copies must be the mirrored solver's view of the
+            // same signals: answering them alike keeps the solvers in step.
+            // Some answers are the oracle's, some flip a bit.
             for (copies, twins, mut response) in pending {
                 if rng.random_bool(0.25) {
                     let at = rng.random_range(0..response.len());
                     response[at] = !response[at];
                 }
-                for (solver, copies) in [(&mut plain, &copies), (&mut mirrored, &twins)] {
-                    for outputs in copies {
-                        for (&out, &bit) in outputs.iter().zip(&response) {
-                            assert_value(solver, out, bit);
-                        }
+                for outputs in &copies {
+                    for (&out, &bit) in outputs.iter().zip(&response) {
+                        assert_value(&mut plain, out, bit);
                     }
                 }
+                constraints.answer(&mut mirrored, twins, &response);
             }
             agree(&mut plain, &mut mirrored)?;
         }
